@@ -437,7 +437,7 @@ let meta_command session eng line =
         \  BEGIN/COMMIT/ROLLBACK, USE, SHOW TABLES|DATABASES|HISTORY, CHECKPOINT,\n\
         \  CREATE DATABASE s AS SNAPSHOT OF db AS OF <t|-secs>,\n\
         \  ALTER DATABASE db SET UNDO_INTERVAL = <n> SECONDS|MINUTES|HOURS,\n\
-        \  UNDO TRANSACTION <id>, REWIND TRANSACTION <id> [AS <view>]";
+        \  REWIND TRANSACTION <id> [AS <view>] (alias: UNDO TRANSACTION <id>)";
       `Continue
   | _ ->
       ignore session;

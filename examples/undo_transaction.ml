@@ -2,8 +2,9 @@
 
    A batch job posts wrong fees to many accounts; instead of rewinding the
    whole database (or restoring anything), the operator finds the guilty
-   transaction in the log and compensates exactly its operations, with
-   conflict detection against later activity.
+   transaction in the log and removes it: the pages it wrote are rewound
+   to just before it and the later transactions that touched them are
+   replayed, with conflict detection against later activity.
 
      dune exec examples/undo_transaction.exe *)
 
@@ -60,7 +61,7 @@ let () =
     | _ -> assert false
   in
 
-  Printf.printf "\n-- compensate exactly transaction %d --\n" victim;
+  Printf.printf "\n-- remove transaction %d, replaying what came after it --\n" victim;
   sql s (Printf.sprintf "UNDO TRANSACTION %d" victim);
   sql s "SELECT * FROM accounts";
   print_endline "balances restored; the unrelated insert (account 4) untouched."

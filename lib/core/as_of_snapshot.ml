@@ -171,27 +171,15 @@ let materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split pids =
            (page, plan, Sim_clock.now_us clock -. t0))
          entering)
   in
-  let n = Array.length arr in
-  let fanout = Domain_pool.effective_fanout n in
-  let results = Array.make n None in
-  if n > 0 then begin
-    Domain_pool.run ~participants:fanout (fun w ->
-        let i = ref w in
-        while !i < n do
-          let page, plan, _ = arr.(!i) in
-          results.(!i) <- Page_undo.apply_raw ~page ~as_of:split plan;
-          i := !i + fanout
-        done);
-    (* Overlap credit: the gather charged each partition's I/O serially;
-       [fanout] concurrent streams finish when the slowest does. *)
-    if fanout > 1 then begin
-      let per = Array.make fanout 0.0 in
-      Array.iteri (fun i (_, _, dt) -> per.(i mod fanout) <- per.(i mod fanout) +. dt) arr;
-      let total = Array.fold_left ( +. ) 0.0 per in
-      let slowest = Array.fold_left Float.max 0.0 per in
-      Sim_clock.credit_us clock (total -. slowest)
-    end
-  end;
+  let results = Array.make (Array.length arr) None in
+  let fanout =
+    Domain_pool.parallel_for (Array.length arr) (fun i ->
+        let page, plan, _ = arr.(i) in
+        results.(i) <- Page_undo.apply_raw ~page ~as_of:split plan)
+  in
+  (* Overlap credit: the gather charged each partition's I/O serially;
+     [fanout] concurrent streams finish when the slowest does. *)
+  Sim_clock.credit_us clock (Domain_pool.overlap_credit ~fanout (fun (_, _, dt) -> dt) arr);
   Array.iteri
     (fun i (page, _, _) ->
       let pid = Page.id page in

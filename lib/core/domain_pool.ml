@@ -147,3 +147,24 @@ let set_fanout cap =
   if !spawned > fanout_cap () - 1 then teardown_workers ()
 
 let effective_fanout work = max 1 (min work (fanout_cap ()))
+
+let parallel_for n f =
+  let fanout = effective_fanout n in
+  if n > 0 then
+    run ~participants:fanout (fun w ->
+        let i = ref w in
+        while !i < n do
+          f !i;
+          i := !i + fanout
+        done);
+  fanout
+
+let overlap_credit ~fanout cost items =
+  if fanout <= 1 then 0.0
+  else begin
+    let per = Array.make fanout 0.0 in
+    Array.iteri (fun i x -> per.(i mod fanout) <- per.(i mod fanout) +. cost x) items;
+    let total = Array.fold_left ( +. ) 0.0 per in
+    let slowest = Array.fold_left Float.max 0.0 per in
+    total -. slowest
+  end

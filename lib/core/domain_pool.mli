@@ -54,6 +54,21 @@ val effective_fanout : int -> int
     participant count a site should pass to {!run} for [work]
     independent units. *)
 
+val parallel_for : int -> (int -> unit) -> int
+(** [parallel_for n f] runs [f 0] .. [f (n - 1)] over
+    [effective_fanout n] participants, participant [w] taking indexes
+    [w], [w + fanout], ... (round-robin), and returns that fan-out.
+    [n <= 0] runs nothing.  The split is [n] — fixed by the caller — so
+    results do not depend on the fan-out as long as each [f i] touches
+    only index [i]'s private state. *)
+
+val overlap_credit : fanout:int -> ('a -> float) -> 'a array -> float
+(** [overlap_credit ~fanout cost items]: the modeled time saved when the
+    gather's serially-charged per-item costs stream concurrently on
+    [fanout] round-robin partitions — the total of the per-partition
+    costs minus the slowest partition.  [0.0] (allocation-free) at
+    [fanout <= 1]. *)
+
 val spawned_workers : unit -> int
 (** Worker domains spawned so far (parked between runs); introspection
     for the [\pool] meta-command. *)

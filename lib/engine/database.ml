@@ -657,23 +657,12 @@ let scrub t =
     let arr = Array.of_list items in
     let n = Array.length arr in
     let ok = Array.make n false in
-    if n > 0 then begin
-      let fanout = Domain_pool.effective_fanout n in
-      Domain_pool.run ~participants:fanout (fun w ->
-          let i = ref w in
-          while !i < n do
-            let _, page, _ = arr.(!i) in
-            ok.(!i) <- Rw_storage.Page.verify page;
-            i := !i + fanout
-          done);
-      if fanout > 1 then begin
-        let per = Array.make fanout 0.0 in
-        Array.iteri (fun i (_, _, dt) -> per.(i mod fanout) <- per.(i mod fanout) +. dt) arr;
-        let total = Array.fold_left ( +. ) 0.0 per in
-        let slowest = Array.fold_left Float.max 0.0 per in
-        Sim_clock.credit_us t.clock (total -. slowest)
-      end
-    end;
+    let fanout =
+      Domain_pool.parallel_for n (fun i ->
+          let _, page, _ = arr.(i) in
+          ok.(i) <- Rw_storage.Page.verify page)
+    in
+    Sim_clock.credit_us t.clock (Domain_pool.overlap_credit ~fanout (fun (_, _, dt) -> dt) arr);
     (* Publish, ascending: clean pages enter the pool as a fetch miss
        would; corrupt ones repair (or quarantine) exactly as the
        self-healing source does.  Pages that were resident at gather are
@@ -721,55 +710,59 @@ let scrub t =
 
 (* --- crash simulation --- *)
 
-let crash_and_reopen ?(instant = false) ?redo_domains t =
-  guard_writable t;
-  let redo_domains = Option.value redo_domains ~default:t.redo_domains in
+(* Reopen [t]'s media, log and clock as a fresh handle after a crash.
+   [now_us] closes over the clock alone: recovery state kept by the new
+   handle (the instant-restart backlog) must not pin the old handle, or
+   every restart would keep all earlier ones alive.  The retention
+   interval is a setting of the database, so it carries over. *)
+let reopen t ?instant ~redo_domains recover =
   Buffer_pool.drop_all t.pool;
   (* Torn writes bite now: pages whose last write was marked tearable keep
      only a sector prefix of it, and the log may keep a torn tail. *)
   ignore (Disk.apply_crash t.disk);
   Log_manager.crash t.log;
-  let now_us_clock () = Sim_clock.now_us t.clock in
+  let clock = t.clock in
+  let now_us () = Sim_clock.now_us clock in
+  let instant = Option.map (fun open_ -> open_ ~now_us) instant in
+  let fresh =
+    assemble ~name:t.name ~clock ~media:t.media ~log_media:t.log_media ~disk:t.disk ~log:t.log
+      ~pool_capacity:t.pool_capacity ~fpi_frequency:(Access_ctx.fpi_frequency t.ctx)
+      ~checkpoint_interval_us:t.checkpoint_interval_us ~read_only:false ~snapshot:None ~instant
+      ~redo_domains ~pool_opt:None ()
+  in
+  Retention.set_interval fresh.retention (Retention.interval t.retention);
+  let stats = recover ~now_us fresh in
+  Txn_manager.set_next_id fresh.txns
+    (Rw_wal.Txn_id.next stats.Recovery.analysis.Recovery.max_txn_id);
+  fresh.recovery_stats <- Some stats;
+  (* Allocation state may have changed during redo/undo; rebuild. *)
+  fresh.alloc <- Alloc_map.open_ fresh.ctx;
+  fresh
+
+let crash_and_reopen ?(instant = false) ?redo_domains t =
+  guard_writable t;
+  let redo_domains = Option.value redo_domains ~default:t.redo_domains in
   if instant then begin
     (* Instant restart: tail repair + analysis only, then open for business.
        Backlog pages are recovered on first touch (the pool source wrapper
        installed by [assemble]) or by the background sweeper; the first
        fetches below — boot page, allocation map — already go through it. *)
-    let inst = Recovery.Instant.open_ ~now_us:now_us_clock ~log:t.log () in
     let fresh =
-      assemble ~name:t.name ~clock:t.clock ~media:t.media ~log_media:t.log_media ~disk:t.disk
-        ~log:t.log ~pool_capacity:t.pool_capacity
-        ~fpi_frequency:(Access_ctx.fpi_frequency t.ctx)
-        ~checkpoint_interval_us:t.checkpoint_interval_us ~read_only:false ~snapshot:None
-        ~instant:(Some inst) ~redo_domains ~pool_opt:None ()
+      reopen t ~redo_domains
+        ~instant:(fun ~now_us -> Recovery.Instant.open_ ~now_us ~log:t.log ())
+        (fun ~now_us:_ fresh -> Recovery.Instant.stats (Option.get fresh.instant))
     in
-    let stats = Recovery.Instant.stats inst in
-    Txn_manager.set_next_id fresh.txns
-      (Rw_wal.Txn_id.next stats.Recovery.analysis.Recovery.max_txn_id);
-    fresh.recovery_stats <- Some stats;
-    fresh.alloc <- Alloc_map.open_ fresh.ctx;
     (* No checkpoint yet: the master record must not advance past pages
        still awaiting redo.  The first explicit or automatic checkpoint
        drains the backlog and then advances it. *)
-    Recovery.Instant.mark_open inst;
+    Recovery.Instant.mark_open (Option.get fresh.instant);
     fresh
   end
   else begin
     let fresh =
-      assemble ~name:t.name ~clock:t.clock ~media:t.media ~log_media:t.log_media ~disk:t.disk
-        ~log:t.log ~pool_capacity:t.pool_capacity
-        ~fpi_frequency:(Access_ctx.fpi_frequency t.ctx)
-        ~checkpoint_interval_us:t.checkpoint_interval_us ~read_only:false ~snapshot:None
-        ~instant:None ~redo_domains ~pool_opt:None ()
+      reopen t ~redo_domains (fun ~now_us fresh ->
+          Recovery.recover ~redo_domains ~now_us ~log:fresh.log ~pool:fresh.pool ())
     in
-    let stats =
-      Recovery.recover ~redo_domains ~now_us:now_us_clock ~log:fresh.log ~pool:fresh.pool ()
-    in
-    Txn_manager.set_next_id fresh.txns
-      (Rw_wal.Txn_id.next stats.Recovery.analysis.Recovery.max_txn_id);
-    fresh.recovery_stats <- Some stats;
-    (* Allocation state may have changed during redo/undo; rebuild. *)
-    fresh.alloc <- Alloc_map.open_ fresh.ctx;
     ignore (checkpoint fresh);
     fresh
   end
@@ -781,27 +774,9 @@ let remove_retention_floor t ~name = Retention.unregister_floor t.retention ~nam
 
 let reopen_redo_only ?redo_domains t =
   let redo_domains = Option.value redo_domains ~default:t.redo_domains in
-  Buffer_pool.drop_all t.pool;
-  ignore (Disk.apply_crash t.disk);
-  Log_manager.crash t.log;
-  let now_us_clock () = Sim_clock.now_us t.clock in
-  let fresh =
-    assemble ~name:t.name ~clock:t.clock ~media:t.media ~log_media:t.log_media ~disk:t.disk
-      ~log:t.log ~pool_capacity:t.pool_capacity
-      ~fpi_frequency:(Access_ctx.fpi_frequency t.ctx)
-      ~checkpoint_interval_us:t.checkpoint_interval_us ~read_only:false ~snapshot:None
-      ~instant:None ~redo_domains ~pool_opt:None ()
-  in
-  let stats =
-    Recovery.recover_redo_only ~redo_domains ~now_us:now_us_clock ~log:fresh.log
-      ~pool:fresh.pool ()
-  in
-  Txn_manager.set_next_id fresh.txns
-    (Rw_wal.Txn_id.next stats.Recovery.analysis.Recovery.max_txn_id);
-  fresh.recovery_stats <- Some stats;
-  fresh.alloc <- Alloc_map.open_ fresh.ctx;
   (* No checkpoint taken and nothing appended: the log stays a
      byte-identical prefix of the primary's stream, and the master record
      stays wherever the replica last advanced it — the caller resumes
      catch-up from there. *)
-  fresh
+  reopen t ~redo_domains (fun ~now_us fresh ->
+      Recovery.recover_redo_only ~redo_domains ~now_us ~log:fresh.log ~pool:fresh.pool ())

@@ -161,9 +161,9 @@ let redo_pass ~log ~pool ~analysis ~upto =
    mutable but the pages they own — the result is byte-identical to the
    sequential pass.  [domains] fixes the partition COUNT (and therefore
    the work split); how many domains actually run them is a separate
-   fan-out knob, clamped to the host's core count (see [set_redo_fanout]),
-   with partitions assigned round-robin so any fan-out yields the same
-   pages. *)
+   fan-out knob, clamped to the host's core count (see
+   [Domain_pool.set_fanout]), with partitions assigned round-robin so any
+   fan-out yields the same pages. *)
 (* The parked worker-domain pool this module once owned now lives in
    [Rw_pool.Domain_pool], shared with snapshot batch rewind and the
    scrub sweep; redo keeps only its partitioning logic.  Partition COUNT
@@ -176,9 +176,6 @@ let redo_pass ~log ~pool ~analysis ~upto =
    partitioned layout pays them per page per batch. *)
 module Domain_pool = Rw_pool.Domain_pool
 
-let set_redo_fanout cap = Domain_pool.set_fanout cap
-let effective_fanout domains = Domain_pool.effective_fanout domains
-
 (* One gathered redo record: ops stay decoded when the apply runs on the
    calling domain (warm record-cache hits cost nothing), but cross domains
    as encoded bytes — [Log_record.decode] is pure, so workers decode their
@@ -186,7 +183,7 @@ let effective_fanout domains = Domain_pool.effective_fanout domains
 type redo_item = Decoded of Log_record.op | Raw of string
 
 let redo_parallel ~log ~pool ~analysis ~upto ~domains =
-  let fanout = effective_fanout domains in
+  let fanout = Domain_pool.effective_fanout domains in
   (* The gather scan stays on the calling domain (the log manager's caches
      are single-domain): it peeks headers and keeps only the records that
      qualify under the sequential pass's exact filter. *)
@@ -262,12 +259,7 @@ let redo_parallel ~log ~pool ~analysis ~upto ~domains =
             let i = k mod domains in
             parts.(i) <- item :: parts.(i))
           items;
-        Domain_pool.run ~participants:fanout (fun i ->
-            let j = ref i in
-            while !j < domains do
-              List.iter apply_item parts.(!j);
-              j := !j + fanout
-            done);
+        ignore (Domain_pool.parallel_for domains (fun j -> List.iter apply_item parts.(j)) : int);
         List.iter
           (fun (frame, (_, _, _, first, count)) ->
             if !count > 0 then Buffer_pool.mark_dirty pool frame ~lsn:!first;

@@ -89,7 +89,7 @@ val recover :
     partitions are disjoint by construction, so the resulting pages are
     byte-identical to the sequential pass.  The number of domains actually
     running concurrently is capped at {!Domain.recommended_domain_count}
-    (see {!set_redo_fanout}); the partition count — and therefore the
+    (see [Rw_pool.Domain_pool.set_fanout]); the partition count — and therefore the
     result — is not affected by the cap.  [now_us] (normally the simulated
     clock) stamps the timing fields of {!stats}. *)
 
@@ -123,20 +123,6 @@ val recover_redo_only :
     on the pages; reads go through as-of snapshots (snapshot-local loser
     undo) and the resumed catch-up stream delivers their outcomes.
     [stats.undone_ops]/[ended_losers] are always 0. *)
-
-val set_redo_fanout : int option -> unit
-(** Override the concurrent-worker cap used by parallel redo: [Some n]
-    runs at most [n] domains (including the caller), [None] (the default)
-    uses [Domain.recommended_domain_count ()].  Partition assignment is
-    round-robin over the fan-out, so results are identical under any cap;
-    tests use [Some n] to force true cross-domain execution on small
-    hosts.
-
-    @deprecated The worker pool is shared engine-wide now; this is a
-    thin alias for [Rw_pool.Domain_pool.set_fanout] kept so existing
-    callers and the [\recovery] docs stay valid.  Note the cap it sets
-    is {e global} — it also bounds snapshot batch rewind and the scrub
-    sweep.  New code should call [Domain_pool.set_fanout] directly. *)
 
 val undo_losers :
   log:Rw_wal.Log_manager.t ->

@@ -41,7 +41,6 @@ type statement =
   | Show_tables
   | Show_databases
   | Show_history
-  | Undo_transaction of int
   | Rewind_transaction of { txn : int; view : string option }
   | Checkpoint_stmt
   | Explain of select
@@ -89,7 +88,6 @@ let pp_statement fmt = function
   | Show_tables -> Format.fprintf fmt "SHOW TABLES"
   | Show_databases -> Format.fprintf fmt "SHOW DATABASES"
   | Show_history -> Format.fprintf fmt "SHOW HISTORY"
-  | Undo_transaction id -> Format.fprintf fmt "UNDO TRANSACTION %d" id
   | Rewind_transaction { txn; view = None } ->
       Format.fprintf fmt "REWIND TRANSACTION %d" txn
   | Rewind_transaction { txn; view = Some name } ->

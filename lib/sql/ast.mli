@@ -57,14 +57,15 @@ type statement =
   | Show_databases
   | Show_history
       (** committed transactions in the retained log (id, commit time,
-          operation count) — the hunting ground for {!Undo_transaction} *)
-  | Undo_transaction of int
-      (** selectively compensate one committed transaction (paper §8) *)
+          operation count), newest commit first — the hunting ground for
+          {!Rewind_transaction} *)
   | Rewind_transaction of { txn : int; view : string option }
       (** remove one committed transaction {e and replay its dependents}
-          ([Rw_whatif.Selective]): with [view = Some name] the
-          victim-free state is published as a read-only what-if database
-          named [name]; with [None] it is repaired in place *)
+          ([Rw_whatif.Selective]; the paper's §8 future work): with
+          [view = Some name] the victim-free state is published as a
+          read-only what-if database named [name]; with [None] it is
+          repaired in place.  [UNDO TRANSACTION n] parses to the in-place
+          form *)
   | Checkpoint_stmt
   | Explain of select
       (** run the query and report its rewind cost — pages rewound,

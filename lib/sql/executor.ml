@@ -432,53 +432,17 @@ let execute s (stmt : Ast.statement) =
       Rows { columns = [ "database" ]; rows }
   | Ast.Show_history ->
       let db = resolve_db s None in
-      let log = Database.log db in
-      let candidates =
-        Rw_core.Txn_rewind.committed_transactions ~log
-          ~since:(Rw_wal.Log_manager.first_lsn log)
-      in
       let rows =
-        List.map
-          (fun (c : Rw_core.Txn_rewind.candidate) ->
+        List.rev_map
+          (fun (ts : Rw_wal.Log_manager.txn_summary) ->
             [
-              Row.Int (Rw_wal.Txn_id.to_int64 c.Rw_core.Txn_rewind.txn);
-              Row.Text
-                (match c.Rw_core.Txn_rewind.commit_wall_us with
-                | Some w -> Printf.sprintf "%.6f" (w /. 1_000_000.0)
-                | None -> "-");
-              Row.Int (Int64.of_int c.Rw_core.Txn_rewind.page_ops);
+              Row.Int (Rw_wal.Txn_id.to_int64 ts.ts_txn);
+              Row.Text (Printf.sprintf "%.6f" (ts.ts_commit_wall_us /. 1_000_000.0));
+              Row.Int (Int64.of_int ts.ts_ops);
             ])
-          candidates
+          (Rw_wal.Log_manager.txn_summaries (Database.log db))
       in
       Rows { columns = [ "txn"; "committed_at_s"; "page_ops" ]; rows }
-  | Ast.Undo_transaction id ->
-      let db = resolve_db s None in
-      if s.txn <> None then error "UNDO TRANSACTION cannot run inside an open transaction";
-      let log = Database.log db in
-      let candidates =
-        Rw_core.Txn_rewind.committed_transactions ~log
-          ~since:(Rw_wal.Log_manager.first_lsn log)
-      in
-      let victim =
-        match
-          List.find_opt
-            (fun (c : Rw_core.Txn_rewind.candidate) ->
-              Rw_wal.Txn_id.to_int c.Rw_core.Txn_rewind.txn = id)
-            candidates
-        with
-        | Some c -> c
-        | None -> error "no committed transaction %d in the retained log" id
-      in
-      (match
-         Rw_core.Txn_rewind.undo_transaction ~ctx:(Database.ctx db) ~log ~victim
-           ~wall_us:(Database.now_us db)
-       with
-      | Rw_core.Txn_rewind.Undone { ops } ->
-          Message (Printf.sprintf "transaction %d undone (%d operations compensated)" id ops)
-      | Rw_core.Txn_rewind.Conflicts cs ->
-          error "cannot undo transaction %d: %s" id
-            (String.concat "; "
-               (List.map (fun c -> c.Rw_core.Txn_rewind.reason) cs)))
   | Ast.Rewind_transaction { txn; view } -> (
       let db = resolve_db s None in
       if s.txn <> None then error "REWIND TRANSACTION cannot run inside an open transaction";

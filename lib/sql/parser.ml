@@ -374,10 +374,11 @@ let statement c : Ast.statement =
           Ast.Show_history
       | _ -> error "expected TABLES, DATABASES or HISTORY after SHOW")
   | Some "UNDO" -> (
+      (* UNDO TRANSACTION n is an alias of the in-place REWIND TRANSACTION n. *)
       ignore (advance c);
       expect_kw c "TRANSACTION";
       match advance c with
-      | Int_tok n -> Ast.Undo_transaction (Int64.to_int n)
+      | Int_tok n -> Ast.Rewind_transaction { txn = Int64.to_int n; view = None }
       | _ -> error "expected transaction id after UNDO TRANSACTION")
   | Some "REWIND" -> (
       ignore (advance c);

@@ -519,103 +519,6 @@ let test_cow_vs_asof_overhead () =
   check "COW copied many pages without any reader" true (Cow_snapshot.pages_copied handle > 5);
   check "COW space overhead is real" true (Cow_snapshot.copy_bytes handle > 5 * 8192)
 
-(* --- selective transaction undo (the paper's §8 future work) --- *)
-
-module Txn_rewind = Rw_core.Txn_rewind
-
-let candidates db =
-  Txn_rewind.committed_transactions ~log:(Database.log db)
-    ~since:(Log_manager.first_lsn (Database.log db))
-
-let test_txn_rewind_happy_path () =
-  let db = mk_db () in
-  Database.with_txn db (fun txn ->
-      ignore (Database.create_table db txn ~table:"t" ~columns:cols ());
-      Database.insert db txn ~table:"t" [ Row.Int 1L; Row.Text "keep" ]);
-  let wall_before = Database.now_us db in
-  (* The victim: inserts two rows and updates an existing one. *)
-  Sim_clock.advance_us (Database.clock db) 1_000.0;
-  Database.with_txn db (fun txn ->
-      Database.insert db txn ~table:"t" [ Row.Int 2L; Row.Text "oops" ];
-      Database.insert db txn ~table:"t" [ Row.Int 3L; Row.Text "oops" ];
-      Database.update db txn ~table:"t" [ Row.Int 1L; Row.Text "mangled" ]);
-  (* Locate it by commit time. *)
-  let victim =
-    List.find
-      (fun (c : Txn_rewind.candidate) ->
-        match c.Txn_rewind.commit_wall_us with Some w -> w > wall_before | None -> false)
-      (candidates db)
-  in
-  check "victim has ops" true (victim.Txn_rewind.page_ops >= 3);
-  (match
-     Txn_rewind.undo_transaction ~ctx:(Database.ctx db) ~log:(Database.log db) ~victim
-       ~wall_us:(Database.now_us db)
-   with
-  | Txn_rewind.Undone { ops } -> check "three ops undone" true (ops >= 3)
-  | Txn_rewind.Conflicts cs ->
-      Alcotest.failf "unexpected conflicts: %s"
-        (String.concat ", " (List.map (fun c -> c.Txn_rewind.reason) cs)));
-  check "insert 2 undone" true (value_at db 2L = None);
-  check "insert 3 undone" true (value_at db 3L = None);
-  check "update reverted" true (value_at db 1L = Some [ Row.Int 1L; Row.Text "keep" ]);
-  (* The compensation is normally logged: it survives a crash. *)
-  let db = Database.crash_and_reopen db in
-  check "survives crash" true (value_at db 2L = None && value_at db 1L <> None)
-
-let test_txn_rewind_conflict_detected () =
-  let db = mk_db () in
-  Database.with_txn db (fun txn ->
-      ignore (Database.create_table db txn ~table:"t" ~columns:cols ()));
-  let wall_before = Database.now_us db in
-  Sim_clock.advance_us (Database.clock db) 1_000.0;
-  Database.with_txn db (fun txn ->
-      Database.insert db txn ~table:"t" [ Row.Int 7L; Row.Text "victim" ]);
-  (* A later transaction builds on the victim's row. *)
-  Database.with_txn db (fun txn ->
-      Database.update db txn ~table:"t" [ Row.Int 7L; Row.Text "built-upon" ]);
-  let victim =
-    List.find
-      (fun (c : Txn_rewind.candidate) ->
-        match c.Txn_rewind.commit_wall_us with Some w -> w > wall_before | None -> false)
-      (List.rev (candidates db))
-  in
-  (match
-     Txn_rewind.undo_transaction ~ctx:(Database.ctx db) ~log:(Database.log db) ~victim
-       ~wall_us:(Database.now_us db)
-   with
-  | Txn_rewind.Conflicts (_ :: _) -> ()
-  | Txn_rewind.Conflicts [] | Txn_rewind.Undone _ -> Alcotest.fail "expected a conflict");
-  (* Nothing changed. *)
-  check "row untouched" true (value_at db 7L = Some [ Row.Int 7L; Row.Text "built-upon" ])
-
-let test_txn_rewind_structural_conflict () =
-  let db = mk_db () in
-  Database.with_txn db (fun txn ->
-      ignore (Database.create_table db txn ~table:"t" ~columns:cols ()));
-  let wall_before = Database.now_us db in
-  Sim_clock.advance_us (Database.clock db) 1_000.0;
-  (* This transaction forces page splits: structural ops are not
-     selectively undoable. *)
-  Database.with_txn db (fun txn ->
-      for i = 1 to 2000 do
-        Database.insert db txn ~table:"t"
-          [ Row.Int (Int64.of_int i); Row.Text (String.make 120 'x') ]
-      done);
-  let victim =
-    List.find
-      (fun (c : Txn_rewind.candidate) ->
-        match c.Txn_rewind.commit_wall_us with Some w -> w > wall_before | None -> false)
-      (candidates db)
-  in
-  match
-    Txn_rewind.undo_transaction ~ctx:(Database.ctx db) ~log:(Database.log db) ~victim
-      ~wall_us:(Database.now_us db)
-  with
-  | Txn_rewind.Conflicts cs ->
-      check "split reported as structural" true
-        (List.exists (fun c -> String.length c.Txn_rewind.reason > 0) cs)
-  | Txn_rewind.Undone _ -> Alcotest.fail "expected structural conflict"
-
 (* --- retention --- *)
 
 let test_retention_enforcement () =
@@ -764,12 +667,6 @@ let () =
         [
           Alcotest.test_case "reads past via copy-on-write" `Quick test_cow_snapshot_reads_past;
           Alcotest.test_case "proactive overhead" `Quick test_cow_vs_asof_overhead;
-        ] );
-      ( "txn_rewind",
-        [
-          Alcotest.test_case "undo a committed txn" `Quick test_txn_rewind_happy_path;
-          Alcotest.test_case "conflict detection" `Quick test_txn_rewind_conflict_detected;
-          Alcotest.test_case "structural conflict" `Quick test_txn_rewind_structural_conflict;
         ] );
       ( "retention",
         [

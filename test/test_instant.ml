@@ -186,9 +186,9 @@ let test_parallel_redo_equals_sequential () =
   in
   (* Force true cross-domain execution even on a 1-core host (the default
      cap would fold the partitions onto the calling domain there). *)
-  Recovery.set_redo_fanout (Some 4);
+  Rw_pool.Domain_pool.set_fanout (Some 4);
   Fun.protect
-    ~finally:(fun () -> Recovery.set_redo_fanout None)
+    ~finally:(fun () -> Rw_pool.Domain_pool.set_fanout None)
     (fun () ->
       let rows1, fp1, redone1 = run 1 in
       List.iter
@@ -204,7 +204,7 @@ let test_parallel_redo_equals_sequential () =
         [ 2; 4 ];
       (* And under the default core-count cap (partitions folded or not,
          the result must be the same). *)
-      Recovery.set_redo_fanout None;
+      Rw_pool.Domain_pool.set_fanout None;
       let rows4, fp4, redone4 = run 4 in
       check "capped 4-domain rows equal sequential" true (rows4 = rows1);
       check "capped 4-domain disk pages equal sequential" true (fp4 = fp1);
@@ -233,6 +233,41 @@ let test_instant_fault_campaign () =
         true (Experiments.fault_row_ok r))
     fault_rows
 
+(* A restart returns a fresh handle; nothing the fresh handle keeps —
+   the instant-restart backlog's clock included — may pin the pre-crash
+   one, or a long-running process would hold every earlier handle. *)
+let test_restart_releases_old_handle () =
+  let original = Weak.create 1 in
+  let restart_four () =
+    let db = mk_db () in
+    seed db 60;
+    Weak.set original 0 (Some db);
+    let db = ref db in
+    for _ = 1 to 4 do
+      churn !db 1;
+      db := Database.crash_and_reopen ~instant:true !db;
+      Database.recovery_drain_all !db
+    done;
+    !db
+  in
+  let db = restart_four () in
+  Gc.full_major ();
+  check "pre-crash handle collected" false (Weak.check original 0);
+  check_int "survivor serves every row" 60 (List.length (rows db))
+
+let test_restart_keeps_retention () =
+  let interval = Some 3_600_000_000.0 in
+  let db = mk_db () in
+  seed db 10;
+  Database.set_retention db interval;
+  let db = Database.crash_and_reopen db in
+  check "full restart keeps the interval" true (Database.retention db = interval);
+  let db = Database.crash_and_reopen ~instant:true db in
+  check "instant restart keeps the interval" true (Database.retention db = interval);
+  Database.recovery_drain_all db;
+  let db = Database.reopen_redo_only db in
+  check "redo-only reopen keeps the interval" true (Database.retention db = interval)
+
 let () =
   Alcotest.run "instant"
     [
@@ -248,6 +283,10 @@ let () =
             test_sweeper_drains_backlog;
           Alcotest.test_case "checkpoint drains backlog first" `Quick
             test_checkpoint_drains_backlog;
+          Alcotest.test_case "restart releases the old handle" `Quick
+            test_restart_releases_old_handle;
+          Alcotest.test_case "restart keeps the retention interval" `Quick
+            test_restart_keeps_retention;
         ] );
       ( "parallel-redo",
         [

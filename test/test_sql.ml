@@ -251,12 +251,26 @@ let test_aggregates () =
 let test_undo_transaction_sql () =
   let _, s = setup_shop () in
   ignore (Executor.run s "INSERT INTO items VALUES (9, 90, 'mistake')");
-  (* Find the newest committed transaction in SHOW HISTORY. *)
-  let victim =
-    match rows_of (Executor.run s "SHOW HISTORY") with
-    | (Row.Int id :: _) :: _ -> Int64.to_int id
-    | _ -> Alcotest.fail "expected history rows"
+  let history () =
+    List.map
+      (function
+        | [ Row.Int id; Row.Text at; Row.Int _ ] -> (Int64.to_int id, float_of_string at)
+        | _ -> Alcotest.fail "malformed history row")
+      (rows_of (Executor.run s "SHOW HISTORY"))
   in
+  let listed = history () in
+  let rec newest_first = function
+    | (id, at) :: ((id', at') :: _ as rest) -> id > id' && at >= at' && newest_first rest
+    | _ -> true
+  in
+  check "history lists newest commit first" true (List.length listed > 1 && newest_first listed);
+  (* A rolled-back transaction never committed: it is not listed. *)
+  ignore (Executor.run s "BEGIN");
+  ignore (Executor.run s "INSERT INTO items VALUES (11, 1, 'rolled back')");
+  ignore (Executor.run s "ROLLBACK");
+  check "rolled-back transaction left out" true (history () = listed);
+  (* The newest committed transaction is the victim. *)
+  let victim = fst (List.hd listed) in
   (match Executor.run s (Printf.sprintf "UNDO TRANSACTION %d" victim) with
   | Executor.Message _ -> ()
   | _ -> Alcotest.fail "expected message");

@@ -1,7 +1,8 @@
 (* What-if selective undo: dependency-graph shape on a known history,
    the multi-seed byte-equality property campaign (selective replay vs
    the replay-from-scratch oracle), crash atomicity mid-selective-replay,
-   and the SQL REWIND TRANSACTION surface. *)
+   refusals that leave the database untouched, durability of a completed
+   repair, and the SQL REWIND TRANSACTION surface. *)
 
 module Media = Rw_storage.Media
 module Page_id = Rw_storage.Page_id
@@ -199,6 +200,74 @@ let test_structural_refused () =
         (Selective.repair ~ctx:(Database.ctx db) ~log:(Database.log db) ~graph
            ~victim:(Txn_id.of_int 424242) ~wall_us:(Database.now_us db) ()))
 
+(* A victim whose row a later transaction updated cannot be removed:
+   replaying that update over the victim-free page finds no row. *)
+let test_built_upon_refused () =
+  let eng = Engine.create ~media:Media.ram () in
+  let db = Engine.create_database eng ~pool_capacity:256 "wf" in
+  Database.with_txn db (fun txn ->
+      ignore (Database.create_table db txn ~table:"t" ~columns:cols ()));
+  Database.with_txn db (fun txn ->
+      Database.insert db txn ~table:"t" [ Row.Int 7L; Row.Text "victim" ]);
+  Database.with_txn db (fun txn ->
+      Database.update db txn ~table:"t" [ Row.Int 7L; Row.Text "built-upon" ]);
+  let graph = Dep_graph.build ~log:(Database.log db) in
+  let nodes = Dep_graph.nodes graph in
+  let victim = (List.nth nodes (List.length nodes - 2)).Dep_graph.txn in
+  let before = dump db in
+  (match
+     Selective.repair ~ctx:(Database.ctx db) ~log:(Database.log db) ~graph ~victim
+       ~wall_us:(Database.now_us db) ()
+   with
+  | Ok _ -> Alcotest.fail "expected a replay conflict"
+  | Error cs ->
+      check "conflict names the missing row" true
+        (List.exists (fun c -> c.Selective.reason = "replayed update finds no row under its key") cs));
+  check "refused repair changed nothing" true (dump db = before);
+  check "built-upon row untouched" true
+    (Database.get db ~table:"t" ~key:7L = Some [ Row.Int 7L; Row.Text "built-upon" ])
+
+(* A victim whose own inserts split leaves logged structural page
+   operations: it cannot be removed selectively, and the refusal leaves
+   the database as it was. *)
+let test_split_victim_refused () =
+  let eng = Engine.create ~media:Media.ram () in
+  let db = Engine.create_database eng ~pool_capacity:256 "wf" in
+  Database.with_txn db (fun txn ->
+      ignore (Database.create_table db txn ~table:"t" ~columns:cols ()));
+  Database.with_txn db (fun txn ->
+      for i = 1 to 2000 do
+        Database.insert db txn ~table:"t" [ Row.Int (Int64.of_int i); Row.Text (String.make 120 'x') ]
+      done);
+  let graph = Dep_graph.build ~log:(Database.log db) in
+  let nodes = Dep_graph.nodes graph in
+  let victim = List.nth nodes (List.length nodes - 1) in
+  check "splitting victim is structural" true victim.Dep_graph.structural;
+  let before = dump db in
+  (match
+     Selective.repair ~ctx:(Database.ctx db) ~log:(Database.log db) ~graph
+       ~victim:victim.Dep_graph.txn ~wall_us:(Database.now_us db) ()
+   with
+  | Ok _ -> Alcotest.fail "expected a structural conflict"
+  | Error cs -> check "split reported as structural" true (cs <> []));
+  check "refused repair changed nothing" true (dump db = before)
+
+(* --- a completed in-place repair is durable --- *)
+
+let test_repair_survives_crash () =
+  let _eng, db = build_history () in
+  let graph = Dep_graph.build ~log:(Database.log db) in
+  let victim = (history_node graph ~ordinal:1).Dep_graph.txn in
+  (match
+     Selective.repair ~ctx:(Database.ctx db) ~log:(Database.log db) ~graph ~victim
+       ~wall_us:(Database.now_us db) ()
+   with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "repair reported conflicts");
+  let db = Database.crash_and_reopen db in
+  let _oeng, odb = build_history ~skip:[ 1 ] () in
+  check "repair survives a crash" true (dump db = dump odb)
+
 (* --- SQL surface: REWIND TRANSACTION t [AS view] --- *)
 
 let run_ok session sql =
@@ -281,6 +350,9 @@ let () =
           Alcotest.test_case "repair vs oracle" `Quick test_repair_vs_oracle;
           Alcotest.test_case "crash mid-replay atomic" `Quick test_crash_mid_replay;
           Alcotest.test_case "conflicts refuse cleanly" `Quick test_structural_refused;
+          Alcotest.test_case "built-upon victim refused" `Quick test_built_upon_refused;
+          Alcotest.test_case "split victim refused" `Quick test_split_victim_refused;
+          Alcotest.test_case "repair survives restart" `Quick test_repair_survives_crash;
           Alcotest.test_case "in-flight transaction blocks rewind" `Quick test_inflight_conflict;
         ] );
       ("campaign", [ Alcotest.test_case "three seeds, three scenarios" `Slow test_soak_campaign ]);

@@ -31,6 +31,20 @@ grep -q '"ph"' "$trace_tmp"
 rm -f "$trace_tmp"
 echo "trace ok"
 
+echo "== examples (selective undo, point-in-time audit) =="
+# The final balance table of the undo example and the audit's closing
+# verdict are the examples' end-to-end results.
+undo_rows=$(dune exec examples/undo_transaction.exe | tail -n 6 | head -n 5 | tr -d ' ')
+expected_rows=$(printf '1|1000\n2|1000\n3|1000\n4|500\n(4rows)')
+if [ "$undo_rows" != "$expected_rows" ]; then
+  echo "error: undo_transaction example ended with unexpected balances:" >&2
+  echo "$undo_rows" >&2
+  exit 1
+fi
+dune exec examples/point_in_time_audit.exe | tail -n 1 |
+  grep -q "every past balance reproduced exactly"
+echo "examples ok"
+
 echo "== formatting (dune fmt) =="
 # `dune fmt` exits 0 even when it reformats files on this dune version, so
 # detect whether promotion changed anything by hashing the sources around it
