@@ -115,18 +115,19 @@ let read_as_of ~tally ~shared ~sparse ~primary_disk ~log ~split pid =
 (* Batched materialization, staged across the shared domain pool:
 
    1. {e Gather} (coordinator, ascending page order): primary image read
-      if the shared cache had nothing, then the page's raw chain plan —
-      FPI peek, chain-index lookup, per-page prefetch and the block-cache
-      fetch of the encoded records.  Every priced read and every shared
-      cache happens here, on the calling domain, in an order independent
-      of the fan-out.
-   2. {e Apply} (workers, round-robin by index): decode the raw bytes and
-      run the undo chain against the private page image — pure CPU over
-      private state.
+      if the shared cache had nothing, then the page's chain plan — FPI
+      peek, chain-index lookup, per-page prefetch and the block-cache
+      fetch of each record as a live cached decode or a span of its
+      segment blob.  Every priced read and every shared cache happens
+      here, on the calling domain, in an order independent of the
+      fan-out.
+   2. {e Apply} (workers, round-robin by index): validate and undo the
+      chain in place against the private page image — pure CPU over
+      private state and immutable log bytes.
    3. {e Publish} (coordinator, ascending page order): probes, rewind
-      tallies, Prepared_cache inserts, decoded-record cache feeding and
-      side-file writes; plans the apply rejected rerun through the serial
-      path on their untouched pages.
+      tallies, Prepared_cache inserts and side-file writes; plans the
+      apply rejected rerun through the serial path on their restored
+      pages.
 
    Because gather and publish orders are fixed and workers touch nothing
    shared, results and counters are byte- and count-identical under any
@@ -185,10 +186,7 @@ let materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split pids =
       let pid = Page.id page in
       let r =
         match results.(i) with
-        | Some (r, feeds) ->
-            Array.iter
-              (fun (lsn, record) -> Log_manager.feed_record_cache log lsn record)
-              feeds;
+        | Some r ->
             Obs.incr Probes.snapshot_parallel_pages;
             ignore (Page_undo.note pid r : Page_undo.result);
             r

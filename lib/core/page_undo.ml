@@ -75,33 +75,37 @@ let prepare_page_as_of_walk ~log ~page ~as_of =
   walk ();
   note pid { ops_undone = !undone; log_records_read = !reads; used_fpi }
 
-(* ---------- staged rewind: gather / apply / publish ---------- *)
+(* ---------- chain rewind: gather / apply ---------- *)
 
-(* The batch pipeline splits a rewind into a coordinator-side gather
-   (all priced I/O, all shared caches), a pure worker-side apply, and a
-   coordinator-side publish.  The plan carries everything the apply
-   needs as immutable raw bytes, so it can cross domains. *)
+(* Both rewind paths split a page's rewind the same way: a gather (all
+   priced I/O, all shared caches) and a pure apply.  The serial path runs
+   them back to back; the batch pipeline runs the applies on pool workers.
+   The plan holds each record either as a live decode or as a span of its
+   segment blob, both immutable, so it can cross domains. *)
 type raw_plan = {
-  rp_fpi : (Lsn.t * string) option;  (* earliest-FPI record, encoded *)
-  rp_start : Lsn.t;  (* chain top after the FPI jump (page LSN otherwise) *)
-  rp_segment : Lsn.t array;  (* ascending chain LSNs in (as_of, rp_start] *)
-  rp_records : string array;  (* encoded records parallel to [rp_segment] *)
-  rp_reads : int;  (* log records fetched: segment + FPI *)
-  rp_ok : bool;  (* gather succeeded; [false] forces the serial fallback *)
+  rp_segment : Lsn.t array;  (* ascending chain LSNs in (as_of, chain top] *)
+  rp_records : Log_manager.gathered;  (* the chain records, at [0, n) *)
+  rp_fpi : (Log_manager.gathered * int) option;  (* where the earliest-FPI record is *)
+  rp_ok : bool;  (* gather succeeded; [false] forces the walk *)
 }
 
-let plan_raw ~log ~page ~as_of =
+let empty_plan log ok =
+  { rp_segment = [||]; rp_records = Log_manager.gather log [||]; rp_fpi = None; rp_ok = ok }
+
+(* Jump-start from the earliest full page image after the target, then
+   the chain-index segment from the image's capture point
+   ([prev_page_lsn]) down to [as_of].  With [prefetch] the whole set is
+   fetched as block runs and read in one batch (the staged path);
+   without, the image and the segment are read as the serial path always
+   has.  A chain index that does not reach the chain top, and any fetch
+   failure, make the plan not ok; the walk then produces the right answer
+   or the right exception. *)
+let gather ~prefetch ~log ~page ~as_of =
   let pid = Page.id page in
   let top = Page.lsn page in
-  let empty ok =
-    { rp_fpi = None; rp_start = top; rp_segment = [||]; rp_records = [||]; rp_reads = 0; rp_ok = ok }
-  in
-  if Lsn.(top <= as_of) then empty true
+  if Lsn.(top <= as_of) then empty_plan log true
   else
     match
-      (* Mirror [prepare_page_as_of]: jump-start from the earliest full
-         page image after the target, then the chain-index segment from
-         the image's capture point ([prev_page_lsn]) down to [as_of]. *)
       let fpi_lsn =
         match Log_manager.earliest_fpi_after log pid ~after:as_of with
         | Some f when Lsn.(f < top) -> Some f
@@ -116,170 +120,111 @@ let plan_raw ~log ~page ~as_of =
         if Lsn.(start <= as_of) then [||]
         else Log_manager.chain_segment log pid ~from:start ~down_to:as_of
       in
-      let all =
-        match fpi_lsn with Some f -> Array.append segment [| f |] | None -> segment
-      in
-      Log_manager.prefetch log (Array.to_list all);
-      let raw = Log_manager.read_segment_raw log all in
       let n = Array.length segment in
-      let rp_fpi =
-        match fpi_lsn with Some f -> Some (f, raw.(Array.length raw - 1)) | None -> None
-      in
-      {
-        rp_fpi;
-        rp_start = start;
-        rp_segment = segment;
-        rp_records = (if fpi_lsn = None then raw else Array.sub raw 0 n);
-        rp_reads = Array.length all;
-        rp_ok = true;
-      }
+      if Lsn.(start > as_of) && (n = 0 || not (Lsn.equal segment.(n - 1) start)) then
+        empty_plan log false
+      else
+        match fpi_lsn with
+        | None ->
+            if prefetch then Log_manager.prefetch log (Array.to_list segment);
+            let rp_records = Log_manager.gather log segment in
+            { rp_segment = segment; rp_records; rp_fpi = None; rp_ok = true }
+        | Some f when prefetch ->
+            let all = Array.append segment [| f |] in
+            Log_manager.prefetch log (Array.to_list all);
+            let got = Log_manager.gather log all in
+            { rp_segment = segment; rp_records = got; rp_fpi = Some (got, n); rp_ok = true }
+        | Some f ->
+            let fpi = Log_manager.gather log [| f |] in
+            let rp_records = Log_manager.gather log segment in
+            { rp_segment = segment; rp_records; rp_fpi = Some (fpi, 0); rp_ok = true }
     with
     | plan -> plan
-    | exception _ ->
-        (* Gather failures (truncated chain, missing record) are not
-           errors here: the publish stage reruns the page through the
-           serial path, which produces the right answer or the right
-           exception. *)
-        empty false
+    | exception _ -> empty_plan log false
+
+let plan_raw = gather ~prefetch:true
+
+(* At most one image per rewind, so a missed one is simply decoded. *)
+let restore_fpi pid (g, k) page =
+  let r =
+    let d = g.Log_manager.g_decoded.(k) in
+    if d != Log_manager.not_cached then d
+    else Log_record.decode (Bytes.sub_string g.g_blob.(k) g.g_pos.(k) g.g_len.(k))
+  in
+  match (Log_record.page_of r, Log_record.op_of r) with
+  | Some rpid, Some (Log_record.Full_image { image }) when Page_id.equal rpid pid ->
+      Bytes.blit_string image 0 page 0 Page.page_size
+  | _ -> raise Exit
+
+(* Chain record [k], validated against the page and the expected link
+   ([prev_lo, prev_hi]) and undone — from its live decode on a cache hit,
+   from its bytes otherwise; returns its back pointer. *)
+let undo_record pid (g : Log_manager.gathered) k ~prev_lo ~prev_hi page =
+  let r = g.g_decoded.(k) in
+  if r == Log_manager.not_cached then
+    Log_record.undo_in_place g.g_blob.(k) ~pos:g.g_pos.(k) ~len:g.g_len.(k) ~page:pid ~prev_lo
+      ~prev_hi page
+  else
+    match r.Log_record.body with
+    | Log_record.Page_op { page = rpid; prev_page_lsn; op }
+    | Log_record.Clr { page = rpid; prev_page_lsn; op; _ }
+      when Page_id.equal rpid pid && Lsn.(prev_page_lsn >= prev_lo && prev_page_lsn <= prev_hi) ->
+        Log_record.undo op page;
+        prev_page_lsn
+    | _ -> raise Exit
+
+(* The page image before an apply, restored if the apply fails part-way;
+   one per domain, since applies run on pool workers. *)
+let pre_apply = Domain.DLS.new_key (fun () -> Bytes.create Page.page_size)
 
 let apply_raw ~page ~as_of plan =
+  let n = Array.length plan.rp_segment in
   if not plan.rp_ok then None
-  else
+  else if n = 0 && Option.is_none plan.rp_fpi then
+    Some { ops_undone = 0; log_records_read = 0; used_fpi = false }
+  else begin
+    let pid = Page.id page in
+    let saved = Domain.DLS.get pre_apply in
+    Bytes.blit page 0 saved 0 Page.page_size;
     match
-      let n = Array.length plan.rp_segment in
-      (* Decode and validate everything BEFORE mutating the page, so a
-         rejected apply leaves it untouched for the serial fallback. *)
-      let fpi =
-        match plan.rp_fpi with
-        | None -> None
-        | Some (lsn, raw) -> (
-            let r = Log_record.decode raw in
-            match Log_record.op_of r with
-            | Some (Log_record.Full_image { image }) -> Some (lsn, r, image)
-            | _ -> raise Exit)
-      in
-      (* The authoritative resume point is the LSN embedded in the image
-         (what the serial path reads after its blit); the plan's
-         peek-derived [rp_start] built the segment, so a mismatch simply
-         fails validation below. *)
-      let start =
-        match fpi with
-        | Some (_, _, image) -> Page.lsn (Bytes.of_string image)
-        | None -> Page.lsn page
-      in
-      let decoded = Array.map Log_record.decode plan.rp_records in
-      let prev_of r =
-        match r.Log_record.body with
-        | Log_record.Page_op { page = rpid; prev_page_lsn; _ }
-        | Log_record.Clr { page = rpid; prev_page_lsn; _ } ->
-            if Page_id.equal rpid (Page.id page) then Some prev_page_lsn else None
-        | _ -> None
-      in
-      let valid = ref true in
-      if Lsn.(start <= as_of) then (if n > 0 then valid := false)
-      else if n = 0 || not (Lsn.equal plan.rp_segment.(n - 1) start) then valid := false
-      else begin
-        let i = ref 0 in
-        while !valid && !i < n do
-          (match prev_of decoded.(!i) with
-          | Some prev ->
-              let want = if !i = 0 then as_of else plan.rp_segment.(!i - 1) in
-              if !i = 0 then valid := Lsn.(prev <= want) else valid := Lsn.equal prev want
-          | None -> valid := false);
-          incr i
-        done
-      end;
-      if not !valid then raise Exit;
-      (match fpi with
-      | Some (_, _, image) -> Bytes.blit_string image 0 page 0 Page.page_size
-      | None -> ());
+      Option.iter (fun f -> restore_fpi pid f page) plan.rp_fpi;
+      (* The authoritative chain top is the LSN embedded in the image, as
+         the walk reads it after its blit; the gather built the segment
+         from the record header, so a mismatch fails here. *)
+      let start = Page.lsn page in
+      if Lsn.(start <= as_of) then (if n > 0 then raise Exit)
+      else if not (Lsn.equal plan.rp_segment.(n - 1) start) then raise Exit;
+      (* Newest record first, as the walk applies them.  The intermediate
+         page LSNs the walk would stamp are all overwritten by the next
+         undo's stamp; only the oldest record's back pointer is
+         observable. *)
+      let oldest_prev = ref start in
       for i = n - 1 downto 0 do
-        match decoded.(i).Log_record.body with
-        | Log_record.Page_op { op; _ } | Log_record.Clr { op; _ } -> Log_record.undo op page
-        | _ -> assert false
+        let prev_lo = if i = 0 then Lsn.nil else plan.rp_segment.(i - 1) in
+        let prev_hi = if i = 0 then as_of else prev_lo in
+        oldest_prev := undo_record pid plan.rp_records i ~prev_lo ~prev_hi page
       done;
-      if n > 0 then (
-        match prev_of decoded.(0) with
-        | Some prev -> Page.set_lsn page prev
-        | None -> assert false);
-      let feeds =
-        Array.init plan.rp_reads (fun i ->
-            if i < n then (plan.rp_segment.(i), decoded.(i))
-            else
-              match fpi with Some (lsn, r, _) -> (lsn, r) | None -> assert false)
-      in
-      ( { ops_undone = n; log_records_read = plan.rp_reads; used_fpi = fpi <> None }, feeds )
+      if n > 0 then Page.set_lsn page !oldest_prev;
+      {
+        ops_undone = n;
+        log_records_read = n + Bool.to_int (Option.is_some plan.rp_fpi);
+        used_fpi = Option.is_some plan.rp_fpi;
+      }
     with
-    | v -> Some v
-    | exception _ -> None
+    | r -> Some r
+    | exception _ ->
+        Bytes.blit saved 0 page 0 Page.page_size;
+        None
+  end
 
-(* Batched rewind: the chain index yields the page's whole backward chain
-   in one lookup, so the records are fetched in ascending LSN order (block
-   locality) instead of pointer-chasing backwards.  Every link is validated
-   against the fetched headers before the page is mutated; any mismatch —
-   stale index, corrupt chain — falls back to the pointer walk on the
-   untouched page, which reproduces the walk's exact result and exception
+(* The chain index yields the page's whole backward chain in one lookup,
+   so the records are fetched in ascending LSN order (block locality)
+   instead of pointer-chasing backwards.  Every link is validated against
+   the records as they are undone; any mismatch — stale index, corrupt
+   chain — or a failing undo restores the page and falls back to the
+   pointer walk, which reproduces the walk's exact result and exception
    behaviour. *)
 let prepare_page_as_of ~log ~page ~as_of =
-  let pid = Page.id page in
-  let reads = ref 0 in
-  let used_fpi = try_fpi_jump ~log ~page ~as_of ~reads in
-  let start = Page.lsn page in
-  if Lsn.(start <= as_of) then
-    note pid { ops_undone = 0; log_records_read = !reads; used_fpi }
-  else begin
-    let segment = Log_manager.chain_segment log pid ~from:start ~down_to:as_of in
-    let n = Array.length segment in
-    let fallback () =
-      (* The index does not reach the page's position (e.g. the chain left
-         the retention window) or a link failed validation: let the walk
-         produce the right answer or the right exception on the untouched
-         page. *)
-      let w = prepare_page_as_of_walk ~log ~page ~as_of in
-      { w with log_records_read = w.log_records_read + !reads; used_fpi }
-    in
-    if n = 0 || not (Lsn.equal segment.(n - 1) start) then fallback ()
-    else
-      match Log_manager.read_segment log segment with
-      | exception Log_manager.No_such_record _ -> fallback ()
-      | records ->
-          reads := !reads + n;
-          (* Validate linearity before touching the page: each record
-             belongs to this page and points at the previous segment
-             element; the oldest must point at or below [as_of]. *)
-          let prev_of r =
-            match r.Log_record.body with
-            | Log_record.Page_op { page = rpid; prev_page_lsn; _ }
-            | Log_record.Clr { page = rpid; prev_page_lsn; _ } ->
-                if Page_id.equal rpid pid then Some prev_page_lsn else None
-            | _ -> None
-          in
-          let valid = ref true in
-          let i = ref 0 in
-          while !valid && !i < n do
-            (match prev_of records.(!i) with
-            | Some prev ->
-                let want = if !i = 0 then as_of else segment.(!i - 1) in
-                if !i = 0 then valid := Lsn.(prev <= want)
-                else valid := Lsn.equal prev want
-            | None -> valid := false);
-            incr i
-          done;
-          if not !valid then fallback ()
-          else begin
-            (* Newest record first, as the walk would apply them. *)
-            for i = n - 1 downto 0 do
-              match records.(i).Log_record.body with
-              | Log_record.Page_op { op; _ } | Log_record.Clr { op; _ } ->
-                  Log_record.undo op page
-              | _ -> assert false
-            done;
-            (* The intermediate page LSNs the walk would stamp are all
-               overwritten by the next undo's stamp; only the final one —
-               the oldest record's back pointer — is observable. *)
-            (match prev_of records.(0) with
-            | Some prev -> Page.set_lsn page prev
-            | None -> assert false);
-            note pid { ops_undone = n; log_records_read = !reads; used_fpi }
-          end
-  end
+  match apply_raw ~page ~as_of (gather ~prefetch:false ~log ~page ~as_of) with
+  | Some r -> note (Page.id page) r
+  | None -> prepare_page_as_of_walk ~log ~page ~as_of

@@ -28,11 +28,14 @@ val prepare_page_as_of :
     untouched.  Raises {!Rw_wal.Log_manager.Log_truncated} when the chain
     leaves the retention window, {!Chain_broken} on corruption.
 
-    The chain records are located through the log manager's per-page chain
-    index and fetched in ascending LSN order; every backward link is
-    validated against the fetched headers before the page is mutated, and
-    any mismatch falls back to {!prepare_page_as_of_walk} on the untouched
-    page — the two entry points are byte-identical in effect. *)
+    The serial composition of the staged functions below: the chain
+    records are located through the log manager's per-page chain index,
+    fetched in ascending LSN order ({!Rw_wal.Log_manager.gather}), and
+    undone in place — from a live cached decode or straight from the
+    record's bytes in its segment blob.  Every record is validated (CRC,
+    page, backward link) before it is undone; any mismatch or failing
+    undo restores the page and falls back to {!prepare_page_as_of_walk}
+    — the two entry points are byte-identical in effect. *)
 
 val prepare_page_as_of_walk :
   log:Rw_wal.Log_manager.t -> page:Rw_storage.Page.t -> as_of:Rw_storage.Lsn.t -> result
@@ -42,40 +45,32 @@ val prepare_page_as_of_walk :
 
 (** {2 Staged rewind (gather / apply / publish)}
 
-    The parallel batch pipeline splits {!prepare_page_as_of} into a
-    coordinator-side {!plan_raw} (every priced log read, every shared
-    cache), a pure domain-safe {!apply_raw}, and a coordinator-side
-    publish that calls {!note} and re-seeds the decoded-record cache
-    with the returned decodes.  A plan that fails to gather or validate
-    makes {!apply_raw} return [None] with the page untouched; rerunning
-    the page through {!prepare_page_as_of} then reproduces the serial
-    path's exact result or exception. *)
+    The parallel batch pipeline runs {!prepare_page_as_of}'s two halves
+    apart: a coordinator-side {!plan_raw} (every priced log read, every
+    shared cache), a pure domain-safe {!apply_raw}, and a
+    coordinator-side publish that calls {!note}.  A plan that fails to
+    gather or apply makes {!apply_raw} return [None] with the page as it
+    was; rerunning the page through {!prepare_page_as_of} then
+    reproduces the serial path's exact result or exception. *)
 
 type raw_plan
-(** Everything one page's apply needs, as immutable raw bytes — safe to
-    hand to a worker domain. *)
+(** Everything one page's apply needs — live decodes and spans of
+    immutable segment blobs — safe to hand to a worker domain. *)
 
 val plan_raw :
   log:Rw_wal.Log_manager.t -> page:Rw_storage.Page.t -> as_of:Rw_storage.Lsn.t -> raw_plan
-(** Gather the page's undo chain as encoded bytes: the FPI jump-start
-    record (if one applies), then the chain-index segment down to
-    [as_of], prefetched and fetched through the block cache with the
-    same pricing as the serial path — but never touching the
-    decoded-record cache (see {!Rw_wal.Log_manager.read_segment_raw}).
-    Gather failures are folded into the plan, not raised. *)
+(** Gather the page's undo chain: the FPI jump-start record (if one
+    applies), then the chain-index segment down to [as_of], prefetched
+    as block runs and fetched through the block cache with
+    {!Rw_wal.Log_manager.gather}.  Gather failures are folded into the
+    plan, not raised. *)
 
-val apply_raw :
-  page:Rw_storage.Page.t ->
-  as_of:Rw_storage.Lsn.t ->
-  raw_plan ->
-  (result * (Rw_storage.Lsn.t * Rw_wal.Log_record.t) array) option
-(** Decode, validate and apply the plan against [page], in place.  Pure
-    CPU over private state — no I/O, no caches, no probes — so it may
-    run on any domain.  Validation happens entirely before the first
-    mutation: [None] means the plan was rejected and [page] is
-    untouched.  On success, returns the rewind {!result} plus every
-    record decoded, for the publish stage to feed back into the
-    decoded-record cache. *)
+val apply_raw : page:Rw_storage.Page.t -> as_of:Rw_storage.Lsn.t -> raw_plan -> result option
+(** Validate and apply the plan against [page], in place.  Pure CPU over
+    private state and immutable log bytes — no I/O, no caches, no probes
+    — so it may run on any domain.  [None] means the plan was rejected
+    (a bad CRC, page or link, or an undo that raised); [page] is then
+    restored to its image before the call. *)
 
 val note : Rw_storage.Page_id.t -> result -> result
 (** Publish-stage accounting for a rewind performed via

@@ -32,12 +32,14 @@ let check_index p ~at ~for_insert =
       (Printf.sprintf "Slotted_page: index %d out of bounds (count %d)" at n)
 
 (* Compaction scratch: one reused page-sized buffer instead of one
-   allocation per live record.  The simulator is single-threaded, so a
-   single module-level buffer is safe. *)
-let compact_scratch = Bytes.create Page.page_size
+   allocation per live record.  One per domain: pool workers undo records
+   on private pages concurrently, and a shared buffer would let one
+   domain's snapshot overwrite another's mid-compaction. *)
+let compact_scratch = Domain.DLS.new_key (fun () -> Bytes.create Page.page_size)
 
 let compact p =
   let n = count p in
+  let compact_scratch = Domain.DLS.get compact_scratch in
   (* Snapshot the page, then lay the live records back down from the page
      end, reading from the unmodified copy. *)
   Bytes.blit p 0 compact_scratch 0 Page.page_size;
@@ -57,9 +59,8 @@ let alloc_data p len =
   Page.set_data_low p low;
   low
 
-let insert p ~at data =
+let insert_sub p ~at src ~pos ~len =
   check_index p ~at ~for_insert:true;
-  let len = String.length data in
   if len > max_record_size then invalid_arg "Slotted_page.insert: record too large";
   if free_space p < len then raise Page_full;
   let n = count p in
@@ -71,8 +72,11 @@ let insert p ~at data =
   Page.set_slot_count p (n + 1);
   set_slot p at ~offset:0 ~length:0;
   let off = alloc_data p len in
-  Bytes.blit_string data 0 p off len;
+  Bytes.blit src pos p off len;
   set_slot p at ~offset:off ~length:len
+
+let insert p ~at data =
+  insert_sub p ~at (Bytes.unsafe_of_string data) ~pos:0 ~len:(String.length data)
 
 let delete p ~at =
   check_index p ~at ~for_insert:false;
@@ -89,13 +93,12 @@ let record_length p ~at =
   check_index p ~at ~for_insert:false;
   slot_length p at
 
-let set p ~at data =
+let set_sub p ~at src ~pos ~len =
   check_index p ~at ~for_insert:false;
-  let len = String.length data in
   if len > max_record_size then invalid_arg "Slotted_page.set: record too large";
   let old_len = slot_length p at in
   if len <= old_len then begin
-    Bytes.blit_string data 0 p (slot_offset p at) len;
+    Bytes.blit src pos p (slot_offset p at) len;
     set_slot p at ~offset:(slot_offset p at) ~length:len;
     Page.set_garbage p (Page.garbage p + (old_len - len))
   end
@@ -105,9 +108,11 @@ let set p ~at data =
     Page.set_garbage p (Page.garbage p + old_len);
     set_slot p at ~offset:0 ~length:0;
     let off = alloc_data p len in
-    Bytes.blit_string data 0 p off len;
+    Bytes.blit src pos p off len;
     set_slot p at ~offset:off ~length:len
   end
+
+let set p ~at data = set_sub p ~at (Bytes.unsafe_of_string data) ~pos:0 ~len:(String.length data)
 
 let iter p f =
   for i = 0 to count p - 1 do

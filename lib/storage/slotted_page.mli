@@ -22,6 +22,11 @@ val insert : Page.t -> at:int -> string -> unit
     (0 <= at <= slot_count), shifting later slots.  Raises {!Page_full} if it
     does not fit, [Invalid_argument] on a bad index or oversized record. *)
 
+val insert_sub : Page.t -> at:int -> bytes -> pos:int -> len:int -> unit
+(** {!insert} of the record held in [src.[pos .. pos+len-1]], copied
+    straight from the source slice (e.g. a log-segment blob).  [src] must
+    not be the page itself. *)
+
 val delete : Page.t -> at:int -> unit
 (** Remove the slot at [at], shifting later slots down. *)
 
@@ -31,6 +36,9 @@ val get : Page.t -> at:int -> string
 val set : Page.t -> at:int -> string -> unit
 (** Replace the record at slot [at]; may grow or shrink it.
     Raises {!Page_full} if the new size does not fit. *)
+
+val set_sub : Page.t -> at:int -> bytes -> pos:int -> len:int -> unit
+(** {!set} from a source slice, as {!insert_sub}. *)
 
 val record_length : Page.t -> at:int -> int
 val count : Page.t -> int

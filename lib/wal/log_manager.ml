@@ -694,7 +694,7 @@ let read t lsn =
    same as issuing [read] per record — each distinct block is a hit or one
    priced random read — but charged once per block instead of once per
    record, and the decodes go through the segment slot handles.  This is
-   the fetch primitive under the batched [prepare_page_as_of]. *)
+   the fetch primitive under [read_segment] and the rewind [gather]. *)
 let read_segment_gen : 'a. t -> Lsn.t array -> (segment -> int -> 'a) -> 'a array =
  fun t lsns extract ->
   if Array.length lsns = 0 then [||]
@@ -759,31 +759,52 @@ let read_segment_gen : 'a. t -> Lsn.t array -> (segment -> int -> 'a) -> 'a arra
 
 let read_segment t lsns = read_segment_gen t lsns (fun s i -> decode_cached_quiet t s i)
 
-(* Raw batch variant: identical block accounting, but the encoded bytes
-   are copied out undecoded and the (single-domain) record cache is never
-   consulted — no record hit/miss accounting at all.  This is the gather
-   primitive of the parallel batch-rewind pipeline: workers decode the
-   bytes off-thread, and the publish stage hands the decodes back through
-   [feed_record_cache]. *)
-let read_segment_raw t lsns = read_segment_gen t lsns rec_data
+type gathered = {
+  g_decoded : Log_record.t array;
+  g_blob : Bytes.t array;
+  g_pos : int array;
+  g_len : int array;
+}
 
-(* Publish-stage seeding: insert an already-decoded record into the
-   record cache if its slot is empty or evicted.  Silent — no hit/miss
-   accounting — so a batch that gathered raw and decoded off-thread
-   leaves the cache as warm as a coordinator-side decode would have,
-   without perturbing the counters the raw gather deliberately skipped. *)
-let feed_record_cache t lsn record =
-  match locate_opt t lsn with
-  | None -> ()
-  | Some (si, i) -> (
-      let seg = t.segs.(si) in
-      match seg.s_cached.(i) with
-      | Some n when Lru.Weighted.alive n -> ()
-      | _ ->
-          seg.s_cached.(i) <-
-            Some
-              (Lru.Weighted.add_node t.record_cache seg.s_lsns.(i) ~weight:(rec_len seg i)
-                 record))
+let not_cached = Log_record.make Log_record.End
+
+(* Rewind variant: identical block accounting, but a miss hands back the
+   record's bytes where they sit in the segment blob — no copy, no decode,
+   no cache insert.  A rewind reads each record once, so inserting its
+   decode would only churn the cache; live decodes are still used.  The
+   result is parallel arrays rather than one box per record: a long
+   chain's array lives in the major heap, and storing a fresh box per
+   record into it would promote every box. *)
+let gather t lsns =
+  let n = Array.length lsns in
+  (* The span arrays are only needed once some record misses. *)
+  let spans = ref None in
+  let j = ref 0 in
+  let g_decoded =
+    read_segment_gen t lsns (fun seg i ->
+        let k = !j in
+        incr j;
+        match seg.s_cached.(i) with
+        | Some node when Lru.Weighted.alive node ->
+            t.io.Io_stats.log_record_hits <- t.io.Io_stats.log_record_hits + 1;
+            Lru.Weighted.node_value node
+        | _ ->
+            t.io.Io_stats.log_record_misses <- t.io.Io_stats.log_record_misses + 1;
+            let blob, pos, len =
+              match !spans with
+              | Some s -> s
+              | None ->
+                  let s = (Array.make n Bytes.empty, Array.make n 0, Array.make n 0) in
+                  spans := Some s;
+                  s
+            in
+            blob.(k) <- seg.s_blob;
+            pos.(k) <- rec_pos seg i;
+            len.(k) <- rec_len seg i;
+            not_cached)
+  in
+  let g_blob, g_pos, g_len = Option.value !spans ~default:([||], [||], [||]) in
+  { g_decoded; g_blob; g_pos; g_len }
 
 let peek_record t lsn =
   let si, i = locate t lsn in

@@ -98,20 +98,28 @@ val read_segment : t -> Rw_storage.Lsn.t array -> Log_record.t array
     per record, and decodes are served through the record cache.  Same
     exceptions as {!read}. *)
 
-val read_segment_raw : t -> Rw_storage.Lsn.t array -> string array
-(** {!read_segment} returning encoded record bytes instead of decodes:
-    identical block accounting, but the single-domain decoded-record
-    cache is never consulted (no record hit/miss counts).  The gather
-    primitive of the parallel batch-rewind pipeline — workers decode the
-    bytes off-thread ({!Log_record.decode} is pure) and the coordinator
-    re-seeds the cache with {!feed_record_cache} at publish time.  Same
-    exceptions as {!read}. *)
+(** The records of a {!gather}, as parallel arrays indexed like the
+    request.  [g_decoded.(k)] is record [k]'s live decode from the record
+    cache (a hit), or {!not_cached} (a miss).  A missed record's bytes
+    are [g_blob.(k).[g_pos.(k) .. g_pos.(k)+g_len.(k)-1]], inside its
+    segment's blob; they never change until a crash lets the log reuse
+    their LSNs, and may be read from any domain. *)
+type gathered = private {
+  g_decoded : Log_record.t array;
+  g_blob : bytes array;
+  g_pos : int array;
+  g_len : int array;
+}
 
-val feed_record_cache : t -> Rw_storage.Lsn.t -> Log_record.t -> unit
-(** Seed the decoded-record cache with a record decoded elsewhere (the
-    publish stage of a parallel batch): inserted only if the record's
-    slot is empty or evicted, with no hit/miss accounting.  Unknown LSNs
-    are ignored. *)
+val not_cached : Log_record.t
+(** The placeholder {!gather} puts in [g_decoded] on a miss; compare
+    with [==]. *)
+
+val gather : t -> Rw_storage.Lsn.t array -> gathered
+(** {!read_segment} for the rewind kernel: identical block accounting and
+    hit/miss counts, but a miss is returned only as its span of the
+    segment blob — never copied, decoded or inserted into the record
+    cache.  Same exceptions as {!read}. *)
 
 val peek_record : t -> Rw_storage.Lsn.t -> Log_record.peek
 (** Header-only view of a record; no payload allocation, no I/O charge.

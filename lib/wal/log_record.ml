@@ -376,6 +376,63 @@ let check_bytes b ~pos ~len =
 
 let is_page_kind = function K_page_op _ | K_clr _ -> true | _ -> false
 
+(* --- in-place undo --- *)
+
+(* Every length field is bounds-checked against the payload end [stop]
+   before the page is touched, so no undo reads past its own record. *)
+let need ~stop upto = if upto > stop then raise Corrupt_record
+
+(* One past the u16-length-prefixed string at [at]. *)
+let str16_end b ~stop at =
+  need ~stop (at + 2);
+  let e = at + 2 + Bytes.get_uint16_le b at in
+  need ~stop e;
+  e
+
+let undo_in_place b ~pos ~len ~page ~prev_lo ~prev_hi p =
+  if not (check_bytes b ~pos ~len) then raise Corrupt_record;
+  let op_at =
+    match Bytes.get_uint8 b (pos + 16) with
+    | 5 -> pos + 33
+    | 6 -> pos + 41
+    | _ -> raise Corrupt_record
+  in
+  let stop = pos + len - 4 in
+  need ~stop (op_at + 1);
+  if Int64.to_int (Bytes.get_int64_le b (pos + 17)) <> Page_id.to_int page then
+    raise Corrupt_record;
+  let prev = Int64.to_int (Bytes.get_int64_le b (pos + 25)) in
+  if prev < Lsn.to_int prev_lo || prev > Lsn.to_int prev_hi then raise Corrupt_record;
+  (match Bytes.get_uint8 b op_at with
+  | (0 | 1 | 2) as kind ->
+      (* slot, then the row (Insert/Delete) or the before image (Update) *)
+      need ~stop (op_at + 3);
+      let at = Bytes.get_uint16_le b (op_at + 1) in
+      let row_end = str16_end b ~stop (op_at + 3) in
+      let row_pos = op_at + 5 in
+      let row_len = row_end - row_pos in
+      if kind = 0 then Rw_storage.Slotted_page.delete p ~at
+      else if kind = 1 then Rw_storage.Slotted_page.insert_sub p ~at b ~pos:row_pos ~len:row_len
+      else begin
+        ignore (str16_end b ~stop row_end : int);
+        Rw_storage.Slotted_page.set_sub p ~at b ~pos:row_pos ~len:row_len
+      end
+  | 3 ->
+      need ~stop (op_at + 18);
+      let field = field_of_code (Bytes.get_uint8 b (op_at + 1)) in
+      set_header p field (Bytes.get_int64_le b (op_at + 2))
+  | 4 ->
+      need ~stop (op_at + 3);
+      Page.format p ~id:(Page.id p) ~typ:Page.Free
+  | 5 ->
+      need ~stop (op_at + 5 + Page.page_size);
+      if Int32.to_int (Bytes.get_int32_le b (op_at + 1)) <> Page.page_size then
+        raise Corrupt_record;
+      Bytes.blit b (op_at + 5) p 0 Page.page_size
+  | 6 -> ()
+  | _ -> raise Corrupt_record);
+  Lsn.of_int prev
+
 let op_name = function
   | Insert_row _ -> "insert_row"
   | Delete_row _ -> "delete_row"

@@ -151,3 +151,30 @@ val check_bytes : bytes -> pos:int -> len:int -> bool
 
 val is_page_kind : kind -> bool
 (** Whether the kind is [K_page_op] or [K_clr]. *)
+
+(** {2 In-place undo}
+
+    The rewind kernel's view of a page record: it validates and undoes the
+    record where it sits in a log-segment blob, with no {!decode}, no
+    payload copy and no cache insert. *)
+
+val undo_in_place :
+  bytes ->
+  pos:int ->
+  len:int ->
+  page:Rw_storage.Page_id.t ->
+  prev_lo:Rw_storage.Lsn.t ->
+  prev_hi:Rw_storage.Lsn.t ->
+  Rw_storage.Page.t ->
+  Rw_storage.Lsn.t
+(** [undo_in_place b ~pos ~len ~page ~prev_lo ~prev_hi p] undoes the
+    encoded record at [b.[pos .. pos+len-1]] on [p], byte-for-byte as
+    [undo (op of (decode r)) p] would.  The record must modify [page]
+    and its [prev_page_lsn] must lie in
+    [\[prev_lo, prev_hi\]] (the caller's chain link); it is returned.
+    The CRC trailer, the page-record tag, the page id, the link and the
+    op's length fields are all checked before the page is touched, and
+    {!Corrupt_record} is raised if any check fails.  Slotted-page
+    failures of the undo itself ([Page_full], [Invalid_argument])
+    propagate and may leave the page changed. *)
+

@@ -205,6 +205,46 @@ let test_chain_broken_detection () =
      Alcotest.fail "expected Chain_broken"
    with Page_undo.Chain_broken _ -> ())
 
+(* A chain whose second undo raises: the newest record deletes slot 0,
+   the one below it deletes slot 5 of a page that no longer has one.  A
+   failed apply must hand the fallback the page as it was before the
+   apply, so the serial path's outcome is exactly the walk's on the
+   original image — with the records served as cached decodes and as
+   spans of a cold log alike. *)
+let test_failed_apply_restores_page () =
+  let pid = Page_id.of_int 4 in
+  let clock = Sim_clock.create () in
+  let log = Log_manager.create ~clock ~media:Media.ram () in
+  let append prev op =
+    Log_manager.append log
+      (Log_record.make (Log_record.Page_op { page = pid; prev_page_lsn = prev; op }))
+  in
+  let l1 = append Lsn.nil (Log_record.Format { typ = Page.Heap; level = 0 }) in
+  let l2 = append l1 (Log_record.Insert_row { slot = 5; row = "ghost" }) in
+  let l3 = append l2 (Log_record.Insert_row { slot = 0; row = "only" }) in
+  let original = Page.create ~id:pid ~typ:Page.Heap in
+  Rw_storage.Slotted_page.insert original ~at:0 "only";
+  Page.set_lsn original l3;
+  let cold = Log_manager.create ~clock ~media:Media.ram () in
+  Log_manager.restore_entries cold (Log_manager.dump_entries log);
+  let outcome f =
+    let page = Bytes.copy original in
+    match f page with
+    | r -> Ok (r.Page_undo.ops_undone, Bytes.to_string page)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  List.iter
+    (fun (label, log) ->
+      let page = Bytes.copy original in
+      let plan = Page_undo.plan_raw ~log ~page ~as_of:l1 in
+      check (label ^ ": apply rejected") true (Page_undo.apply_raw ~page ~as_of:l1 plan = None);
+      check (label ^ ": page restored") true (Bytes.equal page original);
+      let walk = outcome (fun page -> Page_undo.prepare_page_as_of_walk ~log ~page ~as_of:l1) in
+      check (label ^ ": the walk raises") true (Result.is_error walk);
+      check (label ^ ": serial path = walk on the original") true
+        (outcome (fun page -> Page_undo.prepare_page_as_of ~log ~page ~as_of:l1) = walk))
+    [ ("cached decodes", log); ("cold spans", cold) ]
+
 (* --- split lsn --- *)
 
 let mk_db ?(media = Media.ram) ?fpi_frequency ?(name = "core") () =
@@ -645,6 +685,8 @@ let () =
           Alcotest.test_case "FPIs reduce log reads" `Quick test_fpi_reduces_reads;
           Alcotest.test_case "chain corruption detected" `Quick test_chain_broken_detection;
           Alcotest.test_case "batched rewind matches walk" `Quick test_batched_matches_walk;
+          Alcotest.test_case "failed apply restores the page" `Quick
+            test_failed_apply_restores_page;
         ] );
       ( "split_lsn",
         [

@@ -16,6 +16,8 @@
      pool.wakes are deliberately excluded, they count participant slots
      and wakes and are fan-out-dependent by design;
    - the batched scrub sweep detects/repairs identically at any fan-out;
+   - isolated-snapshot audits over a long TPC-C history, warmed by the
+     batch pipeline at fan-out 2 and 4, match fan-out 1 page for page;
    - the pool itself runs every participant exactly once, reraises worker
      exceptions, and clamps fan-out as documented. *)
 
@@ -256,6 +258,67 @@ let test_fanout_determinism_across_truncation () =
         (List.tl fanouts))
     [ 42; 1337 ]
 
+(* --- fan-out stress: isolated-snapshot audits over a long history --- *)
+
+(* The shape under which pool workers once raced on a shared compaction
+   buffer and handed half-undone pages to the serial fallback: a
+   4000-transaction TPC-C history whose log is ten times the 64 x 16 KiB
+   log block cache, isolated snapshots at nine depths, each warmed by the
+   batch pipeline and then scanned.  Every fan-out must reproduce the
+   fan-out-1 pages and rows exactly. *)
+let test_audit_stress () =
+  let eng = Engine.create ~media:Media.ssd () in
+  let db =
+    Engine.create_database eng ~pool_capacity:1024 ~checkpoint_interval_us:2_000_000.0
+      ~log_cache_blocks:64 ~log_block_bytes:16384 "audit"
+  in
+  let cfg = { Tpcc.default_config with Tpcc.seed = 7 } in
+  Tpcc.load db cfg;
+  ignore (Database.checkpoint db);
+  let drv = Tpcc.create db cfg in
+  let instants =
+    List.init 9 (fun _ ->
+        ignore (Tpcc.run_mix drv ~txns:400);
+        Database.now_us db)
+  in
+  ignore (Tpcc.run_mix drv ~txns:400);
+  let audit fanout i wall_us =
+    Fun.protect
+      ~finally:(fun () -> Domain_pool.set_fanout None)
+      (fun () ->
+        Domain_pool.set_fanout fanout;
+        let view =
+          Database.create_as_of_snapshot ~shared:false db ~name:(Printf.sprintf "audit-%d" i)
+            ~wall_us
+        in
+        let snap = Option.get (Database.snapshot_handle view) in
+        Fun.protect
+          ~finally:(fun () -> As_of_snapshot.drop snap)
+          (fun () ->
+            let warmed = Rw_engine.Time_travel.warm view in
+            let rows = ref [] in
+            Database.scan view ~table:"stock" ~f:(fun r -> rows := r :: !rows);
+            let pages =
+              List.map
+                (fun pid -> (Page_id.to_int pid, As_of_snapshot.page_string snap pid))
+                (As_of_snapshot.materialized_page_ids snap)
+            in
+            (warmed, pages, !rows)))
+  in
+  List.iteri
+    (fun i wall_us ->
+      let warmed, pages, rows = audit (Some 1) i wall_us in
+      check (Printf.sprintf "audit %d warmed pages" i) true (warmed > 0);
+      List.iter
+        (fun fanout ->
+          let label = Printf.sprintf "audit %d fan-out %d" i fanout in
+          let warmed', pages', rows' = audit (Some fanout) i wall_us in
+          check_int (label ^ ": pages warmed") warmed warmed';
+          check (label ^ ": canonical pages") true (pages = pages');
+          check (label ^ ": stock rows") true (rows = rows'))
+        [ 2; 4 ])
+    instants
+
 (* --- fan-out determinism on the batched scrub sweep --- *)
 
 let test_scrub_fanout_determinism () =
@@ -324,6 +387,7 @@ let () =
           Alcotest.test_case "snapshot batch across retention truncation" `Quick
             test_fanout_determinism_across_truncation;
           Alcotest.test_case "scrub sweep, fan-out 1 vs 4" `Quick test_scrub_fanout_determinism;
+          Alcotest.test_case "isolated audits, fan-out 1 vs 2/4" `Quick test_audit_stress;
         ] );
       ( "sessions",
         [ Alcotest.test_case "prewarmed reader equivalence" `Quick test_prewarm_reader_equivalence ] );

@@ -248,6 +248,93 @@ let test_redo_undo_inverse () =
       check "undo restores logical content" true (canonical p = orig))
     ops
 
+(* --- in-place undo kernel ---
+
+   For every op kind, as both a Page_op and a Clr, undoing the encoded
+   record where it sits in a blob must leave the page byte-equal to
+   [undo] of its decode, and return the record's back pointer.  Any
+   single flipped byte before the CRC trailer, a foreign page id or a
+   back pointer outside the expected link must be rejected before the
+   page is touched. *)
+
+let kernel_case_gen =
+  let open QCheck.Gen in
+  let row = string_size ~gen:printable (0 -- 120) in
+  list_size (0 -- 12) row >>= fun rows ->
+  let n = List.length rows in
+  let image = string_size ~gen:char (return Page.page_size) in
+  let header_value = function
+    | Log_record.Level -> map Int64.of_int (0 -- 255)
+    | Log_record.Prev_page | Log_record.Next_page -> map Int64.of_int (-1 -- 100_000)
+    | Log_record.Special -> map Int64.of_int int
+  in
+  let set_header =
+    oneofl Log_record.[ Prev_page; Next_page; Special; Level ] >>= fun field ->
+    map2
+      (fun before after -> Log_record.Set_header { field; before; after })
+      (header_value field) (header_value field)
+  in
+  let always =
+    [
+      map2 (fun slot row -> Log_record.Insert_row { slot; row }) (0 -- n) row;
+      set_header;
+      map2
+        (fun typ level -> Log_record.Format { typ; level })
+        (oneofl Page.[ Free; Boot; Alloc_map; Btree; Heap ])
+        (0 -- 255);
+      map (fun prev_image -> Log_record.Preformat { prev_image }) image;
+      map (fun image -> Log_record.Full_image { image }) image;
+    ]
+  in
+  let with_rows =
+    if n = 0 then []
+    else
+      [
+        map (fun slot -> Log_record.Delete_row { slot; row = List.nth rows slot }) (0 -- (n - 1));
+        map2
+          (fun slot after -> Log_record.Update_row { slot; before = List.nth rows slot; after })
+          (0 -- (n - 1)) row;
+      ]
+  in
+  quad (return rows) (oneof (always @ with_rows)) bool (0 -- 1_000_000)
+
+let kernel_prop =
+  QCheck.Test.make ~name:"in-place undo matches decoded undo" ~count:500
+    (QCheck.make kernel_case_gen) (fun (rows, op, clr, salt) ->
+      let pid = Page_id.of_int 9 and prev = Lsn.of_int 4242 in
+      let body =
+        if clr then
+          Log_record.Clr { page = pid; prev_page_lsn = prev; op; undo_next = Lsn.of_int 17 }
+        else Log_record.Page_op { page = pid; prev_page_lsn = prev; op }
+      in
+      let enc = Log_record.encode (Log_record.make ~txn:(Txn_id.of_int 3) body) in
+      (* The record sits inside a larger blob, as in a log segment. *)
+      let pos = 1 + (salt mod 97) and len = String.length enc in
+      let blob = Bytes.make (pos + len + 13) '\xa5' in
+      Bytes.blit_string enc 0 blob pos len;
+      (* The post-state the record leaves behind. *)
+      let post = Page.create ~id:pid ~typ:Page.Heap in
+      List.iteri (fun i r -> Rw_storage.Slotted_page.insert post ~at:i r) rows;
+      Log_record.redo pid op post;
+      let expected = Bytes.copy post in
+      Log_record.undo (Option.get (Log_record.op_of (Log_record.decode enc))) expected;
+      let got = Bytes.copy post in
+      let back =
+        Log_record.undo_in_place blob ~pos ~len ~page:pid ~prev_lo:prev ~prev_hi:prev got
+      in
+      let rejected ?(page = pid) ?(prev_lo = prev) b =
+        let target = Bytes.copy post in
+        match Log_record.undo_in_place b ~pos ~len ~page ~prev_lo ~prev_hi:prev target with
+        | _ -> false
+        | exception Log_record.Corrupt_record -> Bytes.equal target post
+      in
+      let flipped = Bytes.copy blob in
+      let at = pos + (salt mod (len - 4)) in
+      Bytes.set flipped at (Char.chr (Char.code (Bytes.get flipped at) lxor (1 + (salt mod 255))));
+      Bytes.equal expected got && Lsn.equal back prev && rejected flipped
+      && rejected ~page:(Page_id.of_int 10) blob
+      && rejected ~prev_lo:(Lsn.of_int 4243) blob)
+
 (* --- log manager --- *)
 
 let page_op ?(txn = Txn_id.nil) ?(prev = Lsn.nil) ?(pid = 3) op =
@@ -741,6 +828,7 @@ let () =
           QCheck_alcotest.to_alcotest record_roundtrip_prop;
           Alcotest.test_case "invert involution" `Quick test_invert_involution;
           Alcotest.test_case "redo/undo inverse" `Quick test_redo_undo_inverse;
+          QCheck_alcotest.to_alcotest kernel_prop;
         ] );
       ( "log_manager",
         [

@@ -45,6 +45,14 @@ dune exec examples/point_in_time_audit.exe | tail -n 1 |
   grep -q "every past balance reproduced exactly"
 echo "examples ok"
 
+echo "== rwbench smoke (as-of answers agree with the oracle) =="
+# A short seeded run of the two as-of workloads.  rwbench exits non-zero
+# when any operation fails or an as-of answer disagrees with its oracle.
+for w in asof_audit htap; do
+  dune exec rwbench/main.exe -- --workload "$w" --seed 7 --seconds 2 --trace 0 >/dev/null
+  echo "rwbench $w ok"
+done
+
 echo "== formatting (dune fmt) =="
 # `dune fmt` exits 0 even when it reformats files on this dune version, so
 # detect whether promotion changed anything by hashing the sources around it
