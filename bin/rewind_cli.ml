@@ -14,6 +14,8 @@ module Sim_clock = Rw_storage.Sim_clock
 module Engine = Rw_engine.Engine
 module Executor = Rw_sql.Executor
 module Tpcc = Rw_workload.Tpcc
+module Experiments = Rw_workload.Experiments
+module Twin = Rw_workload.Twin
 module Trace = Rw_obs.Trace
 module Metrics = Rw_obs.Metrics
 
@@ -530,36 +532,35 @@ let demo media txns =
     (Engine.now_s eng);
   repl_loop eng session
 
-let faultsoak seeds crash_points quick =
-  Printf.printf "fault-injection soak: seeds %s, %d crash points each%s\n%!"
+(* The soak subcommands share one path: announce the campaign, run it,
+   print its table and exit 1 unless every row passed. *)
+let soak ~title ~what seeds quick campaign =
+  Printf.printf "%s | seeds %s%s\n%!" title
     (String.concat "," (List.map string_of_int seeds))
-    crash_points
     (if quick then " (quick)" else "");
-  let rows = Rw_workload.Experiments.crash_repair_campaign ~seeds ~crash_points ~quick () in
-  Rw_workload.Experiments.print_fault_rows rows;
-  if not (List.for_all Rw_workload.Experiments.fault_row_ok rows) then exit 1
+  if not (Twin.report ~what (campaign ())) then exit 1
+
+let faultsoak seeds crash_points quick =
+  soak
+    ~title:(Printf.sprintf "fault-injection soak: %d crash points each" crash_points)
+    ~what:"crash points" seeds quick
+    (fun () -> Experiments.crash_repair_campaign ~seeds ~crash_points ~quick ())
 
 let replsoak seeds quick =
-  Printf.printf "replication soak: scenarios %s | seeds %s%s\n%!"
-    (String.concat ","
-       (List.map Rw_workload.Experiments.repl_scenario_name
-          Rw_workload.Experiments.repl_scenarios))
-    (String.concat "," (List.map string_of_int seeds))
-    (if quick then " (quick)" else "");
-  let rows = Rw_workload.Experiments.repl_soak_campaign ~seeds ~quick () in
-  Rw_workload.Experiments.print_repl_rows rows;
-  if not (List.for_all Rw_workload.Experiments.repl_row_ok rows) then exit 1
+  soak
+    ~title:
+      ("replication soak: scenarios "
+      ^ String.concat "," (List.map Experiments.repl_scenario_name Experiments.repl_scenarios))
+    ~what:"replication runs" seeds quick
+    (fun () -> Experiments.repl_soak_campaign ~seeds ~quick ())
 
 let whatifsoak seeds quick =
-  Printf.printf "what-if soak: scenarios %s | seeds %s%s\n%!"
-    (String.concat ","
-       (List.map Rw_workload.Experiments.whatif_scenario_name
-          Rw_workload.Experiments.whatif_scenarios))
-    (String.concat "," (List.map string_of_int seeds))
-    (if quick then " (quick)" else "");
-  let rows = Rw_workload.Experiments.whatif_soak_campaign ~seeds ~quick () in
-  Rw_workload.Experiments.print_whatif_rows rows;
-  if not (List.for_all Rw_workload.Experiments.whatif_row_ok rows) then exit 1
+  soak
+    ~title:
+      ("what-if soak: scenarios "
+      ^ String.concat "," (List.map Experiments.whatif_scenario_name Experiments.whatif_scenarios))
+    ~what:"what-if runs" seeds quick
+    (fun () -> Experiments.whatif_soak_campaign ~seeds ~quick ())
 
 (* --- cmdliner wiring --- *)
 

@@ -360,7 +360,7 @@ let e8 ~quick () =
      point (~67% retained); bigger fleets then degrade from there. *)
   let writers = 2 and txns_per_round = 5 in
   let reader_counts = [ 0; 1; 4; 16 ] in
-  let failures = ref 0 in
+  let sc = Twin.self_check "e8" in
   let base_tpmc = ref 0.0 in
   Printf.printf "%8s %10s %10s %12s %11s %12s %7s\n" "readers" "tpmC" "retained%" "avg_query_s"
     "cache_hit%" "shared_hits" "check";
@@ -428,7 +428,7 @@ let e8 ~quick () =
             same)
           rsessions
       in
-      if not ok then incr failures;
+      Twin.expect sc (Printf.sprintf "%d readers: byte-equal to solo snapshots" m) ok;
       let cache = Database.prepared_cache s.db in
       let avg_query =
         match !query_times with
@@ -445,9 +445,7 @@ let e8 ~quick () =
       List.iter (fun (rs, _) -> Session_manager.close sm rs) rsessions)
     reader_counts;
   Printf.printf "(paper: 270k -> 180k tpmC with one concurrent as-of loop, ~67%% retained)\n";
-  Printf.printf "self-check (readers byte-equal to solo snapshots): %s\n%!"
-    (if !failures = 0 then "PASS" else "FAIL");
-  if !failures > 0 then exit 1
+  Twin.finish sc
 
 (* --- §6.4: crossover between log rewind and backup roll-forward --- *)
 
@@ -639,7 +637,6 @@ let ablation_cow ~quick () =
 
 module Fault_plan = Rw_storage.Fault_plan
 module Prng = Rw_storage.Prng
-module Sim_clock_ = Sim_clock
 module Row = Rw_engine.Row
 
 type fault_rates = {
@@ -657,35 +654,6 @@ let default_fault_rates =
     torn_log_tail_rate = 0.50;
   }
 
-type fault_row = {
-  fr_seed : int;
-  fr_crash_after : int;  (** committed transactions before the crash *)
-  fr_crash_lsn : Lsn.t;
-  fr_injected : int;
-  fr_detected : int;
-  fr_repaired : int;
-  fr_retries : int;
-  fr_quarantined : int;
-  fr_tail_truncated : bool;
-  fr_consistent : bool;
-  fr_loser_gone : bool;
-  fr_state_agrees : bool;
-  fr_asof_agrees : bool;
-}
-
-let fault_row_ok r =
-  r.fr_consistent && r.fr_loser_gone && r.fr_state_agrees && r.fr_asof_agrees
-  && r.fr_quarantined = 0
-
-(* Full logical state of the database: every row of every TPC-C table. *)
-let table_dump db =
-  List.map
-    (fun table ->
-      let rows = ref [] in
-      Database.scan db ~table ~f:(fun row -> rows := row :: !rows);
-      (table, List.rev !rows))
-    Tpcc.table_names
-
 let straggler_key = 999_999L
 
 (* One run of the property: load TPC-C under an active fault plan, commit
@@ -693,7 +661,8 @@ let straggler_key = 999_999L
    fault-chosen point, recover, then verify against a fault-free oracle
    driven by the same seed:
    - cross-table invariants hold and the in-flight transaction is gone;
-   - the current state agrees row-for-row with the oracle after the same
+   - the current state agrees row-for-row, and every allocated page in
+     canonical form (page LSN masked), with the oracle after the same
      number of committed transactions;
    - an as-of query at mid-history agrees row-for-row with the oracle's
      as-of query at its own mid-history time.
@@ -702,35 +671,26 @@ let straggler_key = 999_999L
    analysis alone, and the straggler-gone plus a stock-level query are
    issued *during* the redo backlog (first-touch recovery serves them, with
    the fault plan still active); the backlog is then drained before the
-   row-for-row oracle comparison. *)
-let crash_repair_run ?(instant = false) ~seed ~crash_after ~rates () =
+   oracle comparison. *)
+let crash_repair_run ~instant ~seed ~crash_after ~rates =
   let cfg = { Tpcc.small_config with Tpcc.seed } in
-  let run_txns db drv clock n =
-    let wall = Array.make (n + 1) (Sim_clock_.now_us clock) in
-    for j = 1 to n do
-      (* Media.ram prices no latency; explicit idle time keeps commit wall
-         clocks distinct so as-of points are well defined. *)
-      Sim_clock_.advance_us clock 1000.0;
-      ignore (Tpcc.run_mix drv ~txns:1);
-      wall.(j) <- Sim_clock_.now_us clock;
-      ignore db
-    done;
-    wall
+  let stock db = Tpcc.stock_level db cfg ~w:1 ~d:1 ~threshold:15 in
+  let open_db ?fault_plan name =
+    let db =
+      Database.create ~name ~clock:(Sim_clock.create ()) ~media:Media.ram ~pool_capacity:24
+        ~fpi_frequency:16 ~checkpoint_interval_us:10_000.0 ?fault_plan ()
+    in
+    Tpcc.load db cfg;
+    let drv = Tpcc.create db cfg in
+    (db, Twin.run_history db crash_after (fun _ -> ignore (Tpcc.run_mix drv ~txns:1)))
   in
   (* Faulted run. *)
-  let clock = Sim_clock_.create () in
   let plan =
     Fault_plan.create ~torn_write_rate:rates.torn_write_rate ~bit_rot_rate:rates.bit_rot_rate
       ~transient_error_rate:rates.transient_error_rate
       ~torn_log_tail_rate:rates.torn_log_tail_rate ~seed ()
   in
-  let db =
-    Database.create ~name:"faulted" ~clock ~media:Media.ram ~pool_capacity:24 ~fpi_frequency:16
-      ~checkpoint_interval_us:10_000.0 ~fault_plan:plan ()
-  in
-  Tpcc.load db cfg;
-  let drv = Tpcc.create db cfg in
-  let wall_f = run_txns db drv clock crash_after in
+  let db, wall_f = open_db ~fault_plan:plan "faulted" in
   (* A straggler left in flight: recovery must undo it. *)
   let straggler = Database.begin_txn db in
   Database.insert db straggler ~table:"item"
@@ -748,9 +708,7 @@ let crash_repair_run ?(instant = false) ~seed ~crash_after ~rates () =
   let mid_loser_gone =
     (not instant) || Database.get db2 ~table:"item" ~key:straggler_key = None
   in
-  let mid_stock =
-    if instant then Some (Tpcc.stock_level db2 cfg ~w:1 ~d:1 ~threshold:15) else None
-  in
+  let mid_stock = if instant then Some (stock db2) else None in
   (* Verification phase: stop injecting, finish any outstanding instant
      backlog, and scrub out residual damage, so raw-disk readers (the as-of
      snapshot path) see clean pages too. *)
@@ -760,44 +718,42 @@ let crash_repair_run ?(instant = false) ~seed ~crash_after ~rates () =
   let st = Io_stats.copy (Disk.stats (Database.disk db2)) in
   Io_stats.add st (Log_manager.stats (Database.log db2));
   (* Oracle run: identical workload, no faults. *)
-  let oclock = Sim_clock_.create () in
-  let odb =
-    Database.create ~name:"oracle" ~clock:oclock ~media:Media.ram ~pool_capacity:24
-      ~fpi_frequency:16 ~checkpoint_interval_us:10_000.0 ()
-  in
-  Tpcc.load odb cfg;
-  let odrv = Tpcc.create odb cfg in
-  let wall_o = run_txns odb odrv oclock crash_after in
-  (* The properties. *)
+  let odb, wall_o = open_db "oracle" in
   let consistent = Tpcc.consistency_check db2 cfg = Ok () in
   let loser_gone = mid_loser_gone && Database.get db2 ~table:"item" ~key:straggler_key = None in
   let state_agrees =
-    table_dump db2 = table_dump odb
-    && match mid_stock with
-       | None -> true
-       | Some sl -> sl = Tpcc.stock_level odb cfg ~w:1 ~d:1 ~threshold:15
+    Twin.dump db2 = Twin.dump odb
+    && match mid_stock with None -> true | Some sl -> sl = stock odb
   in
-  let mid = max 1 (crash_after / 2) in
-  let asof_agrees =
-    let snap_f = Database.create_as_of_snapshot db2 ~name:"asof_f" ~wall_us:wall_f.(mid) in
-    let snap_o = Database.create_as_of_snapshot odb ~name:"asof_o" ~wall_us:wall_o.(mid) in
-    let sl db = Tpcc.stock_level db cfg ~w:1 ~d:1 ~threshold:15 in
-    table_dump snap_f = table_dump snap_o && sl snap_f = sl snap_o
-  in
+  (* Walls are 0-based: [mid] is the point just after transaction
+     [max 1 (crash_after / 2)]. *)
+  let mid = max 1 (crash_after / 2) - 1 in
+  let asof_agrees = Twin.asof_agrees ~probe:stock (db2, wall_f.(mid)) (odb, wall_o.(mid)) in
+  let compared, differing = Twin.page_diff ~mask_lsn:true (Twin.now db2) (Twin.now odb) in
+  let quarantined = List.length (Database.quarantined_pages db2) in
   {
-    fr_seed = seed;
-    fr_crash_after = crash_after;
-    fr_crash_lsn = crash_lsn;
-    fr_injected = st.Io_stats.faults_injected;
-    fr_detected = st.Io_stats.corruptions_detected;
-    fr_repaired = st.Io_stats.pages_repaired;
-    fr_retries = st.Io_stats.io_retries;
-    fr_quarantined = List.length (Database.quarantined_pages db2);
-    fr_tail_truncated = tail_truncated;
-    fr_consistent = consistent;
-    fr_loser_gone = loser_gone;
-    fr_state_agrees = state_agrees;
-    fr_asof_agrees = asof_agrees;
+    Twin.seed;
+    label = Printf.sprintf "after %d" crash_after;
+    counts =
+      [
+        ("crash_lsn", Lsn.to_int crash_lsn);
+        ("injected", st.Io_stats.faults_injected);
+        ("detected", st.Io_stats.corruptions_detected);
+        ("repaired", st.Io_stats.pages_repaired);
+        ("retries", st.Io_stats.io_retries);
+        ("quarnt", quarantined);
+        ("torn", Bool.to_int tail_truncated);
+        ("cmp_pages", compared);
+      ];
+    checks =
+      [
+        ("cons", consistent);
+        ("loser", loser_gone);
+        ("state", state_agrees);
+        ("asof", asof_agrees);
+        ("pages", differing = 0);
+        ("unquar", quarantined = 0);
+      ];
   }
 
 let crash_repair_campaign ?(instant = false) ?(seeds = [ 11; 23; 47 ]) ?(crash_points = 4)
@@ -817,27 +773,8 @@ let crash_repair_campaign ?(instant = false) ?(seeds = [ 11; 23; 47 ]) ?(crash_p
           in
           let crash_after = draw 8 in
           seen := crash_after :: !seen;
-          crash_repair_run ~instant ~seed ~crash_after ~rates ()))
+          crash_repair_run ~instant ~seed ~crash_after ~rates))
     seeds
-
-let print_fault_rows rows =
-  Printf.printf "%6s %6s %10s %9s %9s %9s %8s %6s %5s %5s %6s %5s %4s\n" "seed" "txns"
-    "crash_lsn" "injected" "detected" "repaired" "retries" "quarnt" "tail" "cons" "state" "asof"
-    "ok";
-  List.iter
-    (fun r ->
-      let b v = if v then "yes" else "NO" in
-      Printf.printf "%6d %6d %10d %9d %9d %9d %8d %6d %5s %5s %6s %5s %4s\n" r.fr_seed
-        r.fr_crash_after (Lsn.to_int r.fr_crash_lsn) r.fr_injected r.fr_detected r.fr_repaired
-        r.fr_retries r.fr_quarantined
-        (if r.fr_tail_truncated then "torn" else "-")
-        (b r.fr_consistent)
-        (b (r.fr_state_agrees && r.fr_loser_gone))
-        (b r.fr_asof_agrees)
-        (if fault_row_ok r then "ok" else "FAIL"))
-    rows;
-  let ok = List.length (List.filter fault_row_ok rows) in
-  Printf.printf "%d/%d crash points passed\n%!" ok (List.length rows)
 
 let faults ~quick () =
   header "Fault injection: crash-point repair campaign";
@@ -847,7 +784,7 @@ let faults ~quick () =
     (100.0 *. default_fault_rates.bit_rot_rate)
     (100.0 *. default_fault_rates.transient_error_rate)
     (100.0 *. default_fault_rates.torn_log_tail_rate);
-  print_fault_rows (crash_repair_campaign ~quick ())
+  ignore (Twin.report ~what:"crash points" (crash_repair_campaign ~quick ()))
 
 (* --- E10: log-shipping replication soak --- *)
 
@@ -866,53 +803,14 @@ let repl_scenario_name = function
   | Partition_heal -> "partition"
   | Failover_rejoin -> "failover"
 
-type repl_row = {
-  rr_seed : int;
-  rr_scenario : repl_scenario;
-  rr_txns : int;
-  rr_shipped : int;
-  rr_retries : int;
-  rr_lag_max : int;
-  rr_stressed : bool;
-  rr_converged : bool;
-  rr_state_agrees : bool;
-  rr_pages_equal : bool;
-  rr_asof_agrees : bool;
-}
-
-let repl_row_ok r =
-  r.rr_stressed && r.rr_converged && r.rr_state_agrees && r.rr_pages_equal && r.rr_asof_agrees
-
-(* Canonical-page byte equality of two engines' current states: an as-of
-   view at each engine's own now, compared page-by-page in canonical form
-   over the union of pages either side materialised. *)
-let repl_pages_equal a b =
-  let open_now db tag =
-    Database.create_as_of_snapshot ~shared:false db ~name:(fresh_name tag)
-      ~wall_us:(Sim_clock_.now_us (Database.clock db))
-  in
-  let va = open_now a "rp_a" and vb = open_now b "rp_b" in
-  let sa = Option.get (Database.snapshot_handle va) in
-  let sb = Option.get (Database.snapshot_handle vb) in
-  let ids =
-    As_of_snapshot.materialized_page_ids sa @ As_of_snapshot.materialized_page_ids sb
-  in
-  let ok =
-    List.for_all
-      (fun pid ->
-        String.equal (As_of_snapshot.page_string sa pid) (As_of_snapshot.page_string sb pid))
-      ids
-  in
-  As_of_snapshot.drop sa;
-  As_of_snapshot.drop sb;
-  ok
-
 (* One scenario run against a fault-free single-node oracle driven by the
    same seed.  The primary+replica pair runs the scenario; the oracle runs
    the identical committed workload on one node.  Convergence is judged
-   three ways: row-for-row state, canonical page bytes, and a mid-history
-   as-of query at each engine's own recorded wall time. *)
-let repl_soak_run ?(quick = false) ~seed ~scenario () =
+   three ways: row-for-row state, every allocated page in canonical form
+   (page LSN masked against the oracle, compared between the two nodes of
+   a failover pair, which replayed the same log), and a mid-history as-of
+   query at each engine's own recorded wall time. *)
+let repl_soak_run ~quick ~seed ~scenario =
   let txns = if quick then 48 else 120 in
   let mk tag =
     let eng = Engine.create ~media:Media.ram () in
@@ -922,27 +820,20 @@ let repl_soak_run ?(quick = false) ~seed ~scenario () =
     let cfg = { Tpcc.small_config with Tpcc.seed } in
     Tpcc.load db cfg;
     ignore (Database.checkpoint db);
-    (db, cfg, Tpcc.create db cfg)
+    let drv = Tpcc.create db cfg in
+    (db, cfg, fun n -> Twin.run_history db n (fun _ -> ignore (Tpcc.run_mix drv ~txns:1)))
   in
-  let db, cfg, drv = mk "repl_prim" in
-  let odb, _ocfg, odrv = mk "repl_oracle" in
-  let walls_p = ref [] and walls_o = ref [] in
-  let run_txns db drv walls n =
-    let clock = Database.clock db in
-    for _ = 1 to n do
-      (* Idle gaps keep commit wall clocks distinct for as-of points. *)
-      Sim_clock_.advance_us clock 1000.0;
-      ignore (Tpcc.run_mix drv ~txns:1);
-      walls := Sim_clock_.now_us clock :: !walls
-    done
-  in
+  let db, cfg, run_p = mk "repl_prim" in
+  let odb, _ocfg, run_o = mk "repl_oracle" in
+  let walls_p = ref [] in
+  let run_txns n = walls_p := run_p n :: !walls_p in
   let replica = Replica.of_primary ~name:(fresh_name "replica") db in
   let clock = Database.clock db in
   let lag_max = ref 0 in
   let observe sh = lag_max := max !lag_max (Shipper.lag_segments sh) in
   (* Oracle commits the same transactions up front; its wall points are its
      own (each engine's clock advances differently). *)
-  run_txns odb odrv walls_o txns;
+  let walls_o = run_o txns in
   let sh, stressed =
     match scenario with
     | Sustained_lag ->
@@ -956,12 +847,12 @@ let repl_soak_run ?(quick = false) ~seed ~scenario () =
         let sh = Shipper.attach ~primary:db ~replica ~channel:chan ~max_retries:50 () in
         let batches = 8 in
         for _ = 1 to batches do
-          run_txns db drv walls_p (txns / batches);
+          run_txns (txns / batches);
           ignore (Database.checkpoint db);
           observe sh;
           ignore (Shipper.step sh)
         done;
-        run_txns db drv walls_p (txns mod batches);
+        run_txns (txns mod batches);
         ignore (Database.checkpoint db);
         observe sh;
         Shipper.catch_up sh;
@@ -970,7 +861,7 @@ let repl_soak_run ?(quick = false) ~seed ~scenario () =
         let sh =
           Shipper.attach ~primary:db ~replica ~channel:(Channel.create ~clock ~seed ()) ()
         in
-        run_txns db drv walls_p txns;
+        run_txns txns;
         ignore (Database.checkpoint db);
         let lag0 = Shipper.lag_segments sh in
         observe sh;
@@ -988,12 +879,12 @@ let repl_soak_run ?(quick = false) ~seed ~scenario () =
     | Partition_heal ->
         let chan = Channel.create ~clock ~seed () in
         let sh = Shipper.attach ~primary:db ~replica ~channel:chan ~max_retries:3 () in
-        run_txns db drv walls_p (txns / 2);
+        run_txns (txns / 2);
         ignore (Database.checkpoint db);
         Channel.partition chan ~sends:100_000;
         Shipper.catch_up sh;
         let disconnected = Shipper.state sh = Shipper.Disconnected in
-        run_txns db drv walls_p (txns - (txns / 2));
+        run_txns (txns - (txns / 2));
         ignore (Database.checkpoint db);
         observe sh;
         Channel.heal chan;
@@ -1003,125 +894,86 @@ let repl_soak_run ?(quick = false) ~seed ~scenario () =
         let sh =
           Shipper.attach ~primary:db ~replica ~channel:(Channel.create ~clock ~seed ()) ()
         in
-        run_txns db drv walls_p txns;
+        run_txns txns;
         ignore (Database.checkpoint db);
         Shipper.catch_up sh;
         (sh, true)
   in
-  match scenario with
-  | Failover_rejoin ->
-      (* The primary commits a tail that never ships, then dies.  The
-         promoted replica must serve exactly the shipped history; the
-         demoted primary rejoins by truncating its divergent tail. *)
-      let shipped = Shipper.shipped_segments sh and retries = Shipper.retries sh in
-      let tail = ref [] in
-      run_txns db drv tail 10;
-      Shipper.detach sh;
-      let new_primary, at = Repl_failover.promote replica in
-      let rejoined = Repl_failover.rejoin ~name:(fresh_name "rejoin") ~at db in
-      let sh2 =
-        Shipper.attach ~primary:new_primary ~replica:rejoined ~channel:(Channel.create ~clock ())
-          ()
-      in
-      Shipper.catch_up sh2;
-      let state_agrees =
-        table_dump new_primary = table_dump odb
-        && table_dump (Replica.db rejoined) = table_dump odb
-      in
-      let pages_equal =
-        repl_pages_equal new_primary odb
-        && repl_pages_equal (Replica.db rejoined) new_primary
-      in
-      let asof_agrees =
-        let wp = List.rev !walls_p and wo = List.rev !walls_o in
-        let mid = List.length wp / 2 in
-        let sp =
-          Database.create_as_of_snapshot ~shared:false new_primary ~name:(fresh_name "rs_p")
-            ~wall_us:(List.nth wp mid)
+  let walls_p = Array.concat (List.rev !walls_p) in
+  let retries = Shipper.retries sh in
+  (* The node compared with the oracle, the rejoined node (if any) that
+     replayed its log, the shipper left to detach and the units an earlier
+     shipper delivered. *)
+  let served, rejoined, sh, shipped_before =
+    match scenario with
+    | Failover_rejoin ->
+        (* The primary commits a tail that never ships, then dies.  The
+           promoted replica must serve exactly the shipped history; the
+           demoted primary rejoins by truncating its divergent tail. *)
+        let shipped = Shipper.shipped_segments sh in
+        ignore (run_p 10);
+        Shipper.detach sh;
+        let new_primary, at = Repl_failover.promote replica in
+        let rejoined = Repl_failover.rejoin ~name:(fresh_name "rejoin") ~at db in
+        let sh2 =
+          Shipper.attach ~primary:new_primary ~replica:rejoined
+            ~channel:(Channel.create ~clock ()) ()
         in
-        let so =
-          Database.create_as_of_snapshot ~shared:false odb ~name:(fresh_name "rs_o")
-            ~wall_us:(List.nth wo mid)
-        in
-        let sl v = Tpcc.stock_level v cfg ~w:1 ~d:1 ~threshold:15 in
-        table_dump sp = table_dump so && sl sp = sl so
-      in
-      Shipper.detach sh2;
-      {
-        rr_seed = seed;
-        rr_scenario = scenario;
-        rr_txns = txns;
-        rr_shipped = shipped + Shipper.shipped_segments sh2;
-        rr_retries = retries;
-        rr_lag_max = !lag_max;
-        rr_stressed = stressed;
-        rr_converged = Shipper.state sh2 = Shipper.Caught_up;
-        rr_state_agrees = state_agrees;
-        rr_pages_equal = pages_equal;
-        rr_asof_agrees = asof_agrees;
-      }
-  | _ ->
-      let rdb = Replica.db replica in
-      let state_agrees = table_dump rdb = table_dump odb in
-      let pages_equal = repl_pages_equal rdb odb in
-      let asof_agrees =
-        let wp = List.rev !walls_p and wo = List.rev !walls_o in
-        let mid = List.length wp / 2 in
-        let sp =
-          Database.create_as_of_snapshot ~shared:false rdb ~name:(fresh_name "rs_r")
-            ~wall_us:(List.nth wp mid)
-        in
-        let so =
-          Database.create_as_of_snapshot ~shared:false odb ~name:(fresh_name "rs_o")
-            ~wall_us:(List.nth wo mid)
-        in
-        let sl v = Tpcc.stock_level v cfg ~w:1 ~d:1 ~threshold:15 in
-        table_dump sp = table_dump so && sl sp = sl so
-      in
-      let row =
-        {
-          rr_seed = seed;
-          rr_scenario = scenario;
-          rr_txns = txns;
-          rr_shipped = Shipper.shipped_segments sh;
-          rr_retries = Shipper.retries sh;
-          rr_lag_max = !lag_max;
-          rr_stressed = stressed;
-          rr_converged = Shipper.state sh = Shipper.Caught_up;
-          rr_state_agrees = state_agrees;
-          rr_pages_equal = pages_equal;
-          rr_asof_agrees = asof_agrees;
-        }
-      in
-      Shipper.detach sh;
-      row
+        Shipper.catch_up sh2;
+        (new_primary, [ Replica.db rejoined ], sh2, shipped)
+    | _ -> (Replica.db replica, [], sh, 0)
+  in
+  let state_agrees =
+    List.for_all (fun n -> Twin.dump n = Twin.dump odb) (served :: rejoined)
+  in
+  let oracle_diff = Twin.page_diff ~mask_lsn:true (Twin.now served) (Twin.now odb) in
+  let page_diffs =
+    oracle_diff
+    :: List.map
+         (fun n -> Twin.page_diff ~mask_lsn:false (Twin.now n) (Twin.now served))
+         rejoined
+  in
+  let mid = Array.length walls_p / 2 in
+  let asof_agrees =
+    Twin.asof_agrees
+      ~probe:(fun v -> Tpcc.stock_level v cfg ~w:1 ~d:1 ~threshold:15)
+      (served, walls_p.(mid)) (odb, walls_o.(mid))
+  in
+  let converged = Shipper.state sh = Shipper.Caught_up in
+  let shipped = shipped_before + Shipper.shipped_segments sh in
+  Shipper.detach sh;
+  {
+    Twin.seed;
+    label = repl_scenario_name scenario;
+    counts =
+      [
+        ("txns", txns);
+        ("shipped", shipped);
+        ("retries", retries);
+        ("lag_max", !lag_max);
+        ("cmp_pages", List.fold_left (fun a (n, _) -> a + n) 0 page_diffs);
+      ];
+    checks =
+      [
+        ("stress", stressed);
+        ("conv", converged);
+        ("state", state_agrees);
+        ("pages", List.for_all (fun (_, d) -> d = 0) page_diffs);
+        ("asof", asof_agrees);
+      ];
+  }
 
 let repl_soak_campaign ?(seeds = [ 11; 23; 47 ]) ?(quick = false) () =
   List.concat_map
-    (fun seed ->
-      List.map (fun scenario -> repl_soak_run ~quick ~seed ~scenario ()) repl_scenarios)
+    (fun seed -> List.map (fun scenario -> repl_soak_run ~quick ~seed ~scenario) repl_scenarios)
     seeds
-
-let print_repl_rows rows =
-  Printf.printf "%6s %-10s %6s %8s %8s %8s %8s %6s %6s %6s %5s %5s\n" "seed" "scenario" "txns"
-    "shipped" "retries" "lag_max" "stress" "conv" "state" "pages" "asof" "ok";
-  List.iter
-    (fun r ->
-      let b v = if v then "yes" else "NO" in
-      Printf.printf "%6d %-10s %6d %8d %8d %8d %8s %6s %6s %6s %5s %5s\n" r.rr_seed
-        (repl_scenario_name r.rr_scenario)
-        r.rr_txns r.rr_shipped r.rr_retries r.rr_lag_max (b r.rr_stressed) (b r.rr_converged)
-        (b r.rr_state_agrees) (b r.rr_pages_equal) (b r.rr_asof_agrees)
-        (if repl_row_ok r then "ok" else "FAIL"))
-    rows;
-  let ok = List.length (List.filter repl_row_ok rows) in
-  Printf.printf "%d/%d replication runs passed\n%!" ok (List.length rows)
 
 (* The headline demo: a writer fleet on the primary with the shipper
    installed as the scheduler's background service — replica lag rises
    under bursts and drains between them, all on one deterministic clock. *)
 let e10 ~quick () =
   header "E10: log-shipping replication — catch-up redo, faults, failover";
+  let sc = Twin.self_check "e10" in
   let eng = Engine.create ~media:Media.ram () in
   let db = Engine.create_database eng ~pool_capacity:1024 ~log_segment_bytes:16384 "e10" in
   let cfg = { Tpcc.small_config with Tpcc.seed = 7 } in
@@ -1141,7 +993,7 @@ let e10 ~quick () =
       (Session_manager.open_writer mgr
          ~name:(Printf.sprintf "writer%d" i)
          ~step:(fun d ->
-           Sim_clock_.advance_us (Database.clock d) 500.0;
+           Sim_clock.advance_us (Database.clock d) 500.0;
            ignore (Tpcc.run_mix drv ~txns:1)))
   done;
   Session_manager.set_service mgr (Some (fun () -> ignore (Shipper.step sh)));
@@ -1156,24 +1008,27 @@ let e10 ~quick () =
   done;
   ignore (Database.checkpoint db);
   Shipper.catch_up sh;
-  (* Read the drained numbers before the byte-equality check: creating
-     the comparison snapshots appends (and flushes) a checkpoint on the
+  (* Read the drained numbers before the page comparison: creating the
+     comparison snapshots appends (and flushes) a checkpoint on the
      primary, which would show up as fresh lag. *)
   let lag = Shipper.lag_segments sh and shipped = Shipper.shipped_segments sh in
   let retries = Shipper.retries sh in
-  let live_ok =
-    Shipper.state sh = Shipper.Caught_up && repl_pages_equal db (Replica.db replica)
+  let caught_up = Shipper.state sh = Shipper.Caught_up in
+  let compared, differing =
+    Twin.page_diff ~mask_lsn:false (Twin.now db) (Twin.now (Replica.db replica))
   in
-  Printf.printf "after drain: lag %d, shipped %d, retries %d, replica byte-equal: %s\n" lag
+  Printf.printf
+    "after drain: lag %d, shipped %d, retries %d, replica byte-equal: %s (%d pages)\n" lag
     shipped retries
-    (if live_ok then "yes" else "NO");
+    (if differing = 0 then "yes" else "NO")
+    compared;
+  Twin.expect sc "live replica caught up" caught_up;
+  Twin.expect sc "live replica page-equal to its primary" (differing = 0);
   Shipper.detach sh;
   Printf.printf "\nFault campaign (each scenario vs a fault-free single-node oracle):\n";
   let rows = repl_soak_campaign ~seeds:(if quick then [ 11; 23 ] else [ 11; 23; 47 ]) ~quick () in
-  print_repl_rows rows;
-  let ok = live_ok && List.for_all repl_row_ok rows in
-  Printf.printf "e10 self-checks: %s\n%!" (if ok then "PASS" else "FAIL");
-  if not ok then exit 1
+  Twin.expect sc "fault campaign" (Twin.report ~what:"replication runs" rows);
+  Twin.finish sc
 
 (* --- EXPLAIN cost table: the paper's proportional-cost claim, per query --- *)
 
@@ -1294,8 +1149,7 @@ let e9_instant ~quick () =
   header "E9 (instant restart): time-to-first-query vs log length";
   let scales = if quick then [ 1; 4; 10 ] else [ 1; 2; 5; 10 ] in
   let base_txns = if quick then 60 else 250 in
-  let failures = ref 0 in
-  let check name ok = if not ok then (incr failures; Printf.printf "FAIL %s\n" name) in
+  let sc = Twin.self_check "e9" in
   let mk name txns =
     let clock = Sim_clock.create () in
     (* A huge checkpoint interval pins the master record at the post-load
@@ -1337,7 +1191,7 @@ let e9_instant ~quick () =
         let sl_i = Tpcc.stock_level idb2 cfg ~w:1 ~d:1 ~threshold:15 in
         let sl_f = Tpcc.stock_level fdb2 cfg ~w:1 ~d:1 ~threshold:15 in
         Database.recovery_drain_all idb2;
-        let state_ok = table_dump idb2 = table_dump fdb2 in
+        let state_ok = Twin.dump idb2 = Twin.dump fdb2 in
         let scale_ok = backlog0 > 0 && loser_gone && sl_i = sl_f && state_ok in
         Printf.printf "%6d %8d %9d %12.4f %12.4f %12.4f %12.4f %8d %6s\n%!" scale txns
           fstats.Rw_recovery.Recovery.analysis.Rw_recovery.Recovery.records_scanned
@@ -1347,7 +1201,7 @@ let e9_instant ~quick () =
           (seconds istats.Rw_recovery.Recovery.time_to_full_recovery_us)
           backlog0
           (if scale_ok then "ok" else "FAIL");
-        check (Printf.sprintf "scale %d: backlog/during-backlog/state" scale) scale_ok;
+        Twin.expect sc (Printf.sprintf "scale %d: backlog/during-backlog/state" scale) scale_ok;
         (fstats, istats))
       scales
   in
@@ -1368,17 +1222,16 @@ let e9_instant ~quick () =
     "\nlog scan grew %.1fx; full-replay restart grew %.1fx; at the largest scale the\n\
      instant engine opened %.1fx sooner than full replay finished\n"
     scan_growth full_growth open_speedup;
-  check "scan growth >= 8x" (scan_growth >= 8.0);
-  check "full-replay restart grows with the log (>= 3x)" (full_growth >= 3.0);
+  Twin.expect sc "scan growth >= 8x" (scan_growth >= 8.0);
+  Twin.expect sc "full-replay restart grows with the log (>= 3x)" (full_growth >= 3.0);
   (* The asymptotic claim: at the largest scale, time-to-first-query is
      within 2x of bare analysis (small scales carry the fixed cost of
      first-touching the boot/allocation pages at open). *)
-  check "largest scale: ttfq <= 2x analysis"
+  Twin.expect sc "largest scale: ttfq <= 2x analysis"
     (last_i.Rw_recovery.Recovery.time_to_first_query_us
     <= 2.0 *. last_i.Rw_recovery.Recovery.analysis_us);
-  check "instant opens >= 3x sooner at largest scale" (open_speedup >= 3.0);
-  Printf.printf "e9 self-checks: %s\n%!" (if !failures = 0 then "PASS" else "FAIL");
-  if !failures > 0 then exit 1
+  Twin.expect sc "instant opens >= 3x sooner at largest scale" (open_speedup >= 3.0);
+  Twin.finish sc
 
 (* --- E11: what-if — selective transaction undo vs full-database rewind --- *)
 
@@ -1465,15 +1318,9 @@ let wf_apply db ~seed ~epoch cells =
    With [skip] this is the replay-from-scratch oracle — the same history
    minus the victim.  Returns the post-commit wall time of each epoch. *)
 let wf_run_history db ~seed ~scenario ~chain_limit ~history ~skip =
-  let clock = Database.clock db in
-  let walls = Array.make (max history 1) 0.0 in
-  for i = 0 to history - 1 do
-    Sim_clock_.advance_us clock 1000.0;
-    if skip <> Some i then
-      wf_apply db ~seed ~epoch:(i + 1) (wf_cells_of ~scenario ~chain_limit ~i);
-    walls.(i) <- Sim_clock_.now_us clock
-  done;
-  walls
+  Twin.run_history db history (fun i ->
+      if skip <> Some i then
+        wf_apply db ~seed ~epoch:(i + 1) (wf_cells_of ~scenario ~chain_limit ~i))
 
 (* Summaries of just the history-phase transactions, in commit order:
    entry [i] is history transaction [i]. *)
@@ -1481,61 +1328,7 @@ let wf_history_txns log ~before =
   let all = Log_manager.txn_summaries log in
   Array.of_list (List.filteri (fun i _ -> i >= before) all)
 
-let wf_dump db =
-  let rows = ref [] in
-  Database.scan db ~table:wf_table ~f:(fun r -> rows := r :: !rows);
-  List.rev !rows
-
-(* Canonical page equality with the page LSN masked: the repaired and
-   oracle engines reach the same state through different log records, so
-   their page LSNs legitimately differ. *)
-let wf_mask s = String.sub s 8 (String.length s - 8)
-
-let wf_pages_equal a b =
-  let open_now db tag =
-    Database.create_as_of_snapshot ~shared:false db ~name:(fresh_name tag)
-      ~wall_us:(Sim_clock_.now_us (Database.clock db))
-  in
-  let va = open_now a "wfp_a" and vb = open_now b "wfp_b" in
-  let sa = Option.get (Database.snapshot_handle va) in
-  let sb = Option.get (Database.snapshot_handle vb) in
-  let ids =
-    As_of_snapshot.materialized_page_ids sa @ As_of_snapshot.materialized_page_ids sb
-  in
-  let ok =
-    List.for_all
-      (fun pid ->
-        String.equal
-          (wf_mask (As_of_snapshot.page_string sa pid))
-          (wf_mask (As_of_snapshot.page_string sb pid)))
-      ids
-  in
-  As_of_snapshot.drop sa;
-  As_of_snapshot.drop sb;
-  ok
-
-type whatif_row = {
-  wr_seed : int;
-  wr_scenario : whatif_scenario;
-  wr_history : int;
-  wr_closure : int;
-  wr_replayed : int;
-  wr_pages : int;
-  wr_ops_replayed : int;
-  wr_from_index : bool;
-  wr_scope_exact : bool;
-  wr_view_agrees : bool;
-  wr_repaired : bool;
-  wr_state_agrees : bool;
-  wr_pages_equal : bool;
-  wr_asof_agrees : bool;
-}
-
-let whatif_row_ok r =
-  r.wr_from_index && r.wr_scope_exact && r.wr_view_agrees && r.wr_repaired
-  && r.wr_state_agrees && r.wr_pages_equal && r.wr_asof_agrees
-
-let whatif_soak_run ?(quick = false) ~seed ~scenario () =
+let whatif_soak_run ~quick ~seed ~scenario =
   let history = if quick then 20 else 40 in
   let chain_limit = history in
   let cells = (2 * history) + 4 in
@@ -1561,12 +1354,12 @@ let whatif_soak_run ?(quick = false) ~seed ~scenario () =
   (* Oracle: replay the recorded history minus the victim from scratch. *)
   let _oeng, odb = wf_build ~seed ~cells () in
   let owalls = wf_run_history odb ~seed ~scenario ~chain_limit ~history ~skip:(Some victim_i) in
-  let oracle_dump = wf_dump odb in
+  let oracle_dump = Twin.dump odb in
   (* What-if view first: a read-only preview over the unrepaired state. *)
   let view_agrees, closure, replayed =
     match Selective.what_if_view ~engine:eng ~db ~graph ~victim ~name:(fresh_name "wfv") () with
     | Ok (view, st) ->
-        (wf_dump view = oracle_dump, st.Selective.closure_size, st.Selective.replayed_txns)
+        (Twin.dump view = oracle_dump, st.Selective.closure_size, st.Selective.replayed_txns)
     | Error _ -> (false, 0, 0)
   in
   (* In-place repair, then the three-way agreement with the oracle. *)
@@ -1578,66 +1371,45 @@ let whatif_soak_run ?(quick = false) ~seed ~scenario () =
     | Ok st -> (true, st.Selective.pages_rewound, st.Selective.ops_replayed)
     | Error _ -> (false, 0, 0)
   in
-  let state_agrees = repaired && wf_dump db = oracle_dump in
-  let pages_equal = repaired && wf_pages_equal db odb in
+  let state_agrees = repaired && Twin.dump db = oracle_dump in
+  (* The repaired and oracle engines reach the same state through
+     different log records: page LSNs are masked. *)
+  let compared, differing = Twin.page_diff ~mask_lsn:true (Twin.now db) (Twin.now odb) in
   (* Point-in-time queries of the pre-repair history survive the repair:
      an as-of just before the victim committed agrees with the oracle's
      state at its matching point. *)
   let asof_agrees =
     repaired && victim_i > 0
-    &&
-    let v =
-      Database.create_as_of_snapshot ~shared:false db ~name:(fresh_name "wf_asof")
-        ~wall_us:walls.(victim_i - 1)
-    in
-    let ov =
-      Database.create_as_of_snapshot ~shared:false odb ~name:(fresh_name "wf_oasof")
-        ~wall_us:owalls.(victim_i - 1)
-    in
-    let ok = wf_dump v = wf_dump ov in
-    (match Database.snapshot_handle v with Some s -> As_of_snapshot.drop s | None -> ());
-    (match Database.snapshot_handle ov with Some s -> As_of_snapshot.drop s | None -> ());
-    ok
+    && Twin.asof_agrees (db, walls.(victim_i - 1)) (odb, owalls.(victim_i - 1))
   in
   {
-    wr_seed = seed;
-    wr_scenario = scenario;
-    wr_history = history;
-    wr_closure = closure;
-    wr_replayed = replayed;
-    wr_pages = pages;
-    wr_ops_replayed = ops_replayed;
-    wr_from_index = from_index;
-    wr_scope_exact = replayed = expected_replayed;
-    wr_view_agrees = view_agrees;
-    wr_repaired = repaired;
-    wr_state_agrees = state_agrees;
-    wr_pages_equal = pages_equal;
-    wr_asof_agrees = asof_agrees;
+    Twin.seed;
+    label = whatif_scenario_name scenario;
+    counts =
+      [
+        ("history", history);
+        ("closure", closure);
+        ("replay", replayed);
+        ("pages", pages);
+        ("ops", ops_replayed);
+        ("cmp_pages", compared);
+      ];
+    checks =
+      [
+        ("index", from_index);
+        ("scope", replayed = expected_replayed);
+        ("view", view_agrees);
+        ("repaired", repaired);
+        ("state", state_agrees);
+        ("pages", repaired && differing = 0);
+        ("asof", asof_agrees);
+      ];
   }
 
 let whatif_soak_campaign ?(seeds = [ 11; 23; 47 ]) ?(quick = false) () =
   List.concat_map
-    (fun seed ->
-      List.map (fun scenario -> whatif_soak_run ~quick ~seed ~scenario ()) whatif_scenarios)
+    (fun seed -> List.map (fun scenario -> whatif_soak_run ~quick ~seed ~scenario) whatif_scenarios)
     seeds
-
-let print_whatif_rows rows =
-  Printf.printf "%6s %-12s %8s %8s %8s %6s %6s %6s %5s %6s %6s %6s %5s\n" "seed" "scenario"
-    "history" "closure" "replay" "pages" "index" "scope" "view" "state" "pages" "asof" "ok";
-  List.iter
-    (fun r ->
-      let b v = if v then "yes" else "NO" in
-      Printf.printf "%6d %-12s %8d %8d %8d %6d %6s %6s %5s %6s %6s %6s %5s\n" r.wr_seed
-        (whatif_scenario_name r.wr_scenario)
-        r.wr_history r.wr_closure r.wr_replayed r.wr_pages (b r.wr_from_index)
-        (b r.wr_scope_exact) (b r.wr_view_agrees)
-        (b (r.wr_repaired && r.wr_state_agrees))
-        (b r.wr_pages_equal) (b r.wr_asof_agrees)
-        (if whatif_row_ok r then "ok" else "FAIL"))
-    rows;
-  let ok = List.length (List.filter whatif_row_ok rows) in
-  Printf.printf "%d/%d what-if runs passed\n%!" ok (List.length rows)
 
 (* The headline figure: cost of removing one early transaction as the
    history after it grows.  The victim's chain is bounded, so selective
@@ -1647,14 +1419,14 @@ let print_whatif_rows rows =
    paths are verified byte-equal against the replay-minus-t oracle. *)
 let e11 ~quick () =
   header "E11: what-if — selective replay vs full-database rewind";
-  let failures = ref 0 in
-  let check name ok = if not ok then (incr failures; Printf.printf "FAIL %s\n" name) in
+  let sc = Twin.self_check "e11" in
   let seed = 11 in
   let chain_limit = 8 in
   let victim_i = 2 in
   let histories = if quick then [ 12; 24; 48 ] else [ 16; 32; 64; 128 ] in
-  Printf.printf "%8s | %8s %8s %9s %10s | %8s %8s %9s %10s | %5s\n" "history" "sel_txns"
-    "sel_pages" "sel_ops" "sel_time_s" "full_txn" "full_pgs" "full_ops" "full_time_s" "ok";
+  Printf.printf "%8s | %8s %8s %9s %10s | %8s %8s %9s %10s | %9s %5s\n" "history" "sel_txns"
+    "sel_pages" "sel_ops" "sel_time_s" "full_txn" "full_pgs" "full_ops" "full_time_s" "cmp_pages"
+    "ok";
   let results =
     List.map
       (fun history ->
@@ -1678,7 +1450,7 @@ let e11 ~quick () =
               List.iter
                 (fun (c : Selective.conflict) -> Printf.printf "conflict: %s\n" c.reason)
                 cs;
-              check "repair refused" false;
+              Twin.expect sc "repair refused" false;
               (db, { Selective.closure_size = 0; replayed_txns = 0; pages_rewound = 0;
                      ops_unwound = 0; ops_replayed = 0 }, rtime)
         in
@@ -1686,19 +1458,25 @@ let e11 ~quick () =
         ignore
           (wf_run_history odb ~seed ~scenario:Wf_chain ~chain_limit ~history
              ~skip:(Some victim_i));
-        let oracle = wf_dump odb in
+        let oracle = Twin.dump odb in
         let sdb, sstat, stime = run Selective.Dependents in
         let fdb, fstat, ftime = run Selective.All_successors in
-        let sel_ok = wf_dump sdb = oracle && wf_pages_equal sdb odb in
-        let full_ok = wf_dump fdb = oracle && wf_pages_equal fdb odb in
-        check (Printf.sprintf "history %d: selective equals oracle" history) sel_ok;
-        check (Printf.sprintf "history %d: full rewind equals oracle" history) full_ok;
-        Printf.printf "%8d | %8d %8d %9d %10.4f | %8d %8d %9d %10.4f | %5s\n%!" history
+        let agrees db =
+          let compared, differing =
+            Twin.page_diff ~mask_lsn:true (Twin.now db) (Twin.now odb)
+          in
+          (compared, Twin.dump db = oracle && differing = 0)
+        in
+        let compared, sel_ok = agrees sdb in
+        let _, full_ok = agrees fdb in
+        Twin.expect sc (Printf.sprintf "history %d: selective equals oracle" history) sel_ok;
+        Twin.expect sc (Printf.sprintf "history %d: full rewind equals oracle" history) full_ok;
+        Printf.printf "%8d | %8d %8d %9d %10.4f | %8d %8d %9d %10.4f | %9d %5s\n%!" history
           sstat.Selective.replayed_txns sstat.Selective.pages_rewound
           (sstat.Selective.ops_unwound + sstat.Selective.ops_replayed)
           (seconds stime) fstat.Selective.replayed_txns fstat.Selective.pages_rewound
           (fstat.Selective.ops_unwound + fstat.Selective.ops_replayed)
-          (seconds ftime)
+          (seconds ftime) compared
           (if sel_ok && full_ok then "ok" else "FAIL");
         (history, sstat, fstat))
       histories
@@ -1711,13 +1489,13 @@ let e11 ~quick () =
      full rewind work %d -> %d ops (closure %d -> %d txns)\n"
     h0 hn (work s0) (work sn) sn.Selective.replayed_txns (work f0) (work fn)
     f0.Selective.closure_size fn.Selective.closure_size;
-  check "selective dependent set is fixed" (sn.Selective.replayed_txns = s0.Selective.replayed_txns);
-  check "selective work does not grow with history" (work sn = work s0);
-  check "full-rewind closure grows with history"
+  Twin.expect sc "selective dependent set is fixed"
+    (sn.Selective.replayed_txns = s0.Selective.replayed_txns);
+  Twin.expect sc "selective work does not grow with history" (work sn = work s0);
+  Twin.expect sc "full-rewind closure grows with history"
     (fn.Selective.closure_size - f0.Selective.closure_size = hn - h0);
-  check "full-rewind work grows at least linearly" (work fn - work f0 >= hn - h0);
-  Printf.printf "e11 self-checks: %s\n%!" (if !failures = 0 then "PASS" else "FAIL");
-  if !failures > 0 then exit 1
+  Twin.expect sc "full-rewind work grows at least linearly" (work fn - work f0 >= hn - h0);
+  Twin.finish sc
 
 (* --- E12: domain-parallel batched as-of preparation (shared pool) ---
 
@@ -1743,8 +1521,7 @@ let e12 ~quick () =
   header "E12: domain-parallel batched as-of preparation (shared pool)";
   let row_scales = if quick then [ 400; 1200 ] else [ 400; 800; 1600; 3200 ] in
   let fanouts = [ 1; 2; 4; 8 ] in
-  let failures = ref 0 in
-  let check name ok = if not ok then (incr failures; Printf.printf "FAIL %s\n" name) in
+  let sc = Twin.self_check "e12" in
   let build rows =
     let clock = Sim_clock.create () in
     let db =
@@ -1817,8 +1594,12 @@ let e12 ~quick () =
             else begin
               let dt, n, images = measure db t_mid pages d in
               let equal = images = serial_images in
-              check (Printf.sprintf "rows %d fan-out %d: byte-equal to serial twin" rows d) equal;
-              check (Printf.sprintf "rows %d fan-out %d: same page count" rows d) (n = serial_n);
+              Twin.expect sc
+                (Printf.sprintf "rows %d fan-out %d: byte-equal to serial twin" rows d)
+                equal;
+              Twin.expect sc
+                (Printf.sprintf "rows %d fan-out %d: same page count" rows d)
+                (n = serial_n);
               (d, dt)
             end)
           fanouts
@@ -1829,11 +1610,11 @@ let e12 ~quick () =
       Printf.printf "%6d %6d %12.4f %12.4f %12.4f %12.4f %8.2fx %6s\n%!" rows
         (List.length serial_images) (seconds (at 1)) (seconds (at 2)) (seconds (at 4))
         (seconds (at 8)) speedup
-        (if !failures = 0 then "ok" else "FAIL"))
+        (if Twin.passed sc then "ok" else "FAIL"))
     row_scales;
-  check "largest scale: fan-out 4 beats serial >= 2x (modeled)" (!last_speedup >= 2.0);
-  Printf.printf "\ne12 self-checks: %s\n%!" (if !failures = 0 then "PASS" else "FAIL");
-  if !failures > 0 then exit 1
+  Twin.expect sc "largest scale: fan-out 4 beats serial >= 2x (modeled)" (!last_speedup >= 2.0);
+  print_newline ();
+  Twin.finish sc
 
 let run ?(quick = false) = function
   | Fig5 -> fig56 ~quick ~show:`Space ()

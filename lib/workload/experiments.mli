@@ -37,15 +37,17 @@ type figure =
           scheduler's background service (lag rises and drains on one
           deterministic clock), then the replica fault campaign — crash
           mid-catch-up, sustained lag, network partition, failover+rejoin —
-          each converging byte-equal (canonical page form) to a fault-free
-          single-node oracle; exits non-zero on divergence *)
+          each converging to a fault-free single-node oracle (rows, every
+          allocated page in canonical form with the page LSN masked, an
+          as-of query); exits non-zero on divergence *)
   | E11
       (** what-if queries: selectively remove one committed transaction
           and replay only its dependency closure ([Rw_whatif]); as
           history grows, selective replay cost stays pinned to the fixed
           dependent set while the full-database-rewind baseline
-          ([All_successors]) grows linearly — both verified byte-equal
-          (canonical masked pages + logical rows) against an oracle
+          ([All_successors]) grows linearly — both verified equal
+          (logical rows + every allocated page in canonical form, page
+          LSN masked) against an oracle
           built by replaying the recorded history minus the victim from
           scratch; exits non-zero on any inequality *)
   | E12
@@ -88,8 +90,7 @@ val run_all : ?quick:bool -> unit -> unit
 (** {2 Fault-injection campaign}
 
     The crash-point property harness behind {!figure.Faults}, exposed so
-    tests and the CLI soak command can assert on the rows instead of
-    parsing printed tables. *)
+    tests and the CLI [faultsoak] command can assert on the rows. *)
 
 type fault_rates = {
   torn_write_rate : float;
@@ -100,34 +101,6 @@ type fault_rates = {
 
 val default_fault_rates : fault_rates
 
-type fault_row = {
-  fr_seed : int;
-  fr_crash_after : int;  (** committed transactions before the crash *)
-  fr_crash_lsn : Rw_storage.Lsn.t;
-  fr_injected : int;
-  fr_detected : int;
-  fr_repaired : int;
-  fr_retries : int;
-  fr_quarantined : int;
-  fr_tail_truncated : bool;
-  fr_consistent : bool;  (** TPC-C cross-table invariants hold *)
-  fr_loser_gone : bool;  (** the in-flight transaction left no trace *)
-  fr_state_agrees : bool;  (** row-for-row equal to the fault-free oracle *)
-  fr_asof_agrees : bool;  (** mid-history as-of query equals the oracle's *)
-}
-
-val fault_row_ok : fault_row -> bool
-
-val crash_repair_run :
-  ?instant:bool -> seed:int -> crash_after:int -> rates:fault_rates -> unit -> fault_row
-(** Run TPC-C under an active fault plan, crash after [crash_after]
-    committed transactions (with one more left in flight), recover, scrub,
-    and compare current state and a mid-history as-of query against a
-    fault-free oracle run driven by the same seed.  With [instant] the
-    reopen uses instant restart: the loser-gone and a stock-level probe are
-    additionally checked {e during} the recovery backlog, before it is
-    drained for the oracle comparison. *)
-
 val crash_repair_campaign :
   ?instant:bool ->
   ?seeds:int list ->
@@ -135,11 +108,22 @@ val crash_repair_campaign :
   ?rates:fault_rates ->
   ?quick:bool ->
   unit ->
-  fault_row list
-(** {!crash_repair_run} at [crash_points] seed-derived crash points for
-    each seed (defaults: 3 seeds x 4 points). *)
-
-val print_fault_rows : fault_row list -> unit
+  Twin.row list
+(** At [crash_points] seed-derived crash points per seed (defaults: 3
+    seeds x 4 points): run TPC-C under an active fault plan, crash after
+    that many committed transactions (with one more left in flight),
+    recover, scrub, and compare with a fault-free oracle run driven by the
+    same seed.  With [instant] the reopen uses instant restart, and the
+    loser-gone and a stock-level probe are also checked {e during} the
+    recovery backlog, before it is drained.  Each row is labelled
+    [after <txns>]; counts [crash_lsn], [injected], [detected],
+    [repaired], [retries], [quarnt] (pages quarantined), [torn] (1 when
+    recovery truncated a torn log tail), [cmp_pages]; checks [cons]
+    (TPC-C invariants), [loser] (the in-flight transaction left no
+    trace), [state] (rows equal the oracle's), [asof] (a mid-history
+    as-of query equals the oracle's), [pages] (every allocated page
+    equals the oracle's, page LSN masked), [unquar] (nothing
+    quarantined). *)
 
 (** {2 Replication fault campaign}
 
@@ -161,33 +145,14 @@ type repl_scenario =
 val repl_scenarios : repl_scenario list
 val repl_scenario_name : repl_scenario -> string
 
-type repl_row = {
-  rr_seed : int;
-  rr_scenario : repl_scenario;
-  rr_txns : int;  (** committed transactions in the scenario run *)
-  rr_shipped : int;  (** shipping units delivered *)
-  rr_retries : int;
-  rr_lag_max : int;  (** highest observed lag, in segments *)
-  rr_stressed : bool;  (** the scenario's fault actually fired *)
-  rr_converged : bool;  (** shipper ended [Caught_up] *)
-  rr_state_agrees : bool;  (** row-for-row equal to the oracle *)
-  rr_pages_equal : bool;  (** canonical page bytes equal to the oracle *)
-  rr_asof_agrees : bool;  (** mid-history as-of query equals the oracle's *)
-}
-
-val repl_row_ok : repl_row -> bool
-
-val repl_soak_run :
-  ?quick:bool -> seed:int -> scenario:repl_scenario -> unit -> repl_row
-(** One scenario against a fault-free single-node oracle driven by the
-    same seed: run the replicated pair through the scenario, then compare
-    the replica-side engine to the oracle row-for-row, page-by-page in
-    canonical form, and through a mid-history as-of query. *)
-
-val repl_soak_campaign : ?seeds:int list -> ?quick:bool -> unit -> repl_row list
-(** {!repl_soak_run} for every scenario at each seed (default 3 seeds). *)
-
-val print_repl_rows : repl_row list -> unit
+val repl_soak_campaign : ?seeds:int list -> ?quick:bool -> unit -> Twin.row list
+(** Every scenario at each seed (default 3 seeds), against a fault-free
+    single-node oracle driven by the same seed.  Rows are labelled with
+    the scenario name; counts [txns], [shipped], [retries], [lag_max]
+    (segments), [cmp_pages]; checks [stress] (the scenario's fault
+    fired), [conv] (the shipper ended [Caught_up]), [state], [pages]
+    (page LSN masked against the oracle; compared between the two nodes
+    of a failover pair), [asof]. *)
 
 (** {2 What-if selective-undo campaign}
 
@@ -206,33 +171,13 @@ type whatif_scenario =
 val whatif_scenarios : whatif_scenario list
 val whatif_scenario_name : whatif_scenario -> string
 
-type whatif_row = {
-  wr_seed : int;
-  wr_scenario : whatif_scenario;
-  wr_history : int;  (** history transactions committed *)
-  wr_closure : int;  (** |D|: victim + dependents *)
-  wr_replayed : int;
-  wr_pages : int;  (** pages rewound by the repair *)
-  wr_ops_replayed : int;
-  wr_from_index : bool;  (** graph built from the append-time index *)
-  wr_scope_exact : bool;  (** dependent set matches the constructed one *)
-  wr_view_agrees : bool;  (** what-if view rows equal the oracle's *)
-  wr_repaired : bool;
-  wr_state_agrees : bool;  (** repaired rows equal the oracle's *)
-  wr_pages_equal : bool;  (** canonical masked page bytes equal *)
-  wr_asof_agrees : bool;  (** pre-victim as-of survives the repair *)
-}
-
-val whatif_row_ok : whatif_row -> bool
-
-val whatif_soak_run :
-  ?quick:bool -> seed:int -> scenario:whatif_scenario -> unit -> whatif_row
-(** One scenario: run the deterministic history, pick a mid-history
-    victim, publish a what-if view, repair in place, and verify view,
-    repaired state (rows + canonical masked pages) and a pre-victim
-    as-of query against the replay-minus-victim oracle. *)
-
-val whatif_soak_campaign : ?seeds:int list -> ?quick:bool -> unit -> whatif_row list
-(** {!whatif_soak_run} for every scenario at each seed (default 3 seeds). *)
-
-val print_whatif_rows : whatif_row list -> unit
+val whatif_soak_campaign : ?seeds:int list -> ?quick:bool -> unit -> Twin.row list
+(** Every scenario at each seed (default 3 seeds): run the deterministic
+    history, pick a mid-history victim, publish a what-if view, repair in
+    place, and verify against the replay-minus-victim oracle.  Rows are
+    labelled with the scenario name; counts [history], [closure] (victim
+    + dependents), [replay], [pages] (rewound by the repair), [ops]
+    (replayed), [cmp_pages]; checks [index] (graph built from the
+    append-time index), [scope] (dependent set is the constructed one),
+    [view], [repaired], [state] (repaired rows), [pages] (page LSN masked), [asof]
+    (a pre-victim as-of query survives the repair). *)

@@ -27,9 +27,6 @@ let order_key ~w ~d ~o = Int64.of_int (((((w * 100) + d) * 10_000_000) + o))
 let order_line_key ~w ~d ~o ~ol =
   Int64.add (Int64.mul (order_key ~w ~d ~o) 16L) (Int64.of_int ol)
 
-let table_names =
-  [ "warehouse"; "district"; "customer"; "item"; "stock"; "orders"; "order_line" ]
-
 let int_col name = { Schema.name; ctype = Schema.Int }
 let text_col name = { Schema.name; ctype = Schema.Text }
 

@@ -33,8 +33,6 @@ val stock_key : w:int -> i:int -> int64
 val order_key : w:int -> d:int -> o:int -> int64
 val order_line_key : w:int -> d:int -> o:int -> ol:int -> int64
 
-val table_names : string list
-
 val load : Rw_engine.Database.t -> config -> unit
 (** Create the schema and load the initial population. *)
 

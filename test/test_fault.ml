@@ -16,7 +16,10 @@ module Page_repair = Rw_recovery.Page_repair
 module Database = Rw_engine.Database
 module Row = Rw_engine.Row
 module Schema = Rw_catalog.Schema
+module Metrics = Rw_obs.Metrics
+module Probes = Rw_obs.Probes
 module Experiments = Rw_workload.Experiments
+module Twin = Rw_workload.Twin
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -176,27 +179,29 @@ let test_scrub () =
 (* --- the crash-point property campaign --- *)
 
 let test_crash_point_campaign () =
+  let live () = Metrics.gauge_value Probes.snapshots_live in
+  let live0 = live () in
   let rows =
     Experiments.crash_repair_campaign ~seeds:[ 11; 23 ] ~crash_points:5 ~quick:true ()
   in
+  check "every twin snapshot dropped" true (live () = live0);
   check_int "ten crash points" 10 (List.length rows);
   List.iter
-    (fun (r : Experiments.fault_row) ->
-      let label p =
-        Printf.sprintf "seed %d, crash after %d txns: %s" r.Experiments.fr_seed
-          r.Experiments.fr_crash_after p
-      in
-      check (label "TPC-C invariants hold") true r.Experiments.fr_consistent;
-      check (label "in-flight txn gone") true r.Experiments.fr_loser_gone;
-      check (label "state agrees with oracle") true r.Experiments.fr_state_agrees;
-      check (label "as-of query agrees with oracle") true r.Experiments.fr_asof_agrees;
-      check_int (label "nothing quarantined") 0 r.Experiments.fr_quarantined)
+    (fun (r : Twin.row) ->
+      let label p = Printf.sprintf "seed %d, %s txns: %s" r.Twin.seed r.Twin.label p in
+      check (label "TPC-C invariants hold") true (Twin.check r "cons");
+      check (label "in-flight txn gone") true (Twin.check r "loser");
+      check (label "state agrees with oracle") true (Twin.check r "state");
+      check (label "as-of query agrees with oracle") true (Twin.check r "asof");
+      check (label "pages equal the oracle's") true (Twin.check r "pages");
+      check (label "pages were compared") true (Twin.count r "cmp_pages" > 0);
+      check_int (label "nothing quarantined") 0 (Twin.count r "quarnt"))
     rows;
   (* The campaign must actually exercise the machinery, not just pass. *)
-  let total f = List.fold_left (fun a r -> a + f r) 0 rows in
-  check "faults were injected" true (total (fun r -> r.Experiments.fr_injected) > 0);
-  check "corruptions were detected" true (total (fun r -> r.Experiments.fr_detected) > 0);
-  check "pages were repaired" true (total (fun r -> r.Experiments.fr_repaired) > 0)
+  let total name = List.fold_left (fun a r -> a + Twin.count r name) 0 rows in
+  check "faults were injected" true (total "injected" > 0);
+  check "corruptions were detected" true (total "detected" > 0);
+  check "pages were repaired" true (total "repaired" > 0)
 
 let () =
   Alcotest.run "fault"

@@ -17,6 +17,7 @@ module Session_manager = Rw_session.Session_manager
 module Metrics = Rw_obs.Metrics
 module Probes = Rw_obs.Probes
 module Experiments = Rw_workload.Experiments
+module Twin = Rw_workload.Twin
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -226,11 +227,10 @@ let test_instant_fault_campaign () =
   in
   check "campaign produced rows" true (fault_rows <> []);
   List.iter
-    (fun r ->
+    (fun (r : Twin.row) ->
       check
-        (Printf.sprintf "instant crash-repair ok (seed %d, crash_after %d)" r.Experiments.fr_seed
-           r.Experiments.fr_crash_after)
-        true (Experiments.fault_row_ok r))
+        (Printf.sprintf "instant crash-repair ok (seed %d, %s txns)" r.Twin.seed r.Twin.label)
+        true (Twin.ok r))
     fault_rows
 
 (* A restart returns a fresh handle; nothing the fresh handle keeps —

@@ -24,7 +24,6 @@ module Lsn = Rw_storage.Lsn
 module Log_manager = Rw_wal.Log_manager
 module Log_record = Rw_wal.Log_record
 module Recovery = Rw_recovery.Recovery
-module As_of_snapshot = Rw_core.As_of_snapshot
 module Engine = Rw_engine.Engine
 module Database = Rw_engine.Database
 module Channel = Rw_repl.Channel
@@ -32,6 +31,9 @@ module Replica = Rw_repl.Replica
 module Shipper = Rw_repl.Shipper
 module Failover = Rw_repl.Failover
 module Tpcc = Rw_workload.Tpcc
+module Twin = Rw_workload.Twin
+module Metrics = Rw_obs.Metrics
+module Probes = Rw_obs.Probes
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -50,44 +52,15 @@ let build_primary ?(seed = 42) ?(segment_bytes = 16384) ?(txns = 60) () =
   if txns > 0 then ignore (Tpcc.run_mix drv ~txns);
   (eng, db, cfg, drv)
 
-(* Row-level logical state. *)
-let table_dump db =
-  List.map
-    (fun table ->
-      let rows = ref [] in
-      Database.scan db ~table ~f:(fun row -> rows := row :: !rows);
-      (table, List.rev !rows))
-    Tpcc.table_names
-
-(* Canonical-page byte equality of two engines' views at one wall time:
-   same [page_string] for every page either side materialised.  Split
-   LSNs are deliberately not compared — snapshot creation itself appends
-   a checkpoint record to the engine it runs on, so two engines' log
-   ends drift apart by exactly those (page-state-neutral) records once
-   either has served a snapshot. *)
-let snap_equal ?(name = "cmp") a b ~wall_us =
-  let va = Database.create_as_of_snapshot ~shared:false a ~name:(name ^ "_a") ~wall_us in
-  let vb = Database.create_as_of_snapshot ~shared:false b ~name:(name ^ "_b") ~wall_us in
-  let sa = Option.get (Database.snapshot_handle va) in
-  let sb = Option.get (Database.snapshot_handle vb) in
-  let ids =
-    As_of_snapshot.materialized_page_ids sa @ As_of_snapshot.materialized_page_ids sb
-  in
-  let ok =
-    List.for_all
-      (fun pid ->
-        let e =
-          String.equal (As_of_snapshot.page_string sa pid) (As_of_snapshot.page_string sb pid)
-        in
-        if not e then
-          Printf.eprintf "snap_equal %s: page %d differs\n%!" name
-            (Rw_storage.Page_id.to_int pid);
-        e)
-      ids
-  in
-  As_of_snapshot.drop sa;
-  As_of_snapshot.drop sb;
-  ok
+(* Canonical-page equality of two engines that replayed the same log, as
+   of one wall time, over every page either engine allocated (page LSNs
+   included).  Split LSNs are deliberately not compared — snapshot
+   creation itself appends a checkpoint record to the engine it runs on,
+   so two engines' log ends drift apart by exactly those
+   (page-state-neutral) records once either has served a snapshot. *)
+let snap_equal a b ~wall_us =
+  let compared, differing = Twin.page_diff ~mask_lsn:false (a, wall_us) (b, wall_us) in
+  compared > 0 && differing = 0
 
 let log_prefix_equal primary replica_log =
   let pl = Database.log primary in
@@ -187,7 +160,7 @@ let test_ship_basics () =
   (* a local replica read at an applied time works and agrees row-for-row *)
   let view = Replica.query_as_of replica ~name:"ok" ~wall_us:t_mid in
   let prim_view = Database.create_as_of_snapshot ~shared:false db ~name:"okp" ~wall_us:t_mid in
-  check "rows agree" (table_dump view = table_dump prim_view) true;
+  check "rows agree" (Twin.dump view = Twin.dump prim_view) true;
   Shipper.detach sh
 
 (* --- channel faults: drop/dup/delay cost retries, never correctness --- *)
@@ -270,12 +243,12 @@ let crash_resume_run seed =
   let wall = Engine.now_us eng in
   ignore cfg;
   check "byte-equal to primary"
-    (snap_equal ~name:"prim" db (Replica.db replica) ~wall_us:wall)
+    (snap_equal db (Replica.db replica) ~wall_us:wall)
     true;
   check "byte-equal to never-crashed twin"
-    (snap_equal ~name:"twin" (Replica.db twin) (Replica.db replica) ~wall_us:wall)
+    (snap_equal (Replica.db twin) (Replica.db replica) ~wall_us:wall)
     true;
-  check "rows equal to primary" (table_dump (Replica.db replica) = table_dump db) true;
+  check "rows equal to primary" (Twin.dump (Replica.db replica) = Twin.dump db) true;
   Shipper.detach sh;
   Shipper.detach sh_twin
 
@@ -307,7 +280,7 @@ let test_retention_floor () =
   (* The lagging replica still catches up — nothing it needs was dropped. *)
   Shipper.catch_up sh;
   check "caught up after aggressive retention" (Shipper.state sh = Shipper.Caught_up) true;
-  check "state agrees" (table_dump (Replica.db replica) = table_dump db) true;
+  check "state agrees" (Twin.dump (Replica.db replica) = Twin.dump db) true;
   (* Detaching releases the floor: retention may now pass the old horizon.
      Three more rounds, because the cut keeps one checkpoint of history
      below the newest checkpoint older than the retention horizon. *)
@@ -329,7 +302,7 @@ let test_failover_rejoin () =
   let sh = Shipper.attach ~primary:db ~replica ~channel:(Channel.create ~clock ()) () in
   Shipper.catch_up sh;
   let t_pre = Engine.now_us eng in
-  let pre_dump = table_dump db in
+  let pre_dump = Twin.dump db in
   (* Divergent tail: committed work past the last shipment that will
      never reach the replica — lost by the failover, truncated at rejoin. *)
   ignore (Tpcc.run_mix drv ~txns:10);
@@ -342,7 +315,7 @@ let test_failover_rejoin () =
     true;
   (* The new primary serves correct as-of queries for pre-failover times. *)
   let v = Database.create_as_of_snapshot new_primary ~name:"pre" ~wall_us:t_pre in
-  check "pre-failover as-of on promoted primary" (table_dump v = pre_dump) true;
+  check "pre-failover as-of on promoted primary" (Twin.dump v = pre_dump) true;
   (* New timeline: fresh traffic on the new primary. *)
   let drv2 = Tpcc.create new_primary { _cfg with Tpcc.seed = 999 } in
   ignore (Tpcc.run_mix drv2 ~txns:30);
@@ -361,8 +334,24 @@ let test_failover_rejoin () =
   check "rejoined state byte-equal"
     (snap_equal new_primary (Replica.db rejoined) ~wall_us:(Engine.now_us eng))
     true;
-  check "rejoined rows equal" (table_dump (Replica.db rejoined) = table_dump new_primary) true;
+  check "rejoined rows equal" (Twin.dump (Replica.db rejoined) = Twin.dump new_primary) true;
   Shipper.detach sh2
+
+(* --- the replication soak at one seed (rewind_cli replsoak --seeds 11 --quick) --- *)
+
+let test_repl_soak () =
+  let live () = Metrics.gauge_value Probes.snapshots_live in
+  let live0 = live () in
+  let rows = Rw_workload.Experiments.repl_soak_campaign ~seeds:[ 11 ] ~quick:true () in
+  check "every twin snapshot dropped" (live () = live0) true;
+  check_int "four scenarios" 4 (List.length rows);
+  List.iter
+    (fun (r : Twin.row) ->
+      List.iter
+        (fun (name, holds) -> check (Printf.sprintf "%s: %s" r.Twin.label name) holds true)
+        r.Twin.checks;
+      check (r.Twin.label ^ ": pages compared") (Twin.count r "cmp_pages" > 0) true)
+    rows
 
 let () =
   Alcotest.run "repl"
@@ -381,5 +370,6 @@ let () =
           Alcotest.test_case "retention floor protects lagging replica" `Quick
             test_retention_floor;
           Alcotest.test_case "failover + rejoin" `Quick test_failover_rejoin;
+          Alcotest.test_case "replsoak seed 11 quick" `Quick test_repl_soak;
         ] );
     ]

@@ -14,7 +14,10 @@ module Schema = Rw_catalog.Schema
 module Executor = Rw_sql.Executor
 module Dep_graph = Rw_whatif.Dep_graph
 module Selective = Rw_whatif.Selective
+module Metrics = Rw_obs.Metrics
+module Probes = Rw_obs.Probes
 module Experiments = Rw_workload.Experiments
+module Twin = Rw_workload.Twin
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -117,30 +120,29 @@ let test_repair_vs_oracle () =
 (* --- the multi-seed byte-equality property campaign --- *)
 
 let test_soak_campaign () =
+  let live () = Metrics.gauge_value Probes.snapshots_live in
+  let live0 = live () in
   let rows = Experiments.whatif_soak_campaign ~seeds:[ 11; 23; 47 ] ~quick:true () in
+  check "every twin snapshot dropped" true (live () = live0);
   check_int "three scenarios at three seeds" 9 (List.length rows);
   List.iter
-    (fun (r : Experiments.whatif_row) ->
-      let label p =
-        Printf.sprintf "seed %d, %s: %s" r.Experiments.wr_seed
-          (Experiments.whatif_scenario_name r.Experiments.wr_scenario)
-          p
-      in
-      check (label "graph from append-time index") true r.Experiments.wr_from_index;
-      check (label "dependent set exactly the constructed one") true r.Experiments.wr_scope_exact;
-      check (label "what-if view agrees with oracle") true r.Experiments.wr_view_agrees;
-      check (label "repair ran") true r.Experiments.wr_repaired;
-      check (label "repaired rows equal oracle") true r.Experiments.wr_state_agrees;
-      check (label "canonical pages equal oracle") true r.Experiments.wr_pages_equal;
-      check (label "pre-victim as-of survives repair") true r.Experiments.wr_asof_agrees;
-      match r.Experiments.wr_scenario with
-      | Experiments.Wf_independent ->
-          check_int (label "independent victim replays nothing") 0 r.Experiments.wr_replayed
-      | Experiments.Wf_chain ->
+    (fun (r : Twin.row) ->
+      let label p = Printf.sprintf "seed %d, %s: %s" r.Twin.seed r.Twin.label p in
+      let replayed = Twin.count r "replay" in
+      check (label "graph from append-time index") true (Twin.check r "index");
+      check (label "dependent set exactly the constructed one") true (Twin.check r "scope");
+      check (label "what-if view agrees with oracle") true (Twin.check r "view");
+      check (label "repair ran") true (Twin.check r "repaired");
+      check (label "repaired rows equal oracle") true (Twin.check r "state");
+      check (label "canonical pages equal oracle") true (Twin.check r "pages");
+      check (label "pages were compared") true (Twin.count r "cmp_pages" > 0);
+      check (label "pre-victim as-of survives repair") true (Twin.check r "asof");
+      match r.Twin.label with
+      | "independent" -> check_int (label "independent victim replays nothing") 0 replayed
+      | "chain" ->
           check (label "chained victim drags the whole tail") true
-            (r.Experiments.wr_replayed = r.Experiments.wr_closure - 1
-            && r.Experiments.wr_replayed > 0)
-      | Experiments.Wf_mixed -> check (label "mixed replays some") true (r.Experiments.wr_replayed > 0))
+            (replayed = Twin.count r "closure" - 1 && replayed > 0)
+      | _ -> check (label "mixed replays some") true (replayed > 0))
     rows
 
 (* --- crash mid-selective-replay: the repair is atomic --- *)

@@ -8,6 +8,9 @@ module Database = Rw_engine.Database
 module Engine = Rw_engine.Engine
 module Row = Rw_engine.Row
 module Tpcc = Rw_workload.Tpcc
+module Twin = Rw_workload.Twin
+module Metrics = Rw_obs.Metrics
+module Probes = Rw_obs.Probes
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -121,6 +124,36 @@ let test_determinism () =
   in
   check "same seed, same orders" true (run () = run ())
 
+(* --- the twin harness's page check compares real pages --- *)
+
+(* Two engines that ran the same seeded history have equal pages, LSNs
+   included; changing one row on one of them must show up as a differing
+   page whether or not page LSNs are masked, and every comparison
+   snapshot must be dropped again. *)
+let test_twin_page_check () =
+  let run () =
+    let _, db, drv = mk () in
+    ignore (Tpcc.run_mix drv ~txns:40);
+    db
+  in
+  let a = run () and b = run () in
+  let live () = Metrics.gauge_value Probes.snapshots_live in
+  let live0 = live () in
+  let compared, differing = Twin.page_diff ~mask_lsn:false (Twin.now a) (Twin.now b) in
+  check "pages were compared" true (compared > 0);
+  check_int "same history, same pages" 0 differing;
+  let row = Option.get (Database.get b ~table:"warehouse" ~key:1L) in
+  let diverged = List.mapi (fun i v -> if i = 1 then Row.Int 123_456_789L else v) row in
+  Database.with_txn b (fun txn -> Database.update b txn ~table:"warehouse" diverged);
+  check "rows diverge" true (Twin.dump a <> Twin.dump b);
+  List.iter
+    (fun mask_lsn ->
+      let compared', differing = Twin.page_diff ~mask_lsn (Twin.now a) (Twin.now b) in
+      check_int "same pages compared" compared compared';
+      check "the diverged row's page differs" true (differing > 0))
+    [ false; true ];
+  check "comparison snapshots dropped" true (live () = live0)
+
 let () =
   Alcotest.run "workload"
     [
@@ -135,4 +168,6 @@ let () =
           Alcotest.test_case "crash recovery" `Quick test_crash_recovery_under_load;
           Alcotest.test_case "determinism" `Quick test_determinism;
         ] );
+      ( "twin",
+        [ Alcotest.test_case "page check sees one diverged row" `Quick test_twin_page_check ] );
     ]

@@ -70,6 +70,34 @@ if [ "$before" != "$after" ]; then
   exit 1
 fi
 
+# The self-checks and soaks run before the bench smoke: its host-time
+# regression guard depends on the machine, and must not hide them.
+echo "== e12 smoke (domain-parallel batch, serial-twin byte-equality) =="
+# Fan-out sweep with the serial-twin self-check; exits non-zero on any
+# divergence between fan-outs.
+dune exec bench/main.exe -- e12 --quick
+
+echo "== fault-injection soak (fixed seeds, random crash points) =="
+# TPC-C under torn writes / bit rot / transient errors / torn log tails,
+# crashed at seed-derived points, recovered, repaired, and verified against
+# a fault-free oracle.  Exits non-zero if any crash point fails.
+dune exec bin/rewind_cli.exe -- faultsoak --seeds 11,23,47 --quick
+
+echo "== replication soak (fixed seeds) =="
+# Replica crash mid-catch-up, sustained lag, network partition, and
+# primary failover + rejoin, each converging to a fault-free single-node
+# oracle (rows, every allocated page in canonical form, a mid-history
+# as-of query).  Exits non-zero on divergence.
+dune exec bin/rewind_cli.exe -- replsoak --seeds 11,23,47 --quick
+
+echo "== what-if selective-undo soak (fixed seeds) =="
+# Dependent-chain, fully-independent and mixed histories: a mid-history
+# victim is removed as a what-if view and as an in-place repair, both
+# verified (logical rows + every allocated page, page LSN masked +
+# pre-victim as-of) against a replay-minus-victim oracle.  Exits non-zero
+# on any inequality.
+dune exec bin/rewind_cli.exe -- whatifsoak --seeds 11,23,47 --quick
+
 echo "== bench smoke (all --quick --json) =="
 # The bench run overwrites BENCH_micro.json, so snapshot the checked-in
 # baseline values of the guarded benchmarks first.
@@ -142,30 +170,5 @@ awk -v s="$batch_serial" -v p="$batch_par" 'BEGIN {
   printf "prepare_batch_as_of serial/parallel-4 speedup: %.2fx (need >= 2x)\n", s / p
   if (s < 2.0 * p) { print "error: parallel batch row fails the 2x bar"; exit 1 }
 }'
-
-echo "== e12 smoke (domain-parallel batch, serial-twin byte-equality) =="
-# Fan-out sweep with the serial-twin self-check; exits non-zero on any
-# divergence between fan-outs.
-dune exec bench/main.exe -- e12 --quick
-
-echo "== fault-injection soak (fixed seeds, random crash points) =="
-# TPC-C under torn writes / bit rot / transient errors / torn log tails,
-# crashed at seed-derived points, recovered, repaired, and verified against
-# a fault-free oracle.  Exits non-zero if any crash point fails.
-dune exec bin/rewind_cli.exe -- faultsoak --seeds 11,23,47 --quick
-
-echo "== replication soak (fixed seeds) =="
-# Replica crash mid-catch-up, sustained lag, network partition, and
-# primary failover + rejoin, each converging byte-equal (canonical page
-# form) to a fault-free single-node oracle.  Exits non-zero on divergence.
-dune exec bin/rewind_cli.exe -- replsoak --seeds 11,23,47 --quick
-
-echo "== what-if selective-undo soak (fixed seeds) =="
-# Dependent-chain, fully-independent and mixed histories: a mid-history
-# victim is removed as a what-if view and as an in-place repair, both
-# verified byte-equal (canonical masked pages + logical rows + pre-victim
-# as-of) against a replay-minus-victim oracle.  Exits non-zero on any
-# inequality.
-dune exec bin/rewind_cli.exe -- whatifsoak --seeds 11,23,47 --quick
 
 echo "== ci ok =="
