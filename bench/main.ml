@@ -406,20 +406,27 @@ module Micro = struct
                 ~start:(Log_manager.last_checkpoint log)
                 ~upto:(Log_manager.end_lsn log))))
 
-  let test_recovery_full ~domains =
-    let name = if domains = 1 then "recovery-full-replay" else "recovery-parallel-redo-4" in
-    Test.make ~name
+  (* Full restart recovery at a forced pool fan-out: 1 replays every page
+     on the calling domain, 4 spreads each redo batch over up to four.  The
+     fan-out is set once around the whole row (and restored to [None] when
+     it ends), not per iteration: changing the cap retires or spawns
+     worker domains, which would swamp the redo being measured. *)
+  let test_recovery_full ~fanout =
+    let name = if fanout = 1 then "recovery-full-replay" else "recovery-parallel-redo-4" in
+    Test.make_with_resource ~name Test.uniq
+      ~allocate:(fun () -> Rw_pool.Domain_pool.set_fanout (Some fanout))
+      ~free:(fun () -> Rw_pool.Domain_pool.set_fanout None)
       (Staged.stage (fun () ->
            let log, pool, restore = Lazy.force recovery_env in
            restore ();
-           ignore (Rw_recovery.Recovery.recover ~redo_domains:domains ~log ~pool ())))
+           ignore (Rw_recovery.Recovery.recover ~log ~pool ())))
 
   (* Replica catch-up apply rate: the continuous redo a log-shipping
      replica runs on every ingested shipment.  The env bootstraps a
      replica from the primary's checkpoint (save/load), writes more
      history on the primary, and ships it into the replica's log WITHOUT
      applying; each run resets the replica's pages to the bootstrap
-     images and replays the whole shipped backlog with partition-parallel
+     images and replays the whole shipped backlog with the page-grouped
      redo — the apply path of [Rw_repl.Replica.ingest] at a fixed
      operating point. *)
   let replica_env =
@@ -562,7 +569,7 @@ module Micro = struct
       (Staged.stage (fun () ->
            let log, pool, from, upto, restore = Lazy.force replica_env in
            restore ();
-           ignore (Rw_recovery.Recovery.redo_range ~domains:4 ~log ~pool ~from ~upto ())))
+           ignore (Rw_recovery.Recovery.redo_range ~log ~pool ~from ~upto)))
 
   let tests =
     Test.make_grouped ~name:"core-primitives"
@@ -581,8 +588,8 @@ module Micro = struct
         test_e8_writer_txn;
         test_page_repair;
         test_recovery_analysis;
-        test_recovery_full ~domains:1;
-        test_recovery_full ~domains:4;
+        test_recovery_full ~fanout:1;
+        test_recovery_full ~fanout:4;
         test_replica_catchup;
         test_dep_graph_build;
         test_selective_replay;

@@ -272,7 +272,7 @@ let meta_command session eng line =
               Printf.printf "current database vanished\n%!";
               `Continue))
   | [ "\\pool" ] ->
-      (* The shared domain pool behind partition-parallel redo, batched
+      (* The shared domain pool behind page-grouped redo, batched
          snapshot rewinds and the scrub sweep. *)
       let cap = Rw_pool.Domain_pool.fanout_cap () in
       Printf.printf "fanout cap      : %d%s\n" cap

@@ -123,7 +123,7 @@ let run ~participants f =
   end
 
 (* How many domains (including the caller) actually run concurrently.
-   Work-split counts (redo partitions, batch page lists) are fixed by the
+   Work splits (the callers' page lists) are fixed by the
    caller — that is what determinism and the byte-equality contracts are
    stated over — but running more workers than cores is pure loss
    (domains timeslice one core and every minor GC pays a stop-the-world

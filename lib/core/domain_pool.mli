@@ -1,8 +1,8 @@
 (** The process-wide worker-domain pool.
 
-    Every fan-out site in the engine — restart recovery's
-    partition-parallel redo, replica catch-up (which rides the same redo
-    path), snapshot batch rewind and the scrub sweep — runs through this
+    Every fan-out site in the engine — page-grouped log-scan redo
+    (restart, replica catch-up and backup roll-forward), snapshot batch
+    rewind and the scrub sweep — runs through this
     one pool, so there is exactly one spawn cost, one wake/claim
     protocol and one determinism contract in the process.
 
@@ -13,7 +13,7 @@
     [1 .. participants - 1] while the calling domain runs index [0].
 
     {b Determinism contract.}  Callers fix their work {e split}
-    (partition count, page list) independently of the fan-out; workers
+    (a page list) independently of the fan-out; workers
     process split units round-robin by participant index, touch only
     private state (their own pages, their own result slots), and all
     shared-state effects — caches, probes, [Io_stats] — happen on the

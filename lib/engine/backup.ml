@@ -5,7 +5,6 @@ module Disk = Rw_storage.Disk
 module Media = Rw_storage.Media
 module Io_stats = Rw_storage.Io_stats
 module Log_manager = Rw_wal.Log_manager
-module Log_record = Rw_wal.Log_record
 module Buffer_pool = Rw_buffer.Buffer_pool
 module Latch = Rw_buffer.Latch
 module Recovery = Rw_recovery.Recovery
@@ -107,22 +106,9 @@ let restore_as_of t ~from ~wall_us =
   let pool =
     Buffer_pool.create ~capacity:(max 1024 (List.length t.images + 16)) ~source ()
   in
-  (* 2. Roll the copy forward by replaying the log up to the split. *)
-  Log_manager.iter_range log ~from:t.taken_at_lsn ~upto:split_lsn (fun lsn r ->
-      match r.Log_record.body with
-      | Log_record.Page_op { page; op; _ } | Log_record.Clr { page; op; _ } ->
-          let frame = Buffer_pool.fetch pool page in
-          Fun.protect
-            ~finally:(fun () -> Buffer_pool.unpin pool frame)
-            (fun () ->
-              Latch.with_latch (Buffer_pool.frame_latch frame) Latch.Exclusive (fun () ->
-                  let p = Buffer_pool.page frame in
-                  if Lsn.(Page.lsn p < lsn) then begin
-                    Log_record.redo page op p;
-                    Page.set_lsn p lsn;
-                    Buffer_pool.mark_dirty pool frame ~lsn
-                  end))
-      | _ -> ());
+  (* 2. Roll the copy forward by replaying every page record up to the
+     split — the same redo loop as replica catch-up. *)
+  ignore (Recovery.redo_range ~log ~pool ~from:t.taken_at_lsn ~upto:split_lsn : int);
   (* Initialization of the unused portion of the log (paper §6.2): a
      point-in-time restore still processes the log tail beyond the restore
      point, which is what makes restore cost independent of the point

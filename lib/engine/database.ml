@@ -47,7 +47,6 @@ type t = {
   mutable instant : Recovery.Instant.t option;
       (* present when the last restart used instant recovery; pages in its
          backlog are recovered on first touch or by [recovery_drain_step] *)
-  redo_domains : int;
   pool_capacity : int;
   quarantine : Page_repair.Quarantine.t;
   prepared_cache : Rw_core.Prepared_cache.t;
@@ -88,7 +87,7 @@ let recovery_drain_all t =
   match t.instant with None -> () | Some i -> ignore (Recovery.Instant.drain i ~max_pages:max_int)
 
 let assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity ~fpi_frequency
-    ~checkpoint_interval_us ~read_only ~snapshot ~instant ~redo_domains ~pool_opt () =
+    ~checkpoint_interval_us ~read_only ~snapshot ~instant ~pool_opt () =
   let locks = Lock_manager.create () in
   let txns = Txn_manager.create ~log ~locks in
   let quarantine = Page_repair.Quarantine.create () in
@@ -144,7 +143,6 @@ let assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity ~fpi_frequ
     last_checkpoint_wall = Sim_clock.now_us clock;
     recovery_stats = None;
     instant;
-    redo_domains;
     pool_capacity;
     quarantine;
     prepared_cache = Rw_core.Prepared_cache.create ~log ();
@@ -166,7 +164,7 @@ let checkpoint ?(flush_pages = true) t =
 
 let create ~name ~clock ~media ?log_media ?(pool_capacity = 512) ?(log_cache_blocks = 128)
     ?(log_block_bytes = 65536) ?log_segment_bytes ?(fpi_frequency = 0)
-    ?(checkpoint_interval_us = 30_000_000.0) ?(redo_domains = 1) ?fault_plan () =
+    ?(checkpoint_interval_us = 30_000_000.0) ?fault_plan () =
   let log_media = Option.value log_media ~default:media in
   let disk = Disk.create ~clock ~media ?fault_plan () in
   let log =
@@ -175,7 +173,7 @@ let create ~name ~clock ~media ?log_media ?(pool_capacity = 512) ?(log_cache_blo
   in
   let t =
     assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity ~fpi_frequency
-      ~checkpoint_interval_us ~read_only:false ~snapshot:None ~instant:None ~redo_domains
+      ~checkpoint_interval_us ~read_only:false ~snapshot:None ~instant:None
       ~pool_opt:None ()
   in
   (* Bootstrap: boot page, page-id counter, allocation map, catalog. *)
@@ -595,7 +593,7 @@ let load ~clock ~media ?log_media ?pool_capacity:(pool_cap = 512) ?(log_cache_bl
   let t =
     assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity:pool_cap ~fpi_frequency
       ~checkpoint_interval_us:30_000_000.0 ~read_only:false ~snapshot:None ~instant:None
-      ~redo_domains:1 ~pool_opt:None ()
+      ~pool_opt:None ()
   in
   Retention.set_interval t.retention retention_us;
   (* The image was checkpoint-consistent, so restart recovery is a cheap
@@ -715,7 +713,7 @@ let scrub t =
    handle (the instant-restart backlog) must not pin the old handle, or
    every restart would keep all earlier ones alive.  The retention
    interval is a setting of the database, so it carries over. *)
-let reopen t ?instant ~redo_domains recover =
+let reopen t ?instant recover =
   Buffer_pool.drop_all t.pool;
   (* Torn writes bite now: pages whose last write was marked tearable keep
      only a sector prefix of it, and the log may keep a torn tail. *)
@@ -728,7 +726,7 @@ let reopen t ?instant ~redo_domains recover =
     assemble ~name:t.name ~clock ~media:t.media ~log_media:t.log_media ~disk:t.disk ~log:t.log
       ~pool_capacity:t.pool_capacity ~fpi_frequency:(Access_ctx.fpi_frequency t.ctx)
       ~checkpoint_interval_us:t.checkpoint_interval_us ~read_only:false ~snapshot:None ~instant
-      ~redo_domains ~pool_opt:None ()
+      ~pool_opt:None ()
   in
   Retention.set_interval fresh.retention (Retention.interval t.retention);
   let stats = recover ~now_us fresh in
@@ -739,16 +737,15 @@ let reopen t ?instant ~redo_domains recover =
   fresh.alloc <- Alloc_map.open_ fresh.ctx;
   fresh
 
-let crash_and_reopen ?(instant = false) ?redo_domains t =
+let crash_and_reopen ?(instant = false) t =
   guard_writable t;
-  let redo_domains = Option.value redo_domains ~default:t.redo_domains in
   if instant then begin
     (* Instant restart: tail repair + analysis only, then open for business.
        Backlog pages are recovered on first touch (the pool source wrapper
        installed by [assemble]) or by the background sweeper; the first
        fetches below — boot page, allocation map — already go through it. *)
     let fresh =
-      reopen t ~redo_domains
+      reopen t
         ~instant:(fun ~now_us -> Recovery.Instant.open_ ~now_us ~log:t.log ())
         (fun ~now_us:_ fresh -> Recovery.Instant.stats (Option.get fresh.instant))
     in
@@ -760,8 +757,8 @@ let crash_and_reopen ?(instant = false) ?redo_domains t =
   end
   else begin
     let fresh =
-      reopen t ~redo_domains (fun ~now_us fresh ->
-          Recovery.recover ~redo_domains ~now_us ~log:fresh.log ~pool:fresh.pool ())
+      reopen t (fun ~now_us fresh ->
+          Recovery.recover ~now_us ~log:fresh.log ~pool:fresh.pool ())
     in
     ignore (checkpoint fresh);
     fresh
@@ -772,11 +769,10 @@ let crash_and_reopen ?(instant = false) ?redo_domains t =
 let add_retention_floor t ~name f = Retention.register_floor t.retention ~name f
 let remove_retention_floor t ~name = Retention.unregister_floor t.retention ~name
 
-let reopen_redo_only ?redo_domains t =
-  let redo_domains = Option.value redo_domains ~default:t.redo_domains in
+let reopen_redo_only t =
   (* No checkpoint taken and nothing appended: the log stays a
      byte-identical prefix of the primary's stream, and the master record
      stays wherever the replica last advanced it — the caller resumes
      catch-up from there. *)
-  reopen t ~redo_domains (fun ~now_us fresh ->
-      Recovery.recover_redo_only ~redo_domains ~now_us ~log:fresh.log ~pool:fresh.pool ())
+  reopen t (fun ~now_us fresh ->
+      Recovery.recover_redo_only ~now_us ~log:fresh.log ~pool:fresh.pool ())

@@ -24,7 +24,6 @@ val create :
   ?log_segment_bytes:int ->
   ?fpi_frequency:int ->
   ?checkpoint_interval_us:float ->
-  ?redo_domains:int ->
   ?fault_plan:Rw_storage.Fault_plan.t ->
   unit ->
   t
@@ -32,9 +31,7 @@ val create :
     catalog), commit the initialisation and take a first checkpoint.
     [fpi_frequency] is the paper's N (0 disables full-page-image logging);
     [checkpoint_interval_us] (default 30 simulated seconds) triggers an
-    automatic checkpoint at commit when exceeded.  [redo_domains] (default
-    1 = sequential) is the default domain fan-out for the redo pass of any
-    later restart recovery.  An optional [fault_plan] threads deterministic
+    automatic checkpoint at commit when exceeded.  An optional [fault_plan] threads deterministic
     fault injection through the disk and the log (see
     {!Rw_storage.Fault_plan}); the engine detects the injected damage by
     checksum, repairs pages from the log ({!Rw_recovery.Page_repair}) and
@@ -192,7 +189,7 @@ val load :
     Raises [Failure] on a file that is not a rewinddb image. *)
 
 (* Crash simulation *)
-val crash_and_reopen : ?instant:bool -> ?redo_domains:int -> t -> t
+val crash_and_reopen : ?instant:bool -> t -> t
 (** Discard all volatile state (buffer pool, unflushed log) and run ARIES
     restart recovery; returns the reopened database over the same durable
     state.  The old handle must not be used afterwards.
@@ -200,11 +197,9 @@ val crash_and_reopen : ?instant:bool -> ?redo_domains:int -> t -> t
     With [instant:true] (default false) only tail repair + analysis run
     before the database opens; backlog pages are recovered on first touch
     and by {!recovery_drain_step} (see {!Rw_recovery.Recovery.Instant} and
-    DESIGN.md §12).  [redo_domains] overrides the database's default fan-out
-    for the (non-instant) redo pass; 1 reproduces the sequential pass
-    byte-for-byte. *)
+    DESIGN.md §12). *)
 
-val reopen_redo_only : ?redo_domains:int -> t -> t
+val reopen_redo_only : t -> t
 (** Replica restart: like {!crash_and_reopen} but recovery is
     {!Rw_recovery.Recovery.recover_redo_only} — analysis resumes from the
     persisted master record (the replica's recovery checkpoint), redo

@@ -21,7 +21,6 @@ val create_database :
   ?fpi_frequency:int ->
   ?pool_capacity:int ->
   ?checkpoint_interval_us:float ->
-  ?redo_domains:int ->
   ?log_cache_blocks:int ->
   ?log_block_bytes:int ->
   ?log_segment_bytes:int ->

@@ -83,7 +83,7 @@ let recovery_pages_on_demand =
     "recovery.pages_on_demand"
 
 let recovery_redo_partitions =
-  counter ~unit_:"partitions" ~help:"Redo partitions executed by domain-parallel restart recovery"
+  counter ~unit_:"partitions" ~help:"Domains that ran log-scan redo batches (one per domain per batch)"
     "recovery.redo_partitions"
 
 let recovery_backlog =

@@ -35,44 +35,53 @@ let is_base = function
       true
   | _ -> false
 
-let rebuild ~log pid =
-  let chain = Log_manager.chain_segment log pid ~from:(Log_manager.end_lsn log) ~down_to:Lsn.nil in
+let replay_chain ~log pid ~from ~down_to ~no_base page =
+  let chain = Log_manager.chain_segment log pid ~from ~down_to in
   let n = Array.length chain in
-  if n = 0 then raise (Unrepairable { page = pid; reason = "no retained log history" });
-  (* Newest full base record wins: everything before it is irrelevant. *)
-  let base = ref (-1) in
-  (try
-     for i = n - 1 downto 0 do
-       if is_base (Log_manager.peek_record log chain.(i)).Log_record.p_kind then begin
-         base := i;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  if !base < 0 then begin
-    (* No base retained: replay is only sound from the page's genesis,
-       i.e. if the oldest retained chain record is the chain's first. *)
-    let oldest = Log_manager.peek_record log chain.(0) in
-    if not (Lsn.is_nil oldest.Log_record.p_prev_page_lsn) then
-      raise (Unrepairable { page = pid; reason = "history truncated past last full image" });
-    base := 0
-  end;
-  let suffix = Array.sub chain !base (n - !base) in
+  (* Newest base record wins: everything before it is irrelevant. *)
+  let rec newest_base i =
+    if i < 0 then begin
+      no_base chain.(0);
+      0
+    end
+    else if is_base (Log_manager.peek_record log chain.(i)).Log_record.p_kind then i
+    else newest_base (i - 1)
+  in
+  let base = if n = 0 then 0 else newest_base (n - 1) in
+  let suffix = Array.sub chain base (n - base) in
   let records = Log_manager.read_segment log suffix in
+  let applied = ref 0 in
+  Array.iteri
+    (fun i r ->
+      let lsn = suffix.(i) in
+      (* The page-LSN guard: records the image already reflects are skipped. *)
+      if Lsn.(Page.lsn page < lsn) then
+        match Log_record.op_of r with
+        | Some op ->
+            Log_record.redo pid op page;
+            Page.set_lsn page lsn;
+            incr applied
+        | None -> ())
+    records;
+  !applied
+
+let rebuild ~log pid =
+  (* No base retained: replay is only sound from the page's genesis, i.e.
+     if the oldest retained chain record is the chain's first. *)
+  let genesis oldest =
+    if not (Lsn.is_nil (Log_manager.peek_record log oldest).Log_record.p_prev_page_lsn) then
+      raise (Unrepairable { page = pid; reason = "history truncated past last full image" })
+  in
   let page = Page.create ~id:pid ~typ:Page.Free in
-  (try
-     Array.iteri
-       (fun i r ->
-         match Log_record.op_of r with
-         | Some op ->
-             Log_record.redo pid op page;
-             Page.set_lsn page suffix.(i)
-         | None -> ())
-       records
-   with e ->
-     raise
-       (Unrepairable { page = pid; reason = Printf.sprintf "replay failed: %s" (Printexc.to_string e) }));
-  page
+  match
+    replay_chain ~log pid ~from:(Log_manager.end_lsn log) ~down_to:Lsn.nil ~no_base:genesis page
+  with
+  | 0 -> raise (Unrepairable { page = pid; reason = "no retained log history" })
+  | _ -> page
+  | exception (Unrepairable _ as e) -> raise e
+  | exception e ->
+      raise
+        (Unrepairable { page = pid; reason = Printf.sprintf "replay failed: %s" (Printexc.to_string e) })
 
 let repair_to_disk ~log ~disk ~wal_flush pid =
   let ts = if Trace.on () then Trace.now () else 0.0 in

@@ -37,6 +37,23 @@ module Quarantine : sig
   val count : t -> int
 end
 
+val replay_chain :
+  log:Rw_wal.Log_manager.t ->
+  Rw_storage.Page_id.t ->
+  from:Rw_storage.Lsn.t ->
+  down_to:Rw_storage.Lsn.t ->
+  no_base:(Rw_storage.Lsn.t -> unit) ->
+  Rw_storage.Page.t ->
+  int
+(** [replay_chain ~log pid ~from ~down_to ~no_base page] redoes onto
+    [page], in place, the page's chain records in [(down_to, from]]: from
+    the newest base record ([Full_image] or [Format]) when the range holds
+    one, else from its oldest record, after passing that record's LSN to
+    [no_base] (which may raise to refuse).  Records at or below the page
+    LSN are skipped, so the replay is idempotent.  Returns the operations
+    applied.  Both chain-replay paths use it: {!rebuild} and instant
+    restart's first-touch redo. *)
+
 val rebuild : log:Rw_wal.Log_manager.t -> Rw_storage.Page_id.t -> Rw_storage.Page.t
 (** Rebuild the page's current content purely from the log: locate the
     newest full base record in the page's chain ([Full_image] or [Format];

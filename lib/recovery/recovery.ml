@@ -122,110 +122,60 @@ let loser_pages analysis =
     analysis.losers;
   Hashtbl.fold (fun p () acc -> Page_id.of_int p :: acc) seen []
 
-let redo_pass ~log ~pool ~analysis ~upto =
-  let redone = ref 0 in
-  (* Peek-filter: only records for a dirty page at or past its recovery LSN
-     are decoded; the rest of the scan stays header-only. *)
-  Log_manager.iter_range_peek log ~from:analysis.redo_start ~upto (fun lsn pk decode ->
-      if Log_record.is_page_kind pk.Log_record.p_kind then
-        let page = pk.Log_record.p_page in
-        match Hashtbl.find_opt analysis.dirty_pages (Page_id.to_int page) with
-        | Some rec_lsn when Lsn.(lsn >= rec_lsn) -> (
-            match (decode ()).Log_record.body with
-            | Log_record.Page_op { op; _ } | Log_record.Clr { op; _ } ->
-                let frame = Buffer_pool.fetch pool page in
-                Fun.protect
-                  ~finally:(fun () -> Buffer_pool.unpin pool frame)
-                  (fun () ->
-                    Latch.with_latch (Buffer_pool.frame_latch frame) Latch.Exclusive (fun () ->
-                        let p = Buffer_pool.page frame in
-                        (* The LSN comparison makes redo idempotent. *)
-                        if Lsn.(Page.lsn p < lsn) then begin
-                          Log_record.redo page op p;
-                          Page.set_lsn p lsn;
-                          Buffer_pool.mark_dirty pool frame ~lsn;
-                          incr redone
-                        end))
-            | _ -> assert false)
-        | _ -> ());
-  !redone
-
-(* Partition-parallel redo.  The log scan and page fetches stay on the
-   calling domain (priced I/O, caches and the buffer pool are not
-   domain-safe); record decode and the page mutations fan out.  The gather
-   phase applies exactly the sequential pass's peek-filter, so the two
-   variants price identical log I/O; pages are then partitioned by id
-   across [domains] partitions, each applying its pages' operations in LSN
-   order.  Pages are disjoint across partitions, raw record bytes are
-   immutable and [Log_record.decode] is pure, so the workers share nothing
-   mutable but the pages they own — the result is byte-identical to the
-   sequential pass.  [domains] fixes the partition COUNT (and therefore
-   the work split); how many domains actually run them is a separate
-   fan-out knob, clamped to the host's core count (see
-   [Domain_pool.set_fanout]), with partitions assigned round-robin so any
-   fan-out yields the same pages. *)
-(* The parked worker-domain pool this module once owned now lives in
-   [Rw_pool.Domain_pool], shared with snapshot batch rewind and the
-   scrub sweep; redo keeps only its partitioning logic.  Partition COUNT
-   is fixed by [redo_domains] — that is what determinism and the
-   byte-equality contract are stated over — while the shared pool clamps
-   how many domains actually run (see [Domain_pool.effective_fanout]).
-   On a 1-core host the partitions are applied on the calling domain
-   alone — still faster than the sequential pass, which pays a pool
-   fetch, a latch and a dirty-table update per RECORD where the
-   partitioned layout pays them per page per batch. *)
+(* The one log-scan redo loop, shared by restart ([recover],
+   [recover_redo_only]), replica catch-up and backup roll-forward
+   ([redo_range]); callers choose only the record filter [wanted].  The
+   scan and page fetches stay on the calling domain (priced I/O, caches
+   and the buffer pool are not domain-safe).  The gather peeks headers
+   and keeps the page records [wanted] admits, grouped by page; pages are
+   then replayed in page-id order, in batches small enough that the
+   pinned set never overwhelms the pool.  Each batch's page list is the
+   work split handed to [Domain_pool.parallel_for] — as in snapshot batch
+   rewind and the scrub sweep — and each page replays its own records in
+   LSN order.  Pages are disjoint, raw record bytes are immutable and
+   [Log_record.decode] is pure, so workers share nothing mutable but the
+   pages they own: any fan-out yields the same pages.  The page-LSN guard
+   makes the replay idempotent (redo-only recovery's invariant), so an
+   overlapping range or a page already on disk applies nothing twice. *)
 module Domain_pool = Rw_pool.Domain_pool
 
 (* One gathered redo record: ops stay decoded when the apply runs on the
    calling domain (warm record-cache hits cost nothing), but cross domains
-   as encoded bytes — [Log_record.decode] is pure, so workers decode their
-   own pages' records in parallel, which is most of redo's CPU. *)
+   as encoded bytes — workers decode their own pages' records in
+   parallel, which is most of redo's CPU. *)
 type redo_item = Decoded of Log_record.op | Raw of string
 
-let redo_parallel ~log ~pool ~analysis ~upto ~domains =
-  let fanout = Domain_pool.effective_fanout domains in
-  (* The gather scan stays on the calling domain (the log manager's caches
-     are single-domain): it peeks headers and keeps only the records that
-     qualify under the sequential pass's exact filter. *)
+let redo ~log ~pool ~from ~upto ~wanted =
   let work = Hashtbl.create 64 in
-  let keep page lsn item =
-    let k = Page_id.to_int page in
+  let keep lsn pk item =
+    let k = Page_id.to_int pk.Log_record.p_page in
     let prev = Option.value (Hashtbl.find_opt work k) ~default:[] in
     Hashtbl.replace work k ((lsn, item) :: prev)
   in
   let qualifies lsn pk =
-    Log_record.is_page_kind pk.Log_record.p_kind
-    &&
-    match Hashtbl.find_opt analysis.dirty_pages (Page_id.to_int pk.Log_record.p_page) with
-    | Some rec_lsn -> Lsn.(lsn >= rec_lsn)
-    | None -> false
+    Log_record.is_page_kind pk.Log_record.p_kind && wanted lsn pk.Log_record.p_page
   in
-  if fanout > 1 then
-    Log_manager.iter_range_raw log ~from:analysis.redo_start ~upto (fun lsn pk raw ->
-        if qualifies lsn pk then keep pk.Log_record.p_page lsn (Raw (raw ())))
+  if Domain_pool.fanout_cap () > 1 then
+    Log_manager.iter_range_raw log ~from ~upto (fun lsn pk raw ->
+        if qualifies lsn pk then keep lsn pk (Raw (raw ())))
   else
-    Log_manager.iter_range_peek log ~from:analysis.redo_start ~upto (fun lsn pk decode ->
+    Log_manager.iter_range_peek log ~from ~upto (fun lsn pk decode ->
         if qualifies lsn pk then
-          match (decode ()).Log_record.body with
-          | Log_record.Page_op { op; _ } | Log_record.Clr { op; _ } ->
-              keep pk.Log_record.p_page lsn (Decoded op)
-          | _ -> assert false);
+          match Log_record.op_of (decode ()) with
+          | Some op -> keep lsn pk (Decoded op)
+          | None -> assert false);
   let pages =
     Hashtbl.fold (fun k ops acc -> (k, List.rev ops) :: acc) work []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> Array.of_list
   in
-  (* Batched so the pinned set never overwhelms the pool: each batch pins
-     its pages, fans the replay out, then marks dirty and unpins. *)
-  let batch_size = max 1 (Buffer_pool.capacity pool / 2) in
-  let redone = ref 0 in
   let op_of = function
     | Decoded op -> op
-    | Raw raw -> (
-        match (Log_record.decode raw).Log_record.body with
-        | Log_record.Page_op { op; _ } | Log_record.Clr { op; _ } -> op
-        | _ -> assert false)
+    | Raw raw -> Option.get (Log_record.op_of (Log_record.decode raw))
   in
-  let apply_item (k, pg, items, first, count) =
+  (* Replay one page's records; [first] is the first LSN applied (the
+     frame's recovery LSN), [count] the operations applied. *)
+  let apply_page (k, pg, items, first, count) =
     let pid = Page_id.of_int k in
     List.iter
       (fun (lsn, item) ->
@@ -237,40 +187,33 @@ let redo_parallel ~log ~pool ~analysis ~upto ~domains =
         end)
       items
   in
-  let rec split n acc = function
-    | rest when n = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: rest -> split (n - 1) (x :: acc) rest
-  in
-  let rec batches = function
-    | [] -> ()
-    | remaining ->
-        let batch, rest = split batch_size [] remaining in
-        let items =
-          List.map
-            (fun (k, ops) ->
-              let frame = Buffer_pool.fetch pool (Page_id.of_int k) in
-              (frame, (k, Buffer_pool.page frame, ops, ref Lsn.nil, ref 0)))
-            batch
-        in
-        let parts = Array.make domains [] in
-        List.iter
-          (fun (_, ((k, _, _, _, _) as item)) ->
-            let i = k mod domains in
-            parts.(i) <- item :: parts.(i))
-          items;
-        ignore (Domain_pool.parallel_for domains (fun j -> List.iter apply_item parts.(j)) : int);
-        List.iter
-          (fun (frame, (_, _, _, first, count)) ->
-            if !count > 0 then Buffer_pool.mark_dirty pool frame ~lsn:!first;
-            redone := !redone + !count;
-            Buffer_pool.unpin pool frame)
-          items;
-        batches rest
-  in
-  batches pages;
-  Obs.add Probes.recovery_redo_partitions domains;
+  let batch_size = max 1 (Buffer_pool.capacity pool / 2) in
+  let redone = ref 0 in
+  let lo = ref 0 in
+  while !lo < Array.length pages do
+    let batch = Array.sub pages !lo (min batch_size (Array.length pages - !lo)) in
+    let frames = Array.map (fun (k, _) -> Buffer_pool.fetch pool (Page_id.of_int k)) batch in
+    let items =
+      Array.mapi (fun i (k, ops) -> (k, Buffer_pool.page frames.(i), ops, ref Lsn.nil, ref 0)) batch
+    in
+    let fanout = Domain_pool.parallel_for (Array.length items) (fun i -> apply_page items.(i)) in
+    Obs.add Probes.recovery_redo_partitions fanout;
+    Array.iteri
+      (fun i (_, _, _, first, count) ->
+        if !count > 0 then Buffer_pool.mark_dirty pool frames.(i) ~lsn:!first;
+        redone := !redone + !count;
+        Buffer_pool.unpin pool frames.(i))
+      items;
+    lo := !lo + batch_size
+  done;
   !redone
+
+(* Analysis filter: a dirty page's records from its recovery LSN on. *)
+let redo_dirty ~log ~pool ~analysis ~upto =
+  redo ~log ~pool ~from:analysis.redo_start ~upto ~wanted:(fun lsn page ->
+      match Hashtbl.find_opt analysis.dirty_pages (Page_id.to_int page) with
+      | Some rec_lsn -> Lsn.(lsn >= rec_lsn)
+      | None -> false)
 
 let undo_losers ~log ~losers ~write_clr ~apply =
   let next_undo = Hashtbl.copy losers in
@@ -345,7 +288,7 @@ type stats = {
   mutable time_to_full_recovery_us : float;
 }
 
-let recover ?(redo_domains = 1) ?(now_us = fun () -> 0.0) ~log ~pool () =
+let recover ?(now_us = fun () -> 0.0) ~log ~pool () =
   let t0 = now_us () in
   (* Before trusting the log, validate the crash-time tail: a torn record
      (and anything after it) is discarded so the scans below only ever see
@@ -364,13 +307,10 @@ let recover ?(redo_domains = 1) ?(now_us = fun () -> 0.0) ~log ~pool () =
       ~args:[ ("records_scanned", Trace.Int analysis.records_scanned) ]
       "recovery.analysis";
   let ts = if Trace.on () then Trace.now () else 0.0 in
-  let redone_ops =
-    if redo_domains > 1 then redo_parallel ~log ~pool ~analysis ~upto ~domains:redo_domains
-    else redo_pass ~log ~pool ~analysis ~upto
-  in
+  let redone_ops = redo_dirty ~log ~pool ~analysis ~upto in
   if Trace.on () then
     Trace.complete ~cat:"recovery" ~ts
-      ~args:[ ("redone_ops", Trace.Int redone_ops); ("domains", Trace.Int redo_domains) ]
+      ~args:[ ("redone_ops", Trace.Int redone_ops) ]
       "recovery.redo";
   let ended_losers = Hashtbl.length analysis.losers in
   let apply pid f =
@@ -410,37 +350,12 @@ let recover ?(redo_domains = 1) ?(now_us = fun () -> 0.0) ~log ~pool () =
 
 (* --- replica-side redo: continuous catch-up and redo-only restart --- *)
 
-let redo_range ?(domains = 1) ~log ~pool ~from ~upto () =
-  if Lsn.(from >= upto) then 0
-  else begin
-    (* One peek scan builds a synthetic dirty-page table — every page
-       mentioned in [from, upto), keyed to its first record LSN — then the
-       standard redo machinery (sequential or partition-parallel) replays
-       the range.  Redo stays idempotent via the page-LSN compare, so a
-       duplicate shipment or an overlapping range applies nothing twice. *)
-    let dirty_pages = Hashtbl.create 64 in
-    let scanned = ref 0 in
-    Log_manager.iter_range_peek log ~from ~upto (fun lsn pk _decode ->
-        incr scanned;
-        if Log_record.is_page_kind pk.Log_record.p_kind then begin
-          let k = Page_id.to_int pk.Log_record.p_page in
-          if not (Hashtbl.mem dirty_pages k) then Hashtbl.replace dirty_pages k lsn
-        end);
-    let analysis =
-      {
-        losers = Hashtbl.create 1;
-        dirty_pages;
-        txn_pages = Hashtbl.create 1;
-        redo_start = from;
-        max_txn_id = Txn_id.nil;
-        records_scanned = !scanned;
-      }
-    in
-    if domains > 1 then redo_parallel ~log ~pool ~analysis ~upto ~domains
-    else redo_pass ~log ~pool ~analysis ~upto
-  end
+(* Every page record in the range: the stream's pages are whatever it
+   mentions, so the gather itself is the range's dirty-page table and
+   each shipped byte is read once. *)
+let redo_range ~log ~pool ~from ~upto = redo ~log ~pool ~from ~upto ~wanted:(fun _ _ -> true)
 
-let recover_redo_only ?(redo_domains = 1) ?(now_us = fun () -> 0.0) ~log ~pool () =
+let recover_redo_only ?(now_us = fun () -> 0.0) ~log ~pool () =
   let t0 = now_us () in
   let tail_truncated = Log_manager.repair_tail log in
   let start =
@@ -450,10 +365,7 @@ let recover_redo_only ?(redo_domains = 1) ?(now_us = fun () -> 0.0) ~log ~pool (
   let upto = Log_manager.end_lsn log in
   let analysis = analyze ~log ~start ~upto in
   let analysis_us = now_us () -. t0 in
-  let redone_ops =
-    if redo_domains > 1 then redo_parallel ~log ~pool ~analysis ~upto ~domains:redo_domains
-    else redo_pass ~log ~pool ~analysis ~upto
-  in
+  let redone_ops = redo_dirty ~log ~pool ~analysis ~upto in
   (* No undo and no appended records: a replica's log must stay a
      byte-identical prefix of the primary's stream, so losers are left
      in place on the pages (reads go through as-of snapshots, which
@@ -499,7 +411,6 @@ module Instant = struct
   let backlog t = Hashtbl.length t.pending
   let pending_page t pid = Hashtbl.mem t.pending (Page_id.to_int pid)
   let stats t = t.stats
-  let on_demand_pages t = t.stats.redone_ops
 
   (* Every page an in-flight transaction touched, including before the
      analysis start: the scanned region's [txn_pages] only covers records
@@ -588,50 +499,17 @@ module Instant = struct
       t.stats.time_to_first_query_us <- t.now_us () -. t.t_start_us;
     if backlog t = 0 then mark_full_recovery t
 
-  (* A base record (Full_image, Format) fully determines the page by redo
-     alone, so replay can start at the newest one instead of the page's
-     stored LSN — capping per-page work at the FPI interval. *)
-  let is_base = function
-    | Log_record.K_page_op (Log_record.K_full_image | Log_record.K_format)
-    | Log_record.K_clr (Log_record.K_full_image | Log_record.K_format) ->
-        true
-    | _ -> false
-
-  (* Redo one page in place: replay its backward chain over (page-LSN,
-     horizon].  Records at or below the stored page LSN are already
-     reflected in the image (redo idempotency, exactly as in the full redo
-     pass); the chain walk reads only this page's records. *)
+  (* Redo one page in place: replay its chain over (page-LSN, horizon] —
+     the same page-LSN guard as the log-scan redo, reading only this
+     page's records. *)
   let redo_page t pid p =
-    let chain = Log_manager.chain_segment t.log pid ~from:t.horizon ~down_to:(Page.lsn p) in
-    let n = Array.length chain in
-    let applied = ref 0 in
-    if n > 0 then begin
-      let base = ref 0 in
-      (try
-         for i = n - 1 downto 0 do
-           if is_base (Log_manager.peek_record t.log chain.(i)).Log_record.p_kind then begin
-             base := i;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      let suffix = Array.sub chain !base (n - !base) in
-      let records = Log_manager.read_segment t.log suffix in
-      Array.iteri
-        (fun i r ->
-          let lsn = suffix.(i) in
-          if Lsn.(Page.lsn p < lsn) then
-            match Log_record.op_of r with
-            | Some op ->
-                Log_record.redo pid op p;
-                Page.set_lsn p lsn;
-                incr applied
-            | None -> ())
-        records;
-      t.stats.redone_ops <- t.stats.redone_ops + !applied;
-      Obs.add Probes.recovery_redone !applied
-    end;
-    !applied
+    let applied =
+      Page_repair.replay_chain ~log:t.log pid ~from:t.horizon ~down_to:(Page.lsn p)
+        ~no_base:ignore p
+    in
+    t.stats.redone_ops <- t.stats.redone_ops + applied;
+    Obs.add Probes.recovery_redone applied;
+    applied
 
   (* The recovery unit is a page group: the requested page plus, transitively,
      every page sharing an in-flight transaction with one already in the

@@ -6,9 +6,12 @@
     database the paper rewinds from is always consistent.
 
     Two restart modes share the analysis pass: {!recover} replays
-    everything before returning (optionally fanning redo out over OCaml 5
-    domains), and {!Instant} opens the engine right after analysis and
-    recovers pages on first touch or via a background drain. *)
+    everything before returning, and {!Instant} opens the engine right
+    after analysis and recovers pages on first touch or via a background
+    drain.  Every log-scan redo — restart, replica catch-up, backup
+    roll-forward — is one page-grouped loop; only its record filter
+    differs.  Instant restart and page repair share the chain replay
+    {!Page_repair.replay_chain}. *)
 
 val checkpoint :
   log:Rw_wal.Log_manager.t ->
@@ -69,7 +72,6 @@ type stats = {
 }
 
 val recover :
-  ?redo_domains:int ->
   ?now_us:(unit -> float) ->
   log:Rw_wal.Log_manager.t ->
   pool:Rw_buffer.Buffer_pool.t ->
@@ -83,33 +85,27 @@ val recover :
     checkpoint afterwards and seed its transaction-id counter above
     [stats.analysis.max_txn_id].
 
-    [redo_domains] > 1 partitions the dirty-page table by page id into that
-    many partitions and fans the record decode + page application out over
-    worker domains (the log scan and page I/O stay on the calling domain);
-    partitions are disjoint by construction, so the resulting pages are
-    byte-identical to the sequential pass.  The number of domains actually
-    running concurrently is capped at {!Domain.recommended_domain_count}
-    (see [Rw_pool.Domain_pool.set_fanout]); the partition count — and therefore the
-    result — is not affected by the cap.  [now_us] (normally the simulated
-    clock) stamps the timing fields of {!stats}. *)
+    Redo replays the analysis dirty-page table's records (each page from
+    its recovery LSN on) grouped by page: the log scan and page fetches
+    stay on the calling domain, and each batch's page list is fanned out
+    through [Rw_pool.Domain_pool.parallel_for], every page replaying its
+    own records in LSN order.  Pages are disjoint, so any fan-out yields
+    byte-identical pages.  [now_us] (normally the simulated clock) stamps
+    the timing fields of {!stats}. *)
 
 val redo_range :
-  ?domains:int ->
   log:Rw_wal.Log_manager.t ->
   pool:Rw_buffer.Buffer_pool.t ->
   from:Rw_storage.Lsn.t ->
   upto:Rw_storage.Lsn.t ->
-  unit ->
   int
-(** Replay exactly the records with [from <= lsn < upto] onto the pool —
-    the replica catch-up step.  A single peek scan builds the range's
-    dirty-page table (first record LSN per page), then the standard redo
-    machinery applies it ([domains] > 1 = the same partition-parallel path
-    as {!recover}).  Idempotent via the page-LSN compare, so duplicate or
-    overlapping shipments are harmless.  Returns operations applied. *)
+(** Replay every page record with [from <= lsn < upto] onto the pool —
+    replica catch-up and backup roll-forward — through the same
+    page-grouped loop as {!recover}, in one scan of the range.
+    Idempotent via the page-LSN compare, so duplicate or overlapping
+    shipments are harmless.  Returns operations applied. *)
 
 val recover_redo_only :
-  ?redo_domains:int ->
   ?now_us:(unit -> float) ->
   log:Rw_wal.Log_manager.t ->
   pool:Rw_buffer.Buffer_pool.t ->
@@ -170,10 +166,6 @@ module Instant : sig
   val backlog : t -> int
   (** Pages still awaiting recovery. *)
 
-  val pending_page : t -> Rw_storage.Page_id.t -> bool
-  (** Is this page still in the backlog?  (The buffer-pool wrapper's fast
-      path: one hash probe per fetch miss.) *)
-
   val mark_open : t -> unit
   (** Stamp [time_to_first_query_us]; the engine calls this once the
       database object is fully assembled and able to serve queries. *)
@@ -190,7 +182,4 @@ module Instant : sig
       quarantined page is dropped from the backlog rather than wedging the
       drain.  The background sweeper and the pre-checkpoint barrier both
       use this. *)
-
-  val on_demand_pages : t -> int
-  (** Operations redone so far (diagnostic). *)
 end

@@ -25,7 +25,7 @@ let promote r =
   Obs.incr Probes.repl_failovers;
   (db, horizon)
 
-let rejoin ?redo_domains ~name ~at old_primary =
+let rejoin ~name ~at old_primary =
   let disk = Database.disk old_primary in
   let log = Database.log old_primary in
   (* The old primary died mid-flight: volatile state is gone and pending
@@ -59,5 +59,5 @@ let rejoin ?redo_domains ~name ~at old_primary =
       end
     end
   done;
-  let db = Database.reopen_redo_only ?redo_domains old_primary in
-  Replica.of_db ?redo_domains ~name db
+  let db = Database.reopen_redo_only old_primary in
+  Replica.of_db ~name db

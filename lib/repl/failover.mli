@@ -23,8 +23,7 @@ val promote : Replica.t -> Rw_engine.Database.t * Rw_storage.Lsn.t
     The replica handle must not be used afterwards.  Bumps the
     [repl.failovers] probe. *)
 
-val rejoin :
-  ?redo_domains:int -> name:string -> at:Rw_storage.Lsn.t -> Rw_engine.Database.t -> Replica.t
+val rejoin : name:string -> at:Rw_storage.Lsn.t -> Rw_engine.Database.t -> Replica.t
 (** Bring the demoted (crashed) primary back as a replica: discard
     volatile state, truncate the log at the divergence point [at], rewind
     every disk page stamped at or past [at] from the retained log

@@ -12,7 +12,6 @@ type t = {
   mutable db : Database.t;
   mutable next_lsn : Lsn.t;
   mutable applied_wall_us : float;
-  redo_domains : int;
 }
 
 (* The applied horizon, recomputed from the log alone (restart, rejoin):
@@ -37,11 +36,11 @@ let newest_wall log =
       | _ -> ());
   !wall
 
-let of_db ?(redo_domains = 2) ~name db =
+let of_db ~name db =
   let log = Database.log db in
-  { name; db; next_lsn = Log_manager.end_lsn log; applied_wall_us = newest_wall log; redo_domains }
+  { name; db; next_lsn = Log_manager.end_lsn log; applied_wall_us = newest_wall log }
 
-let of_primary ?redo_domains ~name primary =
+let of_primary ~name primary =
   let path = Filename.temp_file "rewind_repl" ".db" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -55,7 +54,7 @@ let of_primary ?redo_domains ~name primary =
         Database.load ~clock:(Database.clock primary) ~media:(Database.media primary)
           ~log_media:(Database.log_media primary) ~path ()
       in
-      of_db ?redo_domains ~name db)
+      of_db ~name db)
 
 let db t = t.db
 let name t = t.name
@@ -69,10 +68,7 @@ let ingest t (ex : Log_manager.export) =
   else begin
     let from = t.next_lsn in
     let upto = Log_manager.end_lsn log in
-    let redone =
-      Recovery.redo_range ~domains:t.redo_domains ~log ~pool:(Database.pool t.db) ~from ~upto
-        ()
-    in
+    let redone = Recovery.redo_range ~log ~pool:(Database.pool t.db) ~from ~upto in
     (* Horizon + recovery-checkpoint maintenance from the fresh records. *)
     let ckpt = ref Lsn.nil in
     List.iter
@@ -109,7 +105,7 @@ let query_as_of ?(shared = true) t ~name ~wall_us =
   Database.create_as_of_snapshot ~shared t.db ~name ~wall_us
 
 let crash_and_reopen t =
-  t.db <- Database.reopen_redo_only ~redo_domains:t.redo_domains t.db;
+  t.db <- Database.reopen_redo_only t.db;
   let log = Database.log t.db in
   t.next_lsn <- Log_manager.end_lsn log;
   t.applied_wall_us <- newest_wall log

@@ -5,11 +5,10 @@
     stream — same bytes, same LSNs.  Catch-up is the paper's machinery run
     continuously: each shipped unit is appended to the local log
     ({!Rw_wal.Log_manager.ingest_entries}) and replayed onto the local
-    pages ({!Rw_recovery.Recovery.redo_range}, optionally
-    partition-parallel).  Nothing is ever appended locally — no CLRs, no
-    checkpoints — so any prefix of the replica equals the primary at that
-    LSN, and as-of queries over the local log return exactly what the
-    primary would return.
+    pages ({!Rw_recovery.Recovery.redo_range}).  Nothing is ever appended
+    locally — no CLRs, no checkpoints — so any prefix of the replica
+    equals the primary at that LSN, and as-of queries over the local log
+    return exactly what the primary would return.
 
     {b Recovery checkpoint.}  When a shipment carries one of the primary's
     checkpoint records, the replica flushes its redone pages and advances
@@ -27,13 +26,12 @@ exception Stale_horizon of { requested_us : float; applied_us : float }
 
 type t
 
-val of_primary : ?redo_domains:int -> name:string -> Rw_engine.Database.t -> t
+val of_primary : name:string -> Rw_engine.Database.t -> t
 (** Seed a replica from the primary's current state (checkpointed full
     image through a temp file — the initial base backup) sharing the
-    primary's clock and media models.  [redo_domains] (default 2) is the
-    partition count for continuous catch-up redo. *)
+    primary's clock and media models. *)
 
-val of_db : ?redo_domains:int -> name:string -> Rw_engine.Database.t -> t
+val of_db : name:string -> Rw_engine.Database.t -> t
 (** Wrap an existing engine as a replica (a demoted primary rejoining
     after failover).  The applied horizon is recomputed from the log. *)
 

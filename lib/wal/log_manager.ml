@@ -890,11 +890,6 @@ let iter_range_rev t ~from ~upto f =
         end
   done
 
-let fold_range t ~from ~upto ~init ~f =
-  let acc = ref init in
-  iter_range t ~from ~upto (fun lsn r -> acc := f !acc lsn r);
-  !acc
-
 let charge_scan t ~from ~upto =
   let lo = Lsn.max from t.truncated_below in
   let hi = Lsn.min upto t.end_lsn in

@@ -161,14 +161,6 @@ val iter_range_rev :
   t -> from:Rw_storage.Lsn.t -> upto:Rw_storage.Lsn.t -> (Rw_storage.Lsn.t -> Log_record.t -> unit) -> unit
 (** Same range, reverse order. *)
 
-val fold_range :
-  t ->
-  from:Rw_storage.Lsn.t ->
-  upto:Rw_storage.Lsn.t ->
-  init:'a ->
-  f:('a -> Rw_storage.Lsn.t -> Log_record.t -> 'a) ->
-  'a
-
 val charge_scan : t -> from:Rw_storage.Lsn.t -> upto:Rw_storage.Lsn.t -> unit
 (** Account the sequential I/O cost of scanning a log region without
     decoding it (e.g. a restore's initialization of the unused log tail). *)

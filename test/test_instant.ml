@@ -1,6 +1,7 @@
 (* Instant restart tests: open-after-analysis, first-touch recovery,
-   background sweeping, checkpoint barriers, and domain-parallel redo
-   equivalence with sequential replay. *)
+   background sweeping, checkpoint barriers, restart redo that is
+   byte-identical at every pool fan-out, and chain replay (page repair)
+   agreeing with log-scan redo. *)
 
 module Lsn = Rw_storage.Lsn
 module Media = Rw_storage.Media
@@ -25,9 +26,9 @@ let check_int = Alcotest.(check int)
 let cols =
   [ { Schema.name = "id"; ctype = Schema.Int }; { Schema.name = "val"; ctype = Schema.Text } ]
 
-let mk_db ?(name = "inst") ?redo_domains () =
+let mk_db ?(name = "inst") () =
   let clock = Sim_clock.create () in
-  Database.create ~name ~clock ~media:Media.ram ?redo_domains ()
+  Database.create ~name ~clock ~media:Media.ram ()
 
 let seed db n =
   Database.with_txn db (fun txn ->
@@ -162,7 +163,7 @@ let test_checkpoint_drains_backlog () =
 
 (* Per-page header fingerprint of everything on the data device: after a
    full-replay reopen (which checkpoints, flushing every recovered page)
-   any divergence between sequential and parallel redo shows up here. *)
+   any divergence between fan-outs shows up here. *)
 let disk_fingerprint db =
   let disk = Database.disk db in
   let acc = ref [] in
@@ -175,51 +176,83 @@ let disk_fingerprint db =
   done;
   List.rev !acc
 
-let test_parallel_redo_equals_sequential () =
-  let run domains =
-    let db = mk_db ~name:(Printf.sprintf "dom%d" domains) () in
-    seed db 80;
-    churn db 4;
-    straggle db;
-    let db = Database.crash_and_reopen ~redo_domains:domains db in
-    let stats = Option.get (Database.last_recovery_stats db) in
-    (rows db, disk_fingerprint db, stats.Recovery.redone_ops)
-  in
-  (* Force true cross-domain execution even on a 1-core host (the default
-     cap would fold the partitions onto the calling domain there). *)
-  Rw_pool.Domain_pool.set_fanout (Some 4);
+(* Run [f] with the pool fan-out forced to [fanout]. *)
+let at_fanout fanout f =
   Fun.protect
     ~finally:(fun () -> Rw_pool.Domain_pool.set_fanout None)
     (fun () ->
-      let rows1, fp1, redone1 = run 1 in
-      List.iter
-        (fun domains ->
-          let rowsn, fpn, redonen = run domains in
-          check (Printf.sprintf "%d-domain rows equal sequential" domains) true (rowsn = rows1);
-          check
-            (Printf.sprintf "%d-domain disk pages equal sequential" domains)
-            true (fpn = fp1);
-          check_int
-            (Printf.sprintf "%d-domain redone_ops equal sequential" domains)
-            redone1 redonen)
-        [ 2; 4 ];
-      (* And under the default core-count cap (partitions folded or not,
-         the result must be the same). *)
-      Rw_pool.Domain_pool.set_fanout None;
-      let rows4, fp4, redone4 = run 4 in
-      check "capped 4-domain rows equal sequential" true (rows4 = rows1);
-      check "capped 4-domain disk pages equal sequential" true (fp4 = fp1);
-      check_int "capped 4-domain redone_ops equal sequential" redone1 redone4)
+      Rw_pool.Domain_pool.set_fanout (Some fanout);
+      f ())
 
+(* Restart redo's result must not depend on the pool fan-out: fan-out 1
+   (every page replayed on the calling domain) is the reference for true
+   cross-domain runs at 2 and 4, and for the default core-count cap. *)
+let test_redo_fanout_equal () =
+  let run name =
+    let db = mk_db ~name () in
+    seed db 80;
+    churn db 4;
+    straggle db;
+    let db = Database.crash_and_reopen db in
+    let stats = Option.get (Database.last_recovery_stats db) in
+    (rows db, disk_fingerprint db, stats.Recovery.redone_ops)
+  in
+  let rows1, fp1, redone1 = at_fanout 1 (fun () -> run "fan1") in
+  check "fan-out 1 redid work" true (redone1 > 0);
+  let agree label (rowsn, fpn, redonen) =
+    check (label ^ " rows equal fan-out 1") true (rowsn = rows1);
+    check (label ^ " disk pages equal fan-out 1") true (fpn = fp1);
+    check_int (label ^ " redone_ops equal fan-out 1") redone1 redonen
+  in
+  List.iter
+    (fun fanout ->
+      let name = Printf.sprintf "fan%d" fanout in
+      agree ("fan-out " ^ string_of_int fanout) (at_fanout fanout (fun () -> run name)))
+    [ 2; 4 ];
+  agree "default-cap" (run "fandefault")
+
+(* One redo batch at fan-out 2 runs on two domains, so the counter grows
+   by exactly 2 ("one per domain per batch"). *)
 let test_parallel_partitions_counted () =
   let db = mk_db () in
   seed db 80;
   churn db 4;
   let before = Metrics.counter_value Probes.recovery_redo_partitions in
-  let db = Database.crash_and_reopen ~redo_domains:4 db in
-  check "redo partitions recorded" true
-    (Metrics.counter_value Probes.recovery_redo_partitions > before);
+  let db = at_fanout 2 (fun () -> Database.crash_and_reopen db) in
+  let stats = Option.get (Database.last_recovery_stats db) in
+  let pages = Hashtbl.length stats.Recovery.analysis.Recovery.dirty_pages in
+  (* The default 512-frame pool replays up to 256 pages per batch. *)
+  check "one batch of at least two pages" true (pages >= 2 && pages <= 256);
+  check_int "redo partitions counted per domain per batch" 2
+    (Metrics.counter_value Probes.recovery_redo_partitions - before);
   check_int "eighty rows" 80 (List.length (rows db))
+
+(* The two redo paths agree: with no transaction in flight at the crash,
+   every allocated page rebuilt from its own log chain
+   ([Page_repair.rebuild], which starts at the newest full-page image)
+   is byte-identical — page LSN included — to the page a full restart
+   (log-scan redo) left on disk. *)
+let test_chain_replay_equals_log_scan () =
+  let clock = Sim_clock.create () in
+  let db = Database.create ~name:"chain" ~clock ~media:Media.ram ~fpi_frequency:3 () in
+  seed db 80;
+  churn db 4;
+  let db = Database.crash_and_reopen db in
+  let log = Database.log db and disk = Database.disk db in
+  let compared = ref 0 in
+  for i = 0 to Disk.page_count disk - 1 do
+    let pid = Page_id.of_int i in
+    if Disk.has_page disk pid then begin
+      incr compared;
+      let rebuilt = Rw_recovery.Page_repair.rebuild ~log pid in
+      Page.seal rebuilt;
+      check
+        (Printf.sprintf "page %d rebuilt equals restarted" i)
+        true
+        (Bytes.equal rebuilt (Disk.read_page_nocost disk pid))
+    end
+  done;
+  check "pages compared" true (!compared > 2)
 
 let test_instant_fault_campaign () =
   let fault_rows =
@@ -290,9 +323,10 @@ let () =
         ] );
       ( "parallel-redo",
         [
-          Alcotest.test_case "2/4 domains byte-equal to sequential" `Quick
-            test_parallel_redo_equals_sequential;
+          Alcotest.test_case "fan-out 1/2/4 byte-equal" `Quick test_redo_fanout_equal;
           Alcotest.test_case "partition counter recorded" `Quick test_parallel_partitions_counted;
+          Alcotest.test_case "chain replay equals log-scan redo" `Quick
+            test_chain_replay_equals_log_scan;
         ] );
       ( "fault-campaign",
         [ Alcotest.test_case "instant crash-repair campaign" `Slow test_instant_fault_campaign ] );

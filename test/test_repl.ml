@@ -163,6 +163,29 @@ let test_ship_basics () =
   check "rows agree" (Twin.dump view = Twin.dump prim_view) true;
   Shipper.detach sh
 
+(* --- catch-up reads each shipped byte once --- *)
+
+let test_ingest_reads_once () =
+  let _eng, db, _cfg, drv = build_primary ~txns:20 () in
+  let replica = Replica.of_primary ~name:"r1" db in
+  ignore (Tpcc.run_mix drv ~txns:40);
+  let st = Log_manager.stats (Database.log (Replica.db replica)) in
+  let rec pump shipments =
+    match Log_manager.export_from (Database.log db) ~from:(Replica.next_lsn replica) with
+    | None -> shipments
+    | Some ex ->
+        let shipped =
+          List.fold_left (fun acc (_, data) -> acc + String.length data) 0 ex.Log_manager.ex_entries
+        in
+        let before = st.Rw_storage.Io_stats.seq_read_bytes in
+        ignore (Replica.ingest replica ex : int);
+        check_int "replica log read exactly the shipped bytes" shipped
+          (st.Rw_storage.Io_stats.seq_read_bytes - before);
+        pump (shipments + 1)
+  in
+  check "several shipments" (pump 0 > 1) true;
+  check "caught-up rows equal primary" (Twin.dump (Replica.db replica) = Twin.dump db) true
+
 (* --- channel faults: drop/dup/delay cost retries, never correctness --- *)
 
 let test_channel_faults () =
@@ -371,5 +394,6 @@ let () =
             test_retention_floor;
           Alcotest.test_case "failover + rejoin" `Quick test_failover_rejoin;
           Alcotest.test_case "replsoak seed 11 quick" `Quick test_repl_soak;
+          Alcotest.test_case "catch-up reads each shipped byte once" `Quick test_ingest_reads_once;
         ] );
     ]

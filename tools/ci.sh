@@ -77,6 +77,17 @@ echo "== e12 smoke (domain-parallel batch, serial-twin byte-equality) =="
 # divergence between fan-outs.
 dune exec bench/main.exe -- e12 --quick
 
+echo "== e9 smoke (instant restart vs a full-replay twin) =="
+# Instant restart at three log lengths, checked during the backlog and
+# after the drain against a twin restarted by full log-scan redo.  Exits
+# non-zero on any divergence.
+dune exec bench/main.exe -- e9 --quick
+
+echo "== e10 smoke (replica catch-up vs the primary) =="
+# Replicas fed by log shipping, checked against the primary's rows,
+# pages and as-of answers.  Exits non-zero on any divergence.
+dune exec bench/main.exe -- e10 --quick
+
 echo "== fault-injection soak (fixed seeds, random crash points) =="
 # TPC-C under torn writes / bit rot / transient errors / torn log tails,
 # crashed at seed-derived points, recovered, repaired, and verified against
@@ -147,7 +158,7 @@ check_regression "core-primitives/prepare_page_as_of (shared-cache hit)" "$base_
 # Instant restart's time-to-first-query is O(analysis): guard the analysis
 # pass so the pre-open work cannot silently grow back toward full replay.
 check_regression "core-primitives/recovery-analysis-only" "$base_analysis"
-# Replica catch-up is bounded by partition-parallel redo of shipped
+# Replica catch-up is bounded by page-grouped redo of shipped
 # segments: guard the apply rate so replication lag cannot silently grow.
 check_regression "core-primitives/replica-catchup-apply (parallel redo)" "$base_catchup"
 # What-if selective undo: the graph build must stay on the O(index) path
