@@ -220,7 +220,7 @@ let flush_all t =
       t.wal_flush max_lsn;
       (* Page-id order: the head of each contiguous run pays the seek, the
          rest of the run streams sequentially — the write-side mirror of the
-         read path's prefetch pricing. *)
+         rewind gather's run pricing. *)
       let rec go prev = function
         | [] -> ()
         | f :: rest ->

@@ -114,13 +114,14 @@ let read_as_of ~tally ~shared ~sparse ~primary_disk ~log ~split pid =
 
 (* Batched materialization, staged across the shared domain pool:
 
-   1. {e Gather} (coordinator, ascending page order): primary image read
-      if the shared cache had nothing, then the page's chain plan — FPI
-      peek, chain-index lookup, per-page prefetch and the block-cache
-      fetch of each record as a live cached decode or a span of its
-      segment blob.  Every priced read and every shared cache happens
-      here, on the calling domain, in an order independent of the
-      fan-out.
+   1. {e Gather} (coordinator): primary image reads, ascending, for
+      pages the shared cache had nothing for, then one log-ordered
+      gather for the whole batch ({!Page_undo.plan_batch}) — FPI peeks
+      and chain-index lookups per page, then every log block the batch
+      needs charged once, ascending, each record handed back as a live
+      cached decode or a span of its segment blob.  Every priced read
+      and every shared cache happens here, on the calling domain, in an
+      order independent of the fan-out.
    2. {e Apply} (workers, round-robin by index): validate and undo the
       chain in place against the private page image — pure CPU over
       private state and immutable log bytes.
@@ -132,9 +133,10 @@ let read_as_of ~tally ~shared ~sparse ~primary_disk ~log ~split pid =
    Because gather and publish orders are fixed and workers touch nothing
    shared, results and counters are byte- and count-identical under any
    fan-out, including 1.  Fan-out changes modeled time only: each page's
-   gather I/O is timed and attributed to its round-robin partition, and
-   the clock is credited back down to the slowest partition's total —
-   [fanout] independent streams finish when the slowest does. *)
+   data read and each of the gather's charging windows is an item
+   attributed to a round-robin partition, and the clock is credited back
+   down to the slowest partition's total — [fanout] independent streams
+   finish when the slowest does. *)
 let materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split pids =
   let ts = if Trace.on () then Trace.now () else 0.0 in
   let clock = Disk.clock primary_disk in
@@ -160,29 +162,29 @@ let materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split pids =
             | Prepared_cache.Miss -> Some (pid, None)))
       todo
   in
-  let arr =
-    Array.of_list
-      (List.map
-         (fun (pid, cached) ->
-           let t0 = Sim_clock.now_us clock in
-           let page =
-             match cached with Some p -> p | None -> Disk.read_page primary_disk pid
-           in
-           let plan = Page_undo.plan_raw ~log ~page ~as_of:split in
-           (page, plan, Sim_clock.now_us clock -. t0))
-         entering)
+  let entering = Array.of_list entering in
+  let read_us = Array.make (Array.length entering) 0.0 in
+  let pages =
+    Array.mapi
+      (fun i (pid, cached) ->
+        let t0 = Sim_clock.now_us clock in
+        let page = match cached with Some p -> p | None -> Disk.read_page primary_disk pid in
+        read_us.(i) <- Sim_clock.now_us clock -. t0;
+        page)
+      entering
   in
-  let results = Array.make (Array.length arr) None in
+  let plans, windows_us = Page_undo.plan_batch ~log ~as_of:split pages in
+  let results = Array.make (Array.length pages) None in
   let fanout =
-    Domain_pool.parallel_for (Array.length arr) (fun i ->
-        let page, plan, _ = arr.(i) in
-        results.(i) <- Page_undo.apply_raw ~page ~as_of:split plan)
+    Domain_pool.parallel_for (Array.length pages) (fun i ->
+        results.(i) <- Page_undo.apply_raw ~page:pages.(i) ~as_of:split plans.(i))
   in
-  (* Overlap credit: the gather charged each partition's I/O serially;
-     [fanout] concurrent streams finish when the slowest does. *)
-  Sim_clock.credit_us clock (Domain_pool.overlap_credit ~fanout (fun (_, _, dt) -> dt) arr);
+  (* Overlap credit: the gather charged every page read and every window
+     serially; [fanout] concurrent streams finish when the slowest does. *)
+  Sim_clock.credit_us clock
+    (Domain_pool.overlap_credit ~fanout Fun.id (Array.append read_us windows_us));
   Array.iteri
-    (fun i (page, _, _) ->
+    (fun i page ->
       let pid = Page.id page in
       let r =
         match results.(i) with
@@ -197,7 +199,7 @@ let materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split pids =
       | Some cache -> Prepared_cache.add cache pid ~as_of:split page
       | None -> ());
       Sparse_file.write sparse pid page)
-    arr;
+    pages;
   if Trace.on () then
     Trace.complete ~cat:"snapshot" ~ts
       ~args:[ ("pages", Trace.Int (List.length todo)); ("fanout", Trace.Int fanout) ]

@@ -78,32 +78,26 @@ let prepare_page_as_of_walk ~log ~page ~as_of =
 (* ---------- chain rewind: gather / apply ---------- *)
 
 (* Both rewind paths split a page's rewind the same way: a gather (all
-   priced I/O, all shared caches) and a pure apply.  The serial path runs
-   them back to back; the batch pipeline runs the applies on pool workers.
+   priced I/O, all shared caches) and a pure apply.  The serial path is a
+   batch of one; the batch pipeline runs the applies on pool workers.
    The plan holds each record either as a live decode or as a span of its
    segment blob, both immutable, so it can cross domains. *)
 type raw_plan = {
   rp_segment : Lsn.t array;  (* ascending chain LSNs in (as_of, chain top] *)
-  rp_records : Log_manager.gathered;  (* the chain records, at [0, n) *)
-  rp_fpi : (Log_manager.gathered * int) option;  (* where the earliest-FPI record is *)
-  rp_ok : bool;  (* gather succeeded; [false] forces the walk *)
+  rp_fpi : bool;  (* the earliest-FPI record follows the chain in [rp_records] *)
+  rp_records : Log_manager.gathered option;  (* [None]: not gathered, forces the walk *)
 }
 
-let empty_plan log ok =
-  { rp_segment = [||]; rp_records = Log_manager.gather log [||]; rp_fpi = None; rp_ok = ok }
-
-(* Jump-start from the earliest full page image after the target, then
-   the chain-index segment from the image's capture point
-   ([prev_page_lsn]) down to [as_of].  With [prefetch] the whole set is
-   fetched as block runs and read in one batch (the staged path);
-   without, the image and the segment are read as the serial path always
-   has.  A chain index that does not reach the chain top, and any fetch
-   failure, make the plan not ok; the walk then produces the right answer
-   or the right exception. *)
-let gather ~prefetch ~log ~page ~as_of =
+(* What one page needs from the log: the earliest full page image after
+   the target (if below the chain top), then the chain-index segment from
+   the image's capture point ([prev_page_lsn]) down to [as_of].  [None] —
+   a chain index that does not reach the chain top, or any lookup failure
+   — sends the page to the walk, which then produces the right answer or
+   the right exception. *)
+let chain_request ~log ~as_of page =
   let pid = Page.id page in
   let top = Page.lsn page in
-  if Lsn.(top <= as_of) then empty_plan log true
+  if Lsn.(top <= as_of) then Some ([||], None)
   else
     match
       let fpi_lsn =
@@ -121,33 +115,39 @@ let gather ~prefetch ~log ~page ~as_of =
         else Log_manager.chain_segment log pid ~from:start ~down_to:as_of
       in
       let n = Array.length segment in
-      if Lsn.(start > as_of) && (n = 0 || not (Lsn.equal segment.(n - 1) start)) then
-        empty_plan log false
-      else
-        match fpi_lsn with
-        | None ->
-            if prefetch then Log_manager.prefetch log (Array.to_list segment);
-            let rp_records = Log_manager.gather log segment in
-            { rp_segment = segment; rp_records; rp_fpi = None; rp_ok = true }
-        | Some f when prefetch ->
-            let all = Array.append segment [| f |] in
-            Log_manager.prefetch log (Array.to_list all);
-            let got = Log_manager.gather log all in
-            { rp_segment = segment; rp_records = got; rp_fpi = Some (got, n); rp_ok = true }
-        | Some f ->
-            let fpi = Log_manager.gather log [| f |] in
-            let rp_records = Log_manager.gather log segment in
-            { rp_segment = segment; rp_records; rp_fpi = Some (fpi, 0); rp_ok = true }
+      if Lsn.(start > as_of) && (n = 0 || not (Lsn.equal segment.(n - 1) start)) then None
+      else Some (segment, fpi_lsn)
     with
-    | plan -> plan
-    | exception _ -> empty_plan log false
+    | req -> req
+    | exception _ -> None
 
-let plan_raw = gather ~prefetch:true
+(* One log-ordered gather for the whole batch: each page asks for its
+   chain segment with its image record (which lies above the segment)
+   appended, so every request is ascending. *)
+let plan_batch ~log ~as_of pages =
+  let reqs = Array.map (chain_request ~log ~as_of) pages in
+  let got =
+    Log_manager.gather_batch log
+      (Array.map
+         (function
+           | Some (segment, Some f) -> Array.append segment [| f |]
+           | Some (segment, None) -> segment
+           | None -> [||])
+         reqs)
+  in
+  ( Array.mapi
+      (fun i req ->
+        match req with
+        | Some (segment, fpi) ->
+            { rp_segment = segment; rp_fpi = Option.is_some fpi; rp_records = got.b_pages.(i) }
+        | None -> { rp_segment = [||]; rp_fpi = false; rp_records = None })
+      reqs,
+    got.b_windows_us )
 
 (* At most one image per rewind, so a missed one is simply decoded. *)
-let restore_fpi pid (g, k) page =
+let restore_fpi pid (g : Log_manager.gathered) k page =
   let r =
-    let d = g.Log_manager.g_decoded.(k) in
+    let d = g.g_decoded.(k) in
     if d != Log_manager.not_cached then d
     else Log_record.decode (Bytes.sub_string g.g_blob.(k) g.g_pos.(k) g.g_len.(k))
   in
@@ -179,43 +179,43 @@ let pre_apply = Domain.DLS.new_key (fun () -> Bytes.create Page.page_size)
 
 let apply_raw ~page ~as_of plan =
   let n = Array.length plan.rp_segment in
-  if not plan.rp_ok then None
-  else if n = 0 && Option.is_none plan.rp_fpi then
-    Some { ops_undone = 0; log_records_read = 0; used_fpi = false }
-  else begin
-    let pid = Page.id page in
-    let saved = Domain.DLS.get pre_apply in
-    Bytes.blit page 0 saved 0 Page.page_size;
-    match
-      Option.iter (fun f -> restore_fpi pid f page) plan.rp_fpi;
-      (* The authoritative chain top is the LSN embedded in the image, as
-         the walk reads it after its blit; the gather built the segment
-         from the record header, so a mismatch fails here. *)
-      let start = Page.lsn page in
-      if Lsn.(start <= as_of) then (if n > 0 then raise Exit)
-      else if not (Lsn.equal plan.rp_segment.(n - 1) start) then raise Exit;
-      (* Newest record first, as the walk applies them.  The intermediate
-         page LSNs the walk would stamp are all overwritten by the next
-         undo's stamp; only the oldest record's back pointer is
-         observable. *)
-      let oldest_prev = ref start in
-      for i = n - 1 downto 0 do
-        let prev_lo = if i = 0 then Lsn.nil else plan.rp_segment.(i - 1) in
-        let prev_hi = if i = 0 then as_of else prev_lo in
-        oldest_prev := undo_record pid plan.rp_records i ~prev_lo ~prev_hi page
-      done;
-      if n > 0 then Page.set_lsn page !oldest_prev;
-      {
-        ops_undone = n;
-        log_records_read = n + Bool.to_int (Option.is_some plan.rp_fpi);
-        used_fpi = Option.is_some plan.rp_fpi;
-      }
-    with
-    | r -> Some r
-    | exception _ ->
-        Bytes.blit saved 0 page 0 Page.page_size;
-        None
-  end
+  match plan.rp_records with
+  | None -> None
+  | Some _ when n = 0 && not plan.rp_fpi ->
+      Some { ops_undone = 0; log_records_read = 0; used_fpi = false }
+  | Some records ->
+      let pid = Page.id page in
+      let saved = Domain.DLS.get pre_apply in
+      Bytes.blit page 0 saved 0 Page.page_size;
+      match
+        if plan.rp_fpi then restore_fpi pid records n page;
+        (* The authoritative chain top is the LSN embedded in the image, as
+           the walk reads it after its blit; the gather built the segment
+           from the record header, so a mismatch fails here. *)
+        let start = Page.lsn page in
+        if Lsn.(start <= as_of) then (if n > 0 then raise Exit)
+        else if not (Lsn.equal plan.rp_segment.(n - 1) start) then raise Exit;
+        (* Newest record first, as the walk applies them.  The intermediate
+           page LSNs the walk would stamp are all overwritten by the next
+           undo's stamp; only the oldest record's back pointer is
+           observable. *)
+        let oldest_prev = ref start in
+        for i = n - 1 downto 0 do
+          let prev_lo = if i = 0 then Lsn.nil else plan.rp_segment.(i - 1) in
+          let prev_hi = if i = 0 then as_of else prev_lo in
+          oldest_prev := undo_record pid records i ~prev_lo ~prev_hi page
+        done;
+        if n > 0 then Page.set_lsn page !oldest_prev;
+        {
+          ops_undone = n;
+          log_records_read = n + Bool.to_int plan.rp_fpi;
+          used_fpi = plan.rp_fpi;
+        }
+      with
+      | r -> Some r
+      | exception _ ->
+          Bytes.blit saved 0 page 0 Page.page_size;
+          None
 
 (* The chain index yields the page's whole backward chain in one lookup,
    so the records are fetched in ascending LSN order (block locality)
@@ -225,6 +225,9 @@ let apply_raw ~page ~as_of plan =
    pointer walk, which reproduces the walk's exact result and exception
    behaviour. *)
 let prepare_page_as_of ~log ~page ~as_of =
-  match apply_raw ~page ~as_of (gather ~prefetch:false ~log ~page ~as_of) with
+  let plans, _ = plan_batch ~log ~as_of [| page |] in
+  match apply_raw ~page ~as_of plans.(0) with
   | Some r -> note (Page.id page) r
-  | None -> prepare_page_as_of_walk ~log ~page ~as_of
+  | None ->
+      Obs.incr Probes.walk_fallbacks;
+      prepare_page_as_of_walk ~log ~page ~as_of

@@ -28,14 +28,15 @@ val prepare_page_as_of :
     untouched.  Raises {!Rw_wal.Log_manager.Log_truncated} when the chain
     leaves the retention window, {!Chain_broken} on corruption.
 
-    The serial composition of the staged functions below: the chain
-    records are located through the log manager's per-page chain index,
-    fetched in ascending LSN order ({!Rw_wal.Log_manager.gather}), and
-    undone in place — from a live cached decode or straight from the
+    The staged functions below run on a batch of one: the chain records
+    are located through the log manager's per-page chain index, fetched in
+    ascending LSN order ({!Rw_wal.Log_manager.gather_batch}), and undone in
+    place — from a live cached decode or straight from the
     record's bytes in its segment blob.  Every record is validated (CRC,
     page, backward link) before it is undone; any mismatch or failing
     undo restores the page and falls back to {!prepare_page_as_of_walk}
-    — the two entry points are byte-identical in effect. *)
+    — the two entry points are byte-identical in effect.  Each such
+    fallback bumps [undo.walk_fallbacks]. *)
 
 val prepare_page_as_of_walk :
   log:Rw_wal.Log_manager.t -> page:Rw_storage.Page.t -> as_of:Rw_storage.Lsn.t -> result
@@ -46,7 +47,7 @@ val prepare_page_as_of_walk :
 (** {2 Staged rewind (gather / apply / publish)}
 
     The parallel batch pipeline runs {!prepare_page_as_of}'s two halves
-    apart: a coordinator-side {!plan_raw} (every priced log read, every
+    apart: a coordinator-side {!plan_batch} (every priced log read, every
     shared cache), a pure domain-safe {!apply_raw}, and a
     coordinator-side publish that calls {!note}.  A plan that fails to
     gather or apply makes {!apply_raw} return [None] with the page as it
@@ -57,13 +58,19 @@ type raw_plan
 (** Everything one page's apply needs — live decodes and spans of
     immutable segment blobs — safe to hand to a worker domain. *)
 
-val plan_raw :
-  log:Rw_wal.Log_manager.t -> page:Rw_storage.Page.t -> as_of:Rw_storage.Lsn.t -> raw_plan
-(** Gather the page's undo chain: the FPI jump-start record (if one
-    applies), then the chain-index segment down to [as_of], prefetched
-    as block runs and fetched through the block cache with
-    {!Rw_wal.Log_manager.gather}.  Gather failures are folded into the
-    plan, not raised. *)
+val plan_batch :
+  log:Rw_wal.Log_manager.t ->
+  as_of:Rw_storage.Lsn.t ->
+  Rw_storage.Page.t array ->
+  raw_plan array * float array
+(** Gather the undo chains of a batch of pages in one log-ordered pass:
+    per page, the FPI jump-start record (if one applies) and the
+    chain-index segment down to [as_of]; then one
+    {!Rw_wal.Log_manager.gather_batch} over all of them, which charges
+    each log block the batch needs once.  Returns one plan per page, in
+    order, and the modeled time of each charging window (for the fan-out
+    overlap credit).  Failures are folded into the failing page's plan,
+    not raised; the other plans are unaffected. *)
 
 val apply_raw : page:Rw_storage.Page.t -> as_of:Rw_storage.Lsn.t -> raw_plan -> result option
 (** Validate and apply the plan against [page], in place.  Pure CPU over

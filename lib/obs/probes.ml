@@ -72,6 +72,11 @@ let chain_length =
   histogram ~unit_:"records" ~help:"Log records read per page rewind (chain walk length)"
     "undo.chain_length"
 
+let walk_fallbacks =
+  counter ~unit_:"pages"
+    ~help:"Page rewinds whose gathered plan was not ok or was rejected, redone by the pointer walk"
+    "undo.walk_fallbacks"
+
 (* Recovery *)
 
 let recovery_runs = counter ~unit_:"runs" ~help:"Restart recoveries performed" "recovery.runs"

@@ -39,6 +39,7 @@ val writebacks : Metrics.counter
 val page_rewinds : Metrics.counter
 val ops_undone : Metrics.counter
 val chain_length : Metrics.histogram
+val walk_fallbacks : Metrics.counter
 
 (** {1 Restart recovery} *)
 

@@ -690,19 +690,13 @@ let read t lsn =
   charge_blocks t seg lsn (rec_len seg i);
   decode_cached t seg i
 
-(* Batched random read of an ascending LSN list.  Block accounting is the
-   same as issuing [read] per record — each distinct block is a hit or one
-   priced random read — but charged once per block instead of once per
-   record, and the decodes go through the segment slot handles.  This is
-   the fetch primitive under [read_segment] and the rewind [gather]. *)
-let read_segment_gen : 'a. t -> Lsn.t array -> (segment -> int -> 'a) -> 'a array =
- fun t lsns extract ->
-  if Array.length lsns = 0 then [||]
-  else begin
-    (* Records are stored in ascending LSN order and the request is
-       ascending, so after the first binary search each record is located
-       by advancing a (segment, record) finger — the searches are only
-       repeated across a long gap of other pages' records. *)
+(* Visit an ascending LSN array's records in order, as [f k seg i] for
+   the [k]th LSN.  Records are stored in ascending LSN order, so after the
+   first binary search each record is located by advancing a (segment,
+   record) finger — the searches are only repeated across a long gap of
+   other pages' records.  Same exceptions as {!read}. *)
+let iter_ascending t lsns f =
+  if Array.length lsns > 0 then begin
     let si = ref 0 and ri = ref 0 in
     let set_pos lsn =
       let s, i = locate t lsn in
@@ -710,12 +704,8 @@ let read_segment_gen : 'a. t -> Lsn.t array -> (segment -> int -> 'a) -> 'a arra
       ri := i
     in
     set_pos lsns.(0);
-    let last_block = ref (-1) in
-    (* Byte position already covered by the charged blocks; records that
-       end at or before it need no block arithmetic at all. *)
-    let charged_upto = ref 0 in
-    Array.map
-      (fun lsn ->
+    Array.iteri
+      (fun k lsn ->
         let li = Lsn.to_int lsn in
         let rec advance fuel =
           if !si >= t.seg_hi then set_pos lsn
@@ -737,27 +727,40 @@ let read_segment_gen : 'a. t -> Lsn.t array -> (segment -> int -> 'a) -> 'a arra
           end
         in
         advance 32;
-        let s = t.segs.(!si) in
         let i = !ri in
-        let len = rec_len s i in
-        if li + len - 1 > !charged_upto then begin
-          let first_b, last_b = blocks_of t lsn len in
-          for b = max first_b (!last_block + 1) to last_b do
-            if Lru.use t.cache b then
-              t.io.Io_stats.log_block_hits <- t.io.Io_stats.log_block_hits + 1
-            else charge_block_miss t s
-          done;
-          if last_b > !last_block then begin
-            last_block := last_b;
-            charged_upto := ((last_b + 1) * t.block_bytes) - 1
-          end
-        end;
         ri := i + 1;
-        extract s i)
+        f k t.segs.(!si) i)
       lsns
   end
 
-let read_segment t lsns = read_segment_gen t lsns (fun s i -> decode_cached_quiet t s i)
+let not_cached = Log_record.make Log_record.End
+
+(* Batched random read of an ascending LSN array.  Block accounting is the
+   same as issuing [read] per record — each distinct block is a hit or one
+   priced random read — but charged once per block instead of once per
+   record, and the decodes go through the segment slot handles. *)
+let read_segment t lsns =
+  let out = Array.make (Array.length lsns) not_cached in
+  let last_block = ref (-1) in
+  (* Byte position already covered by the charged blocks; records that
+     end at or before it need no block arithmetic at all. *)
+  let charged_upto = ref 0 in
+  iter_ascending t lsns (fun k s i ->
+      let lsn = s.s_lsns.(i) in
+      let len = rec_len s i in
+      if lsn + len - 1 > !charged_upto then begin
+        let first_b, last_b = blocks_of t (Lsn.of_int lsn) len in
+        for b = max first_b (!last_block + 1) to last_b do
+          if Lru.use t.cache b then t.io.Io_stats.log_block_hits <- t.io.Io_stats.log_block_hits + 1
+          else charge_block_miss t s
+        done;
+        if last_b > !last_block then begin
+          last_block := last_b;
+          charged_upto := ((last_b + 1) * t.block_bytes) - 1
+        end
+      end;
+      out.(k) <- decode_cached_quiet t s i);
+  out
 
 type gathered = {
   g_decoded : Log_record.t array;
@@ -766,45 +769,138 @@ type gathered = {
   g_len : int array;
 }
 
-let not_cached = Log_record.make Log_record.End
+type batch = { b_pages : gathered option array; b_windows_us : float array }
 
-(* Rewind variant: identical block accounting, but a miss hands back the
-   record's bytes where they sit in the segment blob — no copy, no decode,
-   no cache insert.  A rewind reads each record once, so inserting its
-   decode would only churn the cache; live decodes are still used.  The
-   result is parallel arrays rather than one box per record: a long
-   chain's array lives in the major heap, and storing a fresh box per
-   record into it would promote every box. *)
-let gather t lsns =
+(* Step 1 of [gather_batch] for one page: locate each record and hand it
+   back as its live decode (a record-cache hit) or, on a miss, as its
+   bytes where they sit in the segment blob — no copy, no decode, no cache
+   insert.  A rewind reads each record once, so inserting its decode would
+   only churn the cache.  The result is parallel arrays rather than one
+   box per record: a long chain's array lives in the major heap, and
+   storing a fresh box per record into it would promote every box.  The
+   blocks each record spans are reported through [need first last cold]
+   (consecutive records inside an already-reported block skip it); no
+   block is charged here. *)
+let gather_page t lsns need =
   let n = Array.length lsns in
+  let g_decoded = Array.make n not_cached in
   (* The span arrays are only needed once some record misses. *)
   let spans = ref None in
-  let j = ref 0 in
-  let g_decoded =
-    read_segment_gen t lsns (fun seg i ->
-        let k = !j in
-        incr j;
-        match seg.s_cached.(i) with
-        | Some node when Lru.Weighted.alive node ->
-            t.io.Io_stats.log_record_hits <- t.io.Io_stats.log_record_hits + 1;
-            Lru.Weighted.node_value node
-        | _ ->
-            t.io.Io_stats.log_record_misses <- t.io.Io_stats.log_record_misses + 1;
-            let blob, pos, len =
-              match !spans with
-              | Some s -> s
-              | None ->
-                  let s = (Array.make n Bytes.empty, Array.make n 0, Array.make n 0) in
-                  spans := Some s;
-                  s
-            in
-            blob.(k) <- seg.s_blob;
-            pos.(k) <- rec_pos seg i;
-            len.(k) <- rec_len seg i;
-            not_cached)
-  in
+  let covered = ref 0 in
+  iter_ascending t lsns (fun k s i ->
+      let li = s.s_lsns.(i) in
+      let len = rec_len s i in
+      if li + len - 1 > !covered then begin
+        let first_b, last_b = blocks_of t (Lsn.of_int li) len in
+        need first_b last_b (not s.s_resident);
+        covered := (last_b + 1) * t.block_bytes
+      end;
+      match s.s_cached.(i) with
+      | Some node when Lru.Weighted.alive node ->
+          t.io.Io_stats.log_record_hits <- t.io.Io_stats.log_record_hits + 1;
+          g_decoded.(k) <- Lru.Weighted.node_value node
+      | _ ->
+          t.io.Io_stats.log_record_misses <- t.io.Io_stats.log_record_misses + 1;
+          let blob, pos, len' =
+            match !spans with
+            | Some sp -> sp
+            | None ->
+                let sp = (Array.make n Bytes.empty, Array.make n 0, Array.make n 0) in
+                spans := Some sp;
+                sp
+          in
+          blob.(k) <- s.s_blob;
+          pos.(k) <- rec_pos s i;
+          len'.(k) <- len);
   let g_blob, g_pos, g_len = Option.value !spans ~default:([||], [||], [||]) in
   { g_decoded; g_blob; g_pos; g_len }
+
+(* The rewind fetch for a whole batch of pages, in log order: locate every
+   page's records (step 1), mark every block the batch needs in a bitmap
+   over the batch's block span (step 2), then charge each marked block
+   once, ascending (step 3).  A marked block still cached is a hit; a
+   maximal run of consecutive missing blocks is one seek plus sequential
+   transfer, capped at the cache capacity so a window never evicts its
+   own head before it is read.  Different pages' records share blocks: a
+   block two interleaved chains both touch is charged once for the batch,
+   not once per page.  A page that fails to locate a record gets [None];
+   the blocks it had already reported are still charged. *)
+let gather_batch t reqs =
+  (* Step 1's block reports, as (first, last, cold) triples. *)
+  let ranges = ref (Array.make 48 0) and nr = ref 0 in
+  let lo = ref max_int and hi = ref min_int in
+  let need first last cold =
+    if !nr + 3 > Array.length !ranges then begin
+      let bigger = Array.make (2 * Array.length !ranges) 0 in
+      Array.blit !ranges 0 bigger 0 !nr;
+      ranges := bigger
+    end;
+    let r = !ranges in
+    r.(!nr) <- first;
+    r.(!nr + 1) <- last;
+    r.(!nr + 2) <- Bool.to_int cold;
+    nr := !nr + 3;
+    lo := min !lo first;
+    hi := max !hi last
+  in
+  let b_pages =
+    Array.map
+      (fun lsns ->
+        match gather_page t lsns need with
+        | g -> Some g
+        | exception (Log_truncated _ | No_such_record _) -> None)
+      reqs
+  in
+  let windows = ref [] in
+  if !nr > 0 then begin
+    let r = !ranges and lo = !lo in
+    (* 0: not needed; 1: needed; 2: needed, and serves a spilled segment
+       (a boundary block shared with a resident one counts as cold). *)
+    let marks = Bytes.make (!hi - lo + 1) '\000' in
+    for j = 0 to (!nr / 3) - 1 do
+      let m = Char.chr (1 + r.((3 * j) + 2)) in
+      for b = r.(3 * j) - lo to r.((3 * j) + 1) - lo do
+        if Bytes.unsafe_get marks b < m then Bytes.unsafe_set marks b m
+      done
+    done;
+    let miss b ~seq =
+      t.io.Io_stats.log_block_misses <- t.io.Io_stats.log_block_misses + 1;
+      if seq then Media.seq_read t.media t.clock t.io t.block_bytes
+      else Media.random_read t.media t.clock t.io t.block_bytes;
+      if Bytes.get marks b = '\002' then begin
+        t.loaded_count <- t.loaded_count + 1;
+        Obs.incr Probes.log_segments_loaded
+      end
+    in
+    let cap = Lru.capacity t.cache in
+    let span = Bytes.length marks in
+    let b = ref 0 in
+    while !b < span do
+      if Bytes.get marks !b = '\000' then incr b
+      else if Lru.use t.cache (lo + !b) then begin
+        t.io.Io_stats.log_block_hits <- t.io.Io_stats.log_block_hits + 1;
+        incr b
+      end
+      else begin
+        let t0 = Sim_clock.now_us t.clock in
+        miss !b ~seq:false;
+        incr b;
+        let run = ref 1 in
+        while
+          !run < cap && !b < span
+          && Bytes.get marks !b <> '\000'
+          && not (Lru.mem t.cache (lo + !b))
+        do
+          ignore (Lru.use t.cache (lo + !b));
+          miss !b ~seq:true;
+          incr b;
+          incr run
+        done;
+        windows := (Sim_clock.now_us t.clock -. t0) :: !windows
+      end
+    done
+  end;
+  { b_pages; b_windows_us = Array.of_list (List.rev !windows) }
 
 let peek_record t lsn =
   let si, i = locate t lsn in
@@ -1010,71 +1106,6 @@ let pages_changed_since t ~since =
         s.s_chains
   done;
   Hashtbl.fold (fun p () l -> Page_id.of_int p :: l) acc []
-
-let prefetch t lsns =
-  (* Resolve every requested record to its block set; unknown or truncated
-     LSNs are skipped — prefetch is advisory, the subsequent [read] is what
-     reports errors.  Each block carries whether it serves a spilled
-     (cold) segment, for the reload probe. *)
-  let blocks = ref [] in
-  List.iter
-    (fun lsn ->
-      if Lsn.(lsn >= t.truncated_below) then
-        match locate_opt t lsn with
-        | Some (si, i) ->
-            let s = t.segs.(si) in
-            let cold = not s.s_resident in
-            let first, last = blocks_of t lsn (rec_len s i) in
-            for b = first to last do
-              blocks := (b, cold) :: !blocks
-            done
-        | None -> ())
-    lsns;
-  let blocks = List.sort_uniq compare !blocks in
-  (* Merge duplicate block entries (a boundary block shared by a resident
-     and a spilled segment): cold wins. *)
-  let blocks =
-    List.rev
-      (List.fold_left
-         (fun acc (b, c) ->
-           match acc with
-           | (b', c') :: rest when b' = b -> (b', c' || c) :: rest
-           | _ -> (b, c) :: acc)
-         [] blocks)
-  in
-  let count_load cold =
-    if cold then begin
-      t.loaded_count <- t.loaded_count + 1;
-      Obs.incr Probes.log_segments_loaded
-    end
-  in
-  (* Consecutive missing blocks are fetched as one run: a single seek plus
-     sequential transfer, instead of one random I/O per block.  This is the
-     whole point of batching chain reads in LSN order. *)
-  let rec go = function
-    | [] -> ()
-    | (b, cold) :: rest ->
-        if Lru.use t.cache b then begin
-          t.io.Io_stats.log_block_hits <- t.io.Io_stats.log_block_hits + 1;
-          go rest
-        end
-        else begin
-          t.io.Io_stats.log_block_misses <- t.io.Io_stats.log_block_misses + 1;
-          Media.random_read t.media t.clock t.io t.block_bytes;
-          count_load cold;
-          let rec run prev = function
-            | (b', cold') :: rest' when b' = prev + 1 && not (Lru.mem t.cache b') ->
-                ignore (Lru.use t.cache b');
-                t.io.Io_stats.log_block_misses <- t.io.Io_stats.log_block_misses + 1;
-                Media.seq_read t.media t.clock t.io t.block_bytes;
-                count_load cold';
-                run b' rest'
-            | rest' -> rest'
-          in
-          go (run b rest)
-        end
-  in
-  go blocks
 
 (* ---------- truncation (retention) ---------- *)
 

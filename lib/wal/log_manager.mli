@@ -98,10 +98,10 @@ val read_segment : t -> Rw_storage.Lsn.t array -> Log_record.t array
     per record, and decodes are served through the record cache.  Same
     exceptions as {!read}. *)
 
-(** The records of a {!gather}, as parallel arrays indexed like the
-    request.  [g_decoded.(k)] is record [k]'s live decode from the record
-    cache (a hit), or {!not_cached} (a miss).  A missed record's bytes
-    are [g_blob.(k).[g_pos.(k) .. g_pos.(k)+g_len.(k)-1]], inside its
+(** One page's records from a {!gather_batch}, as parallel arrays indexed
+    like the request.  [g_decoded.(k)] is record [k]'s live decode from the
+    record cache (a hit), or {!not_cached} (a miss).  A missed record's
+    bytes are [g_blob.(k).[g_pos.(k) .. g_pos.(k)+g_len.(k)-1]], inside its
     segment's blob; they never change until a crash lets the log reuse
     their LSNs, and may be read from any domain. *)
 type gathered = private {
@@ -112,14 +112,26 @@ type gathered = private {
 }
 
 val not_cached : Log_record.t
-(** The placeholder {!gather} puts in [g_decoded] on a miss; compare
+(** The placeholder {!gather_batch} puts in [g_decoded] on a miss; compare
     with [==]. *)
 
-val gather : t -> Rw_storage.Lsn.t array -> gathered
-(** {!read_segment} for the rewind kernel: identical block accounting and
-    hit/miss counts, but a miss is returned only as its span of the
-    segment blob — never copied, decoded or inserted into the record
-    cache.  Same exceptions as {!read}. *)
+type batch = {
+  b_pages : gathered option array;
+      (** per request; [None] when one of its records could not be located
+          (truncated or unknown LSN) — the other pages are unaffected *)
+  b_windows_us : float array;
+      (** modeled time of each charged window (one seek plus sequential
+          reads), in ascending block order *)
+}
+
+val gather_batch : t -> Rw_storage.Lsn.t array array -> batch
+(** The rewind fetch for a batch of pages, one ascending LSN array per
+    page.  Records are located first; a miss in the record cache is
+    returned only as its span of the segment blob — never copied, decoded
+    or inserted into the record cache.  Then every block the batch needs is
+    charged exactly once, in ascending order: a cached block is a hit, and
+    each run of consecutive missing blocks, capped at the block-cache
+    capacity, is one random read followed by sequential reads. *)
 
 val peek_record : t -> Rw_storage.Lsn.t -> Log_record.peek
 (** Header-only view of a record; no payload allocation, no I/O charge.
@@ -198,13 +210,6 @@ val chain_segment :
 val pages_changed_since : t -> since:Rw_storage.Lsn.t -> Rw_storage.Page_id.t list
 (** Pages whose newest retained chain record is strictly after [since]
     (unordered) — the batch work-list for snapshot materialization. *)
-
-val prefetch : t -> Rw_storage.Lsn.t list -> unit
-(** Load the log blocks holding the given records into the block cache.
-    Blocks are visited in sorted order and each contiguous run of missing
-    blocks is priced as one random I/O plus sequential reads — this is how
-    batched chain reads turn random undo I/O into sequential I/O.  Unknown
-    or truncated LSNs are ignored. *)
 
 val truncate_before : t -> Rw_storage.Lsn.t -> unit
 (** Drop all records with LSN strictly below the argument (retention). *)

@@ -148,8 +148,11 @@ let test_fpi_reduces_reads () =
     (r2.Page_undo.log_records_read < r1.Page_undo.log_records_read)
 
 (* The batched rewind must be indistinguishable from the pointer walk: on
-   the same history it must produce byte-identical pages, the same result
-   counters, and — reading a cold log — the same priced I/O.  The two
+   the same history it must produce byte-identical pages and the same
+   result counters, and — reading a cold log — transfer the same log
+   blocks.  It reads them in ascending order, so a run of adjacent
+   blocks costs one seek where the walk, reading backwards, seeks per
+   block: it never seeks more often than the walk.  The two
    Prng-seeded histories are identical, so each implementation gets its own
    environment and their effects are compared directly. *)
 let test_batched_matches_walk () =
@@ -185,11 +188,13 @@ let test_batched_matches_walk () =
             check "same fpi decision" true (r1.Page_undo.used_fpi = r2.Page_undo.used_fpi);
             let d1 = Io_stats.diff (Log_manager.stats cold1) s1 in
             let d2 = Io_stats.diff (Log_manager.stats cold2) s2 in
-            check_int "same cold random reads" d2.Io_stats.random_reads d1.Io_stats.random_reads;
-            check_int "same cold random bytes" d2.Io_stats.random_read_bytes
-              d1.Io_stats.random_read_bytes;
-            check_int "same sequential bytes" d2.Io_stats.seq_read_bytes
-              d1.Io_stats.seq_read_bytes
+            check_int "same cold blocks read" d2.Io_stats.log_block_misses
+              d1.Io_stats.log_block_misses;
+            check_int "same cold bytes read"
+              (d2.Io_stats.random_read_bytes + d2.Io_stats.seq_read_bytes)
+              (d1.Io_stats.random_read_bytes + d1.Io_stats.seq_read_bytes);
+            check "no more seeks than the walk" true
+              (d1.Io_stats.random_reads <= d2.Io_stats.random_reads)
           end)
         history)
     [ (120, None); (120, Some 15); (40, Some 4) ]
@@ -236,14 +241,147 @@ let test_failed_apply_restores_page () =
   List.iter
     (fun (label, log) ->
       let page = Bytes.copy original in
-      let plan = Page_undo.plan_raw ~log ~page ~as_of:l1 in
-      check (label ^ ": apply rejected") true (Page_undo.apply_raw ~page ~as_of:l1 plan = None);
+      let plans, _ = Page_undo.plan_batch ~log ~as_of:l1 [| page |] in
+      check (label ^ ": apply rejected") true
+        (Page_undo.apply_raw ~page ~as_of:l1 plans.(0) = None);
       check (label ^ ": page restored") true (Bytes.equal page original);
       let walk = outcome (fun page -> Page_undo.prepare_page_as_of_walk ~log ~page ~as_of:l1) in
       check (label ^ ": the walk raises") true (Result.is_error walk);
       check (label ^ ": serial path = walk on the original") true
         (outcome (fun page -> Page_undo.prepare_page_as_of ~log ~page ~as_of:l1) = walk))
     [ ("cached decodes", log); ("cold spans", cold) ]
+
+(* A broken chain in a batch of healthy ones: the gather is shared, but
+   only the broken page's apply is rejected and only it takes the walk;
+   its neighbours rewind exactly as the walk would. *)
+let test_broken_page_in_batch () =
+  let clock = Sim_clock.create () in
+  let log = Log_manager.create ~clock ~media:Media.ram () in
+  let append pid prev op =
+    Log_manager.append log
+      (Log_record.make (Log_record.Page_op { page = pid; prev_page_lsn = prev; op }))
+  in
+  let format pid = append pid Lsn.nil (Log_record.Format { typ = Page.Heap; level = 0 }) in
+  let broken = Page_id.of_int 4 and healthy = [ Page_id.of_int 5; Page_id.of_int 6 ] in
+  let b1 = format broken in
+  let h = List.map (fun pid -> (pid, ref (format pid))) healthy in
+  let as_of = Log_manager.end_lsn log in
+  let insert (pid, top) slot row =
+    top := append pid !top (Log_record.Insert_row { slot; row })
+  in
+  (* The broken chain (its older record inserts at a slot the page never
+     has) interleaves with the healthy chains in the log. *)
+  List.iter (fun p -> insert p 0 "a") h;
+  let b2 = append broken b1 (Log_record.Insert_row { slot = 5; row = "ghost" }) in
+  List.iter (fun p -> insert p 1 "b") h;
+  let b3 = append broken b2 (Log_record.Insert_row { slot = 0; row = "only" }) in
+  let image pid top rows =
+    let page = Page.create ~id:pid ~typ:Page.Heap in
+    List.iteri (fun i row -> Rw_storage.Slotted_page.insert page ~at:i row) rows;
+    Page.set_lsn page top;
+    page
+  in
+  let originals =
+    [|
+      image (fst (List.nth h 0)) !(snd (List.nth h 0)) [ "a"; "b" ];
+      image broken b3 [ "only" ];
+      image (fst (List.nth h 1)) !(snd (List.nth h 1)) [ "a"; "b" ];
+    |]
+  in
+  let pages = Array.map Bytes.copy originals in
+  let plans, _ = Page_undo.plan_batch ~log ~as_of pages in
+  let results = Array.mapi (fun i page -> Page_undo.apply_raw ~page ~as_of plans.(i)) pages in
+  check "healthy neighbours applied" true
+    (Option.is_some results.(0) && Option.is_some results.(2));
+  check "broken page rejected" true (Option.is_none results.(1));
+  check "broken page restored" true (Bytes.equal pages.(1) originals.(1));
+  List.iter
+    (fun i ->
+      let walked = Bytes.copy originals.(i) in
+      ignore (Page_undo.prepare_page_as_of_walk ~log ~page:walked ~as_of);
+      check "neighbour equals the walk" true (Bytes.equal pages.(i) walked))
+    [ 0; 2 ];
+  (* Publish as the batch pipeline does: only the rejected page reruns
+     through the serial path, and only it falls back to the walk. *)
+  let before = Rw_obs.Metrics.counter_value Rw_obs.Probes.walk_fallbacks in
+  Array.iteri
+    (fun i page ->
+      if Option.is_none results.(i) then
+        match Page_undo.prepare_page_as_of ~log ~page ~as_of with
+        | _ -> ()
+        | exception _ -> ())
+    pages;
+  check_int "one walk fallback" 1
+    (Rw_obs.Metrics.counter_value Rw_obs.Probes.walk_fallbacks - before)
+
+(* The serial rewind is a batch of one: reading a page through the
+   snapshot's read path and materialising it with [materialize_batch [p]]
+   — each on its own copy of one deterministic history, over a cold log —
+   leave the same page bytes and the same priced I/O, with and without
+   full page images. *)
+let test_batch_of_one_matches_serial () =
+  let module Io_stats = Rw_storage.Io_stats in
+  let build fpi_frequency =
+    let clock = Sim_clock.create () in
+    let db =
+      Database.create ~name:"one" ~clock ~media:Media.ram ~log_media:Media.ssd
+        ~log_cache_blocks:2 ~log_block_bytes:256 ~fpi_frequency ~checkpoint_interval_us:1e15 ()
+    in
+    let row r i =
+      [ Row.Int (Int64.of_int i); Row.Text (Printf.sprintf "%d-%03d-%s" r i (String.make 40 'x')) ]
+    in
+    Database.with_txn db (fun txn ->
+        ignore (Database.create_table db txn ~table:"t" ~columns:cols ());
+        for i = 1 to 300 do
+          Database.insert db txn ~table:"t" (row 0 i)
+        done);
+    ignore (Database.checkpoint db);
+    let t_mid = Sim_clock.now_us clock in
+    for r = 1 to 3 do
+      Database.with_txn db (fun txn ->
+          for j = 0 to 299 do
+            Database.update db txn ~table:"t" (row r ((j * 37 mod 300) + 1))
+          done)
+    done;
+    let view = Database.create_as_of_snapshot ~shared:false db ~name:"past" ~wall_us:t_mid in
+    (db, Option.get (Database.snapshot_handle view))
+  in
+  List.iter
+    (fun fpi_frequency ->
+      let db_s, snap_s = build fpi_frequency in
+      let db_b, snap_b = build fpi_frequency in
+      let disk = Database.disk db_s in
+      let raw snap pid =
+        Buffer_pool.with_page (As_of_snapshot.pool snap) pid ~mode:Rw_buffer.Latch.Shared
+          Bytes.to_string
+      in
+      let stats db = (Log_manager.stats (Database.log db), Disk.stats (Database.disk db)) in
+      let measure db f =
+        let log0, disk0 = stats db in
+        let log0 = Io_stats.copy log0 and disk0 = Io_stats.copy disk0 in
+        let v = f () in
+        let log1, disk1 = stats db in
+        (v, Io_stats.diff log1 log0, Io_stats.diff disk1 disk0)
+      in
+      for i = 0 to Disk.page_count disk - 1 do
+        let pid = Page_id.of_int i in
+        if Disk.has_page disk pid then begin
+          let serial, log_s, disk_s = measure db_s (fun () -> raw snap_s pid) in
+          let (), log_b, disk_b =
+            measure db_b (fun () -> ignore (As_of_snapshot.materialize_batch snap_b [ pid ]))
+          in
+          let label = Printf.sprintf "fpi %d page %d" fpi_frequency i in
+          check (label ^ ": same bytes") true (String.equal serial (raw snap_b pid));
+          check (label ^ ": same log I/O") true (log_s = log_b);
+          check (label ^ ": same data I/O") true (disk_s = disk_b)
+        end
+      done;
+      let rewinds = As_of_snapshot.rewinds snap_s in
+      check "log records were read" true
+        (List.exists (fun r -> r.As_of_snapshot.rc_log_reads > 0) rewinds);
+      check "fpi use as configured" (fpi_frequency > 0)
+        (List.exists (fun r -> r.As_of_snapshot.rc_fpi) rewinds))
+    [ 0; 3 ]
 
 (* --- split lsn --- *)
 
@@ -685,6 +823,8 @@ let () =
           Alcotest.test_case "FPIs reduce log reads" `Quick test_fpi_reduces_reads;
           Alcotest.test_case "chain corruption detected" `Quick test_chain_broken_detection;
           Alcotest.test_case "batched rewind matches walk" `Quick test_batched_matches_walk;
+          Alcotest.test_case "broken page in a healthy batch" `Quick test_broken_page_in_batch;
+          Alcotest.test_case "batch of one matches serial" `Quick test_batch_of_one_matches_serial;
           Alcotest.test_case "failed apply restores the page" `Quick
             test_failed_apply_restores_page;
         ] );

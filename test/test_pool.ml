@@ -102,6 +102,7 @@ let tracked =
   [
     ("undo.page_rewinds", Probes.page_rewinds);
     ("undo.ops_undone", Probes.ops_undone);
+    ("undo.walk_fallbacks", Probes.walk_fallbacks);
     ("snapshot.pages_materialized", Probes.snapshot_pages_materialized);
     ("snapshot.parallel_pages", Probes.snapshot_parallel_pages);
     ("snapshot.shared_hits", Probes.snapshot_shared_hits);
@@ -238,10 +239,18 @@ let test_fanout_determinism () =
       check "the batch actually rewound pages" true (base.o_rewound > 0);
       check "pages went through the parallel pipeline" true
         (List.assoc "snapshot.parallel_pages" base.o_probes > 0);
+      (* A gather bug that sent pages to the walk would stay correct but
+         slow; on a healthy history no page may fall back. *)
+      let no_fallbacks label o =
+        check_int (label ^ ": no walk fallbacks") 0 (List.assoc "undo.walk_fallbacks" o.o_probes)
+      in
+      no_fallbacks (Printf.sprintf "seed %d fanout-1" seed) base;
       List.iter
         (fun (name, fanout) ->
           let other = run_once ~seed ~fanout ~truncate:false () in
-          check_outcomes_equal ~label:(Printf.sprintf "seed %d %s" seed name) base other)
+          let label = Printf.sprintf "seed %d %s" seed name in
+          no_fallbacks label other;
+          check_outcomes_equal ~label base other)
         (List.tl fanouts))
     [ 42; 1337 ]
 

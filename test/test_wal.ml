@@ -740,30 +740,103 @@ let test_scan_uses_cached_decodes () =
   check_int "reverse scan hits too" n d1.Io_stats.log_record_hits;
   check_int "reverse scan misses nothing" 0 d1.Io_stats.log_record_misses
 
-(* --- prefetch --- *)
+(* --- batch gather --- *)
 
-let test_prefetch_sequentialises () =
-  let _, log = mk_log ~media:Media.ssd ~cache_blocks:4 () in
+let test_gather_sequentialises () =
+  let block_bytes = 65536 in
+  let _, log = mk_log ~media:Media.ssd ~cache_blocks:4 ~block_bytes () in
   let image = String.make Page.page_size 'i' in
   let lsns =
-    List.init 64 (fun _ -> Log_manager.append log (page_op (Log_record.Full_image { image })))
+    Array.init 64 (fun _ -> Log_manager.append log (page_op (Log_record.Full_image { image })))
   in
   Log_manager.flush_all log;
-  (* The tiny cache only retains the newest blocks; prefetching the whole
-     ascending range must price the run as one seek plus sequential reads,
-     not one random read per block. *)
+  (* The tiny cache only retains the newest blocks.  The records inside
+     the oldest four (evicted) blocks fit one window: gathering them must
+     price the run as one seek plus sequential reads, not one random read
+     per block. *)
+  let old =
+    Array.of_list
+      (List.filter
+         (fun l -> Lsn.to_int (Log_manager.next_lsn_after log l) - 1 <= 4 * block_bytes)
+         (Array.to_list lsns))
+  in
   let s0 = Io_stats.copy (Log_manager.stats log) in
-  Log_manager.prefetch log lsns;
+  let got = Log_manager.gather_batch log [| old |] in
   let d = Io_stats.diff (Log_manager.stats log) s0 in
+  check "gathered" true (Option.is_some got.Log_manager.b_pages.(0));
   check_int "one seek for the contiguous run" 1 d.Io_stats.random_reads;
   check "rest of the run is sequential" true (d.Io_stats.seq_read_bytes > 0);
-  (* The run's tail is now cached: reading the newest record costs nothing. *)
+  (* The run's tail is now cached: reading the newest gathered record
+     costs nothing. *)
   let s1 = Io_stats.copy (Log_manager.stats log) in
-  ignore (Log_manager.read log (List.nth lsns 63));
+  ignore (Log_manager.read log old.(Array.length old - 1));
   let d2 = Io_stats.diff (Log_manager.stats log) s1 in
-  check_int "prefetched read is free" 0 d2.Io_stats.random_reads;
-  (* Unknown LSNs are ignored, not errors. *)
-  Log_manager.prefetch log [ Lsn.of_int 99999999 ]
+  check_int "gathered tail is cached" 0 d2.Io_stats.random_reads;
+  (* An unknown LSN makes only its own page's plan not-ok. *)
+  let got = Log_manager.gather_batch log [| [| lsns.(0) |]; [| Lsn.of_int 99999999 |] |] in
+  check "neighbour gathered" true (Option.is_some got.Log_manager.b_pages.(0));
+  check "unknown lsn: page not gathered" true (Option.is_none got.Log_manager.b_pages.(1))
+
+(* Two pages whose chains interleave in the log, each longer than the
+   4-block cache, with a stretch of a third page's records between their
+   halves: the batch must charge every block it needs exactly once — a
+   block both chains touch is not charged per page, and a chain's head is
+   not evicted and re-read by its own tail — and price each run of
+   consecutive blocks, capped at the cache capacity, as one seek. *)
+let test_gather_charges_each_block_once () =
+  let block_bytes = 4096 and cache_blocks = 4 in
+  let _, log = mk_log ~media:Media.ssd ~cache_blocks ~block_bytes () in
+  let row = String.make 300 'r' in
+  let chains = [| ref []; ref [] |] in
+  let append pid =
+    Log_manager.append log (page_op ~pid (Log_record.Insert_row { slot = 0; row }))
+  in
+  let interleave n =
+    for _ = 1 to n do
+      Array.iteri (fun k c -> c := append (k + 1) :: !c) chains
+    done
+  in
+  let filler n =
+    for _ = 1 to n do
+      ignore (append 9)
+    done
+  in
+  interleave 40;
+  filler 60;
+  interleave 40;
+  (* Push every chain block out of the cache. *)
+  filler 200;
+  Log_manager.flush_all log;
+  let reqs = Array.map (fun c -> Array.of_list (List.rev !c)) chains in
+  let blocks = Hashtbl.create 64 in
+  Array.iter
+    (Array.iter (fun l ->
+         let last = Lsn.to_int (Log_manager.next_lsn_after log l) - 1 in
+         for b = (Lsn.to_int l - 1) / block_bytes to (last - 1) / block_bytes do
+           Hashtbl.replace blocks b ()
+         done))
+    reqs;
+  let sorted = List.sort compare (Hashtbl.fold (fun b () acc -> b :: acc) blocks []) in
+  let distinct = List.length sorted in
+  let runs, _, _ =
+    List.fold_left
+      (fun (runs, prev, len) b ->
+        if b = prev + 1 && len < cache_blocks then (runs, b, len + 1) else (runs + 1, b, 1))
+      (0, -2, 0) sorted
+  in
+  check "chains longer than the cache" true (distinct > 2 * cache_blocks);
+  check "the gap leaves blocks unneeded" true
+    (List.nth sorted (distinct - 1) - List.hd sorted + 1 > distinct);
+  let s0 = Io_stats.copy (Log_manager.stats log) in
+  let got = Log_manager.gather_batch log reqs in
+  let d = Io_stats.diff (Log_manager.stats log) s0 in
+  Array.iter (fun g -> check "page gathered" true (Option.is_some g)) got.Log_manager.b_pages;
+  check_int "each distinct block charged once" distinct
+    (d.Io_stats.log_block_hits + d.Io_stats.log_block_misses);
+  check_int "every block was cold" distinct d.Io_stats.log_block_misses;
+  check_int "one seek per run" runs d.Io_stats.random_reads;
+  check_int "one window per run" runs (Array.length got.Log_manager.b_windows_us);
+  check_int "the rest sequential" ((distinct - runs) * block_bytes) d.Io_stats.seq_read_bytes
 
 (* --- txn write-set summaries: rebuild vs the retention boundary --- *)
 
@@ -854,7 +927,9 @@ let () =
             test_indexes_agree_after_truncate_and_crash;
           Alcotest.test_case "record cache counters" `Quick test_record_cache_counters;
           Alcotest.test_case "scans use cached decodes" `Quick test_scan_uses_cached_decodes;
-          Alcotest.test_case "prefetch sequentialises" `Quick test_prefetch_sequentialises;
+          Alcotest.test_case "gather sequentialises" `Quick test_gather_sequentialises;
+          Alcotest.test_case "gather charges each block once" `Quick
+            test_gather_charges_each_block_once;
           Alcotest.test_case "txn index rebuild honours the retention boundary" `Quick
             test_txn_index_rebuild_boundary;
         ] );

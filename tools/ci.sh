@@ -46,9 +46,11 @@ dune exec examples/point_in_time_audit.exe | tail -n 1 |
 echo "examples ok"
 
 echo "== rwbench smoke (as-of answers agree with the oracle) =="
-# A short seeded run of the two as-of workloads.  rwbench exits non-zero
-# when any operation fails or an as-of answer disagrees with its oracle.
-for w in asof_audit htap; do
+# A short seeded run of the two as-of workloads and of repair_restart,
+# whose REWIND TRANSACTION rewinds pages through the same batch gather.
+# rwbench exits non-zero when any operation fails or an answer disagrees
+# with its oracle.
+for w in asof_audit htap repair_restart; do
   dune exec rwbench/main.exe -- --workload "$w" --seed 7 --seconds 2 --trace 0 >/dev/null
   echo "rwbench $w ok"
 done
