@@ -226,12 +226,14 @@ let create ~name ~wall_us ~log ~primary_pool ~primary_disk ~txns ~clock ~media
        ~flush_pages:true ());
   let sparse = Sparse_file.create ~clock ~media () in
   (* 3. Analysis, bounded at the split: find in-flight transactions.  The
-     redo pass performs no page I/O and is subsumed by this scan. *)
+     redo pass performs no page I/O and is subsumed by this scan, which the
+     control-record directory answers without reading the log when nothing
+     is in flight. *)
   let analysis_start =
     if Lsn.is_nil split.Split_lsn.base_checkpoint then Log_manager.first_lsn log
     else split.Split_lsn.base_checkpoint
   in
-  let analysis = Recovery.analyze ~log ~start:analysis_start ~upto:split_lsn in
+  let losers = Recovery.losers_at ~log ~start:analysis_start ~upto:split_lsn in
   (* Pages mutated by the loser-undo pass below: their side-file copies
      diverge from the pure rewind images, so the pool's zero-cost cache
      peek must never serve them from the shared cache. *)
@@ -262,13 +264,13 @@ let create ~name ~wall_us ~log ~primary_pool ~primary_disk ~txns ~clock ~media
   (* 4. Logical undo of in-flight transactions, applied to the snapshot's
      sparse file only: the primary log sees no CLRs from a read-only
      snapshot. *)
-  let in_flight = Hashtbl.length analysis.Recovery.losers in
+  let in_flight = Hashtbl.length losers.Recovery.in_flight in
   (* Batch-materialize the pages the losers touched (known from analysis)
      before the undo walk starts: their chains are fetched in one sorted
      pass instead of record-at-a-time as undo stumbles onto each page. *)
   ignore
     (materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split:split_lsn
-       (Recovery.loser_pages analysis));
+       losers.Recovery.in_flight_pages);
   let apply pid f =
     Hashtbl.replace undone (Page_id.to_int pid) ();
     let page = read_as_of ~tally ~shared ~sparse ~primary_disk ~log ~split:split_lsn pid in
@@ -276,7 +278,7 @@ let create ~name ~wall_us ~log ~primary_pool ~primary_disk ~txns ~clock ~media
     Sparse_file.write sparse pid page
   in
   let undo_ops =
-    Recovery.undo_losers ~log ~losers:analysis.Recovery.losers ~write_clr:false ~apply
+    Recovery.undo_losers ~log ~losers:losers.Recovery.in_flight ~write_clr:false ~apply
   in
   let t_done = Sim_clock.now_us clock in
   Obs.incr Probes.snapshot_creates;
@@ -287,6 +289,7 @@ let create ~name ~wall_us ~log ~primary_pool ~primary_disk ~txns ~clock ~media
         [
           ("split_lsn", Trace.Int (Lsn.to_int split_lsn));
           ("in_flight_txns", Trace.Int in_flight);
+          ("loser_scan", Trace.Int (Bool.to_int losers.Recovery.loser_scan));
           ("undo_ops", Trace.Int undo_ops);
         ]
       "snapshot.create";

@@ -27,11 +27,6 @@ let floor_lsn t =
       | Some l -> ( match acc with None -> Some l | Some a -> Some (Lsn.min a l)))
     None t.floors
 
-let checkpoint_wall log lsn =
-  match (Log_manager.read_nocost log lsn).Log_record.body with
-  | Log_record.Checkpoint { wall_us; _ } -> wall_us
-  | _ -> invalid_arg "Retention: not a checkpoint record"
-
 let cutoff t ~log ~now_us =
   match t.retention_us with
   | None -> None
@@ -42,11 +37,11 @@ let cutoff t ~log ~now_us =
          checkpoint of history below it so transactions spanning the
          boundary can still be rolled back. *)
       let rec go = function
-        | newer :: older :: _ when checkpoint_wall log newer <= horizon -> Some older
+        | (_, newer_wall) :: (older, _) :: _ when newer_wall <= horizon -> Some older
         | _ :: rest -> go rest
         | [] -> None
       in
-      let cut = go (Log_manager.checkpoints_before log (Log_manager.end_lsn log)) in
+      let cut = go (Log_manager.checkpoint_walls log) in
       match (cut, floor_lsn t) with
       | Some c, Some f -> Some (Lsn.min c f)
       | other, None -> other

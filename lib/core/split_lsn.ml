@@ -31,23 +31,37 @@ let find ~log ~wall_us =
         else None
   in
   let scan_from = match start with Some lsn -> lsn | None -> Log_manager.first_lsn log in
+  (* The commit and checkpoint records that decide the split are all in the
+     control-record directory, so the search walks it and reads no record.
+     The clock still prices the paper's sequential scan: every byte from
+     [scan_from] through the record that stops the search (or to the end
+     of the log). *)
   let commits = ref 0 in
-  let split = ref scan_from in
-  (try
-     Log_manager.iter_range log ~from:scan_from ~upto:(Log_manager.end_lsn log) (fun lsn r ->
-         match r.Log_record.body with
-         | Log_record.Commit { wall_us = w } ->
-             if w <= wall_us then begin
-               incr commits;
-               (* The snapshot must contain this commit: split just after. *)
-               split := Log_manager.next_lsn_after log lsn
-             end
-             else raise Exit
-         | Log_record.Checkpoint { wall_us = w; _ } -> if w > wall_us then raise Exit
-         | _ -> ())
-   with Exit -> ());
+  let last_commit = ref None in
+  let stop = ref None in
+  Log_manager.iter_controls log ~from:scan_from (fun lsn kind _txn w ->
+      match kind with
+      | Log_record.K_commit when w <= wall_us ->
+          incr commits;
+          last_commit := Some lsn;
+          true
+      | Log_record.K_commit | Log_record.K_checkpoint when w > wall_us ->
+          stop := Some lsn;
+          false
+      | _ -> true);
+  let scanned_upto =
+    match !stop with
+    | Some lsn -> Log_manager.next_lsn_after log lsn
+    | None -> Log_manager.end_lsn log
+  in
+  Log_manager.charge_scan log ~from:scan_from ~upto:scanned_upto;
   {
-    split_lsn = !split;
+    (* The snapshot must contain the last qualifying commit: split just
+       after it. *)
+    split_lsn =
+      (match !last_commit with
+      | Some lsn -> Log_manager.next_lsn_after log lsn
+      | None -> scan_from);
     base_checkpoint = (match start with Some lsn -> lsn | None -> Lsn.nil);
     commits_seen = !commits;
   }

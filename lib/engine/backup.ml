@@ -122,7 +122,7 @@ let restore_as_of t ~from ~wall_us =
     if Lsn.is_nil split.Split_lsn.base_checkpoint then t.taken_at_lsn
     else split.Split_lsn.base_checkpoint
   in
-  let analysis = Recovery.analyze ~log ~start:analysis_start ~upto:split_lsn in
+  let losers = Recovery.losers_at ~log ~start:analysis_start ~upto:split_lsn in
   let apply pid f =
     let frame = Buffer_pool.fetch pool pid in
     Fun.protect
@@ -136,7 +136,7 @@ let restore_as_of t ~from ~wall_us =
                 Buffer_pool.mark_dirty pool frame ~lsn
             | None -> Buffer_pool.mark_dirty pool frame ~lsn:split_lsn))
   in
-  ignore (Recovery.undo_losers ~log ~losers:analysis.Recovery.losers ~write_clr:false ~apply);
+  ignore (Recovery.undo_losers ~log ~losers:losers.Recovery.in_flight ~write_clr:false ~apply);
   Buffer_pool.flush_all pool;
   Database.view_over_pool
     ~name:(Printf.sprintf "%s_restored" t.source)

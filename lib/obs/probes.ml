@@ -117,6 +117,11 @@ let snapshot_side_hits =
   counter ~unit_:"reads" ~help:"Snapshot reads served from the sparse side file"
     "snapshot.side_file_hits"
 
+let snapshot_loser_scans =
+  counter ~unit_:"scans"
+    ~help:"Loser-analysis scans run at as-of creation or restore because the control-record directory showed a transaction in flight (or could not decide)"
+    "snapshot.loser_scans"
+
 let snapshots_live =
   gauge ~unit_:"snapshots" ~help:"As-of snapshots currently open" "snapshot.live"
 

@@ -61,6 +61,7 @@ val snapshot_creates : Metrics.counter
 val snapshot_pages_materialized : Metrics.counter
 val snapshot_side_hits : Metrics.counter
 val snapshots_live : Metrics.gauge
+val snapshot_loser_scans : Metrics.counter
 val snapshot_shared_hits : Metrics.counter
 val snapshot_parallel_pages : Metrics.counter
 val snapshot_shared_misses : Metrics.counter

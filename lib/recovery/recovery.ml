@@ -41,14 +41,25 @@ type analysis = {
   records_scanned : int;
 }
 
+(* The priced read of the start checkpoint, if [start] is one: the seed
+   record and where the scan proper begins. *)
+let analysis_head ~log ~start ~upto =
+  if Lsn.(start >= upto) || not (Log_manager.mem log start) then (None, start)
+  else
+    match (Log_manager.peek_record log start).Log_record.p_kind with
+    | Log_record.K_checkpoint ->
+        let r = Log_manager.read log start in
+        (Some r, Log_manager.next_lsn_after log start)
+    | _ -> (None, start)
+
 (* Analysis only needs record headers (txn, kind, page); the one exception
    is checkpoint records, whose embedded tables require a decode.  The
    master checkpoint — always the first record of the range — is decoded
-   once up front (through the record LRU, so repeated analyses for snapshot
-   creation and restart reuse the decode); any later checkpoints inside the
+   once up front by [analysis_head] (through the record LRU, so repeated
+   analyses reuse the decode) and arrives as [seed]; any later checkpoints inside the
    range use the on-demand thunk.  Everything else is peeked, so the scan
    never allocates row payloads. *)
-let analyze ~log ~start ~upto =
+let analysis_scan ~log ~seed ~scan_from ~upto =
   let losers = Hashtbl.create 16 in
   let dirty_pages = Hashtbl.create 64 in
   let txn_pages = Hashtbl.create 16 in
@@ -81,17 +92,11 @@ let analyze ~log ~start ~upto =
         List.iter (fun (page, rec_lsn) -> see_page page rec_lsn) dpt
     | _ -> assert false
   in
-  let scan_from =
-    if Lsn.(start >= upto) || not (Log_manager.mem log start) then start
-    else
-      let pk = Log_manager.peek_record log start in
-      match pk.Log_record.p_kind with
-      | Log_record.K_checkpoint ->
-          incr scanned;
-          seed_checkpoint (Log_manager.read log start);
-          Log_manager.next_lsn_after log start
-      | _ -> start
-  in
+  Option.iter
+    (fun r ->
+      incr scanned;
+      seed_checkpoint r)
+    seed;
   Log_manager.iter_range_peek log ~from:scan_from ~upto (fun lsn pk decode ->
       incr scanned;
       let txn = pk.Log_record.p_txn in
@@ -112,6 +117,10 @@ let analyze ~log ~start ~upto =
   in
   { losers; dirty_pages; txn_pages; redo_start; max_txn_id = !max_txn; records_scanned = !scanned }
 
+let analyze ~log ~start ~upto =
+  let seed, scan_from = analysis_head ~log ~start ~upto in
+  analysis_scan ~log ~seed ~scan_from ~upto
+
 let loser_pages analysis =
   let seen = Hashtbl.create 64 in
   Hashtbl.iter
@@ -121,6 +130,59 @@ let loser_pages analysis =
       | None -> ())
     analysis.losers;
   Hashtbl.fold (fun p () acc -> Page_id.of_int p :: acc) seen []
+
+type losers = {
+  in_flight : (Txn_id.t, Lsn.t) Hashtbl.t;
+  in_flight_pages : Page_id.t list;
+  loser_scan : bool;
+}
+
+(* Which transactions were in flight at [upto], asked of the control-record
+   directory.  Every transaction logs Begin before its first page record,
+   and a checkpoint lists every transaction then active, so from a start
+   checkpoint (its active set) or from the log's origin (nothing) the
+   Begin/Commit/Abort/End entries alone track the in-flight set: Begin
+   adds, Commit or End removes, Abort keeps.  When that set is empty at
+   [upto] the analysis scan would find no loser, and only its price is
+   charged.  A loser's last LSN and pages live in page records, so when
+   anything is in flight — or the directory cannot answer exactly: a
+   start that is neither, a checkpoint inside the range, an [upto] off a
+   record boundary — the analysis scan runs after all, from the same
+   priced seed read. *)
+let losers_at ~log ~start ~upto =
+  let seed, scan_from = analysis_head ~log ~start ~upto in
+  let decidable =
+    (Option.is_some seed || (Lsn.to_int start = 1 && Lsn.to_int (Log_manager.first_lsn log) = 1))
+    && (Lsn.(upto >= Log_manager.end_lsn log) || Log_manager.mem log upto)
+  in
+  let none_in_flight () =
+    let live = Hashtbl.create 16 in
+    (match seed with
+    | Some { Log_record.body = Log_record.Checkpoint { active_txns; _ }; _ } ->
+        List.iter (fun (txn, _) -> Hashtbl.replace live txn ()) active_txns
+    | _ -> ());
+    let exact = ref true in
+    Log_manager.iter_controls log ~from:scan_from (fun lsn kind txn _ ->
+        Lsn.(lsn < upto)
+        && begin
+             (match kind with
+             | Log_record.K_begin -> Hashtbl.replace live txn ()
+             | Log_record.K_commit | Log_record.K_end -> Hashtbl.remove live txn
+             | Log_record.K_checkpoint -> exact := false
+             | _ -> ());
+             !exact
+           end);
+    !exact && Hashtbl.length live = 0
+  in
+  if Lsn.(start >= upto) || (decidable && none_in_flight ()) then begin
+    Log_manager.charge_scan log ~from:scan_from ~upto;
+    { in_flight = Hashtbl.create 1; in_flight_pages = []; loser_scan = false }
+  end
+  else begin
+    Obs.incr Probes.snapshot_loser_scans;
+    let a = analysis_scan ~log ~seed ~scan_from ~upto in
+    { in_flight = a.losers; in_flight_pages = loser_pages a; loser_scan = true }
+  end
 
 (* The one log-scan redo loop, shared by restart ([recover],
    [recover_redo_only]), replica catch-up and backup roll-forward

@@ -52,6 +52,30 @@ val loser_pages : analysis -> Rw_storage.Page_id.t list
     the advisory work-list for batched loser undo (pages a loser touched
     before [start] are simply absent; undo reads them individually). *)
 
+type losers = {
+  in_flight : (Rw_wal.Txn_id.t, Rw_storage.Lsn.t) Hashtbl.t;
+      (** transactions in flight at [upto], with last LSN — {!analyze}'s
+          [losers] *)
+  in_flight_pages : Rw_storage.Page_id.t list;  (** {!loser_pages} of that analysis *)
+  loser_scan : bool;  (** whether the analysis scan ran *)
+}
+
+val losers_at :
+  log:Rw_wal.Log_manager.t -> start:Rw_storage.Lsn.t -> upto:Rw_storage.Lsn.t -> losers
+(** The two analysis results as-of snapshot creation and point-in-time
+    restore use, equal to {!analyze}'s for the same range, decided where
+    possible from the log's control-record directory
+    ({!Rw_wal.Log_manager.iter_controls}) instead of a scan.  The start
+    checkpoint is read (and priced) as {!analyze} reads it; its active set
+    and the Begin/Commit/Abort/End entries up to [upto] then track the
+    in-flight transactions.  If none is left, the result is empty and the
+    clock is charged the sequential scan {!analyze} would have made.
+    Otherwise — a loser's last LSN and pages live in page records — or
+    when the directory cannot answer exactly (a [start] that is neither a
+    checkpoint nor the log's origin, a checkpoint inside the range, an
+    [upto] that is not a record boundary), the analysis scan runs:
+    [loser_scan] is set and the [snapshot.loser_scans] probe bumped. *)
+
 type stats = {
   analysis : analysis;
   mutable redone_ops : int;

@@ -10,6 +10,20 @@ exception No_such_record of Lsn.t
 (* Growable sorted array: one page's chain record LSNs, ascending. *)
 type chain = { mutable arr : Lsn.t array; mutable len : int }
 
+(* A segment's control-record directory: every Begin, Commit, Abort, End
+   and Checkpoint record, ascending, as unboxed parallel arrays of LSN,
+   txn id, kind code ([ctl_kinds]) and wall time (commits and checkpoints
+   only, 0 otherwise).  These few records decide a SplitLSN and which
+   transactions were in flight at it, so as-of snapshot creation reads
+   them here and leaves the rest of the log unread. *)
+type ctl_dir = {
+  mutable c_n : int;
+  mutable c_lsn : int array;
+  mutable c_txn : int array;
+  mutable c_kind : Bytes.t;
+  mutable c_wall : Float.Array.t;
+}
+
 module Fault_plan = Rw_storage.Fault_plan
 module Obs = Rw_obs.Metrics
 module Probes = Rw_obs.Probes
@@ -27,7 +41,7 @@ module Trace = Rw_obs.Trace
    that replaces the old global lsn->index Hashtbl (LSNs are byte
    offsets, so locating a record is a binary search over segments plus a
    binary search within one), and the FPI directory / page-chain index /
-   checkpoint list slices covering the segment's LSN range.  Retention
+   control-record directory slices covering the segment's LSN range.  Retention
    can therefore drop a whole sealed segment in O(1), freeing its indexes
    wholesale, instead of filtering global tables record by record. *)
 type segment = {
@@ -48,7 +62,7 @@ type segment = {
   mutable s_resident : bool; (* payload still counted as modeled RAM *)
   s_fpi : (int, Lsn.t list ref) Hashtbl.t; (* page -> descending FPI lsns *)
   s_chains : (int, chain) Hashtbl.t; (* page -> ascending page-record lsns *)
-  mutable s_ckpts : Lsn.t list; (* descending checkpoint lsns *)
+  s_ctl : ctl_dir;
   mutable s_index_bytes : int;
       (* modeled footprint of this segment's index structures; freed
          wholesale when the segment is dropped *)
@@ -67,7 +81,14 @@ let mk_segment ~segment_bytes base =
     s_resident = true;
     s_fpi = Hashtbl.create 8;
     s_chains = Hashtbl.create 16;
-    s_ckpts = [];
+    s_ctl =
+      {
+        c_n = 0;
+        c_lsn = [||];
+        c_txn = [||];
+        c_kind = Bytes.empty;
+        c_wall = Float.Array.create 0;
+      };
     s_index_bytes = 0;
   }
 
@@ -221,14 +242,17 @@ let rec_pos s i = s.s_lsns.(i) - s.s_base
 let rec_data s i = Bytes.sub_string s.s_blob (rec_pos s i) (rec_len s i)
 let rec_peek s i = Log_record.peek_bytes s.s_blob ~pos:(rec_pos s i) ~len:(rec_len s i)
 
-(* First record index in [s] with start LSN >= target. *)
-let rec_lower s target =
-  let lo = ref 0 and hi = ref s.s_n in
+(* First index below [n] whose value in the ascending array [a] is >= target. *)
+let lower_bound (a : int array) n (target : int) =
+  let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if s.s_lsns.(mid) < target then lo := mid + 1 else hi := mid
+    if a.(mid) < target then lo := mid + 1 else hi := mid
   done;
   !lo
+
+(* First record index in [s] with start LSN >= target. *)
+let rec_lower s target = lower_bound s.s_lsns s.s_n target
 
 let rec_find s li =
   let i = rec_lower s li in
@@ -261,23 +285,23 @@ let locate t lsn =
 (* First record (across segments) with start LSN >= target, clamped at
    the retention boundary — the replacement for the old dense
    lower_bound over one flat array. *)
+(* Index of the first live segment with s_end > [ti] ([seg_hi] if none). *)
+let seg_lower t ti =
+  let lo = ref t.seg_lo and hi = ref t.seg_hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if t.segs.(mid).s_end <= ti then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
 let global_lower t target =
   let ti = Lsn.to_int (Lsn.max target t.truncated_below) in
-  if t.seg_hi = t.seg_lo then None
+  let si = seg_lower t ti in
+  if si >= t.seg_hi then None
   else begin
-    let lo = ref t.seg_lo and hi = ref t.seg_hi in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if t.segs.(mid).s_end <= ti then lo := mid + 1 else hi := mid
-    done;
-    if !lo >= t.seg_hi then None
-    else begin
-      let s = t.segs.(!lo) in
-      let i = rec_lower s ti in
-      if i < s.s_n then Some (!lo, i)
-      else if !lo + 1 < t.seg_hi then Some (!lo + 1, 0)
-      else None
-    end
+    let s = t.segs.(si) in
+    let i = rec_lower s ti in
+    if i < s.s_n then Some (si, i) else if si + 1 < t.seg_hi then Some (si + 1, 0) else None
   end
 
 (* Position of the record preceding (si, i), skipping empty segments. *)
@@ -448,27 +472,73 @@ let chain_upper c v =
   in
   go 0 c.len
 
+let ctl_kinds =
+  Log_record.[| K_begin; K_commit; K_abort; K_end; K_checkpoint |]
+
+let ctl_code = function
+  | Log_record.K_begin -> 0
+  | Log_record.K_commit -> 1
+  | Log_record.K_abort -> 2
+  | Log_record.K_end -> 3
+  | Log_record.K_checkpoint -> 4
+  | Log_record.K_page_op _ | Log_record.K_clr _ -> invalid_arg "Log_manager.ctl_code: page record"
+
+let ctl_push d lsn txn code wall =
+  if d.c_n = Array.length d.c_lsn then begin
+    let cap = max 16 (2 * d.c_n) in
+    let grow a = Array.append a (Array.make (cap - d.c_n) 0) in
+    d.c_lsn <- grow d.c_lsn;
+    d.c_txn <- grow d.c_txn;
+    d.c_kind <- Bytes.extend d.c_kind 0 (cap - d.c_n);
+    let w = Float.Array.make cap 0.0 in
+    Float.Array.blit d.c_wall 0 w 0 d.c_n;
+    d.c_wall <- w
+  end;
+  d.c_lsn.(d.c_n) <- lsn;
+  d.c_txn.(d.c_n) <- txn;
+  Bytes.set_uint8 d.c_kind d.c_n code;
+  Float.Array.set d.c_wall d.c_n wall;
+  d.c_n <- d.c_n + 1
+
+(* Removals come from the tail-drop paths, newest first, so the target is
+   almost always the last entry. *)
+let ctl_remove d lsn =
+  let i = ref (d.c_n - 1) in
+  while !i >= 0 && d.c_lsn.(!i) <> lsn do
+    decr i
+  done;
+  if !i >= 0 then begin
+    let j = !i and tail = d.c_n - !i - 1 in
+    Array.blit d.c_lsn (j + 1) d.c_lsn j tail;
+    Array.blit d.c_txn (j + 1) d.c_txn j tail;
+    Bytes.blit d.c_kind (j + 1) d.c_kind j tail;
+    Float.Array.blit d.c_wall (j + 1) d.c_wall j tail;
+    d.c_n <- d.c_n - 1
+  end
+
 (* Modeled index footprint per entry: the record's offset + cache-handle
-   slots, a chain array element, an FPI list cons, a checkpoint cons.
-   Coarse, but it moves with the structures it models and is freed
-   exactly when they are. *)
+   slots, a chain array element, an FPI list cons, a control-directory
+   entry (LSN, txn and wall slots plus a kind byte).  Coarse, but it
+   moves with the structures it models and is freed exactly when they
+   are. *)
 let idx_record_bytes = 16
 let idx_chain_bytes = 8
 let idx_fpi_bytes = 24
-let idx_ckpt_bytes = 16
+let idx_ctl_bytes = 25
 
-(* Directory maintenance from a header peek — shared by append, restore
-   and crash so no path needs a payload decode to keep the indexes true. *)
-let index_record t seg pk lsn =
+(* Directory maintenance from a header peek plus the record's wall time
+   (commits and checkpoints) — shared by every ingestion path and by the
+   tail drops, so none needs a payload decode to keep the indexes true. *)
+let index_record t seg pk lsn ~wall =
   let add = ref idx_record_bytes in
   (match pk.Log_record.p_kind with
   | Log_record.K_page_op Log_record.K_full_image ->
       push_descending seg.s_fpi (Page_id.to_int pk.Log_record.p_page) lsn;
       add := !add + idx_fpi_bytes
-  | Log_record.K_checkpoint ->
-      seg.s_ckpts <- lsn :: seg.s_ckpts;
-      add := !add + idx_ckpt_bytes
-  | _ -> ());
+  | Log_record.K_page_op _ | Log_record.K_clr _ -> ()
+  | k ->
+      ctl_push seg.s_ctl (Lsn.to_int lsn) (Txn_id.to_int pk.Log_record.p_txn) (ctl_code k) wall;
+      add := !add + idx_ctl_bytes);
   if Log_record.is_page_kind pk.Log_record.p_kind then begin
     chain_push seg.s_chains (Page_id.to_int pk.Log_record.p_page) lsn;
     add := !add + idx_chain_bytes
@@ -484,10 +554,10 @@ let unindex_record t seg pk lsn =
       | Some l -> l := List.filter (fun f -> not (Lsn.equal f lsn)) !l
       | None -> ());
       sub := !sub + idx_fpi_bytes
-  | Log_record.K_checkpoint ->
-      seg.s_ckpts <- List.filter (fun c -> not (Lsn.equal c lsn)) seg.s_ckpts;
-      sub := !sub + idx_ckpt_bytes
-  | _ -> ());
+  | Log_record.K_page_op _ | Log_record.K_clr _ -> ()
+  | _ ->
+      ctl_remove seg.s_ctl (Lsn.to_int lsn);
+      sub := !sub + idx_ctl_bytes);
   if Log_record.is_page_kind pk.Log_record.p_kind then begin
     chain_remove seg.s_chains (Page_id.to_int pk.Log_record.p_page) lsn;
     sub := !sub + idx_chain_bytes
@@ -495,10 +565,8 @@ let unindex_record t seg pk lsn =
   seg.s_index_bytes <- seg.s_index_bytes - !sub;
   t.index_bytes <- t.index_bytes - !sub
 
-(* Txn write-set index maintenance from a header peek.  [wall] is forced
-   only for commit records — the one field the header lacks; every
-   ingestion path can supply it either from the record in hand (append)
-   or by decoding the tiny commit payload (restore/ingest). *)
+(* Txn write-set index maintenance from a header peek plus the commit
+   record's wall time (the one field the header lacks). *)
 let structural_op_kind = function
   | Log_record.K_set_header | Log_record.K_format | Log_record.K_preformat
   | Log_record.K_full_image ->
@@ -534,7 +602,7 @@ let note_record t lsn pk ~wall =
     match pk.Log_record.p_kind with
     | Log_record.K_commit ->
         acc.a_commit <- lsn;
-        acc.a_wall <- Lazy.force wall
+        acc.a_wall <- wall
     | Log_record.K_abort -> acc.a_aborted <- true
     | Log_record.K_page_op k | Log_record.K_clr k ->
         acc.a_last_op <- lsn;
@@ -551,16 +619,6 @@ let note_record t lsn pk ~wall =
         end
     | Log_record.K_begin | Log_record.K_end | Log_record.K_checkpoint -> ()
   end
-
-let wall_of_record record =
-  lazy
-    (match record.Log_record.body with Log_record.Commit { wall_us } -> wall_us | _ -> 0.0)
-
-let wall_of_data data =
-  lazy
-    (match (Log_record.decode data).Log_record.body with
-    | Log_record.Commit { wall_us } -> wall_us
-    | _ -> 0.0)
 
 (* Tail records were dropped (crash, torn-tail repair, replication
    divergence cut): the incremental summaries may describe records that no
@@ -591,16 +649,30 @@ let raw_append t data lsn =
   t.resident_payload <- t.resident_payload + len;
   seg
 
+(* [raw_append] plus the upkeep of every append-time index — the segment
+   directories and the txn write-set summaries — from a header peek and,
+   for commits and checkpoints, the wall time read in place.  The one
+   ingestion step of [append], [restore_entries] and [ingest_entries]. *)
+let place t data lsn =
+  let seg = raw_append t data lsn in
+  let pk = Log_record.peek data in
+  let wall =
+    match pk.Log_record.p_kind with
+    | Log_record.K_commit | Log_record.K_checkpoint ->
+        Log_record.wall_bytes seg.s_blob ~pos:(Lsn.to_int lsn - seg.s_base)
+    | _ -> 0.0
+  in
+  index_record t seg pk lsn ~wall;
+  if t.txn_index_valid then note_record t lsn pk ~wall;
+  seg
+
 let append t record =
   let data = Log_record.encode record in
   let len = String.length data in
   let lsn = t.end_lsn in
-  let seg = raw_append t data lsn in
+  let seg = place t data lsn in
   t.unflushed_bytes <- t.unflushed_bytes + len;
   touch_cache_on_append t lsn len;
-  let pk = Log_record.peek data in
-  index_record t seg pk lsn;
-  if t.txn_index_valid then note_record t lsn pk ~wall:(wall_of_record record);
   (* The record object is in hand; seed the decoded cache so the first
      chain walk over fresh history never decodes. *)
   seg.s_cached.(seg.s_n - 1) <-
@@ -671,8 +743,8 @@ let decode_cached_quiet t seg i =
 (* Scan variant: reuse a live cached decode but never insert on a miss —
    a range scan over cold history would otherwise flush the hot chain
    entries out of the weighted LRU.  [append] seeds the cache with every
-   record it encodes, so scans over fresh history (analysis passes,
-   SplitLSN searches at snapshot creation) are pure hits. *)
+   record it encodes, so full-decode scans over fresh history are pure
+   hits. *)
 let decode_scan t seg i =
   match seg.s_cached.(i) with
   | Some n when Lru.Weighted.alive n ->
@@ -994,29 +1066,59 @@ let charge_scan t ~from ~upto =
 
 (* ---------- merged directory views ---------- *)
 
-let checkpoints_before t lsn =
-  (* Per-segment lists are descending; prepending newer segments' slices
-     in front of older ones keeps the merged list descending. *)
+(* The directory walk: retained control records from [from] on,
+   ascending, until [f] answers [false].  Entries below the retention
+   boundary (a straddling segment's dead prefix) are skipped. *)
+let iter_controls t ~from f =
+  let lo = Lsn.to_int (Lsn.max from t.truncated_below) in
+  let si = ref (seg_lower t lo) in
+  let go = ref true in
+  while !go && !si < t.seg_hi do
+    let d = t.segs.(!si).s_ctl in
+    let i = ref (lower_bound d.c_lsn d.c_n lo) in
+    while !go && !i < d.c_n do
+      go :=
+        f
+          (Lsn.of_int d.c_lsn.(!i))
+          ctl_kinds.(Bytes.get_uint8 d.c_kind !i)
+          (Txn_id.of_int d.c_txn.(!i))
+          (Float.Array.get d.c_wall !i);
+      incr i
+    done;
+    incr si
+  done
+
+let checkpoint_code = ctl_code Log_record.K_checkpoint
+
+let checkpoint_walls t =
+  (* Walking ascending and consing yields newest first. *)
   let res = ref [] in
+  let tb = Lsn.to_int t.truncated_below in
   for si = t.seg_lo to t.seg_hi - 1 do
-    let l =
-      List.filter
-        (fun c -> Lsn.(c <= lsn) && Lsn.(c >= t.truncated_below))
-        t.segs.(si).s_ckpts
-    in
-    res := l @ !res
+    let d = t.segs.(si).s_ctl in
+    for i = 0 to d.c_n - 1 do
+      if Bytes.get_uint8 d.c_kind i = checkpoint_code && d.c_lsn.(i) >= tb then
+        res := (Lsn.of_int d.c_lsn.(i), Float.Array.get d.c_wall i) :: !res
+    done
   done;
   !res
+
+let checkpoints_before t lsn =
+  List.filter_map (fun (c, _) -> if Lsn.(c <= lsn) then Some c else None) (checkpoint_walls t)
 
 (* Newest retained checkpoint, for the crash/repair fallback of
    [last_checkpoint]. *)
 let newest_checkpoint t =
   let res = ref Lsn.nil in
   let si = ref (t.seg_hi - 1) in
+  let tb = Lsn.to_int t.truncated_below in
   while Lsn.is_nil !res && !si >= t.seg_lo do
-    (match t.segs.(!si).s_ckpts with
-    | c :: _ when Lsn.(c >= t.truncated_below) -> res := c
-    | _ -> ());
+    let d = t.segs.(!si).s_ctl in
+    let i = ref (d.c_n - 1) in
+    while Lsn.is_nil !res && !i >= 0 && d.c_lsn.(!i) >= tb do
+      if Bytes.get_uint8 d.c_kind !i = checkpoint_code then res := Lsn.of_int d.c_lsn.(!i);
+      decr i
+    done;
     decr si
   done;
   !res
@@ -1196,10 +1298,7 @@ let restore_entries t entries =
     (fun (lsn, data) ->
       if not (Lsn.equal lsn t.end_lsn) then
         invalid_arg "Log_manager.restore_entries: non-contiguous entries";
-      let seg = raw_append t data lsn in
-      let pk = Log_record.peek data in
-      index_record t seg pk lsn;
-      if t.txn_index_valid then note_record t lsn pk ~wall:(wall_of_data data);
+      let seg = place t data lsn in
       (* Replay sealing so a restored log has the same segment shape as
          the one that was dumped — but unpriced: persistence is an
          offline operation. *)
@@ -1456,12 +1555,9 @@ let ingest_entries t entries =
       else begin
         if not (Lsn.equal lsn t.end_lsn) then
           invalid_arg "Log_manager.ingest_entries: gap in shipped records";
-        let seg = raw_append t data lsn in
+        let seg = place t data lsn in
         t.unflushed_bytes <- t.unflushed_bytes + String.length data;
         touch_cache_on_append t lsn (String.length data);
-        let pk = Log_record.peek data in
-        index_record t seg pk lsn;
-        if t.txn_index_valid then note_record t lsn pk ~wall:(wall_of_data data);
         incr applied;
         if seg_used seg >= t.segment_bytes then seal_segment t seg
       end)
@@ -1508,10 +1604,12 @@ let rebuild_txn_index t =
          then Hashtbl.replace straddlers (Txn_id.to_int txn) ();
          note_record t lsn pk
            ~wall:
-             (lazy
-               (match (decode ()).Log_record.body with
-               | Log_record.Commit { wall_us } -> wall_us
-               | _ -> 0.0)))
+             (match pk.Log_record.p_kind with
+             | Log_record.K_commit -> (
+                 match (decode ()).Log_record.body with
+                 | Log_record.Commit { wall_us } -> wall_us
+                 | _ -> 0.0)
+             | _ -> 0.0))
    with e ->
      (* A failed scan must not leave a half-populated index serving
         queries: stay void, the next query retries the rebuild. *)

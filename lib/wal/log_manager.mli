@@ -25,7 +25,7 @@
     reads of a spilled segment fault blocks back in through the block
     cache exactly like any other cold read.  All record-level indexes
     (the sorted record-offset array, the FPI directory, the per-page
-    chain index, the checkpoint list) are segment-local with merged
+    chain index, the control-record directory) are segment-local with merged
     views behind the query API, so retention truncation drops whole
     sealed segments in O(1) each and frees their indexes wholesale.
     With retention on, modeled resident memory is bounded by the tail
@@ -186,6 +186,25 @@ val set_last_checkpoint : t -> Rw_storage.Lsn.t -> unit
 val checkpoints_before : t -> Rw_storage.Lsn.t -> Rw_storage.Lsn.t list
 (** LSNs of retained checkpoint records at or before the given LSN,
     descending (newest first). *)
+
+val checkpoint_walls : t -> (Rw_storage.Lsn.t * float) list
+(** Every retained checkpoint record with its wall-clock time, newest
+    first, read from the control-record directory: no record is read
+    and nothing is charged. *)
+
+val iter_controls :
+  t ->
+  from:Rw_storage.Lsn.t ->
+  (Rw_storage.Lsn.t -> Log_record.kind -> Txn_id.t -> float -> bool) ->
+  unit
+(** The control-record directory walk.  [iter_controls t ~from f] calls
+    [f lsn kind txn wall_us] on every retained Begin, Commit, Abort, End
+    and Checkpoint record with [lsn >= from], ascending, until [f]
+    returns [false].  [wall_us] is the record's wall-clock time for a
+    commit or checkpoint and 0 otherwise.  The directory is kept at
+    append time on every ingestion path and dropped with its segment;
+    the walk reads no record and charges nothing — callers that stand in
+    for a scan price it with {!charge_scan}. *)
 
 val earliest_fpi_after :
   t -> Rw_storage.Page_id.t -> after:Rw_storage.Lsn.t -> Rw_storage.Lsn.t option

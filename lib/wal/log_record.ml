@@ -376,6 +376,10 @@ let check_bytes b ~pos ~len =
 
 let is_page_kind = function K_page_op _ | K_clr _ -> true | _ -> false
 
+(* Commit and checkpoint bodies both open with the f64 wall time, right
+   after the tag byte at offset 16. *)
+let wall_bytes b ~pos = Int64.float_of_bits (Bytes.get_int64_le b (pos + 17))
+
 (* --- in-place undo --- *)
 
 (* Every length field is bounds-checked against the payload end [stop]

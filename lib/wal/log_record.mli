@@ -152,6 +152,11 @@ val check_bytes : bytes -> pos:int -> len:int -> bool
 val is_page_kind : kind -> bool
 (** Whether the kind is [K_page_op] or [K_clr]. *)
 
+val wall_bytes : bytes -> pos:int -> float
+(** The wall-clock field of the encoded [Commit] or [Checkpoint] record
+    starting at [b.[pos]], read in place — the one field the header
+    {!peek} lacks.  Undefined for other kinds. *)
+
 (** {2 In-place undo}
 
     The rewind kernel's view of a page record: it validates and undoes the

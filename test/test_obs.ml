@@ -553,6 +553,73 @@ let test_cli_doc_sync () =
     true (undocumented = []);
   check "subcommand list non-empty" true (List.length subcommands >= 5)
 
+(* --- snapshot.create: loser_scan argument, probe, and doc row --- *)
+
+(* The span-table row of docs/OBSERVABILITY.md for [name]: its argument
+   names, in order. *)
+let doc_span_args name =
+  let doc =
+    read_file
+      (find_existing
+         [ "../docs/OBSERVABILITY.md"; "../../../docs/OBSERVABILITY.md"; "docs/OBSERVABILITY.md" ])
+  in
+  let prefix = Printf.sprintf "| `%s` | span |" name in
+  let row = List.find (String.starts_with ~prefix) (String.split_on_char '\n' doc) in
+  match List.rev (String.split_on_char '|' row) with
+  | _ :: args :: _ ->
+      List.filter_map
+        (fun a ->
+          let a = String.trim a in
+          if String.length a > 2 then Some (String.sub a 1 (String.length a - 2)) else None)
+        (String.split_on_char ',' args)
+  | _ -> Alcotest.fail ("malformed doc row for " ^ name)
+
+(* Creation answers from the control-record directory when nothing is in
+   flight at the split (loser_scan 0, probe unmoved) and runs the loser
+   scan when something is (loser_scan 1, probe +1); the span's arguments
+   are the ones the doc row lists. *)
+let test_snapshot_loser_scan () =
+  let clock = Sim_clock.create () in
+  let db = Database.create ~name:"ls" ~clock ~media:Media.ram () in
+  let cols = [ { Rw_catalog.Schema.name = "id"; ctype = Rw_catalog.Schema.Int } ] in
+  let put k = Database.with_txn db (fun txn -> Database.insert db txn ~table:"t" [ Row.Int k ]) in
+  Database.with_txn db (fun txn -> ignore (Database.create_table db txn ~table:"t" ~columns:cols ()));
+  List.iter
+    (fun k ->
+      Sim_clock.advance_us clock 1000.0;
+      put k)
+    [ 1L; 2L; 3L ];
+  let quiet = Sim_clock.now_us clock in
+  Sim_clock.advance_us clock 1000.0;
+  let open_txn = Database.begin_txn db in
+  Database.insert db open_txn ~table:"t" [ Row.Int 100L ];
+  Sim_clock.advance_us clock 1000.0;
+  put 4L;
+  let busy = Sim_clock.now_us clock in
+  Sim_clock.advance_us clock 1000.0;
+  Trace.configure ~capacity:4096 ();
+  Trace.enable ();
+  let create name wall_us =
+    let before = Metrics.counter_value Probes.snapshot_loser_scans in
+    ignore (Database.create_as_of_snapshot db ~name ~wall_us);
+    let span =
+      List.find (fun e -> e.Trace.name = "snapshot.create") (List.rev (Trace.events ()))
+    in
+    (span, Metrics.counter_value Probes.snapshot_loser_scans - before)
+  in
+  let quiet_span, quiet_scans = create "quiet" quiet in
+  let busy_span, busy_scans = create "busy" busy in
+  Trace.disable ();
+  Trace.clear ();
+  check "quiet split: loser_scan 0" true (List.assoc_opt "loser_scan" quiet_span.Trace.args = Some (Trace.Int 0));
+  check_int "quiet split: no loser scan counted" 0 quiet_scans;
+  check "busy split: loser_scan 1" true (List.assoc_opt "loser_scan" busy_span.Trace.args = Some (Trace.Int 1));
+  check_int "busy split: one loser scan counted" 1 busy_scans;
+  check "busy split: one txn in flight" true
+    (List.assoc_opt "in_flight_txns" busy_span.Trace.args = Some (Trace.Int 1));
+  check "snapshot.create arguments match the doc row" true
+    (List.map fst busy_span.Trace.args = doc_span_args "snapshot.create")
+
 let () =
   Alcotest.run "obs"
     [
@@ -571,6 +638,7 @@ let () =
       ( "docs",
         [
           Alcotest.test_case "metric table in sync" `Quick test_doc_sync;
+          Alcotest.test_case "snapshot.create loser_scan" `Quick test_snapshot_loser_scan;
           Alcotest.test_case "cli meta-commands in sync" `Quick test_cli_doc_sync;
         ] );
     ]

@@ -230,6 +230,307 @@ let test_snapshot_after_recovery () =
   check "pre-crash history visible" true (Database.get snap ~table:"t" ~key:5L <> None);
   check "primary still lacks the row" true (Database.get db ~table:"t" ~key:5L = None)
 
+(* --- as-of creation from the control-record directory vs the scans --- *)
+
+module Txn_id = Rw_wal.Txn_id
+module Log_record = Rw_wal.Log_record
+module Page_id = Rw_storage.Page_id
+module Io_stats = Rw_storage.Io_stats
+module Split_lsn = Rw_core.Split_lsn
+
+(* One step of a generated history, interpreted by [build_history]. *)
+type step =
+  | S_begin
+  | S_op of int * int  (** an active txn (by index) writes a page *)
+  | S_commit of int  (** an active txn appends its Commit; its End waits for [S_ack] *)
+  | S_ack  (** End records for every committed txn *)
+  | S_abort of int  (** an active txn appends Abort and starts rolling back *)
+  | S_compensate of int  (** an aborting txn logs one CLR, or its End once done *)
+  | S_checkpoint
+  | S_tick of int  (** advance the clock (0 leaves commit walls tied) *)
+  | S_fpi of int  (** a page image outside any transaction *)
+
+let step_gen =
+  let open QCheck.Gen in
+  let pick = int_bound 7 in
+  frequency
+    [
+      (3, return S_begin);
+      (6, map2 (fun t p -> S_op (t, p)) pick (int_bound 5));
+      (3, map (fun t -> S_commit t) pick);
+      (2, return S_ack);
+      (1, map (fun t -> S_abort t) pick);
+      (4, map (fun t -> S_compensate t) pick);
+      (1, return S_checkpoint);
+      (3, map (fun n -> S_tick n) (int_bound 2));
+      (1, map (fun p -> S_fpi p) (int_bound 5));
+    ]
+
+type history = {
+  steps : step list;
+  cut : int option;  (** truncate_before at this per-mille of the log, if any *)
+  probes : int list;  (** extra target walls, per-mille of the history's span *)
+}
+
+let history_gen =
+  let open QCheck.Gen in
+  map3
+    (fun steps cut probes -> { steps; cut; probes })
+    (list_size (10 -- 150) step_gen)
+    (opt ~ratio:0.3 (int_bound 999))
+    (list_size (0 -- 4) (int_bound 1000))
+
+let show_step = function
+  | S_begin -> "begin"
+  | S_op (t, p) -> Printf.sprintf "op(%d,%d)" t p
+  | S_commit t -> Printf.sprintf "commit(%d)" t
+  | S_ack -> "ack"
+  | S_abort t -> Printf.sprintf "abort(%d)" t
+  | S_compensate t -> Printf.sprintf "compensate(%d)" t
+  | S_checkpoint -> "checkpoint"
+  | S_tick n -> Printf.sprintf "tick(%d)" n
+  | S_fpi p -> Printf.sprintf "fpi(%d)" p
+
+let history_arb =
+  QCheck.make history_gen ~print:(fun h ->
+      Printf.sprintf "steps=[%s] cut=%s probes=[%s]"
+        (String.concat ";" (List.map show_step h.steps))
+        (match h.cut with Some c -> string_of_int c | None -> "-")
+        (String.concat ";" (List.map string_of_int h.probes)))
+
+type live = {
+  id : Txn_id.t;
+  mutable last : Lsn.t;
+  mutable ops : (Page_id.t * Log_record.op * Lsn.t) list;  (** newest first, with prev *)
+  mutable aborting : bool;
+}
+
+(* Interpret the steps straight onto a log with small segments (so
+   straddles and multi-segment walks occur): interleaved transactions,
+   commits whose End lands later (group commit), rollbacks interleaved
+   with other work, checkpoints listing the transactions active at the
+   time, transactions left open at the end. *)
+let build_history h =
+  let clock = Sim_clock.create () in
+  let log =
+    Log_manager.create ~clock ~media:Media.ssd ~cache_blocks:4 ~block_bytes:256
+      ~segment_bytes:512 ()
+  in
+  let live = ref [] and committed = ref [] and next = ref 1 in
+  let app ?(txn = Txn_id.nil) ?(prev = Lsn.nil) body =
+    Log_manager.append log (Log_record.make ~txn ~prev_txn_lsn:prev body)
+  in
+  let nth_live ~aborting k =
+    match List.filter (fun t -> t.aborting = aborting) !live with
+    | [] -> None
+    | l -> Some (List.nth l (k mod List.length l))
+  in
+  let drop t = live := List.filter (fun x -> x != t) !live in
+  List.iter
+    (function
+      | S_begin ->
+          if List.length !live < 6 then begin
+            let id = Txn_id.of_int !next in
+            incr next;
+            live := !live @ [ { id; last = app ~txn:id Log_record.Begin; ops = []; aborting = false } ]
+          end
+      | S_op (k, p) -> (
+          match nth_live ~aborting:false k with
+          | Some t ->
+              let page = Page_id.of_int (10 + p) in
+              let op = Log_record.Set_header { field = Log_record.Special; before = 0L; after = 1L } in
+              let prev = t.last in
+              t.last <- app ~txn:t.id ~prev (Log_record.Page_op { page; prev_page_lsn = Lsn.nil; op });
+              t.ops <- (page, op, prev) :: t.ops
+          | None -> ())
+      | S_commit k -> (
+          match nth_live ~aborting:false k with
+          | Some t ->
+              t.last <-
+                app ~txn:t.id ~prev:t.last (Log_record.Commit { wall_us = Sim_clock.now_us clock });
+              drop t;
+              committed := !committed @ [ t ]
+          | None -> ())
+      | S_ack ->
+          List.iter (fun t -> ignore (app ~txn:t.id ~prev:t.last Log_record.End)) !committed;
+          committed := []
+      | S_abort k -> (
+          match nth_live ~aborting:false k with
+          | Some t ->
+              t.last <- app ~txn:t.id ~prev:t.last Log_record.Abort;
+              t.aborting <- true
+          | None -> ())
+      | S_compensate k -> (
+          match nth_live ~aborting:true k with
+          | Some t -> (
+              match t.ops with
+              | (page, op, undo_next) :: rest ->
+                  let op = Option.get (Log_record.invert op) in
+                  t.last <-
+                    app ~txn:t.id ~prev:t.last
+                      (Log_record.Clr { page; prev_page_lsn = Lsn.nil; op; undo_next });
+                  t.ops <- rest
+              | [] ->
+                  ignore (app ~txn:t.id ~prev:t.last Log_record.End);
+                  drop t)
+          | None -> ())
+      | S_checkpoint ->
+          let lsn =
+            app
+              (Log_record.Checkpoint
+                 {
+                   wall_us = Sim_clock.now_us clock;
+                   active_txns = List.map (fun t -> (t.id, t.last)) !live;
+                   dirty_pages = [];
+                 })
+          in
+          Log_manager.set_last_checkpoint log lsn
+      | S_tick n -> Sim_clock.advance_us clock (float_of_int (n * 1000))
+      | S_fpi p ->
+          ignore
+            (app
+               (Log_record.Page_op
+                  {
+                    page = Page_id.of_int (10 + p);
+                    prev_page_lsn = Lsn.nil;
+                    op = Log_record.Full_image { image = String.make Rw_storage.Page.page_size 'f' };
+                  })))
+    h.steps;
+  Log_manager.flush_all log;
+  (clock, log)
+
+(* Every retained record, decoded once, with its LSN. *)
+let decoded_records log =
+  let acc = ref [] in
+  Log_manager.iter_range log ~from:(Log_manager.first_lsn log) ~upto:(Log_manager.end_lsn log)
+    (fun lsn r -> acc := (lsn, r) :: !acc);
+  List.rev !acc
+
+(* The SplitLSN search as the paper states it: base checkpoint from the
+   decoded checkpoint records, then a decoding scan of the log from there
+   to the first commit or checkpoint past the target. *)
+let reference_split log ~records ~wall_us =
+  let base =
+    List.fold_left
+      (fun acc (lsn, r) ->
+        match r.Log_record.body with
+        | Log_record.Checkpoint { wall_us = w; _ } when w <= wall_us -> Some lsn
+        | _ -> acc)
+      None records
+  in
+  let scan_from =
+    match base with
+    | Some lsn -> lsn
+    | None ->
+        if Lsn.to_int (Log_manager.first_lsn log) > 1 then raise (Split_lsn.Out_of_retention wall_us);
+        Log_manager.first_lsn log
+  in
+  let commits = ref 0 and split = ref scan_from in
+  (try
+     Log_manager.iter_range log ~from:scan_from ~upto:(Log_manager.end_lsn log) (fun lsn r ->
+         match r.Log_record.body with
+         | Log_record.Commit { wall_us = w } ->
+             if w <= wall_us then begin
+               incr commits;
+               split := Log_manager.next_lsn_after log lsn
+             end
+             else raise Exit
+         | Log_record.Checkpoint { wall_us = w; _ } -> if w > wall_us then raise Exit
+         | _ -> ())
+   with Exit -> ());
+  {
+    Split_lsn.split_lsn = !split;
+    base_checkpoint = Option.value base ~default:Lsn.nil;
+    commits_seen = !commits;
+  }
+
+let seq_bytes log f =
+  let io = Log_manager.stats log in
+  let before = io.Io_stats.seq_read_bytes in
+  let r = f () in
+  (r, io.Io_stats.seq_read_bytes - before)
+
+let sorted_losers tbl = List.sort compare (List.of_seq (Hashtbl.to_seq tbl))
+
+(* Over generated histories, at every commit boundary and at random
+   walls: the directory-driven SplitLSN search returns what the decoding
+   scan returns and charges the same sequential bytes, and [losers_at]
+   returns [analyze]'s losers and loser pages and charges what it
+   charges. *)
+let test_directory_matches_scans () =
+  let answered = ref 0 and scanned = ref 0 in
+  let prop h =
+    let clock, log = build_history h in
+    let lsns = List.map fst (decoded_records log) in
+    (match h.cut with
+    | Some c when lsns <> [] ->
+        let target = List.nth lsns (c * List.length lsns / 1000) in
+        (* Retention cuts at checkpoints; an arbitrary record LSN is cut
+           too, half the time. *)
+        let ckpt =
+          List.find_opt
+            (fun l -> Lsn.(l >= target))
+            (List.rev (Log_manager.checkpoints_before log (Log_manager.end_lsn log)))
+        in
+        Log_manager.truncate_before log
+          (match ckpt with Some l when c mod 2 = 0 -> l | _ -> target)
+    | _ -> ());
+    let records = decoded_records log in
+    let span = Sim_clock.now_us clock in
+    let walls =
+      List.concat_map
+        (fun (_, r) ->
+          match r.Log_record.body with
+          | Log_record.Commit { wall_us } | Log_record.Checkpoint { wall_us; _ } ->
+              [ wall_us -. 0.5; wall_us; wall_us +. 0.5 ]
+          | _ -> [])
+        records
+      @ List.map (fun p -> float_of_int p *. span /. 1000.0) h.probes
+      @ [ -1.0; span +. 1.0 ]
+    in
+    List.for_all
+      (fun wall_us ->
+        let expect =
+          match seq_bytes log (fun () -> reference_split log ~records ~wall_us) with
+          | r -> Ok r
+          | exception Split_lsn.Out_of_retention _ -> Error ()
+        in
+        let got =
+          match seq_bytes log (fun () -> Split_lsn.find ~log ~wall_us) with
+          | r -> Ok r
+          | exception Split_lsn.Out_of_retention _ -> Error ()
+        in
+        if got <> expect then
+          QCheck.Test.fail_reportf "Split_lsn.find differs from the decoding scan at wall %.1f" wall_us;
+        match got with
+        | Error () -> true
+        | Ok (split, _) ->
+            let start =
+              if Lsn.is_nil split.Split_lsn.base_checkpoint then Log_manager.first_lsn log
+              else split.Split_lsn.base_checkpoint
+            in
+            let upto = split.Split_lsn.split_lsn in
+            let a, a_bytes = seq_bytes log (fun () -> Recovery.analyze ~log ~start ~upto) in
+            let l, l_bytes = seq_bytes log (fun () -> Recovery.losers_at ~log ~start ~upto) in
+            if l.Recovery.loser_scan then incr scanned else incr answered;
+            if sorted_losers l.Recovery.in_flight <> sorted_losers a.Recovery.losers then
+              QCheck.Test.fail_reportf "losers_at differs from analyze at wall %.1f" wall_us;
+            if
+              List.sort compare l.Recovery.in_flight_pages
+              <> List.sort compare (Recovery.loser_pages a)
+            then QCheck.Test.fail_reportf "loser pages differ at wall %.1f" wall_us;
+            if l_bytes <> a_bytes then
+              QCheck.Test.fail_reportf "losers_at charged %d sequential bytes, analyze %d" l_bytes
+                a_bytes;
+            true)
+      walls
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"directory answers as-of creation like the scans" ~count:200
+       history_arb prop);
+  check "the directory answered some creations" true (!answered > 0);
+  check "some creations had losers and ran the scan" true (!scanned > 0)
+
 let () =
   Alcotest.run "recovery"
     [
@@ -245,5 +546,9 @@ let () =
           Alcotest.test_case "drop + realloc recovered" `Quick test_recovery_with_drop_and_realloc;
           Alcotest.test_case "randomised crash fuzz" `Quick test_crash_fuzz;
           Alcotest.test_case "snapshot after recovery" `Quick test_snapshot_after_recovery;
+        ] );
+      ( "as-of",
+        [
+          Alcotest.test_case "directory matches the scans" `Quick test_directory_matches_scans;
         ] );
     ]

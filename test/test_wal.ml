@@ -885,6 +885,195 @@ let test_txn_index_rebuild_boundary () =
   check "open T3 still resolves as in flight after the rebuild" true
     (Log_manager.txn_resolution log t3 = `Active)
 
+(* --- the control-record directory --- *)
+
+(* What the directory must hold: every retained Begin, Commit, Abort, End
+   and Checkpoint record, found by a header scan of the log itself. *)
+let controls_by_scan log =
+  let acc = ref [] in
+  Log_manager.iter_range_peek log ~from:(Log_manager.first_lsn log)
+    ~upto:(Log_manager.end_lsn log) (fun lsn pk decode ->
+      match pk.Log_record.p_kind with
+      | Log_record.K_page_op _ | Log_record.K_clr _ -> ()
+      | kind ->
+          let wall =
+            match (decode ()).Log_record.body with
+            | Log_record.Commit { wall_us } | Log_record.Checkpoint { wall_us; _ } -> wall_us
+            | _ -> 0.0
+          in
+          acc := (lsn, kind, pk.Log_record.p_txn, wall) :: !acc);
+  List.rev !acc
+
+let controls_by_walk ?(from = Lsn.nil) log =
+  let acc = ref [] in
+  Log_manager.iter_controls log ~from (fun lsn kind txn wall ->
+      acc := (lsn, kind, txn, wall) :: !acc;
+      true);
+  List.rev !acc
+
+let check_directory what log =
+  let expect = controls_by_scan log in
+  check (what ^ ": walk equals the scan") true (controls_by_walk log = expect);
+  (* A walk from a mid-log LSN is the matching suffix. *)
+  (match List.nth_opt expect (List.length expect / 2) with
+  | Some (mid, _, _, _) ->
+      check (what ^ ": walk from mid-log") true
+        (controls_by_walk ~from:mid log
+        = List.filter (fun (l, _, _, _) -> Lsn.(l >= mid)) expect)
+  | None -> ());
+  let ckpts =
+    List.rev
+      (List.filter_map
+         (fun (l, k, _, w) -> if k = Log_record.K_checkpoint then Some (l, w) else None)
+         expect)
+  in
+  check (what ^ ": checkpoint walls") true (Log_manager.checkpoint_walls log = ckpts);
+  check (what ^ ": checkpoints_before") true
+    (Log_manager.checkpoints_before log (Log_manager.end_lsn log) = List.map fst ckpts);
+  expect
+
+(* Three interleaved transactions per round — one commits, one aborts
+   (Abort, then End), one is left open until the next round — with page
+   records between and a checkpoint every other round. *)
+let control_history log ~rounds ~first_txn =
+  let wall = ref (float_of_int (first_txn * 1000)) in
+  let app ?(txn = Txn_id.nil) body = Log_manager.append log (Log_record.make ~txn body) in
+  let op txn pid =
+    ignore
+      (app ~txn
+         (Log_record.Page_op
+            {
+              page = Page_id.of_int pid;
+              prev_page_lsn = Lsn.nil;
+              op = Log_record.Insert_row { slot = 0; row = String.make 20 'r' };
+            }))
+  in
+  let open_txn = ref None in
+  for r = 0 to rounds - 1 do
+    let t = Txn_id.of_int (first_txn + (3 * r)) in
+    let a = Txn_id.of_int (first_txn + (3 * r) + 1) in
+    let o = Txn_id.of_int (first_txn + (3 * r) + 2) in
+    List.iter (fun x -> ignore (app ~txn:x Log_record.Begin)) [ t; a; o ];
+    op t (1 + (r mod 3));
+    op a 4;
+    op o 5;
+    (match !open_txn with
+    | Some prev ->
+        wall := !wall +. 1.0;
+        ignore (app ~txn:prev (Log_record.Commit { wall_us = !wall }))
+    | None -> ());
+    open_txn := Some o;
+    ignore (app ~txn:a Log_record.Abort);
+    wall := !wall +. 1.0;
+    ignore (app ~txn:t (Log_record.Commit { wall_us = !wall }));
+    ignore (app ~txn:a Log_record.End);
+    ignore (app ~txn:t Log_record.End);
+    if r mod 2 = 1 then begin
+      wall := !wall +. 0.5;
+      ignore
+        (app
+           (Log_record.Checkpoint
+              { wall_us = !wall; active_txns = [ (o, Lsn.nil) ]; dirty_pages = [] }))
+    end
+  done
+
+(* The directory is kept on every ingestion path and cut back on every
+   tail drop and truncation: after each event a walk (and the checkpoint
+   views built on it) equals a header scan of what the log retains. *)
+let test_control_directory_upkeep () =
+  let tore = ref false in
+  (* Sweep seeds until the crash tears a record (the tear draws from the
+     plan's PRNG). *)
+  let seed = ref 0 in
+  while (not !tore) && !seed < 20 do
+    incr seed;
+    let clock = Sim_clock.create () in
+    let plan = Rw_storage.Fault_plan.create ~torn_log_tail_rate:1.0 ~seed:!seed () in
+    let log =
+      Log_manager.create ~clock ~media:Media.ram ~segment_bytes:512 ~fault_plan:plan ()
+    in
+    control_history log ~rounds:12 ~first_txn:1;
+    Log_manager.flush_all log;
+    ignore (check_directory "appended" log);
+    (* Crash with an unflushed tail: a prefix survives, its last record
+       torn; recovery's CRC scan cuts the log there. *)
+    control_history log ~rounds:3 ~first_txn:100;
+    Log_manager.crash log;
+    (match Log_manager.repair_tail log with Some _ -> tore := true | None -> ());
+    ignore (check_directory "torn tail repaired" log);
+    (* A crash with no tear drops the unflushed tail record by record. *)
+    control_history log ~rounds:2 ~first_txn:200;
+    let plain = Log_manager.create ~clock ~media:Media.ram ~segment_bytes:512 () in
+    Log_manager.restore_entries plain (Log_manager.dump_entries log);
+    ignore (check_directory "restored" plain);
+    control_history plain ~rounds:2 ~first_txn:300;
+    Log_manager.crash plain;
+    ignore (check_directory "unflushed tail removed" plain);
+    (* Replication divergence cut: [truncate_from] at a record in the
+       middle of the log drops whole segments and part of one. *)
+    let lsns = List.map (fun (l, _, _, _) -> l) (controls_by_scan log) in
+    let cut = List.nth lsns (2 * List.length lsns / 3) in
+    check "truncate_from dropped records" true (Log_manager.truncate_from log cut > 0);
+    ignore (check_directory "truncate_from" log);
+    (* Retention through a straddling segment: the cut lies strictly
+       inside a segment, whose entries below it must be invisible. *)
+    let low = List.nth lsns (List.length lsns / 3) in
+    Log_manager.truncate_before log (Log_manager.next_lsn_after log low);
+    let after = check_directory "truncate_before" log in
+    check "nothing below the retention boundary" true
+      (List.for_all (fun (l, _, _, _) -> Lsn.(l >= Log_manager.first_lsn log)) after);
+    check "a walk from below the boundary starts at it" true
+      (controls_by_walk ~from:Lsn.nil log = controls_by_walk ~from:low log);
+    (* A replica's copy, shipped segment by segment. *)
+    let replica =
+      Log_manager.create ~clock:(Sim_clock.create ()) ~media:Media.ram ~segment_bytes:512 ()
+    in
+    let rec ship from =
+      match Log_manager.export_from log ~from with
+      | Some ex ->
+          ignore (Log_manager.ingest_entries replica ex.Log_manager.ex_entries);
+          ship ex.Log_manager.ex_next
+      | None -> ()
+    in
+    Log_manager.flush_all log;
+    ship (Log_manager.first_lsn log);
+    check "replica directory equals the primary's" true
+      (check_directory "ingested" replica = controls_by_walk log)
+  done;
+  check "some seed tore the tail" true !tore
+
+(* A saved and reloaded database rebuilds the directory from the dumped
+   entries ([restore_entries]). *)
+let test_control_directory_save_load () =
+  let module Database = Rw_engine.Database in
+  let module Row = Rw_engine.Row in
+  let module Schema = Rw_catalog.Schema in
+  let clock = Sim_clock.create () in
+  let db = Database.create ~name:"dir" ~clock ~media:Media.ram ~log_segment_bytes:2048 () in
+  let cols =
+    [ { Schema.name = "id"; ctype = Schema.Int }; { Schema.name = "v"; ctype = Schema.Int } ]
+  in
+  Database.with_txn db (fun txn ->
+      ignore (Database.create_table db txn ~table:"t" ~columns:cols ()));
+  for i = 1 to 40 do
+    Sim_clock.advance_us clock 1000.0;
+    Database.with_txn db (fun txn ->
+        Database.insert db txn ~table:"t" [ Row.Int (Int64.of_int i); Row.Int 0L ]);
+    if i mod 10 = 0 then ignore (Database.checkpoint db)
+  done;
+  let path = Filename.temp_file "rewind_dir" ".img" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Database.save db ~path;
+      let saved = check_directory "saved" (Database.log db) in
+      let db2 =
+        Database.load ~clock:(Sim_clock.create ()) ~media:Media.ram ~log_segment_bytes:2048 ~path ()
+      in
+      let loaded = check_directory "loaded" (Database.log db2) in
+      check "loaded directory starts with the saved one" true
+        (List.filteri (fun i _ -> i < List.length saved) loaded = saved))
+
 let () =
   Alcotest.run "wal"
     [
@@ -913,6 +1102,8 @@ let () =
           Alcotest.test_case "block cache costs" `Quick test_cache_misses_cost;
           Alcotest.test_case "fpi directory" `Quick test_fpi_directory;
           Alcotest.test_case "checkpoint index" `Quick test_checkpoints_before;
+          Alcotest.test_case "control directory upkeep" `Quick test_control_directory_upkeep;
+          Alcotest.test_case "control directory save/load" `Quick test_control_directory_save_load;
           Alcotest.test_case "truncation prunes indexes" `Quick test_truncate_prunes_indexes;
           Alcotest.test_case "mid-record lsn rejected" `Quick test_read_non_boundary;
           Alcotest.test_case "byte accounting" `Quick test_total_bytes_accounting;
