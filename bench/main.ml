@@ -612,7 +612,8 @@ module Micro = struct
      parallel row's win is the overlap model, byte-identical results
      guaranteed by the publish-stage determinism contract (test_pool.ml).
      ci.sh holds prepare_batch_as_of-parallel-4 to a 25% budget and
-     requires it to beat prepare_batch_as_of-serial by >= 2x. *)
+     requires it to beat prepare_batch_as_of-serial by >= 2x.  Full page
+     images are off, so every page unwinds the whole fixed chain. *)
   let batch_env =
     lazy
       (let module Database = Rw_engine.Database in
@@ -622,7 +623,7 @@ module Micro = struct
        let db =
          Database.create ~name:"bench_batch" ~clock ~media:Media.ram ~log_media:Media.ssd
            ~pool_capacity:256 ~log_cache_blocks:2 ~log_block_bytes:256 ~log_segment_bytes:4096
-           ~checkpoint_interval_us:1e15 ()
+           ~fpi:Rw_access.Access_ctx.Off ~checkpoint_interval_us:1e15 ()
        in
        let cols =
          [

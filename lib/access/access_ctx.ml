@@ -8,26 +8,32 @@ module Buffer_pool = Rw_buffer.Buffer_pool
 module Latch = Rw_buffer.Latch
 module Txn_manager = Rw_txn.Txn_manager
 
+type fpi = Off | Every_mods of int | Budget_bytes of int
+
+let default_fpi = Budget_bytes Page.page_size
+
 type t = {
   pool : Buffer_pool.t;
   txns : Txn_manager.t;
   log : Log_manager.t;
   clock : Sim_clock.t;
-  mutable fpi_frequency : int;
-  mod_counts : (int, int) Hashtbl.t;
+  fpi : fpi;
+  since_image : (int, int) Hashtbl.t;
+      (* page -> modifications ([Every_mods]) or chain bytes
+         ([Budget_bytes]) logged since its last image *)
   cpu_op_us : float;
   mutable hooks : (int * (Page_id.t -> Page.t -> unit)) list;
   mutable next_hook : int;
 }
 
-let create ~pool ~txns ~log ~clock ?(fpi_frequency = 0) ?(cpu_op_us = 1.0) () =
+let create ~pool ~txns ~log ~clock ?(fpi = default_fpi) ?(cpu_op_us = 1.0) () =
   {
     pool;
     txns;
     log;
     clock;
-    fpi_frequency;
-    mod_counts = Hashtbl.create 256;
+    fpi;
+    since_image = Hashtbl.create 256;
     cpu_op_us;
     hooks = [];
     next_hook = 0;
@@ -47,29 +53,30 @@ let pool t = t.pool
 let txns t = t.txns
 let log t = t.log
 let clock t = t.clock
-let fpi_frequency t = t.fpi_frequency
-let set_fpi_frequency t n = t.fpi_frequency <- n
+let fpi t = t.fpi
 
-(* Emit a full page image if this page has accumulated N modifications
-   since the last one.  FPIs are system records outside any transaction but
-   on the page's chain, so backward traversal can use them. *)
-let maybe_emit_fpi t pid page frame =
-  if t.fpi_frequency > 0 then begin
+(* Emit a full page image once the page's chain since its last image has
+   grown by one policy step: N modifications, or [b] bytes of log — the
+   just-appended record at [lsn] ends at [end_lsn].  FPIs are system
+   records outside any transaction but on the page's chain, so backward
+   traversal can use them. *)
+let maybe_emit_fpi t pid page frame lsn =
+  let step, limit =
+    match t.fpi with
+    | Off -> (0, 0)
+    | Every_mods n -> (1, n)
+    | Budget_bytes b -> (Lsn.to_int (Log_manager.end_lsn t.log) - Lsn.to_int lsn, b)
+  in
+  if limit > 0 then begin
     let key = Page_id.to_int pid in
-    let n = (match Hashtbl.find_opt t.mod_counts key with Some n -> n | None -> 0) + 1 in
-    if n >= t.fpi_frequency then begin
-      Hashtbl.replace t.mod_counts key 0;
-      let image = Bytes.to_string page in
-      let lsn =
-        Log_manager.append t.log
-          (Log_record.make
-             (Log_record.Page_op
-                { page = pid; prev_page_lsn = Page.lsn page; op = Log_record.Full_image { image } }))
-      in
+    let n = (match Hashtbl.find_opt t.since_image key with Some n -> n | None -> 0) + step in
+    if n >= limit then begin
+      Hashtbl.replace t.since_image key 0;
+      let lsn = Log_manager.append_image t.log ~page:pid ~prev_page_lsn:(Page.lsn page) page in
       Page.set_lsn page lsn;
       Buffer_pool.mark_dirty t.pool frame ~lsn
     end
-    else Hashtbl.replace t.mod_counts key n
+    else Hashtbl.replace t.since_image key n
   end
 
 let modify t txn pid op =
@@ -86,7 +93,7 @@ let modify t txn pid op =
           Log_record.redo pid op page;
           Page.set_lsn page lsn;
           Buffer_pool.mark_dirty t.pool frame ~lsn;
-          maybe_emit_fpi t pid page frame))
+          maybe_emit_fpi t pid page frame lsn))
 
 let read t pid f =
   Sim_clock.advance_us t.clock (t.cpu_op_us /. 2.0);
@@ -104,7 +111,7 @@ let page_writer t : Txn_manager.page_writer =
           fire_hooks t pid page;
           let lsn = apply page in
           Buffer_pool.mark_dirty t.pool frame ~lsn;
-          maybe_emit_fpi t pid page frame))
+          maybe_emit_fpi t pid page frame lsn))
 
 let snapshot_page_image t pid =
   Buffer_pool.with_page t.pool pid ~mode:Latch.Shared (fun page -> Bytes.to_string page)

@@ -4,28 +4,44 @@
     page modification through {!modify}: log the operation on the
     transaction's chain (threading [prev_page_lsn]), apply its redo effect
     under an exclusive latch, stamp the page LSN, mark the frame dirty —
-    and, every [fpi_frequency]-th modification of a page, emit a full-page
-    image record (the paper's optional logging extension, §6.1). *)
+    and, when the page's chain has grown by one {!fpi} step since its last
+    image, emit a full-page image record (the paper's optional logging
+    extension, §6.1). *)
 
 type t
+
+(** When a page's full image is logged.  An image bounds every later
+    rewind of the page: the rewind restores the earliest image after its
+    target and undoes only the chain below it. *)
+type fpi =
+  | Off  (** never *)
+  | Every_mods of int
+      (** the paper's N: after every Nth modification of the page *)
+  | Budget_bytes of int
+      (** once the chain records logged for the page since its last image
+          total at least this many bytes, so a rewind undoes at most about
+          that much log per page, whatever the row sizes *)
+
+val default_fpi : fpi
+(** [Budget_bytes] of one page (8 KiB): the log-volume against undo-work
+    trade-off measured in EXPERIMENTS.md. *)
 
 val create :
   pool:Rw_buffer.Buffer_pool.t ->
   txns:Rw_txn.Txn_manager.t ->
   log:Rw_wal.Log_manager.t ->
   clock:Rw_storage.Sim_clock.t ->
-  ?fpi_frequency:int ->
+  ?fpi:fpi ->
   ?cpu_op_us:float ->
   unit ->
   t
-(** [fpi_frequency] = the paper's N; 0 (default) disables FPI emission. *)
+(** [fpi] defaults to {!default_fpi}. *)
 
 val pool : t -> Rw_buffer.Buffer_pool.t
 val txns : t -> Rw_txn.Txn_manager.t
 val log : t -> Rw_wal.Log_manager.t
 val clock : t -> Rw_storage.Sim_clock.t
-val fpi_frequency : t -> int
-val set_fpi_frequency : t -> int -> unit
+val fpi : t -> fpi
 
 val modify :
   t -> Rw_txn.Txn_manager.txn -> Rw_storage.Page_id.t -> Rw_wal.Log_record.op -> unit

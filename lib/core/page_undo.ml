@@ -144,17 +144,17 @@ let plan_batch ~log ~as_of pages =
       reqs,
     got.b_windows_us )
 
-(* At most one image per rewind, so a missed one is simply decoded. *)
+(* The jump-start image, from its live decode on a cache hit, validated
+   and blitted straight from its segment span otherwise. *)
 let restore_fpi pid (g : Log_manager.gathered) k page =
-  let r =
-    let d = g.g_decoded.(k) in
-    if d != Log_manager.not_cached then d
-    else Log_record.decode (Bytes.sub_string g.g_blob.(k) g.g_pos.(k) g.g_len.(k))
-  in
-  match (Log_record.page_of r, Log_record.op_of r) with
-  | Some rpid, Some (Log_record.Full_image { image }) when Page_id.equal rpid pid ->
-      Bytes.blit_string image 0 page 0 Page.page_size
-  | _ -> raise Exit
+  let r = g.g_decoded.(k) in
+  if r == Log_manager.not_cached then
+    Log_record.image_in_place g.g_blob.(k) ~pos:g.g_pos.(k) ~len:g.g_len.(k) ~page:pid page
+  else
+    match (Log_record.page_of r, Log_record.op_of r) with
+    | Some rpid, Some (Log_record.Full_image { image }) when Page_id.equal rpid pid ->
+        Bytes.blit_string image 0 page 0 Page.page_size
+    | _ -> raise Exit
 
 (* Chain record [k], validated against the page and the expected link
    ([prev_lo, prev_hi]) and undone — from its live decode on a cache hit,

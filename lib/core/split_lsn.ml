@@ -6,18 +6,17 @@ exception Out_of_retention of float
 
 type result = { split_lsn : Lsn.t; base_checkpoint : Lsn.t; commits_seen : int }
 
-let checkpoint_wall log lsn =
-  match (Log_manager.read log lsn).Log_record.body with
-  | Log_record.Checkpoint { wall_us; _ } -> wall_us
-  | _ -> invalid_arg "Split_lsn: master record is not a checkpoint"
-
-(* Newest retained checkpoint taken at or before [wall_us]. *)
+(* Newest retained checkpoint taken at or before [wall_us].  The paper's
+   search reads the checkpoints back from the newest; the clock still
+   prices each of those reads, but the wall times come from the
+   control-record directory, so nothing is decoded. *)
 let base_checkpoint log ~wall_us =
-  let rec go = function
-    | [] -> None
-    | lsn :: older -> if checkpoint_wall log lsn <= wall_us then Some lsn else go older
-  in
-  go (Log_manager.checkpoints_before log (Log_manager.end_lsn log))
+  let found = ref None in
+  Log_manager.iter_checkpoints_rev log (fun lsn wall ->
+      Log_manager.charge_read log lsn;
+      if wall <= wall_us then found := Some lsn;
+      Option.is_none !found);
+  !found
 
 let find ~log ~wall_us =
   let start =

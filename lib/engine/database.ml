@@ -68,7 +68,6 @@ let alloc t = t.alloc
 let is_read_only t = t.read_only
 let split_lsn t = Option.map As_of_snapshot.split_lsn t.snapshot
 let snapshot_handle t = t.snapshot
-let set_fpi_frequency t n = Access_ctx.set_fpi_frequency t.ctx n
 let last_recovery_stats t = t.recovery_stats
 let quarantined_pages t = Page_repair.Quarantine.list t.quarantine
 let fault_plan t = Disk.fault_plan t.disk
@@ -86,7 +85,7 @@ let recovery_drain_step ?(max_pages = 8) t =
 let recovery_drain_all t =
   match t.instant with None -> () | Some i -> ignore (Recovery.Instant.drain i ~max_pages:max_int)
 
-let assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity ~fpi_frequency
+let assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity ~fpi
     ~checkpoint_interval_us ~read_only ~snapshot ~instant ~pool_opt () =
   let locks = Lock_manager.create () in
   let txns = Txn_manager.create ~log ~locks in
@@ -122,7 +121,7 @@ let assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity ~fpi_frequ
         in
         Buffer_pool.create ~capacity:pool_capacity ~source ~wal_flush ()
   in
-  let ctx = Access_ctx.create ~pool ~txns ~log ~clock ~fpi_frequency () in
+  let ctx = Access_ctx.create ~pool ~txns ~log ~clock ~fpi () in
   {
     name;
     clock;
@@ -163,7 +162,7 @@ let checkpoint ?(flush_pages = true) t =
   lsn
 
 let create ~name ~clock ~media ?log_media ?(pool_capacity = 512) ?(log_cache_blocks = 128)
-    ?(log_block_bytes = 65536) ?log_segment_bytes ?(fpi_frequency = 0)
+    ?(log_block_bytes = 65536) ?log_segment_bytes ?(fpi = Access_ctx.default_fpi)
     ?(checkpoint_interval_us = 30_000_000.0) ?fault_plan () =
   let log_media = Option.value log_media ~default:media in
   let disk = Disk.create ~clock ~media ?fault_plan () in
@@ -172,7 +171,7 @@ let create ~name ~clock ~media ?log_media ?(pool_capacity = 512) ?(log_cache_blo
       ~block_bytes:log_block_bytes ?segment_bytes:log_segment_bytes ?fault_plan ()
   in
   let t =
-    assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity ~fpi_frequency
+    assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity ~fpi
       ~checkpoint_interval_us ~read_only:false ~snapshot:None ~instant:None
       ~pool_opt:None ()
   in
@@ -456,7 +455,9 @@ let enforce_retention t =
 let view_over_pool ~name ~base ~pool ~snapshot =
   let locks = Lock_manager.create () in
   let txns = Txn_manager.create ~log:base.log ~locks in
-  let ctx = Access_ctx.create ~pool ~txns ~log:base.log ~clock:base.clock () in
+  let ctx =
+    Access_ctx.create ~pool ~txns ~log:base.log ~clock:base.clock ~fpi:(Access_ctx.fpi base.ctx) ()
+  in
   {
     base with
     name;
@@ -507,8 +508,28 @@ let create_as_of_snapshot ?(shared = true) t ~name ~wall_us =
 (* --- persistence --- *)
 
 (* Bumped whenever the on-disk encoding changes; "0002" added the CRC
-   trailer to every log record. *)
-let magic = "RWDB0002"
+   trailer to every log record, "0003" the full-page-image policy. *)
+let magic = "RWDB0003"
+
+(* The FPI policy as a kind byte and its u32 parameter. *)
+let encode_fpi e fpi =
+  let kind, v =
+    match fpi with
+    | Access_ctx.Off -> (0, 0)
+    | Access_ctx.Every_mods n -> (1, max n 0)
+    | Access_ctx.Budget_bytes b -> (2, max b 0)
+  in
+  Rw_wal.Codec.u8 e kind;
+  Rw_wal.Codec.u32 e v
+
+let decode_fpi d =
+  let kind = Rw_wal.Codec.get_u8 d in
+  let v = Rw_wal.Codec.get_u32 d in
+  match kind with
+  | 0 -> Access_ctx.Off
+  | 1 -> Access_ctx.Every_mods v
+  | 2 -> Access_ctx.Budget_bytes v
+  | k -> failwith (Printf.sprintf "Database.load: bad full-page-image policy %d" k)
 
 let save t ~path =
   guard_writable t;
@@ -522,7 +543,7 @@ let save t ~path =
       Rw_wal.Codec.u8 e 1;
       Rw_wal.Codec.f64 e r
   | None -> Rw_wal.Codec.u8 e 0);
-  Rw_wal.Codec.u32 e (Access_ctx.fpi_frequency t.ctx);
+  encode_fpi e (Access_ctx.fpi t.ctx);
   Rw_wal.Codec.u32 e (Disk.page_count t.disk);
   let written = Disk.written_pages t.disk in
   Rw_wal.Codec.u32 e written;
@@ -563,7 +584,7 @@ let load ~clock ~media ?log_media ?pool_capacity:(pool_cap = 512) ?(log_cache_bl
   let retention_us =
     if Rw_wal.Codec.get_u8 d = 1 then Some (Rw_wal.Codec.get_f64 d) else None
   in
-  let fpi_frequency = Rw_wal.Codec.get_u32 d in
+  let fpi = decode_fpi d in
   let page_count = Rw_wal.Codec.get_u32 d in
   let written = Rw_wal.Codec.get_u32 d in
   (* The simulated clock resumes from where the image left off, so saved
@@ -591,7 +612,7 @@ let load ~clock ~media ?log_media ?pool_capacity:(pool_cap = 512) ?(log_cache_bl
   in
   Log_manager.restore_entries log entries;
   let t =
-    assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity:pool_cap ~fpi_frequency
+    assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity:pool_cap ~fpi
       ~checkpoint_interval_us:30_000_000.0 ~read_only:false ~snapshot:None ~instant:None
       ~pool_opt:None ()
   in
@@ -724,7 +745,7 @@ let reopen t ?instant recover =
   let instant = Option.map (fun open_ -> open_ ~now_us) instant in
   let fresh =
     assemble ~name:t.name ~clock ~media:t.media ~log_media:t.log_media ~disk:t.disk ~log:t.log
-      ~pool_capacity:t.pool_capacity ~fpi_frequency:(Access_ctx.fpi_frequency t.ctx)
+      ~pool_capacity:t.pool_capacity ~fpi:(Access_ctx.fpi t.ctx)
       ~checkpoint_interval_us:t.checkpoint_interval_us ~read_only:false ~snapshot:None ~instant
       ~pool_opt:None ()
   in

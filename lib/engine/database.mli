@@ -22,14 +22,16 @@ val create :
   ?log_cache_blocks:int ->
   ?log_block_bytes:int ->
   ?log_segment_bytes:int ->
-  ?fpi_frequency:int ->
+  ?fpi:Rw_access.Access_ctx.fpi ->
   ?checkpoint_interval_us:float ->
   ?fault_plan:Rw_storage.Fault_plan.t ->
   unit ->
   t
 (** Create and initialise a fresh database (boot page, allocation map,
     catalog), commit the initialisation and take a first checkpoint.
-    [fpi_frequency] is the paper's N (0 disables full-page-image logging);
+    [fpi] is the full-page-image policy (default
+    {!Rw_access.Access_ctx.default_fpi}, an image per 8 KiB of a page's
+    chain; [Every_mods n] is the paper's N, [Off] disables images);
     [checkpoint_interval_us] (default 30 simulated seconds) triggers an
     automatic checkpoint at commit when exceeded.  An optional [fault_plan] threads deterministic
     fault injection through the disk and the log (see
@@ -52,8 +54,6 @@ val alloc : t -> Rw_access.Alloc_map.t
 val is_read_only : t -> bool
 val split_lsn : t -> Rw_storage.Lsn.t option
 (** The snapshot's split point ([None] on a primary database). *)
-
-val set_fpi_frequency : t -> int -> unit
 
 (* Transactions *)
 val begin_txn : t -> txn

@@ -34,10 +34,10 @@ let register t name db =
   Hashtbl.replace t.dbs name db;
   db
 
-let create_database t ?fpi_frequency ?pool_capacity ?checkpoint_interval_us ?log_cache_blocks ?log_block_bytes ?log_segment_bytes ?fault_plan name =
+let create_database t ?fpi ?pool_capacity ?checkpoint_interval_us ?log_cache_blocks ?log_block_bytes ?log_segment_bytes ?fault_plan name =
   if Hashtbl.mem t.dbs name then raise (Database_exists name);
   let db =
-    Database.create ~name ~clock:t.clock ~media:t.media ~log_media:t.log_media ?fpi_frequency
+    Database.create ~name ~clock:t.clock ~media:t.media ~log_media:t.log_media ?fpi
       ?pool_capacity ?checkpoint_interval_us ?log_cache_blocks ?log_block_bytes ?log_segment_bytes
       ?fault_plan ()
   in

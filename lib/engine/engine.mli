@@ -18,7 +18,7 @@ val media : t -> Rw_storage.Media.t
 
 val create_database :
   t ->
-  ?fpi_frequency:int ->
+  ?fpi:Rw_access.Access_ctx.fpi ->
   ?pool_capacity:int ->
   ?checkpoint_interval_us:float ->
   ?log_cache_blocks:int ->

@@ -76,7 +76,10 @@ let mk_segment ~segment_bytes base =
     s_dead = 0;
     s_lsns = Array.make 64 0;
     s_cached = Array.make 64 None;
-    s_blob = Bytes.create (min (max segment_bytes 64) 4096);
+    (* Sized for the whole segment plus one page image of overshoot, so
+       appends never regrow and copy it; only a record larger than that
+       slack still doubles it. *)
+    s_blob = Bytes.create (max segment_bytes 64 + Log_record.image_record_size);
     s_sealed = false;
     s_resident = true;
     s_fpi = Hashtbl.create 8;
@@ -630,15 +633,15 @@ let void_txn_index t =
 
 (* ---------- append path ---------- *)
 
-(* Physical placement shared by [append] and [restore_entries]:
-   amortized O(1) — the blob and offset arrays grow by doubling within a
-   bounded segment, and sealing touches each byte once. *)
-let raw_append t data lsn =
-  let len = String.length data in
+(* Physical placement shared by every append: reserve [len] bytes for
+   the record at [lsn] in the active segment, payload unwritten.
+   Amortized O(1) — the offset arrays grow by doubling within a bounded
+   segment, the blob is allocated at its full size, and sealing touches
+   each byte once. *)
+let reserve t lsn len =
   let seg = active_segment t in
   ensure_blob seg (seg_used seg + len);
   ensure_slots seg;
-  Bytes.blit_string data 0 seg.s_blob (Lsn.to_int lsn - seg.s_base) len;
   seg.s_lsns.(seg.s_n) <- Lsn.to_int lsn;
   seg.s_cached.(seg.s_n) <- None;
   seg.s_n <- seg.s_n + 1;
@@ -649,13 +652,11 @@ let raw_append t data lsn =
   t.resident_payload <- t.resident_payload + len;
   seg
 
-(* [raw_append] plus the upkeep of every append-time index — the segment
-   directories and the txn write-set summaries — from a header peek and,
-   for commits and checkpoints, the wall time read in place.  The one
-   ingestion step of [append], [restore_entries] and [ingest_entries]. *)
-let place t data lsn =
-  let seg = raw_append t data lsn in
-  let pk = Log_record.peek data in
+(* The upkeep of every append-time index — the segment directories and
+   the txn write-set summaries — for the record just placed at [lsn],
+   from its header peek and, for commits and checkpoints, the wall time
+   read in place. *)
+let index_placed t seg pk lsn =
   let wall =
     match pk.Log_record.p_kind with
     | Log_record.K_commit | Log_record.K_checkpoint ->
@@ -663,24 +664,50 @@ let place t data lsn =
     | _ -> 0.0
   in
   index_record t seg pk lsn ~wall;
-  if t.txn_index_valid then note_record t lsn pk ~wall;
+  if t.txn_index_valid then note_record t lsn pk ~wall
+
+(* The one ingestion step of [append], [restore_entries] and
+   [ingest_entries]: place an encoded record and index it. *)
+let place t data lsn =
+  let len = String.length data in
+  let seg = reserve t lsn len in
+  Bytes.blit_string data 0 seg.s_blob (Lsn.to_int lsn - seg.s_base) len;
+  index_placed t seg (Log_record.peek data) lsn;
   seg
+
+(* The write-path accounting every new tail record pays. *)
+let appended t seg lsn len =
+  t.unflushed_bytes <- t.unflushed_bytes + len;
+  touch_cache_on_append t lsn len;
+  Obs.incr Probes.log_appends;
+  Obs.add Probes.log_append_bytes len;
+  if seg_used seg >= t.segment_bytes then seal_segment t seg
+  else update_resident_gauge t
 
 let append t record =
   let data = Log_record.encode record in
   let len = String.length data in
   let lsn = t.end_lsn in
   let seg = place t data lsn in
-  t.unflushed_bytes <- t.unflushed_bytes + len;
-  touch_cache_on_append t lsn len;
   (* The record object is in hand; seed the decoded cache so the first
      chain walk over fresh history never decodes. *)
   seg.s_cached.(seg.s_n - 1) <-
     Some (Lru.Weighted.add_node t.record_cache (Lsn.to_int lsn) ~weight:len record);
-  Obs.incr Probes.log_appends;
-  Obs.add Probes.log_append_bytes len;
-  if seg_used seg >= t.segment_bytes then seal_segment t seg
-  else update_resident_gauge t;
+  appended t seg lsn len;
+  lsn
+
+(* A full page image, encoded straight into the segment blob: no record
+   value, no intermediate string.  Nor is its decode cached — one image
+   weighs as much as a hundred small chain records, which a rewind reads
+   far more often. *)
+let append_image t ~page ~prev_page_lsn image =
+  let len = Log_record.image_record_size in
+  let lsn = t.end_lsn in
+  let seg = reserve t lsn len in
+  let pos = Lsn.to_int lsn - seg.s_base in
+  Log_record.encode_image_into seg.s_blob ~pos ~page ~prev_page_lsn image;
+  index_placed t seg (Log_record.peek_bytes seg.s_blob ~pos ~len) lsn;
+  appended t seg lsn len;
   lsn
 
 let unflushed_bytes t = t.unflushed_bytes
@@ -756,10 +783,16 @@ let read_nocost t lsn =
   let si, i = locate t lsn in
   decode_cached t t.segs.(si) i
 
-let read t lsn =
+let locate_charged t lsn =
   let si, i = locate t lsn in
   let seg = t.segs.(si) in
   charge_blocks t seg lsn (rec_len seg i);
+  (seg, i)
+
+let charge_read t lsn = ignore (locate_charged t lsn : segment * int)
+
+let read t lsn =
+  let seg, i = locate_charged t lsn in
   decode_cached t seg i
 
 (* Visit an ascending LSN array's records in order, as [f k seg i] for
@@ -1090,18 +1123,28 @@ let iter_controls t ~from f =
 
 let checkpoint_code = ctl_code Log_record.K_checkpoint
 
-let checkpoint_walls t =
-  (* Walking ascending and consing yields newest first. *)
-  let res = ref [] in
+(* Newest first; a straddling segment's dead prefix ends the walk, as
+   every older segment has been dropped. *)
+let iter_checkpoints_rev t f =
   let tb = Lsn.to_int t.truncated_below in
-  for si = t.seg_lo to t.seg_hi - 1 do
-    let d = t.segs.(si).s_ctl in
-    for i = 0 to d.c_n - 1 do
-      if Bytes.get_uint8 d.c_kind i = checkpoint_code && d.c_lsn.(i) >= tb then
-        res := (Lsn.of_int d.c_lsn.(i), Float.Array.get d.c_wall i) :: !res
-    done
-  done;
-  !res
+  let si = ref (t.seg_hi - 1) and go = ref true in
+  while !go && !si >= t.seg_lo do
+    let d = t.segs.(!si).s_ctl in
+    let i = ref (d.c_n - 1) in
+    while !go && !i >= 0 && d.c_lsn.(!i) >= tb do
+      if Bytes.get_uint8 d.c_kind !i = checkpoint_code then
+        go := f (Lsn.of_int d.c_lsn.(!i)) (Float.Array.get d.c_wall !i);
+      decr i
+    done;
+    decr si
+  done
+
+let checkpoint_walls t =
+  let res = ref [] in
+  iter_checkpoints_rev t (fun lsn wall ->
+      res := (lsn, wall) :: !res;
+      true);
+  List.rev !res
 
 let checkpoints_before t lsn =
   List.filter_map (fun (c, _) -> if Lsn.(c <= lsn) then Some c else None) (checkpoint_walls t)
@@ -1110,17 +1153,9 @@ let checkpoints_before t lsn =
    [last_checkpoint]. *)
 let newest_checkpoint t =
   let res = ref Lsn.nil in
-  let si = ref (t.seg_hi - 1) in
-  let tb = Lsn.to_int t.truncated_below in
-  while Lsn.is_nil !res && !si >= t.seg_lo do
-    let d = t.segs.(!si).s_ctl in
-    let i = ref (d.c_n - 1) in
-    while Lsn.is_nil !res && !i >= 0 && d.c_lsn.(!i) >= tb do
-      if Bytes.get_uint8 d.c_kind !i = checkpoint_code then res := Lsn.of_int d.c_lsn.(!i);
-      decr i
-    done;
-    decr si
-  done;
+  iter_checkpoints_rev t (fun lsn _ ->
+      res := lsn;
+      false);
   !res
 
 let earliest_fpi_after t page ~after =

@@ -66,6 +66,19 @@ val stats : t -> Rw_storage.Io_stats.t
 val append : t -> Log_record.t -> Rw_storage.Lsn.t
 (** Append a record (no I/O cost until flushed) and return its LSN. *)
 
+val append_image :
+  t ->
+  page:Rw_storage.Page_id.t ->
+  prev_page_lsn:Rw_storage.Lsn.t ->
+  Rw_storage.Page.t ->
+  Rw_storage.Lsn.t
+(** Append the full page image of [page] — the record {!append} would
+    write for [Page_op { page; prev_page_lsn; op = Full_image _ }] —
+    encoding it straight into the log's tail
+    ({!Log_record.encode_image_into}), with the same indexing and write-path
+    accounting.  Unlike {!append} it does not seed the decoded-record
+    cache. *)
+
 val flush : t -> upto:Rw_storage.Lsn.t -> unit
 (** Make all records appended so far durable if any at or below [upto] are
     not yet.  Priced as one sequential write plus a sync latency. *)
@@ -88,6 +101,11 @@ val read : t -> Rw_storage.Lsn.t -> Log_record.t
 (** Random record read through the block cache.  Raises {!Log_truncated}
     below the retention boundary and {!No_such_record} for an LSN that is
     not a record boundary. *)
+
+val charge_read : t -> Rw_storage.Lsn.t -> unit
+(** The block charges of {!read}, with no decode and no record-cache
+    access: for a caller that prices reading a record whose content it
+    already knows.  Same exceptions as {!read}. *)
 
 val read_nocost : t -> Rw_storage.Lsn.t -> Log_record.t
 
@@ -191,6 +209,11 @@ val checkpoint_walls : t -> (Rw_storage.Lsn.t * float) list
 (** Every retained checkpoint record with its wall-clock time, newest
     first, read from the control-record directory: no record is read
     and nothing is charged. *)
+
+val iter_checkpoints_rev : t -> (Rw_storage.Lsn.t -> float -> bool) -> unit
+(** [iter_checkpoints_rev t f] calls [f lsn wall] on the retained
+    checkpoint records, newest first, until [f] answers [false]; like
+    {!checkpoint_walls} it reads the directory and charges nothing. *)
 
 val iter_controls :
   t ->

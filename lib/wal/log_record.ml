@@ -437,6 +437,38 @@ let undo_in_place b ~pos ~len ~page ~prev_lo ~prev_hi p =
   | _ -> raise Corrupt_record);
   Lsn.of_int prev
 
+(* --- full page images, written and restored in place --- *)
+
+(* A [Page_op] [Full_image] record as [encode] lays it out: the 33-byte
+   page-record header (nil txn and prev_txn_lsn, tag 5, page,
+   prev_page_lsn), op tag 6, the u32 image length, the image itself and
+   the CRC trailer. *)
+let image_at = 38
+let image_record_size = image_at + Page.page_size + 4
+
+let encode_image_into b ~pos ~page ~prev_page_lsn image =
+  Bytes.set_int64_le b pos (Txn_id.to_int64 Txn_id.nil);
+  Bytes.set_int64_le b (pos + 8) (Lsn.to_int64 Lsn.nil);
+  Bytes.set_uint8 b (pos + 16) 5;
+  Bytes.set_int64_le b (pos + 17) (Page_id.to_int64 page);
+  Bytes.set_int64_le b (pos + 25) (Lsn.to_int64 prev_page_lsn);
+  Bytes.set_uint8 b (pos + 33) 6;
+  Bytes.set_int32_le b (pos + 34) (Int32.of_int Page.page_size);
+  Bytes.blit image 0 b (pos + image_at) Page.page_size;
+  let n = image_at + Page.page_size in
+  Bytes.set_int32_le b (pos + n) (Checksum.crc32 b ~pos ~len:n)
+
+let image_in_place b ~pos ~len ~page p =
+  if
+    len <> image_record_size
+    || (not (check_bytes b ~pos ~len))
+    || Bytes.get_uint8 b (pos + 16) <> 5
+    || Bytes.get_uint8 b (pos + 33) <> 6
+    || Int64.to_int (Bytes.get_int64_le b (pos + 17)) <> Page_id.to_int page
+    || Int32.to_int (Bytes.get_int32_le b (pos + 34)) <> Page.page_size
+  then raise Corrupt_record;
+  Bytes.blit b (pos + image_at) p 0 Page.page_size
+
 let op_name = function
   | Insert_row _ -> "insert_row"
   | Delete_row _ -> "delete_row"

@@ -183,3 +183,31 @@ val undo_in_place :
     failures of the undo itself ([Page_full], [Invalid_argument])
     propagate and may leave the page changed. *)
 
+(** {2 Full page images in place}
+
+    A full page image is 8 KiB of payload behind a fixed header.  The
+    write path encodes it straight into the log's segment blob and the
+    rewind path restores it from there, so neither builds the record
+    value nor copies the image through an intermediate string. *)
+
+val image_record_size : int
+(** Encoded size of a [Page_op] {!op.Full_image} record of one page. *)
+
+val encode_image_into :
+  bytes ->
+  pos:int ->
+  page:Rw_storage.Page_id.t ->
+  prev_page_lsn:Rw_storage.Lsn.t ->
+  Rw_storage.Page.t ->
+  unit
+(** [encode_image_into b ~pos ~page ~prev_page_lsn img] writes at
+    [b.[pos .. pos+image_record_size-1]] exactly the bytes {!encode}
+    gives for [make (Page_op { page; prev_page_lsn; op = Full_image
+    { image = img } })] — a system record outside any transaction. *)
+
+val image_in_place :
+  bytes -> pos:int -> len:int -> page:Rw_storage.Page_id.t -> Rw_storage.Page.t -> unit
+(** [image_in_place b ~pos ~len ~page p] blits the page image of the
+    encoded record at [b.[pos .. pos+len-1]] over [p].  The length, CRC
+    trailer, record and op tags, page id and image length are all checked
+    first; {!Corrupt_record} is raised, with [p] untouched, if any fails. *)

@@ -15,6 +15,7 @@ module Split_lsn = Rw_core.Split_lsn
 module Prepared_cache = Rw_core.Prepared_cache
 module Session_manager = Rw_session.Session_manager
 module Domain_pool = Rw_pool.Domain_pool
+module Access_ctx = Rw_access.Access_ctx
 
 type figure =
   | Fig5
@@ -96,12 +97,15 @@ type setup = {
   t_run_end : float;
 }
 
-let build ?(fpi = 0) ?(media = Media.ssd) ?log_media ?log_cache_blocks ?log_block_bytes
+(* The figure harness logs no full page images unless a row sweeps the
+   policy, so the paper's baselines stay fixed as the engine default
+   moves. *)
+let build ?(fpi = Access_ctx.Off) ?(media = Media.ssd) ?log_media ?log_cache_blocks ?log_block_bytes
     ?log_segment_bytes ?(group_commit = Some (64 * 1024, 2_000.0)) ?(cfg = Tpcc.default_config)
     ~history_txns () =
   let eng = Engine.create ~media ?log_media () in
   let db =
-    Engine.create_database eng ~fpi_frequency:fpi ~pool_capacity:1024
+    Engine.create_database eng ~fpi ~pool_capacity:1024
       ~checkpoint_interval_us:2_000_000.0 ?log_cache_blocks ?log_block_bytes ?log_segment_bytes
       "tpcc"
   in
@@ -131,7 +135,26 @@ let time_of eng f =
 
 (* --- Figures 5 & 6: FPI frequency sweep --- *)
 
-let fpi_values = [ 0; 100; 50; 20; 10 ]
+(* The paper's N, then byte budgets of 4, 2 and 1 pages. *)
+let fpi_values =
+  Access_ctx.
+    [
+      Off;
+      Every_mods 100;
+      Every_mods 50;
+      Every_mods 20;
+      Every_mods 10;
+      Budget_bytes (4 * Page.page_size);
+      Budget_bytes (2 * Page.page_size);
+      Budget_bytes Page.page_size;
+    ]
+
+let fpi_label = function
+  | Access_ctx.Off -> "off"
+  | Access_ctx.Every_mods n -> string_of_int n
+  | Access_ctx.Budget_bytes b -> Printf.sprintf "B=%dp" (b / Page.page_size)
+
+let budget_note = "(B=kp: an image per k pages of a page's logged chain bytes)\n"
 
 let fig56 ~quick ~show () =
   let txns = if quick then 600 else 4000 in
@@ -155,7 +178,6 @@ let fig56 ~quick ~show () =
   let base_mb, base_tpmc =
     match rows with (_, mb, tp, _) :: _ -> (mb, tp) | [] -> (1.0, 1.0)
   in
-  let fpi_label fpi = if fpi = 0 then "off" else string_of_int fpi in
   (match show with
   | `Space ->
       header "Figure 5: transaction log space vs full-page-image frequency N";
@@ -175,11 +197,14 @@ let fig56 ~quick ~show () =
         rows);
   List.iter
     (fun (fpi, _, _, w) ->
-      Printf.printf "  N=%-4s log write path: %s\n" (fpi_label fpi)
-        (Format.asprintf "%a" Io_stats.pp_writes w))
+      let key =
+        match fpi with Access_ctx.Budget_bytes _ -> fpi_label fpi | _ -> "N=" ^ fpi_label fpi
+      in
+      Printf.printf "  %-6s log write path: %s\n" key (Format.asprintf "%a" Io_stats.pp_writes w))
     rows;
   Printf.printf
-    "(paper: additional logging has little throughput impact but grows the log)\n%!"
+    "(paper: additional logging has little throughput impact but grows the log)\n%!";
+  print_string budget_note
 
 (* --- Figures 7-11: restore vs as-of query at increasing time-back --- *)
 
@@ -196,10 +221,13 @@ type point = {
    cache, and the log cache is sized well below the history's log volume
    so rewinding into old regions actually stalls on log I/O (the effect
    Figure 11 quantifies). *)
-let backward_cache : (string * bool, point list) Hashtbl.t = Hashtbl.create 8
+let backward_cache : (string * bool * string, point list) Hashtbl.t = Hashtbl.create 8
 
-let backward_points ?(fracs = [ 0.1; 0.3; 0.5; 0.7; 0.9 ]) ~media ~quick () =
-  match Hashtbl.find_opt backward_cache (media.Media.name, quick) with
+let backward_fracs = [ 0.1; 0.3; 0.5; 0.7; 0.9 ]
+
+let backward_points ?(fpi = Access_ctx.Off) ~media ~quick () =
+  let key = (media.Media.name, quick, fpi_label fpi) in
+  match Hashtbl.find_opt backward_cache key with
   | Some points -> points
   | None ->
   let history_txns = if quick then 1200 else 8000 in
@@ -214,7 +242,7 @@ let backward_points ?(fracs = [ 0.1; 0.3; 0.5; 0.7; 0.9 ]) ~media ~quick () =
   List.map
     (fun frac ->
       let s =
-        build ~media ~log_cache_blocks:64 ~log_block_bytes:16384 ~cfg ~history_txns:0 ()
+        build ~fpi ~media ~log_cache_blocks:64 ~log_block_bytes:16384 ~cfg ~history_txns:0 ()
       in
       (* Cold static bulk: the paper's database is 40 GB of which the
          workload touches a small hot set.  The cold region is never read
@@ -249,44 +277,75 @@ let backward_points ?(fracs = [ 0.1; 0.3; 0.5; 0.7; 0.9 ]) ~media ~quick () =
         restore_s = seconds restore_s;
         undo_ios;
       })
-    fracs
+    backward_fracs
   in
-  Hashtbl.replace backward_cache (media.Media.name, quick) points;
+  Hashtbl.replace backward_cache key points;
   points
 
+(* The figures' rows are measured without images; each then repeats its
+   points under the engine's default byte budget. *)
+let under_default_budget () =
+  Printf.printf "under the engine's default full-page-image policy (%s):\n"
+    (fpi_label Access_ctx.default_fpi)
+
 let fig_restore_vs_asof ~media ~quick ~fig () =
-  let points = backward_points ~media ~quick () in
   header
     (Printf.sprintf "Figure %d: restore vs as-of query end-to-end time (%s)" fig media.Media.name);
-  Printf.printf "%-14s %16s %16s %10s\n" "back (sim s)" "as-of total (s)" "restore (s)" "speedup";
-  List.iter
-    (fun p ->
-      let asof = p.snap_create_s +. p.asof_query_s in
-      Printf.printf "%-14.2f %16.4f %16.3f %9.0fx\n" p.back_s asof p.restore_s
-        (p.restore_s /. (if asof > 0.0 then asof else 1e-9)))
-    points;
+  let table points =
+    Printf.printf "%-14s %16s %16s %10s\n" "back (sim s)" "as-of total (s)" "restore (s)" "speedup";
+    List.iter
+      (fun p ->
+        let asof = p.snap_create_s +. p.asof_query_s in
+        Printf.printf "%-14.2f %16.4f %16.3f %9.0fx\n" p.back_s asof p.restore_s
+          (p.restore_s /. (if asof > 0.0 then asof else 1e-9)))
+      points
+  in
+  table (backward_points ~media ~quick ());
   Printf.printf
-    "(paper: as-of grows with time back; restore is flat and orders of magnitude slower)\n%!"
+    "(paper: as-of grows with time back; restore is flat and orders of magnitude slower)\n%!";
+  under_default_budget ();
+  table (backward_points ~fpi:Access_ctx.default_fpi ~media ~quick ())
 
 let fig_create_vs_query ~media ~quick ~fig () =
-  let points = backward_points ~media ~quick () in
   header
     (Printf.sprintf "Figure %d: snapshot creation vs as-of query time (%s)" fig
        media.Media.name);
-  Printf.printf "%-14s %18s %16s\n" "back (sim s)" "snap creation (s)" "as-of query (s)";
-  List.iter
-    (fun p -> Printf.printf "%-14.2f %18.4f %16.4f\n" p.back_s p.snap_create_s p.asof_query_s)
-    points;
+  let table points =
+    Printf.printf "%-14s %18s %16s\n" "back (sim s)" "snap creation (s)" "as-of query (s)";
+    List.iter
+      (fun p -> Printf.printf "%-14.2f %18.4f %16.4f\n" p.back_s p.snap_create_s p.asof_query_s)
+      points
+  in
+  table (backward_points ~media ~quick ());
   Printf.printf
     "(paper: creation is roughly constant — bounded by log scanned from the nearest\n\
-    \ checkpoint; query time grows with the modifications to be undone)\n%!"
+    \ checkpoint; query time grows with the modifications to be undone)\n%!";
+  under_default_budget ();
+  table (backward_points ~fpi:Access_ctx.default_fpi ~media ~quick ())
+
+let fig11_budgets = List.filter (function Access_ctx.Budget_bytes _ -> true | _ -> false) fpi_values
 
 let fig11 ~quick () =
   let points = backward_points ~media:Media.ssd ~quick () in
   header "Figure 11: estimated number of undo log I/Os per as-of query";
   Printf.printf "%-14s %14s\n" "back (sim s)" "undo log IOs";
   List.iter (fun p -> Printf.printf "%-14.2f %14d\n" p.back_s p.undo_ios) points;
-  Printf.printf "(paper: grows linearly with the amount of history rewound)\n%!"
+  Printf.printf "(paper: grows linearly with the amount of history rewound)\n%!";
+  let budgets =
+    List.map (fun fpi -> backward_points ~fpi ~media:Media.ssd ~quick ()) fig11_budgets
+  in
+  (* Images lengthen the simulated history, so each policy's points sit
+     at the same fractions of its own history, not at the same seconds. *)
+  Printf.printf "undo log IOs under a byte budget:\n%-14s" "history back";
+  List.iter (fun fpi -> Printf.printf " %8s" (fpi_label fpi)) fig11_budgets;
+  print_newline ();
+  List.iteri
+    (fun i frac ->
+      Printf.printf "%-14s" (Printf.sprintf "%.0f%%" (100.0 *. frac));
+      List.iter (fun pts -> Printf.printf " %8d" (List.nth pts i).undo_ios) budgets;
+      print_newline ())
+    backward_fracs;
+  print_string budget_note
 
 (* --- §6.3: concurrent as-of query loop --- *)
 
@@ -560,11 +619,10 @@ let ablation ~quick () =
       let _, query_s =
         time_of s.eng (fun () -> Tpcc.stock_level snap s.cfg ~w:1 ~d:1 ~threshold:15)
       in
-      Printf.printf "%-8s %16.4f %14d\n"
-        (if fpi = 0 then "off" else string_of_int fpi)
-        (seconds query_s)
+      Printf.printf "%-8s %16.4f %14d\n" (fpi_label fpi) (seconds query_s)
         (Io_stats.diff log_stats ios0).Io_stats.random_reads)
-    [ 0; 50; 10 ];
+    (Access_ctx.[ Off; Every_mods 50; Every_mods 10 ] @ fig11_budgets);
+  print_string budget_note;
   header "Ablation B: log cache size vs as-of query cost";
   Printf.printf "%-14s %16s\n" "cache blocks" "query time (s)";
   List.iter
@@ -687,7 +745,7 @@ let crash_repair_run ~instant ~seed ~crash_after ~rates =
   let open_db ?fault_plan name =
     let db =
       Database.create ~name ~clock:(Sim_clock.create ()) ~media:Media.ram ~pool_capacity:24
-        ~fpi_frequency:16 ~checkpoint_interval_us:10_000.0 ?fault_plan ()
+        ~fpi:(Access_ctx.Every_mods 16) ~checkpoint_interval_us:10_000.0 ?fault_plan ()
     in
     Tpcc.load db cfg;
     let drv = Tpcc.create db cfg in
@@ -1168,7 +1226,7 @@ let e9_instant ~quick () =
        for. *)
     let db =
       Database.create ~name ~clock ~media:Media.sas ~log_media:Media.ssd ~pool_capacity:256
-        ~fpi_frequency:16 ~checkpoint_interval_us:1e15 ()
+        ~fpi:(Access_ctx.Every_mods 16) ~checkpoint_interval_us:1e15 ()
     in
     let cfg = { Tpcc.small_config with Tpcc.seed = 5 } in
     Tpcc.load db cfg;

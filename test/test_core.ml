@@ -36,7 +36,7 @@ let cols =
 
 type env = { clock : Sim_clock.t; log : Log_manager.t; txns : Txn_manager.t; ctx : Access_ctx.t; pool : Buffer_pool.t }
 
-let mk_env ?fpi_frequency ?segment_bytes () =
+let mk_env ?fpi ?segment_bytes () =
   let clock = Sim_clock.create () in
   let disk = Disk.create ~clock ~media:Media.ram () in
   let log = Log_manager.create ~clock ~media:Media.ram ?segment_bytes () in
@@ -47,14 +47,14 @@ let mk_env ?fpi_frequency ?segment_bytes () =
   in
   let locks = Rw_txn.Lock_manager.create () in
   let txns = Txn_manager.create ~log ~locks in
-  let ctx = Access_ctx.create ~pool ~txns ~log ~clock ?fpi_frequency () in
+  let ctx = Access_ctx.create ~pool ~txns ~log ~clock ?fpi () in
   { clock; log; txns; ctx; pool }
 
 let page_image env pid =
   Buffer_pool.with_page env.pool pid ~mode:Rw_buffer.Latch.Shared (fun p -> Bytes.to_string p)
 
-let random_history ?fpi_frequency ~ops () =
-  let env = mk_env ?fpi_frequency () in
+let random_history ?fpi ~ops () =
+  let env = mk_env ?fpi () in
   let pid = Page_id.of_int 0 in
   let rng = Prng.create 7 in
   let txn = Txn_manager.begin_txn env.txns in
@@ -109,8 +109,8 @@ let canonical img =
     Page.special p,
     List.init (Rw_storage.Slotted_page.count p) (fun i -> Rw_storage.Slotted_page.get p ~at:i) )
 
-let run_golden ?fpi_frequency () =
-  let env, pid, history = random_history ?fpi_frequency ~ops:120 () in
+let run_golden ?fpi () =
+  let env, pid, history = random_history ?fpi ~ops:120 () in
   let current = page_image env pid in
   List.iter
     (fun (as_of_int, expected) ->
@@ -123,8 +123,8 @@ let run_golden ?fpi_frequency () =
         Alcotest.failf "rewind to lsn %d did not reproduce history" as_of_int)
     history
 
-let test_prepare_golden () = run_golden ()
-let test_prepare_golden_with_fpi () = run_golden ~fpi_frequency:10 ()
+let test_prepare_golden () = run_golden ~fpi:Access_ctx.Off ()
+let test_prepare_golden_with_fpi () = run_golden ~fpi:(Access_ctx.Every_mods 10) ()
 
 let test_prepare_noop_when_old () =
   let env, pid, _ = random_history ~ops:20 () in
@@ -137,10 +137,10 @@ let test_prepare_noop_when_old () =
 let test_fpi_reduces_reads () =
   (* With frequent FPIs, rewinding a heavily-modified page far back must
      read fewer log records than without. *)
-  let env1, pid1, _ = random_history ~ops:300 () in
+  let env1, pid1, _ = random_history ~fpi:Access_ctx.Off ~ops:300 () in
   let p1 = Bytes.of_string (page_image env1 pid1) in
   let r1 = Page_undo.prepare_page_as_of ~log:env1.log ~page:p1 ~as_of:(Lsn.of_int 1) in
-  let env2, pid2, _ = random_history ~fpi_frequency:20 ~ops:300 () in
+  let env2, pid2, _ = random_history ~fpi:(Access_ctx.Every_mods 20) ~ops:300 () in
   let p2 = Bytes.of_string (page_image env2 pid2) in
   let r2 = Page_undo.prepare_page_as_of ~log:env2.log ~page:p2 ~as_of:(Lsn.of_int 1) in
   check "fpi used" true r2.Page_undo.used_fpi;
@@ -158,9 +158,9 @@ let test_fpi_reduces_reads () =
 let test_batched_matches_walk () =
   let module Io_stats = Rw_storage.Io_stats in
   List.iter
-    (fun (ops, fpi_frequency) ->
-      let env1, pid1, history = random_history ?fpi_frequency ~ops () in
-      let env2, pid2, _ = random_history ?fpi_frequency ~ops () in
+    (fun (ops, fpi) ->
+      let env1, pid1, history = random_history ~fpi ~ops () in
+      let env2, pid2, _ = random_history ~fpi ~ops () in
       let current = page_image env1 pid1 in
       check "deterministic histories" true (current = page_image env2 pid2);
       (* Rebuild each log into a fresh manager with a tiny block cache so
@@ -197,7 +197,7 @@ let test_batched_matches_walk () =
               (d1.Io_stats.random_reads <= d2.Io_stats.random_reads)
           end)
         history)
-    [ (120, None); (120, Some 15); (40, Some 4) ]
+    Access_ctx.[ (120, Off); (120, Every_mods 15); (40, Every_mods 4) ]
 
 let test_chain_broken_detection () =
   let env, pid, _ = random_history ~ops:5 () in
@@ -321,11 +321,11 @@ let test_broken_page_in_batch () =
    full page images. *)
 let test_batch_of_one_matches_serial () =
   let module Io_stats = Rw_storage.Io_stats in
-  let build fpi_frequency =
+  let build fpi =
     let clock = Sim_clock.create () in
     let db =
       Database.create ~name:"one" ~clock ~media:Media.ram ~log_media:Media.ssd
-        ~log_cache_blocks:2 ~log_block_bytes:256 ~fpi_frequency ~checkpoint_interval_us:1e15 ()
+        ~log_cache_blocks:2 ~log_block_bytes:256 ~fpi ~checkpoint_interval_us:1e15 ()
     in
     let row r i =
       [ Row.Int (Int64.of_int i); Row.Text (Printf.sprintf "%d-%03d-%s" r i (String.make 40 'x')) ]
@@ -347,9 +347,9 @@ let test_batch_of_one_matches_serial () =
     (db, Option.get (Database.snapshot_handle view))
   in
   List.iter
-    (fun fpi_frequency ->
-      let db_s, snap_s = build fpi_frequency in
-      let db_b, snap_b = build fpi_frequency in
+    (fun (name, fpi) ->
+      let db_s, snap_s = build fpi in
+      let db_b, snap_b = build fpi in
       let disk = Database.disk db_s in
       let raw snap pid =
         Buffer_pool.with_page (As_of_snapshot.pool snap) pid ~mode:Rw_buffer.Latch.Shared
@@ -370,7 +370,7 @@ let test_batch_of_one_matches_serial () =
           let (), log_b, disk_b =
             measure db_b (fun () -> ignore (As_of_snapshot.materialize_batch snap_b [ pid ]))
           in
-          let label = Printf.sprintf "fpi %d page %d" fpi_frequency i in
+          let label = Printf.sprintf "fpi %s page %d" name i in
           check (label ^ ": same bytes") true (String.equal serial (raw snap_b pid));
           check (label ^ ": same log I/O") true (log_s = log_b);
           check (label ^ ": same data I/O") true (disk_s = disk_b)
@@ -379,15 +379,166 @@ let test_batch_of_one_matches_serial () =
       let rewinds = As_of_snapshot.rewinds snap_s in
       check "log records were read" true
         (List.exists (fun r -> r.As_of_snapshot.rc_log_reads > 0) rewinds);
-      check "fpi use as configured" (fpi_frequency > 0)
+      check "fpi use as configured" (fpi <> Access_ctx.Off)
         (List.exists (fun r -> r.As_of_snapshot.rc_fpi) rewinds))
-    [ 0; 3 ]
+    Access_ctx.[ ("off", Off); ("N=3", Every_mods 3); ("default", default_fpi) ]
+
+(* --- full page images under the default byte budget --- *)
+
+let default_budget () =
+  match Access_ctx.default_fpi with
+  | Access_ctx.Budget_bytes b -> b
+  | _ -> Alcotest.fail "the default policy is a byte budget"
+
+(* A generated history over a few pages under the default policy:
+   inserts, updates and deletes of 1-200 byte rows in ten-op
+   transactions, a fifth of them rolled back, so CLRs count toward the
+   budget too.  Returns the pages and the end of the log after every
+   operation, ascending. *)
+let budget_history ~seed ~pages ~txns =
+  let env = mk_env () in
+  let rng = Prng.create seed in
+  let pids = Array.init pages Page_id.of_int in
+  let txn = Txn_manager.begin_txn env.txns in
+  Array.iter
+    (fun pid -> Access_ctx.modify env.ctx txn pid (Log_record.Format { typ = Page.Heap; level = 0 }))
+    pids;
+  Txn_manager.commit env.txns txn ~wall_us:0.0;
+  let ends = ref [] in
+  for _ = 1 to txns do
+    let txn = Txn_manager.begin_txn env.txns in
+    for _ = 1 to 10 do
+      let pid = pids.(Prng.int rng pages) in
+      let n, free =
+        Buffer_pool.with_page env.pool pid ~mode:Rw_buffer.Latch.Shared (fun p ->
+            (Rw_storage.Slotted_page.count p, Rw_storage.Slotted_page.free_space p))
+      in
+      let row () = Prng.alpha_string rng (1 + Prng.int rng 200) in
+      let get at =
+        Buffer_pool.with_page env.pool pid ~mode:Rw_buffer.Latch.Shared (fun p ->
+            Rw_storage.Slotted_page.get p ~at)
+      in
+      let choice = Prng.int rng 100 in
+      let op =
+        if n = 0 || (choice < 50 && free > 400) then
+          Log_record.Insert_row { slot = Prng.int rng (n + 1); row = row () }
+        else if choice < 75 && free > 400 then
+          let at = Prng.int rng n in
+          Log_record.Update_row { slot = at; before = get at; after = row () }
+        else
+          let at = Prng.int rng n in
+          Log_record.Delete_row { slot = at; row = get at }
+      in
+      Access_ctx.modify env.ctx txn pid op;
+      ends := Log_manager.end_lsn env.log :: !ends
+    done;
+    if Prng.int rng 5 = 0 then
+      Txn_manager.rollback env.txns txn ~write_page:(Access_ctx.page_writer env.ctx)
+    else Txn_manager.commit env.txns txn ~wall_us:0.0
+  done;
+  (env, pids, List.rev !ends)
+
+(* The records a rewind of [page] to [as_of] undoes: from the jump-start
+   image's capture point (or the page's top) down to [as_of]. *)
+let undone_records log page ~as_of ~used_fpi =
+  let pid = Page.id page in
+  let start =
+    if used_fpi then
+      match Log_manager.earliest_fpi_after log pid ~after:as_of with
+      | Some f -> (Log_manager.peek_record log f).Log_record.p_prev_page_lsn
+      | None -> Alcotest.fail "an image was used but none is indexed"
+    else Page.lsn page
+  in
+  Log_manager.chain_segment log pid ~from:start ~down_to:as_of
+
+(* Under the default budget, the serial rewind, the batch and the pointer
+   walk leave byte-identical pages and counters at every sampled target,
+   and no rewind undoes more than one budget of chain bytes plus one
+   record. *)
+let test_budget_rewinds_match_walk () =
+  let budget = default_budget () in
+  let env, pids, ends = budget_history ~seed:41 ~pages:3 ~txns:90 in
+  let current = Array.map (fun pid -> Bytes.of_string (page_image env pid)) pids in
+  let jumps = ref 0 in
+  List.iteri
+    (fun i as_of ->
+      if i mod 7 = 0 then begin
+        let rewind f = Array.map (fun p -> let p = Bytes.copy p in (p, f p)) current in
+        let walk = rewind (fun page -> Page_undo.prepare_page_as_of_walk ~log:env.log ~page ~as_of) in
+        let serial = rewind (fun page -> Page_undo.prepare_page_as_of ~log:env.log ~page ~as_of) in
+        let batch = Array.map Bytes.copy current in
+        let plans, _ = Page_undo.plan_batch ~log:env.log ~as_of batch in
+        Array.iteri
+          (fun k (wp, (wr : Page_undo.result)) ->
+            let label = Printf.sprintf "page %d as of %d" k (Lsn.to_int as_of) in
+            let sp, sr = serial.(k) in
+            check (label ^ ": serial bytes = walk") true (Bytes.equal sp wp);
+            check (label ^ ": serial counters = walk") true (sr = wr);
+            (match Page_undo.apply_raw ~page:batch.(k) ~as_of plans.(k) with
+            | Some br ->
+                check (label ^ ": batch bytes = walk") true (Bytes.equal batch.(k) wp);
+                check (label ^ ": batch counters = walk") true (br = wr)
+            | None -> Alcotest.failf "%s: the batch rejected a healthy chain" label);
+            if wr.used_fpi then incr jumps;
+            let undone = undone_records env.log current.(k) ~as_of ~used_fpi:wr.used_fpi in
+            check_int (label ^ ": undone records") wr.ops_undone (Array.length undone);
+            let size l = Lsn.to_int (Log_manager.next_lsn_after env.log l) - Lsn.to_int l in
+            let bytes = Array.fold_left (fun a l -> a + size l) 0 undone in
+            let largest = Array.fold_left (fun a l -> max a (size l)) 0 undone in
+            if bytes > budget + largest then
+              Alcotest.failf "%s: undid %d B of chain, budget %d B + one record of %d B" label
+                bytes budget largest)
+          walk
+      end)
+    ends;
+  check "rewinds jump-started from images" true (!jumps > 0)
+
+(* One flipped byte inside an image's segment span: the batch rejects the
+   plan and restores the page, the serial path falls back to the walk
+   (counted), and its outcome is exactly the walk's. *)
+let test_corrupt_image_falls_back () =
+  let env, pids, ends = budget_history ~seed:43 ~pages:1 ~txns:60 in
+  let pid = pids.(0) in
+  let original = Bytes.of_string (page_image env pid) in
+  (* A cold copy of the log serves every record as a span of its blob. *)
+  let log = Log_manager.create ~clock:env.clock ~media:Media.ram () in
+  Log_manager.restore_entries log (Log_manager.dump_entries env.log);
+  let as_of = List.nth ends (List.length ends / 2) in
+  let image =
+    match Log_manager.earliest_fpi_after log pid ~after:as_of with
+    | Some f when Lsn.(f < Page.lsn original) -> f
+    | _ -> Alcotest.fail "expected an image above the target"
+  in
+  let outcome f =
+    let page = Bytes.copy original in
+    match f page with
+    | (r : Page_undo.result) -> Ok (r.ops_undone, r.used_fpi, Bytes.to_string page)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let clean = outcome (fun page -> Page_undo.prepare_page_as_of ~log ~page ~as_of) in
+  check "the clean rewind jump-starts" true
+    (match clean with Ok (_, used_fpi, _) -> used_fpi | Error _ -> false);
+  let g = Option.get (Log_manager.gather_batch log [| [| image |] |]).Log_manager.b_pages.(0) in
+  check "image served as a span" true (g.Log_manager.g_decoded.(0) == Log_manager.not_cached);
+  let at = g.Log_manager.g_pos.(0) + 1000 in
+  let blob = g.Log_manager.g_blob.(0) in
+  Bytes.set blob at (Char.chr (Char.code (Bytes.get blob at) lxor 0x01));
+  let page = Bytes.copy original in
+  let plans, _ = Page_undo.plan_batch ~log ~as_of [| page |] in
+  check "batch rejects the image" true (Page_undo.apply_raw ~page ~as_of plans.(0) = None);
+  check "page restored" true (Bytes.equal page original);
+  let walk = outcome (fun page -> Page_undo.prepare_page_as_of_walk ~log ~page ~as_of) in
+  let before = Rw_obs.Metrics.counter_value Rw_obs.Probes.walk_fallbacks in
+  let serial = outcome (fun page -> Page_undo.prepare_page_as_of ~log ~page ~as_of) in
+  check_int "one walk fallback" 1
+    (Rw_obs.Metrics.counter_value Rw_obs.Probes.walk_fallbacks - before);
+  check "serial path = walk" true (serial = walk)
 
 (* --- split lsn --- *)
 
-let mk_db ?(media = Media.ram) ?fpi_frequency ?(name = "core") () =
+let mk_db ?(media = Media.ram) ?fpi ?(name = "core") () =
   let clock = Sim_clock.create () in
-  Database.create ~name ~clock ~media ?fpi_frequency ()
+  Database.create ~name ~clock ~media ?fpi ()
 
 let test_split_lsn_boundaries () =
   let db = mk_db () in
@@ -747,7 +898,7 @@ let test_no_retention_keeps_everything () =
    below the new boundary, and rewinds to points inside the window must be
    byte-identical to the same rewinds before truncation. *)
 let test_retention_segmented_indexes () =
-  let env = mk_env ~fpi_frequency:10 ~segment_bytes:512 () in
+  let env = mk_env ~fpi:(Access_ctx.Every_mods 10) ~segment_bytes:512 () in
   let pid = Page_id.of_int 0 in
   let rng = Prng.create 99 in
   let txn = Txn_manager.begin_txn env.txns in
@@ -825,6 +976,10 @@ let () =
           Alcotest.test_case "batched rewind matches walk" `Quick test_batched_matches_walk;
           Alcotest.test_case "broken page in a healthy batch" `Quick test_broken_page_in_batch;
           Alcotest.test_case "batch of one matches serial" `Quick test_batch_of_one_matches_serial;
+          Alcotest.test_case "default budget: rewinds match the walk" `Quick
+            test_budget_rewinds_match_walk;
+          Alcotest.test_case "corrupt image falls back to the walk" `Quick
+            test_corrupt_image_falls_back;
           Alcotest.test_case "failed apply restores the page" `Quick
             test_failed_apply_restores_page;
         ] );

@@ -225,7 +225,7 @@ let test_crash_fuzz_with_fpi () =
   (* The crash-recovery path must also be correct when full-page-image
      records are interleaved in transaction chains. *)
   let clock = Sim_clock.create () in
-  let db = ref (Database.create ~name:"fpi" ~clock ~media:Media.ram ~fpi_frequency:5 ()) in
+  let db = ref (Database.create ~name:"fpi" ~clock ~media:Media.ram ~fpi:(Rw_access.Access_ctx.Every_mods 5) ()) in
   Database.with_txn !db (fun txn ->
       ignore (Database.create_table !db txn ~table:"acct" ~columns:cols ()));
   let rng = Prng.create 9 in
@@ -257,8 +257,22 @@ let test_crash_fuzz_with_fpi () =
 
 let tmpfile () = Filename.temp_file "rewinddb" ".img"
 
+(* Full page images logged in [from, end of log). *)
+let images_since db ~from =
+  let log = Database.log db in
+  let n = ref 0 in
+  Rw_wal.Log_manager.iter_range_peek log ~from ~upto:(Rw_wal.Log_manager.end_lsn log)
+    (fun _ pk _ ->
+      if pk.Rw_wal.Log_record.p_kind = Rw_wal.Log_record.K_page_op Rw_wal.Log_record.K_full_image
+      then incr n);
+  !n
+
 let test_save_load_roundtrip () =
-  let db = mk_db () in
+  let module Access_ctx = Rw_access.Access_ctx in
+  let db =
+    Database.create ~name:"db" ~clock:(Sim_clock.create ()) ~media:Media.ram
+      ~fpi:(Access_ctx.Every_mods 4) ()
+  in
   seed db ~n:25;
   Database.set_retention db (Some 60_000_000.0);
   let before = ref [] in
@@ -279,6 +293,14 @@ let test_save_load_roundtrip () =
   Database.with_txn db2 (fun txn ->
       Database.insert db2 txn ~table:"acct" [ Row.Int 99L; Row.Int 1L; Row.Text "post-load" ]);
   check "writable after load" true (Database.get db2 ~table:"acct" ~key:99L <> None);
+  (* The policy came along, and the loaded database logs images under it. *)
+  check "fpi policy preserved" true (Access_ctx.fpi (Database.ctx db2) = Access_ctx.Every_mods 4);
+  let from = Rw_wal.Log_manager.end_lsn (Database.log db2) in
+  Database.with_txn db2 (fun txn ->
+      for i = 100 to 111 do
+        Database.insert db2 txn ~table:"acct" [ Row.Int (Int64.of_int i); Row.Int 1L; Row.Text "x" ]
+      done);
+  check "images logged every 4th modification after load" true (images_since db2 ~from >= 3);
   Sys.remove path
 
 let test_save_load_preserves_history () =

@@ -234,7 +234,7 @@ let test_parallel_partitions_counted () =
    (log-scan redo) left on disk. *)
 let test_chain_replay_equals_log_scan () =
   let clock = Sim_clock.create () in
-  let db = Database.create ~name:"chain" ~clock ~media:Media.ram ~fpi_frequency:3 () in
+  let db = Database.create ~name:"chain" ~clock ~media:Media.ram ~fpi:(Rw_access.Access_ctx.Every_mods 3) () in
   seed db 80;
   churn db 4;
   let db = Database.crash_and_reopen db in

@@ -28,7 +28,7 @@ type env = {
   ctx : Access_ctx.t;
 }
 
-let mk_env ?fpi_frequency () =
+let mk_env ?fpi () =
   let clock = Sim_clock.create () in
   let disk = Disk.create ~clock ~media:Media.ram () in
   let log = Log_manager.create ~clock ~media:Media.ram () in
@@ -39,7 +39,7 @@ let mk_env ?fpi_frequency () =
   in
   let locks = Lock_manager.create () in
   let txns = Txn_manager.create ~log ~locks in
-  let ctx = Access_ctx.create ~pool ~txns ~log ~clock ?fpi_frequency () in
+  let ctx = Access_ctx.create ~pool ~txns ~log ~clock ?fpi () in
   { clock; log; pool; txns; ctx }
 
 (* --- lock manager --- *)
@@ -264,7 +264,7 @@ let test_commit_failure_leaves_committing () =
   Txn_manager.finished txns txn
 
 let test_fpi_emission () =
-  let env = mk_env ~fpi_frequency:3 () in
+  let env = mk_env ~fpi:(Access_ctx.Every_mods 3) () in
   let t = Txn_manager.begin_txn env.txns in
   Access_ctx.modify env.ctx t (Page_id.of_int 0)
     (Log_record.Format { typ = Page.Heap; level = 0 });

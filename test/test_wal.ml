@@ -417,7 +417,27 @@ let test_cache_misses_cost () =
   let stats1 = Io_stats.copy (Log_manager.stats log) in
   ignore (Log_manager.read log (List.hd lsns));
   let d2 = Io_stats.diff (Log_manager.stats log) stats1 in
-  check_int "warm read hits" 0 d2.Io_stats.random_reads
+  check_int "warm read hits" 0 d2.Io_stats.random_reads;
+  (* [charge_read] prices exactly what [read] does and touches no
+     decoded-record counter. *)
+  let cold () =
+    let _, l = mk_log ~media:Media.ssd ~cache_blocks:2 () in
+    Log_manager.restore_entries l (Log_manager.dump_entries log);
+    l
+  in
+  let log' = cold () and log'' = cold () in
+  List.iter
+    (fun lsn ->
+      let r0 = Io_stats.copy (Log_manager.stats log') in
+      let c0 = Io_stats.copy (Log_manager.stats log'') in
+      ignore (Log_manager.read log' lsn);
+      Log_manager.charge_read log'' lsn;
+      let r = Io_stats.diff (Log_manager.stats log') r0 in
+      let c = Io_stats.diff (Log_manager.stats log'') c0 in
+      check_int "same block misses" r.Io_stats.log_block_misses c.Io_stats.log_block_misses;
+      check_int "same random reads" r.Io_stats.random_reads c.Io_stats.random_reads;
+      check_int "no record-cache access" 0 (c.Io_stats.log_record_hits + c.Io_stats.log_record_misses))
+    [ List.nth lsns 3; List.nth lsns 40; List.nth lsns 3; List.nth lsns 63 ]
 
 let test_fpi_directory () =
   let _, log = mk_log () in
@@ -439,6 +459,71 @@ let test_fpi_directory () =
     (Log_manager.earliest_fpi_after log (Page_id.of_int 1) ~after:f2 = None);
   check "unknown page none" true
     (Log_manager.earliest_fpi_after log (Page_id.of_int 99) ~after:Lsn.nil = None)
+
+(* [append_image] writes the bytes [encode] gives for the same record,
+   indexes it as an image on the page's chain, and leaves the
+   decoded-record cache alone; [image_in_place] restores the image from
+   those bytes and rejects any one flipped byte with the page untouched. *)
+let test_append_image () =
+  let _, log = mk_log ~segment_bytes:16384 () in
+  let pid = Page_id.of_int 7 in
+  let page = Page.create ~id:pid ~typ:Page.Heap in
+  Rw_storage.Slotted_page.insert page ~at:0 "the row";
+  let l0 = Log_manager.append log (page_op ~pid:7 (Log_record.Insert_row { slot = 0; row = "r" })) in
+  Page.set_lsn page l0;
+  let cached = Log_manager.record_cache_bytes log in
+  (* The second image crosses a segment seal. *)
+  let images =
+    List.map
+      (fun prev ->
+        let lsn = Log_manager.append_image log ~page:pid ~prev_page_lsn:prev page in
+        (lsn, prev))
+      [ l0; Lsn.of_int (Lsn.to_int l0 + 1) ]
+  in
+  check_int "decode cache not seeded" cached (Log_manager.record_cache_bytes log);
+  let entries = Log_manager.dump_entries log in
+  List.iter
+    (fun (lsn, prev) ->
+      let expected =
+        Log_record.encode
+          (Log_record.make
+             (Log_record.Page_op
+                {
+                  page = pid;
+                  prev_page_lsn = prev;
+                  op = Log_record.Full_image { image = Bytes.to_string page };
+                }))
+      in
+      let data = List.assoc lsn entries in
+      check "same bytes as encode" true (String.equal data expected);
+      check_int "record size" Log_record.image_record_size (String.length data);
+      check "next lsn" true
+        (Lsn.to_int (Log_manager.next_lsn_after log lsn) = Lsn.to_int lsn + String.length data);
+      let restored = Page.create ~id:pid ~typ:Page.Free in
+      let b = Bytes.of_string data in
+      Log_record.image_in_place b ~pos:0 ~len:(Bytes.length b) ~page:pid restored;
+      check "restored in place" true (Bytes.equal restored page);
+      List.iter
+        (fun at ->
+          let bad = Bytes.copy b in
+          Bytes.set bad at (Char.chr (Char.code (Bytes.get bad at) lxor 0x10));
+          let target = Page.create ~id:pid ~typ:Page.Free in
+          let before = Bytes.copy target in
+          check (Printf.sprintf "flip at %d rejected" at) true
+            (match Log_record.image_in_place bad ~pos:0 ~len:(Bytes.length bad) ~page:pid target with
+            | () -> false
+            | exception Log_record.Corrupt_record -> Bytes.equal target before))
+        [ 0; 16; 20; 33; 35; 40; 4000; Bytes.length b - 1 ];
+      check "foreign page rejected" true
+        (match Log_record.image_in_place b ~pos:0 ~len:(Bytes.length b) ~page:(Page_id.of_int 8) page with
+        | () -> false
+        | exception Log_record.Corrupt_record -> true))
+    images;
+  (match Log_manager.earliest_fpi_after log pid ~after:l0 with
+  | Some l -> check "indexed as an image" true (Lsn.equal l (fst (List.hd images)))
+  | None -> Alcotest.fail "expected an image");
+  check_int "on the page chain" 3
+    (Array.length (Log_manager.chain_segment log pid ~from:(Log_manager.end_lsn log) ~down_to:Lsn.nil))
 
 let test_checkpoints_before () =
   let _, log = mk_log () in
@@ -1101,6 +1186,7 @@ let () =
           Alcotest.test_case "truncation" `Quick test_truncate;
           Alcotest.test_case "block cache costs" `Quick test_cache_misses_cost;
           Alcotest.test_case "fpi directory" `Quick test_fpi_directory;
+          Alcotest.test_case "image appended and restored in place" `Quick test_append_image;
           Alcotest.test_case "checkpoint index" `Quick test_checkpoints_before;
           Alcotest.test_case "control directory upkeep" `Quick test_control_directory_upkeep;
           Alcotest.test_case "control directory save/load" `Quick test_control_directory_save_load;

@@ -115,18 +115,22 @@ echo "== rwbench count determinism (trace off vs on) =="
 # Every count line of an rwbench run comes from its counted window, which
 # runs the same code with tracing off or on, so the two runs must print
 # the same counts-digest.  Comparisons of modeled work between two
-# versions of the engine rest on this.
+# versions of the engine rest on this.  The writing workloads are checked
+# too: full-page-image emission is write-side work that must be just as
+# deterministic.
 digest_of() {
-  dune exec rwbench/main.exe -- --workload asof_audit --seed 7 --seconds 2 --trace "$1" |
+  dune exec rwbench/main.exe -- --workload "$1" --seed 7 --seconds 2 --trace "$2" |
     sed -n 's/^counts-digest //p'
 }
-digest_off=$(digest_of 0)
-digest_on=$(digest_of 1)
-echo "counts-digest trace 0: $digest_off  trace 1: $digest_on"
-if [ -z "$digest_off" ] || [ "$digest_off" != "$digest_on" ]; then
-  echo "error: asof_audit counts differ between --trace 0 and --trace 1" >&2
-  exit 1
-fi
+for w in asof_audit htap repair_restart; do
+  digest_off=$(digest_of "$w" 0)
+  digest_on=$(digest_of "$w" 1)
+  echo "$w counts-digest trace 0: $digest_off  trace 1: $digest_on"
+  if [ -z "$digest_off" ] || [ "$digest_off" != "$digest_on" ]; then
+    echo "error: $w counts differ between --trace 0 and --trace 1" >&2
+    exit 1
+  fi
+done
 
 echo "== bench smoke (all --quick --json) =="
 # The bench run overwrites BENCH_micro.json, so snapshot the checked-in
