@@ -491,7 +491,7 @@ module Micro = struct
   (* What-if selective undo at a fixed operating point: a 64-transaction
      single-table history whose first half chains through shared pages
      and whose second half writes private pages.  The graph-build row
-     prices the append-time-index path (no log scan); the replay rows
+     prices the build from the write-set index (no log scan); the replay rows
      price the non-mutating target computation ([Selective.preview]) for
      a mid-history victim — selective replay touches only the victim's
      dependent set, the full-rewind baseline recomputes every later
@@ -535,7 +535,7 @@ module Micro = struct
        let log = Database.log db in
        let graph = Rw_whatif.Dep_graph.build ~log in
        let victim =
-         (List.nth (Rw_whatif.Dep_graph.nodes graph) (base_nodes + 4)).Rw_whatif.Dep_graph.txn
+         (List.nth (Rw_whatif.Dep_graph.nodes graph) (base_nodes + 4)).Rw_wal.Log_manager.ts_txn
        in
        (Database.ctx db, log, graph, victim))
 

@@ -356,14 +356,11 @@ let meta_command session eng line =
               match args with
               | [] ->
                   Printf.printf
-                    "dependency graph: %d committed transactions, %d edges (%s)\n\
+                    "dependency graph: %d committed transactions, %d edges\n\
                      usage: \\whatif <txn-id> for one transaction's closure;\n\
                     \       REWIND TRANSACTION <id> [AS <view>] to remove it\n%!"
                     (Rw_whatif.Dep_graph.node_count graph)
-                    (Rw_whatif.Dep_graph.edge_count graph)
-                    (if Rw_whatif.Dep_graph.built_from_index graph then
-                       "from the append-time write-set index"
-                     else "rebuilt by log scan");
+                    (Rw_whatif.Dep_graph.edge_count graph);
                   `Continue
               | [ id ] -> (
                   match int_of_string_opt id with
@@ -379,17 +376,18 @@ let meta_command session eng line =
                           `Continue
                       | Some node ->
                           let open Rw_whatif.Dep_graph in
+                          let open Rw_wal.Log_manager in
                           let direct = dependents graph txn in
                           let closure = closure graph txn in
                           let pages =
                             List.sort_uniq Rw_storage.Page_id.compare
-                              (List.concat_map (fun n -> List.map fst n.writes) closure)
+                              (List.concat_map (fun n -> List.map fst n.ts_writes) closure)
                           in
                           Printf.printf
                             "transaction %d: %d page ops over %d pages, committed at %.6f s%s\n"
-                            id node.ops (List.length node.writes)
-                            (node.commit_wall_us /. 1e6)
-                            (if node.structural then " [structural]" else "");
+                            id node.ts_ops (List.length node.ts_writes)
+                            (node.ts_commit_wall_us /. 1e6)
+                            (if node.ts_structural then " [structural]" else "");
                           Printf.printf
                             "direct dependents : %d\n\
                              downstream closure: %d transactions touching %d pages\n"
@@ -399,7 +397,7 @@ let meta_command session eng line =
                           Printf.printf "closure           : %s\n"
                             (String.concat ", "
                                (List.map
-                                  (fun n -> string_of_int (Rw_wal.Txn_id.to_int n.txn))
+                                  (fun n -> string_of_int (Rw_wal.Txn_id.to_int n.ts_txn))
                                   closure));
                           Printf.printf
                             "REWIND TRANSACTION %d removes it and replays the %d dependents;\n\

@@ -99,19 +99,19 @@ let mk_segment ~segment_bytes base =
    [seg_lo, seg_hi) and never mutated. *)
 let tombstone = mk_segment ~segment_bytes:64 0
 
-(* Per-transaction summary accumulator for the append-time write-set
-   index (what-if dependency graphs).  Mutable builder; the public
-   [txn_summary] view is assembled on query. *)
+(* Per-transaction summary accumulator for the write-set index (what-if
+   dependency graphs).  Counts rather than flags, so that unindexing a
+   record is the exact reversal of indexing it; the public [txn_summary]
+   view is assembled on query. *)
 type txn_acc = {
   a_txn : Txn_id.t;
   a_first : Lsn.t;
-  mutable a_last_op : Lsn.t;
   mutable a_commit : Lsn.t;
   mutable a_wall : float;
   mutable a_aborted : bool;
   mutable a_ops : int;
-  mutable a_clr : bool;
-  mutable a_structural : bool;
+  mutable a_clrs : int;
+  mutable a_structural : int;
   mutable a_writes_rev : (Page_id.t * Lsn.t) list; (* newest-first, first-write lsn per page *)
   a_pages : (int, unit) Hashtbl.t; (* pages already in a_writes_rev: O(1) membership *)
 }
@@ -152,12 +152,14 @@ type t = {
          appends never bump it, because chain rewinds are deterministic
          over an append-only history. *)
   txn_index : (int, txn_acc) Hashtbl.t;
-      (* Append-time per-transaction write-set summaries (unmodeled
-         metadata, like the decoded-record cache).  Maintained on every
-         ingestion path so dependency-graph construction never scans the
-         log; events that drop tail records void it ([txn_index_valid])
-         and the next query rebuilds it with one priced scan. *)
-  mutable txn_index_valid : bool;
+      (* Per-transaction write-set summaries (unmodeled metadata, like
+         the decoded-record cache), kept exact record by record alongside
+         the segment directories, so dependency-graph construction never
+         scans the log. *)
+  mutable torn : int list;
+      (* Start LSNs of the torn stumps [crash] left listed in their
+         segment, already unindexed: [remove_last] must not unindex them
+         a second time. *)
 }
 
 let create ~clock ~media ?(cache_blocks = 128) ?(block_bytes = 65536)
@@ -189,7 +191,7 @@ let create ~clock ~media ?(cache_blocks = 128) ?(block_bytes = 65536)
     dropped_count = 0;
     invalidation_epoch = 0;
     txn_index = Hashtbl.create 64;
-    txn_index_valid = true;
+    torn = [];
   }
 
 let clock t = t.clock
@@ -529,9 +531,93 @@ let idx_chain_bytes = 8
 let idx_fpi_bytes = 24
 let idx_ctl_bytes = 25
 
-(* Directory maintenance from a header peek plus the record's wall time
-   (commits and checkpoints) — shared by every ingestion path and by the
-   tail drops, so none needs a payload decode to keep the indexes true. *)
+(* Txn write-set summary upkeep from a header peek plus the commit
+   record's wall time (the one field the header lacks).  Only a
+   transaction's first record (nil [p_prev_txn_lsn]) opens a summary: one
+   whose first retained record points further back crossed the retention
+   boundary, and a summary of its retained part would understate its
+   write set.  [truncate_before] applies the same rule to the summaries
+   it strands ([a_first] below the boundary). *)
+let structural_op_kind = function
+  | Log_record.K_set_header | Log_record.K_format | Log_record.K_preformat
+  | Log_record.K_full_image ->
+      true
+  | Log_record.K_insert_row | Log_record.K_delete_row | Log_record.K_update_row -> false
+
+(* Add [d] (+1 or -1) to the op counts a page record contributes. *)
+let count_op acc kind d =
+  match kind with
+  | Log_record.K_page_op k | Log_record.K_clr k ->
+      acc.a_ops <- acc.a_ops + d;
+      (match kind with Log_record.K_clr _ -> acc.a_clrs <- acc.a_clrs + d | _ -> ());
+      if structural_op_kind k then acc.a_structural <- acc.a_structural + d
+  | _ -> ()
+
+let note_txn t pk lsn ~wall =
+  let txn = pk.Log_record.p_txn in
+  let key = Txn_id.to_int txn in
+  let acc =
+    match Hashtbl.find_opt t.txn_index key with
+    | None when Lsn.is_nil pk.Log_record.p_prev_txn_lsn && not (Txn_id.is_nil txn) ->
+        let a =
+          {
+            a_txn = txn;
+            a_first = lsn;
+            a_commit = Lsn.nil;
+            a_wall = 0.0;
+            a_aborted = false;
+            a_ops = 0;
+            a_clrs = 0;
+            a_structural = 0;
+            a_writes_rev = [];
+            a_pages = Hashtbl.create 8;
+          }
+        in
+        Hashtbl.replace t.txn_index key a;
+        Some a
+    | found -> found
+  in
+  match (acc, pk.Log_record.p_kind) with
+  | None, _ -> ()
+  | Some acc, Log_record.K_commit ->
+      acc.a_commit <- lsn;
+      acc.a_wall <- wall
+  | Some acc, Log_record.K_abort -> acc.a_aborted <- true
+  | Some acc, ((Log_record.K_page_op _ | Log_record.K_clr _) as kind) ->
+      count_op acc kind 1;
+      let page = pk.Log_record.p_page in
+      let pkey = Page_id.to_int page in
+      if not (Hashtbl.mem acc.a_pages pkey) then begin
+        Hashtbl.replace acc.a_pages pkey ();
+        acc.a_writes_rev <- (page, lsn) :: acc.a_writes_rev
+      end
+  | Some _, (Log_record.K_begin | Log_record.K_end | Log_record.K_checkpoint) -> ()
+
+(* The exact reversal of [note_txn], for a record that is the newest of
+   its transaction (tail drops shed records newest first). *)
+let unnote_txn t pk lsn =
+  let key = Txn_id.to_int pk.Log_record.p_txn in
+  match Hashtbl.find_opt t.txn_index key with
+  | None -> ()
+  | Some acc when Lsn.equal lsn acc.a_first -> Hashtbl.remove t.txn_index key
+  | Some acc -> (
+      match pk.Log_record.p_kind with
+      | Log_record.K_commit ->
+          acc.a_commit <- Lsn.nil;
+          acc.a_wall <- 0.0
+      | Log_record.K_abort -> acc.a_aborted <- false
+      | kind -> (
+          count_op acc kind (-1);
+          match acc.a_writes_rev with
+          | (page, first) :: rest when Lsn.equal first lsn ->
+              acc.a_writes_rev <- rest;
+              Hashtbl.remove acc.a_pages (Page_id.to_int page)
+          | _ -> ()))
+
+(* Index maintenance from a header peek plus the record's wall time
+   (commits and checkpoints) — the segment directories and the txn
+   summaries, shared by every ingestion path and by the tail drops, so
+   none needs a payload decode to keep the indexes true. *)
 let index_record t seg pk lsn ~wall =
   let add = ref idx_record_bytes in
   (match pk.Log_record.p_kind with
@@ -547,7 +633,8 @@ let index_record t seg pk lsn ~wall =
     add := !add + idx_chain_bytes
   end;
   seg.s_index_bytes <- seg.s_index_bytes + !add;
-  t.index_bytes <- t.index_bytes + !add
+  t.index_bytes <- t.index_bytes + !add;
+  note_txn t pk lsn ~wall
 
 let unindex_record t seg pk lsn =
   let sub = ref idx_record_bytes in
@@ -566,70 +653,8 @@ let unindex_record t seg pk lsn =
     sub := !sub + idx_chain_bytes
   end;
   seg.s_index_bytes <- seg.s_index_bytes - !sub;
-  t.index_bytes <- t.index_bytes - !sub
-
-(* Txn write-set index maintenance from a header peek plus the commit
-   record's wall time (the one field the header lacks). *)
-let structural_op_kind = function
-  | Log_record.K_set_header | Log_record.K_format | Log_record.K_preformat
-  | Log_record.K_full_image ->
-      true
-  | Log_record.K_insert_row | Log_record.K_delete_row | Log_record.K_update_row -> false
-
-let note_record t lsn pk ~wall =
-  let txn = pk.Log_record.p_txn in
-  if not (Txn_id.is_nil txn) then begin
-    let key = Txn_id.to_int txn in
-    let acc =
-      match Hashtbl.find_opt t.txn_index key with
-      | Some a -> a
-      | None ->
-          let a =
-            {
-              a_txn = txn;
-              a_first = lsn;
-              a_last_op = Lsn.nil;
-              a_commit = Lsn.nil;
-              a_wall = 0.0;
-              a_aborted = false;
-              a_ops = 0;
-              a_clr = false;
-              a_structural = false;
-              a_writes_rev = [];
-              a_pages = Hashtbl.create 8;
-            }
-          in
-          Hashtbl.replace t.txn_index key a;
-          a
-    in
-    match pk.Log_record.p_kind with
-    | Log_record.K_commit ->
-        acc.a_commit <- lsn;
-        acc.a_wall <- wall
-    | Log_record.K_abort -> acc.a_aborted <- true
-    | Log_record.K_page_op k | Log_record.K_clr k ->
-        acc.a_last_op <- lsn;
-        acc.a_ops <- acc.a_ops + 1;
-        (match pk.Log_record.p_kind with
-        | Log_record.K_clr _ -> acc.a_clr <- true
-        | _ -> ());
-        if structural_op_kind k then acc.a_structural <- true;
-        let page = pk.Log_record.p_page in
-        let pkey = Page_id.to_int page in
-        if not (Hashtbl.mem acc.a_pages pkey) then begin
-          Hashtbl.replace acc.a_pages pkey ();
-          acc.a_writes_rev <- (page, lsn) :: acc.a_writes_rev
-        end
-    | Log_record.K_begin | Log_record.K_end | Log_record.K_checkpoint -> ()
-  end
-
-(* Tail records were dropped (crash, torn-tail repair, replication
-   divergence cut): the incremental summaries may describe records that no
-   longer exist.  Void the index; the next query rebuilds it with one
-   priced scan of the retained log. *)
-let void_txn_index t =
-  Hashtbl.reset t.txn_index;
-  t.txn_index_valid <- false
+  t.index_bytes <- t.index_bytes - !sub;
+  unnote_txn t pk lsn
 
 (* ---------- append path ---------- *)
 
@@ -652,10 +677,9 @@ let reserve t lsn len =
   t.resident_payload <- t.resident_payload + len;
   seg
 
-(* The upkeep of every append-time index — the segment directories and
-   the txn write-set summaries — for the record just placed at [lsn],
-   from its header peek and, for commits and checkpoints, the wall time
-   read in place. *)
+(* The upkeep of every index for the record just placed at [lsn], from
+   its header peek and, for commits and checkpoints, the wall time read
+   in place. *)
 let index_placed t seg pk lsn =
   let wall =
     match pk.Log_record.p_kind with
@@ -663,8 +687,7 @@ let index_placed t seg pk lsn =
         Log_record.wall_bytes seg.s_blob ~pos:(Lsn.to_int lsn - seg.s_base)
     | _ -> 0.0
   in
-  index_record t seg pk lsn ~wall;
-  if t.txn_index_valid then note_record t lsn pk ~wall
+  index_record t seg pk lsn ~wall
 
 (* The one ingestion step of [append], [restore_entries] and
    [ingest_entries]: place an encoded record and index it. *)
@@ -1252,27 +1275,25 @@ let drop_record_cache_entry t seg i =
   | _ -> ());
   seg.s_cached.(i) <- None
 
-(* Drop a whole segment: its record-cache slots are released and its
-   index tables become garbage in one step — this is what makes
-   retention O(1) per segment instead of O(records). *)
-let drop_segment t ~counted seg =
+(* Drop a whole segment below the retention boundary: its record-cache
+   slots are released and its index tables become garbage in one step —
+   this is what makes retention O(1) per segment instead of O(records). *)
+let drop_segment t seg =
   for i = seg.s_dead to seg.s_n - 1 do
     drop_record_cache_entry t seg i
   done;
   if seg.s_resident then t.resident_payload <- t.resident_payload - seg_used seg;
   t.index_bytes <- t.index_bytes - seg.s_index_bytes;
   t.nrecords <- t.nrecords - (seg.s_n - seg.s_dead);
-  if counted then begin
-    t.dropped_count <- t.dropped_count + 1;
-    Obs.incr Probes.log_segments_dropped
-  end
+  t.dropped_count <- t.dropped_count + 1;
+  Obs.incr Probes.log_segments_dropped
 
 let truncate_before t lsn =
   if Lsn.(lsn > t.truncated_below) then begin
     let li = Lsn.to_int lsn in
     (* Whole sealed segments below the cut go wholesale. *)
     while t.seg_lo < t.seg_hi && t.segs.(t.seg_lo).s_end <= li do
-      drop_segment t ~counted:true t.segs.(t.seg_lo);
+      drop_segment t t.segs.(t.seg_lo);
       t.segs.(t.seg_lo) <- tombstone;
       t.seg_lo <- t.seg_lo + 1
     done;
@@ -1345,8 +1366,9 @@ let restore_entries t entries =
 
 (* ---------- crash simulation and tail repair ---------- *)
 
-(* Remove the newest record; pops the tail segment once it has no live
-   records left. *)
+(* Remove the newest record and unindex it (unless it is a torn stump,
+   unindexed when [crash] tore it); pops the tail segment once it has no
+   live records left. *)
 let remove_last t =
   let si = t.seg_hi - 1 in
   let s = t.segs.(si) in
@@ -1354,7 +1376,8 @@ let remove_last t =
   let li = s.s_lsns.(i) in
   let len = rec_len s i in
   Lru.Weighted.remove t.record_cache li;
-  (try unindex_record t s (rec_peek s i) (Lsn.of_int li) with _ -> ());
+  if List.mem li t.torn then t.torn <- List.filter (( <> ) li) t.torn
+  else unindex_record t s (rec_peek s i) (Lsn.of_int li);
   s.s_cached.(i) <- None;
   s.s_n <- i;
   s.s_end <- li;
@@ -1380,20 +1403,12 @@ let records_from t target =
       !n
 
 (* Drop every record with start LSN >= [ti] off the newest end of the
-   log: whole segments above the cut go wholesale (indexes freed per
-   segment), the straddler sheds records one by one.  Shared by
-   [repair_tail] (cut = first torn record) and [truncate_from] (cut =
-   replication divergence point).  Callers fix up [end_lsn]/
-   [flushed_lsn]/[last_checkpoint] afterwards. *)
+   log, newest first, each through [remove_last] so that every index
+   reverses record by record.  Shared by [repair_tail] (cut = first torn
+   record) and [truncate_from] (cut = replication divergence point).
+   Callers fix up [end_lsn]/[flushed_lsn]/[last_checkpoint] afterwards. *)
 let drop_tail_records t ti =
   let dropped = ref 0 in
-  while t.seg_hi > t.seg_lo && t.segs.(t.seg_hi - 1).s_base >= ti do
-    let s = t.segs.(t.seg_hi - 1) in
-    dropped := !dropped + (s.s_n - s.s_dead);
-    drop_segment t ~counted:false s;
-    t.segs.(t.seg_hi - 1) <- tombstone;
-    t.seg_hi <- t.seg_hi - 1
-  done;
   while
     t.seg_hi > t.seg_lo
     &&
@@ -1420,7 +1435,6 @@ let truncate_from t lsn =
     (* The dropped LSNs will be recycled by whoever appends next (the new
        primary's stream, re-shipped) — derived rewound state is void. *)
     t.invalidation_epoch <- t.invalidation_epoch + 1;
-    void_txn_index t;
     update_resident_gauge t;
     dropped
   end
@@ -1443,17 +1457,18 @@ let crash t =
   done;
   if keep > 0 then begin
     (* Tear the last survivor: only a prefix of its bytes hit the disk.
-       Unindex it while its header is still intact; recovery's CRC scan
-       ([repair_tail]) will find the stump and truncate there.  The stump
-       stays listed in its segment — [s_end] just stops short, exactly as
-       a torn file would. *)
+       Unindex it while its header is still intact, once ([torn]);
+       recovery's CRC scan ([repair_tail]) will find the stump and
+       truncate there.  The stump stays listed in its segment — [s_end]
+       just stops short, exactly as a torn file would. *)
     let s = t.segs.(t.seg_hi - 1) in
     let i = s.s_n - 1 in
     let li = s.s_lsns.(i) in
     let len = rec_len s i in
     let cut = Fault_plan.torn_record_cut (Option.get t.fault_plan) ~len in
     Lru.Weighted.remove t.record_cache li;
-    (try unindex_record t s (rec_peek s i) (Lsn.of_int li) with _ -> ());
+    unindex_record t s (rec_peek s i) (Lsn.of_int li);
+    t.torn <- li :: t.torn;
     s.s_cached.(i) <- None;
     s.s_end <- li + cut;
     if s.s_resident then t.resident_payload <- t.resident_payload - (len - cut);
@@ -1467,7 +1482,6 @@ let crash t =
   (* LSNs above the surviving tail will be recycled by post-restart
      appends; any rewound state derived from the pre-crash log is void. *)
   t.invalidation_epoch <- t.invalidation_epoch + 1;
-  void_txn_index t;
   update_resident_gauge t
 
 let repair_tail t =
@@ -1511,7 +1525,6 @@ let repair_tail t =
       t.unflushed_bytes <- 0;
       if Lsn.(t.last_checkpoint >= torn_lsn) then t.last_checkpoint <- newest_checkpoint t;
       t.io.Io_stats.corruptions_detected <- t.io.Io_stats.corruptions_detected + 1;
-      void_txn_index t;
       update_resident_gauge t;
       Some (torn_lsn, dropped)
 
@@ -1609,7 +1622,6 @@ let ingest_entries t entries =
 type txn_summary = {
   ts_txn : Txn_id.t;
   ts_first_lsn : Lsn.t;
-  ts_last_lsn : Lsn.t;
   ts_commit_lsn : Lsn.t;
   ts_commit_wall_us : float;
   ts_ops : int;
@@ -1618,88 +1630,31 @@ type txn_summary = {
   ts_writes : (Page_id.t * Lsn.t) list;
 }
 
-let txn_index_live t = t.txn_index_valid
+let committed a = (not (Lsn.is_nil a.a_commit)) && not a.a_aborted
 
-let rebuild_txn_index t =
-  Hashtbl.reset t.txn_index;
-  t.txn_index_valid <- false;
-  (* A transaction whose first retained record carries a non-nil backward
-     pointer continues below the retention boundary: its truncated prefix
-     would leave the rebuilt summary's write set understated, so such
-     accumulators are dropped after the scan — the same rule
-     [truncate_before] applies incrementally (a_first < boundary). *)
-  let straddlers = Hashtbl.create 8 in
-  (try
-     iter_range_peek t ~from:t.truncated_below ~upto:t.end_lsn (fun lsn pk decode ->
-         let txn = pk.Log_record.p_txn in
-         if
-           (not (Txn_id.is_nil txn))
-           && (not (Hashtbl.mem t.txn_index (Txn_id.to_int txn)))
-           && not (Lsn.is_nil pk.Log_record.p_prev_txn_lsn)
-         then Hashtbl.replace straddlers (Txn_id.to_int txn) ();
-         note_record t lsn pk
-           ~wall:
-             (match pk.Log_record.p_kind with
-             | Log_record.K_commit -> (
-                 match (decode ()).Log_record.body with
-                 | Log_record.Commit { wall_us } -> wall_us
-                 | _ -> 0.0)
-             | _ -> 0.0))
-   with e ->
-     (* A failed scan must not leave a half-populated index serving
-        queries: stay void, the next query retries the rebuild. *)
-     Hashtbl.reset t.txn_index;
-     raise e);
-  Hashtbl.iter (fun key () -> Hashtbl.remove t.txn_index key) straddlers;
-  t.txn_index_valid <- true
+let summary_of a =
+  {
+    ts_txn = a.a_txn;
+    ts_first_lsn = a.a_first;
+    ts_commit_lsn = a.a_commit;
+    ts_commit_wall_us = a.a_wall;
+    ts_ops = a.a_ops;
+    ts_has_clr = a.a_clrs > 0;
+    ts_structural = a.a_structural > 0;
+    ts_writes = List.rev a.a_writes_rev;
+  }
 
 let txn_summaries t =
-  if not t.txn_index_valid then rebuild_txn_index t;
-  Hashtbl.fold
-    (fun _ a acc ->
-      if (not (Lsn.is_nil a.a_commit)) && not a.a_aborted then
-        {
-          ts_txn = a.a_txn;
-          ts_first_lsn = a.a_first;
-          ts_last_lsn = a.a_last_op;
-          ts_commit_lsn = a.a_commit;
-          ts_commit_wall_us = a.a_wall;
-          ts_ops = a.a_ops;
-          ts_has_clr = a.a_clr;
-          ts_structural = a.a_structural;
-          ts_writes = List.rev a.a_writes_rev;
-        }
-        :: acc
-      else acc)
-    t.txn_index []
+  Hashtbl.fold (fun _ a acc -> if committed a then summary_of a :: acc else acc) t.txn_index []
   |> List.sort (fun x y -> Lsn.compare x.ts_commit_lsn y.ts_commit_lsn)
 
 let txn_resolution t txn =
-  if Txn_id.is_nil txn then `Unknown
-  else begin
-    if not t.txn_index_valid then rebuild_txn_index t;
-    match Hashtbl.find_opt t.txn_index (Txn_id.to_int txn) with
-    | None -> `Unknown
-    | Some a ->
-        if a.a_aborted then `Aborted
-        else if not (Lsn.is_nil a.a_commit) then `Committed
-        else `Active
-  end
+  match Hashtbl.find_opt t.txn_index (Txn_id.to_int txn) with
+  | None -> `Unknown
+  | Some a ->
+      if a.a_aborted then `Aborted else if committed a then `Committed else `Active
 
 let txn_summary t txn =
-  if not t.txn_index_valid then rebuild_txn_index t;
   match Hashtbl.find_opt t.txn_index (Txn_id.to_int txn) with
-  | Some a when (not (Lsn.is_nil a.a_commit)) && not a.a_aborted ->
-      Some
-        {
-          ts_txn = a.a_txn;
-          ts_first_lsn = a.a_first;
-          ts_last_lsn = a.a_last_op;
-          ts_commit_lsn = a.a_commit;
-          ts_commit_wall_us = a.a_wall;
-          ts_ops = a.a_ops;
-          ts_has_clr = a.a_clr;
-          ts_structural = a.a_structural;
-          ts_writes = List.rev a.a_writes_rev;
-        }
+  | Some a when committed a -> Some (summary_of a)
   | _ -> None

@@ -388,37 +388,39 @@ val truncate_from : t -> Rw_storage.Lsn.t -> int
 
 (** {2 Transaction write-set summaries}
 
-    The log manager maintains a per-transaction summary index {e at
-    append time}, from the same header peek that feeds the page-chain
-    index: which pages each transaction wrote (with the LSN of its first
-    write to each), how many page operations it logged, whether it
-    committed and when.  What-if dependency graphs
-    ([Rw_whatif.Dep_graph]) are built from these summaries in O(live
-    transactions) with no log scan and no payload decode.
+    The log manager keeps a per-transaction summary index from the same
+    header peek that feeds the page-chain index: which pages each
+    transaction wrote (with the LSN of its first write to each), how many
+    page operations it logged, whether it committed and when.  What-if
+    dependency graphs ([Rw_whatif.Dep_graph]) are built from these
+    summaries in O(live transactions) with no log scan and no payload
+    decode.
 
-    The index rides every ingestion path (append, restore, replication
-    ingest).  Retention truncation prunes summaries whose first record
-    fell below the boundary; events that drop tail records — {!crash},
-    {!repair_tail}, {!truncate_from} — void the index, and the next
-    query transparently rebuilds it with one priced sequential scan of
-    the retained log ({!txn_index_live} reports which regime the index
-    is in).  The rebuild applies the same boundary rule: a transaction
-    whose first retained record points further back (its chain crosses
-    the retention boundary) is excluded rather than resurfaced with an
-    understated write set.  Like the decoded-record cache, the index is unmodeled
-    metadata: it has no simulated-RAM footprint. *)
+    The index is exact through every log mutation, like the segment
+    directories: every ingestion path (append, restore, replication
+    ingest) indexes each record, and every tail drop ({!crash},
+    {!repair_tail}, {!truncate_from}) unindexes each dropped record once,
+    as the exact reversal of indexing it.  One boundary rule holds on
+    every path: only a transaction's first record (nil backward pointer)
+    opens a summary, and retention truncation drops the summaries whose
+    first record fell below the boundary.  A transaction whose history
+    crosses the retention boundary therefore has no summary, rather than
+    one with an understated write set.  Like the decoded-record cache,
+    the index is unmodeled metadata: it has no simulated-RAM footprint. *)
 
 type txn_summary = {
   ts_txn : Txn_id.t;
   ts_first_lsn : Rw_storage.Lsn.t;  (** the transaction's first record *)
-  ts_last_lsn : Rw_storage.Lsn.t;
-      (** its last page operation ([Lsn.nil] if it logged none) *)
-  ts_commit_lsn : Rw_storage.Lsn.t;  (** [Lsn.nil] unless committed *)
-  ts_commit_wall_us : float;  (** meaningful only when committed *)
+  ts_commit_lsn : Rw_storage.Lsn.t;
+      (** its commit record, whose backward pointer starts the walk over
+          its operations *)
+  ts_commit_wall_us : float;
   ts_ops : int;  (** page operations logged, CLRs included *)
-  ts_has_clr : bool;  (** the txn wrote compensation records *)
+  ts_has_clr : bool;
+      (** wrote compensation records (partial rollback) *)
   ts_structural : bool;
-      (** it logged a structural operation (format/preformat/header/FPI) *)
+      (** logged a structural operation (format/preformat/header/FPI) —
+          not replayable by the key-aware engine *)
   ts_writes : (Rw_storage.Page_id.t * Rw_storage.Lsn.t) list;
       (** write set: (page, LSN of the txn's first write to it),
           ascending by LSN *)
@@ -436,12 +438,7 @@ val txn_resolution : t -> Txn_id.t -> [ `Committed | `Aborted | `Active | `Unkno
 (** How the transaction's retained records resolve: committed, aborted,
     or [`Active] — it has log records but neither a commit nor an abort
     record, i.e. it is still in flight in some session.  [`Unknown] for
-    a transaction with no retained summary: never logged, or pruned
-    because its history crosses the retention boundary.  Selective undo
-    validation consults this to refuse rewinds that would silently erase
-    an open transaction's writes. *)
-
-val txn_index_live : t -> bool
-(** [true] while summaries are served from the append-time index;
-    [false] after a tail-dropping event, until the next query's rebuild
-    scan. *)
+    a transaction with no retained summary: never logged, or its history
+    crosses the retention boundary.  Selective undo validation consults
+    this to refuse rewinds that would silently erase an open
+    transaction's writes. *)

@@ -13,11 +13,10 @@
    including phantom/predicate reads, which page-granularity likewise
    over-approximates safely.)
 
-   The graph is built from {!Log_manager.txn_summaries}, the
-   append-time write-set index — O(live transactions + write-set size),
-   no log scan, no payload decode — unless a tail-dropping event voided
-   the index, in which case the summaries call transparently rebuilds it
-   with one priced scan first ({!built_from_index} reports which). *)
+   The graph is built from {!Log_manager.txn_summaries}, the log's
+   write-set index, which stays exact through crashes, tail repair,
+   failover cuts and reloads — O(live transactions + write-set size), no
+   log scan, no payload decode. *)
 
 module Lsn = Rw_storage.Lsn
 module Page_id = Rw_storage.Page_id
@@ -26,53 +25,28 @@ module Log_manager = Rw_wal.Log_manager
 module Obs = Rw_obs.Metrics
 module Probes = Rw_obs.Probes
 
-type node = {
-  txn : Txn_id.t;
-  commit_lsn : Lsn.t;
-  commit_wall_us : float;
-  first_lsn : Lsn.t;
-  last_op_lsn : Lsn.t;
-  ops : int;
-  structural : bool;
-  has_clr : bool;
-  writes : (Page_id.t * Lsn.t) list;
-}
+type node = Log_manager.txn_summary
 
 type t = {
   nodes : node array; (* ascending by commit LSN *)
   by_txn : (int, int) Hashtbl.t; (* txn id -> index into [nodes] *)
   succ : int list array; (* direct dependents, ascending index *)
   edge_count : int;
-  from_index : bool;
 }
 
-let node_of_summary (s : Log_manager.txn_summary) =
-  {
-    txn = s.ts_txn;
-    commit_lsn = s.ts_commit_lsn;
-    commit_wall_us = s.ts_commit_wall_us;
-    first_lsn = s.ts_first_lsn;
-    last_op_lsn = s.ts_last_lsn;
-    ops = s.ts_ops;
-    structural = s.ts_structural;
-    has_clr = s.ts_has_clr;
-    writes = s.ts_writes;
-  }
-
 let build ~log =
-  let from_index = Log_manager.txn_index_live log in
-  let nodes =
-    Array.of_list (List.map node_of_summary (Log_manager.txn_summaries log))
-  in
+  let nodes = Array.of_list (Log_manager.txn_summaries log) in
   let n = Array.length nodes in
   let by_txn = Hashtbl.create (2 * max 1 n) in
-  Array.iteri (fun i nd -> Hashtbl.replace by_txn (Txn_id.to_int nd.txn) i) nodes;
+  Array.iteri
+    (fun i (nd : node) -> Hashtbl.replace by_txn (Txn_id.to_int nd.ts_txn) i)
+    nodes;
   (* Per page, the (first-write LSN, writer index) pairs. *)
   let page_writers : (int64, (Lsn.t * int) list ref) Hashtbl.t =
     Hashtbl.create 256
   in
   Array.iteri
-    (fun i nd ->
+    (fun i (nd : node) ->
       List.iter
         (fun (page, lsn) ->
           let key = Page_id.to_int64 page in
@@ -85,7 +59,7 @@ let build ~log =
                 c
           in
           cell := (lsn, i) :: !cell)
-        nd.writes)
+        nd.ts_writes)
     nodes;
   let succ = Array.make n [] in
   let edge_seen : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
@@ -113,11 +87,11 @@ let build ~log =
   Array.iteri (fun i l -> succ.(i) <- List.sort_uniq compare l) succ;
   Obs.incr Probes.whatif_graph_builds;
   Obs.add Probes.whatif_graph_edges !edge_count;
-  { nodes; by_txn; succ; edge_count = !edge_count; from_index }
+  { nodes; by_txn; succ; edge_count = !edge_count }
 
 let node_count t = Array.length t.nodes
 let edge_count t = t.edge_count
-let built_from_index t = t.from_index
+let built_from_index _ = true
 let nodes t = Array.to_list t.nodes
 
 let find t txn =

@@ -14,37 +14,24 @@
     enlarge the replay set; they never cause a missed dependency.  See
     docs/WHATIF.md for the construction rules and exactness caveats. *)
 
-type node = {
-  txn : Rw_wal.Txn_id.t;
-  commit_lsn : Rw_storage.Lsn.t;
-  commit_wall_us : float;
-  first_lsn : Rw_storage.Lsn.t;
-  last_op_lsn : Rw_storage.Lsn.t;
-  ops : int;  (** page operations logged, CLRs included *)
-  structural : bool;
-      (** logged a structural op (format/preformat/header/FPI) — not
-          replayable by the key-aware engine, so not removable and a
-          conflict when inside a replay closure *)
-  has_clr : bool;  (** wrote compensation records (partial rollback) *)
-  writes : (Rw_storage.Page_id.t * Rw_storage.Lsn.t) list;
-      (** (page, LSN of first write to it), ascending by LSN *)
-}
+type node = Rw_wal.Log_manager.txn_summary
+(** A node is the transaction's write-set summary.  A structural one is
+    not removable, and is a conflict inside a replay closure. *)
 
 type t
 
 val build : log:Rw_wal.Log_manager.t -> t
-(** Build the graph from the log's append-time write-set index
+(** Build the graph from the log's write-set index
     ({!Rw_wal.Log_manager.txn_summaries}): O(transactions + write-set
-    size + edges), with no log scan unless the index was voided by a
-    tail-dropping event (then the summaries call rebuilds it with one
-    priced scan — {!built_from_index} reports which path ran). *)
+    size + edges), with no log scan. *)
 
 val node_count : t -> int
 val edge_count : t -> int
 
 val built_from_index : t -> bool
-(** [true] when the graph came from the live append-time index, [false]
-    when a rebuild scan was needed. *)
+(** Always [true]: the index stays exact through every log mutation, so
+    no graph needs a rebuild scan.  Kept because the benchmark harness
+    reports the share of graphs built from the index. *)
 
 val nodes : t -> node list
 (** All nodes, ascending by commit LSN (serialization order). *)

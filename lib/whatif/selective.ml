@@ -81,7 +81,7 @@ let no_page = Page_id.nil
 
 let in_set nodes =
   let tbl = Hashtbl.create 16 in
-  List.iter (fun (n : Dep_graph.node) -> Hashtbl.replace tbl (Txn_id.to_int n.txn) ()) nodes;
+  List.iter (fun (n : Dep_graph.node) -> Hashtbl.replace tbl (Txn_id.to_int n.ts_txn) ()) nodes;
   fun txn -> Hashtbl.mem tbl (Txn_id.to_int txn)
 
 let cuts_of removed =
@@ -94,7 +94,7 @@ let cuts_of removed =
           match Hashtbl.find_opt firsts key with
           | Some prev when Lsn.(prev <= lsn) -> ()
           | _ -> Hashtbl.replace firsts key lsn)
-        n.writes)
+        n.ts_writes)
     removed;
   Hashtbl.fold
     (fun key first acc ->
@@ -144,7 +144,7 @@ let validate ~log ~graph ~removed ~cuts =
           else
             match Dep_graph.find graph txn with
             | Some node ->
-                if not (List.exists (fun (n : Dep_graph.node) -> Txn_id.equal n.txn txn) !widen)
+                if not (List.exists (fun (n : Dep_graph.node) -> Txn_id.equal n.ts_txn txn) !widen)
                 then widen := node :: !widen
             | None -> (
                 let conflict reason = conflicts := { page; lsn; reason } :: !conflicts in
@@ -188,15 +188,15 @@ let make_plan ~log ~graph ~victim ~scope =
     else if widen = [] then Ok (removed, cuts)
     else
       let extra =
-        List.concat_map (fun (n : Dep_graph.node) -> Dep_graph.closure graph n.txn) widen
+        List.concat_map (fun (n : Dep_graph.node) -> Dep_graph.closure graph n.ts_txn) widen
       in
       let is_old = in_set removed in
       let fresh =
-        List.filter (fun (n : Dep_graph.node) -> not (is_old n.txn)) extra
+        List.filter (fun (n : Dep_graph.node) -> not (is_old n.ts_txn)) extra
       in
       let merged =
         List.sort_uniq
-          (fun (a : Dep_graph.node) (b : Dep_graph.node) -> Lsn.compare a.commit_lsn b.commit_lsn)
+          (fun (a : Dep_graph.node) (b : Dep_graph.node) -> Lsn.compare a.ts_commit_lsn b.ts_commit_lsn)
           (removed @ fresh)
       in
       settle merged
@@ -207,24 +207,24 @@ let make_plan ~log ~graph ~victim ~scope =
       let structural =
         List.filter_map
           (fun (n : Dep_graph.node) ->
-            if n.structural then
+            if n.ts_structural then
               Some
                 {
                   page = no_page;
-                  lsn = n.first_lsn;
+                  lsn = n.ts_first_lsn;
                   reason =
                     Printf.sprintf "transaction %d logged a structural page operation"
-                      (Txn_id.to_int n.txn);
+                      (Txn_id.to_int n.ts_txn);
                 }
             else None)
           removed
       in
       let clr_victim =
-        if victim_node.has_clr then
+        if victim_node.ts_has_clr then
           [
             {
               page = no_page;
-              lsn = victim_node.first_lsn;
+              lsn = victim_node.ts_first_lsn;
               reason = "victim performed a partial rollback (CLRs); remove it whole-history instead";
             };
           ]
@@ -235,7 +235,7 @@ let make_plan ~log ~graph ~victim ~scope =
       else
         let replay =
           List.filter
-            (fun (n : Dep_graph.node) -> not (Txn_id.equal n.txn victim))
+            (fun (n : Dep_graph.node) -> not (Txn_id.equal n.ts_txn victim))
             removed
         in
         Ok { victim = victim_node; removed; replay; cuts }
@@ -278,8 +278,8 @@ let replay_op p page lsn op =
       fail "structural operation in the replay set"
 
 (* All page operations (CLRs included — together they are the net
-   effect) of one transaction, ascending by LSN; walks the txn chain,
-   O(its ops). *)
+   effect) of one transaction, ascending by LSN; walks the txn chain back
+   from its commit record, O(its ops). *)
 let ops_of_txn ~log (node : Dep_graph.node) =
   let rec walk lsn acc =
     if Lsn.is_nil lsn then acc
@@ -292,7 +292,7 @@ let ops_of_txn ~log (node : Dep_graph.node) =
       in
       walk r.Log_record.prev_txn_lsn acc
   in
-  walk node.last_op_lsn []
+  walk node.ts_commit_lsn []
 
 type targets = {
   images : (Page_id.t * Page.t) list; (* repaired image per affected page *)

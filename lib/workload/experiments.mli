@@ -173,11 +173,14 @@ val whatif_scenario_name : whatif_scenario -> string
 
 val whatif_soak_campaign : ?seeds:int list -> ?quick:bool -> unit -> Twin.row list
 (** Every scenario at each seed (default 3 seeds): run the deterministic
-    history, pick a mid-history victim, publish a what-if view, repair in
-    place, and verify against the replay-minus-victim oracle.  Rows are
-    labelled with the scenario name; counts [history], [closure] (victim
-    + dependents), [replay], [pages] (rewound by the repair), [ops]
-    (replayed), [cmp_pages]; checks [index] (graph built from the
-    append-time index), [scope] (dependent set is the constructed one),
+    history, pick a mid-history victim, publish a what-if view, crash
+    with an in-flight update in the log tail and reopen, repair the
+    reopened database in place, and verify against the
+    replay-minus-victim oracle.  Rows are labelled with the scenario
+    name; counts [history], [closure] (victim + dependents), [replay],
+    [pages] (rewound by the repair), [ops] (replayed), [cmp_pages];
+    checks [reopen] (the graph rebuilt after the reopen equals the
+    pre-crash one, nodes and edges), [scope] (dependent set is the
+    constructed one),
     [view], [repaired], [state] (repaired rows), [pages] (page LSN masked), [asof]
     (a pre-victim as-of query survives the repair). *)

@@ -923,53 +923,6 @@ let test_gather_charges_each_block_once () =
   check_int "one window per run" runs (Array.length got.Log_manager.b_windows_us);
   check_int "the rest sequential" ((distinct - runs) * block_bytes) d.Io_stats.seq_read_bytes
 
-(* --- txn write-set summaries: rebuild vs the retention boundary --- *)
-
-(* A tail-drop event voids the txn index; the rebuild scan must apply the
-   same boundary rule as incremental truncation and exclude a committed
-   transaction whose chain crosses [truncated_below], instead of
-   resurfacing it with an understated write set.  [txn_resolution] must
-   likewise distinguish in-flight from resolved transactions. *)
-let test_txn_index_rebuild_boundary () =
-  let _, log = mk_log () in
-  let t1 = Txn_id.of_int 1 and t2 = Txn_id.of_int 2 and t3 = Txn_id.of_int 3 in
-  let app r = Log_manager.append log r in
-  let ins = Log_record.Insert_row { slot = 0; row = "x" } in
-  let pop ~txn ~prev_txn pid =
-    app (Log_record.make ~txn ~prev_txn_lsn:prev_txn
-           (Log_record.Page_op { page = Page_id.of_int pid; prev_page_lsn = Lsn.nil; op = ins }))
-  in
-  (* T1 writes pages 3 and 4, commits; T2 writes page 5, commits; T3 is
-     left open (no commit, no abort). *)
-  let b1 = app (Log_record.make ~txn:t1 Log_record.Begin) in
-  let o1a = pop ~txn:t1 ~prev_txn:b1 3 in
-  let o1b = pop ~txn:t1 ~prev_txn:o1a 4 in
-  ignore (app (Log_record.make ~txn:t1 ~prev_txn_lsn:o1b (Log_record.Commit { wall_us = 1.0 })));
-  let b2 = app (Log_record.make ~txn:t2 Log_record.Begin) in
-  let o2 = pop ~txn:t2 ~prev_txn:b2 5 in
-  ignore (app (Log_record.make ~txn:t2 ~prev_txn_lsn:o2 (Log_record.Commit { wall_us = 2.0 })));
-  let b3 = app (Log_record.make ~txn:t3 Log_record.Begin) in
-  ignore (pop ~txn:t3 ~prev_txn:b3 6);
-  Log_manager.flush_all log;
-  check "t3 is in flight" true (Log_manager.txn_resolution log t3 = `Active);
-  (* Crash (nothing unflushed, so no records drop) voids the index;
-     then retention cuts T1's chain in half. *)
-  Log_manager.crash log;
-  check "index voided by the crash" true (not (Log_manager.txn_index_live log));
-  Log_manager.truncate_before log o1b;
-  let summaries = Log_manager.txn_summaries log in
-  check "rebuild ran" true (Log_manager.txn_index_live log);
-  check "straddling T1 is excluded from the rebuilt index" true
-    (not (List.exists (fun s -> Txn_id.equal s.Log_manager.ts_txn t1) summaries));
-  check "T1 resolves as unknown, not as committed-with-partial-writes" true
-    (Log_manager.txn_resolution log t1 = `Unknown);
-  (match List.find_opt (fun s -> Txn_id.equal s.Log_manager.ts_txn t2) summaries with
-  | Some s -> check_int "fully retained T2 keeps its whole write set" 1
-      (List.length s.Log_manager.ts_writes)
-  | None -> Alcotest.fail "T2 missing from the rebuilt index");
-  check "open T3 still resolves as in flight after the rebuild" true
-    (Log_manager.txn_resolution log t3 = `Active)
-
 (* --- the control-record directory --- *)
 
 (* What the directory must hold: every retained Begin, Commit, Abort, End
@@ -1017,12 +970,139 @@ let check_directory what log =
     (Log_manager.checkpoints_before log (Log_manager.end_lsn log) = List.map fst ckpts);
   expect
 
+(* --- the transaction index --- *)
+
+(* What the txn index must hold: the summaries and resolutions a header
+   scan of the retained log yields, as [(txn, resolution, summary)].  A
+   transaction whose first retained record carries a backward pointer
+   continues below the retention boundary: it gets no summary, so it
+   resolves as [`Unknown] rather than as committed with an understated
+   write set. *)
+let txns_by_scan log =
+  let recs = Hashtbl.create 64 in
+  Log_manager.iter_range_peek log ~from:(Log_manager.first_lsn log)
+    ~upto:(Log_manager.end_lsn log) (fun lsn pk decode ->
+      let txn = Txn_id.to_int pk.Log_record.p_txn in
+      let wall =
+        match pk.Log_record.p_kind with
+        | Log_record.K_commit -> (
+            match (decode ()).Log_record.body with
+            | Log_record.Commit { wall_us } -> wall_us
+            | _ -> 0.0)
+        | _ -> 0.0
+      in
+      if not (Txn_id.is_nil pk.Log_record.p_txn) then
+        Hashtbl.replace recs txn
+          ((lsn, pk, wall) :: Option.value (Hashtbl.find_opt recs txn) ~default:[]));
+  Hashtbl.fold
+    (fun txn newest_first acc ->
+      match List.rev newest_first with
+      | ((first, pk0, _) :: _ as recs) when Lsn.is_nil pk0.Log_record.p_prev_txn_lsn ->
+          let kinds = List.map (fun (_, pk, _) -> pk.Log_record.p_kind) recs in
+          let ops =
+            List.filter_map
+              (fun (lsn, pk, _) ->
+                match pk.Log_record.p_kind with
+                | Log_record.K_page_op k | Log_record.K_clr k -> Some (lsn, pk, k)
+                | _ -> None)
+              recs
+          in
+          let writes =
+            List.fold_left
+              (fun ws (lsn, pk, _) ->
+                let page = pk.Log_record.p_page in
+                if List.exists (fun (p, _) -> Page_id.equal p page) ws then ws
+                else ws @ [ (page, lsn) ])
+              [] ops
+          in
+          let commit =
+            List.find_opt (fun (_, pk, _) -> pk.Log_record.p_kind = Log_record.K_commit) recs
+          in
+          let resolution =
+            if List.mem Log_record.K_abort kinds then `Aborted
+            else if Option.is_some commit then `Committed
+            else `Active
+          in
+          let summary =
+            match (resolution, commit) with
+            | `Committed, Some (commit_lsn, _, wall) ->
+                Some
+                  {
+                    Log_manager.ts_txn = Txn_id.of_int txn;
+                    ts_first_lsn = first;
+                    ts_commit_lsn = commit_lsn;
+                    ts_commit_wall_us = wall;
+                    ts_ops = List.length ops;
+                    ts_has_clr =
+                      List.exists
+                        (fun (_, pk, _) ->
+                          match pk.Log_record.p_kind with Log_record.K_clr _ -> true | _ -> false)
+                        ops;
+                    ts_structural =
+                      List.exists
+                        (fun (_, _, k) ->
+                          match k with
+                          | Log_record.K_set_header | Log_record.K_format | Log_record.K_preformat
+                          | Log_record.K_full_image ->
+                              true
+                          | _ -> false)
+                        ops;
+                    ts_writes = writes;
+                  }
+            | _ -> None
+          in
+          (txn, resolution, summary) :: acc
+      | _ -> acc)
+    recs []
+
+(* Transaction ids the histories below draw from. *)
+let txn_ids = List.init 400 Txn_id.of_int
+
+let check_txns what log =
+  let expect = txns_by_scan log in
+  let summaries =
+    List.filter_map (fun (_, _, s) -> s) expect
+    |> List.sort (fun a b -> Lsn.compare a.Log_manager.ts_commit_lsn b.Log_manager.ts_commit_lsn)
+  in
+  check (what ^ ": txn summaries equal the scan") true (Log_manager.txn_summaries log = summaries);
+  check (what ^ ": txn resolutions equal the scan") true
+    (List.for_all
+       (fun txn ->
+         Log_manager.txn_resolution log txn
+         = match List.find_opt (fun (t, _, _) -> t = Txn_id.to_int txn) expect with
+           | Some (_, r, _) -> r
+           | None -> `Unknown)
+       txn_ids)
+
+(* The index upkeep after an event: the txn index equals the scan, both
+   here and in a fresh restore of [dump_entries], whose index footprint
+   must match too — except after a truncation through a segment, whose
+   dead prefix keeps its entries until the whole segment is dropped. *)
+let check_upkeep ?(straddled = false) what log =
+  check_txns what log;
+  let copy =
+    Log_manager.create ~clock:(Sim_clock.create ()) ~media:Media.ram
+      ~segment_bytes:(Log_manager.segment_size log) ()
+  in
+  Log_manager.restore_entries copy (Log_manager.dump_entries log);
+  check_txns (what ^ ", restored") copy;
+  let index_bytes l = (Log_manager.segment_stats l).Log_manager.ss_index_bytes in
+  if not straddled then
+    check_int (what ^ ": index bytes equal a fresh restore's") (index_bytes copy) (index_bytes log)
+
 (* Three interleaved transactions per round — one commits, one aborts
    (Abort, then End), one is left open until the next round — with page
-   records between and a checkpoint every other round. *)
+   records between and a checkpoint every other round.  Each record
+   points back to its transaction's previous one. *)
 let control_history log ~rounds ~first_txn =
   let wall = ref (float_of_int (first_txn * 1000)) in
-  let app ?(txn = Txn_id.nil) body = Log_manager.append log (Log_record.make ~txn body) in
+  let last = Hashtbl.create 16 in
+  let app ?(txn = Txn_id.nil) body =
+    let prev_txn_lsn = Option.value (Hashtbl.find_opt last txn) ~default:Lsn.nil in
+    let lsn = Log_manager.append log (Log_record.make ~txn ~prev_txn_lsn body) in
+    if not (Txn_id.is_nil txn) then Hashtbl.replace last txn lsn;
+    lsn
+  in
   let op txn pid =
     ignore
       (app ~txn
@@ -1062,49 +1142,101 @@ let control_history log ~rounds ~first_txn =
     end
   done
 
-(* The directory is kept on every ingestion path and cut back on every
-   tail drop and truncation: after each event a walk (and the checkpoint
-   views built on it) equals a header scan of what the log retains. *)
+(* A log whose retention cut falls inside a committed transaction's
+   chain: T1 writes pages 3 and 4 and commits, T2 writes page 5 and
+   commits, T3 writes page 6 and stays open.  Cutting between T1's two
+   writes leaves T1 unknown (not committed with one write), T2 whole and
+   T3 in flight. *)
+let test_txn_index_boundary () =
+  let _, log = mk_log () in
+  let t1 = Txn_id.of_int 1 and t2 = Txn_id.of_int 2 and t3 = Txn_id.of_int 3 in
+  let app r = Log_manager.append log r in
+  let ins = Log_record.Insert_row { slot = 0; row = "x" } in
+  let pop ~txn ~prev_txn pid =
+    app
+      (Log_record.make ~txn ~prev_txn_lsn:prev_txn
+         (Log_record.Page_op { page = Page_id.of_int pid; prev_page_lsn = Lsn.nil; op = ins }))
+  in
+  let b1 = app (Log_record.make ~txn:t1 Log_record.Begin) in
+  let o1a = pop ~txn:t1 ~prev_txn:b1 3 in
+  let o1b = pop ~txn:t1 ~prev_txn:o1a 4 in
+  ignore (app (Log_record.make ~txn:t1 ~prev_txn_lsn:o1b (Log_record.Commit { wall_us = 1.0 })));
+  let b2 = app (Log_record.make ~txn:t2 Log_record.Begin) in
+  let o2 = pop ~txn:t2 ~prev_txn:b2 5 in
+  ignore (app (Log_record.make ~txn:t2 ~prev_txn_lsn:o2 (Log_record.Commit { wall_us = 2.0 })));
+  let b3 = app (Log_record.make ~txn:t3 Log_record.Begin) in
+  ignore (pop ~txn:t3 ~prev_txn:b3 6);
+  Log_manager.flush_all log;
+  check_upkeep "appended" log;
+  check "t3 is in flight" true (Log_manager.txn_resolution log t3 = `Active);
+  Log_manager.crash log;
+  check_upkeep "crashed" log;
+  Log_manager.truncate_before log o1b;
+  check_upkeep ~straddled:true "straddled" log;
+  let summaries = Log_manager.txn_summaries log in
+  check "straddling T1 has no summary" true
+    (not (List.exists (fun s -> Txn_id.equal s.Log_manager.ts_txn t1) summaries));
+  check "T1 resolves as unknown, not as committed-with-partial-writes" true
+    (Log_manager.txn_resolution log t1 = `Unknown);
+  (match List.find_opt (fun s -> Txn_id.equal s.Log_manager.ts_txn t2) summaries with
+  | Some s -> check_int "fully retained T2 keeps its whole write set" 1 (List.length s.Log_manager.ts_writes)
+  | None -> Alcotest.fail "T2 missing from the index");
+  check "open T3 still resolves as in flight" true (Log_manager.txn_resolution log t3 = `Active)
+
+(* The directory and the txn index are kept on every ingestion path and
+   cut back on every tail drop and truncation: after each event a walk
+   (and the checkpoint views built on it) equals a header scan of what
+   the log retains, and so do the txn summaries and resolutions. *)
 let test_control_directory_upkeep () =
-  let tore = ref false in
-  (* Sweep seeds until the crash tears a record (the tear draws from the
-     plan's PRNG). *)
-  let seed = ref 0 in
-  while (not !tore) && !seed < 20 do
-    incr seed;
+  test_txn_index_boundary ();
+  let tears = ref 0 in
+  (* Seeds whose crash tears a record (the tear draws from the plan's
+     PRNG), at varying cuts through the torn record. *)
+  for seed = 1 to 20 do
     let clock = Sim_clock.create () in
-    let plan = Rw_storage.Fault_plan.create ~torn_log_tail_rate:1.0 ~seed:!seed () in
+    let plan = Rw_storage.Fault_plan.create ~torn_log_tail_rate:1.0 ~seed () in
     let log =
       Log_manager.create ~clock ~media:Media.ram ~segment_bytes:512 ~fault_plan:plan ()
     in
     control_history log ~rounds:12 ~first_txn:1;
     Log_manager.flush_all log;
     ignore (check_directory "appended" log);
+    check_upkeep "appended" log;
     (* Crash with an unflushed tail: a prefix survives, its last record
        torn; recovery's CRC scan cuts the log there. *)
     control_history log ~rounds:3 ~first_txn:100;
     Log_manager.crash log;
-    (match Log_manager.repair_tail log with Some _ -> tore := true | None -> ());
+    (match Log_manager.repair_tail log with Some _ -> incr tears | None -> ());
     ignore (check_directory "torn tail repaired" log);
+    check_upkeep "torn tail repaired" log;
     (* A crash with no tear drops the unflushed tail record by record. *)
     control_history log ~rounds:2 ~first_txn:200;
     let plain = Log_manager.create ~clock ~media:Media.ram ~segment_bytes:512 () in
     Log_manager.restore_entries plain (Log_manager.dump_entries log);
     ignore (check_directory "restored" plain);
+    check_upkeep "restored" plain;
     control_history plain ~rounds:2 ~first_txn:300;
     Log_manager.crash plain;
     ignore (check_directory "unflushed tail removed" plain);
+    check_upkeep "unflushed tail removed" plain;
     (* Replication divergence cut: [truncate_from] at a record in the
        middle of the log drops whole segments and part of one. *)
     let lsns = List.map (fun (l, _, _, _) -> l) (controls_by_scan log) in
     let cut = List.nth lsns (2 * List.length lsns / 3) in
     check "truncate_from dropped records" true (Log_manager.truncate_from log cut > 0);
     ignore (check_directory "truncate_from" log);
+    check_upkeep "truncate_from" log;
     (* Retention through a straddling segment: the cut lies strictly
        inside a segment, whose entries below it must be invisible. *)
     let low = List.nth lsns (List.length lsns / 3) in
     Log_manager.truncate_before log (Log_manager.next_lsn_after log low);
     let after = check_directory "truncate_before" log in
+    check_upkeep ~straddled:true "truncate_before" log;
+    check "the cut leaves a straddling transaction" true
+      (List.exists
+         (fun (_, kind, txn, _) ->
+           kind = Log_record.K_commit && Log_manager.txn_resolution log txn = `Unknown)
+         after);
     check "nothing below the retention boundary" true
       (List.for_all (fun (l, _, _, _) -> Lsn.(l >= Log_manager.first_lsn log)) after);
     check "a walk from below the boundary starts at it" true
@@ -1123,9 +1255,10 @@ let test_control_directory_upkeep () =
     Log_manager.flush_all log;
     ship (Log_manager.first_lsn log);
     check "replica directory equals the primary's" true
-      (check_directory "ingested" replica = controls_by_walk log)
+      (check_directory "ingested" replica = controls_by_walk log);
+    check_upkeep "ingested" replica
   done;
-  check "some seed tore the tail" true !tore
+  check "some seed tore the tail" true (!tears > 0)
 
 (* A saved and reloaded database rebuilds the directory from the dumped
    entries ([restore_entries]). *)
@@ -1157,7 +1290,10 @@ let test_control_directory_save_load () =
       in
       let loaded = check_directory "loaded" (Database.log db2) in
       check "loaded directory starts with the saved one" true
-        (List.filteri (fun i _ -> i < List.length saved) loaded = saved))
+        (List.filteri (fun i _ -> i < List.length saved) loaded = saved);
+      check_txns "loaded" (Database.log db2);
+      check "loaded txn summaries equal the saved ones" true
+        (Log_manager.txn_summaries (Database.log db2) = Log_manager.txn_summaries (Database.log db)))
 
 let () =
   Alcotest.run "wal"
@@ -1207,7 +1343,5 @@ let () =
           Alcotest.test_case "gather sequentialises" `Quick test_gather_sequentialises;
           Alcotest.test_case "gather charges each block once" `Quick
             test_gather_charges_each_block_once;
-          Alcotest.test_case "txn index rebuild honours the retention boundary" `Quick
-            test_txn_index_rebuild_boundary;
         ] );
     ]

@@ -7,6 +7,7 @@
 module Media = Rw_storage.Media
 module Page_id = Rw_storage.Page_id
 module Txn_id = Rw_wal.Txn_id
+module Log_manager = Rw_wal.Log_manager
 module Engine = Rw_engine.Engine
 module Database = Rw_engine.Database
 module Row = Rw_engine.Row
@@ -75,24 +76,23 @@ let history_node graph ~ordinal =
 let test_graph_shape () =
   let _eng, db = build_history () in
   let graph = Dep_graph.build ~log:(Database.log db) in
-  check "built from the append-time index" true (Dep_graph.built_from_index graph);
   let t1 = history_node graph ~ordinal:1 in
   let t4 = history_node graph ~ordinal:4 in
-  check "history txns are not structural" true (not t1.Dep_graph.structural);
-  check_int "T1 wrote two pages" 2 (List.length t1.Dep_graph.writes);
+  check "history txns are not structural" true (not t1.Log_manager.ts_structural);
+  check_int "T1 wrote two pages" 2 (List.length t1.Log_manager.ts_writes);
   let closure_ids n =
-    Dep_graph.closure graph n.Dep_graph.txn
-    |> List.map (fun m -> Txn_id.to_int m.Dep_graph.txn)
+    Dep_graph.closure graph n.Log_manager.ts_txn
+    |> List.map (fun m -> Txn_id.to_int m.Log_manager.ts_txn)
     |> List.sort compare
   in
-  let t1_id = Txn_id.to_int t1.Dep_graph.txn in
+  let t1_id = Txn_id.to_int t1.Log_manager.ts_txn in
   check "T1's closure is {T1,T2,T3}" true
     (closure_ids t1 = [ t1_id; t1_id + 1; t1_id + 2 ]);
-  check "T4 is fully independent" true (closure_ids t4 = [ Txn_id.to_int t4.Dep_graph.txn ]);
+  check "T4 is fully independent" true (closure_ids t4 = [ Txn_id.to_int t4.Log_manager.ts_txn ]);
   check_int "T1 has two direct dependents" 2
-    (List.length (Dep_graph.dependents graph t1.Dep_graph.txn));
+    (List.length (Dep_graph.dependents graph t1.Log_manager.ts_txn));
   check_int "full-rewind scope covers the tail" 4
-    (List.length (Dep_graph.successors graph t1.Dep_graph.txn));
+    (List.length (Dep_graph.successors graph t1.Log_manager.ts_txn));
   check "unknown txn has an empty closure" true (Dep_graph.closure graph (Txn_id.of_int 99999) = [])
 
 (* --- repair equals the replay-from-scratch oracle; independents untouched --- *)
@@ -100,7 +100,7 @@ let test_graph_shape () =
 let test_repair_vs_oracle () =
   let _eng, db = build_history () in
   let graph = Dep_graph.build ~log:(Database.log db) in
-  let victim = (history_node graph ~ordinal:1).Dep_graph.txn in
+  let victim = (history_node graph ~ordinal:1).Log_manager.ts_txn in
   let stats =
     match
       Selective.repair ~ctx:(Database.ctx db) ~log:(Database.log db) ~graph ~victim
@@ -129,7 +129,8 @@ let test_soak_campaign () =
     (fun (r : Twin.row) ->
       let label p = Printf.sprintf "seed %d, %s: %s" r.Twin.seed r.Twin.label p in
       let replayed = Twin.count r "replay" in
-      check (label "graph from append-time index") true (Twin.check r "index");
+      check (label "graph after crash and reopen equals the pre-crash one") true
+        (Twin.check r "reopen");
       check (label "dependent set exactly the constructed one") true (Twin.check r "scope");
       check (label "what-if view agrees with oracle") true (Twin.check r "view");
       check (label "repair ran") true (Twin.check r "repaired");
@@ -151,7 +152,7 @@ let test_crash_mid_replay () =
   let _eng, db = build_history () in
   let before = dump db in
   let graph = Dep_graph.build ~log:(Database.log db) in
-  let victim = (history_node graph ~ordinal:1).Dep_graph.txn in
+  let victim = (history_node graph ~ordinal:1).Log_manager.ts_txn in
   (* Crash after the first page's diff is logged but before the repair
      transaction can commit: the repair must roll back like any other
      in-flight transaction. *)
@@ -184,12 +185,12 @@ let test_structural_refused () =
   let graph = Dep_graph.build ~log:(Database.log db) in
   (* The base-load transaction formats pages: structural, not removable. *)
   let base =
-    List.find (fun n -> n.Dep_graph.structural) (Dep_graph.nodes graph)
+    List.find (fun n -> n.Log_manager.ts_structural) (Dep_graph.nodes graph)
   in
   let before = dump db in
   (match
      Selective.repair ~ctx:(Database.ctx db) ~log:(Database.log db) ~graph
-       ~victim:base.Dep_graph.txn ~wall_us:(Database.now_us db) ()
+       ~victim:base.Log_manager.ts_txn ~wall_us:(Database.now_us db) ()
    with
   | Ok _ -> Alcotest.fail "expected a structural conflict"
   | Error cs ->
@@ -215,7 +216,7 @@ let test_built_upon_refused () =
       Database.update db txn ~table:"t" [ Row.Int 7L; Row.Text "built-upon" ]);
   let graph = Dep_graph.build ~log:(Database.log db) in
   let nodes = Dep_graph.nodes graph in
-  let victim = (List.nth nodes (List.length nodes - 2)).Dep_graph.txn in
+  let victim = (List.nth nodes (List.length nodes - 2)).Log_manager.ts_txn in
   let before = dump db in
   (match
      Selective.repair ~ctx:(Database.ctx db) ~log:(Database.log db) ~graph ~victim
@@ -244,11 +245,11 @@ let test_split_victim_refused () =
   let graph = Dep_graph.build ~log:(Database.log db) in
   let nodes = Dep_graph.nodes graph in
   let victim = List.nth nodes (List.length nodes - 1) in
-  check "splitting victim is structural" true victim.Dep_graph.structural;
+  check "splitting victim is structural" true victim.Log_manager.ts_structural;
   let before = dump db in
   (match
      Selective.repair ~ctx:(Database.ctx db) ~log:(Database.log db) ~graph
-       ~victim:victim.Dep_graph.txn ~wall_us:(Database.now_us db) ()
+       ~victim:victim.Log_manager.ts_txn ~wall_us:(Database.now_us db) ()
    with
   | Ok _ -> Alcotest.fail "expected a structural conflict"
   | Error cs -> check "split reported as structural" true (cs <> []));
@@ -259,7 +260,7 @@ let test_split_victim_refused () =
 let test_repair_survives_crash () =
   let _eng, db = build_history () in
   let graph = Dep_graph.build ~log:(Database.log db) in
-  let victim = (history_node graph ~ordinal:1).Dep_graph.txn in
+  let victim = (history_node graph ~ordinal:1).Log_manager.ts_txn in
   (match
      Selective.repair ~ctx:(Database.ctx db) ~log:(Database.log db) ~graph ~victim
        ~wall_us:(Database.now_us db) ()
@@ -282,7 +283,7 @@ let test_sql_rewind () =
   let session = Executor.create_session eng in
   ignore (run_ok session "USE wf");
   let graph = Dep_graph.build ~log:(Database.log db) in
-  let victim = Txn_id.to_int (history_node graph ~ordinal:1).Dep_graph.txn in
+  let victim = Txn_id.to_int (history_node graph ~ordinal:1).Log_manager.ts_txn in
   (* First as a what-if view: the live database is untouched. *)
   let live = dump db in
   (match run_ok session (Printf.sprintf "REWIND TRANSACTION %d AS wv" victim) with
@@ -317,7 +318,7 @@ let test_inflight_conflict () =
   ignore (run_ok s1 "USE wf");
   ignore (run_ok s2 "USE wf");
   let graph = Dep_graph.build ~log:(Database.log db) in
-  let victim = Txn_id.to_int (history_node graph ~ordinal:1).Dep_graph.txn in
+  let victim = Txn_id.to_int (history_node graph ~ordinal:1).Log_manager.ts_txn in
   (* Session 2 opens a transaction and writes key 0's leaf — a page the
      rewind of T1 would unwind — without committing.  The rewind must
      refuse: rewinding would erase the open transaction's row, and

@@ -105,10 +105,12 @@ dune exec bin/rewind_cli.exe -- replsoak --seeds 11,23,47 --quick
 
 echo "== what-if selective-undo soak (fixed seeds) =="
 # Dependent-chain, fully-independent and mixed histories: a mid-history
-# victim is removed as a what-if view and as an in-place repair, both
-# verified (logical rows + every allocated page, page LSN masked +
-# pre-victim as-of) against a replay-minus-victim oracle.  Exits non-zero
-# on any inequality.
+# victim is removed as a what-if view and, after a crash and reopen with
+# an in-flight transaction in the log tail (the rebuilt dependency graph
+# must equal the pre-crash one), as an in-place repair; both verified
+# (logical rows + every allocated page, page LSN masked + pre-victim
+# as-of) against a replay-minus-victim oracle.  Exits non-zero on any
+# inequality.
 dune exec bin/rewind_cli.exe -- whatifsoak --seeds 11,23,47 --quick
 
 echo "== rwbench count determinism (trace off vs on) =="
@@ -184,9 +186,10 @@ check_regression "core-primitives/recovery-analysis-only" "$base_analysis"
 # Replica catch-up is bounded by page-grouped redo of shipped
 # segments: guard the apply rate so replication lag cannot silently grow.
 check_regression "core-primitives/replica-catchup-apply (parallel redo)" "$base_catchup"
-# What-if selective undo: the graph build must stay on the O(index) path
-# and the selective target computation must stay pinned to the dependent
-# set (the full-rewind row is its context, not a guard).
+# What-if selective undo: the graph build reads the write-set index,
+# O(transactions + write sets), and must not grow toward a log scan; the
+# selective target computation must stay pinned to the dependent set
+# (the full-rewind row is its context, not a guard).
 check_regression "core-primitives/dep-graph-build (64-txn history)" "$base_depgraph"
 check_regression "core-primitives/selective-replay-vs-full-rewind: selective" "$base_selective"
 # Batched as-of preparation through the shared domain pool: guard the
