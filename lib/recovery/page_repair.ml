@@ -35,6 +35,24 @@ let is_base = function
       true
   | _ -> false
 
+(* The one redo apply: gathered record [k], at [lsn], redone onto [page]
+   unless the page LSN shows the image already reflects it — from its live
+   decode on a record-cache hit, else decoded (CRC checked) from its span.
+   Returns whether it applied. *)
+let redo_record pid (g : Log_manager.gathered) k lsn page =
+  Lsn.(Page.lsn page < lsn)
+  && begin
+       let r = g.g_decoded.(k) in
+       let r =
+         if r == Log_manager.not_cached then
+           Log_record.decode (Bytes.sub_string g.g_blob.(k) g.g_pos.(k) g.g_len.(k))
+         else r
+       in
+       (match Log_record.op_of r with Some op -> Log_record.redo pid op page | None -> ());
+       Page.set_lsn page lsn;
+       true
+     end
+
 let replay_chain ~log pid ~from ~down_to ~no_base page =
   let chain = Log_manager.chain_segment log pid ~from ~down_to in
   let n = Array.length chain in
@@ -49,21 +67,16 @@ let replay_chain ~log pid ~from ~down_to ~no_base page =
   in
   let base = if n = 0 then 0 else newest_base (n - 1) in
   let suffix = Array.sub chain base (n - base) in
-  let records = Log_manager.read_segment log suffix in
-  let applied = ref 0 in
-  Array.iteri
-    (fun i r ->
-      let lsn = suffix.(i) in
-      (* The page-LSN guard: records the image already reflects are skipped. *)
-      if Lsn.(Page.lsn page < lsn) then
-        match Log_record.op_of r with
-        | Some op ->
-            Log_record.redo pid op page;
-            Page.set_lsn page lsn;
-            incr applied
-        | None -> ())
-    records;
-  !applied
+  match (Log_manager.gather_batch log [| suffix |]).b_pages.(0) with
+  | Some g ->
+      let applied = ref 0 in
+      Array.iteri (fun k lsn -> if redo_record pid g k lsn page then incr applied) suffix;
+      !applied
+  | None ->
+      (* A record could not be located: look it up again to raise what the
+         lookup raised. *)
+      Array.iter (fun lsn -> ignore (Log_manager.peek_record log lsn)) suffix;
+      raise (Log_manager.No_such_record suffix.(0))
 
 let rebuild ~log pid =
   (* No base retained: replay is only sound from the page's genesis, i.e.

@@ -37,6 +37,22 @@ module Quarantine : sig
   val count : t -> int
 end
 
+val redo_record :
+  Rw_storage.Page_id.t ->
+  Rw_wal.Log_manager.gathered ->
+  int ->
+  Rw_storage.Lsn.t ->
+  Rw_storage.Page.t ->
+  bool
+(** [redo_record pid g k lsn page] is the one redo apply step, shared by
+    chain replay and log-scan redo ([Recovery.redo]): gathered record [k],
+    whose LSN is [lsn], is redone onto [page] and [lsn] stamped as its page
+    LSN — unless [Page.lsn page >= lsn] (the page-LSN guard: the image
+    already reflects it).  A live decode is redone as is; a span is decoded
+    with {!Rw_wal.Log_record.decode} first, which checks its CRC.  Returns
+    whether it applied.  Pure over its arguments, so workers may call it on
+    disjoint pages. *)
+
 val replay_chain :
   log:Rw_wal.Log_manager.t ->
   Rw_storage.Page_id.t ->
@@ -49,10 +65,15 @@ val replay_chain :
     [page], in place, the page's chain records in [(down_to, from]]: from
     the newest base record ([Full_image] or [Format]) when the range holds
     one, else from its oldest record, after passing that record's LSN to
-    [no_base] (which may raise to refuse).  Records at or below the page
-    LSN are skipped, so the replay is idempotent.  Returns the operations
-    applied.  Both chain-replay paths use it: {!rebuild} and instant
-    restart's first-touch redo. *)
+    [no_base] (which may raise to refuse).  The records from there on are
+    fetched as a batch of one through
+    {!Rw_wal.Log_manager.gather_batch} (block-priced, nothing inserted into
+    the record cache) and applied with {!redo_record}, so records at or
+    below the page LSN are skipped and the replay is idempotent.  A record
+    that cannot be located raises {!Rw_wal.Log_manager.Log_truncated} or
+    {!Rw_wal.Log_manager.No_such_record}.  Returns the operations applied.
+    Every chain-replay path uses it: {!rebuild} (page repair, scrub,
+    failover rejoin) and instant restart's first-touch redo. *)
 
 val rebuild : log:Rw_wal.Log_manager.t -> Rw_storage.Page_id.t -> Rw_storage.Page.t
 (** Rebuild the page's current content purely from the log: locate the

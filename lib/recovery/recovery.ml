@@ -188,80 +188,49 @@ let losers_at ~log ~start ~upto =
    [recover_redo_only]), replica catch-up and backup roll-forward
    ([redo_range]); callers choose only the record filter [wanted].  The
    scan and page fetches stay on the calling domain (priced I/O, caches
-   and the buffer pool are not domain-safe).  The gather peeks headers
-   and keeps the page records [wanted] admits, grouped by page; pages are
-   then replayed in page-id order, in batches small enough that the
-   pinned set never overwhelms the pool.  Each batch's page list is the
-   work split handed to [Domain_pool.parallel_for] — as in snapshot batch
-   rewind and the scrub sweep — and each page replays its own records in
-   LSN order.  Pages are disjoint, raw record bytes are immutable and
-   [Log_record.decode] is pure, so workers share nothing mutable but the
-   pages they own: any fan-out yields the same pages.  The page-LSN guard
-   makes the replay idempotent (redo-only recovery's invariant), so an
-   overlapping range or a page already on disk applies nothing twice. *)
+   and the buffer pool are not domain-safe).  The gather
+   ([Log_manager.gather_range]) peeks headers and hands over the page
+   records [wanted] admits, grouped by page, in the form a rewind gets
+   them; pages are then replayed in page-id order, in batches small
+   enough that the pinned set never overwhelms the pool.  Each batch's
+   page list is the work split handed to [Domain_pool.parallel_for] — as
+   in snapshot batch rewind and the scrub sweep — and each page replays
+   its own records in LSN order through [Page_repair.redo_record].  Pages
+   are disjoint and gathered records are immutable, so workers share
+   nothing mutable but the pages they own: any fan-out yields the same
+   pages and the same counts.  The page-LSN guard makes the replay
+   idempotent (redo-only recovery's invariant), so an overlapping range or
+   a page already on disk applies nothing twice. *)
 module Domain_pool = Rw_pool.Domain_pool
 
-(* One gathered redo record: ops stay decoded when the apply runs on the
-   calling domain (warm record-cache hits cost nothing), but cross domains
-   as encoded bytes — workers decode their own pages' records in
-   parallel, which is most of redo's CPU. *)
-type redo_item = Decoded of Log_record.op | Raw of string
-
 let redo ~log ~pool ~from ~upto ~wanted =
-  let work = Hashtbl.create 64 in
-  let keep lsn pk item =
-    let k = Page_id.to_int pk.Log_record.p_page in
-    let prev = Option.value (Hashtbl.find_opt work k) ~default:[] in
-    Hashtbl.replace work k ((lsn, item) :: prev)
-  in
-  let qualifies lsn pk =
-    Log_record.is_page_kind pk.Log_record.p_kind && wanted lsn pk.Log_record.p_page
-  in
-  if Domain_pool.fanout_cap () > 1 then
-    Log_manager.iter_range_raw log ~from ~upto (fun lsn pk raw ->
-        if qualifies lsn pk then keep lsn pk (Raw (raw ())))
-  else
-    Log_manager.iter_range_peek log ~from ~upto (fun lsn pk decode ->
-        if qualifies lsn pk then
-          match Log_record.op_of (decode ()) with
-          | Some op -> keep lsn pk (Decoded op)
-          | None -> assert false);
-  let pages =
-    Hashtbl.fold (fun k ops acc -> (k, List.rev ops) :: acc) work []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> Array.of_list
-  in
-  let op_of = function
-    | Decoded op -> op
-    | Raw raw -> Option.get (Log_record.op_of (Log_record.decode raw))
-  in
+  let pages = Log_manager.gather_range log ~from ~upto ~keep:wanted in
   (* Replay one page's records; [first] is the first LSN applied (the
      frame's recovery LSN), [count] the operations applied. *)
-  let apply_page (k, pg, items, first, count) =
-    let pid = Page_id.of_int k in
-    List.iter
-      (fun (lsn, item) ->
-        if Lsn.(Page.lsn pg < lsn) then begin
-          Log_record.redo pid (op_of item) pg;
-          Page.set_lsn pg lsn;
+  let apply_page (pid, pg, lsns, g, first, count) =
+    Array.iteri
+      (fun k lsn ->
+        if Page_repair.redo_record pid g k lsn pg then begin
           if Lsn.is_nil !first then first := lsn;
           incr count
         end)
-      items
+      lsns
   in
   let batch_size = max 1 (Buffer_pool.capacity pool / 2) in
   let redone = ref 0 in
   let lo = ref 0 in
   while !lo < Array.length pages do
     let batch = Array.sub pages !lo (min batch_size (Array.length pages - !lo)) in
-    let frames = Array.map (fun (k, _) -> Buffer_pool.fetch pool (Page_id.of_int k)) batch in
+    let frames = Array.map (fun (pid, _, _) -> Buffer_pool.fetch pool pid) batch in
     let items =
-      Array.mapi (fun i (k, ops) -> (k, Buffer_pool.page frames.(i), ops, ref Lsn.nil, ref 0)) batch
+      Array.mapi
+        (fun i (pid, lsns, g) -> (pid, Buffer_pool.page frames.(i), lsns, g, ref Lsn.nil, ref 0))
+        batch
     in
     let fanout = Domain_pool.parallel_for (Array.length items) (fun i -> apply_page items.(i)) in
     Obs.add Probes.recovery_redo_partitions fanout;
     Array.iteri
-      (fun i (_, _, _, first, count) ->
+      (fun i (_, _, _, _, first, count) ->
         if !count > 0 then Buffer_pool.mark_dirty pool frames.(i) ~lsn:!first;
         redone := !redone + !count;
         Buffer_pool.unpin pool frames.(i))
@@ -350,11 +319,15 @@ type stats = {
   mutable time_to_full_recovery_us : float;
 }
 
-let recover ?(now_us = fun () -> 0.0) ~log ~pool () =
+(* The opening every restart shares: validate the crash-time tail — a
+   torn record, and anything after it, is discarded so the scans below only
+   ever see whole records instead of dying mid-analysis on a decode
+   failure — then analyze from the master checkpoint (the log's origin if
+   none) to the end of the log, traced as [recovery.analysis].  Returns
+   the start time, the analysis horizon and the stats of a restart that has
+   done nothing else yet. *)
+let prologue ~now_us ~log =
   let t0 = now_us () in
-  (* Before trusting the log, validate the crash-time tail: a torn record
-     (and anything after it) is discarded so the scans below only ever see
-     whole records — instead of dying mid-analysis on a decode failure. *)
   let tail_truncated = Log_manager.repair_tail log in
   let start =
     let c = Log_manager.last_checkpoint log in
@@ -368,13 +341,45 @@ let recover ?(now_us = fun () -> 0.0) ~log ~pool () =
     Trace.complete ~cat:"recovery" ~ts
       ~args:[ ("records_scanned", Trace.Int analysis.records_scanned) ]
       "recovery.analysis";
+  Obs.incr Probes.recovery_runs;
+  ( t0,
+    upto,
+    {
+      analysis;
+      redone_ops = 0;
+      undone_ops = 0;
+      ended_losers = 0;
+      tail_truncated;
+      analysis_us;
+      time_to_first_query_us = 0.0;
+      time_to_full_recovery_us = 0.0;
+    } )
+
+(* Log-scan redo of the analysis's dirty pages up to [upto], traced as
+   [recovery.redo]. *)
+let redo_analyzed ~log ~pool ~upto stats =
   let ts = if Trace.on () then Trace.now () else 0.0 in
-  let redone_ops = redo_dirty ~log ~pool ~analysis ~upto in
+  stats.redone_ops <- redo_dirty ~log ~pool ~analysis:stats.analysis ~upto;
+  Obs.add Probes.recovery_redone stats.redone_ops;
   if Trace.on () then
     Trace.complete ~cat:"recovery" ~ts
-      ~args:[ ("redone_ops", Trace.Int redone_ops) ]
-      "recovery.redo";
-  let ended_losers = Hashtbl.length analysis.losers in
+      ~args:[ ("redone_ops", Trace.Int stats.redone_ops) ]
+      "recovery.redo"
+
+(* A restart that recovers everything before it opens: first query and
+   full recovery are the same moment. *)
+let opened ~now_us ~log t0 stats =
+  Log_manager.flush_all log;
+  let total = now_us () -. t0 in
+  stats.time_to_first_query_us <- total;
+  stats.time_to_full_recovery_us <- total;
+  stats
+
+let recover ?(now_us = fun () -> 0.0) ~log ~pool () =
+  let t0, upto, stats = prologue ~now_us ~log in
+  redo_analyzed ~log ~pool ~upto stats;
+  let losers = stats.analysis.losers in
+  stats.ended_losers <- Hashtbl.length losers;
   let apply pid f =
     let frame = Buffer_pool.fetch pool pid in
     Fun.protect
@@ -389,26 +394,13 @@ let recover ?(now_us = fun () -> 0.0) ~log ~pool () =
             | None -> ()))
   in
   let ts = if Trace.on () then Trace.now () else 0.0 in
-  let undone_ops = undo_losers ~log ~losers:analysis.losers ~write_clr:true ~apply in
+  stats.undone_ops <- undo_losers ~log ~losers ~write_clr:true ~apply;
+  Obs.add Probes.recovery_undone stats.undone_ops;
   if Trace.on () then
     Trace.complete ~cat:"recovery" ~ts
-      ~args:[ ("undone_ops", Trace.Int undone_ops) ]
+      ~args:[ ("undone_ops", Trace.Int stats.undone_ops) ]
       "recovery.undo";
-  Log_manager.flush_all log;
-  Obs.incr Probes.recovery_runs;
-  Obs.add Probes.recovery_redone redone_ops;
-  Obs.add Probes.recovery_undone undone_ops;
-  let total = now_us () -. t0 in
-  {
-    analysis;
-    redone_ops;
-    undone_ops;
-    ended_losers;
-    tail_truncated;
-    analysis_us;
-    time_to_first_query_us = total;
-    time_to_full_recovery_us = total;
-  }
+  opened ~now_us ~log t0 stats
 
 (* --- replica-side redo: continuous catch-up and redo-only restart --- *)
 
@@ -418,35 +410,14 @@ let recover ?(now_us = fun () -> 0.0) ~log ~pool () =
 let redo_range ~log ~pool ~from ~upto = redo ~log ~pool ~from ~upto ~wanted:(fun _ _ -> true)
 
 let recover_redo_only ?(now_us = fun () -> 0.0) ~log ~pool () =
-  let t0 = now_us () in
-  let tail_truncated = Log_manager.repair_tail log in
-  let start =
-    let c = Log_manager.last_checkpoint log in
-    if Lsn.is_nil c then Log_manager.first_lsn log else c
-  in
-  let upto = Log_manager.end_lsn log in
-  let analysis = analyze ~log ~start ~upto in
-  let analysis_us = now_us () -. t0 in
-  let redone_ops = redo_dirty ~log ~pool ~analysis ~upto in
+  let t0, upto, stats = prologue ~now_us ~log in
+  redo_analyzed ~log ~pool ~upto stats;
   (* No undo and no appended records: a replica's log must stay a
      byte-identical prefix of the primary's stream, so losers are left
      in place on the pages (reads go through as-of snapshots, which
      perform snapshot-local loser undo without logging) and the
      catch-up stream itself will deliver their Aborts or CLRs. *)
-  Log_manager.flush_all log;
-  Obs.incr Probes.recovery_runs;
-  Obs.add Probes.recovery_redone redone_ops;
-  let total = now_us () -. t0 in
-  {
-    analysis;
-    redone_ops;
-    undone_ops = 0;
-    ended_losers = 0;
-    tail_truncated;
-    analysis_us;
-    time_to_first_query_us = total;
-    time_to_full_recovery_us = total;
-  }
+  opened ~now_us ~log t0 stats
 
 (* --- instant restart: open after analysis, recover pages on first touch --- *)
 
@@ -499,20 +470,8 @@ module Instant = struct
     pages
 
   let open_ ?(now_us = fun () -> 0.0) ~log () =
-    let t_start_us = now_us () in
-    let tail_truncated = Log_manager.repair_tail log in
-    let start =
-      let c = Log_manager.last_checkpoint log in
-      if Lsn.is_nil c then Log_manager.first_lsn log else c
-    in
-    let horizon = Log_manager.end_lsn log in
-    let ts = if Trace.on () then Trace.now () else 0.0 in
-    let analysis = analyze ~log ~start ~upto:horizon in
-    let analysis_us = now_us () -. t_start_us in
-    if Trace.on () then
-      Trace.complete ~cat:"recovery" ~ts
-        ~args:[ ("records_scanned", Trace.Int analysis.records_scanned) ]
-        "recovery.analysis";
+    let t_start_us, horizon, stats = prologue ~now_us ~log in
+    let analysis = stats.analysis in
     let pending = Hashtbl.create 64 in
     Hashtbl.iter (fun k _ -> Hashtbl.replace pending k ()) analysis.dirty_pages;
     let loser_pages = Hashtbl.create 8 in
@@ -522,19 +481,6 @@ module Instant = struct
         Hashtbl.iter (fun k () -> Hashtbl.replace pending k ()) pages;
         Hashtbl.replace loser_pages txn pages)
       analysis.losers;
-    let stats =
-      {
-        analysis;
-        redone_ops = 0;
-        undone_ops = 0;
-        ended_losers = 0;
-        tail_truncated;
-        analysis_us;
-        time_to_first_query_us = 0.0;
-        time_to_full_recovery_us = 0.0;
-      }
-    in
-    Obs.incr Probes.recovery_runs;
     Obs.gauge_add Probes.recovery_backlog (float_of_int (Hashtbl.length pending));
     {
       log;

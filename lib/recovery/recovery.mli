@@ -5,13 +5,18 @@
     loser-undo walk, while crash recovery proper guarantees the primary
     database the paper rewinds from is always consistent.
 
-    Two restart modes share the analysis pass: {!recover} replays
-    everything before returning, and {!Instant} opens the engine right
+    Every restart — {!recover}, {!recover_redo_only} and {!Instant.open_}
+    — opens with the same prologue: tail repair, analysis from the master
+    checkpoint (traced as [recovery.analysis]) and a fresh {!stats}.
+    {!recover} and {!recover_redo_only} then redo (traced as
+    [recovery.redo]) before returning; {!Instant} opens the engine right
     after analysis and recovers pages on first touch or via a background
     drain.  Every log-scan redo — restart, replica catch-up, backup
     roll-forward — is one page-grouped loop; only its record filter
     differs.  Instant restart and page repair share the chain replay
-    {!Page_repair.replay_chain}. *)
+    {!Page_repair.replay_chain}.  Both redo forms take their records as
+    {!Rw_wal.Log_manager.gathered} entries and apply them with
+    {!Page_repair.redo_record}. *)
 
 val checkpoint :
   log:Rw_wal.Log_manager.t ->
@@ -110,11 +115,13 @@ val recover :
     [stats.analysis.max_txn_id].
 
     Redo replays the analysis dirty-page table's records (each page from
-    its recovery LSN on) grouped by page: the log scan and page fetches
-    stay on the calling domain, and each batch's page list is fanned out
-    through [Rw_pool.Domain_pool.parallel_for], every page replaying its
-    own records in LSN order.  Pages are disjoint, so any fan-out yields
-    byte-identical pages.  [now_us] (normally the simulated clock) stamps
+    its recovery LSN on) grouped by page: the log scan
+    ({!Rw_wal.Log_manager.gather_range}) and page fetches stay on the
+    calling domain, and each batch's page list is fanned out through
+    [Rw_pool.Domain_pool.parallel_for], every page replaying its own
+    records in LSN order.  Pages are disjoint and the scan is the same at
+    every fan-out, so any fan-out yields byte-identical pages and the same
+    log counters.  [now_us] (normally the simulated clock) stamps
     the timing fields of {!stats}. *)
 
 val redo_range :
@@ -136,7 +143,8 @@ val recover_redo_only :
   unit ->
   stats
 (** Replica restart: tail repair, analysis from the master record (the
-    replica's persisted recovery checkpoint), and redo — but {e no} loser
+    replica's persisted recovery checkpoint), and redo — traced as
+    [recovery.analysis] and [recovery.redo], as in {!recover} — but {e no} loser
     undo and {e no} appended records (no CLRs, no End records, no
     checkpoint), because a replica's log must remain a byte-identical
     prefix of the primary's stream.  In-flight transactions' effects stay

@@ -760,35 +760,24 @@ let flush_all t = flush t ~upto:(Lsn.of_int (max 1 (Lsn.to_int t.end_lsn - 1)))
 
 (* ---------- record reads ---------- *)
 
-(* Decode through the record cache; pure CPU layering, no I/O accounting.
+(* Decode through the record cache, inserting on a miss — [read]'s path,
+   the only reader that inserts; pure CPU layering, no I/O accounting.
    The hit path is the hot loop of every chain walk — one pointer chase
    through the segment's slot handle, no table lookup. *)
-let decode_miss t seg i =
-  t.io.Io_stats.log_record_misses <- t.io.Io_stats.log_record_misses + 1;
-  let data = rec_data seg i in
-  let r = Log_record.decode data in
-  seg.s_cached.(i) <-
-    Some
-      (Lru.Weighted.add_node t.record_cache seg.s_lsns.(i) ~weight:(String.length data) r);
-  r
-
 let decode_cached t seg i =
   match seg.s_cached.(i) with
   | Some n when Lru.Weighted.alive n ->
       t.io.Io_stats.log_record_hits <- t.io.Io_stats.log_record_hits + 1;
       Lru.Weighted.touch t.record_cache n;
       Lru.Weighted.node_value n
-  | _ -> decode_miss t seg i
-
-(* Batch variant: a segment read is one logical access, so hits skip the
-   per-record recency splice (the whole batch would land at the head of
-   the LRU list anyway). *)
-let decode_cached_quiet t seg i =
-  match seg.s_cached.(i) with
-  | Some n when Lru.Weighted.alive n ->
-      t.io.Io_stats.log_record_hits <- t.io.Io_stats.log_record_hits + 1;
-      Lru.Weighted.node_value n
-  | _ -> decode_miss t seg i
+  | _ ->
+      t.io.Io_stats.log_record_misses <- t.io.Io_stats.log_record_misses + 1;
+      let data = rec_data seg i in
+      let r = Log_record.decode data in
+      seg.s_cached.(i) <-
+        Some
+          (Lru.Weighted.add_node t.record_cache seg.s_lsns.(i) ~weight:(String.length data) r);
+      r
 
 (* Scan variant: reuse a live cached decode but never insert on a miss —
    a range scan over cold history would otherwise flush the hot chain
@@ -800,11 +789,9 @@ let decode_scan t seg i =
   | Some n when Lru.Weighted.alive n ->
       t.io.Io_stats.log_record_hits <- t.io.Io_stats.log_record_hits + 1;
       Lru.Weighted.node_value n
-  | _ -> Log_record.decode (rec_data seg i)
-
-let read_nocost t lsn =
-  let si, i = locate t lsn in
-  decode_cached t t.segs.(si) i
+  | _ ->
+      t.io.Io_stats.log_record_misses <- t.io.Io_stats.log_record_misses + 1;
+      Log_record.decode (rec_data seg i)
 
 let locate_charged t lsn =
   let si, i = locate t lsn in
@@ -863,57 +850,50 @@ let iter_ascending t lsns f =
 
 let not_cached = Log_record.make Log_record.End
 
-(* Batched random read of an ascending LSN array.  Block accounting is the
-   same as issuing [read] per record — each distinct block is a hit or one
-   priced random read — but charged once per block instead of once per
-   record, and the decodes go through the segment slot handles. *)
-let read_segment t lsns =
-  let out = Array.make (Array.length lsns) not_cached in
-  let last_block = ref (-1) in
-  (* Byte position already covered by the charged blocks; records that
-     end at or before it need no block arithmetic at all. *)
-  let charged_upto = ref 0 in
-  iter_ascending t lsns (fun k s i ->
-      let lsn = s.s_lsns.(i) in
-      let len = rec_len s i in
-      if lsn + len - 1 > !charged_upto then begin
-        let first_b, last_b = blocks_of t (Lsn.of_int lsn) len in
-        for b = max first_b (!last_block + 1) to last_b do
-          if Lru.use t.cache b then t.io.Io_stats.log_block_hits <- t.io.Io_stats.log_block_hits + 1
-          else charge_block_miss t s
-        done;
-        if last_b > !last_block then begin
-          last_block := last_b;
-          charged_upto := ((last_b + 1) * t.block_bytes) - 1
-        end
-      end;
-      out.(k) <- decode_cached_quiet t s i);
-  out
-
 type gathered = {
   g_decoded : Log_record.t array;
-  g_blob : Bytes.t array;
-  g_pos : int array;
-  g_len : int array;
+  mutable g_blob : Bytes.t array;
+  mutable g_pos : int array;
+  mutable g_len : int array;
 }
 
 type batch = { b_pages : gathered option array; b_windows_us : float array }
 
-(* Step 1 of [gather_batch] for one page: locate each record and hand it
-   back as its live decode (a record-cache hit) or, on a miss, as its
-   bytes where they sit in the segment blob — no copy, no decode, no cache
-   insert.  A rewind reads each record once, so inserting its decode would
-   only churn the cache.  The result is parallel arrays rather than one
-   box per record: a long chain's array lives in the major heap, and
-   storing a fresh box per record into it would promote every box.  The
-   blocks each record spans are reported through [need first last cold]
-   (consecutive records inside an already-reported block skip it); no
-   block is charged here. *)
+(* A gather of [n] records, every slot still to be taken.  The span arrays
+   are only allocated once some record misses. *)
+let gathering n = { g_decoded = Array.make n not_cached; g_blob = [||]; g_pos = [||]; g_len = [||] }
+
+(* The one hand-off step of every gather: record [i] of [s] becomes slot
+   [k] of [g] — its live decode on a record-cache hit, or on a miss its
+   bytes where they sit in the segment blob: no copy, no decode, no cache
+   insert.  A rewind or a redo reads each record once, so inserting its
+   decode would only churn the cache.  The result is parallel arrays
+   rather than one box per record: a long chain's array lives in the
+   major heap, and storing a fresh box per record into it would promote
+   every box. *)
+let take t g k s i =
+  match s.s_cached.(i) with
+  | Some node when Lru.Weighted.alive node ->
+      t.io.Io_stats.log_record_hits <- t.io.Io_stats.log_record_hits + 1;
+      g.g_decoded.(k) <- Lru.Weighted.node_value node
+  | _ ->
+      t.io.Io_stats.log_record_misses <- t.io.Io_stats.log_record_misses + 1;
+      if Array.length g.g_blob = 0 then begin
+        let n = Array.length g.g_decoded in
+        g.g_blob <- Array.make n Bytes.empty;
+        g.g_pos <- Array.make n 0;
+        g.g_len <- Array.make n 0
+      end;
+      g.g_blob.(k) <- s.s_blob;
+      g.g_pos.(k) <- rec_pos s i;
+      g.g_len.(k) <- rec_len s i
+
+(* Step 1 of [gather_batch] for one page: locate each record and [take]
+   it.  The blocks each record spans are reported through
+   [need first last cold] (consecutive records inside an already-reported
+   block skip it); no block is charged here. *)
 let gather_page t lsns need =
-  let n = Array.length lsns in
-  let g_decoded = Array.make n not_cached in
-  (* The span arrays are only needed once some record misses. *)
-  let spans = ref None in
+  let g = gathering (Array.length lsns) in
   let covered = ref 0 in
   iter_ascending t lsns (fun k s i ->
       let li = s.s_lsns.(i) in
@@ -923,25 +903,8 @@ let gather_page t lsns need =
         need first_b last_b (not s.s_resident);
         covered := (last_b + 1) * t.block_bytes
       end;
-      match s.s_cached.(i) with
-      | Some node when Lru.Weighted.alive node ->
-          t.io.Io_stats.log_record_hits <- t.io.Io_stats.log_record_hits + 1;
-          g_decoded.(k) <- Lru.Weighted.node_value node
-      | _ ->
-          t.io.Io_stats.log_record_misses <- t.io.Io_stats.log_record_misses + 1;
-          let blob, pos, len' =
-            match !spans with
-            | Some sp -> sp
-            | None ->
-                let sp = (Array.make n Bytes.empty, Array.make n 0, Array.make n 0) in
-                spans := Some sp;
-                sp
-          in
-          blob.(k) <- s.s_blob;
-          pos.(k) <- rec_pos s i;
-          len'.(k) <- len);
-  let g_blob, g_pos, g_len = Option.value !spans ~default:([||], [||], [||]) in
-  { g_decoded; g_blob; g_pos; g_len }
+      take t g k s i);
+  g
 
 (* The rewind fetch for a whole batch of pages, in log order: locate every
    page's records (step 1), mark every block the batch needs in a bitmap
@@ -1069,24 +1032,31 @@ let iter_from t start_pos ~upto f =
         end
       done
 
-let iter_range t ~from ~upto f =
-  iter_from t (global_lower t from) ~upto (fun s i lsn ->
-      charge_seq t (rec_len s i);
-      f lsn (decode_scan t s i))
-
 let iter_range_peek t ~from ~upto f =
   iter_from t (global_lower t from) ~upto (fun s i lsn ->
       charge_seq t (rec_len s i);
-      f lsn (rec_peek s i) (fun () -> decode_cached t s i))
+      f lsn (rec_peek s i) (fun () -> decode_scan t s i))
 
-(* Raw variant for consumers that ship the encoded bytes elsewhere to
-   decode (domain-parallel redo): same order and pricing as
-   [iter_range_peek], but the thunk copies the encoded record out instead
-   of decoding it, so the (single-domain) record cache is not involved. *)
-let iter_range_raw t ~from ~upto f =
+(* The log-scan redo gather: [iter_range_peek]'s order and pricing, every
+   visited record charged; the page records [keep] admits are grouped by
+   page and each page's are then [take]n, as a rewind's are. *)
+let gather_range t ~from ~upto ~keep =
+  let pages = Hashtbl.create 64 in
   iter_from t (global_lower t from) ~upto (fun s i lsn ->
       charge_seq t (rec_len s i);
-      f lsn (rec_peek s i) (fun () -> rec_data s i))
+      let pk = rec_peek s i in
+      if Log_record.is_page_kind pk.Log_record.p_kind && keep lsn pk.Log_record.p_page then begin
+        let k = Page_id.to_int pk.Log_record.p_page in
+        Hashtbl.replace pages k ((s, i) :: Option.value (Hashtbl.find_opt pages k) ~default:[])
+      end);
+  Hashtbl.fold (fun k recs acc -> (k, recs) :: acc) pages []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map (fun (k, recs) ->
+         let recs = Array.of_list (List.rev recs) in
+         let g = gathering (Array.length recs) in
+         Array.iteri (fun j (s, i) -> take t g j s i) recs;
+         (Page_id.of_int k, Array.map (fun (s, i) -> Lsn.of_int s.s_lsns.(i)) recs, g))
+  |> Array.of_list
 
 let iter_range_rev t ~from ~upto f =
   let from_i = Lsn.to_int (Lsn.max from t.truncated_below) in

@@ -11,6 +11,14 @@
     paper's "estimated number of undo log IOs" (Figure 11).  Range scans
     (recovery analysis/redo) are priced as sequential I/O.
 
+    Every page record that reaches an apply step — a rewind's undo, a
+    chain replay's or a log-scan redo's redo — is handed over in one form,
+    {!gathered}: the record cache's live decode on a hit, the record's
+    span of its segment blob on a miss.  {!gather_batch} fetches chains
+    (random, block-priced); {!gather_range} fetches a scanned range
+    (sequentially priced).  Neither inserts into the decoded-record cache:
+    only {!read} and {!append} do.
+
     The log manager also maintains the full-page-image directory used to
     jump-start page undo (paper §6.1), and the retention boundary
     ({!truncate_before}) that implements [SET UNDO_INTERVAL].
@@ -107,30 +115,24 @@ val charge_read : t -> Rw_storage.Lsn.t -> unit
     access: for a caller that prices reading a record whose content it
     already knows.  Same exceptions as {!read}. *)
 
-val read_nocost : t -> Rw_storage.Lsn.t -> Log_record.t
-
-val read_segment : t -> Rw_storage.Lsn.t array -> Log_record.t array
-(** Batched {!read} of an ascending LSN array (e.g. a {!chain_segment}).
-    Priced identically — every distinct block is a cache hit or one random
-    read — but the block cache is consulted once per block rather than once
-    per record, and decodes are served through the record cache.  Same
-    exceptions as {!read}. *)
-
-(** One page's records from a {!gather_batch}, as parallel arrays indexed
-    like the request.  [g_decoded.(k)] is record [k]'s live decode from the
-    record cache (a hit), or {!not_cached} (a miss).  A missed record's
-    bytes are [g_blob.(k).[g_pos.(k) .. g_pos.(k)+g_len.(k)-1]], inside its
-    segment's blob; they never change until a crash lets the log reuse
-    their LSNs, and may be read from any domain. *)
+(** One page's records from a {!gather_batch} or {!gather_range}, as
+    parallel arrays indexed like the page's LSNs.  [g_decoded.(k)] is
+    record [k]'s live decode from the record cache (a hit), or
+    {!not_cached} (a miss).  A missed record's bytes are
+    [g_blob.(k).[g_pos.(k) .. g_pos.(k)+g_len.(k)-1]], inside its segment's
+    blob; they never change until a crash lets the log reuse their LSNs,
+    and may be read from any domain.  The span arrays are empty when every
+    record hit.  Rewinds undo these records and redo replays them; both
+    gathers count each record as one record-cache hit or miss. *)
 type gathered = private {
   g_decoded : Log_record.t array;
-  g_blob : bytes array;
-  g_pos : int array;
-  g_len : int array;
+  mutable g_blob : bytes array;
+  mutable g_pos : int array;
+  mutable g_len : int array;
 }
 
 val not_cached : Log_record.t
-(** The placeholder {!gather_batch} puts in [g_decoded] on a miss; compare
+(** The placeholder both gathers put in [g_decoded] on a miss; compare
     with [==]. *)
 
 type batch = {
@@ -143,8 +145,9 @@ type batch = {
 }
 
 val gather_batch : t -> Rw_storage.Lsn.t array array -> batch
-(** The rewind fetch for a batch of pages, one ascending LSN array per
-    page.  Records are located first; a miss in the record cache is
+(** The chain fetch for a batch of pages, one ascending LSN array per
+    page: a rewind's batch, or a chain replay's batch of one.  Records are
+    located first; a miss in the record cache is
     returned only as its span of the segment blob — never copied, decoded
     or inserted into the record cache.  Then every block the batch needs is
     charged exactly once, in ascending order: a cached block is a hit, and
@@ -159,37 +162,37 @@ val mem : t -> Rw_storage.Lsn.t -> bool
 val next_lsn_after : t -> Rw_storage.Lsn.t -> Rw_storage.Lsn.t
 (** The LSN of the record following the given one. *)
 
-val iter_range :
-  t -> from:Rw_storage.Lsn.t -> upto:Rw_storage.Lsn.t -> (Rw_storage.Lsn.t -> Log_record.t -> unit) -> unit
-(** In-order scan of records with [from <= lsn < upto]; priced sequentially.
-    [from] is rounded up to the first retained record. *)
-
 val iter_range_peek :
   t ->
   from:Rw_storage.Lsn.t ->
   upto:Rw_storage.Lsn.t ->
   (Rw_storage.Lsn.t -> Log_record.peek -> (unit -> Log_record.t) -> unit) ->
   unit
-(** Like {!iter_range} (same order, same sequential pricing) but the
-    callback receives only the record header plus a thunk that decodes the
-    full record on demand (through the decoded-record cache).  Scans that
-    filter on page/kind — recovery analysis, redo — avoid decoding the
-    records they skip. *)
+(** In-order scan of records with [from <= lsn < upto]; priced
+    sequentially, each record as it is visited.  [from] is rounded up to
+    the first retained record.  The callback receives the record header
+    plus a thunk that decodes the full record on demand: a live cached
+    decode is reused (a hit), a miss is decoded but never inserted, so a
+    cold scan cannot flush hot chain entries.  Scans that filter on
+    page/kind — recovery analysis — avoid decoding the records they
+    skip. *)
 
-val iter_range_raw :
+val gather_range :
   t ->
   from:Rw_storage.Lsn.t ->
   upto:Rw_storage.Lsn.t ->
-  (Rw_storage.Lsn.t -> Log_record.peek -> (unit -> string) -> unit) ->
-  unit
-(** Like {!iter_range_peek} but the thunk returns the record's encoded
-    bytes instead of decoding them.  For consumers that decode on another
-    domain ({!Log_record.decode} is pure): the single-domain decoded-record
-    cache stays untouched. *)
+  keep:(Rw_storage.Lsn.t -> Rw_storage.Page_id.t -> bool) ->
+  (Rw_storage.Page_id.t * Rw_storage.Lsn.t array * gathered) array
+(** The log-scan redo fetch: {!iter_range_peek}'s scan and pricing, with
+    the page records [keep lsn page] admits handed over as {!gathered}
+    entries, one per page in page-id order, each with its LSNs
+    ascending.  Every admitted record counts one record-cache hit or
+    miss; a miss is never copied, decoded or inserted. *)
 
 val iter_range_rev :
   t -> from:Rw_storage.Lsn.t -> upto:Rw_storage.Lsn.t -> (Rw_storage.Lsn.t -> Log_record.t -> unit) -> unit
-(** Same range, reverse order. *)
+(** {!iter_range_peek}'s range, reverse order, every record decoded as
+    its thunk would decode it. *)
 
 val charge_scan : t -> from:Rw_storage.Lsn.t -> upto:Rw_storage.Lsn.t -> unit
 (** Account the sequential I/O cost of scanning a log region without

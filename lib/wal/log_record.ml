@@ -38,11 +38,6 @@ let page_of t =
   | Page_op { page; _ } | Clr { page; _ } -> Some page
   | Begin | Commit _ | Abort | End | Checkpoint _ -> None
 
-let prev_page_lsn_of t =
-  match t.body with
-  | Page_op { prev_page_lsn; _ } | Clr { prev_page_lsn; _ } -> Some prev_page_lsn
-  | Begin | Commit _ | Abort | End | Checkpoint _ -> None
-
 let op_of t =
   match t.body with
   | Page_op { op; _ } | Clr { op; _ } -> Some op
@@ -271,8 +266,6 @@ let decode s =
     | c -> invalid_arg (Printf.sprintf "Log_record: bad record kind %d" c)
   in
   { txn; prev_txn_lsn; body }
-
-let encoded_size t = String.length (encode t)
 
 (* --- header peek --- *)
 

@@ -65,7 +65,6 @@ val make : ?txn:Txn_id.t -> ?prev_txn_lsn:Rw_storage.Lsn.t -> body -> t
 val page_of : t -> Rw_storage.Page_id.t option
 (** The page a record modifies, if any. *)
 
-val prev_page_lsn_of : t -> Rw_storage.Lsn.t option
 val op_of : t -> op option
 
 val get_header : Rw_storage.Page.t -> header_field -> int64
@@ -97,7 +96,6 @@ val check : string -> bool
 (** Whether the encoded record's CRC trailer matches its content — the
     recovery scan's torn-tail detector.  Never raises. *)
 
-val encoded_size : t -> int
 val pp : Format.formatter -> t -> unit
 val kind_name : t -> string
 

@@ -90,9 +90,9 @@ let test_alloc_fresh_pages () =
 
 let count_records env ~kind =
   let n = ref 0 in
-  Log_manager.iter_range env.log ~from:(Log_manager.first_lsn env.log)
-    ~upto:(Log_manager.end_lsn env.log) (fun _ r ->
-      if Log_record.kind_name r = kind then incr n);
+  Log_manager.iter_range_peek env.log ~from:(Log_manager.first_lsn env.log)
+    ~upto:(Log_manager.end_lsn env.log) (fun _ _ decode ->
+      if Log_record.kind_name (decode ()) = kind then incr n);
   !n
 
 let test_realloc_logs_preformat () =

@@ -745,8 +745,8 @@ let test_snapshot_across_reallocation () =
   (* Preformat records were logged for the re-allocations. *)
   let preformats = ref 0 in
   let log = Database.log db in
-  Log_manager.iter_range log ~from:(Log_manager.first_lsn log) ~upto:(Log_manager.end_lsn log)
-    (fun _ r -> if Rw_wal.Log_record.kind_name r = "preformat" then incr preformats);
+  Log_manager.iter_range_peek log ~from:(Log_manager.first_lsn log) ~upto:(Log_manager.end_lsn log)
+    (fun _ _ decode -> if Rw_wal.Log_record.kind_name (decode ()) = "preformat" then incr preformats);
   check "preformat records logged" true (!preformats > 0);
   (* And the snapshot reads table A right through them. *)
   let snap = Database.create_as_of_snapshot db ~name:"before_drop" ~wall_us:before_drop in

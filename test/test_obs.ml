@@ -620,6 +620,42 @@ let test_snapshot_loser_scan () =
   check "snapshot.create arguments match the doc row" true
     (List.map fst busy_span.Trace.args = doc_span_args "snapshot.create")
 
+(* Every restart shares one prologue, so a replica's redo-only restart
+   leaves the same recovery spans as a full restart: [recovery.analysis]
+   and [recovery.redo], with the arguments their doc rows list and the
+   redo count the stats report. *)
+let test_redo_only_spans () =
+  let clock = Sim_clock.create () in
+  let db = Database.create ~name:"ro" ~clock ~media:Media.ram () in
+  let cols = [ { Rw_catalog.Schema.name = "id"; ctype = Rw_catalog.Schema.Int } ] in
+  Database.with_txn db (fun txn ->
+      ignore (Database.create_table db txn ~table:"t" ~columns:cols ());
+      for k = 1 to 20 do
+        Database.insert db txn ~table:"t" [ Row.Int (Int64.of_int k) ]
+      done);
+  Trace.configure ~capacity:4096 ();
+  Trace.enable ();
+  let db = Database.reopen_redo_only db in
+  let events = Trace.events () in
+  Trace.disable ();
+  Trace.clear ();
+  let span name = List.find_opt (fun e -> e.Trace.name = name) events in
+  let stats = Option.get (Database.last_recovery_stats db) in
+  check "redo-only restart redid work" true (stats.Rw_recovery.Recovery.redone_ops > 0);
+  (match span "recovery.analysis" with
+  | Some e ->
+      check "recovery.analysis arguments match the doc row" true
+        (List.map fst e.Trace.args = doc_span_args "recovery.analysis")
+  | None -> Alcotest.fail "redo-only restart emitted no recovery.analysis span");
+  match span "recovery.redo" with
+  | Some e ->
+      check "recovery.redo arguments match the doc row" true
+        (List.map fst e.Trace.args = doc_span_args "recovery.redo");
+      check "recovery.redo reports the redone ops" true
+        (List.assoc_opt "redone_ops" e.Trace.args
+        = Some (Trace.Int stats.Rw_recovery.Recovery.redone_ops))
+  | None -> Alcotest.fail "redo-only restart emitted no recovery.redo span"
+
 let () =
   Alcotest.run "obs"
     [
@@ -639,6 +675,7 @@ let () =
         [
           Alcotest.test_case "metric table in sync" `Quick test_doc_sync;
           Alcotest.test_case "snapshot.create loser_scan" `Quick test_snapshot_loser_scan;
+          Alcotest.test_case "redo-only restart spans" `Quick test_redo_only_spans;
           Alcotest.test_case "cli meta-commands in sync" `Quick test_cli_doc_sync;
         ] );
     ]

@@ -126,8 +126,9 @@ let test_txn_ids_not_reused_after_recovery () =
   seed db 5;
   let log = Database.log db in
   let max_txn_before = ref Rw_wal.Txn_id.nil in
-  Log_manager.iter_range log ~from:(Log_manager.first_lsn log) ~upto:(Log_manager.end_lsn log)
-    (fun _ r ->
+  Log_manager.iter_range_peek log ~from:(Log_manager.first_lsn log) ~upto:(Log_manager.end_lsn log)
+    (fun _ _ decode ->
+      let r = decode () in
       if Rw_wal.Txn_id.compare r.Rw_wal.Log_record.txn !max_txn_before > 0 then
         max_txn_before := r.Rw_wal.Log_record.txn);
   let db = Database.crash_and_reopen db in
@@ -402,8 +403,8 @@ let build_history h =
 (* Every retained record, decoded once, with its LSN. *)
 let decoded_records log =
   let acc = ref [] in
-  Log_manager.iter_range log ~from:(Log_manager.first_lsn log) ~upto:(Log_manager.end_lsn log)
-    (fun lsn r -> acc := (lsn, r) :: !acc);
+  Log_manager.iter_range_peek log ~from:(Log_manager.first_lsn log) ~upto:(Log_manager.end_lsn log)
+    (fun lsn _ decode -> acc := (lsn, decode ()) :: !acc);
   List.rev !acc
 
 (* The SplitLSN search as the paper states it: base checkpoint from the
@@ -427,8 +428,9 @@ let reference_split log ~records ~wall_us =
   in
   let commits = ref 0 and split = ref scan_from in
   (try
-     Log_manager.iter_range log ~from:scan_from ~upto:(Log_manager.end_lsn log) (fun lsn r ->
-         match r.Log_record.body with
+     Log_manager.iter_range_peek log ~from:scan_from ~upto:(Log_manager.end_lsn log)
+       (fun lsn _ decode ->
+         match (decode ()).Log_record.body with
          | Log_record.Commit { wall_us = w } ->
              if w <= wall_us then begin
                incr commits;

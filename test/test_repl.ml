@@ -22,6 +22,7 @@ module Media = Rw_storage.Media
 module Sim_clock = Rw_storage.Sim_clock
 module Lsn = Rw_storage.Lsn
 module Log_manager = Rw_wal.Log_manager
+module Io_stats = Rw_storage.Io_stats
 module Log_record = Rw_wal.Log_record
 module Recovery = Rw_recovery.Recovery
 module Engine = Rw_engine.Engine
@@ -66,10 +67,10 @@ let log_prefix_equal primary replica_log =
   let pl = Database.log primary in
   let upto = Log_manager.end_lsn replica_log in
   let mine = ref [] and theirs = ref [] in
-  Log_manager.iter_range replica_log ~from:(Log_manager.first_lsn replica_log) ~upto
-    (fun lsn r -> mine := (lsn, Log_record.encode r) :: !mine);
-  Log_manager.iter_range pl ~from:(Log_manager.first_lsn replica_log) ~upto (fun lsn r ->
-      theirs := (lsn, Log_record.encode r) :: !theirs);
+  Log_manager.iter_range_peek replica_log ~from:(Log_manager.first_lsn replica_log) ~upto
+    (fun lsn _ decode -> mine := (lsn, Log_record.encode (decode ())) :: !mine);
+  Log_manager.iter_range_peek pl ~from:(Log_manager.first_lsn replica_log) ~upto
+    (fun lsn _ decode -> theirs := (lsn, Log_record.encode (decode ())) :: !theirs);
   !mine = !theirs
 
 (* --- export / ingest primitives --- *)
@@ -163,28 +164,43 @@ let test_ship_basics () =
   check "rows agree" (Twin.dump view = Twin.dump prim_view) true;
   Shipper.detach sh
 
-(* --- catch-up reads each shipped byte once --- *)
+(* --- catch-up reads each shipped byte once, with the same counters at any fan-out --- *)
 
 let test_ingest_reads_once () =
-  let _eng, db, _cfg, drv = build_primary ~txns:20 () in
-  let replica = Replica.of_primary ~name:"r1" db in
-  ignore (Tpcc.run_mix drv ~txns:40);
-  let st = Log_manager.stats (Database.log (Replica.db replica)) in
-  let rec pump shipments =
-    match Log_manager.export_from (Database.log db) ~from:(Replica.next_lsn replica) with
-    | None -> shipments
-    | Some ex ->
-        let shipped =
-          List.fold_left (fun acc (_, data) -> acc + String.length data) 0 ex.Log_manager.ex_entries
+  let run fanout =
+    Fun.protect
+      ~finally:(fun () -> Rw_pool.Domain_pool.set_fanout None)
+      (fun () ->
+        Rw_pool.Domain_pool.set_fanout (Some fanout);
+        let _eng, db, _cfg, drv = build_primary ~txns:20 () in
+        let replica = Replica.of_primary ~name:"r1" db in
+        ignore (Tpcc.run_mix drv ~txns:40);
+        let log = Database.log (Replica.db replica) in
+        let st = Log_manager.stats log in
+        let s0 = Io_stats.copy st in
+        let rec pump shipments =
+          match Log_manager.export_from (Database.log db) ~from:(Replica.next_lsn replica) with
+          | None -> shipments
+          | Some ex ->
+              let shipped =
+                List.fold_left
+                  (fun acc (_, data) -> acc + String.length data)
+                  0 ex.Log_manager.ex_entries
+              in
+              let before = st.Io_stats.seq_read_bytes in
+              ignore (Replica.ingest replica ex : int);
+              check_int "replica log read exactly the shipped bytes" shipped
+                (st.Io_stats.seq_read_bytes - before);
+              pump (shipments + 1)
         in
-        let before = st.Rw_storage.Io_stats.seq_read_bytes in
-        ignore (Replica.ingest replica ex : int);
-        check_int "replica log read exactly the shipped bytes" shipped
-          (st.Rw_storage.Io_stats.seq_read_bytes - before);
-        pump (shipments + 1)
+        check "several shipments" (pump 0 > 1) true;
+        check "caught-up rows equal primary" (Twin.dump (Replica.db replica) = Twin.dump db) true;
+        (Io_stats.diff st s0, Log_manager.record_cache_bytes log))
   in
-  check "several shipments" (pump 0 > 1) true;
-  check "caught-up rows equal primary" (Twin.dump (Replica.db replica) = Twin.dump db) true
+  let io1, cache1 = run 1 in
+  let io2, cache2 = run 2 in
+  check "fan-out 2 catch-up log I/O counters equal fan-out 1" (io2 = io1) true;
+  check_int "fan-out 2 record cache bytes equal fan-out 1" cache1 cache2
 
 (* --- channel faults: drop/dup/delay cost retries, never correctness --- *)
 

@@ -133,9 +133,9 @@ let test_rollback_writes_clrs_with_undo_info () =
   Txn_manager.rollback env.txns t2 ~write_page:(Access_ctx.page_writer env.ctx);
   (* Find the CLR in the log and check it carries undo info (the row). *)
   let clrs = ref [] in
-  Log_manager.iter_range env.log ~from:(Log_manager.first_lsn env.log)
-    ~upto:(Log_manager.end_lsn env.log) (fun _ r ->
-      match r.Log_record.body with
+  Log_manager.iter_range_peek env.log ~from:(Log_manager.first_lsn env.log)
+    ~upto:(Log_manager.end_lsn env.log) (fun _ _ decode ->
+      match (decode ()).Log_record.body with
       | Log_record.Clr { op; _ } -> clrs := op :: !clrs
       | _ -> ());
   (match !clrs with
@@ -216,7 +216,7 @@ let test_group_commit_batches () =
       check "committed" true (Txn_manager.state txn = Txn_manager.Committed);
       check "durable" true Lsn.(Log_manager.flushed_lsn env.log > commit_lsn);
       (* The chain tail past the commit record is the End record. *)
-      match (Log_manager.read_nocost env.log (Txn_manager.last_lsn txn)).Log_record.body with
+      match (Log_manager.read env.log (Txn_manager.last_lsn txn)).Log_record.body with
       | Log_record.End -> ()
       | _ -> Alcotest.fail "chain tail is not an End record")
     txns
@@ -251,7 +251,7 @@ let test_commit_failure_leaves_committing () =
   (* The commit record is on the chain: the outcome is decided (recovery
      would commit it if it became durable, lose it otherwise) — so both
      re-commit and rollback are refused. *)
-  (match (Log_manager.read_nocost log (Txn_manager.last_lsn txn)).Log_record.body with
+  (match (Log_manager.read log (Txn_manager.last_lsn txn)).Log_record.body with
   | Log_record.Commit _ -> ()
   | _ -> Alcotest.fail "chain tail is not the commit record");
   Alcotest.check_raises "re-commit refused"
@@ -274,9 +274,9 @@ let test_fpi_emission () =
   done;
   Txn_manager.commit env.txns t ~wall_us:0.0;
   let fpis = ref 0 in
-  Log_manager.iter_range env.log ~from:(Log_manager.first_lsn env.log)
-    ~upto:(Log_manager.end_lsn env.log) (fun _ r ->
-      match r.Log_record.body with
+  Log_manager.iter_range_peek env.log ~from:(Log_manager.first_lsn env.log)
+    ~upto:(Log_manager.end_lsn env.log) (fun _ _ decode ->
+      match (decode ()).Log_record.body with
       | Log_record.Page_op { op = Log_record.Full_image _; _ } -> incr fpis
       | _ -> ());
   (* 9 modifications with N=3 -> 3 images *)

@@ -378,7 +378,7 @@ let test_iter_range () =
         Log_manager.append log (Log_record.make ~txn:(Txn_id.of_int i) Log_record.Begin))
   in
   let seen = ref [] in
-  Log_manager.iter_range log ~from:(List.nth lsns 2) ~upto:(List.nth lsns 7) (fun lsn _ ->
+  Log_manager.iter_range_peek log ~from:(List.nth lsns 2) ~upto:(List.nth lsns 7) (fun lsn _ _ ->
       seen := lsn :: !seen);
   check_int "range covers [2,7)" 5 (List.length !seen);
   let seen_rev = ref [] in
@@ -708,11 +708,21 @@ let test_segment_lifecycle () =
   Log_manager.flush_all log;
   (* Every record reads back across segment boundaries, single and batched. *)
   Array.iter (fun l -> check "read crosses segments" true (Log_manager.read log l = r)) lsns;
-  let batch = Log_manager.read_segment log (Array.copy lsns) in
-  check_int "batched read count" (Array.length lsns) (Array.length batch);
-  Array.iter (fun r' -> check "batched read crosses segments" true (r' = r)) batch;
+  let g = Option.get (Log_manager.gather_batch log [| Array.copy lsns |]).Log_manager.b_pages.(0) in
+  check_int "batched read count" (Array.length lsns) (Array.length g.Log_manager.g_decoded);
+  Array.iteri
+    (fun k r' ->
+      let r' =
+        if r' == Log_manager.not_cached then
+          Log_record.decode (Bytes.sub_string g.g_blob.(k) g.g_pos.(k) g.g_len.(k))
+        else r'
+      in
+      check "batched read crosses segments" true (r' = r))
+    g.Log_manager.g_decoded;
   let n = ref 0 in
-  Log_manager.iter_range log ~from:lsns.(0) ~upto:(Log_manager.end_lsn log) (fun _ _ -> incr n);
+  Log_manager.iter_range_peek log ~from:lsns.(0) ~upto:(Log_manager.end_lsn log) (fun _ _ decode ->
+      ignore (decode ());
+      incr n);
   check_int "scan crosses segments" (Array.length lsns) !n;
   check "cold reads of spilled segments counted" true
     ((Log_manager.segment_stats log).Log_manager.ss_loaded > 0)
@@ -812,7 +822,8 @@ let test_scan_uses_cached_decodes () =
   in
   let occupancy = Log_manager.record_cache_bytes log in
   let s0 = Io_stats.copy (Log_manager.stats log) in
-  Log_manager.iter_range log ~from:(List.hd lsns) ~upto:(Log_manager.end_lsn log) (fun _ _ -> ());
+  Log_manager.iter_range_peek log ~from:(List.hd lsns) ~upto:(Log_manager.end_lsn log)
+    (fun _ _ decode -> ignore (decode ()));
   let d = Io_stats.diff (Log_manager.stats log) s0 in
   check_int "every record was a cache hit" n d.Io_stats.log_record_hits;
   check_int "no record misses" 0 d.Io_stats.log_record_misses;
@@ -823,7 +834,20 @@ let test_scan_uses_cached_decodes () =
     (fun _ _ -> ());
   let d1 = Io_stats.diff (Log_manager.stats log) s1 in
   check_int "reverse scan hits too" n d1.Io_stats.log_record_hits;
-  check_int "reverse scan misses nothing" 0 d1.Io_stats.log_record_misses
+  check_int "reverse scan misses nothing" 0 d1.Io_stats.log_record_misses;
+  (* Over cold records (a restored log seeds no decode) a scan's decode
+     thunk misses and still inserts nothing: only [read] inserts. *)
+  let _, cold = mk_log () in
+  Log_manager.restore_entries cold (Log_manager.dump_entries log);
+  let empty = Log_manager.record_cache_bytes cold in
+  let s2 = Io_stats.copy (Log_manager.stats cold) in
+  Log_manager.iter_range_peek cold ~from:(List.hd lsns) ~upto:(Log_manager.end_lsn cold)
+    (fun _ _ decode -> ignore (decode ()));
+  let d2 = Io_stats.diff (Log_manager.stats cold) s2 in
+  check_int "cold scan: every record a miss" n d2.Io_stats.log_record_misses;
+  check_int "cold scan did not grow the cache" empty (Log_manager.record_cache_bytes cold);
+  ignore (Log_manager.read cold (List.hd lsns));
+  check "read inserts" true (Log_manager.record_cache_bytes cold > empty)
 
 (* --- batch gather --- *)
 
