@@ -278,7 +278,7 @@ module Micro = struct
      the shared cache buys concurrent readers (ISSUE 6 / E8). *)
   let test_prepare_page_shared =
     let log, page = prepare_env () in
-    let cache = Rw_core.Prepared_cache.create ~log () in
+    let cache = Rw_core.Prepared_cache.create ~log in
     let image = Page.copy page in
     ignore (Rw_core.Page_undo.prepare_page_as_of ~log ~page:image ~as_of:(Lsn.of_int 1));
     Rw_core.Prepared_cache.add cache (Page_id.of_int 0) ~as_of:(Lsn.of_int 1) image;

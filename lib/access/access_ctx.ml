@@ -21,12 +21,14 @@ type t = {
   since_image : (int, int) Hashtbl.t;
       (* page -> modifications ([Every_mods]) or chain bytes
          ([Budget_bytes]) logged since its last image *)
-  cpu_op_us : float;
   mutable hooks : (int * (Page_id.t -> Page.t -> unit)) list;
   mutable next_hook : int;
 }
 
-let create ~pool ~txns ~log ~clock ?(fpi = default_fpi) ?(cpu_op_us = 1.0) () =
+(* Modeled CPU cost of one access-method operation. *)
+let cpu_op_us = 1.0
+
+let create ~pool ~txns ~log ~clock ?(fpi = default_fpi) () =
   {
     pool;
     txns;
@@ -34,7 +36,6 @@ let create ~pool ~txns ~log ~clock ?(fpi = default_fpi) ?(cpu_op_us = 1.0) () =
     clock;
     fpi;
     since_image = Hashtbl.create 256;
-    cpu_op_us;
     hooks = [];
     next_hook = 0;
   }
@@ -49,10 +50,7 @@ let remove_pre_modify_hook t id = t.hooks <- List.filter (fun (i, _) -> i <> id)
 
 let fire_hooks t pid page = List.iter (fun (_, f) -> f pid page) t.hooks
 
-let pool t = t.pool
 let txns t = t.txns
-let log t = t.log
-let clock t = t.clock
 let fpi t = t.fpi
 
 (* Emit a full page image once the page's chain since its last image has
@@ -80,7 +78,7 @@ let maybe_emit_fpi t pid page frame lsn =
   end
 
 let modify t txn pid op =
-  Sim_clock.advance_us t.clock t.cpu_op_us;
+  Sim_clock.advance_us t.clock cpu_op_us;
   let frame = Buffer_pool.fetch t.pool pid in
   Fun.protect
     ~finally:(fun () -> Buffer_pool.unpin t.pool frame)
@@ -96,12 +94,12 @@ let modify t txn pid op =
           maybe_emit_fpi t pid page frame lsn))
 
 let read t pid f =
-  Sim_clock.advance_us t.clock (t.cpu_op_us /. 2.0);
+  Sim_clock.advance_us t.clock (cpu_op_us /. 2.0);
   Buffer_pool.with_page t.pool pid ~mode:Latch.Shared f
 
 let page_writer t : Txn_manager.page_writer =
  fun pid apply ->
-  Sim_clock.advance_us t.clock t.cpu_op_us;
+  Sim_clock.advance_us t.clock cpu_op_us;
   let frame = Buffer_pool.fetch t.pool pid in
   Fun.protect
     ~finally:(fun () -> Buffer_pool.unpin t.pool frame)

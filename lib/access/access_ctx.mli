@@ -32,15 +32,11 @@ val create :
   log:Rw_wal.Log_manager.t ->
   clock:Rw_storage.Sim_clock.t ->
   ?fpi:fpi ->
-  ?cpu_op_us:float ->
   unit ->
   t
 (** [fpi] defaults to {!default_fpi}. *)
 
-val pool : t -> Rw_buffer.Buffer_pool.t
 val txns : t -> Rw_txn.Txn_manager.t
-val log : t -> Rw_wal.Log_manager.t
-val clock : t -> Rw_storage.Sim_clock.t
 val fpi : t -> fpi
 
 val modify :

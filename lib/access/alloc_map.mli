@@ -14,9 +14,6 @@
 
 type t
 
-val first_page : Rw_storage.Page_id.t
-(** Page 1: head of the allocation-map chain. *)
-
 val init : Access_ctx.t -> Rw_txn.Txn_manager.txn -> unit
 (** Format the first map page (database creation). *)
 
@@ -41,6 +38,11 @@ val allocate :
 
 val free : t -> Access_ctx.t -> Rw_txn.Txn_manager.txn -> Rw_storage.Page_id.t -> unit
 (** Mark a page de-allocated.  Touches only the map, never the data page. *)
+
+(** {2 Inspection (test support)}
+
+    No engine path reads the map this way; the tests check allocation,
+    free-list reuse and map growth through these. *)
 
 val is_allocated : Access_ctx.t -> Rw_storage.Page_id.t -> bool
 val ever_allocated : Access_ctx.t -> Rw_storage.Page_id.t -> bool

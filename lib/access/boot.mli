@@ -6,8 +6,6 @@
     as-of machinery rewinds it with the same mechanism as user data (which
     is what makes metadata time travel work, paper §3). *)
 
-val page_id : Rw_storage.Page_id.t
-
 (* Well-known keys. *)
 val key_next_page_id : int64
 val key_catalog_root : int64
@@ -16,11 +14,7 @@ val key_next_table_id : int64
 val init : Access_ctx.t -> Rw_txn.Txn_manager.txn -> unit
 (** Format page 0 as the boot page (database creation). *)
 
-val get : Access_ctx.t -> int64 -> int64 option
 val get_exn : Access_ctx.t -> int64 -> int64
 
 val set : Access_ctx.t -> Rw_txn.Txn_manager.txn -> int64 -> int64 -> unit
 (** Insert or update a setting (logged). *)
-
-val get_from_page : Rw_storage.Page.t -> int64 -> int64 option
-(** Read a setting directly from a boot page image (snapshot reads). *)

@@ -188,11 +188,6 @@ let update ctx alloc txn t ~key ~payload =
         insert ctx alloc txn t ~key ~payload
       end
 
-let upsert ctx alloc txn t ~key ~payload =
-  match locate ctx t key with
-  | Some _ -> update ctx alloc txn t ~key ~payload
-  | None -> insert ctx alloc txn t ~key ~payload
-
 let leftmost_leaf ctx t =
   let rec go pid =
     match

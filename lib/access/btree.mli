@@ -13,7 +13,8 @@ type t
 exception Duplicate_key of int64
 
 val max_payload : int
-(** Upper bound on payload size; guarantees split progress. *)
+(** Upper bound on payload size; guarantees split progress.  (test support:
+    the tests probe inserts at and past the bound.) *)
 
 val create : Access_ctx.t -> Alloc_map.t -> Rw_txn.Txn_manager.txn -> t
 (** Allocate an empty tree (its root leaf). *)
@@ -43,15 +44,6 @@ val update :
   unit
 (** Replace a payload in place.  Raises [Not_found]. *)
 
-val upsert :
-  Access_ctx.t ->
-  Alloc_map.t ->
-  Rw_txn.Txn_manager.txn ->
-  t ->
-  key:int64 ->
-  payload:string ->
-  unit
-
 val delete : Access_ctx.t -> Rw_txn.Txn_manager.txn -> t -> key:int64 -> unit
 (** Raises [Not_found]. *)
 
@@ -62,6 +54,12 @@ val range :
 (** In-order visit of all (key, payload) with lo <= key <= hi. *)
 
 val iter : Access_ctx.t -> t -> f:(int64 -> string -> unit) -> unit
+
+(** {2 Inspection (test support)}
+
+    The tests compare tree contents, shape and pages against their
+    oracles through these and {!check}. *)
+
 val to_list : Access_ctx.t -> t -> (int64 * string) list
 val count : Access_ctx.t -> t -> int
 val height : Access_ctx.t -> t -> int
@@ -75,4 +73,5 @@ val drop : Access_ctx.t -> Alloc_map.t -> Rw_txn.Txn_manager.txn -> t -> unit
 
 val check : Access_ctx.t -> t -> unit
 (** Validate structural invariants (key order, separator correctness,
-    sibling links, levels); raises [Failure] on violation.  Test helper. *)
+    sibling links, levels); raises [Failure] on violation.  (test support:
+    the checker the access tests run after every mutation batch.) *)

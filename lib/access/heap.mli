@@ -19,7 +19,8 @@ val insert :
 (** Append a row, extending the chain when the tail page is full. *)
 
 val get : Access_ctx.t -> t -> rid -> string
-(** Raises [Not_found] for a dead slot. *)
+(** Raises [Not_found] for a dead slot.  (test support: the engine reads
+    heap rows through {!iter}; the tests read single RIDs.) *)
 
 val delete : Access_ctx.t -> Rw_txn.Txn_manager.txn -> t -> rid -> unit
 (** Tombstones the slot (replaces the row with an empty marker) so later
@@ -34,4 +35,7 @@ val iter : Access_ctx.t -> t -> f:(rid -> string -> unit) -> unit
 
 val count : Access_ctx.t -> t -> int
 val pages : Access_ctx.t -> t -> Rw_storage.Page_id.t list
+(** (test support: [count] and [pages] let the tests check the chain
+    against their row oracle.) *)
+
 val drop : Access_ctx.t -> Alloc_map.t -> Rw_txn.Txn_manager.txn -> t -> unit

@@ -18,7 +18,7 @@ type source = {
 
 type frame = {
   id : Page_id.t;
-  mutable page : Page.t;
+  page : Page.t;
   mutable pin_count : int;
   mutable dirty : bool;
   mutable rec_lsn : Lsn.t;
@@ -75,7 +75,6 @@ let create ~capacity ~source ?(wal_flush = fun _ -> ()) () =
 let page f = f.page
 let frame_latch f = f.latch
 let pin_count f = f.pin_count
-let is_dirty f = f.dirty
 let capacity t = t.capacity
 let resident t = Hashtbl.length t.frames
 let hits t = t.hits
@@ -200,11 +199,6 @@ let mark_dirty _t f ~lsn =
 let dirty_page_table t =
   Hashtbl.fold (fun _ f acc -> if f.dirty then (f.id, f.rec_lsn) :: acc else acc) t.frames []
   |> List.sort (fun (a, _) (b, _) -> Page_id.compare a b)
-
-let flush_page t pid =
-  match Hashtbl.find_opt t.frames (Page_id.to_int pid) with
-  | Some f -> write_back t f
-  | None -> ()
 
 let flush_all t =
   let dirty =

@@ -58,7 +58,7 @@ val page : frame -> Rw_storage.Page.t
 
 val frame_latch : frame -> Latch.t
 val pin_count : frame -> int
-val is_dirty : frame -> bool
+(** (test support: the pool tests check pin accounting.) *)
 
 val capacity : t -> int
 (** The frame budget the pool was created with (callers sizing batched
@@ -84,10 +84,6 @@ val mark_dirty : t -> frame -> lsn:Rw_storage.Lsn.t -> unit
 val dirty_page_table : t -> (Rw_storage.Page_id.t * Rw_storage.Lsn.t) list
 (** (page, recLSN) pairs for the checkpoint record. *)
 
-val flush_page : t -> Rw_storage.Page_id.t -> unit
-(** Write back if dirty (honouring the WAL rule); no-op when clean or not
-    resident. *)
-
 val flush_all : t -> unit
 (** Write back every dirty page in page-id order: one WAL barrier for the
     whole batch, then contiguous page-id runs priced as one seek plus
@@ -98,5 +94,7 @@ val drop_all : t -> unit
     frame is pinned. *)
 
 val resident : t -> int
+(** (test support: the pool tests check residency after eviction.) *)
+
 val hits : t -> int
 val misses : t -> int

@@ -13,15 +13,6 @@ type mode = Shared | Exclusive
 exception Latch_conflict
 
 val create : unit -> t
-val acquire : t -> mode -> unit
-(** Raises {!Latch_conflict} if the request conflicts with current holders. *)
-
-val release : t -> mode -> unit
-(** Raises [Invalid_argument] if the latch is not held in that mode. *)
-
-val try_acquire : t -> mode -> bool
-val holders : t -> int
-(** Number of current holders (any mode). *)
 
 val is_free : t -> bool
 

@@ -76,14 +76,6 @@ let decode s =
   in
   { id; name; kind; root; columns; indexes }
 
-let col_type_name = function Int -> "INT" | Text -> "TEXT"
-
-let pp_table fmt t =
-  let kind = match t.kind with Btree_table -> "btree" | Heap_table -> "heap" in
-  Format.fprintf fmt "table %s (id=%d, %s, root=%a):" t.name t.id kind Page_id.pp t.root;
-  List.iter (fun (c : column) -> Format.fprintf fmt " %s:%s" c.name (col_type_name c.ctype))
-    t.columns
-
 let valid_ident s =
   String.length s > 0
   && String.length s <= 128

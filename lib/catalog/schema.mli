@@ -23,8 +23,6 @@ type table = {
 
 val encode : table -> string
 val decode : string -> table
-val col_type_name : col_type -> string
-val pp_table : Format.formatter -> table -> unit
 
 val validate : name:string -> columns:column list -> (unit, string) result
 (** Check identifier and column-list well-formedness (non-empty name, at

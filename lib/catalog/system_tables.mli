@@ -35,8 +35,9 @@ val drop_table :
     descriptor.  Raises {!No_such_table}. *)
 
 val find : Rw_access.Access_ctx.t -> string -> Schema.table option
-val find_exn : Rw_access.Access_ctx.t -> string -> Schema.table
 val find_by_id : Rw_access.Access_ctx.t -> int -> Schema.table option
+(** (test support: a point read of the catalog B-tree by table id, which
+    the catalog tests check against {!find}.) *)
 
 val list_tables : Rw_access.Access_ctx.t -> Schema.table list
 (** All user tables, by id. *)

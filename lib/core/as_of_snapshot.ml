@@ -27,14 +27,11 @@ type tally = {
 }
 
 type t = {
-  name : string;
   split_lsn : Lsn.t;
-  as_of_wall_us : float;
   sparse : Sparse_file.t;
   pool : Buffer_pool.t;
   log : Log_manager.t;
   primary_disk : Disk.t;
-  clock : Sim_clock.t;
   creation_time_us : float;
   undo_time_us : float;
   in_flight_txns : int;
@@ -43,16 +40,13 @@ type t = {
   shared : Prepared_cache.t option;
 }
 
-let name t = t.name
 let split_lsn t = t.split_lsn
-let as_of_wall_us t = t.as_of_wall_us
 let pool t = t.pool
 let creation_time_us t = t.creation_time_us
 let undo_time_us t = t.undo_time_us
 let in_flight_txns t = t.in_flight_txns
 let undo_ops t = t.undo_ops
 let pages_materialised t = Sparse_file.page_count t.sparse
-let sparse_bytes t = Sparse_file.allocated_bytes t.sparse
 let side_file_hits t = t.tally.t_side_hits
 let rewind_count t = t.tally.t_rewind_count
 let rewinds t = t.tally.t_rewinds
@@ -210,8 +204,7 @@ let materialize_batch t pids =
   materialize_pages ~tally:t.tally ~shared:t.shared ~sparse:t.sparse ~primary_disk:t.primary_disk
     ~log:t.log ~split:t.split_lsn pids
 
-let create ~name ~wall_us ~log ~primary_pool ~primary_disk ~txns ~clock ~media
-    ?(pool_capacity = 256) ?shared () =
+let create ~wall_us ~log ~primary_pool ~primary_disk ~txns ~clock ~media ?shared () =
   let t_start = Sim_clock.now_us clock in
   let trace_ts = if Trace.on () then Trace.now () else 0.0 in
   let tally = { t_side_hits = 0; t_rewinds = []; t_rewind_count = 0 } in
@@ -259,7 +252,7 @@ let create ~name ~wall_us ~log ~primary_pool ~primary_disk ~txns ~clock ~media
                 else Prepared_cache.find_exact cache pid ~split:split_lsn));
     }
   in
-  let pool = Buffer_pool.create ~capacity:pool_capacity ~source () in
+  let pool = Buffer_pool.create ~capacity:256 ~source () in
   let t_open = Sim_clock.now_us clock in
   (* 4. Logical undo of in-flight transactions, applied to the snapshot's
      sparse file only: the primary log sees no CLRs from a read-only
@@ -294,14 +287,11 @@ let create ~name ~wall_us ~log ~primary_pool ~primary_disk ~txns ~clock ~media
         ]
       "snapshot.create";
   {
-    name;
     split_lsn;
-    as_of_wall_us = wall_us;
     sparse;
     pool;
     log;
     primary_disk;
-    clock;
     creation_time_us = t_open -. t_start;
     undo_time_us = t_done -. t_open;
     in_flight_txns = in_flight;
@@ -310,7 +300,6 @@ let create ~name ~wall_us ~log ~primary_pool ~primary_disk ~txns ~clock ~media
     shared;
   }
 
-let shared_cache t = t.shared
 let materialized_page_ids t = Sparse_file.page_ids t.sparse
 
 (* Canonical image of the page's logical state.  Raw page bytes are NOT a

@@ -31,7 +31,6 @@ type rewind_cost = {
     {!side_file_hits}, then take the new head of {!rewinds}. *)
 
 val create :
-  name:string ->
   wall_us:float ->
   log:Rw_wal.Log_manager.t ->
   primary_pool:Rw_buffer.Buffer_pool.t ->
@@ -39,7 +38,6 @@ val create :
   txns:Rw_txn.Txn_manager.t ->
   clock:Rw_storage.Sim_clock.t ->
   media:Rw_storage.Media.t ->
-  ?pool_capacity:int ->
   ?shared:Prepared_cache.t ->
   unit ->
   t
@@ -53,9 +51,7 @@ val create :
     back (before any loser undo mutates the side-file copy, so the cache
     only ever holds pure rewind results). *)
 
-val name : t -> string
 val split_lsn : t -> Rw_storage.Lsn.t
-val as_of_wall_us : t -> float
 
 val pool : t -> Rw_buffer.Buffer_pool.t
 (** The snapshot's buffer pool; reads through it follow the §5.3 protocol.
@@ -74,6 +70,8 @@ val in_flight_txns : t -> int
     snapshot view. *)
 
 val undo_ops : t -> int
+(** Log records undone for in-flight transactions at creation.  (test
+    support: the loser-undo tests check it.) *)
 
 val materialize_batch : t -> Rw_storage.Page_id.t list -> int
 (** Rewind the given pages into the sparse file in one batch, staged
@@ -106,11 +104,6 @@ val page_string : t -> Rw_storage.Page_id.t -> string
     slotted-page compaction makes path-dependent.  Two snapshots at the
     same SplitLSN must return identical strings for every page — the E8
     self-check and the interleaving tests compare exactly this. *)
-
-val shared_cache : t -> Prepared_cache.t option
-(** The shared prepared-page cache this snapshot reads through, if any. *)
-
-val sparse_bytes : t -> int
 
 val drop : t -> unit
 (** Release the sparse side file (and the [snapshot.live] gauge slot). *)

@@ -12,8 +12,6 @@ module Recovery = Rw_recovery.Recovery
 exception Active_transactions
 
 type t = {
-  name : string;
-  created_at_lsn : Lsn.t;
   sparse : Sparse_file.t;
   pool : Buffer_pool.t;
   ctx : Access_ctx.t;
@@ -22,21 +20,18 @@ type t = {
   mutable dropped : bool;
 }
 
-let name t = t.name
-let created_at_lsn t = t.created_at_lsn
 let pool t = t.pool
 let pages_copied t = Hashtbl.length t.copied
 let copy_bytes t = Rw_storage.Sparse_file.allocated_bytes t.sparse
 
-let create ~name ~ctx ~primary_pool ~primary_disk ~txns ~log ~clock ~media
-    ?(pool_capacity = 256) () =
+let create ~ctx ~primary_pool ~primary_disk ~txns ~log ~clock ~media =
   if Txn_manager.active_txns txns <> [] then raise Active_transactions;
   (* Flush so that every unchanged page is readable from the primary
      files at its as-of-creation version. *)
-  let created_at_lsn =
-    Recovery.checkpoint ~log ~pool:primary_pool ~txns ~wall_us:(Sim_clock.now_us clock)
-      ~flush_pages:true ()
-  in
+  ignore
+    (Recovery.checkpoint ~log ~pool:primary_pool ~txns ~wall_us:(Sim_clock.now_us clock)
+       ~flush_pages:true ()
+      : Lsn.t);
   let sparse = Sparse_file.create ~clock ~media () in
   let copied = Hashtbl.create 256 in
   (* The copy-on-write interception: the first time a page is about to be
@@ -62,8 +57,8 @@ let create ~name ~ctx ~primary_pool ~primary_disk ~txns ~log ~clock ~media
       Buffer_pool.read_cached = None;
     }
   in
-  let pool = Buffer_pool.create ~capacity:pool_capacity ~source () in
-  { name; created_at_lsn; sparse; pool; ctx; hook; copied; dropped = false }
+  let pool = Buffer_pool.create ~capacity:256 ~source () in
+  { sparse; pool; ctx; hook; copied; dropped = false }
 
 let drop t =
   if not t.dropped then begin

@@ -20,7 +20,6 @@ exception Active_transactions
     engine runs snapshot recovery instead, which this baseline omits. *)
 
 val create :
-  name:string ->
   ctx:Rw_access.Access_ctx.t ->
   primary_pool:Rw_buffer.Buffer_pool.t ->
   primary_disk:Rw_storage.Disk.t ->
@@ -28,15 +27,10 @@ val create :
   log:Rw_wal.Log_manager.t ->
   clock:Rw_storage.Sim_clock.t ->
   media:Rw_storage.Media.t ->
-  ?pool_capacity:int ->
-  unit ->
   t
 (** Checkpoint the primary (flushing all pages), then begin intercepting
     modifications.  The snapshot reflects the database exactly as of this
     call. *)
-
-val name : t -> string
-val created_at_lsn : t -> Rw_storage.Lsn.t
 
 val pool : t -> Rw_buffer.Buffer_pool.t
 (** Read pages through this pool: sparse-file version if the page changed
@@ -49,4 +43,6 @@ val pages_copied : t -> int
 val copy_bytes : t -> int
 
 val drop : t -> unit
-(** Stop intercepting and release the sparse file. *)
+(** Stop intercepting and release the sparse file.  (test support: the
+    copy-on-write baseline is never dropped by the engine; the tests check
+    that interception stops.) *)

@@ -28,7 +28,8 @@ val run : participants:int -> (int -> unit) -> unit
     worker exception after the barrier.  [participants <= 1] runs [f 0]
     inline without touching the pool.  Bumps [pool.tasks] by
     [participants] and [pool.wakes] by [participants - 1] (caller-side;
-    the metrics registry is not domain-safe). *)
+    the metrics registry is not domain-safe).  (test support: engine sites
+    go through {!parallel_for}; the pool tests drive the primitive.) *)
 
 val set_fanout : int option -> unit
 (** Override ([Some cap], clamped to at least 1) or restore
@@ -52,7 +53,7 @@ val fanout_cap : unit -> int
 val effective_fanout : int -> int
 (** [effective_fanout work] = [max 1 (min work (fanout_cap ()))] — the
     participant count a site should pass to {!run} for [work]
-    independent units. *)
+    independent units.  (test support: the pool tests pin the clamp.) *)
 
 val parallel_for : int -> (int -> unit) -> int
 (** [parallel_for n f] runs [f 0] .. [f (n - 1)] over

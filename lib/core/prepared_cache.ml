@@ -37,7 +37,6 @@ type entry = {
 
 type t = {
   log : Log_manager.t;
-  capacity : int;
   table : (int, entry list ref) Hashtbl.t; (* page id -> entries, few per page *)
   mutable count : int;
   mutable tick : int;
@@ -47,10 +46,12 @@ type t = {
   mutable invalidations : int; (* entries discarded on epoch mismatch *)
 }
 
-let create ?(capacity = 512) ~log () =
+(* Entry bound; least-recently-used entries are evicted beyond it. *)
+let capacity = 512
+
+let create ~log =
   {
     log;
-    capacity = max 1 capacity;
     table = Hashtbl.create 64;
     count = 0;
     tick = 0;
@@ -210,5 +211,5 @@ let add t pid ~as_of page =
     in
     cell := e :: !cell;
     t.count <- t.count + 1;
-    if t.count > t.capacity then evict_oldest t
+    if t.count > capacity then evict_oldest t
   end

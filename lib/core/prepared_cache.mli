@@ -22,9 +22,9 @@
 
 type t
 
-val create : ?capacity:int -> log:Rw_wal.Log_manager.t -> unit -> t
-(** [capacity] (default 512) bounds the entry count; least-recently-used
-    entries are evicted beyond it. *)
+val create : log:Rw_wal.Log_manager.t -> t
+(** The cache holds at most 512 entries; least-recently-used entries are
+    evicted beyond it. *)
 
 type outcome =
   | Exact of Rw_storage.Page.t  (** image at exactly [split]; use as is *)
@@ -61,4 +61,4 @@ val contents : t -> (Rw_storage.Page_id.t * Rw_storage.Lsn.t * string) list
 (** Every live entry as [(page, as_of, image bytes)], sorted — a
     deterministic dump for the fan-out determinism tests (two runs that
     behaved identically produce equal lists).  Stale-epoch entries are
-    pruned before listing. *)
+    pruned before listing.  (test support) *)

@@ -10,7 +10,7 @@ type t = {
          has not yet shipped survive aggressive retention. *)
 }
 
-let create ?retention_us () = { retention_us; floors = [] }
+let create () = { retention_us = None; floors = [] }
 let set_interval t v = t.retention_us <- v
 let interval t = t.retention_us
 
@@ -36,13 +36,15 @@ let cutoff t ~log ~now_us =
          wall time is at or before the horizon — and we keep one more
          checkpoint of history below it so transactions spanning the
          boundary can still be rolled back. *)
-      let rec go = function
-        | (_, newer_wall) :: (older, _) :: _ when newer_wall <= horizon -> Some older
-        | _ :: rest -> go rest
-        | [] -> None
-      in
-      let cut = go (Log_manager.checkpoint_walls log) in
-      match (cut, floor_lsn t) with
+      let cut = ref None and newer_wall = ref Float.infinity in
+      Log_manager.iter_checkpoints_rev log (fun lsn wall ->
+          if !newer_wall <= horizon then (
+            cut := Some lsn;
+            false)
+          else (
+            newer_wall := wall;
+            true));
+      match (!cut, floor_lsn t) with
       | Some c, Some f -> Some (Lsn.min c f)
       | other, None -> other
       | None, Some _ -> None

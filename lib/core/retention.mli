@@ -8,7 +8,7 @@
 
 type t
 
-val create : ?retention_us:float -> unit -> t
+val create : unit -> t
 (** No retention bound by default (keep everything). *)
 
 val set_interval : t -> float option -> unit
@@ -27,7 +27,9 @@ val unregister_floor : t -> name:string -> unit
 
 val cutoff : t -> log:Rw_wal.Log_manager.t -> now_us:float -> Rw_storage.Lsn.t option
 (** The LSN below which the log is no longer needed, if any — the
-    retention-window cut clamped by every registered floor. *)
+    retention-window cut clamped by every registered floor.  (test
+    support: the engine calls {!enforce}; the tests read the cut before
+    truncating.) *)
 
 val enforce : t -> log:Rw_wal.Log_manager.t -> now_us:float -> Rw_storage.Lsn.t option
 (** Truncate and return the new lower boundary (or [None] if nothing could

@@ -16,10 +16,8 @@ type t = {
   wall_us : float;
   images : (int * Page.t) list;  (** only pages that were ever written *)
   total_pages : int;  (** full file size, zero-filled cold regions included *)
-  stats : Io_stats.t;
 }
 
-let source t = t.source
 let taken_at_lsn t = t.taken_at_lsn
 let wall_us t = t.wall_us
 let size_bytes t = t.total_pages * Page.page_size
@@ -47,7 +45,6 @@ let take db =
     wall_us = Database.now_us db;
     images = !images;
     total_pages;
-    stats;
   }
 
 let restore_as_of t ~from ~wall_us =

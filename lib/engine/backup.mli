@@ -13,7 +13,6 @@ type t
 val take : Database.t -> t
 (** Checkpoint, then stream every page out sequentially. *)
 
-val source : t -> string
 val taken_at_lsn : t -> Rw_storage.Lsn.t
 val wall_us : t -> float
 val size_bytes : t -> int

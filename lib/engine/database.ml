@@ -33,7 +33,6 @@ type t = {
   disk : Disk.t;
   log : Log_manager.t;
   pool : Buffer_pool.t;
-  locks : Lock_manager.t;
   txns : Txn_manager.t;
   ctx : Access_ctx.t;
   mutable alloc : Alloc_map.t;
@@ -44,7 +43,7 @@ type t = {
   checkpoint_interval_us : float;
   mutable last_checkpoint_wall : float;
   mutable recovery_stats : Recovery.stats option;
-  mutable instant : Recovery.Instant.t option;
+  instant : Recovery.Instant.t option;
       (* present when the last restart used instant recovery; pages in its
          backlog are recovered on first touch or by [recovery_drain_step] *)
   pool_capacity : int;
@@ -64,9 +63,7 @@ let log t = t.log
 let pool t = t.pool
 let ctx t = t.ctx
 let txn_manager t = t.txns
-let alloc t = t.alloc
 let is_read_only t = t.read_only
-let split_lsn t = Option.map As_of_snapshot.split_lsn t.snapshot
 let snapshot_handle t = t.snapshot
 let last_recovery_stats t = t.recovery_stats
 let quarantined_pages t = Page_repair.Quarantine.list t.quarantine
@@ -130,7 +127,6 @@ let assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity ~fpi
     disk;
     log;
     pool;
-    locks;
     txns;
     ctx;
     alloc = Alloc_map.open_ ctx;
@@ -144,7 +140,7 @@ let assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity ~fpi
     instant;
     pool_capacity;
     quarantine;
-    prepared_cache = Rw_core.Prepared_cache.create ~log ();
+    prepared_cache = Rw_core.Prepared_cache.create ~log;
   }
 
 let checkpoint ?(flush_pages = true) t =
@@ -257,8 +253,6 @@ let column_position (tab : Schema.table) column =
     | _ :: rest -> go (i + 1) rest
   in
   go 0 tab.Schema.columns
-
-let indexes t ~table = (find_table t table).Schema.indexes
 
 let indexed_values (tab : Schema.table) row =
   List.map
@@ -462,7 +456,6 @@ let view_over_pool ~name ~base ~pool ~snapshot =
     base with
     name;
     pool;
-    locks;
     txns;
     ctx;
     (* Read-only views never allocate; scanning the allocation map here
@@ -481,8 +474,8 @@ let create_cow_snapshot t ~name =
      fully recovered before one is taken. *)
   recovery_drain_all t;
   let cow =
-    Rw_core.Cow_snapshot.create ~name ~ctx:t.ctx ~primary_pool:t.pool ~primary_disk:t.disk
-      ~txns:t.txns ~log:t.log ~clock:t.clock ~media:t.media ()
+    Rw_core.Cow_snapshot.create ~ctx:t.ctx ~primary_pool:t.pool ~primary_disk:t.disk
+      ~txns:t.txns ~log:t.log ~clock:t.clock ~media:t.media
   in
   t.last_checkpoint_wall <- now_us t;
   let view = view_over_pool ~name ~base:t ~pool:(Rw_core.Cow_snapshot.pool cow) ~snapshot:None in
@@ -497,7 +490,7 @@ let create_as_of_snapshot ?(shared = true) t ~name ~wall_us =
      restart backlog so those images are consistent. *)
   recovery_drain_all t;
   let snap =
-    As_of_snapshot.create ~name ~wall_us ~log:t.log ~primary_pool:t.pool ~primary_disk:t.disk
+    As_of_snapshot.create ~wall_us ~log:t.log ~primary_pool:t.pool ~primary_disk:t.disk
       ~txns:t.txns ~clock:t.clock ~media:t.media
       ?shared:(if shared then Some t.prepared_cache else None)
       ()
@@ -568,8 +561,7 @@ let save t ~path =
       output_string oc magic;
       output_string oc (Rw_wal.Codec.to_string e))
 
-let load ~clock ~media ?log_media ?pool_capacity:(pool_cap = 512) ?(log_cache_blocks = 128)
-    ?(log_block_bytes = 65536) ?log_segment_bytes ~path () =
+let load ~clock ~media ?log_media ?log_segment_bytes ~path () =
   let ic = open_in_bin path in
   let contents =
     Fun.protect
@@ -600,8 +592,8 @@ let load ~clock ~media ?log_media ?pool_capacity:(pool_cap = 512) ?(log_cache_bl
   done;
   Disk.extend disk page_count;
   let log =
-    Log_manager.create ~clock ~media:log_media ~cache_blocks:log_cache_blocks
-      ~block_bytes:log_block_bytes ?segment_bytes:log_segment_bytes ()
+    Log_manager.create ~clock ~media:log_media ~cache_blocks:128 ~block_bytes:65536
+      ?segment_bytes:log_segment_bytes ()
   in
   let n = Rw_wal.Codec.get_u32 d in
   let entries =
@@ -612,7 +604,7 @@ let load ~clock ~media ?log_media ?pool_capacity:(pool_cap = 512) ?(log_cache_bl
   in
   Log_manager.restore_entries log entries;
   let t =
-    assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity:pool_cap ~fpi
+    assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity:512 ~fpi
       ~checkpoint_interval_us:30_000_000.0 ~read_only:false ~snapshot:None ~instant:None
       ~pool_opt:None ()
   in

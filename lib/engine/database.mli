@@ -50,10 +50,7 @@ val log : t -> Rw_wal.Log_manager.t
 val pool : t -> Rw_buffer.Buffer_pool.t
 val ctx : t -> Rw_access.Access_ctx.t
 val txn_manager : t -> Rw_txn.Txn_manager.t
-val alloc : t -> Rw_access.Alloc_map.t
 val is_read_only : t -> bool
-val split_lsn : t -> Rw_storage.Lsn.t option
-(** The snapshot's split point ([None] on a primary database). *)
 
 (* Transactions *)
 val begin_txn : t -> txn
@@ -90,6 +87,8 @@ val create_table :
   ?kind:Rw_catalog.Schema.kind ->
   unit ->
   Rw_catalog.Schema.table
+(** [kind] defaults to a B-tree table.  (test support: SQL creates B-tree
+    tables only; the tests create heap tables through [kind].) *)
 
 val drop_table : t -> txn -> string -> unit
 val tables : t -> Rw_catalog.Schema.table list
@@ -104,7 +103,6 @@ val create_index :
 (** Create and backfill an index on a non-key column of a B-tree table. *)
 
 val drop_index : t -> txn -> table:string -> name:string -> unit
-val indexes : t -> table:string -> Rw_catalog.Schema.index list
 
 val lookup_by_index :
   t -> table:string -> column:string -> value:Row.value -> Row.value list list
@@ -126,6 +124,9 @@ val set_retention : t -> float option -> unit
 (** [SET UNDO_INTERVAL]: retention period in simulated microseconds. *)
 
 val retention : t -> float option
+(** (test support: the tests check the interval survives save/load and
+    crash-reopen.) *)
+
 val enforce_retention : t -> Rw_storage.Lsn.t option
 
 val add_retention_floor : t -> name:string -> (unit -> Rw_storage.Lsn.t option) -> unit
@@ -178,15 +179,14 @@ val load :
   clock:Rw_storage.Sim_clock.t ->
   media:Rw_storage.Media.t ->
   ?log_media:Rw_storage.Media.t ->
-  ?pool_capacity:int ->
-  ?log_cache_blocks:int ->
-  ?log_block_bytes:int ->
   ?log_segment_bytes:int ->
   path:string ->
   unit ->
   t
 (** Rebuild a database from {!save} output and run restart recovery.
-    Raises [Failure] on a file that is not a rewinddb image. *)
+    Raises [Failure] on a file that is not a rewinddb image.
+    [log_segment_bytes] (test support) reloads into small segments, so a
+    test can check the control directory rebuilt across many of them. *)
 
 (* Crash simulation *)
 val crash_and_reopen : ?instant:bool -> t -> t

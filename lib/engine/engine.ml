@@ -11,8 +11,8 @@ type t = {
   dbs : (string, Database.t) Hashtbl.t;
 }
 
-let create ?(media = Media.ssd) ?log_media ?(seed_clock_us = 0.0) () =
-  let clock = Sim_clock.create ~start_us:seed_clock_us () in
+let create ?(media = Media.ssd) ?log_media () =
+  let clock = Sim_clock.create () in
   (* Trace spans are timestamped on this engine's simulated clock, so the
      exported timeline lines up with the priced I/O.  (A process with
      several engines traces on whichever was created last.) *)
@@ -27,19 +27,17 @@ let create ?(media = Media.ssd) ?log_media ?(seed_clock_us = 0.0) () =
 let clock t = t.clock
 let now_us t = Sim_clock.now_us t.clock
 let now_s t = Sim_clock.now_s t.clock
-let media t = t.media
 
 let register t name db =
   if Hashtbl.mem t.dbs name then raise (Database_exists name);
   Hashtbl.replace t.dbs name db;
   db
 
-let create_database t ?fpi ?pool_capacity ?checkpoint_interval_us ?log_cache_blocks ?log_block_bytes ?log_segment_bytes ?fault_plan name =
+let create_database t ?fpi ?pool_capacity ?checkpoint_interval_us ?log_cache_blocks ?log_block_bytes ?log_segment_bytes name =
   if Hashtbl.mem t.dbs name then raise (Database_exists name);
   let db =
     Database.create ~name ~clock:t.clock ~media:t.media ~log_media:t.log_media ?fpi
-      ?pool_capacity ?checkpoint_interval_us ?log_cache_blocks ?log_block_bytes ?log_segment_bytes
-      ?fault_plan ()
+      ?pool_capacity ?checkpoint_interval_us ?log_cache_blocks ?log_block_bytes ?log_segment_bytes ()
   in
   register t name db
 
@@ -51,10 +49,10 @@ let find_database_exn t name =
 
 let database_names t = Hashtbl.fold (fun k _ acc -> k :: acc) t.dbs [] |> List.sort compare
 
-let create_snapshot ?shared t ~of_ ~name ~wall_us =
+let create_snapshot t ~of_ ~name ~wall_us =
   let db = find_database_exn t of_ in
   if Hashtbl.mem t.dbs name then raise (Database_exists name);
-  let snap = Database.create_as_of_snapshot ?shared db ~name ~wall_us in
+  let snap = Database.create_as_of_snapshot db ~name ~wall_us in
   register t name snap
 
 let drop_database t name =

@@ -7,14 +7,12 @@ type t
 exception Database_exists of string
 exception No_such_database of string
 
-val create :
-  ?media:Rw_storage.Media.t -> ?log_media:Rw_storage.Media.t -> ?seed_clock_us:float -> unit -> t
+val create : ?media:Rw_storage.Media.t -> ?log_media:Rw_storage.Media.t -> unit -> t
 (** Default media is {!Rw_storage.Media.ssd} for both data and log. *)
 
 val clock : t -> Rw_storage.Sim_clock.t
 val now_us : t -> float
 val now_s : t -> float
-val media : t -> Rw_storage.Media.t
 
 val create_database :
   t ->
@@ -24,7 +22,6 @@ val create_database :
   ?log_cache_blocks:int ->
   ?log_block_bytes:int ->
   ?log_segment_bytes:int ->
-  ?fault_plan:Rw_storage.Fault_plan.t ->
   string ->
   Database.t
 
@@ -33,14 +30,11 @@ val attach_database : t -> Database.t -> Database.t
     output) under its own name.  It must share this engine's clock. *)
 
 val find_database : t -> string -> Database.t option
-val find_database_exn : t -> string -> Database.t
 val database_names : t -> string list
 
-val create_snapshot : ?shared:bool -> t -> of_:string -> name:string -> wall_us:float -> Database.t
+val create_snapshot : t -> of_:string -> name:string -> wall_us:float -> Database.t
 (** Create an as-of snapshot of database [of_] and register it under
-    [name].  [shared] is passed through to
-    {!Database.create_as_of_snapshot} (default [true]: read through the
-    shared prepared-page cache). *)
+    [name]; it reads through the shared prepared-page cache. *)
 
 val drop_database : t -> string -> unit
 (** Unregister a database or snapshot view (dropping a snapshot releases

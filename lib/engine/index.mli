@@ -11,9 +11,6 @@
     Hash collisions are benign: readers re-verify fetched rows against the
     predicate. *)
 
-val prefix_of_value : Row.value -> int64
-(** 48-bit hash prefix of a column value. *)
-
 val add :
   Rw_access.Access_ctx.t ->
   Rw_access.Alloc_map.t ->
@@ -39,4 +36,5 @@ val lookup :
 (** Candidate primary keys (callers re-verify the predicate). *)
 
 val entry_count : Rw_access.Access_ctx.t -> Rw_catalog.Schema.index -> int
-(** Total postings in the index (consistency checks). *)
+(** Total postings in the index.  (test support: the index consistency
+    checks.) *)

@@ -59,9 +59,4 @@ let pp_value fmt = function
   | Int n -> Format.fprintf fmt "%Ld" n
   | Text s -> Format.fprintf fmt "%S" s
 
-let pp_row fmt row =
-  Format.fprintf fmt "(";
-  List.iteri (fun i v -> Format.fprintf fmt "%s%a" (if i > 0 then ", " else "") pp_value v) row;
-  Format.fprintf fmt ")"
-
 let to_string v = Format.asprintf "%a" pp_value v

@@ -18,6 +18,4 @@ val key_of : value list -> int64
 (** The key column of a full row.  Raises {!Type_error}. *)
 
 val equal_value : value -> value -> bool
-val pp_value : Format.formatter -> value -> unit
-val pp_row : Format.formatter -> value list -> unit
 val to_string : value -> string

@@ -97,14 +97,10 @@ let warm view =
       let pages = Log_manager.pages_changed_since log ~since:split in
       Rw_core.As_of_snapshot.materialize_batch snap pages
 
-let materialise ?(prewarm = false) ~db ~name ~wall_us plan =
-  let view =
-    match plan.route with
-    | Rewind -> Database.create_as_of_snapshot db ~name ~wall_us
-    | Roll_forward backup -> Backup.restore_as_of backup ~from:db ~wall_us
-  in
-  if prewarm then ignore (warm view);
-  view
+let materialise ~db ~name ~wall_us plan =
+  match plan.route with
+  | Rewind -> Database.create_as_of_snapshot db ~name ~wall_us
+  | Roll_forward backup -> Backup.restore_as_of backup ~from:db ~wall_us
 
 let pp_plan fmt t =
   Format.fprintf fmt "route=%s rewind~%.3fs restore~%.3fs"

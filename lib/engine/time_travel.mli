@@ -24,12 +24,10 @@ val plan : db:Database.t -> backups:Backup.t list -> wall_us:float -> pages_hint
 (** Estimate both routes to the state as of [wall_us] and pick the
     cheaper.  Only backups taken at or before [wall_us] are considered. *)
 
-val materialise :
-  ?prewarm:bool -> db:Database.t -> name:string -> wall_us:float -> plan -> Database.t
+val materialise : db:Database.t -> name:string -> wall_us:float -> plan -> Database.t
 (** Execute the chosen route; returns a read-only view as of [wall_us].
-    With [prewarm] (default false) a rewind view is immediately warmed via
-    {!warm}, trading up-front sequential log I/O for random-read-free
-    scans. *)
+    (test support: no shell path executes a plan; the tests check that
+    both routes give the same view.) *)
 
 val warm : Database.t -> int
 (** Batch-materialize every page that changed after the view's split point

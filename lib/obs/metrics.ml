@@ -9,10 +9,9 @@
 let bucket_count = 64
 
 type counter = { c_name : string; mutable c_value : int }
-type gauge = { g_name : string; mutable g_value : float }
+type gauge = { mutable g_value : float }
 
 type histogram = {
-  h_name : string;
   buckets : int array; (* log2 buckets; see [bucket_index] *)
   mutable h_count : int;
   mutable h_sum : float;
@@ -41,14 +40,13 @@ let counter ?registry ?(unit_ = "count") ~help name =
   c
 
 let gauge ?registry ?(unit_ = "value") ~help name =
-  let g = { g_name = name; g_value = 0.0 } in
+  let g = { g_value = 0.0 } in
   register registry name help unit_ (Gauge g);
   g
 
 let histogram ?registry ?(unit_ = "value") ~help name =
   let h =
     {
-      h_name = name;
       buckets = Array.make bucket_count 0;
       h_count = 0;
       h_sum = 0.0;
@@ -92,7 +90,6 @@ let hist_sum h = h.h_sum
 let hist_min h = h.h_min
 let hist_max h = h.h_max
 let hist_bucket h i = h.buckets.(i)
-let hist_name h = h.h_name
 
 (* --- snapshots --- *)
 
@@ -121,7 +118,7 @@ let float_str v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%g" v
 
-let pp ?registry fmt () =
+let pp fmt () =
   List.iter
     (fun m ->
       match m.inst with
@@ -134,7 +131,7 @@ let pp ?registry fmt () =
               h.h_count (float_str h.h_sum) (float_str h.h_min) (float_str h.h_max)
               (float_str (h.h_sum /. float_of_int h.h_count))
               m.unit_)
-    (metrics_of ?registry ())
+    (metrics_of ())
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -154,10 +151,10 @@ let json_float v =
     Printf.sprintf "%.0f" (if Float.is_nan v then 0.0 else v)
   else Printf.sprintf "%.6g" v
 
-let to_json ?registry () =
+let to_json () =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
-  let ms = metrics_of ?registry () in
+  let ms = metrics_of () in
   List.iteri
     (fun i m ->
       Buffer.add_string b (Printf.sprintf "  \"%s\": {" (json_escape m.name));

@@ -11,7 +11,8 @@
     clock), so no synchronisation is performed. *)
 
 type registry
-(** A set of named instruments.  Most callers use {!default}. *)
+(** A set of named instruments.  Every function that takes [?registry]
+    defaults to the process-wide registry. *)
 
 type counter
 (** A monotonically increasing integer. *)
@@ -23,10 +24,9 @@ type histogram
 (** A log₂-bucketed distribution with count/sum/min/max. *)
 
 val create : unit -> registry
-(** A fresh, empty registry (used by tests; the engine uses {!default}). *)
-
-val default : registry
-(** The process-wide registry that all {!Probes} instruments live in. *)
+(** A fresh, empty registry.  (test support: the [?registry] seam keeps a
+    test's instruments out of the process-wide registry, whose name set
+    test_obs checks against docs/OBSERVABILITY.md.) *)
 
 (** {1 Registration}
 
@@ -60,11 +60,11 @@ val hist_count : histogram -> int
 val hist_sum : histogram -> float
 val hist_min : histogram -> float
 val hist_max : histogram -> float
+(** (test support: {!pp} and {!to_json} read instruments directly; the
+    tests read gauges and histogram aggregates through these.) *)
 
 val hist_bucket : histogram -> int -> int
 (** [hist_bucket h i] is the number of observations in bucket [i]. *)
-
-val hist_name : histogram -> string
 
 val bucket_count : int
 (** Number of histogram buckets (64). *)
@@ -72,7 +72,8 @@ val bucket_count : int
 val bucket_index : float -> int
 (** [bucket_index v] maps an observation to its bucket: bucket 0 holds
     everything below 1 (including 0 and, defensively, negatives); bucket
-    [k >= 1] holds [[2{^k-1}, 2{^k})]; the last bucket absorbs the tail. *)
+    [k >= 1] holds [[2{^k-1}, 2{^k})]; the last bucket absorbs the tail.
+    (test support: the tests pin the bucket edges.) *)
 
 val bucket_lower_bound : int -> float
 (** Inclusive lower bound of bucket [i] (0 for bucket 0). *)
@@ -80,14 +81,17 @@ val bucket_lower_bound : int -> float
 (** {1 Snapshots} *)
 
 val names : ?registry:registry -> unit -> string list
-(** All registered metric names, sorted. *)
+(** All registered metric names, sorted.  (test support: test_obs diffs
+    them against docs/OBSERVABILITY.md.) *)
 
 val reset : ?registry:registry -> unit -> unit
-(** Zero every instrument (counters to 0, gauges to 0, histograms emptied). *)
+(** Zero every instrument (counters to 0, gauges to 0, histograms
+    emptied).  (test support: the histogram test checks it empties every
+    bucket.) *)
 
-val pp : ?registry:registry -> Format.formatter -> unit -> unit
+val pp : Format.formatter -> unit -> unit
 (** Human-readable snapshot, one line per metric. *)
 
-val to_json : ?registry:registry -> unit -> string
+val to_json : unit -> string
 (** JSON snapshot: an object keyed by metric name; histograms include the
     non-empty buckets as [[lower_bound, count]] pairs. *)

@@ -1,7 +1,7 @@
 (** The engine's metric instruments, registered eagerly in one place.
 
     Every counter/gauge/histogram the engine updates lives here, in the
-    {!Metrics.default} registry.  Centralising them (instead of
+    process-wide {!Metrics} registry.  Centralising them (instead of
     registering at the top of each instrumented module) keeps the
     registry's name set independent of which modules a given executable
     happens to link: OCaml only links archive modules that are

@@ -22,7 +22,7 @@
     span durations line up with the simulated I/O costs that dominate
     every experiment (and are deterministic across runs).
 
-    {!to_chrome_json} exports the buffer in Chrome [trace_event] format,
+    {!dump} exports the buffer in Chrome [trace_event] format,
     which {{:https://ui.perfetto.dev}Perfetto} and [chrome://tracing]
     open directly. *)
 
@@ -49,7 +49,8 @@ val disable : unit -> unit
 
 val configure : capacity:int -> unit -> unit
 (** Replace the ring buffer with one of [capacity] events (discarding any
-    collected events).  The default capacity is 65536. *)
+    collected events).  The default capacity is 65536.  (test support: the
+    tests size the ring to check wraparound and isolate their events.) *)
 
 val install_clock : (unit -> float) -> unit
 (** Set the timestamp source (simulated µs).  Installed by
@@ -74,9 +75,6 @@ val clear : unit -> unit
 val dropped : unit -> int
 (** Events lost to ring-buffer overwrite since the last {!clear}. *)
 
-val to_chrome_json : unit -> string
-(** The buffer as a Chrome [trace_event] JSON document
-    ([{"traceEvents": [...]}]). *)
-
 val dump : path:string -> unit
-(** Write {!to_chrome_json} to [path]. *)
+(** Write the buffer to [path] as a Chrome [trace_event] JSON document
+    ([{"traceEvents": [...]}]). *)

@@ -17,13 +17,11 @@ module Quarantine = struct
   let create () : t = Hashtbl.create 8
   let add t pid reason = Hashtbl.replace t (Page_id.to_int pid) reason
   let mem t pid = Hashtbl.mem t (Page_id.to_int pid)
-  let remove t pid = Hashtbl.remove t (Page_id.to_int pid)
 
   let list t =
     Hashtbl.fold (fun i r acc -> (Page_id.of_int i, r) :: acc) t []
     |> List.sort (fun (a, _) (b, _) -> Page_id.compare a b)
 
-  let count t = Hashtbl.length t
 end
 
 (* A base record fully determines the page content by redo alone: a

@@ -29,12 +29,10 @@ module Quarantine : sig
   val create : unit -> t
   val add : t -> Rw_storage.Page_id.t -> string -> unit
   val mem : t -> Rw_storage.Page_id.t -> bool
-  val remove : t -> Rw_storage.Page_id.t -> unit
 
   val list : t -> (Rw_storage.Page_id.t * string) list
   (** Quarantined pages with the reason each repair failed, sorted by id. *)
 
-  val count : t -> int
 end
 
 val redo_record :

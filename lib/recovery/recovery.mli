@@ -55,7 +55,8 @@ val analyze :
 val loser_pages : analysis -> Rw_storage.Page_id.t list
 (** Distinct pages touched by surviving losers within the scanned region —
     the advisory work-list for batched loser undo (pages a loser touched
-    before [start] are simply absent; undo reads them individually). *)
+    before [start] are simply absent; undo reads them individually).
+    (test support: the oracle side of the {!losers_at} property test.) *)
 
 type losers = {
   in_flight : (Rw_wal.Txn_id.t, Rw_storage.Lsn.t) Hashtbl.t;

@@ -11,10 +11,6 @@ type t = {
   clock : Sim_clock.t;
   rng : Prng.t;
   rates : fault_rates;
-  latency_us : float;
-  us_per_byte : float;
-  delay_us : float;
-  partition_sends : int;
   mutable partition_left : int;
   mutable sends : int;
   mutable delivered : int;
@@ -24,16 +20,19 @@ type t = {
   mutable partitioned : int;
 }
 
-let create ~clock ?(seed = 0) ?(rates = no_faults) ?(latency_us = 200.0) ?(mb_per_s = 100.0)
-    ?(delay_us = 2_000.0) ?(partition_sends = 4) () =
+(* The link: a per-send round-trip floor, 100 MB/s of bandwidth, the
+   extra stall under a delay fault, and the length of a spontaneous
+   partition window. *)
+let latency_us = 200.0
+let us_per_byte = 1.0 /. (100.0 *. 1024.0 *. 1024.0 /. 1_000_000.0)
+let delay_us = 2_000.0
+let partition_sends = 4
+
+let create ~clock ?(seed = 0) ?(rates = no_faults) () =
   {
     clock;
     rng = Prng.create (seed lxor 0x5eed_11);
     rates;
-    latency_us;
-    us_per_byte = 1.0 /. (mb_per_s *. 1024.0 *. 1024.0 /. 1_000_000.0);
-    delay_us;
-    partition_sends;
     partition_left = 0;
     sends = 0;
     delivered = 0;
@@ -45,7 +44,6 @@ let create ~clock ?(seed = 0) ?(rates = no_faults) ?(latency_us = 200.0) ?(mb_pe
 
 let partition t ~sends = t.partition_left <- max t.partition_left sends
 let heal t = t.partition_left <- 0
-let connected t = t.partition_left = 0
 
 let send t ~bytes =
   t.sends <- t.sends + 1;
@@ -57,29 +55,29 @@ let send t ~bytes =
   let p_dup = Prng.float t.rng 1.0 in
   let p_delay = Prng.float t.rng 1.0 in
   if t.partition_left = 0 && p_part < t.rates.partition then
-    t.partition_left <- t.partition_sends;
+    t.partition_left <- partition_sends;
   if t.partition_left > 0 then begin
     t.partition_left <- t.partition_left - 1;
     t.partitioned <- t.partitioned + 1;
     (* The sender's timeout burns the round-trip latency. *)
-    Sim_clock.advance_us t.clock t.latency_us;
+    Sim_clock.advance_us t.clock latency_us;
     Partitioned
   end
   else if p_drop < t.rates.drop then begin
     t.dropped <- t.dropped + 1;
-    Sim_clock.advance_us t.clock t.latency_us;
+    Sim_clock.advance_us t.clock latency_us;
     Dropped
   end
   else begin
     let stall =
       if p_delay < t.rates.delay then begin
         t.delayed <- t.delayed + 1;
-        t.delay_us
+        delay_us
       end
       else 0.0
     in
     Sim_clock.advance_us t.clock
-      (t.latency_us +. (float_of_int bytes *. t.us_per_byte) +. stall);
+      (latency_us +. (float_of_int bytes *. us_per_byte) +. stall);
     t.delivered <- t.delivered + 1;
     if p_dup < t.rates.duplicate then begin
       t.duplicated <- t.duplicated + 1;

@@ -14,10 +14,8 @@ type fault_rates = {
   delay : float;  (** probability a delivered send is stalled *)
   partition : float;
       (** probability a send opens a partition window: it and the next
-          [partition_sends - 1] sends all fail with [Partitioned] *)
+          3 sends all fail with [Partitioned] *)
 }
-
-val no_faults : fault_rates
 
 type outcome =
   | Delivered of int
@@ -32,17 +30,11 @@ val create :
   clock:Rw_storage.Sim_clock.t ->
   ?seed:int ->
   ?rates:fault_rates ->
-  ?latency_us:float ->
-  ?mb_per_s:float ->
-  ?delay_us:float ->
-  ?partition_sends:int ->
   unit ->
   t
-(** [latency_us] (default 200) is the per-send round-trip floor,
-    [mb_per_s] (default 100) the modeled link bandwidth, [delay_us]
-    (default 2000) the extra stall under a delay fault, and
-    [partition_sends] (default 4) the length of a spontaneous partition
-    window. *)
+(** The link has a 200 µs per-send round-trip floor and 100 MB/s of
+    bandwidth; a delay fault stalls a send by 2 ms more, and a
+    spontaneous partition window lasts 4 sends. *)
 
 val send : t -> bytes:int -> outcome
 (** Attempt one shipment of [bytes] encoded log bytes.  Advances the
@@ -57,8 +49,6 @@ val partition : t -> sends:int -> unit
 val heal : t -> unit
 (** Close any partition window immediately. *)
 
-val connected : t -> bool
-
 type stats = {
   sends : int;
   delivered : int;
@@ -69,3 +59,4 @@ type stats = {
 }
 
 val stats : t -> stats
+(** (test support: the channel-fault tests check the per-class counts.) *)

@@ -15,7 +15,8 @@
 
 val most_caught_up : Replica.t list -> Replica.t
 (** The replica with the highest ingested LSN (the failover candidate).
-    Raises [Invalid_argument] on an empty list. *)
+    Raises [Invalid_argument] on an empty list.  (test support: the
+    replication soak promotes a fixed replica; the failover test picks.) *)
 
 val promote : Replica.t -> Rw_engine.Database.t * Rw_storage.Lsn.t
 (** Promote the replica to primary.  Returns the new primary engine and

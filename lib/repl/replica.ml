@@ -69,22 +69,16 @@ let ingest t (ex : Log_manager.export) =
     let from = t.next_lsn in
     let upto = Log_manager.end_lsn log in
     let redone = Recovery.redo_range ~log ~pool:(Database.pool t.db) ~from ~upto in
-    (* Horizon + recovery-checkpoint maintenance from the fresh records. *)
+    (* Horizon + recovery-checkpoint maintenance from the fresh records'
+       control-directory entries. *)
     let ckpt = ref Lsn.nil in
-    List.iter
-      (fun (lsn, data) ->
-        if Lsn.(lsn >= from) then
-          let pk = Log_record.peek data in
-          match pk.Log_record.p_kind with
-          | Log_record.K_commit | Log_record.K_checkpoint ->
-              (match (Log_record.decode data).Log_record.body with
-              | Log_record.Commit { wall_us } | Log_record.Checkpoint { wall_us; _ } ->
-                  if wall_us > t.applied_wall_us then t.applied_wall_us <- wall_us
-              | _ -> ());
-              if pk.Log_record.p_kind = Log_record.K_checkpoint && Lsn.(lsn > !ckpt) then
-                ckpt := lsn
-          | _ -> ())
-      ex.Log_manager.ex_entries;
+    Log_manager.iter_controls log ~from (fun lsn kind _txn wall_us ->
+        (match kind with
+        | Log_record.K_commit | Log_record.K_checkpoint ->
+            if wall_us > t.applied_wall_us then t.applied_wall_us <- wall_us;
+            if kind = Log_record.K_checkpoint then ckpt := lsn
+        | _ -> ());
+        true);
     t.next_lsn <- upto;
     if Lsn.(!ckpt > Lsn.nil) then begin
       (* The shipment carried one of the primary's checkpoints: flush the
@@ -99,10 +93,10 @@ let ingest t (ex : Log_manager.export) =
     redone
   end
 
-let query_as_of ?(shared = true) t ~name ~wall_us =
+let query_as_of t ~name ~wall_us =
   if wall_us > t.applied_wall_us then
     raise (Stale_horizon { requested_us = wall_us; applied_us = t.applied_wall_us });
-  Database.create_as_of_snapshot ~shared t.db ~name ~wall_us
+  Database.create_as_of_snapshot t.db ~name ~wall_us
 
 let crash_and_reopen t =
   t.db <- Database.reopen_redo_only t.db;

@@ -54,10 +54,11 @@ val ingest : t -> Rw_wal.Log_manager.export -> int
     primary checkpoint — flush redone pages and advance the local master
     record (the recovery checkpoint).  Returns operations redone. *)
 
-val query_as_of : ?shared:bool -> t -> name:string -> wall_us:float -> Rw_engine.Database.t
+val query_as_of : t -> name:string -> wall_us:float -> Rw_engine.Database.t
 (** A local read-only as-of view, byte-equal to the primary's view at the
     same time.  Raises {!Stale_horizon} when [wall_us] is past the applied
-    horizon. *)
+    horizon.  (test support: no shell path reads a replica; the
+    replication tests check the horizon guard and the view.) *)
 
 val crash_and_reopen : t -> unit
 (** Kill and restart the replica: volatile state is lost, redo-only

@@ -11,7 +11,6 @@ type t = {
   replica : Replica.t;
   channel : Channel.t;
   max_retries : int;
-  backoff_us : float;
   floor_name : string;
   mutable state : state;
   mutable shipped_segments : int;
@@ -26,7 +25,10 @@ let publish_lag t =
   Obs.set Probes.repl_lag_segments (float_of_int lag);
   lag
 
-let attach ~primary ~replica ~channel ?(max_retries = 5) ?(backoff_us = 1_000.0) () =
+(* The initial retry backoff, doubling per attempt. *)
+let backoff_us = 1_000.0
+
+let attach ~primary ~replica ~channel ?(max_retries = 5) () =
   let floor_name = "repl:" ^ Replica.name replica in
   (* The ship-horizon floor: retention on the primary never truncates at
      or above the replica's resume point, so a lagging replica can always
@@ -39,7 +41,6 @@ let attach ~primary ~replica ~channel ?(max_retries = 5) ?(backoff_us = 1_000.0)
       replica;
       channel;
       max_retries;
-      backoff_us;
       floor_name;
       state = Caught_up;
       shipped_segments = 0;
@@ -92,7 +93,7 @@ let step t =
               attempt (n + 1) (backoff *. 2.0)
             end
       in
-      attempt 0 t.backoff_us
+      attempt 0 backoff_us
 
 let catch_up t =
   while step t do

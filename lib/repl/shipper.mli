@@ -24,11 +24,10 @@ val attach :
   replica:Replica.t ->
   channel:Channel.t ->
   ?max_retries:int ->
-  ?backoff_us:float ->
   unit ->
   t
-(** [max_retries] (default 5) bounds send attempts per unit; [backoff_us]
-    (default 1000) is the initial retry backoff, doubling per attempt. *)
+(** [max_retries] (default 5) bounds send attempts per unit; the retry
+    backoff starts at 1 ms and doubles per attempt. *)
 
 val step : t -> bool
 (** Ship at most one unit.  Returns [true] if a shipment was applied

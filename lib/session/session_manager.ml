@@ -1,5 +1,3 @@
-module Lsn = Rw_storage.Lsn
-module Sim_clock = Rw_storage.Sim_clock
 module Database = Rw_engine.Database
 module As_of_snapshot = Rw_core.As_of_snapshot
 module Obs = Rw_obs.Metrics
@@ -15,30 +13,22 @@ module Probes = Rw_obs.Probes
    measures — readers steal engine time (and rewind work) from writers —
    while keeping runs reproducible.
 
-   The manager is workload-agnostic: a session is a name, a kind, and a
-   step closure over the session's own database view.  Writers step against
-   the primary; each reader holds its own as-of snapshot view (its own
-   SplitLSN, its own sparse side file) opened through the database's shared
-   prepared-page cache, which is what lets a fleet of readers at nearby
-   SplitLSNs amortise chain rewinds instead of multiplying them. *)
-
-type kind = Writer | Reader
+   The manager is workload-agnostic: a session is a step closure over its
+   own database view.  Writers step against the primary; each reader holds
+   its own as-of snapshot view (its own SplitLSN, its own sparse side file)
+   opened through the database's shared prepared-page cache, which is what
+   lets a fleet of readers at nearby SplitLSNs amortise chain rewinds
+   instead of multiplying them. *)
 
 type session = {
-  s_name : string;
-  s_kind : kind;
   s_view : Database.t; (* primary for writers, snapshot view for readers *)
   s_step : Database.t -> unit;
-  mutable s_steps : int;
-  mutable s_busy_us : float; (* simulated time consumed by this session *)
   mutable s_open : bool;
 }
 
 type t = {
   db : Database.t;
-  clock : Sim_clock.t;
   mutable sessions : session list; (* in open order *)
-  mutable opened : int; (* lifetime counter, for unique snapshot names *)
   mutable service : (unit -> unit) option;
       (* background duty run once per round, after every session stepped —
          e.g. a log shipper pumping an attached replica *)
@@ -46,46 +36,20 @@ type t = {
 
 let create db =
   if Database.is_read_only db then invalid_arg "Session_manager.create: read-only database";
-  { db; clock = Database.clock db; sessions = []; opened = 0; service = None }
+  { db; sessions = []; service = None }
 
 let set_service t f = t.service <- f
 
-let db t = t.db
-
 let register t s =
   t.sessions <- t.sessions @ [ s ];
-  t.opened <- t.opened + 1;
   Obs.gauge_add Probes.sessions_live 1.0;
   s
 
-let open_writer t ~name ~step =
-  register t
-    {
-      s_name = name;
-      s_kind = Writer;
-      s_view = t.db;
-      s_step = step;
-      s_steps = 0;
-      s_busy_us = 0.0;
-      s_open = true;
-    }
+let open_writer t ~name:_ ~step = register t { s_view = t.db; s_step = step; s_open = true }
 
-let open_reader ?shared ?(prewarm = false) t ~name ~wall_us ~step =
-  let view = Database.create_as_of_snapshot ?shared t.db ~name ~wall_us in
-  (* Prewarm rides the staged parallel batch pipeline: every page that
-     changed after the split is rewound into the side file up front, so
-     the reader's steps never pay on-the-fly rewinds. *)
-  if prewarm then ignore (Rw_engine.Time_travel.warm view);
-  register t
-    {
-      s_name = name;
-      s_kind = Reader;
-      s_view = view;
-      s_step = step;
-      s_steps = 0;
-      s_busy_us = 0.0;
-      s_open = true;
-    }
+let open_reader t ~name ~wall_us ~step =
+  let view = Database.create_as_of_snapshot t.db ~name ~wall_us in
+  register t { s_view = view; s_step = step; s_open = true }
 
 let close t s =
   if s.s_open then begin
@@ -97,20 +61,10 @@ let close t s =
     | None -> ()
   end
 
-let live t = t.sessions
 let live_count t = List.length t.sessions
-let name s = s.s_name
-let kind s = s.s_kind
 let view s = s.s_view
-let steps s = s.s_steps
-let busy_us s = s.s_busy_us
-let split_lsn s = Database.split_lsn s.s_view
 
-let step t s =
-  let t0 = Sim_clock.now_us t.clock in
-  s.s_step s.s_view;
-  s.s_steps <- s.s_steps + 1;
-  s.s_busy_us <- s.s_busy_us +. (Sim_clock.now_us t.clock -. t0)
+let step s = s.s_step s.s_view
 
 (* Pages the background sweeper retires between scheduler rounds after an
    instant restart: small, so recovery work interleaves with foreground
@@ -123,7 +77,7 @@ let run t ~rounds =
        sessions; newcomers join in the next round, departures are
        skipped for the rest of this one. *)
     let roster = t.sessions in
-    List.iter (fun s -> if s.s_open then step t s) roster;
+    List.iter (fun s -> if s.s_open then step s) roster;
     (* Background sweeper: after an instant restart, each round retires a
        little of the recovery backlog so the engine reaches full
        consistency even on pages no session ever touches. *)

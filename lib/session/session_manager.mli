@@ -17,34 +17,20 @@ type t
 
 type session
 
-type kind = Writer | Reader
-
 val create : Rw_engine.Database.t -> t
 (** A manager over one primary database.  Raises [Invalid_argument] on a
     read-only view. *)
 
-val db : t -> Rw_engine.Database.t
-
 val open_writer : t -> name:string -> step:(Rw_engine.Database.t -> unit) -> session
-(** Register a writer session; [step] receives the primary database. *)
+(** Register a writer session; [step] receives the primary database.
+    [name] only mirrors {!open_reader}'s: a writer keeps no name. *)
 
 val open_reader :
-  ?shared:bool ->
-  ?prewarm:bool ->
-  t ->
-  name:string ->
-  wall_us:float ->
-  step:(Rw_engine.Database.t -> unit) ->
-  session
-(** Open an as-of snapshot at [wall_us] (see
-    {!Rw_engine.Database.create_as_of_snapshot}; [shared] defaults to
-    reading through the shared prepared-page cache) and register a reader
-    session whose [step] receives the snapshot view.  With [prewarm]
-    (default false) the view is warmed up front via
-    {!Rw_engine.Time_travel.warm} — every page that changed after the
-    split is batch-rewound into the side file through the staged
-    domain-pool pipeline, so the session's steps never rewind on the
-    fly.  Raises {!Rw_core.Split_lsn.Out_of_retention} like snapshot
+  t -> name:string -> wall_us:float -> step:(Rw_engine.Database.t -> unit) -> session
+(** Open an as-of snapshot at [wall_us] that reads through the shared
+    prepared-page cache (see {!Rw_engine.Database.create_as_of_snapshot})
+    and register a reader session whose [step] receives the snapshot
+    view.  Raises {!Rw_core.Split_lsn.Out_of_retention} like snapshot
     creation does. *)
 
 val close : t -> session -> unit
@@ -68,22 +54,9 @@ val run : t -> rounds:int -> unit
 
 (** {1 Introspection} *)
 
-val live : t -> session list
-(** Open sessions, in open order. *)
-
 val live_count : t -> int
-val name : session -> string
-val kind : session -> kind
+(** (test support: the session tests check open and close.) *)
 
 val view : session -> Rw_engine.Database.t
 (** The session's database view: the primary for writers, the snapshot
     view for readers. *)
-
-val split_lsn : session -> Rw_storage.Lsn.t option
-(** A reader's SplitLSN; [None] for writers. *)
-
-val steps : session -> int
-(** Steps executed so far. *)
-
-val busy_us : session -> float
-(** Total simulated time this session's steps have consumed. *)

@@ -70,6 +70,3 @@ type statement =
   | Explain of select
       (** run the query and report its rewind cost — pages rewound,
           records undone, log bytes read (docs/OBSERVABILITY.md) *)
-
-val pp_literal : Format.formatter -> literal -> unit
-val pp_statement : Format.formatter -> statement -> unit

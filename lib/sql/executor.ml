@@ -22,9 +22,7 @@ exception Sql_error of string
 let error fmt = Printf.ksprintf (fun s -> raise (Sql_error s)) fmt
 
 let create_session eng = { eng; current = None; txn = None }
-let engine s = s.eng
 let current_database s = s.current
-let in_transaction s = s.txn <> None
 
 let resolve_db s = function
   | Some name -> (
@@ -475,7 +473,7 @@ let execute s (stmt : Ast.statement) =
             | Error cs -> error "cannot rewind transaction %d: %s" txn (describe cs))
         | Some name -> (
             match
-              Rw_whatif.Selective.what_if_view ~engine:s.eng ~db ~graph ~victim ~name ()
+              Rw_whatif.Selective.what_if_view ~engine:s.eng ~db ~graph ~victim ~name
             with
             | Ok (_, (st : Rw_whatif.Selective.stats)) ->
                 Message

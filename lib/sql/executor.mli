@@ -21,16 +21,11 @@ type result =
 exception Sql_error of string
 
 val create_session : Rw_engine.Engine.t -> session
-val engine : session -> Rw_engine.Engine.t
 val current_database : session -> string option
-val in_transaction : session -> bool
-
-val execute : session -> Ast.statement -> result
-(** Raises {!Sql_error} on semantic errors (unknown table, type mismatch,
-    read-only snapshot writes, ...). *)
 
 val run : session -> string -> result
-(** Parse and execute one statement. *)
+(** Parse and execute one statement.  Raises {!Sql_error} on semantic
+    errors (unknown table, type mismatch, read-only snapshot writes, ...). *)
 
 val run_script : session -> string -> result list
 val pp_result : Format.formatter -> result -> unit

@@ -85,11 +85,11 @@ let crc32_combine crc1 crc2 ~len2 =
 
 (* --- the kernels --- *)
 
-let crc32_bytewise ?(init = 0l) b ~pos ~len =
+let crc32_bytewise b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Checksum.crc32_bytewise: out of bounds";
   let t = Lazy.force tables in
-  let c = ref (Int32.to_int init land 0xffffffff lxor 0xffffffff) in
+  let c = ref 0xffffffff in
   for i = pos to pos + len - 1 do
     c := t.((!c lxor Char.code (Bytes.get b i)) land 0xff) lxor (!c lsr 8)
   done;

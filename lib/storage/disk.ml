@@ -123,8 +123,6 @@ let apply_crash t =
     torn;
   List.length torn
 
-let pending_torn t = Hashtbl.length t.torn_pending
-
 (* --- priced I/O --- *)
 
 let read_page t pid =
@@ -136,11 +134,6 @@ let write_page t pid page =
   Media.random_write t.media t.clock t.stats Page.page_size;
   consult_write t pid page;
   store t pid page
-
-let read_page_seq t pid =
-  Media.seq_read t.media t.clock t.stats Page.page_size;
-  consult_read t pid;
-  fetch t pid
 
 let write_page_seq t pid page =
   Media.seq_write t.media t.clock t.stats Page.page_size;

@@ -51,11 +51,9 @@ val read_page : t -> Page_id.t -> Page.t
 (** Random read of one page; returns a fresh copy. *)
 
 val write_page : t -> Page_id.t -> Page.t -> unit
-(** Random write of one page; the disk keeps its own copy. *)
-
-val read_page_seq : t -> Page_id.t -> Page.t
-(** Like {!read_page} but priced as sequential I/O (used by backup and
-    restore streams). *)
+(** Random write of one page; the disk keeps its own copy.  (test support:
+    the engine writes through {!write_page_retrying}; the tests seed pages
+    directly.) *)
 
 val write_page_seq : t -> Page_id.t -> Page.t -> unit
 
@@ -80,12 +78,10 @@ val apply_crash : t -> int
     happened before those pages were rewritten); returns how many pages
     were torn.  Clears the pending set. *)
 
-val pending_torn : t -> int
-(** Writes currently marked tearable-on-crash. *)
-
 val corrupt_stored : t -> Page_id.t -> unit
-(** Deterministically flip one stored bit of the page (first body byte) —
-    fault-injection helper for tests; no-op on never-written pages. *)
+(** Deterministically flip one stored bit of the page (first body byte);
+    no-op on never-written pages.  (test support: a fault-injection seam.) *)
 
 val verify_checksums : t -> bool
-(** Check every stored page's checksum (free of I/O cost). *)
+(** Check every stored page's checksum (free of I/O cost).  (test support:
+    the checker the fault tests run after repair.) *)

@@ -50,25 +50,6 @@ let create () =
     io_retries = 0;
   }
 
-let reset t =
-  t.random_reads <- 0;
-  t.random_writes <- 0;
-  t.seq_read_bytes <- 0;
-  t.seq_write_bytes <- 0;
-  t.random_read_bytes <- 0;
-  t.random_write_bytes <- 0;
-  t.log_block_hits <- 0;
-  t.log_block_misses <- 0;
-  t.log_record_hits <- 0;
-  t.log_record_misses <- 0;
-  t.log_flush_calls <- 0;
-  t.log_flush_batches <- 0;
-  t.log_commits_coalesced <- 0;
-  t.faults_injected <- 0;
-  t.corruptions_detected <- 0;
-  t.pages_repaired <- 0;
-  t.io_retries <- 0
-
 let copy t = { t with random_reads = t.random_reads }
 
 let diff later earlier =
@@ -91,11 +72,6 @@ let diff later earlier =
     pages_repaired = later.pages_repaired - earlier.pages_repaired;
     io_retries = later.io_retries - earlier.io_retries;
   }
-
-let total_ios t = t.random_reads + t.random_writes
-
-let total_bytes t =
-  t.seq_read_bytes + t.seq_write_bytes + t.random_read_bytes + t.random_write_bytes
 
 let add acc x =
   acc.random_reads <- acc.random_reads + x.random_reads;

@@ -41,14 +41,11 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 val copy : t -> t
 
 val diff : t -> t -> t
 (** [diff later earlier] is the counter delta between two snapshots. *)
 
-val total_ios : t -> int
-val total_bytes : t -> int
 val add : t -> t -> unit
 (** [add acc x] accumulates [x] into [acc]. *)
 

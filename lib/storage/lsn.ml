@@ -19,4 +19,3 @@ let ( >= ) (a : t) (b : t) = Stdlib.( >= ) a b
 let max (a : t) (b : t) = Stdlib.max a b
 let min (a : t) (b : t) = Stdlib.min a b
 let pp fmt t = Format.fprintf fmt "lsn:%d" t
-let to_string t = Format.asprintf "%a" pp t

@@ -29,4 +29,3 @@ val ( >= ) : t -> t -> bool
 val max : t -> t -> t
 val min : t -> t -> t
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -69,8 +69,6 @@ let create ~id ~typ =
 
 let copy p = Bytes.copy p
 
-let blit ~src ~dst = Bytes.blit src 0 dst 0 page_size
-
 (* Checksum covers the whole page except the checksum field itself. *)
 let compute_checksum p =
   let c = Checksum.crc32 p ~pos:0 ~len:off_checksum in
@@ -81,7 +79,3 @@ let seal p = Bytes.set_int32_le p off_checksum (compute_checksum p)
 let verify p =
   let stored = Bytes.get_int32_le p off_checksum in
   stored = 0l || stored = compute_checksum p
-
-let pp_header fmt p =
-  Format.fprintf fmt "{id=%a typ=%d lvl=%d lsn=%a slots=%d low=%d garbage=%d}" Page_id.pp (id p)
-    (type_code (typ p)) (level p) Lsn.pp (lsn p) (slot_count p) (data_low p) (garbage p)

@@ -41,14 +41,12 @@ val format : t -> id:Page_id.t -> typ:page_type -> unit
     replay through this). *)
 
 val copy : t -> t
-val blit : src:t -> dst:t -> unit
 
 val lsn : t -> Lsn.t
 val set_lsn : t -> Lsn.t -> unit
 val id : t -> Page_id.t
 val set_id : t -> Page_id.t -> unit
 val typ : t -> page_type
-val set_typ : t -> page_type -> unit
 val level : t -> int
 val set_level : t -> int -> unit
 val slot_count : t -> int
@@ -70,5 +68,3 @@ val seal : t -> unit
 val verify : t -> bool
 (** Check the stored checksum.  A page that was never sealed (all-zero
     checksum over zero body) also verifies. *)
-
-val pp_header : Format.formatter -> t -> unit

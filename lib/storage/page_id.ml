@@ -16,7 +16,4 @@ let to_int64 t = Int64.of_int t
 let is_nil t = t = -1
 let equal = Int.equal
 let compare = Int.compare
-let hash t = Hashtbl.hash t
 let next t = t + 1
-let pp fmt t = if t = -1 then Format.fprintf fmt "page:nil" else Format.fprintf fmt "page:%d" t
-let to_string t = Format.asprintf "%a" pp t

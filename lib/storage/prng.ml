@@ -1,7 +1,6 @@
 type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
 
 (* SplitMix64: fast, high-quality 64-bit mixing; good enough for workload
    generation and far more reproducible than Stdlib.Random across versions. *)
@@ -26,22 +25,9 @@ let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   bound *. (v /. 9007199254740992.0)
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let non_uniform t ~a ~x ~y =
   let c = a / 2 in
   (((int_in t 0 a lor int_in t x y) + c) mod (y - x + 1)) + x
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
-  arr.(int t (Array.length arr))
-
-let bytes t n =
-  let b = Bytes.create n in
-  for i = 0 to n - 1 do
-    Bytes.set b i (Char.chr (int t 256))
-  done;
-  b
 
 let alpha_string t n =
   String.init n (fun _ -> Char.chr (Char.code 'a' + int t 26))

@@ -8,9 +8,6 @@ type t
 val create : int -> t
 (** [create seed] makes a generator from a seed. *)
 
-val copy : t -> t
-val next_int64 : t -> int64
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  Raises on [bound <= 0]. *)
 
@@ -20,16 +17,8 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val non_uniform : t -> a:int -> x:int -> y:int -> int
 (** TPC-C NURand non-uniform random distribution over [\[x, y\]]. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)
-
-val bytes : t -> int -> bytes
-(** [bytes t n] is [n] random bytes. *)
 
 val alpha_string : t -> int -> string
 (** Random lowercase alphabetic string of the given length. *)

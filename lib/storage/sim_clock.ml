@@ -1,6 +1,6 @@
 type t = { mutable now_us : float }
 
-let create ?(start_us = 0.0) () = { now_us = start_us }
+let create () = { now_us = 0.0 }
 let now_us t = t.now_us
 let now_s t = t.now_us /. 1_000_000.0
 
@@ -11,9 +11,3 @@ let advance_us t d =
 let credit_us t d =
   if d < 0.0 then invalid_arg "Sim_clock.credit_us: negative";
   t.now_us <- t.now_us -. d
-
-let pp_duration fmt us =
-  if us < 1_000.0 then Format.fprintf fmt "%.1fus" us
-  else if us < 1_000_000.0 then Format.fprintf fmt "%.2fms" (us /. 1_000.0)
-  else if us < 60_000_000.0 then Format.fprintf fmt "%.2fs" (us /. 1_000_000.0)
-  else Format.fprintf fmt "%.1fmin" (us /. 60_000_000.0)

@@ -7,7 +7,7 @@
 
 type t
 
-val create : ?start_us:float -> unit -> t
+val create : unit -> t
 val now_us : t -> float
 val now_s : t -> float
 val advance_us : t -> float -> unit
@@ -25,6 +25,3 @@ val credit_us : t -> float -> unit
     and that nothing observed the intermediate timestamps (clock time
     inside the batch is not monotonic across the credit).  Raises
     [Invalid_argument] on negative credits. *)
-
-val pp_duration : Format.formatter -> float -> unit
-(** Pretty-print a duration in microseconds using a human unit. *)

@@ -89,10 +89,6 @@ let get p ~at =
   check_index p ~at ~for_insert:false;
   Bytes.sub_string p (slot_offset p at) (slot_length p at)
 
-let record_length p ~at =
-  check_index p ~at ~for_insert:false;
-  slot_length p at
-
 let set_sub p ~at src ~pos ~len =
   check_index p ~at ~for_insert:false;
   if len > max_record_size then invalid_arg "Slotted_page.set: record too large";

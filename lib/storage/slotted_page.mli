@@ -11,8 +11,6 @@
 
 exception Page_full
 
-val max_record_size : int
-
 val free_space : Page.t -> int
 (** Space available for one more record including its slot, after an
     hypothetical compaction. *)
@@ -40,7 +38,6 @@ val set : Page.t -> at:int -> string -> unit
 val set_sub : Page.t -> at:int -> bytes -> pos:int -> len:int -> unit
 (** {!set} from a source slice, as {!insert_sub}. *)
 
-val record_length : Page.t -> at:int -> int
 val count : Page.t -> int
 val iter : Page.t -> (int -> string -> unit) -> unit
 val fold : Page.t -> init:'a -> f:('a -> int -> string -> 'a) -> 'a
@@ -51,9 +48,6 @@ val key_at : Page.t -> at:int -> int64
 val find_key : Page.t -> int64 -> (int, int) Either.t
 (** Binary search among sorted keys.  [Left i] means found at slot [i];
     [Right i] means not present, insertion point [i]. *)
-
-val compact : Page.t -> unit
-(** Force garbage reclamation (normally automatic). *)
 
 val used_bytes : Page.t -> int
 (** Bytes occupied by live records and slots. *)

@@ -8,7 +8,6 @@ type t = {
 let create ~clock ~media () =
   { clock; media; stats = Io_stats.create (); table = Hashtbl.create 64 }
 
-let stats t = t.stats
 let mem t pid = Hashtbl.mem t.table (Page_id.to_int pid)
 
 let read t pid =

@@ -9,7 +9,6 @@
 type t
 
 val create : clock:Sim_clock.t -> media:Media.t -> unit -> t
-val stats : t -> Io_stats.t
 val mem : t -> Page_id.t -> bool
 
 val read : t -> Page_id.t -> Page.t option

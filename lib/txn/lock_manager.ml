@@ -74,7 +74,3 @@ let holds t txn res mode =
       | None -> false)
 
 let lock_count t = Hashtbl.fold (fun _ l acc -> acc + List.length !l) t.table 0
-
-let pp_resource fmt = function
-  | Table id -> Format.fprintf fmt "table:%d" id
-  | Row (tid, key) -> Format.fprintf fmt "row:%d/%Ld" tid key

@@ -28,4 +28,5 @@ val release_all : t -> Rw_wal.Txn_id.t -> unit
 val holds : t -> Rw_wal.Txn_id.t -> resource -> mode -> bool
 val compatible : mode -> mode -> bool
 val lock_count : t -> int
-val pp_resource : Format.formatter -> resource -> unit
+(** (test support: the lock tests check grants, the compatibility matrix
+    and release.) *)

@@ -47,7 +47,6 @@ let create ~log ~locks =
   }
 
 let locks t = t.locks
-let log t = t.log
 let txn_id txn = txn.id
 let state txn = txn.state
 let last_lsn txn = txn.last_lsn
@@ -57,7 +56,6 @@ let set_group_commit t ~max_batch_bytes ~max_delay_us =
     invalid_arg "Txn_manager.set_group_commit: negative threshold";
   t.policy <- { max_batch_bytes; max_delay_us }
 
-let group_commit_enabled t = t.policy.max_batch_bytes > 0 || t.policy.max_delay_us > 0.0
 let pending_commits t = List.length t.waiters
 
 let set_next_id t id = if Txn_id.compare id t.next_id > 0 then t.next_id <- id
@@ -72,8 +70,6 @@ let begin_txn t =
   txn.last_lsn <- lsn;
   Hashtbl.replace t.active (Txn_id.to_int id) txn;
   txn
-
-let find t id = Hashtbl.find_opt t.active (Txn_id.to_int id)
 
 let active_txns t =
   (* [Committing] txns are deliberately not listed: their fate is decided by

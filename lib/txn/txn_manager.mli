@@ -29,16 +29,13 @@ type state =
 
 val create : log:Rw_wal.Log_manager.t -> locks:Lock_manager.t -> t
 val locks : t -> Lock_manager.t
-val log : t -> Rw_wal.Log_manager.t
+(** (test support: the tests inspect the locks a transaction holds.) *)
 
 val set_group_commit : t -> max_batch_bytes:int -> max_delay_us:float -> unit
 (** Tune the flush scheduler: a commit triggers a flush only once the
     unflushed log tail reaches [max_batch_bytes] or the oldest waiter has
     been pending [max_delay_us] of simulated time.  Both zero (the default)
     means flush on every commit — a batch of one. *)
-
-val group_commit_enabled : t -> bool
-(** Whether any batching policy is set (either threshold non-zero). *)
 
 val pending_commits : t -> int
 (** Number of committing transactions awaiting durability acknowledgement. *)
@@ -50,8 +47,7 @@ val begin_txn : t -> txn
 val txn_id : txn -> Rw_wal.Txn_id.t
 val state : txn -> state
 val last_lsn : txn -> Rw_storage.Lsn.t
-
-val find : t -> Rw_wal.Txn_id.t -> txn option
+(** (test support: the tests read back a transaction's newest record.) *)
 
 val active_txns : t -> (Rw_wal.Txn_id.t * Rw_storage.Lsn.t) list
 (** For the checkpoint record: (id, last LSN) of every active txn.

@@ -31,7 +31,6 @@ type decoder = { data : string; mutable pos : int }
 
 let decoder data = { data; pos = 0 }
 let decoder_at data ~pos = { data; pos }
-let pos d = d.pos
 let at_end d = d.pos >= String.length d.data
 
 let get_u8 d =

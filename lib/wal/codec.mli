@@ -26,8 +26,9 @@ type decoder
 
 val decoder : string -> decoder
 val decoder_at : string -> pos:int -> decoder
-val pos : decoder -> int
 val at_end : decoder -> bool
+(** (test support: the round-trip test checks a decode consumed it all.) *)
+
 val get_u8 : decoder -> int
 val get_u16 : decoder -> int
 val get_u32 : decoder -> int

@@ -1132,16 +1132,6 @@ let iter_checkpoints_rev t f =
     decr si
   done
 
-let checkpoint_walls t =
-  let res = ref [] in
-  iter_checkpoints_rev t (fun lsn wall ->
-      res := (lsn, wall) :: !res;
-      true);
-  List.rev !res
-
-let checkpoints_before t lsn =
-  List.filter_map (fun (c, _) -> if Lsn.(c <= lsn) then Some c else None) (checkpoint_walls t)
-
 (* Newest retained checkpoint, for the crash/repair fallback of
    [last_checkpoint]. *)
 let newest_checkpoint t =
@@ -1623,8 +1613,3 @@ let txn_resolution t txn =
   | None -> `Unknown
   | Some a ->
       if a.a_aborted then `Aborted else if committed a then `Committed else `Active
-
-let txn_summary t txn =
-  match Hashtbl.find_opt t.txn_index (Txn_id.to_int txn) with
-  | Some a when committed a -> Some (summary_of a)
-  | _ -> None

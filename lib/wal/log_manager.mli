@@ -204,19 +204,11 @@ val last_checkpoint : t -> Rw_storage.Lsn.t
 
 val set_last_checkpoint : t -> Rw_storage.Lsn.t -> unit
 
-val checkpoints_before : t -> Rw_storage.Lsn.t -> Rw_storage.Lsn.t list
-(** LSNs of retained checkpoint records at or before the given LSN,
-    descending (newest first). *)
-
-val checkpoint_walls : t -> (Rw_storage.Lsn.t * float) list
-(** Every retained checkpoint record with its wall-clock time, newest
-    first, read from the control-record directory: no record is read
-    and nothing is charged. *)
-
 val iter_checkpoints_rev : t -> (Rw_storage.Lsn.t -> float -> bool) -> unit
 (** [iter_checkpoints_rev t f] calls [f lsn wall] on the retained
-    checkpoint records, newest first, until [f] answers [false]; like
-    {!checkpoint_walls} it reads the directory and charges nothing. *)
+    checkpoint records, newest first, until [f] answers [false].  It
+    reads the control-record directory: no record is read and nothing is
+    charged. *)
 
 val iter_controls :
   t ->
@@ -264,6 +256,8 @@ val total_appended_bytes : t -> int
 
 val retained_bytes : t -> int
 val record_count : t -> int
+(** (test support, like {!record_cache_bytes} and {!segment_size}: the
+    tests check retention, shipping and cache bounds through them.) *)
 
 val record_cache_bytes : t -> int
 (** Current decoded-record cache occupancy. *)
@@ -330,8 +324,8 @@ val dump_entries : t -> (Rw_storage.Lsn.t * string) list
 
 val restore_entries : t -> (Rw_storage.Lsn.t * string) list -> unit
 (** Rebuild a fresh log manager's state from {!dump_entries} output
-    (indexes, FPI directory and checkpoint list included).  Every restored
-    record is considered durable.  Raises on a non-empty log. *)
+    (indexes, FPI directory and control-record directory included).  Every
+    restored record is considered durable.  Raises on a non-empty log. *)
 
 (** {2 Replication}
 
@@ -433,9 +427,6 @@ val txn_summaries : t -> txn_summary list
 (** Summaries of every committed, non-aborted transaction wholly inside
     the retained log, ascending by commit LSN (the serialization
     order). *)
-
-val txn_summary : t -> Txn_id.t -> txn_summary option
-(** The summary of one committed transaction, if retained. *)
 
 val txn_resolution : t -> Txn_id.t -> [ `Committed | `Aborted | `Active | `Unknown ]
 (** How the transaction's retained records resolve: committed, aborted,

@@ -480,16 +480,3 @@ let kind_name t =
   | Checkpoint _ -> "checkpoint"
   | Page_op { op; _ } -> op_name op
   | Clr { op; _ } -> "clr:" ^ op_name op
-
-let pp fmt t =
-  match t.body with
-  | Page_op { page; prev_page_lsn; op } ->
-      Format.fprintf fmt "%a %s %a prev=%a" Txn_id.pp t.txn (op_name op) Page_id.pp page Lsn.pp
-        prev_page_lsn
-  | Clr { page; prev_page_lsn; op; undo_next } ->
-      Format.fprintf fmt "%a clr:%s %a prev=%a undo_next=%a" Txn_id.pp t.txn (op_name op)
-        Page_id.pp page Lsn.pp prev_page_lsn Lsn.pp undo_next
-  | Checkpoint { active_txns; dirty_pages; _ } ->
-      Format.fprintf fmt "checkpoint active=%d dirty=%d" (List.length active_txns)
-        (List.length dirty_pages)
-  | _ -> Format.fprintf fmt "%a %s" Txn_id.pp t.txn (kind_name t)

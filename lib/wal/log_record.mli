@@ -94,10 +94,11 @@ val decode : string -> t
 
 val check : string -> bool
 (** Whether the encoded record's CRC trailer matches its content — the
-    recovery scan's torn-tail detector.  Never raises. *)
+    recovery scan's torn-tail detector.  Never raises.  (test support: the
+    fault tests check torn records directly.) *)
 
-val pp : Format.formatter -> t -> unit
 val kind_name : t -> string
+(** (test support: the tests pick and name records by kind.) *)
 
 (** {2 Header peek}
 

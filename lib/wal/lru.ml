@@ -112,16 +112,6 @@ module Weighted = struct
   let remove t k =
     match Hashtbl.find_opt t.table k with None -> () | Some n -> drop_node t n
 
-  let find t k =
-    match Hashtbl.find_opt t.table k with
-    | None -> None
-    | Some n ->
-        unlink t n;
-        push_front t n;
-        Some n.value
-
-  let mem t k = Hashtbl.mem t.table k
-
   let rec evict_to_fit t =
     if t.total_weight > t.capacity_bytes then
       match t.tail with
@@ -144,8 +134,6 @@ module Weighted = struct
     end;
     n
 
-  let add t k ~weight value = ignore (add_node t k ~weight value)
-
   let alive n = n.live
   let node_value n = n.value
 
@@ -157,7 +145,6 @@ module Weighted = struct
 
   let size_bytes t = t.total_weight
   let entry_count t = Hashtbl.length t.table
-  let capacity_bytes t = t.capacity_bytes
 
   let clear t =
     Hashtbl.reset t.table;

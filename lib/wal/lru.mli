@@ -20,33 +20,27 @@ val remove : t -> int -> unit
 val size : t -> int
 val capacity : t -> int
 val clear : t -> unit
+(** (test support: [remove], [size] and [clear] have no engine caller; the
+    LRU test checks them.) *)
 
 (** Value-carrying LRU bounded by total weight in bytes — the decoded
-    log-record cache.  [add] evicts least-recently-used entries until the
-    budget is met again; an entry heavier than the whole budget is simply
-    not cached. *)
+    log-record cache.  {!add_node} evicts least-recently-used entries until
+    the budget is met again; an entry heavier than the whole budget is
+    simply not cached. *)
 module Weighted : sig
   type 'a t
 
   val create : capacity_bytes:int -> 'a t
   (** Raises [Invalid_argument] if the capacity is < 1. *)
 
-  val find : 'a t -> int -> 'a option
-  (** Lookup; a hit becomes the most recently used entry. *)
-
-  val mem : 'a t -> int -> bool
-  (** Membership test; does not touch recency. *)
-
-  val add : 'a t -> int -> weight:int -> 'a -> unit
-  (** Insert or replace, then evict LRU entries until within budget. *)
-
   type 'a node
   (** Handle to a cache slot, for callers that keep their own pointer to
       the entry and want hit/touch without a table lookup. *)
 
   val add_node : 'a t -> int -> weight:int -> 'a -> 'a node
-  (** Like {!add} but returns the slot handle.  An entry too heavy to cache
-      yields a dead handle ({!alive} is false). *)
+  (** Insert or replace, evict LRU entries until within budget, and return
+      the slot handle.  An entry too heavy to cache yields a dead handle
+      ({!alive} is false). *)
 
   val alive : 'a node -> bool
   (** False once the slot has been evicted or removed — the handle is
@@ -59,6 +53,7 @@ module Weighted : sig
   val remove : 'a t -> int -> unit
   val size_bytes : 'a t -> int
   val entry_count : 'a t -> int
-  val capacity_bytes : 'a t -> int
   val clear : 'a t -> unit
+  (** (test support: [entry_count] and [clear] have no engine caller; the
+      weighted LRU test checks them.) *)
 end

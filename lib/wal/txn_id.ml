@@ -12,6 +12,4 @@ let to_int64 t = Int64.of_int t
 let is_nil t = t = 0
 let equal = Int.equal
 let compare = Int.compare
-let hash t = Hashtbl.hash t
 let next t = t + 1
-let pp fmt t = Format.fprintf fmt "txn:%d" t

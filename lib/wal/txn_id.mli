@@ -13,6 +13,4 @@ val to_int64 : t -> int64
 val is_nil : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val next : t -> t
-val pp : Format.formatter -> t -> unit

@@ -71,7 +71,6 @@ exception Unknown_txn of Txn_id.t
 (* Planning: the removed set D, the affected pages and their cuts.  *)
 
 type plan = {
-  victim : Dep_graph.node;
   removed : Dep_graph.node list; (* D: victim + replay set, commit order *)
   replay : Dep_graph.node list; (* D minus the victim, commit order *)
   cuts : (Page_id.t * Lsn.t) list; (* affected page -> rewind target *)
@@ -238,7 +237,7 @@ let make_plan ~log ~graph ~victim ~scope =
             (fun (n : Dep_graph.node) -> not (Txn_id.equal n.ts_txn victim))
             removed
         in
-        Ok { victim = victim_node; removed; replay; cuts }
+        Ok { removed; replay; cuts }
 
 (* ---------------------------------------------------------------- *)
 (* Replay: target images on scratch copies.                         *)
@@ -468,10 +467,10 @@ let repair ~ctx ~log ~graph ~victim ?(scope = Dependents) ~wall_us ?on_progress 
 (* ---------------------------------------------------------------- *)
 (* Publication 2: a read-only what-if view.                         *)
 
-let what_if_view ~engine ~db ~graph ~victim ?(scope = Dependents) ~name () =
+let what_if_view ~engine ~db ~graph ~victim ~name =
   let ctx = Database.ctx db in
   let log = Database.log db in
-  match prepare ~ctx ~log ~graph ~victim ~scope with
+  match prepare ~ctx ~log ~graph ~victim ~scope:Dependents with
   | Error _ as e -> e
   | Ok (_plan, targets) ->
       let side =

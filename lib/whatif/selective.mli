@@ -84,9 +84,7 @@ val what_if_view :
   db:Rw_engine.Database.t ->
   graph:Dep_graph.t ->
   victim:Rw_wal.Txn_id.t ->
-  ?scope:scope ->
   name:string ->
-  unit ->
   (Rw_engine.Database.t * stats, conflict list) result
 (** Publish the victim-free state as a read-only view named [name],
     attached to [engine]: reads of affected pages hit the sparse side

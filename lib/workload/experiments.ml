@@ -706,20 +706,11 @@ module Fault_plan = Rw_storage.Fault_plan
 module Prng = Rw_storage.Prng
 module Row = Rw_engine.Row
 
-type fault_rates = {
-  torn_write_rate : float;
-  bit_rot_rate : float;
-  transient_error_rate : float;
-  torn_log_tail_rate : float;
-}
-
-let default_fault_rates =
-  {
-    torn_write_rate = 0.30;
-    bit_rot_rate = 0.02;
-    transient_error_rate = 0.01;
-    torn_log_tail_rate = 0.50;
-  }
+(* The campaign's fault plan rates. *)
+let torn_write_rate = 0.30
+let bit_rot_rate = 0.02
+let transient_error_rate = 0.01
+let torn_log_tail_rate = 0.50
 
 let straggler_key = 999_999L
 
@@ -739,7 +730,7 @@ let straggler_key = 999_999L
    issued *during* the redo backlog (first-touch recovery serves them, with
    the fault plan still active); the backlog is then drained before the
    oracle comparison. *)
-let crash_repair_run ~instant ~seed ~crash_after ~rates =
+let crash_repair_run ~instant ~seed ~crash_after =
   let cfg = { Tpcc.small_config with Tpcc.seed } in
   let stock db = Tpcc.stock_level db cfg ~w:1 ~d:1 ~threshold:15 in
   let open_db ?fault_plan name =
@@ -753,9 +744,8 @@ let crash_repair_run ~instant ~seed ~crash_after ~rates =
   in
   (* Faulted run. *)
   let plan =
-    Fault_plan.create ~torn_write_rate:rates.torn_write_rate ~bit_rot_rate:rates.bit_rot_rate
-      ~transient_error_rate:rates.transient_error_rate
-      ~torn_log_tail_rate:rates.torn_log_tail_rate ~seed ()
+    Fault_plan.create ~torn_write_rate ~bit_rot_rate ~transient_error_rate ~torn_log_tail_rate
+      ~seed ()
   in
   let db, wall_f = open_db ~fault_plan:plan "faulted" in
   (* A straggler left in flight: recovery must undo it. *)
@@ -824,7 +814,7 @@ let crash_repair_run ~instant ~seed ~crash_after ~rates =
   }
 
 let crash_repair_campaign ?(instant = false) ?(seeds = [ 11; 23; 47 ]) ?(crash_points = 4)
-    ?(rates = default_fault_rates) ?(quick = false) () =
+    ?(quick = false) () =
   let max_txns = if quick then 24 else 60 in
   List.concat_map
     (fun seed ->
@@ -840,17 +830,15 @@ let crash_repair_campaign ?(instant = false) ?(seeds = [ 11; 23; 47 ]) ?(crash_p
           in
           let crash_after = draw 8 in
           seen := crash_after :: !seen;
-          crash_repair_run ~instant ~seed ~crash_after ~rates))
+          crash_repair_run ~instant ~seed ~crash_after))
     seeds
 
 let faults ~quick () =
   header "Fault injection: crash-point repair campaign";
   Printf.printf
     "torn writes %.0f%%, bit rot %.1f%%, transient errors %.1f%%, torn log tail %.0f%%\n"
-    (100.0 *. default_fault_rates.torn_write_rate)
-    (100.0 *. default_fault_rates.bit_rot_rate)
-    (100.0 *. default_fault_rates.transient_error_rate)
-    (100.0 *. default_fault_rates.torn_log_tail_rate);
+    (100.0 *. torn_write_rate) (100.0 *. bit_rot_rate) (100.0 *. transient_error_rate)
+    (100.0 *. torn_log_tail_rate);
   ignore (Twin.report ~what:"crash points" (crash_repair_campaign ~quick ()))
 
 (* --- E10: log-shipping replication soak --- *)
@@ -1423,7 +1411,7 @@ let whatif_soak_run ~quick ~seed ~scenario =
   let oracle_dump = Twin.dump odb in
   (* What-if view first: a read-only preview over the unrepaired state. *)
   let view_agrees, closure, replayed =
-    match Selective.what_if_view ~engine:eng ~db ~graph ~victim ~name:(fresh_name "wfv") () with
+    match Selective.what_if_view ~engine:eng ~db ~graph ~victim ~name:(fresh_name "wfv") with
     | Ok (view, st) ->
         (Twin.dump view = oracle_dump, st.Selective.closure_size, st.Selective.replayed_txns)
     | Error _ -> (false, 0, 0)

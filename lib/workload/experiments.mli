@@ -77,9 +77,7 @@ type figure =
           appended bytes grow linearly — the bounded-memory claim of the
           sealed-segment log manager *)
 
-val all : figure list
 val of_string : string -> figure option
-val name : figure -> string
 
 val run : ?quick:bool -> figure -> unit
 (** Run one experiment and print its table to stdout.  [quick] shrinks the
@@ -92,20 +90,10 @@ val run_all : ?quick:bool -> unit -> unit
     The crash-point property harness behind {!figure.Faults}, exposed so
     tests and the CLI [faultsoak] command can assert on the rows. *)
 
-type fault_rates = {
-  torn_write_rate : float;
-  bit_rot_rate : float;
-  transient_error_rate : float;
-  torn_log_tail_rate : float;
-}
-
-val default_fault_rates : fault_rates
-
 val crash_repair_campaign :
   ?instant:bool ->
   ?seeds:int list ->
   ?crash_points:int ->
-  ?rates:fault_rates ->
   ?quick:bool ->
   unit ->
   Twin.row list
@@ -113,9 +101,10 @@ val crash_repair_campaign :
     seeds x 4 points): run TPC-C under an active fault plan, crash after
     that many committed transactions (with one more left in flight),
     recover, scrub, and compare with a fault-free oracle run driven by the
-    same seed.  With [instant] the reopen uses instant restart, and the
-    loser-gone and a stock-level probe are also checked {e during} the
-    recovery backlog, before it is drained.  Each row is labelled
+    same seed.  With [instant] (test support: the CLI soak never sets it)
+    the reopen uses instant restart, and the loser-gone and a stock-level
+    probe are also checked {e during} the recovery backlog, before it is
+    drained.  Each row is labelled
     [after <txns>]; counts [crash_lsn], [injected], [detected],
     [repaired], [retries], [quarnt] (pages quarantined), [torn] (1 when
     recovery truncated a torn log tail), [cmp_pages]; checks [cons]

@@ -116,7 +116,6 @@ let load db config =
 type t = { db : Database.t; config : config; rng : Prng.t }
 
 let create db config = { db; config; rng = Prng.create (config.seed + 1) }
-let config t = t.config
 
 let get_int row i =
   match List.nth row i with

@@ -27,11 +27,6 @@ val small_config : config
 (** Tiny setup for unit tests. *)
 
 (* Key packing *)
-val district_key : w:int -> d:int -> int64
-val customer_key : w:int -> d:int -> c:int -> int64
-val stock_key : w:int -> i:int -> int64
-val order_key : w:int -> d:int -> o:int -> int64
-val order_line_key : w:int -> d:int -> o:int -> ol:int -> int64
 
 val load : Rw_engine.Database.t -> config -> unit
 (** Create the schema and load the initial population. *)
@@ -40,12 +35,12 @@ type t
 (** A workload driver bound to one database. *)
 
 val create : Rw_engine.Database.t -> config -> t
-val config : t -> config
 
 (* Individual transactions; each runs in its own engine transaction. *)
 val new_order : t -> unit
 val payment : t -> unit
-val order_status : t -> unit
+(** (test support: the engine runs them through {!run_mix}; the workload
+    tests check each one's effect.) *)
 
 val stock_level : Rw_engine.Database.t -> config -> w:int -> d:int -> threshold:int -> int
 (** The stock-level query: examine the order lines of the district's last

@@ -55,7 +55,8 @@ val ok : row -> bool
 
 val count : row -> string -> int
 val check : row -> string -> bool
-(** Named lookups; raise [Not_found] for a name the row does not carry. *)
+(** Named lookups; raise [Not_found] for a name the row does not carry.
+    (test support, like {!ok}: the soak tests assert on single rows.) *)
 
 val report : what:string -> row list -> bool
 (** Print the rows as one table (columns from the first row) and

@@ -66,12 +66,13 @@ let with_txn env f =
 
 let test_boot_settings () =
   let env = mk_env () in
-  check "next page id" true (Boot.get env.ctx Boot.key_next_page_id = Some 2L);
+  check "next page id" true (Boot.get_exn env.ctx Boot.key_next_page_id = 2L);
   with_txn env (fun txn -> Boot.set env.ctx txn 77L 123L);
-  check "insert new setting" true (Boot.get env.ctx 77L = Some 123L);
+  check "insert new setting" true (Boot.get_exn env.ctx 77L = 123L);
   with_txn env (fun txn -> Boot.set env.ctx txn 77L 124L);
-  check "update setting" true (Boot.get env.ctx 77L = Some 124L);
-  check "missing" true (Boot.get env.ctx 999L = None)
+  check "update setting" true (Boot.get_exn env.ctx 77L = 124L);
+  check "missing" true
+    (match Boot.get_exn env.ctx 999L with _ -> false | exception Invalid_argument _ -> true)
 
 (* --- alloc map --- *)
 

@@ -22,24 +22,26 @@ let mk ?(capacity = 4) ?wal_flush () =
 
 (* --- latches --- *)
 
+(* Whether taking [mode] now conflicts with the current holders. *)
+let conflicts l mode =
+  match Latch.with_latch l mode ignore with () -> false | exception Latch.Latch_conflict -> true
+
 let test_latch_modes () =
   let l = Latch.create () in
-  Latch.acquire l Latch.Shared;
-  Latch.acquire l Latch.Shared;
-  check_int "two shared holders" 2 (Latch.holders l);
-  check "exclusive blocked by shared" false (Latch.try_acquire l Latch.Exclusive);
-  Latch.release l Latch.Shared;
-  Latch.release l Latch.Shared;
-  Latch.acquire l Latch.Exclusive;
-  check "shared blocked by exclusive" false (Latch.try_acquire l Latch.Shared);
-  check "exclusive blocked by exclusive" false (Latch.try_acquire l Latch.Exclusive);
-  Latch.release l Latch.Exclusive;
+  Latch.with_latch l Latch.Shared (fun () ->
+      Latch.with_latch l Latch.Shared (fun () ->
+          check "exclusive blocked by shared" true (conflicts l Latch.Exclusive));
+      check "one of two shared holders left" false (Latch.is_free l));
+  Latch.with_latch l Latch.Exclusive (fun () ->
+      check "shared blocked by exclusive" true (conflicts l Latch.Shared);
+      check "exclusive blocked by exclusive" true (conflicts l Latch.Exclusive));
   check "free" true (Latch.is_free l)
 
 let test_latch_conflict_raises () =
   let l = Latch.create () in
-  Latch.acquire l Latch.Exclusive;
-  Alcotest.check_raises "conflict" Latch.Latch_conflict (fun () -> Latch.acquire l Latch.Shared)
+  Latch.with_latch l Latch.Exclusive (fun () ->
+      Alcotest.check_raises "conflict" Latch.Latch_conflict (fun () ->
+          Latch.with_latch l Latch.Shared ignore))
 
 let test_with_latch_releases_on_exn () =
   let l = Latch.create () in
@@ -82,7 +84,7 @@ let test_wal_rule () =
   Page.set_lsn (Buffer_pool.page f) (Lsn.of_int 77);
   Buffer_pool.mark_dirty pool f ~lsn:(Lsn.of_int 77);
   Buffer_pool.unpin pool f;
-  Buffer_pool.flush_page pool (Page_id.of_int 0);
+  Buffer_pool.flush_all pool;
   check "wal_flush called with page lsn" true (!flushed = [ Lsn.of_int 77 ])
 
 let test_pinned_not_evicted () =

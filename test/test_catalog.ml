@@ -156,7 +156,7 @@ let test_heap_table_kind () =
           ~columns:cols)
   in
   check "heap kind persisted" true
-    ((System_tables.find_exn env.ctx "hp").Schema.kind = Schema.Heap_table);
+    ((Option.get (System_tables.find env.ctx "hp")).Schema.kind = Schema.Heap_table);
   with_txn env (fun txn -> System_tables.drop_table env.ctx env.alloc txn "hp");
   check "heap pages freed" false (Alloc_map.is_allocated env.ctx tab.Schema.root)
 

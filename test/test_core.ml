@@ -925,7 +925,8 @@ let test_retention_segmented_indexes () =
   Txn_manager.commit env.txns txn ~wall_us:(Sim_clock.now_us env.clock);
   check "history spans several segments" true (Log_manager.segment_count env.log > 4);
   let current = page_image env pid in
-  let ret = Retention.create ~retention_us:3_000_000.0 () in
+  let ret = Retention.create () in
+  Retention.set_interval ret (Some 3_000_000.0);
   let now = Sim_clock.now_us env.clock in
   let cut =
     match Retention.cutoff ret ~log:env.log ~now_us:now with
@@ -954,9 +955,9 @@ let test_retention_segmented_indexes () =
       | Some l -> check "earliest_fpi_after respects boundary" true Lsn.(l >= cut)
       | None -> ())
     (Lsn.nil :: inside);
-  List.iter
-    (fun l -> check "checkpoints_before respects boundary" true Lsn.(l >= cut))
-    (Log_manager.checkpoints_before env.log top);
+  Log_manager.iter_checkpoints_rev env.log (fun l _ ->
+      check "checkpoint walk respects boundary" true Lsn.(l >= cut);
+      true);
   List.iter2
     (fun as_of before_img ->
       if not (String.equal (rewind as_of) before_img) then

@@ -64,7 +64,8 @@ let test_backfill_and_lookup () =
     cities;
   check "no hits for unknown value" true (lookup_ids db "city" (Row.Text "nowhere") = []);
   check_int "entry count equals rows" 40
-    (Index.entry_count (Database.ctx db) (List.hd (Database.indexes db ~table:"orders")))
+    (Index.entry_count (Database.ctx db)
+       (List.hd (Option.get (Database.table db "orders")).Schema.indexes))
 
 let test_maintenance_on_dml () =
   let db = mk_db () in
@@ -131,15 +132,16 @@ let test_drop_frees_pages () =
   let db = mk_db () in
   Database.with_txn db (fun txn ->
       ignore (Database.create_index db txn ~table:"orders" ~column:"city" ()));
-  let ix = List.hd (Database.indexes db ~table:"orders") in
+  let ix = List.hd (Option.get (Database.table db "orders")).Schema.indexes in
   Database.with_txn db (fun txn -> Database.drop_index db txn ~table:"orders" ~name:ix.Schema.index_name);
-  check "catalog updated" true (Database.indexes db ~table:"orders" = []);
+  check "catalog updated" true
+    ((Option.get (Database.table db "orders")).Schema.indexes = []);
   check "index pages freed" false
     (Rw_access.Alloc_map.is_allocated (Database.ctx db) ix.Schema.index_root);
   (* Dropping the whole table frees index pages too. *)
   Database.with_txn db (fun txn ->
       ignore (Database.create_index db txn ~table:"orders" ~column:"city" ()));
-  let ix2 = List.hd (Database.indexes db ~table:"orders") in
+  let ix2 = List.hd (Option.get (Database.table db "orders")).Schema.indexes in
   Database.with_txn db (fun txn -> Database.drop_table db txn "orders");
   check "index pages freed with table" false
     (Rw_access.Alloc_map.is_allocated (Database.ctx db) ix2.Schema.index_root)
@@ -215,16 +217,24 @@ let test_index_fuzz () =
     let key = Int64.of_int k in
     Database.with_txn db (fun txn ->
         if Hashtbl.mem present k then
-          if Prng.bool rng then begin
+          if Prng.int rng 2 = 1 then begin
             Database.delete db txn ~table:"orders" ~key;
             Hashtbl.remove present k
           end
           else
             Database.update db txn ~table:"orders"
-              [ Row.Int key; Row.Text (Prng.pick rng cities); Row.Int (Int64.of_int (Prng.int rng 5)) ]
+              [
+                Row.Int key;
+                Row.Text cities.(Prng.int rng (Array.length cities));
+                Row.Int (Int64.of_int (Prng.int rng 5));
+              ]
         else begin
           Database.insert db txn ~table:"orders"
-            [ Row.Int key; Row.Text (Prng.pick rng cities); Row.Int (Int64.of_int (Prng.int rng 5)) ];
+            [
+              Row.Int key;
+              Row.Text cities.(Prng.int rng (Array.length cities));
+              Row.Int (Int64.of_int (Prng.int rng 5));
+            ];
           Hashtbl.replace present k ()
         end)
   done;

@@ -262,7 +262,11 @@ let test_trace_json () =
   Trace.instant ~cat:"test" ~args:[ ("f", Trace.Float 1.25) ] "middle";
   Trace.complete ~cat:"test" ~ts ~args:[ ("bytes", Trace.Int 4096) ] "span";
   Trace.disable ();
-  let doc = parse_json (Trace.to_chrome_json ()) in
+  let path = Filename.temp_file "rewind_trace" ".json" in
+  Trace.dump ~path;
+  let json = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  let doc = parse_json json in
   let events =
     match doc with
     | J_obj kvs -> (

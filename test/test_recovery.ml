@@ -166,7 +166,7 @@ let test_crash_fuzz () =
           let k = Rw_storage.Prng.int rng 200 in
           let key = Int64.of_int k in
           if Hashtbl.mem model k then
-            if Rw_storage.Prng.bool rng then begin
+            if Rw_storage.Prng.int rng 2 = 1 then begin
               Database.delete !db txn ~table:"t" ~key;
               Hashtbl.remove model k
             end
@@ -191,10 +191,10 @@ let test_crash_fuzz () =
         (try Database.insert !db txn ~table:"t" [ Row.Int (Int64.of_int k); Row.Text "loser" ]
          with Rw_access.Btree.Duplicate_key _ -> ())
       done;
-      if Rw_storage.Prng.bool rng then Log_manager.flush_all (Database.log !db)
+      if Rw_storage.Prng.int rng 2 = 1 then Log_manager.flush_all (Database.log !db)
       (* else: the loser's tail is lost with the crash *)
     end;
-    if Rw_storage.Prng.bool rng then db := Database.crash_and_reopen !db
+    if Rw_storage.Prng.int rng 2 = 1 then db := Database.crash_and_reopen !db
     else begin
       (* No crash: roll the loser back if one is still open. *)
       match Rw_txn.Txn_manager.active_txns (Database.txn_manager !db) with
@@ -469,11 +469,11 @@ let test_directory_matches_scans () =
         let target = List.nth lsns (c * List.length lsns / 1000) in
         (* Retention cuts at checkpoints; an arbitrary record LSN is cut
            too, half the time. *)
-        let ckpt =
-          List.find_opt
-            (fun l -> Lsn.(l >= target))
-            (List.rev (Log_manager.checkpoints_before log (Log_manager.end_lsn log)))
-        in
+        let ckpts = ref [] in
+        Log_manager.iter_checkpoints_rev log (fun l _ ->
+            ckpts := l :: !ckpts;
+            true);
+        let ckpt = List.find_opt (fun l -> Lsn.(l >= target)) !ckpts in
         Log_manager.truncate_before log
           (match ckpt with Some l when c mod 2 = 0 -> l | _ -> target)
     | _ -> ());

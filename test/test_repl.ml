@@ -164,6 +164,38 @@ let test_ship_basics () =
   check "rows agree" (Twin.dump view = Twin.dump prim_view) true;
   Shipper.detach sh
 
+(* --- the applied horizon and recovery checkpoint come from the directory --- *)
+
+let test_ingest_horizon_from_directory () =
+  let eng, db, _cfg, drv = build_primary ~txns:10 () in
+  let replica = Replica.of_primary ~name:"r1" db in
+  for _ = 1 to 4 do
+    ignore (Tpcc.run_mix drv ~txns:10);
+    ignore (Database.checkpoint db)
+  done;
+  ignore (Tpcc.run_mix drv ~txns:5);
+  let sh =
+    Shipper.attach ~primary:db ~replica ~channel:(Channel.create ~clock:(Engine.clock eng) ()) ()
+  in
+  Shipper.catch_up sh;
+  let log = Database.log db in
+  let wall = ref 0.0 in
+  Log_manager.iter_controls log ~from:Lsn.nil (fun _ kind _ w ->
+      (match kind with
+      | Log_record.K_commit | Log_record.K_checkpoint -> wall := Float.max !wall w
+      | _ -> ());
+      true);
+  let ckpt = ref Lsn.nil in
+  Log_manager.iter_checkpoints_rev log (fun l _ ->
+      ckpt := l;
+      false);
+  check "the shipped history has a checkpoint" false (Lsn.is_nil !ckpt);
+  check "applied horizon is the newest commit/checkpoint wall" true
+    (Replica.applied_wall_us replica = !wall);
+  check "recovery checkpoint is the newest shipped checkpoint" true
+    (Lsn.equal (Log_manager.last_checkpoint (Database.log (Replica.db replica))) !ckpt);
+  Shipper.detach sh
+
 (* --- catch-up reads each shipped byte once, with the same counters at any fan-out --- *)
 
 let test_ingest_reads_once () =
@@ -411,5 +443,7 @@ let () =
           Alcotest.test_case "failover + rejoin" `Quick test_failover_rejoin;
           Alcotest.test_case "replsoak seed 11 quick" `Quick test_repl_soak;
           Alcotest.test_case "catch-up reads each shipped byte once" `Quick test_ingest_reads_once;
+          Alcotest.test_case "ingest horizon from the control directory" `Quick
+            test_ingest_horizon_from_directory;
         ] );
     ]

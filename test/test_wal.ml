@@ -66,19 +66,20 @@ let test_lru () =
 let test_weighted_lru () =
   let module W = Lru.Weighted in
   let c = W.create ~capacity_bytes:100 in
-  W.add c 1 ~weight:40 "a";
-  W.add c 2 ~weight:40 "b";
+  let n1 = W.add_node c 1 ~weight:40 "a" in
+  let n2 = W.add_node c 2 ~weight:40 "b" in
   check_int "occupancy" 80 (W.size_bytes c);
-  check "find hit" true (W.find c 1 = Some "a");
+  check "hit" true (W.alive n1 && W.node_value n1 = "a");
+  W.touch c n1;
   (* 1 is now most recent; inserting 3 overflows the budget and evicts 2. *)
-  W.add c 3 ~weight:40 "c";
-  check "2 evicted" false (W.mem c 2);
-  check "1 kept" true (W.mem c 1);
-  check "3 kept" true (W.mem c 3);
+  let n3 = W.add_node c 3 ~weight:40 "c" in
+  check "2 evicted" false (W.alive n2);
+  check "1 kept" true (W.alive n1);
+  check "3 kept" true (W.alive n3);
   check "within budget" true (W.size_bytes c <= 100);
-  (* Slot handles: inserting 4 evicts 1 (the LRU entry). *)
+  (* Inserting 4 evicts 1 (the LRU entry). *)
   let n = W.add_node c 4 ~weight:40 "d" in
-  check "1 evicted" false (W.mem c 1);
+  check "1 evicted" false (W.alive n1);
   check "node alive" true (W.alive n);
   check "node value" true (W.node_value n = "d");
   W.touch c n;
@@ -87,7 +88,7 @@ let test_weighted_lru () =
   (* An entry heavier than the whole budget is not cached at all. *)
   let big = W.add_node c 9 ~weight:1000 "huge" in
   check "oversized handle dead" false (W.alive big);
-  check "oversized not stored" false (W.mem c 9);
+  check_int "oversized not stored" 40 (W.size_bytes c);
   W.clear c;
   check_int "cleared" 0 (W.entry_count c)
 
@@ -525,6 +526,17 @@ let test_append_image () =
   check_int "on the page chain" 3
     (Array.length (Log_manager.chain_segment log pid ~from:(Log_manager.end_lsn log) ~down_to:Lsn.nil))
 
+(* The retained checkpoints at or before [upto], newest first, with
+   their wall times, by the directory walk. *)
+let walk_checkpoints ?(upto = Lsn.of_int max_int) log =
+  let acc = ref [] in
+  Log_manager.iter_checkpoints_rev log (fun l w ->
+      if Lsn.(l <= upto) then acc := (l, w) :: !acc;
+      true);
+  List.rev !acc
+
+let checkpoint_lsns ?upto log = List.map fst (walk_checkpoints ?upto log)
+
 let test_checkpoints_before () =
   let _, log = mk_log () in
   let ckpt () =
@@ -534,11 +546,11 @@ let test_checkpoints_before () =
   let c1 = ckpt () in
   let _ = Log_manager.append log (Log_record.make Log_record.Begin) in
   let c2 = ckpt () in
-  let cs = Log_manager.checkpoints_before log (Log_manager.end_lsn log) in
+  let cs = checkpoint_lsns ~upto:(Log_manager.end_lsn log) log in
   check "two checkpoints newest first" true (cs = [ c2; c1 ]);
-  let cs1 = Log_manager.checkpoints_before log c2 in
+  let cs1 = checkpoint_lsns ~upto:c2 log in
   check "bounded" true (cs1 = [ c2; c1 ] || cs1 = [ c1 ]);
-  check "before c1 only c1" true (Log_manager.checkpoints_before log c1 = [ c1 ])
+  check "before c1 only c1" true (checkpoint_lsns ~upto:c1 log = [ c1 ])
 
 let test_truncate_prunes_indexes () =
   let _, log = mk_log () in
@@ -557,7 +569,7 @@ let test_truncate_prunes_indexes () =
   | Some l -> check "first surviving fpi is after truncation" true Lsn.(l >= c2)
   | None -> Alcotest.fail "expected a surviving fpi lookup path");
   check "old checkpoint pruned" false
-    (List.exists (Lsn.equal c1) (Log_manager.checkpoints_before log (Log_manager.end_lsn log)));
+    (List.exists (Lsn.equal c1) (checkpoint_lsns ~upto:(Log_manager.end_lsn log) log));
   check "old fpi unreadable" true
     (match Log_manager.read log f1 with
     | exception Log_manager.Log_truncated _ -> true
@@ -665,7 +677,7 @@ let indexes_agree_after_truncate_and_crash ?segment_bytes () =
       (Lsn.nil :: List.filteri (fun i _ -> i mod 9 = 0) all)
   done;
   check "checkpoint index agrees with rebuild" true
-    (Log_manager.checkpoints_before log top = Log_manager.checkpoints_before log2 top)
+    (checkpoint_lsns ~upto:top log = checkpoint_lsns ~upto:top log2)
 
 let test_indexes_agree_after_truncate_and_crash () = indexes_agree_after_truncate_and_crash ()
 
@@ -989,9 +1001,9 @@ let check_directory what log =
          (fun (l, k, _, w) -> if k = Log_record.K_checkpoint then Some (l, w) else None)
          expect)
   in
-  check (what ^ ": checkpoint walls") true (Log_manager.checkpoint_walls log = ckpts);
-  check (what ^ ": checkpoints_before") true
-    (Log_manager.checkpoints_before log (Log_manager.end_lsn log) = List.map fst ckpts);
+  check (what ^ ": checkpoint walls") true (walk_checkpoints log = ckpts);
+  check (what ^ ": checkpoints up to the end") true
+    (checkpoint_lsns ~upto:(Log_manager.end_lsn log) log = List.map fst ckpts);
   expect
 
 (* --- the transaction index --- *)

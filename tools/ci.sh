@@ -45,6 +45,23 @@ dune exec examples/point_in_time_audit.exe | tail -n 1 |
   grep -q "every past balance reproduced exactly"
 echo "examples ok"
 
+echo "== every exported value has a caller =="
+# A `val NAME` of a library interface must appear, as a whole word, in some
+# .ml outside its own module; an export nothing uses is deleted instead.
+unused=$(for mli in lib/*/*.mli; do
+  own=${mli%.mli}.ml
+  for name in $(sed -n "s/^ *val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli" | sort -u); do
+    find lib bin bench rwbench examples test -name '*.ml' ! -path "$own" |
+      xargs grep -lw -- "$name" | grep -q . || echo "$mli: $name"
+  done
+done)
+if [ -n "$unused" ]; then
+  echo "error: exported values with no caller outside their module:" >&2
+  echo "$unused" >&2
+  exit 1
+fi
+echo "exports ok"
+
 echo "== rwbench smoke (as-of answers agree with the oracle) =="
 # A short seeded run of the two as-of workloads and of repair_restart,
 # whose REWIND TRANSACTION rewinds pages through the same batch gather.
