@@ -51,6 +51,7 @@ let remove_pre_modify_hook t id = t.hooks <- List.filter (fun (i, _) -> i <> id)
 let fire_hooks t pid page = List.iter (fun (_, f) -> f pid page) t.hooks
 
 let txns t = t.txns
+let log t = t.log
 let fpi t = t.fpi
 
 (* Emit a full page image once the page's chain since its last image has

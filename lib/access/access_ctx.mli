@@ -37,6 +37,7 @@ val create :
 (** [fpi] defaults to {!default_fpi}. *)
 
 val txns : t -> Rw_txn.Txn_manager.t
+val log : t -> Rw_wal.Log_manager.t
 val fpi : t -> fpi
 
 val modify :

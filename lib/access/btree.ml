@@ -221,20 +221,23 @@ let range ctx t ~lo ~hi ~f =
   in
   walk leaf
 
-let iter ctx t ~f =
+let leaf_rows page =
+  List.rev
+    (Slotted_page.fold page ~init:[] ~f:(fun acc _ row ->
+         (Rowfmt.row_key row, Rowfmt.leaf_payload row) :: acc))
+
+let iter_leaves ctx t ~leaf ~f =
   let rec walk pid =
     if not (Page_id.is_nil pid) then begin
-      let rows, next =
-        read ctx pid (fun page ->
-            ( Slotted_page.fold page ~init:[] ~f:(fun acc _ row ->
-                  (Rowfmt.row_key row, Rowfmt.leaf_payload row) :: acc),
-              Page.next_page page ))
-      in
-      List.iter (fun (k, v) -> f k v) (List.rev rows);
+      let v, next = read ctx pid (fun page -> (leaf pid page, Page.next_page page)) in
+      f v;
       walk next
     end
   in
   walk (leftmost_leaf ctx t)
+
+let iter ctx t ~f =
+  iter_leaves ctx t ~leaf:(fun _ page -> leaf_rows page) ~f:(List.iter (fun (k, v) -> f k v))
 
 let to_list ctx t =
   let acc = ref [] in

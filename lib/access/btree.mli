@@ -54,6 +54,23 @@ val range :
 (** In-order visit of all (key, payload) with lo <= key <= hi. *)
 
 val iter : Access_ctx.t -> t -> f:(int64 -> string -> unit) -> unit
+(** In-order visit of every (key, payload): {!iter_leaves} with
+    {!leaf_rows} as the leaf step. *)
+
+val iter_leaves :
+  Access_ctx.t ->
+  t ->
+  leaf:(Rw_storage.Page_id.t -> Rw_storage.Page.t -> 'a) ->
+  f:('a -> unit) ->
+  unit
+(** The leaf chain left to right, reached by descending to the leftmost
+    leaf: [leaf] runs on each leaf page under its shared latch, and [f] on
+    what it returned once the latch is released.  Every page is read
+    through {!Access_ctx.read}, so the walk is charged and pinned the same
+    whatever [leaf] does. *)
+
+val leaf_rows : Rw_storage.Page.t -> (int64 * string) list
+(** A leaf page's (key, payload) rows in key order. *)
 
 (** {2 Inspection (test support)}
 

@@ -4,17 +4,38 @@
     whose root is registered on the boot page.  Because the catalog is
     ordinary logged data, an as-of snapshot rewinds it with the very same
     page-undo mechanism as user data — this is what lets a user query the
-    schema of a table that was dropped (paper §1's motivating scenario). *)
+    schema of a table that was dropped (paper §1's motivating scenario).
+
+    Every read goes through a handle's memo of decoded descriptors, one
+    entry per catalog leaf, stamped with the leaf's page LSN and the log's
+    {!Rw_wal.Log_manager.invalidation_epoch} (the rule
+    [Rw_core.Prepared_cache] follows).  A lookup still reads every page a
+    plain walk reads — the boot page, the leftmost descent, the leaf chain
+    — through {!Rw_access.Access_ctx.read}, so its modeled charges, pins
+    and pool hits are those of an uncached lookup; only leaves whose stamp
+    matches skip copying and decoding their rows.  The stamp is enough
+    because, within one context, a page LSN names the page's logged
+    content: DDL, rollback CLRs, [REWIND TRANSACTION], replica redo and
+    restart redo all log a record and move the LSN, while crashes,
+    failover cuts and truncation, which recycle LSNs, bump the epoch.
+    Views over another pool (as-of, copy-on-write, what-if) open their own
+    handle on their own context, after any loser undo has finished. *)
 
 exception Table_exists of string
 exception No_such_table of string
 
-val init :
-  Rw_access.Access_ctx.t -> Rw_access.Alloc_map.t -> Rw_txn.Txn_manager.txn -> unit
+type t
+(** A catalog handle: one access context and its memo.  Open one per
+    context. *)
+
+val open_ : Rw_access.Access_ctx.t -> t
+(** A handle with an empty memo; reads nothing. *)
+
+val init : t -> Rw_access.Alloc_map.t -> Rw_txn.Txn_manager.txn -> unit
 (** Create the catalog B-tree and counters (database creation). *)
 
 val create_table :
-  Rw_access.Access_ctx.t ->
+  t ->
   Rw_access.Alloc_map.t ->
   Rw_txn.Txn_manager.txn ->
   name:string ->
@@ -25,19 +46,17 @@ val create_table :
     [Invalid_argument] on a bad schema. *)
 
 val update_table :
-  Rw_access.Access_ctx.t -> Rw_access.Alloc_map.t -> Rw_txn.Txn_manager.txn ->
-  Schema.table -> unit
+  t -> Rw_access.Alloc_map.t -> Rw_txn.Txn_manager.txn -> Schema.table -> unit
 (** Replace a table's descriptor (index creation/removal). *)
 
-val drop_table :
-  Rw_access.Access_ctx.t -> Rw_access.Alloc_map.t -> Rw_txn.Txn_manager.txn -> string -> unit
+val drop_table : t -> Rw_access.Alloc_map.t -> Rw_txn.Txn_manager.txn -> string -> unit
 (** Free the table's pages (secondary indexes included) and delete its
     descriptor.  Raises {!No_such_table}. *)
 
-val find : Rw_access.Access_ctx.t -> string -> Schema.table option
-val find_by_id : Rw_access.Access_ctx.t -> int -> Schema.table option
+val find : t -> string -> Schema.table option
+val find_by_id : t -> int -> Schema.table option
 (** (test support: a point read of the catalog B-tree by table id, which
     the catalog tests check against {!find}.) *)
 
-val list_tables : Rw_access.Access_ctx.t -> Schema.table list
+val list_tables : t -> Schema.table list
 (** All user tables, by id. *)

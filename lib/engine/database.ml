@@ -35,6 +35,7 @@ type t = {
   pool : Buffer_pool.t;
   txns : Txn_manager.t;
   ctx : Access_ctx.t;
+  catalog : System_tables.t; (* [ctx]'s catalog handle and its decoded-schema memo *)
   mutable alloc : Alloc_map.t;
   read_only : bool;
   snapshot : As_of_snapshot.t option;
@@ -129,6 +130,7 @@ let assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity ~fpi
     pool;
     txns;
     ctx;
+    catalog = System_tables.open_ ctx;
     alloc = Alloc_map.open_ ctx;
     read_only;
     snapshot;
@@ -177,7 +179,7 @@ let create ~name ~clock ~media ?log_media ?(pool_capacity = 512) ?(log_cache_blo
   Boot.set t.ctx txn Boot.key_next_page_id 2L;
   Alloc_map.init t.ctx txn;
   t.alloc <- Alloc_map.open_ t.ctx;
-  System_tables.init t.ctx t.alloc txn;
+  System_tables.init t.catalog t.alloc txn;
   Txn_manager.commit t.txns txn ~wall_us:(now_us t);
   Txn_manager.finished t.txns txn;
   ignore (checkpoint t);
@@ -228,17 +230,17 @@ let with_txn t f =
 let create_table t txn ~table ~columns ?(kind = Schema.Btree_table) () =
   guard_writable t;
   Txn_manager.lock t.txns txn (Lock_manager.Table 0) Lock_manager.IX;
-  System_tables.create_table t.ctx t.alloc txn ~name:table ~kind ~columns
+  System_tables.create_table t.catalog t.alloc txn ~name:table ~kind ~columns
 
 let drop_table t txn table =
   guard_writable t;
-  System_tables.drop_table t.ctx t.alloc txn table
+  System_tables.drop_table t.catalog t.alloc txn table
 
-let tables t = System_tables.list_tables t.ctx
-let table t name = System_tables.find t.ctx name
+let tables t = System_tables.list_tables t.catalog
+let table t name = System_tables.find t.catalog name
 
 let find_table t name =
-  match System_tables.find t.ctx name with
+  match table t name with
   | Some tab -> tab
   | None -> raise (System_tables.No_such_table name)
 
@@ -275,7 +277,7 @@ let create_index t txn ~table ?name ~column () =
   Btree.iter t.ctx (Btree.of_root tab.Schema.root) ~f:(fun key payload ->
       let row = Row.decode tab ~key ~payload in
       Index.add t.ctx t.alloc txn ix ~value:(List.nth row pos) ~pk:key);
-  System_tables.update_table t.ctx t.alloc txn
+  System_tables.update_table t.catalog t.alloc txn
     { tab with Schema.indexes = ix :: tab.Schema.indexes };
   ix
 
@@ -287,7 +289,7 @@ let drop_index t txn ~table ~name =
   with
   | [ victim ], rest ->
       Btree.drop t.ctx t.alloc txn (Btree.of_root victim.Schema.index_root);
-      System_tables.update_table t.ctx t.alloc txn { tab with Schema.indexes = rest }
+      System_tables.update_table t.catalog t.alloc txn { tab with Schema.indexes = rest }
   | _ -> raise (No_such_index name)
 
 let lookup_by_index t ~table ~column ~value =
@@ -458,6 +460,7 @@ let view_over_pool ~name ~base ~pool ~snapshot =
     pool;
     txns;
     ctx;
+    catalog = System_tables.open_ ctx;
     (* Read-only views never allocate; scanning the allocation map here
        would needlessly materialise snapshot pages. *)
     alloc = Alloc_map.empty_handle ();

@@ -1,5 +1,8 @@
 (* Catalog tests: schema serialisation, table lifecycle, metadata stored as
-   ordinary logged data. *)
+   ordinary logged data, and the decoded-schema memo: after every path that
+   changes catalog rows it agrees with a fresh decode of the catalog
+   B-tree, and a lookup through a warm memo is charged exactly what a cold
+   one is. *)
 
 module Page = Rw_storage.Page
 module Page_id = Rw_storage.Page_id
@@ -13,17 +16,35 @@ module Txn_manager = Rw_txn.Txn_manager
 module Access_ctx = Rw_access.Access_ctx
 module Alloc_map = Rw_access.Alloc_map
 module Boot = Rw_access.Boot
+module Btree = Rw_access.Btree
+module Io_stats = Rw_storage.Io_stats
 module Schema = Rw_catalog.Schema
 module System_tables = Rw_catalog.System_tables
+module Database = Rw_engine.Database
+module Row = Rw_engine.Row
+module Engine = Rw_engine.Engine
+module Replica = Rw_repl.Replica
+module Shipper = Rw_repl.Shipper
+module Channel = Rw_repl.Channel
+module Dep_graph = Rw_whatif.Dep_graph
+module Selective = Rw_whatif.Selective
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-type env = { txns : Txn_manager.t; ctx : Access_ctx.t; alloc : Alloc_map.t }
+type env = {
+  clock : Sim_clock.t;
+  disk : Disk.t;
+  pool : Buffer_pool.t;
+  txns : Txn_manager.t;
+  ctx : Access_ctx.t;
+  alloc : Alloc_map.t;
+  cat : System_tables.t;
+}
 
-let mk_env () =
+let mk_env ?(media = Media.ram) () =
   let clock = Sim_clock.create () in
-  let disk = Disk.create ~clock ~media:Media.ram () in
+  let disk = Disk.create ~clock ~media () in
   let log = Log_manager.create ~clock ~media:Media.ram () in
   let pool =
     Buffer_pool.create ~capacity:128 ~source:(Buffer_pool.of_disk disk)
@@ -38,10 +59,11 @@ let mk_env () =
   Boot.set ctx txn Boot.key_next_page_id 2L;
   Alloc_map.init ctx txn;
   let alloc = Alloc_map.open_ ctx in
-  System_tables.init ctx alloc txn;
+  let cat = System_tables.open_ ctx in
+  System_tables.init cat alloc txn;
   Txn_manager.commit txns txn ~wall_us:0.0;
   Txn_manager.finished txns txn;
-  { txns; ctx; alloc }
+  { clock; disk; pool; txns; ctx; alloc; cat }
 
 let with_txn env f =
   let txn = Txn_manager.begin_txn env.txns in
@@ -88,32 +110,37 @@ let test_schema_validate () =
 
 (* --- system tables --- *)
 
+(* The catalog decoded afresh from its B-tree rows, past every memo. *)
+let fresh_decode ctx =
+  let root = Page_id.of_int64 (Boot.get_exn ctx Boot.key_catalog_root) in
+  List.map (fun (_, payload) -> Schema.decode payload) (Btree.to_list ctx (Btree.of_root root))
+
 let test_create_find_drop () =
   let env = mk_env () in
   let tab =
     with_txn env (fun txn ->
-        System_tables.create_table env.ctx env.alloc txn ~name:"events" ~kind:Schema.Btree_table
+        System_tables.create_table env.cat env.alloc txn ~name:"events" ~kind:Schema.Btree_table
           ~columns:cols)
   in
   check_int "first user table id" 1 tab.Schema.id;
-  (match System_tables.find env.ctx "events" with
+  (match System_tables.find env.cat "events" with
   | Some found -> check "found equals created" true (found = tab)
   | None -> Alcotest.fail "not found");
-  check "find_by_id" true (System_tables.find_by_id env.ctx tab.Schema.id = Some tab);
-  with_txn env (fun txn -> System_tables.drop_table env.ctx env.alloc txn "events");
-  check "gone" true (System_tables.find env.ctx "events" = None);
+  check "find_by_id" true (System_tables.find_by_id env.cat tab.Schema.id = Some tab);
+  with_txn env (fun txn -> System_tables.drop_table env.cat env.alloc txn "events");
+  check "gone" true (System_tables.find env.cat "events" = None);
   check "root freed" false (Alloc_map.is_allocated env.ctx tab.Schema.root)
 
 let test_duplicate_name_rejected () =
   let env = mk_env () in
   with_txn env (fun txn ->
       ignore
-        (System_tables.create_table env.ctx env.alloc txn ~name:"t" ~kind:Schema.Btree_table
+        (System_tables.create_table env.cat env.alloc txn ~name:"t" ~kind:Schema.Btree_table
            ~columns:cols));
   let txn = Txn_manager.begin_txn env.txns in
   Alcotest.check_raises "duplicate" (System_tables.Table_exists "t") (fun () ->
       ignore
-        (System_tables.create_table env.ctx env.alloc txn ~name:"t" ~kind:Schema.Btree_table
+        (System_tables.create_table env.cat env.alloc txn ~name:"t" ~kind:Schema.Btree_table
            ~columns:cols));
   Txn_manager.rollback env.txns txn ~write_page:(Access_ctx.page_writer env.ctx)
 
@@ -121,7 +148,7 @@ let test_drop_missing () =
   let env = mk_env () in
   let txn = Txn_manager.begin_txn env.txns in
   Alcotest.check_raises "missing" (System_tables.No_such_table "ghost") (fun () ->
-      System_tables.drop_table env.ctx env.alloc txn "ghost");
+      System_tables.drop_table env.cat env.alloc txn "ghost");
   Txn_manager.rollback env.txns txn ~write_page:(Access_ctx.page_writer env.ctx)
 
 let test_list_tables_ordered () =
@@ -130,35 +157,288 @@ let test_list_tables_ordered () =
       List.iter
         (fun n ->
           ignore
-            (System_tables.create_table env.ctx env.alloc txn ~name:n ~kind:Schema.Btree_table
+            (System_tables.create_table env.cat env.alloc txn ~name:n ~kind:Schema.Btree_table
                ~columns:cols))
         [ "charlie"; "alpha"; "bravo" ]);
-  let names = List.map (fun (t : Schema.table) -> t.Schema.name) (System_tables.list_tables env.ctx) in
+  let names = List.map (fun (t : Schema.table) -> t.Schema.name) (System_tables.list_tables env.cat) in
   check "in id (creation) order" true (names = [ "charlie"; "alpha"; "bravo" ])
 
-let test_many_tables_split_catalog () =
-  let env = mk_env () in
-  (* Force the catalog B-tree itself to split across pages. *)
+(* 300 tables: enough to split the catalog B-tree itself across leaves. *)
+let numbered_catalog ?media () =
+  let env = mk_env ?media () in
   with_txn env (fun txn ->
       for i = 1 to 300 do
         ignore
-          (System_tables.create_table env.ctx env.alloc txn
+          (System_tables.create_table env.cat env.alloc txn
              ~name:(Printf.sprintf "table_%03d" i) ~kind:Schema.Btree_table ~columns:cols)
       done);
-  check_int "all listed" 300 (List.length (System_tables.list_tables env.ctx));
-  check "specific lookup" true (System_tables.find env.ctx "table_250" <> None)
+  env
+
+let test_many_tables_split_catalog () =
+  let env = numbered_catalog () in
+  check_int "all listed" 300 (List.length (System_tables.list_tables env.cat));
+  check "specific lookup" true (System_tables.find env.cat "table_250" <> None);
+  (* One leaf changes: the memo decodes that leaf again and reuses the
+     other leaves' descriptors as they are. *)
+  let root = Page_id.of_int64 (Boot.get_exn env.ctx Boot.key_catalog_root) in
+  check "catalog spans several leaves" true (Btree.height env.ctx (Btree.of_root root) > 1);
+  let before = System_tables.list_tables env.cat in
+  check "warm equals fresh" true (before = fresh_decode env.ctx);
+  with_txn env (fun txn -> System_tables.drop_table env.cat env.alloc txn "table_300");
+  let after = System_tables.list_tables env.cat in
+  check "after the change equals fresh" true (after = fresh_decode env.ctx);
+  check "table_300 gone" true (System_tables.find env.cat "table_300" = None);
+  check "first leaf reused" true (List.hd after == List.hd before);
+  check "changed leaf decoded again" true
+    (List.nth after 298 = List.nth before 298 && List.nth after 298 != List.nth before 298)
 
 let test_heap_table_kind () =
   let env = mk_env () in
   let tab =
     with_txn env (fun txn ->
-        System_tables.create_table env.ctx env.alloc txn ~name:"hp" ~kind:Schema.Heap_table
+        System_tables.create_table env.cat env.alloc txn ~name:"hp" ~kind:Schema.Heap_table
           ~columns:cols)
   in
   check "heap kind persisted" true
-    ((Option.get (System_tables.find env.ctx "hp")).Schema.kind = Schema.Heap_table);
-  with_txn env (fun txn -> System_tables.drop_table env.ctx env.alloc txn "hp");
+    ((Option.get (System_tables.find env.cat "hp")).Schema.kind = Schema.Heap_table);
+  with_txn env (fun txn -> System_tables.drop_table env.cat env.alloc txn "hp");
   check "heap pages freed" false (Alloc_map.is_allocated env.ctx tab.Schema.root)
+
+(* --- the decoded-schema memo --- *)
+
+(* [list_tables] and [find] through the handle's memo equal a fresh
+   decode, and every name in [absent] is unknown. *)
+let agrees ?(absent = []) what db =
+  let fresh = fresh_decode (Database.ctx db) in
+  check (what ^ ": list_tables") true (Database.tables db = fresh);
+  List.iter
+    (fun (tab : Schema.table) ->
+      check (what ^ ": find " ^ tab.Schema.name) true
+        (Database.table db tab.Schema.name = Some tab))
+    fresh;
+  List.iter (fun name -> check (what ^ ": no " ^ name) true (Database.table db name = None)) absent
+
+let mk_db () = Database.create ~name:"memo" ~clock:(Sim_clock.create ()) ~media:Media.ram ()
+
+let create db table =
+  Database.with_txn db (fun txn -> ignore (Database.create_table db txn ~table ~columns:cols ()))
+
+let fill db table n =
+  Database.with_txn db (fun txn ->
+      for i = 1 to n do
+        Database.insert db txn ~table
+          [ Row.Int (Int64.of_int i); Row.Text (Printf.sprintf "v%d" i) ]
+      done)
+
+let indexes db table = (Option.get (Database.table db table)).Schema.indexes
+
+let test_memo_ddl () =
+  let db = mk_db () in
+  agrees "empty" db;
+  Database.with_txn db (fun txn ->
+      ignore (Database.create_table db txn ~table:"a" ~columns:cols ());
+      ignore (Database.create_table db txn ~table:"b" ~columns:cols ()));
+  agrees "created" db;
+  fill db "b" 50;
+  Database.with_txn db (fun txn ->
+      ignore (Database.create_index db txn ~table:"b" ~name:"ib" ~column:"body" ()));
+  agrees "index created" db;
+  check_int "index listed" 1 (List.length (indexes db "b"));
+  Database.with_txn db (fun txn -> Database.drop_index db txn ~table:"b" ~name:"ib");
+  agrees "index dropped" db;
+  check_int "index gone" 0 (List.length (indexes db "b"));
+  Database.with_txn db (fun txn -> Database.drop_table db txn "a");
+  agrees ~absent:[ "a" ] "table dropped" db
+
+let test_memo_rollback () =
+  let db = mk_db () in
+  create db "a";
+  agrees "committed" db;
+  let txn = Database.begin_txn db in
+  ignore (Database.create_table db txn ~table:"c" ~columns:cols ());
+  Database.drop_table db txn "a";
+  agrees ~absent:[ "a" ] "inside the ddl transaction" db;
+  Database.rollback db txn;
+  agrees ~absent:[ "c" ] "rolled back" db;
+  check "a restored" true (Database.table db "a" <> None)
+
+let test_memo_crash_restart () =
+  List.iter
+    (fun instant ->
+      let what = if instant then "instant" else "full" in
+      let db = mk_db () in
+      create db "a";
+      fill db "a" 40;
+      agrees "before the crash" db;
+      (* A DDL transaction in flight, durably logged but uncommitted. *)
+      let txn = Database.begin_txn db in
+      ignore (Database.create_table db txn ~table:"loser" ~columns:cols ());
+      ignore (Database.create_index db txn ~table:"a" ~name:"ia" ~column:"body" ());
+      agrees "in flight" db;
+      Log_manager.flush_all (Database.log db);
+      let db = Database.crash_and_reopen ~instant db in
+      agrees ~absent:[ "loser" ] (what ^ " restart") db;
+      check_int (what ^ ": loser's index undone") 0 (List.length (indexes db "a"));
+      Database.recovery_drain_all db;
+      agrees ~absent:[ "loser" ] (what ^ " restart, drained") db;
+      create db "after";
+      agrees ~absent:[ "loser" ] (what ^ " restart, new ddl") db)
+    [ true; false ]
+
+(* REWIND TRANSACTION over DDL transactions: whether the repair runs or is
+   refused, the memo still agrees. *)
+let test_memo_rewind () =
+  let db = mk_db () in
+  let committed f =
+    let txn = Database.begin_txn db in
+    f txn;
+    Database.commit db txn;
+    Txn_manager.txn_id txn
+  in
+  create db "a";
+  fill db "a" 30;
+  Database.with_txn db (fun txn ->
+      ignore (Database.create_index db txn ~table:"a" ~name:"ia" ~column:"body" ()));
+  let drop_ix = committed (fun txn -> Database.drop_index db txn ~table:"a" ~name:"ia") in
+  let create_b =
+    committed (fun txn -> ignore (Database.create_table db txn ~table:"b" ~columns:cols ()))
+  in
+  agrees "before the rewinds" db;
+  let rewind victim =
+    Selective.repair ~ctx:(Database.ctx db) ~log:(Database.log db)
+      ~graph:(Dep_graph.build ~log:(Database.log db))
+      ~victim ~wall_us:(Database.now_us db) ()
+  in
+  (match rewind drop_ix with
+  | Ok _ -> check_int "rewound index drop: index back" 1 (List.length (indexes db "a"))
+  | Error _ -> check_int "refused index drop: no index" 0 (List.length (indexes db "a")));
+  agrees "after rewinding the index drop" db;
+  (match rewind create_b with
+  | Ok _ -> check "rewound create: b gone" true (Database.table db "b" = None)
+  | Error _ -> check "refused create: b kept" true (Database.table db "b" <> None));
+  agrees "after rewinding the create" db;
+  (* A DDL transaction that only rewrites a descriptor row is repaired: the
+     rewind logs a row update on the catalog leaf the memo holds. *)
+  let env = mk_env () in
+  let tab =
+    with_txn env (fun txn ->
+        System_tables.create_table env.cat env.alloc txn ~name:"t" ~kind:Schema.Btree_table
+          ~columns:cols)
+  in
+  let renamed =
+    { tab with Schema.columns = [ List.hd cols; { Schema.name = "note"; ctype = Schema.Text } ] }
+  in
+  let victim =
+    with_txn env (fun txn ->
+        System_tables.update_table env.cat env.alloc txn renamed;
+        Txn_manager.txn_id txn)
+  in
+  check "renamed" true (System_tables.find env.cat "t" = Some renamed);
+  let log = Access_ctx.log env.ctx in
+  (match
+     Selective.repair ~ctx:env.ctx ~log ~graph:(Dep_graph.build ~log) ~victim ~wall_us:0.0 ()
+   with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "descriptor-only rewind refused");
+  check "rename rewound" true (System_tables.find env.cat "t" = Some tab);
+  check "rewound catalog equals fresh" true
+    (System_tables.list_tables env.cat = fresh_decode env.ctx)
+
+let test_memo_replica () =
+  let eng = Engine.create ~media:Media.ram () in
+  let db = Engine.create_database eng "prim" in
+  create db "a";
+  fill db "a" 20;
+  ignore (Database.checkpoint db);
+  let replica = Replica.of_primary ~name:"r" db in
+  let rdb = Replica.db replica in
+  agrees "replica at the start" rdb;
+  Database.with_txn db (fun txn ->
+      ignore (Database.create_table db txn ~table:"b" ~columns:cols ());
+      ignore (Database.create_index db txn ~table:"a" ~name:"ia" ~column:"body" ());
+      Database.drop_table db txn "a");
+  create db "c";
+  let sh =
+    Shipper.attach ~primary:db ~replica ~channel:(Channel.create ~clock:(Engine.clock eng) ()) ()
+  in
+  Shipper.catch_up sh;
+  agrees ~absent:[ "a" ] "replica after catch-up" rdb;
+  check "replica lists the primary's tables" true (Database.tables rdb = Database.tables db);
+  Shipper.detach sh
+
+(* A crash recycles LSNs: after it, an update brings the catalog leaf back
+   to the very LSN the memo stamped, holding another descriptor.  Only the
+   log's invalidation epoch tells the two apart. *)
+let test_memo_recycled_lsn () =
+  let env = mk_env () in
+  let root = Page_id.of_int64 (Boot.get_exn env.ctx Boot.key_catalog_root) in
+  let leaf_lsn () = Access_ctx.read env.ctx root Page.lsn in
+  let tab =
+    with_txn env (fun txn ->
+        System_tables.create_table env.cat env.alloc txn ~name:"t" ~kind:Schema.Btree_table
+          ~columns:cols)
+  in
+  Buffer_pool.flush_all env.pool;
+  Log_manager.flush_all (Access_ctx.log env.ctx);
+  (* Rename the second column in a transaction that never commits; the
+     update reads no descriptor through the memo. *)
+  let rename column =
+    let txn = Txn_manager.begin_txn env.txns in
+    let columns = [ List.hd cols; { Schema.name = column; ctype = Schema.Text } ] in
+    System_tables.update_table env.cat env.alloc txn { tab with Schema.columns }
+  in
+  rename "lost";
+  check "lost listed" true (System_tables.find env.cat "t" <> None);
+  let stamped = leaf_lsn () in
+  Buffer_pool.drop_all env.pool;
+  Log_manager.crash (Access_ctx.log env.ctx);
+  rename "kept";
+  check "the leaf LSN was recycled" true (Rw_storage.Lsn.equal (leaf_lsn ()) stamped);
+  check "the memo sees the new descriptor" true
+    (match System_tables.find env.cat "t" with
+    | Some t -> (List.nth t.Schema.columns 1).Schema.name = "kept"
+    | None -> false);
+  check "equals fresh" true (System_tables.list_tables env.cat = fresh_decode env.ctx)
+
+(* A lookup through a cold memo and through a warm one each advance the
+   simulated clock, the pool's hit and miss counts and the disk's I/O
+   counters by exactly what a plain walk of the catalog B-tree does, with
+   the pool warm and with it cold. *)
+let test_memo_same_charges () =
+  let env = numbered_catalog ~media:Media.ssd () in
+  let charge f =
+    let us = Sim_clock.now_us env.clock in
+    let hits = Buffer_pool.hits env.pool and misses = Buffer_pool.misses env.pool in
+    let io = Io_stats.copy (Disk.stats env.disk) in
+    f ();
+    ( Sim_clock.now_us env.clock -. us,
+      Buffer_pool.hits env.pool - hits,
+      Buffer_pool.misses env.pool - misses,
+      Io_stats.diff (Disk.stats env.disk) io )
+  in
+  let cold_pool () =
+    Buffer_pool.flush_all env.pool;
+    Buffer_pool.drop_all env.pool
+  in
+  let warm = System_tables.open_ env.ctx in
+  ignore (System_tables.list_tables warm);
+  let lookup cat () = check "found" true (System_tables.find cat "table_250" <> None) in
+  (* The reference: a plain walk of the catalog B-tree, decoding every row. *)
+  let walk () = ignore (fresh_decode env.ctx) in
+  let ((us, hits, _, _) as plain) = charge walk in
+  check "pool warm: a lookup is charged" true (us > 0.0 && hits > 0);
+  check "pool warm: cold memo, plain walk's charge" true
+    (charge (lookup (System_tables.open_ env.ctx)) = plain);
+  check "pool warm: warm memo, plain walk's charge" true (charge (lookup warm) = plain);
+  cold_pool ();
+  let ((us, _, misses, io) as plain) = charge walk in
+  check "pool cold: a lookup reads the disk" true
+    (us > 0.0 && misses > 0 && io.Io_stats.random_reads > 0);
+  cold_pool ();
+  check "pool cold: cold memo, plain walk's charge" true
+    (charge (lookup (System_tables.open_ env.ctx)) = plain);
+  cold_pool ();
+  check "pool cold: warm memo, plain walk's charge" true (charge (lookup warm) = plain)
 
 let () =
   Alcotest.run "catalog"
@@ -176,5 +456,15 @@ let () =
           Alcotest.test_case "list order" `Quick test_list_tables_ordered;
           Alcotest.test_case "catalog splits" `Quick test_many_tables_split_catalog;
           Alcotest.test_case "heap tables" `Quick test_heap_table_kind;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "create/drop table and index" `Quick test_memo_ddl;
+          Alcotest.test_case "rolled-back ddl" `Quick test_memo_rollback;
+          Alcotest.test_case "ddl in flight at a crash" `Quick test_memo_crash_restart;
+          Alcotest.test_case "rewind over ddl" `Quick test_memo_rewind;
+          Alcotest.test_case "replica catch-up across ddl" `Quick test_memo_replica;
+          Alcotest.test_case "lsn recycled by a crash" `Quick test_memo_recycled_lsn;
+          Alcotest.test_case "same modeled charge" `Quick test_memo_same_charges;
         ] );
     ]

@@ -748,12 +748,19 @@ let test_snapshot_across_reallocation () =
   Log_manager.iter_range_peek log ~from:(Log_manager.first_lsn log) ~upto:(Log_manager.end_lsn log)
     (fun _ _ decode -> if Rw_wal.Log_record.kind_name (decode ()) = "preformat" then incr preformats);
   check "preformat records logged" true (!preformats > 0);
+  (* The primary's catalog memo is warm, holding B and not A, before the
+     view opens: the view's lookups must not see it. *)
+  check "primary's catalog has B" true (Database.table db "b" <> None);
+  check "primary's catalog lacks A" true (Database.table db "a" = None);
   (* And the snapshot reads table A right through them. *)
   let snap = Database.create_as_of_snapshot db ~name:"before_drop" ~wall_us:before_drop in
   check_int "all of A's rows recovered" 200 (Database.row_count snap ~table:"a");
   check "specific A row" true (value_at' snap "a" 123L = Some [ Row.Int 123L; Row.Text "a-123" ]);
   check "B does not exist yet in the snapshot" true (Database.table snap "b" = None);
+  check "the snapshot lists only A" true
+    (List.map (fun (t : Schema.table) -> t.Schema.name) (Database.tables snap) = [ "a" ]);
   (* The primary still sees only B. *)
+  check "primary's catalog still lacks A" true (Database.table db "a" = None);
   check_int "primary has B" 200 (Database.row_count db ~table:"b")
 
 (* Heap tables time-travel through the identical mechanism. *)
