@@ -2,17 +2,18 @@
 # Paired rwbench runs of two checkouts, summarised as one BENCH_history.jsonl
 # line.
 #
-#   tools/bench_history.sh run PARENT_DIR CHANGE_DIR OUT_DIR [PAIRS] [SECONDS]
-#       For every workload at seeds 7 and 90210, run PAIRS (default 10)
-#       pairs of PARENT_DIR's and CHANGE_DIR's rwbench, SECONDS (default
-#       20) each, alternating which side runs first, one run at a time.
+#   tools/bench_history.sh run PARENT_DIR CHANGE_DIR OUT_DIR
+#       For every workload at seeds 7 and 90210, run 10 pairs of
+#       PARENT_DIR's and CHANGE_DIR's rwbench, each for BENCHMARK.json's
+#       run_seconds, alternating which side runs first, one run at a time.
 #       Each run's output goes to OUT_DIR/<side>_<workload>_<seed>_<pair>.txt.
 #   tools/bench_history.sh summarize OUT_DIR PARENT_COMMIT CHANGE_LABEL
-#       Print one JSON line: per workload and seed, the number of pairs,
-#       the failed operations of each side, and for every end-to-end metric
-#       of BENCHMARK.json the parent's and the change's medians, the
-#       parent's quartile distance and the pairs the change won (strictly
-#       better in the metric's direction; ties count for neither side).
+#       Print one JSON line: per workload and seed, the number of pairs and
+#       the run length the run files report, the failed operations of each
+#       side, and for every end-to-end metric of BENCHMARK.json the
+#       parent's and the change's medians, the parent's quartile distance
+#       and the pairs the change won (strictly better in the metric's
+#       direction; ties count for neither side).
 #
 # Run from the root of the repository; append the summary with
 #   tools/bench_history.sh summarize ... >> BENCH_history.jsonl
@@ -20,6 +21,7 @@ set -eu
 
 workloads="htap asof_audit repair_restart"
 seeds="7 90210"
+pairs=10
 
 # "name better" for each end-to-end metric, in BENCHMARK.json order.
 metrics() {
@@ -45,7 +47,8 @@ stats() {
 }
 
 run() {
-  parent=$1 change=$2 out=$3 pairs=${4:-10} seconds=${5:-20}
+  parent=$1 change=$2 out=$3
+  seconds=$(awk '/"run_seconds"/ { gsub(/[^0-9]/, "", $2); print $2 }' BENCHMARK.json)
   mkdir -p "$out"
   for w in $workloads; do
     for s in $seeds; do
@@ -76,9 +79,13 @@ summarize() {
     for s in $seeds; do
       n=$(ls "$out"/parent_"${w}"_"${s}"_*.txt 2>/dev/null | wc -l)
       [ "$n" -gt 0 ] || continue
+      # The run length every run file of this workload and seed reports
+      # ("workload W  seed S  seconds N ..."), or null if they differ.
+      secs=$(cat "$out"/*_"${w}"_"${s}"_*.txt |
+        awk '$1 == "workload" { v[$6] = 1 } END { for (k in v) { n++; x = k } print (n == 1 ? x : "null") }')
       failed() { cat "$out"/"$1"_"${w}"_"${s}"_*.txt | awk '$1 == "attempted" { f += $4 } END { print f + 0 }'; }
-      printf '%s"%s":{"pairs":%d,"failed":{"parent":%d,"change":%d}' "$ssep" "$s" "$n" \
-        "$(failed parent)" "$(failed change)"
+      printf '%s"%s":{"pairs":%d,"seconds":%s,"failed":{"parent":%d,"change":%d}' "$ssep" "$s" "$n" \
+        "$secs" "$(failed parent)" "$(failed change)"
       ssep=","
       metrics | while read -r m better; do
         p=$(values "$m" "$out"/parent_"${w}"_"${s}"_*.txt | stats)
@@ -108,7 +115,7 @@ case "${1:-}" in
   run) shift; run "$@" ;;
   summarize) shift; summarize "$@" ;;
   *)
-    echo "usage: $0 run PARENT_DIR CHANGE_DIR OUT_DIR [PAIRS] [SECONDS]" >&2
+    echo "usage: $0 run PARENT_DIR CHANGE_DIR OUT_DIR" >&2
     echo "       $0 summarize OUT_DIR PARENT_COMMIT CHANGE_LABEL" >&2
     exit 2
     ;;
