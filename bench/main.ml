@@ -255,16 +255,16 @@ module Micro = struct
            ignore (Rw_core.Page_undo.prepare_page_as_of ~log ~page:copy ~as_of:(Lsn.of_int 1))))
 
   (* The same 400-op rewind with the history sealed into 4 KiB segments
-     behind a deliberately starved cache hierarchy (two 256 B cache
-     blocks, a 64 B record cache), so every run re-faults the chain from
-     spilled segments — the cold end of the segment tier.  ci.sh holds
-     this row to the same 25% budget as the warm row above. *)
+     behind a deliberately starved block cache (two 256 B blocks), so
+     every run re-faults the chain from spilled segments — the cold end of
+     the segment tier.  ci.sh holds this row to the same 25% budget as the
+     warm row above. *)
   let test_prepare_page_cold =
     let log, page =
       prepare_env
         ~mk_log:(fun clock ->
           Log_manager.create ~clock ~media:Media.ram ~cache_blocks:2 ~block_bytes:256
-            ~record_cache_bytes:64 ~segment_bytes:4096 ())
+            ~segment_bytes:4096 ())
         ()
     in
     Test.make ~name:"prepare_page_as_of (cold segment)"
@@ -319,8 +319,8 @@ module Micro = struct
       (Staged.stage (fun () -> ignore (Tpcc.run_mix drv ~txns:1)))
 
   (* The record-at-a-time reference walk over the same history: the gap
-     between this row and the one above is what the chain index + decoded
-     record cache buy. *)
+     between this row and the one above is what the chain index and the
+     in-place undo kernel buy. *)
   let test_prepare_page_walk =
     let log, page = prepare_env () in
     Test.make ~name:"prepare_page_as_of_walk (400-op rewind)"

@@ -112,10 +112,10 @@ let read_as_of ~tally ~shared ~sparse ~primary_disk ~log ~split pid =
       pages the shared cache had nothing for, then one log-ordered
       gather for the whole batch ({!Page_undo.plan_batch}) — FPI peeks
       and chain-index lookups per page, then every log block the batch
-      needs charged once, ascending, each record handed back as a live
-      cached decode or a span of its segment blob.  Every priced read
-      and every shared cache happens here, on the calling domain, in an
-      order independent of the fan-out.
+      needs charged once, ascending, each record handed back as a span
+      of its segment blob.  Every priced read and every shared cache
+      happens here, on the calling domain, in an order independent of
+      the fan-out.
    2. {e Apply} (workers, round-robin by index): validate and undo the
       chain in place against the private page image — pure CPU over
       private state and immutable log bytes.

@@ -80,9 +80,9 @@ val materialize_batch : t -> Rw_storage.Page_id.t list -> int
     order (every priced read, every shared cache), workers decode and
     apply the undo chains against private page images round-robin, and
     the coordinator publishes results — probes, rewind tallies,
-    prepared-cache inserts, decoded-record cache feeding, side-file
-    writes — in ascending page order.  Results and counters are byte-
-    and count-identical under any pool fan-out, including 1; fan-out
+    prepared-cache inserts, side-file writes — in ascending page
+    order.  Results and counters are byte- and count-identical under any
+    pool fan-out, including 1; fan-out
     changes modeled elapsed time only (each page's gather I/O is
     attributed to its partition and the clock credited down to the
     slowest partition).  Pages already materialised are skipped; returns

@@ -80,8 +80,8 @@ let prepare_page_as_of_walk ~log ~page ~as_of =
 (* Both rewind paths split a page's rewind the same way: a gather (all
    priced I/O, all shared caches) and a pure apply.  The serial path is a
    batch of one; the batch pipeline runs the applies on pool workers.
-   The plan holds each record either as a live decode or as a span of its
-   segment blob, both immutable, so it can cross domains. *)
+   The plan holds each record as a span of its segment blob, immutable
+   until a crash recycles its LSN, so it can cross domains. *)
 type raw_plan = {
   rp_segment : Lsn.t array;  (* ascending chain LSNs in (as_of, chain top] *)
   rp_fpi : bool;  (* the earliest-FPI record follows the chain in [rp_records] *)
@@ -144,34 +144,17 @@ let plan_batch ~log ~as_of pages =
       reqs,
     got.b_windows_us )
 
-(* The jump-start image, from its live decode on a cache hit, validated
-   and blitted straight from its segment span otherwise. *)
+(* The jump-start image, validated and blitted straight from its
+   segment span. *)
 let restore_fpi pid (g : Log_manager.gathered) k page =
-  let r = g.g_decoded.(k) in
-  if r == Log_manager.not_cached then
-    Log_record.image_in_place g.g_blob.(k) ~pos:g.g_pos.(k) ~len:g.g_len.(k) ~page:pid page
-  else
-    match (Log_record.page_of r, Log_record.op_of r) with
-    | Some rpid, Some (Log_record.Full_image { image }) when Page_id.equal rpid pid ->
-        Bytes.blit_string image 0 page 0 Page.page_size
-    | _ -> raise Exit
+  Log_record.image_in_place g.g_blob.(k) ~pos:g.g_pos.(k) ~len:g.g_len.(k) ~page:pid page
 
 (* Chain record [k], validated against the page and the expected link
-   ([prev_lo, prev_hi]) and undone — from its live decode on a cache hit,
-   from its bytes otherwise; returns its back pointer. *)
+   ([prev_lo, prev_hi]) and undone from its bytes; returns its back
+   pointer. *)
 let undo_record pid (g : Log_manager.gathered) k ~prev_lo ~prev_hi page =
-  let r = g.g_decoded.(k) in
-  if r == Log_manager.not_cached then
-    Log_record.undo_in_place g.g_blob.(k) ~pos:g.g_pos.(k) ~len:g.g_len.(k) ~page:pid ~prev_lo
-      ~prev_hi page
-  else
-    match r.Log_record.body with
-    | Log_record.Page_op { page = rpid; prev_page_lsn; op }
-    | Log_record.Clr { page = rpid; prev_page_lsn; op; _ }
-      when Page_id.equal rpid pid && Lsn.(prev_page_lsn >= prev_lo && prev_page_lsn <= prev_hi) ->
-        Log_record.undo op page;
-        prev_page_lsn
-    | _ -> raise Exit
+  Log_record.undo_in_place g.g_blob.(k) ~pos:g.g_pos.(k) ~len:g.g_len.(k) ~page:pid ~prev_lo
+    ~prev_hi page
 
 (* The page image before an apply, restored if the apply fails part-way;
    one per domain, since applies run on pool workers. *)

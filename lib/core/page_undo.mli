@@ -31,12 +31,12 @@ val prepare_page_as_of :
     The staged functions below run on a batch of one: the chain records
     are located through the log manager's per-page chain index, fetched in
     ascending LSN order ({!Rw_wal.Log_manager.gather_batch}), and undone in
-    place — from a live cached decode or straight from the
-    record's bytes in its segment blob.  Every record is validated (CRC,
-    page, backward link) before it is undone; any mismatch or failing
-    undo restores the page and falls back to {!prepare_page_as_of_walk}
-    — the two entry points are byte-identical in effect.  Each such
-    fallback bumps [undo.walk_fallbacks]. *)
+    place, straight from the record's bytes in its segment blob.  Every
+    record is validated (tags, page, backward link, length fields) before
+    it is undone; its CRC was checked where its bytes entered the log.
+    Any mismatch or failing undo restores the page and falls back to
+    {!prepare_page_as_of_walk} — the two entry points are byte-identical
+    in effect.  Each such fallback bumps [undo.walk_fallbacks]. *)
 
 val prepare_page_as_of_walk :
   log:Rw_wal.Log_manager.t -> page:Rw_storage.Page.t -> as_of:Rw_storage.Lsn.t -> result
@@ -55,8 +55,8 @@ val prepare_page_as_of_walk :
     reproduces the serial path's exact result or exception. *)
 
 type raw_plan
-(** Everything one page's apply needs — live decodes and spans of
-    immutable segment blobs — safe to hand to a worker domain. *)
+(** Everything one page's apply needs — spans of immutable segment
+    blobs — safe to hand to a worker domain. *)
 
 val plan_batch :
   log:Rw_wal.Log_manager.t ->
@@ -76,8 +76,8 @@ val apply_raw : page:Rw_storage.Page.t -> as_of:Rw_storage.Lsn.t -> raw_plan -> 
 (** Validate and apply the plan against [page], in place.  Pure CPU over
     private state and immutable log bytes — no I/O, no caches, no probes
     — so it may run on any domain.  [None] means the plan was rejected
-    (a bad CRC, page or link, or an undo that raised); [page] is then
-    restored to its image before the call. *)
+    (a bad tag, page, link or length, or an undo that raised); [page] is
+    then restored to its image before the call. *)
 
 val note : Rw_storage.Page_id.t -> result -> result
 (** Publish-stage accounting for a rewind performed via

@@ -33,19 +33,13 @@ let is_base = function
       true
   | _ -> false
 
-(* The one redo apply: gathered record [k], at [lsn], redone onto [page]
-   unless the page LSN shows the image already reflects it — from its live
-   decode on a record-cache hit, else decoded (CRC checked) from its span.
-   Returns whether it applied. *)
+(* The one redo apply: gathered record [k], at [lsn], decoded from its
+   span and redone onto [page] unless the page LSN shows the image already
+   reflects it.  Returns whether it applied. *)
 let redo_record pid (g : Log_manager.gathered) k lsn page =
   Lsn.(Page.lsn page < lsn)
   && begin
-       let r = g.g_decoded.(k) in
-       let r =
-         if r == Log_manager.not_cached then
-           Log_record.decode (Bytes.sub_string g.g_blob.(k) g.g_pos.(k) g.g_len.(k))
-         else r
-       in
+       let r = Log_record.decode (Bytes.sub_string g.g_blob.(k) g.g_pos.(k) g.g_len.(k)) in
        (match Log_record.op_of r with Some op -> Log_record.redo pid op page | None -> ());
        Page.set_lsn page lsn;
        true

@@ -46,10 +46,10 @@ val redo_record :
     chain replay and log-scan redo ([Recovery.redo]): gathered record [k],
     whose LSN is [lsn], is redone onto [page] and [lsn] stamped as its page
     LSN — unless [Page.lsn page >= lsn] (the page-LSN guard: the image
-    already reflects it).  A live decode is redone as is; a span is decoded
-    with {!Rw_wal.Log_record.decode} first, which checks its CRC.  Returns
-    whether it applied.  Pure over its arguments, so workers may call it on
-    disjoint pages. *)
+    already reflects it).  The record is decoded from its span with
+    {!Rw_wal.Log_record.decode}; its CRC was checked where its bytes
+    entered the log.  Returns whether it applied.  Pure over its
+    arguments, so workers may call it on disjoint pages. *)
 
 val replay_chain :
   log:Rw_wal.Log_manager.t ->
@@ -65,9 +65,9 @@ val replay_chain :
     one, else from its oldest record, after passing that record's LSN to
     [no_base] (which may raise to refuse).  The records from there on are
     fetched as a batch of one through
-    {!Rw_wal.Log_manager.gather_batch} (block-priced, nothing inserted into
-    the record cache) and applied with {!redo_record}, so records at or
-    below the page LSN are skipped and the replay is idempotent.  A record
+    {!Rw_wal.Log_manager.gather_batch} (block-priced) and applied with
+    {!redo_record}, so records at or below the page LSN are skipped and
+    the replay is idempotent.  A record
     that cannot be located raises {!Rw_wal.Log_manager.Log_truncated} or
     {!Rw_wal.Log_manager.No_such_record}.  Returns the operations applied.
     Every chain-replay path uses it: {!rebuild} (page repair, scrub,

@@ -55,10 +55,9 @@ let analysis_head ~log ~start ~upto =
 (* Analysis only needs record headers (txn, kind, page); the one exception
    is checkpoint records, whose embedded tables require a decode.  The
    master checkpoint — always the first record of the range — is decoded
-   once up front by [analysis_head] (through the record LRU, so repeated
-   analyses reuse the decode) and arrives as [seed]; any later checkpoints inside the
-   range use the on-demand thunk.  Everything else is peeked, so the scan
-   never allocates row payloads. *)
+   once up front by [analysis_head] and arrives as [seed]; any later
+   checkpoints inside the range use the on-demand thunk.  Everything else
+   is peeked, so the scan never allocates row payloads. *)
 let analysis_scan ~log ~seed ~scan_from ~upto =
   let losers = Hashtbl.create 16 in
   let dirty_pages = Hashtbl.create 64 in
@@ -447,7 +446,8 @@ module Instant = struct
 
   (* Every page an in-flight transaction touched, including before the
      analysis start: the scanned region's [txn_pages] only covers records
-     at or after the master checkpoint, so walk the rest of the chain. *)
+     at or after the master checkpoint, so walk the rest of the chain —
+     each record priced as a read, but only its header peeked. *)
   let txn_page_set ~log ~analysis txn last =
     let pages =
       match Hashtbl.find_opt analysis.txn_pages txn with
@@ -456,14 +456,11 @@ module Instant = struct
     in
     let rec walk lsn =
       if not (Lsn.is_nil lsn) then begin
-        let r = Log_manager.read log lsn in
-        (match r.Log_record.body with
-        | Log_record.Page_op { page; _ } | Log_record.Clr { page; _ } ->
-            Hashtbl.replace pages (Page_id.to_int page) ()
-        | _ -> ());
-        match r.Log_record.body with
-        | Log_record.Begin -> ()
-        | _ -> walk r.Log_record.prev_txn_lsn
+        Log_manager.charge_read log lsn;
+        let pk = Log_manager.peek_record log lsn in
+        if Log_record.is_page_kind pk.Log_record.p_kind then
+          Hashtbl.replace pages (Page_id.to_int pk.Log_record.p_page) ();
+        if pk.Log_record.p_kind <> Log_record.K_begin then walk pk.Log_record.p_prev_txn_lsn
       end
     in
     walk last;

@@ -48,8 +48,7 @@ type analysis = {
 val analyze :
   log:Rw_wal.Log_manager.t -> start:Rw_storage.Lsn.t -> upto:Rw_storage.Lsn.t -> analysis
 (** Scan forward from [start] (normally the master checkpoint; its record
-    seeds the tables, decoded once up front through the record LRU so
-    repeated analyses skip the decode) up to, excluding, [upto].  The scan
+    seeds the tables, decoded once up front) up to, excluding, [upto].  The scan
     is header-only (peek-based); only checkpoint records are decoded. *)
 
 val loser_pages : analysis -> Rw_storage.Page_id.t list

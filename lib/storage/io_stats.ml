@@ -97,10 +97,7 @@ let pp fmt t =
     t.seq_read_bytes t.seq_write_bytes
 
 let pp_caches fmt t =
-  Format.fprintf fmt "block:%d/%d record:%d/%d" t.log_block_hits
-    (t.log_block_hits + t.log_block_misses)
-    t.log_record_hits
-    (t.log_record_hits + t.log_record_misses)
+  Format.fprintf fmt "block:%d/%d" t.log_block_hits (t.log_block_hits + t.log_block_misses)
 
 let pp_writes fmt t =
   let per_batch =

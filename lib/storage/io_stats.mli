@@ -15,9 +15,12 @@ type t = {
       (** log block cache: read served without simulated I/O *)
   mutable log_block_misses : int;  (** log block cache: priced random read *)
   mutable log_record_hits : int;
-      (** decoded-record cache: decode skipped (pure CPU saving, no effect
-          on simulated I/O accounting) *)
-  mutable log_record_misses : int;  (** decoded-record cache: full decode *)
+      (** always 0: the log keeps no decoded records.  Kept, with
+          [log_record_misses], because rwbench's [wal.record_hit_ratio]
+          reads both. *)
+  mutable log_record_misses : int;
+      (** records read from the log: decoded, or handed to a gather as a
+          span of their segment *)
   mutable log_flush_calls : int;
       (** log durability requests ([Log_manager.flush] calls, including
           no-ops already covered by a previous batch) *)
@@ -52,7 +55,7 @@ val add : t -> t -> unit
 val pp : Format.formatter -> t -> unit
 
 val pp_caches : Format.formatter -> t -> unit
-(** Hit/total summary of the log read-path cache layers. *)
+(** Hit/total summary of the log block cache. *)
 
 val pp_writes : Format.formatter -> t -> unit
 (** Batches/requests/coalescing summary of the log write path. *)

@@ -54,9 +54,6 @@ type segment = {
          is immutable) but are invisible: every read path checks
          [truncated_below] first and the merged-view queries clamp. *)
   mutable s_lsns : int array; (* ascending record-start LSNs; length >= s_n *)
-  mutable s_cached : Log_record.t Lru.Weighted.node option array;
-      (* Parallel to [s_lsns]: slot handles into the decoded-record
-         cache.  A hit is one pointer chase plus a liveness check. *)
   mutable s_blob : Bytes.t; (* encoded payloads, contiguous from s_base *)
   mutable s_sealed : bool;
   mutable s_resident : bool; (* payload still counted as modeled RAM *)
@@ -75,7 +72,6 @@ let mk_segment ~segment_bytes base =
     s_n = 0;
     s_dead = 0;
     s_lsns = Array.make 64 0;
-    s_cached = Array.make 64 None;
     (* Sized for the whole segment plus one page image of overshoot, so
        appends never regrow and copy it; only a record larger than that
        slack still doubles it. *)
@@ -131,10 +127,6 @@ type t = {
   mutable truncated_below : Lsn.t;
   cache : Lru.t;
   block_bytes : int;
-  record_cache : Log_record.t Lru.Weighted.t;
-      (* Decoded records keyed by LSN, weighed by encoded size.  Layered
-         over the block cache: block accounting (and therefore simulated
-         I/O cost) is identical whether or not a decode is skipped. *)
   mutable last_checkpoint : Lsn.t;
   mutable total_appended_bytes : int;
   mutable unflushed_bytes : int;
@@ -152,18 +144,18 @@ type t = {
          appends never bump it, because chain rewinds are deterministic
          over an append-only history. *)
   txn_index : (int, txn_acc) Hashtbl.t;
-      (* Per-transaction write-set summaries (unmodeled metadata, like
-         the decoded-record cache), kept exact record by record alongside
+      (* Per-transaction write-set summaries (unmodeled metadata), kept
+         exact record by record alongside
          the segment directories, so dependency-graph construction never
          scans the log. *)
   mutable torn : int list;
       (* Start LSNs of the torn stumps [crash] left listed in their
-         segment, already unindexed: [remove_last] must not unindex them
-         a second time. *)
+         segment, already unindexed: no lookup finds them, and
+         [remove_last] must not unindex them a second time. *)
 }
 
 let create ~clock ~media ?(cache_blocks = 128) ?(block_bytes = 65536)
-    ?(record_cache_bytes = 4 * 1024 * 1024) ?(segment_bytes = 1024 * 1024) ?fault_plan () =
+    ?(segment_bytes = 1024 * 1024) ?fault_plan () =
   {
     clock;
     media;
@@ -179,7 +171,6 @@ let create ~clock ~media ?(cache_blocks = 128) ?(block_bytes = 65536)
     truncated_below = Lsn.of_int 1;
     cache = Lru.create ~capacity:cache_blocks;
     block_bytes;
-    record_cache = Lru.Weighted.create ~capacity_bytes:record_cache_bytes;
     last_checkpoint = Lsn.nil;
     total_appended_bytes = 0;
     unflushed_bytes = 0;
@@ -204,7 +195,6 @@ let set_last_checkpoint t lsn = t.last_checkpoint <- lsn
 let total_appended_bytes t = t.total_appended_bytes
 let retained_bytes t = Lsn.to_int t.end_lsn - Lsn.to_int t.truncated_below
 let record_count t = t.nrecords
-let record_cache_bytes t = Lru.Weighted.size_bytes t.record_cache
 let invalidation_epoch t = t.invalidation_epoch
 let segment_count t = t.seg_hi - t.seg_lo
 let segment_size t = t.segment_bytes
@@ -276,12 +266,18 @@ let seg_find t li =
     if !lo < t.seg_hi && t.segs.(!lo).s_base <= li then Some !lo else None
   end
 
+(* A torn stump stays listed in its segment until tail repair drops it,
+   but it is no record: no lookup finds it, so nothing reads its bytes. *)
+let is_torn t li = match t.torn with [] -> false | torn -> List.mem li torn
+
 let locate_opt t lsn =
   let li = Lsn.to_int lsn in
   match seg_find t li with
   | None -> None
   | Some si -> (
-      match rec_find t.segs.(si) li with Some i -> Some (si, i) | None -> None)
+      match rec_find t.segs.(si) li with
+      | Some i when not (is_torn t li) -> Some (si, i)
+      | _ -> None)
 
 let locate t lsn =
   if Lsn.(lsn < t.truncated_below) then raise (Log_truncated lsn);
@@ -338,10 +334,7 @@ let push_seg t seg =
 let seal_segment t ?(priced = true) seg =
   seg.s_sealed <- true;
   (* Immutable from here on: shrink the working arrays to fit. *)
-  if Array.length seg.s_lsns > seg.s_n then begin
-    seg.s_lsns <- Array.sub seg.s_lsns 0 seg.s_n;
-    seg.s_cached <- Array.sub seg.s_cached 0 seg.s_n
-  end;
+  if Array.length seg.s_lsns > seg.s_n then seg.s_lsns <- Array.sub seg.s_lsns 0 seg.s_n;
   let used = seg_used seg in
   if Bytes.length seg.s_blob > used then seg.s_blob <- Bytes.sub seg.s_blob 0 used;
   t.sealed_count <- t.sealed_count + 1;
@@ -382,10 +375,7 @@ let ensure_slots seg =
     let cap = max 64 (2 * seg.s_n) in
     let l = Array.make cap 0 in
     Array.blit seg.s_lsns 0 l 0 seg.s_n;
-    seg.s_lsns <- l;
-    let c = Array.make cap None in
-    Array.blit seg.s_cached 0 c 0 seg.s_n;
-    seg.s_cached <- c
+    seg.s_lsns <- l
   end
 
 (* ---------- block-cache cost model (unchanged by segmentation) ---------- *)
@@ -521,8 +511,8 @@ let ctl_remove d lsn =
     d.c_n <- d.c_n - 1
   end
 
-(* Modeled index footprint per entry: the record's offset + cache-handle
-   slots, a chain array element, an FPI list cons, a control-directory
+(* Modeled index footprint per entry: the record's two-word directory
+   entry, a chain array element, an FPI list cons, a control-directory
    entry (LSN, txn and wall slots plus a kind byte).  Coarse, but it
    moves with the structures it models and is freed exactly when they
    are. *)
@@ -668,7 +658,6 @@ let reserve t lsn len =
   ensure_blob seg (seg_used seg + len);
   ensure_slots seg;
   seg.s_lsns.(seg.s_n) <- Lsn.to_int lsn;
-  seg.s_cached.(seg.s_n) <- None;
   seg.s_n <- seg.s_n + 1;
   seg.s_end <- Lsn.to_int lsn + len;
   t.nrecords <- t.nrecords + 1;
@@ -690,7 +679,9 @@ let index_placed t seg pk lsn =
   index_record t seg pk lsn ~wall
 
 (* The one ingestion step of [append], [restore_entries] and
-   [ingest_entries]: place an encoded record and index it. *)
+   [ingest_entries]: place an encoded record and index it.  Bytes from
+   outside the process have passed their CRC check by now; bytes [append]
+   encoded need none. *)
 let place t data lsn =
   let len = String.length data in
   let seg = reserve t lsn len in
@@ -712,17 +703,11 @@ let append t record =
   let len = String.length data in
   let lsn = t.end_lsn in
   let seg = place t data lsn in
-  (* The record object is in hand; seed the decoded cache so the first
-     chain walk over fresh history never decodes. *)
-  seg.s_cached.(seg.s_n - 1) <-
-    Some (Lru.Weighted.add_node t.record_cache (Lsn.to_int lsn) ~weight:len record);
   appended t seg lsn len;
   lsn
 
 (* A full page image, encoded straight into the segment blob: no record
-   value, no intermediate string.  Nor is its decode cached — one image
-   weighs as much as a hundred small chain records, which a rewind reads
-   far more often. *)
+   value, no intermediate string. *)
 let append_image t ~page ~prev_page_lsn image =
   let len = Log_record.image_record_size in
   let lsn = t.end_lsn in
@@ -760,38 +745,12 @@ let flush_all t = flush t ~upto:(Lsn.of_int (max 1 (Lsn.to_int t.end_lsn - 1)))
 
 (* ---------- record reads ---------- *)
 
-(* Decode through the record cache, inserting on a miss — [read]'s path,
-   the only reader that inserts; pure CPU layering, no I/O accounting.
-   The hit path is the hot loop of every chain walk — one pointer chase
-   through the segment's slot handle, no table lookup. *)
-let decode_cached t seg i =
-  match seg.s_cached.(i) with
-  | Some n when Lru.Weighted.alive n ->
-      t.io.Io_stats.log_record_hits <- t.io.Io_stats.log_record_hits + 1;
-      Lru.Weighted.touch t.record_cache n;
-      Lru.Weighted.node_value n
-  | _ ->
-      t.io.Io_stats.log_record_misses <- t.io.Io_stats.log_record_misses + 1;
-      let data = rec_data seg i in
-      let r = Log_record.decode data in
-      seg.s_cached.(i) <-
-        Some
-          (Lru.Weighted.add_node t.record_cache seg.s_lsns.(i) ~weight:(String.length data) r);
-      r
-
-(* Scan variant: reuse a live cached decode but never insert on a miss —
-   a range scan over cold history would otherwise flush the hot chain
-   entries out of the weighted LRU.  [append] seeds the cache with every
-   record it encodes, so full-decode scans over fresh history are pure
-   hits. *)
-let decode_scan t seg i =
-  match seg.s_cached.(i) with
-  | Some n when Lru.Weighted.alive n ->
-      t.io.Io_stats.log_record_hits <- t.io.Io_stats.log_record_hits + 1;
-      Lru.Weighted.node_value n
-  | _ ->
-      t.io.Io_stats.log_record_misses <- t.io.Io_stats.log_record_misses + 1;
-      Log_record.decode (rec_data seg i)
+(* Every record read decodes from the record's bytes in its segment
+   blob.  [log_record_misses] counts these reads; [log_record_hits]
+   stays 0. *)
+let decode_at t seg i =
+  t.io.Io_stats.log_record_misses <- t.io.Io_stats.log_record_misses + 1;
+  Log_record.decode (rec_data seg i)
 
 let locate_charged t lsn =
   let si, i = locate t lsn in
@@ -803,7 +762,7 @@ let charge_read t lsn = ignore (locate_charged t lsn : segment * int)
 
 let read t lsn =
   let seg, i = locate_charged t lsn in
-  decode_cached t seg i
+  decode_at t seg i
 
 (* Visit an ascending LSN array's records in order, as [f k seg i] for
    the [k]th LSN.  Records are stored in ascending LSN order, so after the
@@ -833,7 +792,9 @@ let iter_ascending t lsns f =
                 advance fuel
               end
               else set_pos lsn
-            else if s.s_lsns.(!ri) = li then ()
+            else if s.s_lsns.(!ri) = li then begin
+              if is_torn t li then raise (No_such_record lsn)
+            end
             else if fuel = 0 || s.s_lsns.(!ri) > li then set_pos lsn
             else begin
               incr ri;
@@ -848,45 +809,22 @@ let iter_ascending t lsns f =
       lsns
   end
 
-let not_cached = Log_record.make Log_record.End
-
-type gathered = {
-  g_decoded : Log_record.t array;
-  mutable g_blob : Bytes.t array;
-  mutable g_pos : int array;
-  mutable g_len : int array;
-}
-
+type gathered = { g_blob : Bytes.t array; g_pos : int array; g_len : int array }
 type batch = { b_pages : gathered option array; b_windows_us : float array }
 
-(* A gather of [n] records, every slot still to be taken.  The span arrays
-   are only allocated once some record misses. *)
-let gathering n = { g_decoded = Array.make n not_cached; g_blob = [||]; g_pos = [||]; g_len = [||] }
+let gathering n =
+  { g_blob = Array.make n Bytes.empty; g_pos = Array.make n 0; g_len = Array.make n 0 }
 
 (* The one hand-off step of every gather: record [i] of [s] becomes slot
-   [k] of [g] — its live decode on a record-cache hit, or on a miss its
-   bytes where they sit in the segment blob: no copy, no decode, no cache
-   insert.  A rewind or a redo reads each record once, so inserting its
-   decode would only churn the cache.  The result is parallel arrays
-   rather than one box per record: a long chain's array lives in the
-   major heap, and storing a fresh box per record into it would promote
-   every box. *)
+   [k] of [g] as its bytes where they sit in the segment blob — no copy,
+   no decode.  The result is parallel arrays rather than one box per
+   record: a long chain's array lives in the major heap, and storing a
+   fresh box per record into it would promote every box. *)
 let take t g k s i =
-  match s.s_cached.(i) with
-  | Some node when Lru.Weighted.alive node ->
-      t.io.Io_stats.log_record_hits <- t.io.Io_stats.log_record_hits + 1;
-      g.g_decoded.(k) <- Lru.Weighted.node_value node
-  | _ ->
-      t.io.Io_stats.log_record_misses <- t.io.Io_stats.log_record_misses + 1;
-      if Array.length g.g_blob = 0 then begin
-        let n = Array.length g.g_decoded in
-        g.g_blob <- Array.make n Bytes.empty;
-        g.g_pos <- Array.make n 0;
-        g.g_len <- Array.make n 0
-      end;
-      g.g_blob.(k) <- s.s_blob;
-      g.g_pos.(k) <- rec_pos s i;
-      g.g_len.(k) <- rec_len s i
+  t.io.Io_stats.log_record_misses <- t.io.Io_stats.log_record_misses + 1;
+  g.g_blob.(k) <- s.s_blob;
+  g.g_pos.(k) <- rec_pos s i;
+  g.g_len.(k) <- rec_len s i
 
 (* Step 1 of [gather_batch] for one page: locate each record and [take]
    it.  The blocks each record spans are reported through
@@ -1035,7 +973,7 @@ let iter_from t start_pos ~upto f =
 let iter_range_peek t ~from ~upto f =
   iter_from t (global_lower t from) ~upto (fun s i lsn ->
       charge_seq t (rec_len s i);
-      f lsn (rec_peek s i) (fun () -> decode_scan t s i))
+      f lsn (rec_peek s i) (fun () -> decode_at t s i))
 
 (* The log-scan redo gather: [iter_range_peek]'s order and pricing, every
    visited record charged; the page records [keep] admits are grouped by
@@ -1079,7 +1017,7 @@ let iter_range_rev t ~from ~upto f =
         if li < from_i then continue := false
         else begin
           charge_seq t (rec_len s i);
-          f (Lsn.of_int li) (decode_scan t s i);
+          f (Lsn.of_int li) (decode_at t s i);
           pos := pred_pos t (si, i)
         end
   done
@@ -1229,19 +1167,10 @@ let pages_changed_since t ~since =
 
 (* ---------- truncation (retention) ---------- *)
 
-let drop_record_cache_entry t seg i =
-  (match seg.s_cached.(i) with
-  | Some n when Lru.Weighted.alive n -> Lru.Weighted.remove t.record_cache seg.s_lsns.(i)
-  | _ -> ());
-  seg.s_cached.(i) <- None
-
-(* Drop a whole segment below the retention boundary: its record-cache
-   slots are released and its index tables become garbage in one step —
-   this is what makes retention O(1) per segment instead of O(records). *)
+(* Drop a whole segment below the retention boundary: its index tables
+   become garbage in one step — this is what makes retention O(1) per
+   segment instead of O(records). *)
 let drop_segment t seg =
-  for i = seg.s_dead to seg.s_n - 1 do
-    drop_record_cache_entry t seg i
-  done;
   if seg.s_resident then t.resident_payload <- t.resident_payload - seg_used seg;
   t.index_bytes <- t.index_bytes - seg.s_index_bytes;
   t.nrecords <- t.nrecords - (seg.s_n - seg.s_dead);
@@ -1259,19 +1188,15 @@ let truncate_before t lsn =
     done;
     t.truncated_below <- lsn;
     (* The straddling segment (if any) keeps its dead prefix physically —
-       it is immutable — but the prefix's record-cache slots are released
-       and the records leave the retained count.  The block cache needs no
-       invalidation: membership is a cost-model artifact, and a dropped
-       LSN can never be served from it because every read path checks
-       [truncated_below] before touching a block. *)
+       it is immutable — but the records leave the retained count.  The
+       block cache needs no invalidation: membership is a cost-model
+       artifact, and a dropped LSN can never be served from it because
+       every read path checks [truncated_below] before touching a block. *)
     if t.seg_lo < t.seg_hi then begin
       let s = t.segs.(t.seg_lo) in
       if s.s_base < li then begin
         let dead = rec_lower s li in
         if dead > s.s_dead then begin
-          for i = s.s_dead to dead - 1 do
-            drop_record_cache_entry t s i
-          done;
           t.nrecords <- t.nrecords - (dead - s.s_dead);
           s.s_dead <- dead
         end
@@ -1314,6 +1239,8 @@ let restore_entries t entries =
     (fun (lsn, data) ->
       if not (Lsn.equal lsn t.end_lsn) then
         invalid_arg "Log_manager.restore_entries: non-contiguous entries";
+      (* The bytes come from a file: their CRC is checked here, once. *)
+      if not (Log_record.check data) then raise Log_record.Corrupt_record;
       let seg = place t data lsn in
       (* Replay sealing so a restored log has the same segment shape as
          the one that was dumped — but unpriced: persistence is an
@@ -1335,10 +1262,8 @@ let remove_last t =
   let i = s.s_n - 1 in
   let li = s.s_lsns.(i) in
   let len = rec_len s i in
-  Lru.Weighted.remove t.record_cache li;
   if List.mem li t.torn then t.torn <- List.filter (( <> ) li) t.torn
   else unindex_record t s (rec_peek s i) (Lsn.of_int li);
-  s.s_cached.(i) <- None;
   s.s_n <- i;
   s.s_end <- li;
   if s.s_resident then t.resident_payload <- t.resident_payload - len;
@@ -1426,10 +1351,8 @@ let crash t =
     let li = s.s_lsns.(i) in
     let len = rec_len s i in
     let cut = Fault_plan.torn_record_cut (Option.get t.fault_plan) ~len in
-    Lru.Weighted.remove t.record_cache li;
     unindex_record t s (rec_peek s i) (Lsn.of_int li);
     t.torn <- li :: t.torn;
-    s.s_cached.(i) <- None;
     s.s_end <- li + cut;
     if s.s_resident then t.resident_payload <- t.resident_payload - (len - cut);
     t.end_lsn <- Lsn.of_int (li + cut);
@@ -1547,6 +1470,11 @@ let segments_behind t ~from =
   else match global_lower t from with None -> 0 | Some (si, _) -> t.seg_hi - si
 
 let ingest_entries t entries =
+  (* The bytes come from another process: their CRC is checked here, once,
+     and a shipment with any bad record is refused whole, before anything
+     is placed. *)
+  if not (List.for_all (fun (_, data) -> Log_record.check data) entries) then
+    raise Log_record.Corrupt_record;
   (match entries with
   | (first, _) :: _ when t.nrecords = 0 && Lsn.to_int t.end_lsn <= Lsn.to_int first ->
       (* First shipment into a fresh log: adopt the primary's origin,

@@ -13,11 +13,20 @@
 
     Every page record that reaches an apply step — a rewind's undo, a
     chain replay's or a log-scan redo's redo — is handed over in one form,
-    {!gathered}: the record cache's live decode on a hit, the record's
-    span of its segment blob on a miss.  {!gather_batch} fetches chains
-    (random, block-priced); {!gather_range} fetches a scanned range
-    (sequentially priced).  Neither inserts into the decoded-record cache:
-    only {!read} and {!append} do.
+    {!gathered}: the record's span of its segment blob.  {!gather_batch}
+    fetches chains (random, block-priced); {!gather_range} fetches a
+    scanned range (sequentially priced).  The log keeps no decoded
+    records: {!read} and the scans decode from the bytes on every call.
+
+    {2 Where records are checked}
+
+    Each record's CRC trailer is checked exactly once, where its bytes
+    enter the process: {!restore_entries} (a saved image), {!ingest_entries}
+    (a replica shipment) and {!repair_tail} (the bytes that survived a
+    crash).  A record that fails there is refused before it is placed or
+    indexed.  Bytes {!append} and {!append_image} encode are produced in
+    process and need no check.  Readers then parse records without a CRC;
+    the in-place kernels keep their structural checks.
 
     The log manager also maintains the full-page-image directory used to
     jump-start page undo (paper §6.1), and the retention boundary
@@ -54,19 +63,15 @@ val create :
   media:Rw_storage.Media.t ->
   ?cache_blocks:int ->
   ?block_bytes:int ->
-  ?record_cache_bytes:int ->
   ?segment_bytes:int ->
   ?fault_plan:Rw_storage.Fault_plan.t ->
   unit ->
   t
 (** [cache_blocks] (default 128) and [block_bytes] (default 65536) size the
-    log block cache; [record_cache_bytes] (default 4 MiB) budgets the
-    decoded-record cache layered above it.  The record cache only skips
-    decode CPU work — block-level I/O accounting is identical with or
-    without it.  [segment_bytes] (default 1 MiB, minimum 64) is the size
-    at which the active tail segment seals and spills.  When a
-    [fault_plan] is attached, {!crash} consults it to decide whether the
-    log tail tears. *)
+    log block cache, its only cache.  [segment_bytes] (default 1 MiB,
+    minimum 64) is the size at which the active tail segment seals and
+    spills.  When a [fault_plan] is attached, {!crash} consults it to
+    decide whether the log tail tears. *)
 
 val clock : t -> Rw_storage.Sim_clock.t
 val stats : t -> Rw_storage.Io_stats.t
@@ -84,8 +89,7 @@ val append_image :
     write for [Page_op { page; prev_page_lsn; op = Full_image _ }] —
     encoding it straight into the log's tail
     ({!Log_record.encode_image_into}), with the same indexing and write-path
-    accounting.  Unlike {!append} it does not seed the decoded-record
-    cache. *)
+    accounting. *)
 
 val flush : t -> upto:Rw_storage.Lsn.t -> unit
 (** Make all records appended so far durable if any at or below [upto] are
@@ -106,34 +110,24 @@ val first_lsn : t -> Rw_storage.Lsn.t
 (** Oldest retained LSN (moves forward on truncation). *)
 
 val read : t -> Rw_storage.Lsn.t -> Log_record.t
-(** Random record read through the block cache.  Raises {!Log_truncated}
-    below the retention boundary and {!No_such_record} for an LSN that is
-    not a record boundary. *)
+(** Random record read through the block cache, decoded from the record's
+    bytes.  Raises {!Log_truncated} below the retention boundary and
+    {!No_such_record} for an LSN that is not a record boundary — a torn
+    stump {!crash} left behind included. *)
 
 val charge_read : t -> Rw_storage.Lsn.t -> unit
-(** The block charges of {!read}, with no decode and no record-cache
-    access: for a caller that prices reading a record whose content it
-    already knows.  Same exceptions as {!read}. *)
+(** The block charges of {!read}, with no decode: for a caller that
+    prices reading a record whose content it already knows, or whose
+    header ({!peek_record}) is all it needs.  Same exceptions as
+    {!read}. *)
 
 (** One page's records from a {!gather_batch} or {!gather_range}, as
-    parallel arrays indexed like the page's LSNs.  [g_decoded.(k)] is
-    record [k]'s live decode from the record cache (a hit), or
-    {!not_cached} (a miss).  A missed record's bytes are
+    parallel arrays indexed like the page's LSNs.  Record [k]'s bytes are
     [g_blob.(k).[g_pos.(k) .. g_pos.(k)+g_len.(k)-1]], inside its segment's
     blob; they never change until a crash lets the log reuse their LSNs,
-    and may be read from any domain.  The span arrays are empty when every
-    record hit.  Rewinds undo these records and redo replays them; both
-    gathers count each record as one record-cache hit or miss. *)
-type gathered = private {
-  g_decoded : Log_record.t array;
-  mutable g_blob : bytes array;
-  mutable g_pos : int array;
-  mutable g_len : int array;
-}
-
-val not_cached : Log_record.t
-(** The placeholder both gathers put in [g_decoded] on a miss; compare
-    with [==]. *)
+    and may be read from any domain.  Rewinds undo these records in place
+    and redo replays them. *)
+type gathered = private { g_blob : bytes array; g_pos : int array; g_len : int array }
 
 type batch = {
   b_pages : gathered option array;
@@ -147,9 +141,8 @@ type batch = {
 val gather_batch : t -> Rw_storage.Lsn.t array array -> batch
 (** The chain fetch for a batch of pages, one ascending LSN array per
     page: a rewind's batch, or a chain replay's batch of one.  Records are
-    located first; a miss in the record cache is
-    returned only as its span of the segment blob — never copied, decoded
-    or inserted into the record cache.  Then every block the batch needs is
+    located first and returned as their spans of the segment blob — never
+    copied or decoded.  Then every block the batch needs is
     charged exactly once, in ascending order: a cached block is a hit, and
     each run of consecutive missing blocks, capped at the block-cache
     capacity, is one random read followed by sequential reads. *)
@@ -171,11 +164,9 @@ val iter_range_peek :
 (** In-order scan of records with [from <= lsn < upto]; priced
     sequentially, each record as it is visited.  [from] is rounded up to
     the first retained record.  The callback receives the record header
-    plus a thunk that decodes the full record on demand: a live cached
-    decode is reused (a hit), a miss is decoded but never inserted, so a
-    cold scan cannot flush hot chain entries.  Scans that filter on
-    page/kind — recovery analysis — avoid decoding the records they
-    skip. *)
+    plus a thunk that decodes the full record on demand.  Scans that
+    filter on page/kind — recovery analysis — avoid decoding the records
+    they skip. *)
 
 val gather_range :
   t ->
@@ -186,8 +177,7 @@ val gather_range :
 (** The log-scan redo fetch: {!iter_range_peek}'s scan and pricing, with
     the page records [keep lsn page] admits handed over as {!gathered}
     entries, one per page in page-id order, each with its LSNs
-    ascending.  Every admitted record counts one record-cache hit or
-    miss; a miss is never copied, decoded or inserted. *)
+    ascending.  No admitted record is copied or decoded. *)
 
 val iter_range_rev :
   t -> from:Rw_storage.Lsn.t -> upto:Rw_storage.Lsn.t -> (Rw_storage.Lsn.t -> Log_record.t -> unit) -> unit
@@ -256,11 +246,8 @@ val total_appended_bytes : t -> int
 
 val retained_bytes : t -> int
 val record_count : t -> int
-(** (test support, like {!record_cache_bytes} and {!segment_size}: the
-    tests check retention, shipping and cache bounds through them.) *)
-
-val record_cache_bytes : t -> int
-(** Current decoded-record cache occupancy. *)
+(** (test support, like {!segment_size}: the tests check retention and
+    shipping through them.) *)
 
 val invalidation_epoch : t -> int
 (** Monotone counter bumped whenever log history is invalidated:
@@ -308,12 +295,15 @@ val crash : t -> unit
     records survives instead — the OS had pushed them out "by luck" — with
     the last survivor torn mid-record.  The surviving prefix never extends
     below {!flushed_lsn}, so acknowledged commits are intact either way;
-    the tear is found and removed by {!repair_tail}. *)
+    the tear is found and removed by {!repair_tail}.  Until then the torn
+    stump is in no index, and no lookup ({!read}, {!peek_record},
+    {!gather_batch}, {!mem}) finds it. *)
 
 val repair_tail : t -> (Rw_storage.Lsn.t * int) option
 (** Validate record CRCs forward from the last durable checkpoint and
     truncate the log at the first record that fails — the recovery scan's
-    torn-tail repair.  Returns [Some (lsn, dropped)] — the new end of log
+    torn-tail repair, and the entry check of the bytes that survived a
+    crash.  Returns [Some (lsn, dropped)] — the new end of log
     and how many records were discarded — or [None] if the tail is clean.
     Priced as a sequential scan of the validated region. *)
 
@@ -325,7 +315,9 @@ val dump_entries : t -> (Rw_storage.Lsn.t * string) list
 val restore_entries : t -> (Rw_storage.Lsn.t * string) list -> unit
 (** Rebuild a fresh log manager's state from {!dump_entries} output
     (indexes, FPI directory and control-record directory included).  Every
-    restored record is considered durable.  Raises on a non-empty log. *)
+    restored record is considered durable.  Each record's CRC is checked
+    before it is placed: {!Log_record.Corrupt_record} on the first that
+    fails.  Raises [Invalid_argument] on a non-empty log. *)
 
 (** {2 Replication}
 
@@ -367,9 +359,11 @@ val ingest_entries : t -> (Rw_storage.Lsn.t * string) list -> int
 (** Append a shipment onto the end of this (replica) log.  Entries below
     {!end_lsn} are skipped — duplicate delivery is idempotent — and the
     first genuinely new entry must land exactly at {!end_lsn}
-    ([Invalid_argument] on a gap: shipments are applied in order).  Into a
-    completely fresh log, the first shipment establishes the origin as
-    {!restore_entries} would.  Ingested records are immediately durable
+    ([Invalid_argument] on a gap: shipments are applied in order).  Every
+    shipped record's CRC is checked first, and a shipment with any record
+    that fails is refused whole with {!Log_record.Corrupt_record}, the log
+    unchanged.  Into a completely fresh log, the first shipment
+    establishes the origin as {!restore_entries} would.  Ingested records are immediately durable
     (priced as one sequential log write); the master record is {e not}
     advanced — the replica moves its recovery checkpoint explicitly via
     {!set_last_checkpoint} after flushing redone pages.  Returns the
@@ -402,8 +396,8 @@ val truncate_from : t -> Rw_storage.Lsn.t -> int
     opens a summary, and retention truncation drops the summaries whose
     first record fell below the boundary.  A transaction whose history
     crosses the retention boundary therefore has no summary, rather than
-    one with an understated write set.  Like the decoded-record cache,
-    the index is unmodeled metadata: it has no simulated-RAM footprint. *)
+    one with an understated write set.  The index is unmodeled metadata:
+    it has no simulated-RAM footprint. *)
 
 type txn_summary = {
   ts_txn : Txn_id.t;

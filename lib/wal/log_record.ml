@@ -33,11 +33,6 @@ type t = { txn : Txn_id.t; prev_txn_lsn : Lsn.t; body : body }
 
 let make ?(txn = Txn_id.nil) ?(prev_txn_lsn = Lsn.nil) body = { txn; prev_txn_lsn; body }
 
-let page_of t =
-  match t.body with
-  | Page_op { page; _ } | Clr { page; _ } -> Some page
-  | Begin | Commit _ | Abort | End | Checkpoint _ -> None
-
 let op_of t =
   match t.body with
   | Page_op { op; _ } | Clr { op; _ } -> Some op
@@ -224,7 +219,6 @@ let check s =
   stored = Checksum.crc32 (Bytes.unsafe_of_string s) ~pos:0 ~len:(n - 4)
 
 let decode s =
-  if not (check s) then raise Corrupt_record;
   let open Codec in
   let d = decoder s in
   let txn = Txn_id.of_int64 (get_i64 d) in
@@ -375,60 +369,64 @@ let wall_bytes b ~pos = Int64.float_of_bits (Bytes.get_int64_le b (pos + 17))
 
 (* --- in-place undo --- *)
 
-(* Every length field is bounds-checked against the payload end [stop]
-   before the page is touched, so no undo reads past its own record. *)
-let need ~stop upto = if upto > stop then raise Corrupt_record
-
-(* One past the u16-length-prefixed string at [at]. *)
-let str16_end b ~stop at =
-  need ~stop (at + 2);
-  let e = at + 2 + Bytes.get_uint16_le b at in
-  need ~stop e;
-  e
-
+(* The record's bytes were CRC-checked once, where they entered the log;
+   what is checked here is structure.  The record's payload is bounded
+   once ([stop], the start of its CRC trailer), and every length field is
+   checked against that bound before the page is touched, so no undo
+   reads past its own record. *)
 let undo_in_place b ~pos ~len ~page ~prev_lo ~prev_hi p =
-  if not (check_bytes b ~pos ~len) then raise Corrupt_record;
+  let stop = pos + len - 4 in
+  if pos < 0 || stop > Bytes.length b || stop < pos + 34 then raise Corrupt_record;
   let op_at =
     match Bytes.get_uint8 b (pos + 16) with
     | 5 -> pos + 33
-    | 6 -> pos + 41
+    | 6 when stop >= pos + 42 -> pos + 41
     | _ -> raise Corrupt_record
   in
-  let stop = pos + len - 4 in
-  need ~stop (op_at + 1);
   if Int64.to_int (Bytes.get_int64_le b (pos + 17)) <> Page_id.to_int page then
     raise Corrupt_record;
   let prev = Int64.to_int (Bytes.get_int64_le b (pos + 25)) in
-  if prev < Lsn.to_int prev_lo || prev > Lsn.to_int prev_hi then raise Corrupt_record;
+  (* A chain rewind's links are exact but for the oldest record's: an
+     exact link is the back pointer itself, with no conversion back. *)
+  let back =
+    if prev_lo == prev_hi then
+      if prev = Lsn.to_int prev_lo then prev_lo else raise Corrupt_record
+    else if prev < Lsn.to_int prev_lo || prev > Lsn.to_int prev_hi then raise Corrupt_record
+    else Lsn.of_int prev
+  in
   (match Bytes.get_uint8 b op_at with
   | (0 | 1 | 2) as kind ->
-      (* slot, then the row (Insert/Delete) or the before image (Update) *)
-      need ~stop (op_at + 3);
-      let at = Bytes.get_uint16_le b (op_at + 1) in
-      let row_end = str16_end b ~stop (op_at + 3) in
+      (* slot, then the u16-length-prefixed row (Insert/Delete) or before
+         image (Update); an Update's after image must fit behind it *)
       let row_pos = op_at + 5 in
-      let row_len = row_end - row_pos in
+      if row_pos > stop then raise Corrupt_record;
+      let at = Bytes.get_uint16_le b (op_at + 1) in
+      let row_len = Bytes.get_uint16_le b (op_at + 3) in
+      let row_end = row_pos + row_len in
+      if row_end > stop then raise Corrupt_record;
       if kind = 0 then Rw_storage.Slotted_page.delete p ~at
       else if kind = 1 then Rw_storage.Slotted_page.insert_sub p ~at b ~pos:row_pos ~len:row_len
       else begin
-        ignore (str16_end b ~stop row_end : int);
+        if row_end + 2 > stop || row_end + 2 + Bytes.get_uint16_le b row_end > stop then
+          raise Corrupt_record;
         Rw_storage.Slotted_page.set_sub p ~at b ~pos:row_pos ~len:row_len
       end
   | 3 ->
-      need ~stop (op_at + 18);
+      if op_at + 18 > stop then raise Corrupt_record;
       let field = field_of_code (Bytes.get_uint8 b (op_at + 1)) in
       set_header p field (Bytes.get_int64_le b (op_at + 2))
   | 4 ->
-      need ~stop (op_at + 3);
+      if op_at + 3 > stop then raise Corrupt_record;
       Page.format p ~id:(Page.id p) ~typ:Page.Free
-  | 5 ->
-      need ~stop (op_at + 5 + Page.page_size);
-      if Int32.to_int (Bytes.get_int32_le b (op_at + 1)) <> Page.page_size then
-        raise Corrupt_record;
-      Bytes.blit b (op_at + 5) p 0 Page.page_size
-  | 6 -> ()
+  | (5 | 6) as kind ->
+      (* a page image: the Preformat's prior one, or a Full_image (undo
+         no-op) *)
+      if op_at + 5 + Page.page_size > stop
+         || Int32.to_int (Bytes.get_int32_le b (op_at + 1)) <> Page.page_size
+      then raise Corrupt_record;
+      if kind = 5 then Bytes.blit b (op_at + 5) p 0 Page.page_size
   | _ -> raise Corrupt_record);
-  Lsn.of_int prev
+  back
 
 (* --- full page images, written and restored in place --- *)
 
@@ -454,7 +452,6 @@ let encode_image_into b ~pos ~page ~prev_page_lsn image =
 let image_in_place b ~pos ~len ~page p =
   if
     len <> image_record_size
-    || (not (check_bytes b ~pos ~len))
     || Bytes.get_uint8 b (pos + 16) <> 5
     || Bytes.get_uint8 b (pos + 33) <> 6
     || Int64.to_int (Bytes.get_int64_le b (pos + 17)) <> Page_id.to_int page

@@ -58,12 +58,11 @@ type body =
 type t = { txn : Txn_id.t; prev_txn_lsn : Rw_storage.Lsn.t; body : body }
 
 exception Corrupt_record
-(** An encoded record failed its CRC trailer check (torn or rotten). *)
+(** An encoded record failed its CRC trailer check (torn or rotten) where
+    it entered the log, or failed a structural check of the in-place
+    kernels below. *)
 
 val make : ?txn:Txn_id.t -> ?prev_txn_lsn:Rw_storage.Lsn.t -> body -> t
-
-val page_of : t -> Rw_storage.Page_id.t option
-(** The page a record modifies, if any. *)
 
 val op_of : t -> op option
 
@@ -88,14 +87,15 @@ val encode : t -> string
     torn or corrupted record is detectable without attempting a decode. *)
 
 val decode : string -> t
-(** Verifies the CRC trailer first, raising {!Corrupt_record} on mismatch;
-    a record that passes the CRC but still fails to parse raises
-    [Invalid_argument] or [Failure]. *)
+(** Parses an encoded record.  The CRC trailer is not checked: the log
+    checks it once, where the bytes enter the process
+    ([Log_manager.restore_entries], [ingest_entries], [repair_tail]).  A
+    malformed record raises [Invalid_argument] or [Failure]. *)
 
 val check : string -> bool
 (** Whether the encoded record's CRC trailer matches its content — the
-    recovery scan's torn-tail detector.  Never raises.  (test support: the
-    fault tests check torn records directly.) *)
+    check a loaded or shipped record passes before the log accepts it.
+    Never raises. *)
 
 val kind_name : t -> string
 (** (test support: the tests pick and name records by kind.) *)
@@ -146,7 +146,8 @@ val peek_bytes : bytes -> pos:int -> len:int -> peek
 
 val check_bytes : bytes -> pos:int -> len:int -> bool
 (** {!check} of the encoded record occupying [b.[pos .. pos+len-1]],
-    without extracting it.  Never raises. *)
+    without extracting it — the torn-tail detector of tail repair.  Never
+    raises. *)
 
 val is_page_kind : kind -> bool
 (** Whether the kind is [K_page_op] or [K_clr]. *)
@@ -159,8 +160,8 @@ val wall_bytes : bytes -> pos:int -> float
 (** {2 In-place undo}
 
     The rewind kernel's view of a page record: it validates and undoes the
-    record where it sits in a log-segment blob, with no {!decode}, no
-    payload copy and no cache insert. *)
+    record where it sits in a log-segment blob, with no {!decode} and no
+    payload copy. *)
 
 val undo_in_place :
   bytes ->
@@ -176,9 +177,10 @@ val undo_in_place :
     [undo (op of (decode r)) p] would.  The record must modify [page]
     and its [prev_page_lsn] must lie in
     [\[prev_lo, prev_hi\]] (the caller's chain link); it is returned.
-    The CRC trailer, the page-record tag, the page id, the link and the
+    The span's bounds, the page-record tag, the page id, the link and the
     op's length fields are all checked before the page is touched, and
-    {!Corrupt_record} is raised if any check fails.  Slotted-page
+    {!Corrupt_record} is raised if any check fails.  The CRC trailer is
+    not: it was checked where the bytes entered the log.  Slotted-page
     failures of the undo itself ([Page_full], [Invalid_argument])
     propagate and may leave the page changed. *)
 
@@ -207,6 +209,8 @@ val encode_image_into :
 val image_in_place :
   bytes -> pos:int -> len:int -> page:Rw_storage.Page_id.t -> Rw_storage.Page.t -> unit
 (** [image_in_place b ~pos ~len ~page p] blits the page image of the
-    encoded record at [b.[pos .. pos+len-1]] over [p].  The length, CRC
-    trailer, record and op tags, page id and image length are all checked
-    first; {!Corrupt_record} is raised, with [p] untouched, if any fails. *)
+    encoded record at [b.[pos .. pos+len-1]] over [p].  The length, the
+    record and op tags, the page id and the image length are all checked
+    first; {!Corrupt_record} is raised, with [p] untouched, if any fails.
+    Like {!undo_in_place} it leaves the CRC trailer to the log's entry
+    points. *)

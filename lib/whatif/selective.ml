@@ -103,19 +103,19 @@ let cuts_of removed =
 
 (* Does the (non-graph, i.e. aborted or in-flight) transaction owning
    [from_lsn] have a record on [page] at or below [cut]?  Walks the
-   transaction's own backward chain — O(its ops). *)
+   transaction's own backward chain — O(its ops), each record priced as a
+   read but only its header peeked. *)
 let straddles_cut ~log ~page ~cut ~from_lsn =
   let rec walk lsn =
     if Lsn.is_nil lsn then false
-    else
-      let r = Log_manager.read log lsn in
-      let here =
-        match r.Log_record.body with
-        | Page_op { page = p; _ } | Clr { page = p; _ } ->
-            Page_id.equal p page && Lsn.(lsn <= cut)
-        | _ -> false
-      in
-      here || walk r.Log_record.prev_txn_lsn
+    else begin
+      Log_manager.charge_read log lsn;
+      let pk = Log_manager.peek_record log lsn in
+      (Log_record.is_page_kind pk.Log_record.p_kind
+      && Page_id.equal pk.Log_record.p_page page
+      && Lsn.(lsn <= cut))
+      || walk pk.Log_record.p_prev_txn_lsn
+    end
   in
   walk from_lsn
 

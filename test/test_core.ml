@@ -214,8 +214,8 @@ let test_chain_broken_detection () =
    the one below it deletes slot 5 of a page that no longer has one.  A
    failed apply must hand the fallback the page as it was before the
    apply, so the serial path's outcome is exactly the walk's on the
-   original image — with the records served as cached decodes and as
-   spans of a cold log alike. *)
+   original image — from the appended log and from a restored copy
+   alike. *)
 let test_failed_apply_restores_page () =
   let pid = Page_id.of_int 4 in
   let clock = Sim_clock.create () in
@@ -249,7 +249,7 @@ let test_failed_apply_restores_page () =
       check (label ^ ": the walk raises") true (Result.is_error walk);
       check (label ^ ": serial path = walk on the original") true
         (outcome (fun page -> Page_undo.prepare_page_as_of ~log ~page ~as_of:l1) = walk))
-    [ ("cached decodes", log); ("cold spans", cold) ]
+    [ ("appended", log); ("restored", cold) ]
 
 (* A broken chain in a batch of healthy ones: the gather is shared, but
    only the broken page's apply is rejected and only it takes the walk;
@@ -493,14 +493,15 @@ let test_budget_rewinds_match_walk () =
     ends;
   check "rewinds jump-started from images" true (!jumps > 0)
 
-(* One flipped byte inside an image's segment span: the batch rejects the
+(* A wrong image size inside an image's segment span (a structural check;
+   the CRC is checked where bytes enter the log): the batch rejects the
    plan and restores the page, the serial path falls back to the walk
    (counted), and its outcome is exactly the walk's. *)
 let test_corrupt_image_falls_back () =
   let env, pids, ends = budget_history ~seed:43 ~pages:1 ~txns:60 in
   let pid = pids.(0) in
   let original = Bytes.of_string (page_image env pid) in
-  (* A cold copy of the log serves every record as a span of its blob. *)
+  (* A copy of the log, whose blobs the test may damage. *)
   let log = Log_manager.create ~clock:env.clock ~media:Media.ram () in
   Log_manager.restore_entries log (Log_manager.dump_entries env.log);
   let as_of = List.nth ends (List.length ends / 2) in
@@ -519,8 +520,8 @@ let test_corrupt_image_falls_back () =
   check "the clean rewind jump-starts" true
     (match clean with Ok (_, used_fpi, _) -> used_fpi | Error _ -> false);
   let g = Option.get (Log_manager.gather_batch log [| [| image |] |]).Log_manager.b_pages.(0) in
-  check "image served as a span" true (g.Log_manager.g_decoded.(0) == Log_manager.not_cached);
-  let at = g.Log_manager.g_pos.(0) + 1000 in
+  (* The u32 image length at offset 34 of the record: 8192 becomes 8448. *)
+  let at = g.Log_manager.g_pos.(0) + 35 in
   let blob = g.Log_manager.g_blob.(0) in
   Bytes.set blob at (Char.chr (Char.code (Bytes.get blob at) lxor 0x01));
   let page = Bytes.copy original in

@@ -188,8 +188,8 @@ let at_fanout fanout f =
 (* Restart redo's result must not depend on the pool fan-out: fan-out 1
    (every page replayed on the calling domain) is the reference for true
    cross-domain runs at 2 and 4, and for the default core-count cap.  The
-   log's counters across the restart and the record cache it leaves behind
-   must agree too: redo hands records over in one form at every fan-out. *)
+   log's counters across the restart must agree too: redo hands records
+   over in one form at every fan-out. *)
 let test_redo_fanout_equal () =
   let run name =
     let db = mk_db ~name () in
@@ -203,17 +203,15 @@ let test_redo_fanout_equal () =
     ( rows db,
       disk_fingerprint db,
       stats.Recovery.redone_ops,
-      Io_stats.diff (Log_manager.stats log) before,
-      Log_manager.record_cache_bytes log )
+      Io_stats.diff (Log_manager.stats log) before )
   in
-  let rows1, fp1, redone1, io1, cache1 = at_fanout 1 (fun () -> run "fan1") in
+  let rows1, fp1, redone1, io1 = at_fanout 1 (fun () -> run "fan1") in
   check "fan-out 1 redid work" true (redone1 > 0);
-  let agree label (rowsn, fpn, redonen, ion, cachen) =
+  let agree label (rowsn, fpn, redonen, ion) =
     check (label ^ " rows equal fan-out 1") true (rowsn = rows1);
     check (label ^ " disk pages equal fan-out 1") true (fpn = fp1);
     check_int (label ^ " redone_ops equal fan-out 1") redone1 redonen;
-    check (label ^ " log I/O counters equal fan-out 1") true (ion = io1);
-    check_int (label ^ " record cache bytes equal fan-out 1") cache1 cachen
+    check (label ^ " log I/O counters equal fan-out 1") true (ion = io1)
   in
   List.iter
     (fun fanout ->

@@ -17,11 +17,9 @@ module Log_manager = Rw_wal.Log_manager
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let mk_log ?(media = Media.ram) ?cache_blocks ?block_bytes ?record_cache_bytes ?segment_bytes () =
+let mk_log ?(media = Media.ram) ?cache_blocks ?block_bytes ?segment_bytes () =
   let clock = Sim_clock.create () in
-  ( clock,
-    Log_manager.create ~clock ~media ?cache_blocks ?block_bytes ?record_cache_bytes
-      ?segment_bytes () )
+  (clock, Log_manager.create ~clock ~media ?cache_blocks ?block_bytes ?segment_bytes ())
 
 (* --- codec --- *)
 
@@ -62,35 +60,6 @@ let test_lru () =
   check "removed" false (Lru.mem l 3);
   Lru.clear l;
   check_int "cleared" 0 (Lru.size l)
-
-let test_weighted_lru () =
-  let module W = Lru.Weighted in
-  let c = W.create ~capacity_bytes:100 in
-  let n1 = W.add_node c 1 ~weight:40 "a" in
-  let n2 = W.add_node c 2 ~weight:40 "b" in
-  check_int "occupancy" 80 (W.size_bytes c);
-  check "hit" true (W.alive n1 && W.node_value n1 = "a");
-  W.touch c n1;
-  (* 1 is now most recent; inserting 3 overflows the budget and evicts 2. *)
-  let n3 = W.add_node c 3 ~weight:40 "c" in
-  check "2 evicted" false (W.alive n2);
-  check "1 kept" true (W.alive n1);
-  check "3 kept" true (W.alive n3);
-  check "within budget" true (W.size_bytes c <= 100);
-  (* Inserting 4 evicts 1 (the LRU entry). *)
-  let n = W.add_node c 4 ~weight:40 "d" in
-  check "1 evicted" false (W.alive n1);
-  check "node alive" true (W.alive n);
-  check "node value" true (W.node_value n = "d");
-  W.touch c n;
-  W.remove c 4;
-  check "node dead after remove" false (W.alive n);
-  (* An entry heavier than the whole budget is not cached at all. *)
-  let big = W.add_node c 9 ~weight:1000 "huge" in
-  check "oversized handle dead" false (W.alive big);
-  check_int "oversized not stored" 40 (W.size_bytes c);
-  W.clear c;
-  check_int "cleared" 0 (W.entry_count c)
 
 (* --- record serialisation --- *)
 
@@ -323,18 +292,22 @@ let kernel_prop =
       let back =
         Log_record.undo_in_place blob ~pos ~len ~page:pid ~prev_lo:prev ~prev_hi:prev got
       in
-      let rejected ?(page = pid) ?(prev_lo = prev) b =
+      (* The structural checks: each rejects before the page is touched. *)
+      let rejected ?(page = pid) ?(prev_lo = prev) ?(prev_hi = prev) ?(len = len) b =
         let target = Bytes.copy post in
-        match Log_record.undo_in_place b ~pos ~len ~page ~prev_lo ~prev_hi:prev target with
+        match Log_record.undo_in_place b ~pos ~len ~page ~prev_lo ~prev_hi target with
         | _ -> false
         | exception Log_record.Corrupt_record -> Bytes.equal target post
       in
-      let flipped = Bytes.copy blob in
-      let at = pos + (salt mod (len - 4)) in
-      Bytes.set flipped at (Char.chr (Char.code (Bytes.get flipped at) lxor (1 + (salt mod 255))));
-      Bytes.equal expected got && Lsn.equal back prev && rejected flipped
+      let other = Lsn.of_int 4243 in
+      let retagged = Bytes.copy blob in
+      Bytes.set retagged (pos + 16) (Char.chr (salt mod 5));
+      Bytes.equal expected got && Lsn.equal back prev
       && rejected ~page:(Page_id.of_int 10) blob
-      && rejected ~prev_lo:(Lsn.of_int 4243) blob)
+      && rejected ~prev_lo:other blob
+      && rejected ~prev_lo:other ~prev_hi:other blob
+      && rejected ~len:(len - 1 - (salt mod (len - 1))) blob
+      && rejected retagged)
 
 (* --- log manager --- *)
 
@@ -419,8 +392,8 @@ let test_cache_misses_cost () =
   ignore (Log_manager.read log (List.hd lsns));
   let d2 = Io_stats.diff (Log_manager.stats log) stats1 in
   check_int "warm read hits" 0 d2.Io_stats.random_reads;
-  (* [charge_read] prices exactly what [read] does and touches no
-     decoded-record counter. *)
+  (* [charge_read] prices exactly what [read] does and counts no record
+     read. *)
   let cold () =
     let _, l = mk_log ~media:Media.ssd ~cache_blocks:2 () in
     Log_manager.restore_entries l (Log_manager.dump_entries log);
@@ -437,7 +410,7 @@ let test_cache_misses_cost () =
       let c = Io_stats.diff (Log_manager.stats log'') c0 in
       check_int "same block misses" r.Io_stats.log_block_misses c.Io_stats.log_block_misses;
       check_int "same random reads" r.Io_stats.random_reads c.Io_stats.random_reads;
-      check_int "no record-cache access" 0 (c.Io_stats.log_record_hits + c.Io_stats.log_record_misses))
+      check_int "no record read counted" 0 (c.Io_stats.log_record_hits + c.Io_stats.log_record_misses))
     [ List.nth lsns 3; List.nth lsns 40; List.nth lsns 3; List.nth lsns 63 ]
 
 let test_fpi_directory () =
@@ -461,10 +434,11 @@ let test_fpi_directory () =
   check "unknown page none" true
     (Log_manager.earliest_fpi_after log (Page_id.of_int 99) ~after:Lsn.nil = None)
 
-(* [append_image] writes the bytes [encode] gives for the same record,
-   indexes it as an image on the page's chain, and leaves the
-   decoded-record cache alone; [image_in_place] restores the image from
-   those bytes and rejects any one flipped byte with the page untouched. *)
+(* [append_image] writes the bytes [encode] gives for the same record and
+   indexes it as an image on the page's chain; [image_in_place] restores
+   the image from those bytes, and rejects a wrong record or op tag, a
+   foreign page id, a wrong image size or a truncated span with the page
+   untouched.  (The CRC is checked where bytes enter the log, not here.) *)
 let test_append_image () =
   let _, log = mk_log ~segment_bytes:16384 () in
   let pid = Page_id.of_int 7 in
@@ -472,7 +446,6 @@ let test_append_image () =
   Rw_storage.Slotted_page.insert page ~at:0 "the row";
   let l0 = Log_manager.append log (page_op ~pid:7 (Log_record.Insert_row { slot = 0; row = "r" })) in
   Page.set_lsn page l0;
-  let cached = Log_manager.record_cache_bytes log in
   (* The second image crosses a segment seal. *)
   let images =
     List.map
@@ -481,7 +454,6 @@ let test_append_image () =
         (lsn, prev))
       [ l0; Lsn.of_int (Lsn.to_int l0 + 1) ]
   in
-  check_int "decode cache not seeded" cached (Log_manager.record_cache_bytes log);
   let entries = Log_manager.dump_entries log in
   List.iter
     (fun (lsn, prev) ->
@@ -504,17 +476,22 @@ let test_append_image () =
       let b = Bytes.of_string data in
       Log_record.image_in_place b ~pos:0 ~len:(Bytes.length b) ~page:pid restored;
       check "restored in place" true (Bytes.equal restored page);
+      let rejected what ?(len = Bytes.length b) bad =
+        let target = Page.create ~id:pid ~typ:Page.Free in
+        let before = Bytes.copy target in
+        check (what ^ " rejected") true
+          (match Log_record.image_in_place bad ~pos:0 ~len ~page:pid target with
+          | () -> false
+          | exception Log_record.Corrupt_record -> Bytes.equal target before)
+      in
+      (* the record tag, a page id byte, the op tag, an image size byte *)
       List.iter
         (fun at ->
           let bad = Bytes.copy b in
           Bytes.set bad at (Char.chr (Char.code (Bytes.get bad at) lxor 0x10));
-          let target = Page.create ~id:pid ~typ:Page.Free in
-          let before = Bytes.copy target in
-          check (Printf.sprintf "flip at %d rejected" at) true
-            (match Log_record.image_in_place bad ~pos:0 ~len:(Bytes.length bad) ~page:pid target with
-            | () -> false
-            | exception Log_record.Corrupt_record -> Bytes.equal target before))
-        [ 0; 16; 20; 33; 35; 40; 4000; Bytes.length b - 1 ];
+          rejected (Printf.sprintf "flip at %d" at) bad)
+        [ 16; 20; 33; 35 ];
+      rejected "truncated span" ~len:(Bytes.length b - 1) b;
       check "foreign page rejected" true
         (match Log_record.image_in_place b ~pos:0 ~len:(Bytes.length b) ~page:(Page_id.of_int 8) page with
         | () -> false
@@ -693,13 +670,9 @@ let test_indexes_agree_tiny_segments () =
    sequential write and evicts the payload from modeled residency, and
    reads of spilled history still work (and count as cold loads). *)
 let test_segment_lifecycle () =
-  (* Starved caches (two 256 B blocks, a 64 B record budget) so reads of
-     spilled history actually fault blocks back in instead of being served
-     from the decoded records the appends seeded. *)
-  let clock, log =
-    mk_log ~media:Media.ssd ~cache_blocks:2 ~block_bytes:256 ~record_cache_bytes:64
-      ~segment_bytes:256 ()
-  in
+  (* A starved block cache (two 256 B blocks) so reads of spilled
+     history actually fault blocks back in. *)
+  let clock, log = mk_log ~media:Media.ssd ~cache_blocks:2 ~block_bytes:256 ~segment_bytes:256 () in
   let r = page_op (Log_record.Insert_row { slot = 0; row = String.make 40 'x' }) in
   let t0 = Sim_clock.now_us clock in
   let lsns = Array.init 64 (fun _ -> Log_manager.append log r) in
@@ -721,16 +694,12 @@ let test_segment_lifecycle () =
   (* Every record reads back across segment boundaries, single and batched. *)
   Array.iter (fun l -> check "read crosses segments" true (Log_manager.read log l = r)) lsns;
   let g = Option.get (Log_manager.gather_batch log [| Array.copy lsns |]).Log_manager.b_pages.(0) in
-  check_int "batched read count" (Array.length lsns) (Array.length g.Log_manager.g_decoded);
+  check_int "batched read count" (Array.length lsns) (Array.length g.Log_manager.g_blob);
   Array.iteri
-    (fun k r' ->
-      let r' =
-        if r' == Log_manager.not_cached then
-          Log_record.decode (Bytes.sub_string g.g_blob.(k) g.g_pos.(k) g.g_len.(k))
-        else r'
-      in
+    (fun k blob ->
+      let r' = Log_record.decode (Bytes.sub_string blob g.g_pos.(k) g.g_len.(k)) in
       check "batched read crosses segments" true (r' = r))
-    g.Log_manager.g_decoded;
+    g.Log_manager.g_blob;
   let n = ref 0 in
   Log_manager.iter_range_peek log ~from:lsns.(0) ~upto:(Log_manager.end_lsn log) (fun _ _ decode ->
       ignore (decode ());
@@ -760,24 +729,20 @@ let test_append_amortized () =
   if t_large > (t_small *. 12.0) +. 0.05 then
     Alcotest.failf "append not amortized O(1): 50k took %.3fs, 200k took %.3fs" t_small t_large
 
-(* Truncation must invalidate every cache layer: a dropped LSN raises
-   Log_truncated even when its decoded record and its blocks were warm,
-   and the record cache releases the dropped entries' budget. *)
+(* Truncation must invalidate the block cache's view: a dropped LSN raises
+   Log_truncated even when its blocks were warm. *)
 let test_truncate_invalidates_caches () =
   let _, log = mk_log ~segment_bytes:128 () in
   let r = Log_record.make Log_record.Begin in
   let lsns = List.init 20 (fun _ -> Log_manager.append log r) in
   Log_manager.flush_all log;
   List.iter (fun l -> ignore (Log_manager.read log l)) lsns;
-  let warm = Log_manager.record_cache_bytes log in
   let cut = List.nth lsns 10 in
   Log_manager.truncate_before log cut;
-  check "dropped entries leave the record cache" true
-    (Log_manager.record_cache_bytes log < warm);
   List.iteri
     (fun i l ->
       if i < 10 then
-        Alcotest.check_raises "cached dropped lsn raises" (Log_manager.Log_truncated l)
+        Alcotest.check_raises "warm dropped lsn raises" (Log_manager.Log_truncated l)
           (fun () -> ignore (Log_manager.read log l))
       else check "retained lsn still reads" true (Log_manager.read log l = r))
     lsns
@@ -798,68 +763,6 @@ let test_crash_invalidates_caches () =
   check "read returns the new record" true (Log_manager.read log l0' = new_r);
   check "peek returns the new record" true
     ((Log_manager.peek_record log l0').Log_record.p_txn = Txn_id.of_int 8)
-
-(* --- decoded-record cache --- *)
-
-let test_record_cache_counters () =
-  let r = Log_record.make Log_record.Begin in
-  let sz = String.length (Log_record.encode r) in
-  let clock = Sim_clock.create () in
-  (* Budget of exactly one record: every append/decode evicts the other. *)
-  let log = Log_manager.create ~clock ~media:Media.ram ~record_cache_bytes:sz () in
-  let l1 = Log_manager.append log r in
-  let _l2 = Log_manager.append log r in
-  (* Appending l2 seeded the cache with it, evicting l1. *)
-  let s0 = Io_stats.copy (Log_manager.stats log) in
-  ignore (Log_manager.read log l1);
-  let d = Io_stats.diff (Log_manager.stats log) s0 in
-  check_int "cold decode is a record miss" 1 d.Io_stats.log_record_misses;
-  check_int "no record hit" 0 d.Io_stats.log_record_hits;
-  check_int "occupancy is one record" sz (Log_manager.record_cache_bytes log);
-  let s1 = Io_stats.copy (Log_manager.stats log) in
-  ignore (Log_manager.read log l1);
-  let d2 = Io_stats.diff (Log_manager.stats log) s1 in
-  check_int "re-read is a record hit" 1 d2.Io_stats.log_record_hits;
-  check_int "no second miss" 0 d2.Io_stats.log_record_misses
-
-(* Scans reuse decoded records the appends just seeded into the cache (a
-   hit per record, no misses counted), and never insert on their own: a
-   scan over cold history must not evict the hot chain entries. *)
-let test_scan_uses_cached_decodes () =
-  let _, log = mk_log () in
-  let n = 50 in
-  let lsns =
-    List.init n (fun i ->
-        Log_manager.append log (Log_record.make ~txn:(Txn_id.of_int i) Log_record.Begin))
-  in
-  let occupancy = Log_manager.record_cache_bytes log in
-  let s0 = Io_stats.copy (Log_manager.stats log) in
-  Log_manager.iter_range_peek log ~from:(List.hd lsns) ~upto:(Log_manager.end_lsn log)
-    (fun _ _ decode -> ignore (decode ()));
-  let d = Io_stats.diff (Log_manager.stats log) s0 in
-  check_int "every record was a cache hit" n d.Io_stats.log_record_hits;
-  check_int "no record misses" 0 d.Io_stats.log_record_misses;
-  check_int "scan did not grow the cache" occupancy (Log_manager.record_cache_bytes log);
-  (* A reverse scan takes the same path. *)
-  let s1 = Io_stats.copy (Log_manager.stats log) in
-  Log_manager.iter_range_rev log ~from:(List.hd lsns) ~upto:(Log_manager.end_lsn log)
-    (fun _ _ -> ());
-  let d1 = Io_stats.diff (Log_manager.stats log) s1 in
-  check_int "reverse scan hits too" n d1.Io_stats.log_record_hits;
-  check_int "reverse scan misses nothing" 0 d1.Io_stats.log_record_misses;
-  (* Over cold records (a restored log seeds no decode) a scan's decode
-     thunk misses and still inserts nothing: only [read] inserts. *)
-  let _, cold = mk_log () in
-  Log_manager.restore_entries cold (Log_manager.dump_entries log);
-  let empty = Log_manager.record_cache_bytes cold in
-  let s2 = Io_stats.copy (Log_manager.stats cold) in
-  Log_manager.iter_range_peek cold ~from:(List.hd lsns) ~upto:(Log_manager.end_lsn cold)
-    (fun _ _ decode -> ignore (decode ()));
-  let d2 = Io_stats.diff (Log_manager.stats cold) s2 in
-  check_int "cold scan: every record a miss" n d2.Io_stats.log_record_misses;
-  check_int "cold scan did not grow the cache" empty (Log_manager.record_cache_bytes cold);
-  ignore (Log_manager.read cold (List.hd lsns));
-  check "read inserts" true (Log_manager.record_cache_bytes cold > empty)
 
 (* --- batch gather --- *)
 
@@ -1331,6 +1234,171 @@ let test_control_directory_save_load () =
       check "loaded txn summaries equal the saved ones" true
         (Log_manager.txn_summaries (Database.log db2) = Log_manager.txn_summaries (Database.log db)))
 
+(* --- where bytes enter: the CRC is checked there, once --- *)
+
+(* Everything a reader of [log] can reach through its indexes and
+   lookups, for comparing a log before and after a refused ingest. *)
+let log_state log =
+  let top = Lsn.of_int max_int in
+  let pages = List.init 6 Page_id.of_int in
+  ( Log_manager.dump_entries log,
+    Log_manager.end_lsn log,
+    Log_manager.flushed_lsn log,
+    Log_manager.segment_stats log,
+    controls_by_walk log,
+    Log_manager.txn_summaries log,
+    List.map (fun p -> Log_manager.chain_segment log p ~from:top ~down_to:Lsn.nil) pages,
+    List.map (fun p -> Log_manager.earliest_fpi_after log p ~after:Lsn.nil) pages )
+
+(* A primary with transactions, checkpoints and page images, and a
+   replica that holds its first shipments; [next] is the next shipment. *)
+let shipping_pair =
+  lazy
+    (let primary =
+       Log_manager.create ~clock:(Sim_clock.create ()) ~media:Media.ram ~segment_bytes:2048 ()
+     in
+     let page = Page.create ~id:(Page_id.of_int 2) ~typ:Page.Heap in
+     for round = 0 to 3 do
+       control_history primary ~rounds:3 ~first_txn:(1 + (round * 20));
+       ignore
+         (Log_manager.append_image primary ~page:(Page_id.of_int (2 + round)) ~prev_page_lsn:Lsn.nil
+            page)
+     done;
+     Log_manager.flush_all primary;
+     let replica =
+       Log_manager.create ~clock:(Sim_clock.create ()) ~media:Media.ram ~segment_bytes:2048 ()
+     in
+     let rec ship from n =
+       match Log_manager.export_from primary ~from with
+       | Some ex when n > 0 ->
+           ignore (Log_manager.ingest_entries replica ex.Log_manager.ex_entries);
+           ship ex.Log_manager.ex_next (n - 1)
+       | _ -> from
+     in
+     let from = ship (Log_manager.first_lsn primary) 2 in
+     let rec rest from acc =
+       match Log_manager.export_from primary ~from with
+       | Some ex -> rest ex.Log_manager.ex_next (ex :: acc)
+       | None -> List.rev acc
+     in
+     (replica, rest from []))
+
+let flip_byte data ~at ~x =
+  let b = Bytes.of_string data in
+  Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor x));
+  Bytes.to_string b
+
+(* A replica refuses a shipment in which one byte of one record is
+   flipped, whole: it raises before placing any record, and its log and
+   every index stay exactly as they were. *)
+let ingest_refusal_prop =
+  QCheck.Test.make ~name:"a shipment with a flipped byte is refused whole" ~count:200
+    QCheck.(quad small_nat small_nat (int_bound 100_000) (int_range 1 255))
+    (fun (u, e, off, x) ->
+      let replica, shipments = Lazy.force shipping_pair in
+      let ex = List.nth shipments (u mod List.length shipments) in
+      let entries = ex.Log_manager.ex_entries in
+      let e = e mod List.length entries in
+      let bad =
+        List.mapi
+          (fun i (lsn, data) ->
+            if i = e then (lsn, flip_byte data ~at:(off mod String.length data) ~x) else (lsn, data))
+          entries
+      in
+      let before = log_state replica in
+      match Log_manager.ingest_entries replica bad with
+      | _ -> false
+      | exception Log_record.Corrupt_record -> log_state replica = before)
+
+(* The clean shipments still apply after any number of refusals. *)
+let test_ingest_after_refusal () =
+  let replica, shipments = Lazy.force shipping_pair in
+  List.iter
+    (fun ex ->
+      check "clean shipment applies" true
+        (Log_manager.ingest_entries replica ex.Log_manager.ex_entries > 0))
+    shipments;
+  check_txns "ingested after refusals" replica
+
+(* The window after [crash] tears the tail and before [repair_tail]: the
+   torn stump stays listed in its segment, but it is in no chain, image or
+   control index, and no lookup reaches it — [read], [peek_record], [mem]
+   and [gather_batch] of its LSN raise (or report it missing) without
+   decoding it.  With no CRC on every read, this is what keeps a stump's
+   bytes from being parsed.  [repair_tail] then truncates the log at it. *)
+let test_torn_stump_unreachable () =
+  let tears = ref 0 in
+  for seed = 1 to 24 do
+    let plan = Rw_storage.Fault_plan.create ~torn_log_tail_rate:1.0 ~seed () in
+    let log =
+      Log_manager.create ~clock:(Sim_clock.create ()) ~media:Media.ram ~segment_bytes:512
+        ~fault_plan:plan ()
+    in
+    control_history log ~rounds:2 ~first_txn:1;
+    Log_manager.flush_all log;
+    let flushed = Log_manager.end_lsn log in
+    (* An unflushed tail of page records, images and control records. *)
+    let page = Page.create ~id:(Page_id.of_int 2) ~typ:Page.Heap in
+    let tail = ref [] in
+    let note l = tail := l :: !tail in
+    for i = 0 to 5 do
+      note
+        (Log_manager.append log
+           (page_op ~pid:(1 + (i mod 3)) (Log_record.Insert_row { slot = 0; row = "tail row" })));
+      if i mod 2 = 0 then
+        note (Log_manager.append_image log ~page:(Page_id.of_int 2) ~prev_page_lsn:Lsn.nil page);
+      note
+        (Log_manager.append log
+           (Log_record.make ~txn:(Txn_id.of_int (50 + i)) (Log_record.Commit { wall_us = 1.0 })))
+    done;
+    let tail = List.rev !tail in
+    Log_manager.crash log;
+    let end_ = Log_manager.end_lsn log in
+    if Lsn.(end_ > flushed) && not (List.exists (Lsn.equal end_) tail) then begin
+      incr tears;
+      let stump = List.fold_left (fun a l -> if Lsn.(l < end_) then l else a) flushed tail in
+      let before = List.filter (fun l -> Lsn.(l < stump)) tail in
+      let top = Lsn.of_int max_int in
+      for p = 0 to 5 do
+        let pid = Page_id.of_int p in
+        check "stump in no chain" false
+          (Array.exists (Lsn.equal stump)
+             (Log_manager.chain_segment log pid ~from:top ~down_to:Lsn.nil));
+        check "stump in no image index" true
+          (Log_manager.earliest_fpi_after log pid ~after:(Lsn.of_int (Lsn.to_int stump - 1))
+          <> Some stump)
+      done;
+      check "stump in no control index" false
+        (List.exists (fun (l, _, _, _) -> Lsn.equal l stump) (controls_by_walk log));
+      let s0 = Io_stats.copy (Log_manager.stats log) in
+      Alcotest.check_raises "read of the stump raises" (Log_manager.No_such_record stump)
+        (fun () -> ignore (Log_manager.read log stump));
+      Alcotest.check_raises "peek of the stump raises" (Log_manager.No_such_record stump)
+        (fun () -> ignore (Log_manager.peek_record log stump));
+      check "stump is no record" false (Log_manager.mem log stump);
+      let got = Log_manager.gather_batch log [| [| stump |] |] in
+      check "gather of the stump finds nothing" true (got.Log_manager.b_pages.(0) = None);
+      check_int "the stump was never decoded or handed over" 0
+        (Io_stats.diff (Log_manager.stats log) s0).Io_stats.log_record_misses;
+      (match List.rev before with
+      | prev :: _ ->
+          (* Located by the gather's finger from the record before it. *)
+          let got = Log_manager.gather_batch log [| [| prev; stump |] |] in
+          check "gather through to the stump finds nothing" true
+            (got.Log_manager.b_pages.(0) = None);
+          ignore (Log_manager.read log prev : Log_record.t)
+      | [] -> ());
+      match Log_manager.repair_tail log with
+      | Some (cut, dropped) ->
+          check "repair truncates at the stump" true (Lsn.equal cut stump);
+          check "repair drops the stump" true (dropped >= 1);
+          check "log ends at the stump" true (Lsn.equal (Log_manager.end_lsn log) stump);
+          check_upkeep "repaired" log
+      | None -> Alcotest.fail "repair_tail missed the torn stump"
+    end
+  done;
+  check "some seed tore a record" true (!tears > 0)
+
 let () =
   Alcotest.run "wal"
     [
@@ -1338,7 +1406,6 @@ let () =
       ( "lru",
         [
           Alcotest.test_case "eviction order" `Quick test_lru;
-          Alcotest.test_case "weighted budget + handles" `Quick test_weighted_lru;
         ] );
       ( "records",
         [
@@ -1374,10 +1441,14 @@ let () =
             test_indexes_agree_tiny_segments;
           Alcotest.test_case "indexes agree with rebuild" `Quick
             test_indexes_agree_after_truncate_and_crash;
-          Alcotest.test_case "record cache counters" `Quick test_record_cache_counters;
-          Alcotest.test_case "scans use cached decodes" `Quick test_scan_uses_cached_decodes;
           Alcotest.test_case "gather sequentialises" `Quick test_gather_sequentialises;
           Alcotest.test_case "gather charges each block once" `Quick
             test_gather_charges_each_block_once;
+          Alcotest.test_case "torn stump unreachable" `Quick test_torn_stump_unreachable;
+        ] );
+      ( "ingest",
+        [
+          QCheck_alcotest.to_alcotest ingest_refusal_prop;
+          Alcotest.test_case "clean shipments apply after refusals" `Quick test_ingest_after_refusal;
         ] );
     ]
