@@ -512,10 +512,10 @@ let () =
           Alcotest.test_case "retention floor protects lagging replica" `Quick
             test_retention_floor;
           Alcotest.test_case "failover + rejoin" `Quick test_failover_rejoin;
-          Alcotest.test_case "rejoin over a torn tail" `Quick test_rejoin_torn_tail;
           Alcotest.test_case "replsoak seed 11 quick" `Quick test_repl_soak;
           Alcotest.test_case "catch-up reads each shipped byte once" `Quick test_ingest_reads_once;
           Alcotest.test_case "ingest horizon from the control directory" `Quick
             test_ingest_horizon_from_directory;
+          Alcotest.test_case "rejoin over a torn tail" `Quick test_rejoin_torn_tail;
         ] );
     ]
