@@ -69,43 +69,6 @@ let record_rewind tally pid (r : Page_undo.result) =
 
 let no_rewind = { Page_undo.ops_undone = 0; log_records_read = 0; used_fpi = false }
 
-(* §5.3 read protocol, extended with the shared prepared-page cache: on a
-   side-file miss, an exact cached image skips the rewind entirely and a
-   newer cached image is delta-rewound over only the chain records between
-   the two SplitLSNs.  Freshly rewound images are published back to the
-   cache *before* any snapshot-local mutation (loser undo) touches them —
-   the cache holds pure rewind results only. *)
-let read_as_of ~tally ~shared ~sparse ~primary_disk ~log ~split pid =
-  match Sparse_file.read sparse pid with
-  | Some page ->
-      tally.t_side_hits <- tally.t_side_hits + 1;
-      Obs.incr Probes.snapshot_side_hits;
-      page
-  | None ->
-      let finish page r =
-        record_rewind tally pid r;
-        Sparse_file.write sparse pid page;
-        page
-      in
-      let cold () =
-        let page = Disk.read_page primary_disk pid in
-        let r = Page_undo.prepare_page_as_of ~log ~page ~as_of:split in
-        (match shared with
-        | Some cache -> Prepared_cache.add cache pid ~as_of:split page
-        | None -> ());
-        finish page r
-      in
-      (match shared with
-      | None -> cold ()
-      | Some cache -> (
-          match Prepared_cache.find cache pid ~split with
-          | Prepared_cache.Exact page -> finish page no_rewind
-          | Prepared_cache.Newer page ->
-              let r = Page_undo.prepare_page_as_of ~log ~page ~as_of:split in
-              Prepared_cache.add cache pid ~as_of:split page;
-              finish page r
-          | Prepared_cache.Miss -> cold ()))
-
 (* Batched materialization, staged across the shared domain pool:
 
    1. {e Gather} (coordinator): primary image reads, ascending, for
@@ -120,9 +83,9 @@ let read_as_of ~tally ~shared ~sparse ~primary_disk ~log ~split pid =
       chain in place against the private page image — pure CPU over
       private state and immutable log bytes.
    3. {e Publish} (coordinator, ascending page order): probes, rewind
-      tallies, Prepared_cache inserts and side-file writes; plans the
-      apply rejected rerun through the serial path on their restored
-      pages.
+      tallies, Prepared_cache inserts and side-file writes; a page whose
+      plan the apply rejected takes the pointer walk on its restored
+      image, without a second gather.
 
    Because gather and publish orders are fixed and workers touch nothing
    shared, results and counters are byte- and count-identical under any
@@ -130,7 +93,10 @@ let read_as_of ~tally ~shared ~sparse ~primary_disk ~log ~split pid =
    data read and each of the gather's charging windows is an item
    attributed to a round-robin partition, and the clock is credited back
    down to the slowest partition's total — [fanout] independent streams
-   finish when the slowest does. *)
+   finish when the slowest does.
+
+   Every as-of page takes this path: a pool miss is a batch of one.
+   Returns the prepared pages, shared-cache hits first. *)
 let materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split pids =
   let ts = if Trace.on () then Trace.now () else 0.0 in
   let clock = Disk.clock primary_disk in
@@ -141,6 +107,7 @@ let materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split pids =
   (* Shared-cache pass first: exact images go straight to the side file
      (no chain to plan), newer images enter the batch needing only their
      delta chains, and misses will read the primary image in the gather. *)
+  let exact = ref [] in
   let entering =
     List.filter_map
       (fun pid ->
@@ -151,6 +118,7 @@ let materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split pids =
             | Prepared_cache.Exact page ->
                 record_rewind tally pid no_rewind;
                 Sparse_file.write sparse pid page;
+                exact := page :: !exact;
                 None
             | Prepared_cache.Newer page -> Some (pid, Some page)
             | Prepared_cache.Miss -> Some (pid, None)))
@@ -186,7 +154,9 @@ let materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split pids =
             Obs.incr Probes.snapshot_parallel_pages;
             ignore (Page_undo.note pid r : Page_undo.result);
             r
-        | None -> Page_undo.prepare_page_as_of ~log ~page ~as_of:split
+        | None ->
+            Obs.incr Probes.walk_fallbacks;
+            Page_undo.prepare_page_as_of_walk ~log ~page ~as_of:split
       in
       record_rewind tally pid r;
       (match shared with
@@ -198,11 +168,29 @@ let materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split pids =
     Trace.complete ~cat:"snapshot" ~ts
       ~args:[ ("pages", Trace.Int (List.length todo)); ("fanout", Trace.Int fanout) ]
       "snapshot.materialize_batch";
-  List.length todo
+  List.rev_append !exact (Array.to_list pages)
 
 let materialize_batch t pids =
-  materialize_pages ~tally:t.tally ~shared:t.shared ~sparse:t.sparse ~primary_disk:t.primary_disk
-    ~log:t.log ~split:t.split_lsn pids
+  List.length
+    (materialize_pages ~tally:t.tally ~shared:t.shared ~sparse:t.sparse
+       ~primary_disk:t.primary_disk ~log:t.log ~split:t.split_lsn pids)
+
+(* §5.3 read protocol, extended with the shared prepared-page cache: on a
+   side-file miss, an exact cached image skips the rewind entirely and a
+   newer cached image is delta-rewound over only the chain records between
+   the two SplitLSNs.  Freshly rewound images are published back to the
+   cache *before* any snapshot-local mutation (loser undo) touches them —
+   the cache holds pure rewind results only. *)
+let read_as_of ~tally ~shared ~sparse ~primary_disk ~log ~split pid =
+  match Sparse_file.read sparse pid with
+  | Some page ->
+      tally.t_side_hits <- tally.t_side_hits + 1;
+      Obs.incr Probes.snapshot_side_hits;
+      page
+  | None -> (
+      match materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split [ pid ] with
+      | [ page ] -> page
+      | _ -> assert false)
 
 let create ~wall_us ~log ~primary_pool ~primary_disk ~txns ~clock ~media ?shared () =
   let t_start = Sim_clock.now_us clock in

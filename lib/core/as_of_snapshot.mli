@@ -13,8 +13,9 @@
 
     Page reads follow §5.3: serve from the sparse side file if present,
     otherwise read the current page from the primary database, rewind it
-    with {!Page_undo.prepare_page_as_of}, cache the result in the sparse
-    file, and return it.  Previous versions are therefore produced only for
+    through {!materialize_batch}'s pipeline as a batch of one (what
+    {!Page_undo.prepare_page_as_of} computes), cache the result in the
+    sparse file, and return it.  Previous versions are therefore produced only for
     pages a query actually touches. *)
 
 type t

@@ -51,8 +51,9 @@ val prepare_page_as_of_walk :
     shared cache), a pure domain-safe {!apply_raw}, and a
     coordinator-side publish that calls {!note}.  A plan that fails to
     gather or apply makes {!apply_raw} return [None] with the page as it
-    was; rerunning the page through {!prepare_page_as_of} then
-    reproduces the serial path's exact result or exception. *)
+    was; the publish stage then bumps [undo.walk_fallbacks] and runs
+    {!prepare_page_as_of_walk} on it, which is what the serial path does
+    after a rejected apply, without gathering the chain again. *)
 
 type raw_plan
 (** Everything one page's apply needs — spans of immutable segment

@@ -132,7 +132,7 @@ let snapshot_shared_hits =
 
 let snapshot_parallel_pages =
   counter ~unit_:"pages"
-    ~help:"Pages whose rewind ran through the staged parallel batch pipeline"
+    ~help:"Pages rewound by the staged batch pipeline's apply (a pool miss is a batch of one); walk fallbacks excluded"
     "snapshot.parallel_pages"
 
 let snapshot_shared_misses =

@@ -1,0 +1,444 @@
+(* The log's indexes: per segment, the page chains, the full-page-image
+   directory and the control-record directory, and log-wide the
+   transaction summaries.  [index_record] and [unindex_record] are the
+   only code that changes them, one record at a time, from its header
+   peek; the merged views below answer queries across segments, clamped
+   at the retention boundary. *)
+
+module Lsn = Rw_storage.Lsn
+module Page_id = Rw_storage.Page_id
+open Log_segments
+
+(* Modeled index footprint per entry: the record's two-word directory
+   entry, a chain array element, an FPI list cons, a control-directory
+   entry (LSN, txn and wall slots plus a kind byte).  Coarse, but it
+   moves with the structures it models and is freed exactly when they
+   are. *)
+let idx_record_bytes = 16
+let idx_chain_bytes = 8
+let idx_fpi_bytes = 24
+let idx_ctl_bytes = 25
+
+(* ---------- per-segment directories ---------- *)
+
+let push_descending table key lsn =
+  let l =
+    match Hashtbl.find_opt table key with
+    | Some l -> l
+    | None ->
+        let l = ref [] in
+        Hashtbl.replace table key l;
+        l
+  in
+  l := lsn :: !l
+
+(* A page's chain slice is a sorted array (appends arrive in LSN order),
+   so [chain_segment] is binary searches plus [Array.sub] per touched
+   segment — no list walk, no per-record allocation. *)
+let chain_push tbl key lsn =
+  let c =
+    match Hashtbl.find_opt tbl key with
+    | Some c -> c
+    | None ->
+        let c = { arr = Array.make 8 Lsn.nil; len = 0 } in
+        Hashtbl.replace tbl key c;
+        c
+  in
+  if c.len = Array.length c.arr then
+    c.arr <- grow ~floor:8 c.arr ~used:c.len ~need:(c.len + 1) Lsn.nil;
+  c.arr.(c.len) <- lsn;
+  c.len <- c.len + 1
+
+let chain_remove tbl key lsn =
+  match Hashtbl.find_opt tbl key with
+  | None -> ()
+  | Some c ->
+      (* Removals come from the tail drops, which discard newest-first, so
+         the target is almost always the last element. *)
+      let i = ref (c.len - 1) in
+      while !i >= 0 && not (Lsn.equal c.arr.(!i) lsn) do
+        decr i
+      done;
+      if !i >= 0 then begin
+        Array.blit c.arr (!i + 1) c.arr !i (c.len - !i - 1);
+        c.len <- c.len - 1
+      end
+
+(* First index in [c] with value > v (c sorted ascending).  The
+   [lower_bound] of the record-offset arrays, over LSNs: a chain holds
+   [Lsn.t] values, and converting them to integers would cost an
+   allocation per [chain_segment]. *)
+let chain_upper c v =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if Lsn.(c.arr.(mid) <= v) then go (mid + 1) hi else go lo mid
+  in
+  go 0 c.len
+
+let ctl_kinds = Log_record.[| K_begin; K_commit; K_abort; K_end; K_checkpoint |]
+
+let ctl_code = function
+  | Log_record.K_begin -> 0
+  | Log_record.K_commit -> 1
+  | Log_record.K_abort -> 2
+  | Log_record.K_end -> 3
+  | Log_record.K_checkpoint -> 4
+  | Log_record.K_page_op _ | Log_record.K_clr _ -> invalid_arg "Log_index.ctl_code: page record"
+
+let ctl_push d lsn txn code wall =
+  if d.c_n = Array.length d.c_lsn then begin
+    let cap = capacity ~floor:16 d.c_n (d.c_n + 1) in
+    let ints a =
+      let b = Array.make cap 0 in
+      Array.blit a 0 b 0 d.c_n;
+      b
+    in
+    d.c_lsn <- ints d.c_lsn;
+    d.c_txn <- ints d.c_txn;
+    d.c_kind <- Bytes.extend d.c_kind 0 (cap - d.c_n);
+    let w = Float.Array.make cap 0.0 in
+    Float.Array.blit d.c_wall 0 w 0 d.c_n;
+    d.c_wall <- w
+  end;
+  d.c_lsn.(d.c_n) <- lsn;
+  d.c_txn.(d.c_n) <- txn;
+  Bytes.set_uint8 d.c_kind d.c_n code;
+  Float.Array.set d.c_wall d.c_n wall;
+  d.c_n <- d.c_n + 1
+
+(* Removals come from the tail drops, newest first, so the target is
+   almost always the last entry. *)
+let ctl_remove d lsn =
+  let i = ref (d.c_n - 1) in
+  while !i >= 0 && d.c_lsn.(!i) <> lsn do
+    decr i
+  done;
+  if !i >= 0 then begin
+    let j = !i and tail = d.c_n - !i - 1 in
+    Array.blit d.c_lsn (j + 1) d.c_lsn j tail;
+    Array.blit d.c_txn (j + 1) d.c_txn j tail;
+    Bytes.blit d.c_kind (j + 1) d.c_kind j tail;
+    Float.Array.blit d.c_wall (j + 1) d.c_wall j tail;
+    d.c_n <- d.c_n - 1
+  end
+
+(* ---------- transaction summaries ---------- *)
+
+(* Txn write-set summary upkeep from a header peek plus the commit
+   record's wall time (the one field the header lacks).  Only a
+   transaction's first record (nil [p_prev_txn_lsn]) opens a summary: one
+   whose first retained record points further back crossed the retention
+   boundary, and a summary of its retained part would understate its
+   write set.  [drop_txns_before] applies the same rule to the summaries
+   a retention cut strands ([a_first] below the boundary). *)
+let structural_op_kind = function
+  | Log_record.K_set_header | Log_record.K_format | Log_record.K_preformat
+  | Log_record.K_full_image ->
+      true
+  | Log_record.K_insert_row | Log_record.K_delete_row | Log_record.K_update_row -> false
+
+(* Add [d] (+1 or -1) to the op counts a page record contributes. *)
+let count_op acc kind d =
+  match kind with
+  | Log_record.K_page_op k | Log_record.K_clr k ->
+      acc.a_ops <- acc.a_ops + d;
+      (match kind with Log_record.K_clr _ -> acc.a_clrs <- acc.a_clrs + d | _ -> ());
+      if structural_op_kind k then acc.a_structural <- acc.a_structural + d
+  | _ -> ()
+
+let note_txn t pk lsn ~wall =
+  let txn = pk.Log_record.p_txn in
+  let key = Txn_id.to_int txn in
+  let acc =
+    match Hashtbl.find_opt t.txn_index key with
+    | None when Lsn.is_nil pk.Log_record.p_prev_txn_lsn && not (Txn_id.is_nil txn) ->
+        let a =
+          {
+            a_txn = txn;
+            a_first = lsn;
+            a_commit = Lsn.nil;
+            a_wall = 0.0;
+            a_aborted = false;
+            a_ops = 0;
+            a_clrs = 0;
+            a_structural = 0;
+            a_writes_rev = [];
+            a_pages = Hashtbl.create 8;
+          }
+        in
+        Hashtbl.replace t.txn_index key a;
+        Some a
+    | found -> found
+  in
+  match (acc, pk.Log_record.p_kind) with
+  | None, _ -> ()
+  | Some acc, Log_record.K_commit ->
+      acc.a_commit <- lsn;
+      acc.a_wall <- wall
+  | Some acc, Log_record.K_abort -> acc.a_aborted <- true
+  | Some acc, ((Log_record.K_page_op _ | Log_record.K_clr _) as kind) ->
+      count_op acc kind 1;
+      let page = pk.Log_record.p_page in
+      let pkey = Page_id.to_int page in
+      if not (Hashtbl.mem acc.a_pages pkey) then begin
+        Hashtbl.replace acc.a_pages pkey ();
+        acc.a_writes_rev <- (page, lsn) :: acc.a_writes_rev
+      end
+  | Some _, (Log_record.K_begin | Log_record.K_end | Log_record.K_checkpoint) -> ()
+
+(* The exact reversal of [note_txn], for a record that is the newest of
+   its transaction (tail drops shed records newest first). *)
+let unnote_txn t pk lsn =
+  let key = Txn_id.to_int pk.Log_record.p_txn in
+  match Hashtbl.find_opt t.txn_index key with
+  | None -> ()
+  | Some acc when Lsn.equal lsn acc.a_first -> Hashtbl.remove t.txn_index key
+  | Some acc -> (
+      match pk.Log_record.p_kind with
+      | Log_record.K_commit ->
+          acc.a_commit <- Lsn.nil;
+          acc.a_wall <- 0.0
+      | Log_record.K_abort -> acc.a_aborted <- false
+      | kind -> (
+          count_op acc kind (-1);
+          match acc.a_writes_rev with
+          | (page, first) :: rest when Lsn.equal first lsn ->
+              acc.a_writes_rev <- rest;
+              Hashtbl.remove acc.a_pages (Page_id.to_int page)
+          | _ -> ()))
+
+(* Summaries whose first record fell below a retention cut at [lsn] can
+   no longer be rewound or replayed; drop them wholesale. *)
+let drop_txns_before t lsn =
+  let dead =
+    Hashtbl.fold
+      (fun key acc dead -> if Lsn.(acc.a_first < lsn) then key :: dead else dead)
+      t.txn_index []
+  in
+  List.iter (Hashtbl.remove t.txn_index) dead
+
+(* ---------- indexing one record ---------- *)
+
+(* Every index's upkeep for the record [pk] just placed at [lsn] in
+   [seg], from its header peek plus, for commits and checkpoints, the
+   wall time read in place.  Shared by every ingestion path, so none
+   needs a payload decode to keep the indexes true. *)
+let index_record t seg pk lsn =
+  let wall =
+    match pk.Log_record.p_kind with
+    | Log_record.K_commit | Log_record.K_checkpoint ->
+        Log_record.wall_bytes seg.s_blob ~pos:(Lsn.to_int lsn - seg.s_base)
+    | _ -> 0.0
+  in
+  let add = ref idx_record_bytes in
+  (match pk.Log_record.p_kind with
+  | Log_record.K_page_op Log_record.K_full_image ->
+      push_descending seg.s_fpi (Page_id.to_int pk.Log_record.p_page) lsn;
+      add := !add + idx_fpi_bytes
+  | Log_record.K_page_op _ | Log_record.K_clr _ -> ()
+  | k ->
+      ctl_push seg.s_ctl (Lsn.to_int lsn) (Txn_id.to_int pk.Log_record.p_txn) (ctl_code k) wall;
+      add := !add + idx_ctl_bytes);
+  if Log_record.is_page_kind pk.Log_record.p_kind then begin
+    chain_push seg.s_chains (Page_id.to_int pk.Log_record.p_page) lsn;
+    add := !add + idx_chain_bytes
+  end;
+  seg.s_index_bytes <- seg.s_index_bytes + !add;
+  t.index_bytes <- t.index_bytes + !add;
+  note_txn t pk lsn ~wall
+
+(* The exact reversal of [index_record] for record [i] of [seg], the
+   newest record still indexed. *)
+let unindex_record t seg i =
+  let pk = rec_peek seg i in
+  let lsn = Lsn.of_int seg.s_lsns.(i) in
+  let sub = ref idx_record_bytes in
+  (match pk.Log_record.p_kind with
+  | Log_record.K_page_op Log_record.K_full_image ->
+      (match Hashtbl.find_opt seg.s_fpi (Page_id.to_int pk.Log_record.p_page) with
+      | Some l -> l := List.filter (fun f -> not (Lsn.equal f lsn)) !l
+      | None -> ());
+      sub := !sub + idx_fpi_bytes
+  | Log_record.K_page_op _ | Log_record.K_clr _ -> ()
+  | _ ->
+      ctl_remove seg.s_ctl (Lsn.to_int lsn);
+      sub := !sub + idx_ctl_bytes);
+  if Log_record.is_page_kind pk.Log_record.p_kind then begin
+    chain_remove seg.s_chains (Page_id.to_int pk.Log_record.p_page) lsn;
+    sub := !sub + idx_chain_bytes
+  end;
+  seg.s_index_bytes <- seg.s_index_bytes - !sub;
+  t.index_bytes <- t.index_bytes - !sub;
+  unnote_txn t pk lsn
+
+(* ---------- merged views ---------- *)
+
+(* The directory walk: retained control records from [from] on,
+   ascending, until [f] answers [false].  Entries below the retention
+   boundary (a straddling segment's dead prefix) are skipped. *)
+let iter_controls t ~from f =
+  let lo = Lsn.to_int (Lsn.max from t.truncated_below) in
+  let si = ref (seg_lower t lo) in
+  let go = ref true in
+  while !go && !si < t.seg_hi do
+    let d = t.segs.(!si).s_ctl in
+    let i = ref (lower_bound d.c_lsn d.c_n lo) in
+    while !go && !i < d.c_n do
+      go :=
+        f
+          (Lsn.of_int d.c_lsn.(!i))
+          ctl_kinds.(Bytes.get_uint8 d.c_kind !i)
+          (Txn_id.of_int d.c_txn.(!i))
+          (Float.Array.get d.c_wall !i);
+      incr i
+    done;
+    incr si
+  done
+
+let checkpoint_code = ctl_code Log_record.K_checkpoint
+
+(* Newest first; a straddling segment's dead prefix ends the walk, as
+   every older segment has been dropped. *)
+let iter_checkpoints_rev t f =
+  let tb = Lsn.to_int t.truncated_below in
+  let si = ref (t.seg_hi - 1) and go = ref true in
+  while !go && !si >= t.seg_lo do
+    let d = t.segs.(!si).s_ctl in
+    let i = ref (d.c_n - 1) in
+    while !go && !i >= 0 && d.c_lsn.(!i) >= tb do
+      if Bytes.get_uint8 d.c_kind !i = checkpoint_code then
+        go := f (Lsn.of_int d.c_lsn.(!i)) (Float.Array.get d.c_wall !i);
+      decr i
+    done;
+    decr si
+  done
+
+(* Newest retained checkpoint, for the fallback of [last_checkpoint]
+   after a tail drop or a restore. *)
+let newest_checkpoint t =
+  let res = ref Lsn.nil in
+  iter_checkpoints_rev t (fun lsn _ ->
+      res := lsn;
+      false);
+  !res
+
+let earliest_fpi_after t page ~after =
+  let pid = Page_id.to_int page in
+  let ai = Lsn.to_int after in
+  let res = ref None in
+  let si = ref t.seg_lo in
+  (* Oldest-first: the first segment holding a qualifying FPI holds the
+     earliest one. *)
+  while !res = None && !si < t.seg_hi do
+    let s = t.segs.(!si) in
+    if s.s_end > ai + 1 then begin
+      match Hashtbl.find_opt s.s_fpi pid with
+      | None -> ()
+      | Some l ->
+          (* The list is descending; the earliest FPI still > after is the
+             last element before we cross the boundary. *)
+          let rec go best = function
+            | [] -> best
+            | lsn :: rest ->
+                if Lsn.(lsn > after) && Lsn.(lsn >= t.truncated_below) then go (Some lsn) rest
+                else best
+          in
+          res := go None !l
+    end;
+    incr si
+  done;
+  !res
+
+let chain_segment t page ~from ~down_to =
+  let pid = Page_id.to_int page in
+  (* Clamp at the retention boundary: a straddling segment keeps its dead
+     prefix physically, so the boundary must be enforced here rather than
+     by eager pruning.  [chain_upper] is strict-greater, so the clamp
+     value is one below the first retained LSN. *)
+  let dt = Lsn.of_int (max (Lsn.to_int down_to) (Lsn.to_int t.truncated_below - 1)) in
+  let from_i = Lsn.to_int from in
+  if Lsn.(from <= dt) then [||]
+  else begin
+    let slices = ref [] in
+    (* (arr, lo, n), newest first *)
+    let total = ref 0 in
+    for si = t.seg_lo to t.seg_hi - 1 do
+      let s = t.segs.(si) in
+      if s.s_end > Lsn.to_int dt + 1 && s.s_base <= from_i then
+        match Hashtbl.find_opt s.s_chains pid with
+        | None -> ()
+        | Some c ->
+            let lo = chain_upper c dt in
+            let hi = chain_upper c from in
+            if hi > lo then begin
+              slices := (c.arr, lo, hi - lo) :: !slices;
+              total := !total + (hi - lo)
+            end
+    done;
+    match !slices with
+    | [] -> [||]
+    | [ (arr, lo, n) ] -> Array.sub arr lo n
+    | l ->
+        let out = Array.make !total Lsn.nil in
+        let pos = ref !total in
+        List.iter
+          (fun (arr, lo, n) ->
+            pos := !pos - n;
+            Array.blit arr lo out !pos n)
+          l;
+        out
+  end
+
+let pages_changed_since t ~since =
+  let acc = Hashtbl.create 64 in
+  let tb = Lsn.to_int t.truncated_below in
+  for si = t.seg_lo to t.seg_hi - 1 do
+    let s = t.segs.(si) in
+    if s.s_end > Lsn.to_int since + 1 then
+      Hashtbl.iter
+        (fun page c ->
+          if
+            c.len > 0
+            && Lsn.(c.arr.(c.len - 1) > since)
+            && Lsn.to_int c.arr.(c.len - 1) >= tb
+          then Hashtbl.replace acc page ())
+        s.s_chains
+  done;
+  Hashtbl.fold (fun p () l -> Page_id.of_int p :: l) acc []
+
+type txn_summary = {
+  ts_txn : Txn_id.t;
+  ts_first_lsn : Lsn.t;
+  ts_commit_lsn : Lsn.t;
+  ts_commit_wall_us : float;
+  ts_ops : int;
+  ts_has_clr : bool;
+  ts_structural : bool;
+  ts_writes : (Page_id.t * Lsn.t) list;
+}
+
+let committed a = (not (Lsn.is_nil a.a_commit)) && not a.a_aborted
+
+let summary_of a =
+  {
+    ts_txn = a.a_txn;
+    ts_first_lsn = a.a_first;
+    ts_commit_lsn = a.a_commit;
+    ts_commit_wall_us = a.a_wall;
+    ts_ops = a.a_ops;
+    ts_has_clr = a.a_clrs > 0;
+    ts_structural = a.a_structural > 0;
+    ts_writes = List.rev a.a_writes_rev;
+  }
+
+let txn_summaries t =
+  Hashtbl.fold (fun _ a acc -> if committed a then summary_of a :: acc else acc) t.txn_index []
+  |> List.sort (fun x y -> Lsn.compare x.ts_commit_lsn y.ts_commit_lsn)
+
+let txn_resolution t txn =
+  match Hashtbl.find_opt t.txn_index (Txn_id.to_int txn) with
+  | None -> `Unknown
+  | Some a ->
+      if a.a_aborted then `Aborted else if committed a then `Committed else `Active

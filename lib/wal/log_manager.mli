@@ -179,11 +179,6 @@ val gather_range :
     entries, one per page in page-id order, each with its LSNs
     ascending.  No admitted record is copied or decoded. *)
 
-val iter_range_rev :
-  t -> from:Rw_storage.Lsn.t -> upto:Rw_storage.Lsn.t -> (Rw_storage.Lsn.t -> Log_record.t -> unit) -> unit
-(** {!iter_range_peek}'s range, reverse order, every record decoded as
-    its thunk would decode it. *)
-
 val charge_scan : t -> from:Rw_storage.Lsn.t -> upto:Rw_storage.Lsn.t -> unit
 (** Account the sequential I/O cost of scanning a log region without
     decoding it (e.g. a restore's initialization of the unused log tail). *)

@@ -582,7 +582,12 @@ let logical_full_rewind db ~wall_us =
   let disk = Database.disk db in
   let pages : (int, Page.t) Hashtbl.t = Hashtbl.create 256 in
   let undone = ref 0 in
-  Log_manager.iter_range_rev log ~from:split ~upto:(Log_manager.end_lsn log) (fun _ r ->
+  (* One sequential scan from the split, then the undo newest first. *)
+  let records = ref [] in
+  Log_manager.iter_range_peek log ~from:split ~upto:(Log_manager.end_lsn log) (fun _ _ decode ->
+      records := decode () :: !records);
+  List.iter
+    (fun r ->
       match r.Log_record.body with
       | Log_record.Page_op { page; op; prev_page_lsn }
       | Log_record.Clr { page; op; prev_page_lsn; _ } ->
@@ -600,7 +605,8 @@ let logical_full_rewind db ~wall_us =
             Page.set_lsn p prev_page_lsn;
             incr undone
           end
-      | _ -> ());
+      | _ -> ())
+    !records;
   (Hashtbl.length pages, !undone)
 
 let ablation ~quick () =

@@ -301,8 +301,8 @@ let test_broken_page_in_batch () =
       ignore (Page_undo.prepare_page_as_of_walk ~log ~page:walked ~as_of);
       check "neighbour equals the walk" true (Bytes.equal pages.(i) walked))
     [ 0; 2 ];
-  (* Publish as the batch pipeline does: only the rejected page reruns
-     through the serial path, and only it falls back to the walk. *)
+  (* Rerun each page the batch rejected through the serial path: only the
+     broken page falls back to the walk. *)
   let before = Rw_obs.Metrics.counter_value Rw_obs.Probes.walk_fallbacks in
   Array.iteri
     (fun i page ->
@@ -317,11 +317,13 @@ let test_broken_page_in_batch () =
 (* The serial rewind is a batch of one: reading a page through the
    snapshot's read path and materialising it with [materialize_batch [p]]
    — each on its own copy of one deterministic history, over a cold log —
-   leave the same page bytes and the same priced I/O, with and without
-   full page images. *)
+   leave the same page bytes (or the same exception) and the same priced
+   I/O, with and without full page images, and with every page's
+   jump-start image damaged, so that each apply is rejected and the page
+   takes the walk without gathering its chain again. *)
 let test_batch_of_one_matches_serial () =
   let module Io_stats = Rw_storage.Io_stats in
-  let build fpi =
+  let build (fpi, damaged) =
     let clock = Sim_clock.create () in
     let db =
       Database.create ~name:"one" ~clock ~media:Media.ram ~log_media:Media.ssd
@@ -344,12 +346,25 @@ let test_batch_of_one_matches_serial () =
           done)
     done;
     let view = Database.create_as_of_snapshot ~shared:false db ~name:"past" ~wall_us:t_mid in
-    (db, Option.get (Database.snapshot_handle view))
+    let snap = Option.get (Database.snapshot_handle view) in
+    (if damaged then
+       let log = Database.log db and disk = Database.disk db in
+       for i = 0 to Disk.page_count disk - 1 do
+         let pid = Page_id.of_int i in
+         match Log_manager.earliest_fpi_after log pid ~after:(As_of_snapshot.split_lsn snap) with
+         | Some f when Disk.has_page disk pid ->
+             (* The image length, as in [test_corrupt_image_falls_back]. *)
+             let g = Option.get (Log_manager.gather_batch log [| [| f |] |]).Log_manager.b_pages.(0) in
+             let at = g.Log_manager.g_pos.(0) + 35 and blob = g.Log_manager.g_blob.(0) in
+             Bytes.set blob at (Char.chr (Char.code (Bytes.get blob at) lxor 0x01))
+         | _ -> ()
+       done);
+    (db, snap)
   in
   List.iter
-    (fun (name, fpi) ->
-      let db_s, snap_s = build fpi in
-      let db_b, snap_b = build fpi in
+    (fun (name, fpi, damaged) ->
+      let db_s, snap_s = build (fpi, damaged) in
+      let db_b, snap_b = build (fpi, damaged) in
       let disk = Database.disk db_s in
       let raw snap pid =
         Buffer_pool.with_page (As_of_snapshot.pool snap) pid ~mode:Rw_buffer.Latch.Shared
@@ -359,7 +374,7 @@ let test_batch_of_one_matches_serial () =
       let measure db f =
         let log0, disk0 = stats db in
         let log0 = Io_stats.copy log0 and disk0 = Io_stats.copy disk0 in
-        let v = f () in
+        let v = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e) in
         let log1, disk1 = stats db in
         (v, Io_stats.diff log1 log0, Io_stats.diff disk1 disk0)
       in
@@ -367,21 +382,28 @@ let test_batch_of_one_matches_serial () =
         let pid = Page_id.of_int i in
         if Disk.has_page disk pid then begin
           let serial, log_s, disk_s = measure db_s (fun () -> raw snap_s pid) in
-          let (), log_b, disk_b =
+          let batch, log_b, disk_b =
             measure db_b (fun () -> ignore (As_of_snapshot.materialize_batch snap_b [ pid ]))
           in
           let label = Printf.sprintf "fpi %s page %d" name i in
-          check (label ^ ": same bytes") true (String.equal serial (raw snap_b pid));
+          check (label ^ ": same bytes") true
+            (serial = Result.map (fun () -> raw snap_b pid) batch);
           check (label ^ ": same log I/O") true (log_s = log_b);
           check (label ^ ": same data I/O") true (disk_s = disk_b)
         end
       done;
       let rewinds = As_of_snapshot.rewinds snap_s in
-      check "log records were read" true
+      check "log records were read, unless every walk met a damaged image" (not damaged)
         (List.exists (fun r -> r.As_of_snapshot.rc_log_reads > 0) rewinds);
-      check "fpi use as configured" (fpi <> Access_ctx.Off)
+      check "fpi use as configured" (fpi <> Access_ctx.Off && not damaged)
         (List.exists (fun r -> r.As_of_snapshot.rc_fpi) rewinds))
-    Access_ctx.[ ("off", Off); ("N=3", Every_mods 3); ("default", default_fpi) ]
+    Access_ctx.
+      [
+        ("off", Off, false);
+        ("N=3", Every_mods 3, false);
+        ("default", default_fpi, false);
+        ("N=3, images damaged", Every_mods 3, true);
+      ]
 
 (* --- full page images under the default byte budget --- *)
 

@@ -355,10 +355,7 @@ let test_iter_range () =
   Log_manager.iter_range_peek log ~from:(List.nth lsns 2) ~upto:(List.nth lsns 7) (fun lsn _ _ ->
       seen := lsn :: !seen);
   check_int "range covers [2,7)" 5 (List.length !seen);
-  let seen_rev = ref [] in
-  Log_manager.iter_range_rev log ~from:(List.nth lsns 2) ~upto:(List.nth lsns 7) (fun lsn _ ->
-      seen_rev := lsn :: !seen_rev);
-  check "reverse order" true (!seen_rev = List.rev !seen)
+  check "ascending order" true (List.rev !seen = List.filteri (fun i _ -> i >= 2 && i < 7) lsns)
 
 let test_truncate () =
   let _, log = mk_log () in
@@ -1013,26 +1010,73 @@ let check_txns what log =
            | None -> `Unknown)
        txn_ids)
 
-(* The index upkeep after an event: the txn index equals the scan, both
-   here and in a fresh restore of [dump_entries], whose index footprint
-   must match too — except after a truncation through a segment, whose
-   dead prefix keeps its entries until the whole segment is dropped. *)
+(* The page-chain and image views equal a header scan of the retained
+   records: [chain_segment] for every page, bounded above and below at
+   every record, [earliest_fpi_after] and [pages_changed_since] after
+   every record. *)
+let check_page_views what log =
+  let recs = ref [] in
+  Log_manager.iter_range_peek log ~from:(Log_manager.first_lsn log)
+    ~upto:(Log_manager.end_lsn log) (fun lsn pk _ ->
+      if Log_record.is_page_kind pk.Log_record.p_kind then
+        recs := (lsn, Page_id.to_int pk.Log_record.p_page, pk.Log_record.p_kind) :: !recs);
+  let recs = List.rev !recs in
+  let pages = List.sort_uniq compare (List.map (fun (_, p, _) -> p) recs) in
+  let bounds = Lsn.nil :: List.map (fun (l, _, _) -> l) recs in
+  let top = Log_manager.end_lsn log in
+  let chain p ~from ~down_to =
+    List.filter_map
+      (fun (l, q, _) -> if q = p && Lsn.(l > down_to && l <= from) then Some l else None)
+      recs
+  in
+  let views_equal p b =
+    let pid = Page_id.of_int p in
+    Array.to_list (Log_manager.chain_segment log pid ~from:top ~down_to:b)
+    = chain p ~from:top ~down_to:b
+    && Array.to_list (Log_manager.chain_segment log pid ~from:b ~down_to:Lsn.nil)
+       = chain p ~from:b ~down_to:Lsn.nil
+    && Log_manager.earliest_fpi_after log pid ~after:b
+       = List.find_map
+           (fun (l, q, k) ->
+             if q = p && Lsn.(l > b) && k = Log_record.K_page_op Log_record.K_full_image then
+               Some l
+             else None)
+           recs
+  in
+  check (what ^ ": chains and images equal the scan") true
+    (List.for_all (fun p -> List.for_all (views_equal p) bounds) pages);
+  check (what ^ ": changed pages equal the scan") true
+    (List.for_all
+       (fun since ->
+         List.sort compare (List.map Page_id.to_int (Log_manager.pages_changed_since log ~since))
+         = List.sort_uniq compare
+             (List.filter_map (fun (l, p, _) -> if Lsn.(l > since) then Some p else None) recs))
+       bounds)
+
+(* The index upkeep after an event: the txn index and the page views
+   equal the scan, both here and in a fresh restore of [dump_entries],
+   whose index footprint must match too — except after a truncation
+   through a segment, whose dead prefix keeps its entries until the
+   whole segment is dropped. *)
 let check_upkeep ?(straddled = false) what log =
   check_txns what log;
+  check_page_views what log;
   let copy =
     Log_manager.create ~clock:(Sim_clock.create ()) ~media:Media.ram
       ~segment_bytes:(Log_manager.segment_size log) ()
   in
   Log_manager.restore_entries copy (Log_manager.dump_entries log);
   check_txns (what ^ ", restored") copy;
+  check_page_views (what ^ ", restored") copy;
   let index_bytes l = (Log_manager.segment_stats l).Log_manager.ss_index_bytes in
   if not straddled then
     check_int (what ^ ": index bytes equal a fresh restore's") (index_bytes copy) (index_bytes log)
 
 (* Three interleaved transactions per round — one commits, one aborts
    (Abort, then End), one is left open until the next round — with page
-   records between and a checkpoint every other round.  Each record
-   points back to its transaction's previous one. *)
+   records between, among them a full page image from the committing
+   one, and a checkpoint every other round.  Each record points back to
+   its transaction's previous one. *)
 let control_history log ~rounds ~first_txn =
   let wall = ref (float_of_int (first_txn * 1000)) in
   let last = Hashtbl.create 16 in
@@ -1059,6 +1103,14 @@ let control_history log ~rounds ~first_txn =
     let o = Txn_id.of_int (first_txn + (3 * r) + 2) in
     List.iter (fun x -> ignore (app ~txn:x Log_record.Begin)) [ t; a; o ];
     op t (1 + (r mod 3));
+    ignore
+      (app ~txn:t
+         (Log_record.Page_op
+            {
+              page = Page_id.of_int (1 + (r mod 3));
+              prev_page_lsn = Lsn.nil;
+              op = Log_record.Full_image { image = String.make Page.page_size 'i' };
+            }));
     op a 4;
     op o 5;
     (match !open_txn with

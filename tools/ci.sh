@@ -226,9 +226,6 @@ check_regression() {
     if (cur > limit) { printf "error: \"%s\" regressed >25%%\n", key; exit 1 }
   }'
 }
-# The modeled parallel batch row keeps its 25% guard too, ahead of the
-# host-time rows.
-check_regression "prepare_batch_as_of-parallel-4" "$base_batch_par"
 check_regression "core-primitives/prepare_page_as_of (400-op rewind)" "$base_prepare"
 check_regression "core-primitives/prepare_page_as_of (cold segment)" "$base_prepare_cold"
 check_regression "core-primitives/group commit (8 txns/flush)" "$base_commit"
