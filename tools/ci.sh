@@ -130,25 +130,33 @@ echo "== what-if selective-undo soak (fixed seeds) =="
 # inequality.
 dune exec bin/rewind_cli.exe -- whatifsoak --seeds 11,23,47 --quick
 
-echo "== rwbench count determinism (trace off vs on) =="
+echo "== rwbench count determinism (trace off vs on) and exact counts =="
 # Every count line of an rwbench run comes from its counted window, which
 # runs the same code with tracing off or on, so the two runs must print
-# the same counts-digest.  Comparisons of modeled work between two
-# versions of the engine rest on this.  The writing workloads are checked
-# too: full-page-image emission is write-side work that must be just as
-# deterministic.
-digest_of() {
-  dune exec rwbench/main.exe -- --workload "$1" --seed 7 --seconds 2 --trace "$2" |
-    sed -n 's/^counts-digest //p'
+# the same counts-digest.  The writing workloads are checked too:
+# full-page-image emission is write-side work that must be just as
+# deterministic.  The non-gc.* count lines are modeled work, so they must
+# also equal the checked-in tools/counts/<workload>.txt exactly: a change
+# that moves modeled work on purpose updates those files and says old ->
+# new for each moved line.
+bench_run() {
+  dune exec rwbench/main.exe -- --workload "$1" --seed 7 --seconds 2 --trace "$2"
 }
 for w in asof_audit htap repair_restart; do
-  digest_off=$(digest_of "$w" 0)
-  digest_on=$(digest_of "$w" 1)
+  out_off=$(bench_run "$w" 0)
+  digest_off=$(echo "$out_off" | sed -n 's/^counts-digest //p')
+  digest_on=$(bench_run "$w" 1 | sed -n 's/^counts-digest //p')
   echo "$w counts-digest trace 0: $digest_off  trace 1: $digest_on"
   if [ -z "$digest_off" ] || [ "$digest_off" != "$digest_on" ]; then
     echo "error: $w counts differ between --trace 0 and --trace 1" >&2
     exit 1
   fi
+  if ! echo "$out_off" | grep '^count ' | grep -v '^count gc\.' |
+    diff "tools/counts/$w.txt" - >&2; then
+    echo "error: $w count lines differ from tools/counts/$w.txt (< checked in, > this run)" >&2
+    exit 1
+  fi
+  echo "$w counts equal tools/counts/$w.txt"
 done
 
 echo "== bench smoke (all --quick --json) =="
