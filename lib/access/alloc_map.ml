@@ -100,27 +100,25 @@ let rec insert_row ctx txn pid ~flags =
     insert_row ctx txn pid ~flags
   end
 
-let allocate t ctx txn ~typ ~level =
-  let reuse =
-    match t.free with
-    | pid :: rest ->
-        t.free <- rest;
-        Some pid
-    | [] -> None
-  in
-  match reuse with
-  | Some pid ->
-      (match find_row ctx pid with
-      | Some (map_pid, slot, _flags) ->
-          set_flags ctx txn map_pid slot (flag_allocated lor flag_ever)
-      | None -> invalid_arg "Alloc_map.allocate: free page without map row");
-      (* Re-allocation: preserve the previous incarnation's content and
-         chain (paper §4.2(1)). *)
-      let prev_image = Access_ctx.snapshot_page_image ctx pid in
-      Access_ctx.modify ctx txn pid (Log_record.Preformat { prev_image });
-      Access_ctx.modify ctx txn pid (Log_record.Format { typ; level });
-      pid
-  | None ->
+let rec allocate t ctx txn ~typ ~level =
+  match t.free with
+  | pid :: rest -> (
+      t.free <- rest;
+      match find_row ctx pid with
+      | Some (map_pid, slot, flags) when flags land flag_allocated = 0 ->
+          set_flags ctx txn map_pid slot (flag_allocated lor flag_ever);
+          (* Re-allocation: preserve the previous incarnation's content and
+             chain (paper §4.2(1)). *)
+          let prev_image = Access_ctx.snapshot_page_image ctx pid in
+          Access_ctx.modify ctx txn pid (Log_record.Preformat { prev_image });
+          Access_ctx.modify ctx txn pid (Log_record.Format { typ; level });
+          pid
+      | Some _ ->
+          (* Listed by a [free] that was rolled back (or rewound): the page
+             is live again, so the list entry is stale. *)
+          allocate t ctx txn ~typ ~level
+      | None -> invalid_arg "Alloc_map.allocate: free page without map row")
+  | [] ->
       let pid = fresh_page_id ctx txn in
       insert_row ctx txn pid ~flags:(flag_allocated lor flag_ever);
       Access_ctx.modify ctx txn pid (Log_record.Format { typ; level });

@@ -129,6 +129,23 @@ let test_free_list_rebuild () =
   let reopened = Alloc_map.open_ env.ctx in
   check_int "free list found on reopen" 1 (Alloc_map.free_count reopened)
 
+(* A free that is rolled back leaves the page live: the next allocation
+   must not hand it out again (it used to, overwriting the live page). *)
+let test_rolled_back_free () =
+  let env = mk_env () in
+  let p1 =
+    with_txn env (fun txn -> Alloc_map.allocate env.alloc env.ctx txn ~typ:Page.Heap ~level:0)
+  in
+  let txn = Txn_manager.begin_txn env.txns in
+  Alloc_map.free env.alloc env.ctx txn p1;
+  Txn_manager.rollback env.txns txn ~write_page:(Access_ctx.page_writer env.ctx);
+  check "live again" true (Alloc_map.is_allocated env.ctx p1);
+  let p2 =
+    with_txn env (fun txn -> Alloc_map.allocate env.alloc env.ctx txn ~typ:Page.Heap ~level:0)
+  in
+  check "a fresh page, not the live one" false (Page_id.equal p1 p2);
+  check "both allocated" true (Alloc_map.is_allocated env.ctx p1 && Alloc_map.is_allocated env.ctx p2)
+
 (* --- btree --- *)
 
 let test_btree_basic () =
@@ -364,6 +381,7 @@ let () =
           Alcotest.test_case "realloc logs preformat" `Quick test_realloc_logs_preformat;
           Alcotest.test_case "map chain growth" `Quick test_alloc_map_grows;
           Alcotest.test_case "free list rebuild" `Quick test_free_list_rebuild;
+          Alcotest.test_case "rolled-back free not reused" `Quick test_rolled_back_free;
         ] );
       ( "btree",
         [
