@@ -6,6 +6,8 @@
      main.exe micro              run only the Bechamel microbenchmarks
      main.exe all --quick       shrink workloads (smoke mode)
      main.exe ... --json        also write BENCH_micro.json (name -> ns/run)
+     main.exe ... --profile PATH  sample host-time call stacks into PATH
+                                (folded stacks) and print the top frames
 
    Experiment output is the paper-shaped table for each figure/section of
    the evaluation (see DESIGN.md's per-experiment index). *)
@@ -753,8 +755,20 @@ let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let quick = List.mem "--quick" args in
   let json = List.mem "--json" args in
+  let rec split_profile = function
+    | "--profile" :: path :: rest -> (Some path, rest)
+    | [ "--profile" ] ->
+        prerr_endline "--profile needs a PATH";
+        exit 2
+    | a :: rest ->
+        let p, rest = split_profile rest in
+        (p, a :: rest)
+    | [] -> (None, [])
+  in
+  let profile, args = split_profile args in
   let args = List.filter (fun a -> a <> "--quick" && a <> "--json") args in
   let run_micro () = Micro.run ~json () in
+  Rw_prof.Sampler.with_profile profile @@ fun () ->
   match args with
   | [] | [ "all" ] ->
       Experiments.run_all ~quick ();

@@ -483,7 +483,8 @@ let repl media =
   let eng, session = make_engine media in
   repl_loop eng session
 
-let exec media script file trace_path =
+let exec media script file trace_path profile_path =
+  Rw_prof.Sampler.with_profile profile_path @@ fun () ->
   let eng, session = make_engine media in
   let source =
     match (script, file) with
@@ -587,8 +588,17 @@ let exec_cmd =
       & info [ "trace" ] ~docv:"PATH"
           ~doc:"Collect a trace of the run and write Chrome trace_event JSON to $(docv).")
   in
+  let profile =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "profile" ] ~docv:"PATH"
+          ~doc:
+            "Sample the run's host-time call stacks, write them as folded stacks to $(docv) \
+             and print the top frames.")
+  in
   Cmd.v (Cmd.info "exec" ~doc:"Execute a SQL script")
-    Term.(const exec $ media_term $ script $ file $ trace)
+    Term.(const exec $ media_term $ script $ file $ trace $ profile)
 
 let demo_cmd =
   let txns =
