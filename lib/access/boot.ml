@@ -16,10 +16,12 @@ let get_from_page page key =
   | Either.Left i -> Some (Rowfmt.row_value (Slotted_page.get page ~at:i))
   | Either.Right _ -> None
 
-let get ctx key = Access_ctx.read ctx page_id (fun page -> get_from_page page key)
-
-let get_exn ctx key =
-  match get ctx key with
+let get_exn ?(seen = fun _ _ -> ()) ctx key =
+  match
+    Access_ctx.read ctx page_id (fun page ->
+        seen page_id page;
+        get_from_page page key)
+  with
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "Boot.get_exn: no setting %Ld" key)
 

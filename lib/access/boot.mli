@@ -14,7 +14,10 @@ val key_next_table_id : int64
 val init : Access_ctx.t -> Rw_txn.Txn_manager.txn -> unit
 (** Format page 0 as the boot page (database creation). *)
 
-val get_exn : Access_ctx.t -> int64 -> int64
+val get_exn :
+  ?seen:(Rw_storage.Page_id.t -> Rw_storage.Page.t -> unit) -> Access_ctx.t -> int64 -> int64
+(** A setting's value; [seen] runs on the boot page under the read's
+    latch. *)
 
 val set : Access_ctx.t -> Rw_txn.Txn_manager.txn -> int64 -> int64 -> unit
 (** Insert or update a setting (logged). *)

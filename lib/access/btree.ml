@@ -188,10 +188,12 @@ let update ctx alloc txn t ~key ~payload =
         insert ctx alloc txn t ~key ~payload
       end
 
-let leftmost_leaf ctx t =
+let leftmost_leaf ?(seen = fun _ _ -> ()) ctx t =
   let rec go pid =
     match
-      read ctx pid (fun page -> if Page.level page = 0 then None else Some (child_at page 0))
+      read ctx pid (fun page ->
+          seen pid page;
+          if Page.level page = 0 then None else Some (child_at page 0))
     with
     | None -> pid
     | Some child -> go child
@@ -226,15 +228,19 @@ let leaf_rows page =
     (Slotted_page.fold page ~init:[] ~f:(fun acc _ row ->
          (Rowfmt.row_key row, Rowfmt.leaf_payload row) :: acc))
 
-let iter_leaves ctx t ~leaf ~f =
+let iter_leaves ?(seen = fun _ _ -> ()) ctx t ~leaf ~f =
   let rec walk pid =
     if not (Page_id.is_nil pid) then begin
-      let v, next = read ctx pid (fun page -> (leaf pid page, Page.next_page page)) in
+      let v, next =
+        read ctx pid (fun page ->
+            seen pid page;
+            (leaf pid page, Page.next_page page))
+      in
       f v;
       walk next
     end
   in
-  walk (leftmost_leaf ctx t)
+  walk (leftmost_leaf ~seen ctx t)
 
 let iter ctx t ~f =
   iter_leaves ctx t ~leaf:(fun _ page -> leaf_rows page) ~f:(List.iter (fun (k, v) -> f k v))

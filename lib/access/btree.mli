@@ -58,6 +58,7 @@ val iter : Access_ctx.t -> t -> f:(int64 -> string -> unit) -> unit
     {!leaf_rows} as the leaf step. *)
 
 val iter_leaves :
+  ?seen:(Rw_storage.Page_id.t -> Rw_storage.Page.t -> unit) ->
   Access_ctx.t ->
   t ->
   leaf:(Rw_storage.Page_id.t -> Rw_storage.Page.t -> 'a) ->
@@ -67,7 +68,8 @@ val iter_leaves :
     leaf: [leaf] runs on each leaf page under its shared latch, and [f] on
     what it returned once the latch is released.  Every page is read
     through {!Access_ctx.read}, so the walk is charged and pinned the same
-    whatever [leaf] does. *)
+    whatever [leaf] does.  [seen] runs on every page read, descent
+    included, in read order and under the same latch. *)
 
 val leaf_rows : Rw_storage.Page.t -> (int64 * string) list
 (** A leaf page's (key, payload) rows in key order. *)

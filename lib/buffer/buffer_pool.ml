@@ -26,11 +26,20 @@ type frame = {
   latch : Latch.t;
 }
 
+(* Frames by page id.  Page ids are dense small integers, so the identity
+   is a good hash, and a lookup skips the polymorphic [Hashtbl.hash]. *)
+module Frames = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
 type t = {
   capacity : int;
   source : source;
   wal_flush : Lsn.t -> unit;
-  frames : (int, frame) Hashtbl.t;
+  frames : frame Frames.t;
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -66,7 +75,7 @@ let create ~capacity ~source ?(wal_flush = fun _ -> ()) () =
     capacity;
     source;
     wal_flush;
-    frames = Hashtbl.create (2 * capacity);
+    frames = Frames.create (2 * capacity);
     tick = 0;
     hits = 0;
     misses = 0;
@@ -76,7 +85,7 @@ let page f = f.page
 let frame_latch f = f.latch
 let pin_count f = f.pin_count
 let capacity t = t.capacity
-let resident t = Hashtbl.length t.frames
+let resident t = Frames.length t.frames
 let hits t = t.hits
 let misses t = t.misses
 
@@ -93,7 +102,7 @@ let write_back t f =
 
 let evict_one t =
   let victim = ref None in
-  Hashtbl.iter
+  Frames.iter
     (fun _ f ->
       if f.pin_count = 0 && Latch.is_free f.latch then
         match !victim with
@@ -104,12 +113,12 @@ let evict_one t =
   | None -> failwith "Buffer_pool: all frames pinned"
   | Some f ->
       write_back t f;
-      Hashtbl.remove t.frames (Page_id.to_int f.id);
+      Frames.remove t.frames (Page_id.to_int f.id);
       Obs.incr Probes.evictions
 
 let fetch t pid =
   t.tick <- t.tick + 1;
-  match Hashtbl.find_opt t.frames (Page_id.to_int pid) with
+  match Frames.find_opt t.frames (Page_id.to_int pid) with
   | Some f ->
       t.hits <- t.hits + 1;
       Obs.incr Probes.fetch_hits;
@@ -119,7 +128,7 @@ let fetch t pid =
   | None ->
       t.misses <- t.misses + 1;
       Obs.incr Probes.fetch_misses;
-      if Hashtbl.length t.frames >= t.capacity then evict_one t;
+      if Frames.length t.frames >= t.capacity then evict_one t;
       if Trace.on () then
         Trace.instant ~cat:"buf"
           ~args:[ ("page", Trace.Int (Page_id.to_int pid)) ]
@@ -140,10 +149,15 @@ let fetch t pid =
           latch = Latch.create ();
         }
       in
-      Hashtbl.replace t.frames (Page_id.to_int pid) f;
+      Frames.replace t.frames (Page_id.to_int pid) f;
       f
 
-let mem t pid = Hashtbl.mem t.frames (Page_id.to_int pid)
+let mem t pid = Frames.mem t.frames (Page_id.to_int pid)
+
+let resident_lsn t pid =
+  match Frames.find_opt t.frames (Page_id.to_int pid) with
+  | Some f -> Some (Page.lsn f.page)
+  | None -> None
 
 (* Install an already-read page with exactly the bookkeeping a fetch miss
    would have done — miss count, probe, eviction, trace — minus the pin.
@@ -156,7 +170,7 @@ let admit t pid page =
     t.tick <- t.tick + 1;
     t.misses <- t.misses + 1;
     Obs.incr Probes.fetch_misses;
-    if Hashtbl.length t.frames >= t.capacity then evict_one t;
+    if Frames.length t.frames >= t.capacity then evict_one t;
     if Trace.on () then
       Trace.instant ~cat:"buf"
         ~args:[ ("page", Trace.Int (Page_id.to_int pid)) ]
@@ -172,7 +186,7 @@ let admit t pid page =
         latch = Latch.create ();
       }
     in
-    Hashtbl.replace t.frames (Page_id.to_int pid) f
+    Frames.replace t.frames (Page_id.to_int pid) f
   end
 
 let unpin _t f =
@@ -197,12 +211,12 @@ let mark_dirty _t f ~lsn =
   end
 
 let dirty_page_table t =
-  Hashtbl.fold (fun _ f acc -> if f.dirty then (f.id, f.rec_lsn) :: acc else acc) t.frames []
+  Frames.fold (fun _ f acc -> if f.dirty then (f.id, f.rec_lsn) :: acc else acc) t.frames []
   |> List.sort (fun (a, _) (b, _) -> Page_id.compare a b)
 
 let flush_all t =
   let dirty =
-    Hashtbl.fold (fun _ f acc -> if f.dirty then f :: acc else acc) t.frames []
+    Frames.fold (fun _ f acc -> if f.dirty then f :: acc else acc) t.frames []
     |> List.sort (fun a b -> Page_id.compare a.id b.id)
   in
   match dirty with
@@ -234,7 +248,7 @@ let flush_all t =
           "buf.flush_all"
 
 let drop_all t =
-  Hashtbl.iter
+  Frames.iter
     (fun _ f -> if f.pin_count > 0 then failwith "Buffer_pool.drop_all: frame pinned")
     t.frames;
-  Hashtbl.reset t.frames
+  Frames.reset t.frames

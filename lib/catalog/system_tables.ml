@@ -7,22 +7,35 @@ module Lsn = Rw_storage.Lsn
 module Page = Rw_storage.Page
 module Page_id = Rw_storage.Page_id
 module Log_manager = Rw_wal.Log_manager
+module Metrics = Rw_obs.Metrics
+module Probes = Rw_obs.Probes
 
 exception Table_exists of string
 exception No_such_table of string
 
-(* One catalog leaf's decoded descriptors, stamped with what the leaf held
-   when they were decoded: its page LSN and the log's invalidation epoch.
-   Within one context a page LSN names the page's logged content, and
+(* The last catalog walk: every page it read, in read order (a page read
+   twice in a row, once), with the page LSN it read there, under the log's
+   invalidation epoch of the time;
+   each leaf's decoded descriptors; and the descriptors by id and by name.
+   Within one epoch a page LSN names the page's logged content, and
    everything that recycles LSNs (crash, failover cut, truncation) bumps
-   the epoch, so a matching stamp means the leaf still holds these rows. *)
-type leaf = { lsn : Lsn.t; epoch : int; tables : Schema.table list }
+   the epoch.  So while the epoch holds and every recorded page is
+   resident at its recorded LSN, a walk would read exactly these pages and
+   rows, and a lookup answers from the record without reading at all. *)
+type walk = {
+  epoch : int;
+  pages : (Page_id.t * Lsn.t) list;
+  leaves : (int, Lsn.t * Schema.table list) Hashtbl.t; (* leaf page id -> its LSN and rows *)
+  tables : Schema.table list; (* by id *)
+  by_name : (string, Schema.table) Hashtbl.t;
+}
 
-type t = { ctx : Access_ctx.t; leaves : (int, leaf) Hashtbl.t (* leaf page id -> memo *) }
+type t = { ctx : Access_ctx.t; mutable last : walk option }
 
-let open_ ctx = { ctx; leaves = Hashtbl.create 8 }
+let open_ ctx = { ctx; last = None }
 
-let catalog_tree ctx = Btree.of_root (Page_id.of_int64 (Boot.get_exn ctx Boot.key_catalog_root))
+let catalog_tree ?seen ctx =
+  Btree.of_root (Page_id.of_int64 (Boot.get_exn ?seen ctx Boot.key_catalog_root))
 
 let init t alloc txn =
   let ctx = t.ctx in
@@ -30,24 +43,57 @@ let init t alloc txn =
   Boot.set ctx txn Boot.key_catalog_root (Page_id.to_int64 (Btree.root tree));
   Boot.set ctx txn Boot.key_next_table_id 1L
 
-(* The same page reads as a plain leaf walk; only the decoding is skipped
-   for leaves whose stamp still matches. *)
-let list_tables t =
-  let epoch = Log_manager.invalidation_epoch (Access_ctx.log t.ctx) in
-  let acc = ref [] in
-  Btree.iter_leaves t.ctx (catalog_tree t.ctx)
+(* The same page reads, in the same order, as a plain leaf walk; a leaf
+   whose LSN matches the previous walk's, in the same epoch, keeps its
+   decoded descriptors. *)
+let walk t =
+  Metrics.incr Probes.catalog_walks;
+  let ctx = t.ctx in
+  let epoch = Log_manager.invalidation_epoch (Access_ctx.log ctx) in
+  let reuse = match t.last with Some w when w.epoch = epoch -> Some w.leaves | _ -> None in
+  let pages = ref [] and leaves = Hashtbl.create 8 and acc = ref [] in
+  let seen pid page =
+    match !pages with
+    | (last, _) :: _ when Page_id.equal last pid -> () (* the descent's leaf, read again *)
+    | l -> pages := (pid, Page.lsn page) :: l
+  in
+  Btree.iter_leaves ~seen ctx (catalog_tree ~seen ctx)
     ~leaf:(fun pid page ->
       let key = Page_id.to_int pid and lsn = Page.lsn page in
-      match Hashtbl.find_opt t.leaves key with
-      | Some m when m.epoch = epoch && Lsn.equal m.lsn lsn -> m.tables
-      | _ ->
-          let tables = List.map (fun (_, row) -> Schema.decode row) (Btree.leaf_rows page) in
-          Hashtbl.replace t.leaves key { lsn; epoch; tables };
-          tables)
+      let tables =
+        match Option.bind reuse (fun r -> Hashtbl.find_opt r key) with
+        | Some (l, tables) when Lsn.equal l lsn -> tables
+        | _ -> List.map (fun (_, row) -> Schema.decode row) (Btree.leaf_rows page)
+      in
+      Hashtbl.replace leaves key (lsn, tables);
+      tables)
     ~f:(fun tables -> acc := List.rev_append tables !acc);
-  List.rev !acc
+  let tables = List.rev !acc in
+  let by_name = Hashtbl.create 16 in
+  List.iter
+    (fun (tab : Schema.table) ->
+      (* the first by id, as a scan would find *)
+      if not (Hashtbl.mem by_name tab.name) then Hashtbl.add by_name tab.name tab)
+    tables;
+  let w = { epoch; pages = List.rev !pages; leaves; tables; by_name } in
+  t.last <- Some w;
+  w
 
-let find t name = List.find_opt (fun (tab : Schema.table) -> tab.name = name) (list_tables t)
+(* The last walk if it still stands (checked by peeks that charge
+   nothing), else a new one. *)
+let current t =
+  let resident_at (pid, lsn) =
+    match Access_ctx.resident_lsn t.ctx pid with Some l -> Lsn.equal l lsn | None -> false
+  in
+  match t.last with
+  | Some w
+    when w.epoch = Log_manager.invalidation_epoch (Access_ctx.log t.ctx)
+         && List.for_all resident_at w.pages ->
+      w
+  | _ -> walk t
+
+let list_tables t = (current t).tables
+let find t name = Hashtbl.find_opt (current t).by_name name
 
 let find_exn t name =
   match find t name with Some tab -> tab | None -> raise (No_such_table name)

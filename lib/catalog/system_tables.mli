@@ -6,30 +6,35 @@
     page-undo mechanism as user data — this is what lets a user query the
     schema of a table that was dropped (paper §1's motivating scenario).
 
-    Every read goes through a handle's memo of decoded descriptors, one
-    entry per catalog leaf, stamped with the leaf's page LSN and the log's
-    {!Rw_wal.Log_manager.invalidation_epoch} (the rule
-    [Rw_core.Prepared_cache] follows).  A lookup still reads every page a
-    plain walk reads — the boot page, the leftmost descent, the leaf chain
-    — through {!Rw_access.Access_ctx.read}, so its modeled charges, pins
-    and pool hits are those of an uncached lookup; only leaves whose stamp
-    matches skip copying and decoding their rows.  The stamp is enough
-    because, within one context, a page LSN names the page's logged
-    content: DDL, rollback CLRs, [REWIND TRANSACTION], replica redo and
-    restart redo all log a record and move the LSN, while crashes,
-    failover cuts and truncation, which recycle LSNs, bump the epoch.
-    Views over another pool (as-of, copy-on-write, what-if) open their own
-    handle on their own context, after any loser undo has finished. *)
+    Every lookup goes through a handle's record of its last catalog walk:
+    every page the walk read, in read order, with its page LSN, under the
+    log's {!Rw_wal.Log_manager.invalidation_epoch}, and the descriptors
+    it found, by id and by name.  While the epoch matches and every
+    recorded page is resident in the context's pool at its recorded LSN
+    (checked by {!Rw_access.Access_ctx.resident_lsn}, which charges
+    nothing), a lookup answers from the record and reads no page: no
+    modeled time, pin or pool hit, as an in-memory metadata cache would.
+    Otherwise it walks as an uncached lookup does — the boot page, the
+    leftmost descent, the leaf chain, each through
+    {!Rw_access.Access_ctx.read}, so it is charged exactly that walk —
+    and records again; a leaf whose LSN is unchanged keeps its decoded
+    rows.  The check is enough because, within one context, a page LSN
+    names the page's logged content: DDL, rollback CLRs, [REWIND
+    TRANSACTION], replica redo and restart redo all log a record and move
+    the LSN, while crashes, failover cuts and truncation, which recycle
+    LSNs, bump the epoch.  Views over another pool (as-of, copy-on-write,
+    what-if) open their own handle on their own context, after any loser
+    undo has finished. *)
 
 exception Table_exists of string
 exception No_such_table of string
 
 type t
-(** A catalog handle: one access context and its memo.  Open one per
-    context. *)
+(** A catalog handle: one access context and the record of its last
+    walk.  Open one per context. *)
 
 val open_ : Rw_access.Access_ctx.t -> t
-(** A handle with an empty memo; reads nothing. *)
+(** A handle with no record yet; reads nothing. *)
 
 val init : t -> Rw_access.Alloc_map.t -> Rw_txn.Txn_manager.txn -> unit
 (** Create the catalog B-tree and counters (database creation). *)

@@ -60,6 +60,13 @@ let fetch_misses = counter ~unit_:"fetches" ~help:"Buffer-pool fetches that read
 let evictions = counter ~unit_:"pages" ~help:"Pages evicted from the buffer pool" "buf.evictions"
 let writebacks = counter ~unit_:"pages" ~help:"Dirty pages written back to the source" "buf.writebacks"
 
+(* Catalog *)
+
+let catalog_walks =
+  counter ~unit_:"walks"
+    ~help:"Catalog lookups that walked the catalog B-tree (the recorded walk's pages were not all resident at their LSNs)"
+    "catalog.walks"
+
 (* Page rewind (as-of) *)
 
 let page_rewinds =

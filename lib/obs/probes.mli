@@ -34,6 +34,10 @@ val fetch_misses : Metrics.counter
 val evictions : Metrics.counter
 val writebacks : Metrics.counter
 
+(** {1 Catalog} *)
+
+val catalog_walks : Metrics.counter
+
 (** {1 Page rewind (as-of reads)} *)
 
 val page_rewinds : Metrics.counter

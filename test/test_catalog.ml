@@ -1,8 +1,9 @@
 (* Catalog tests: schema serialisation, table lifecycle, metadata stored as
-   ordinary logged data, and the decoded-schema memo: after every path that
-   changes catalog rows it agrees with a fresh decode of the catalog
-   B-tree, and a lookup through a warm memo is charged exactly what a cold
-   one is. *)
+   ordinary logged data, and the record of the last catalog walk: after
+   every path that changes catalog rows it agrees with a fresh decode of
+   the catalog B-tree, a lookup it answers while the walk's pages are
+   resident and unchanged is charged nothing, and any other lookup is
+   charged exactly a plain walk. *)
 
 module Page = Rw_storage.Page
 module Page_id = Rw_storage.Page_id
@@ -42,12 +43,12 @@ type env = {
   cat : System_tables.t;
 }
 
-let mk_env ?(media = Media.ram) () =
+let mk_env ?(media = Media.ram) ?(capacity = 128) () =
   let clock = Sim_clock.create () in
   let disk = Disk.create ~clock ~media () in
   let log = Log_manager.create ~clock ~media:Media.ram () in
   let pool =
-    Buffer_pool.create ~capacity:128 ~source:(Buffer_pool.of_disk disk)
+    Buffer_pool.create ~capacity ~source:(Buffer_pool.of_disk disk)
       ~wal_flush:(fun lsn -> Log_manager.flush log ~upto:lsn)
       ()
   in
@@ -164,8 +165,8 @@ let test_list_tables_ordered () =
   check "in id (creation) order" true (names = [ "charlie"; "alpha"; "bravo" ])
 
 (* 300 tables: enough to split the catalog B-tree itself across leaves. *)
-let numbered_catalog ?media () =
-  let env = mk_env ?media () in
+let numbered_catalog ?media ?capacity () =
+  let env = mk_env ?media ?capacity () in
   with_txn env (fun txn ->
       for i = 1 to 300 do
         ignore
@@ -400,36 +401,43 @@ let test_memo_recycled_lsn () =
     | None -> false);
   check "equals fresh" true (System_tables.list_tables env.cat = fresh_decode env.ctx)
 
-(* A lookup through a cold memo and through a warm one each advance the
-   simulated clock, the pool's hit and miss counts and the disk's I/O
-   counters by exactly what a plain walk of the catalog B-tree does, with
-   the pool warm and with it cold. *)
+(* What a lookup advances: the simulated clock, the pool's hit and miss
+   counts and the disk's I/O counters. *)
+let charge env f =
+  let us = Sim_clock.now_us env.clock in
+  let hits = Buffer_pool.hits env.pool and misses = Buffer_pool.misses env.pool in
+  let io = Io_stats.copy (Disk.stats env.disk) in
+  f ();
+  ( Sim_clock.now_us env.clock -. us,
+    Buffer_pool.hits env.pool - hits,
+    Buffer_pool.misses env.pool - misses,
+    Io_stats.diff (Disk.stats env.disk) io )
+
+let lookup cat () = check "found" true (System_tables.find cat "table_250" <> None)
+
+(* The reference: a plain walk of the catalog B-tree, decoding every row. *)
+let plain_walk env () = ignore (fresh_decode env.ctx)
+
+let cold_pool env =
+  Buffer_pool.flush_all env.pool;
+  Buffer_pool.drop_all env.pool
+
+(* A lookup through a cold memo, or through a warm one over a cold pool,
+   advances the simulated clock, the pool's hit and miss counts and the
+   disk's I/O counters by exactly what a plain walk of the catalog B-tree
+   does.  Through a warm memo over a warm pool it advances none of them. *)
 let test_memo_same_charges () =
   let env = numbered_catalog ~media:Media.ssd () in
-  let charge f =
-    let us = Sim_clock.now_us env.clock in
-    let hits = Buffer_pool.hits env.pool and misses = Buffer_pool.misses env.pool in
-    let io = Io_stats.copy (Disk.stats env.disk) in
-    f ();
-    ( Sim_clock.now_us env.clock -. us,
-      Buffer_pool.hits env.pool - hits,
-      Buffer_pool.misses env.pool - misses,
-      Io_stats.diff (Disk.stats env.disk) io )
-  in
-  let cold_pool () =
-    Buffer_pool.flush_all env.pool;
-    Buffer_pool.drop_all env.pool
-  in
+  let charge = charge env and walk = plain_walk env and cold_pool () = cold_pool env in
   let warm = System_tables.open_ env.ctx in
   ignore (System_tables.list_tables warm);
-  let lookup cat () = check "found" true (System_tables.find cat "table_250" <> None) in
-  (* The reference: a plain walk of the catalog B-tree, decoding every row. *)
-  let walk () = ignore (fresh_decode env.ctx) in
   let ((us, hits, _, _) as plain) = charge walk in
   check "pool warm: a lookup is charged" true (us > 0.0 && hits > 0);
   check "pool warm: cold memo, plain walk's charge" true
     (charge (lookup (System_tables.open_ env.ctx)) = plain);
-  check "pool warm: warm memo, plain walk's charge" true (charge (lookup warm) = plain);
+  let us, hits, misses, io = charge (lookup warm) in
+  check "pool warm: warm memo, charged nothing" true
+    (us = 0.0 && hits = 0 && misses = 0 && io = Io_stats.diff io io);
   cold_pool ();
   let ((us, _, misses, io) as plain) = charge walk in
   check "pool cold: a lookup reads the disk" true
@@ -439,6 +447,155 @@ let test_memo_same_charges () =
     (charge (lookup (System_tables.open_ env.ctx)) = plain);
   cold_pool ();
   check "pool cold: warm memo, plain walk's charge" true (charge (lookup warm) = plain)
+
+(* Pool pressure evicts the catalog's pages: the next lookup through a warm
+   memo reads them again and is charged exactly a plain walk over a cold
+   pool, and the one after it is charged nothing again. *)
+let test_memo_evicted () =
+  let env = numbered_catalog ~media:Media.ssd ~capacity:24 () in
+  let charge = charge env in
+  let warm = System_tables.open_ env.ctx in
+  let tables = System_tables.list_tables warm in
+  let root = Page_id.of_int64 (Boot.get_exn env.ctx Boot.key_catalog_root) in
+  let leaves = ref [] in
+  Btree.iter_leaves env.ctx (Btree.of_root root) ~leaf:(fun pid _ -> pid) ~f:(fun pid ->
+      leaves := pid :: !leaves);
+  Buffer_pool.flush_all env.pool;
+  List.iter (fun (tab : Schema.table) -> Access_ctx.read env.ctx tab.Schema.root ignore) tables;
+  check "a catalog leaf was evicted" true
+    (List.exists (fun pid -> Access_ctx.resident_lsn env.ctx pid = None) !leaves);
+  let walks = Rw_obs.Metrics.counter_value Rw_obs.Probes.catalog_walks in
+  let evicted = charge (lookup warm) in
+  check_int "the lookup walked" (walks + 1)
+    (Rw_obs.Metrics.counter_value Rw_obs.Probes.catalog_walks);
+  cold_pool env;
+  check "evicted: plain cold walk's charge" true (evicted = charge (plain_walk env));
+  ignore (System_tables.list_tables warm);
+  check "resident again: charged nothing" true
+    (charge (lookup warm) = (0.0, 0, 0, Io_stats.create ()))
+
+(* Generated DDL histories: after every step the handle's [find] and
+   [list_tables] equal a fresh decode of the catalog B-tree.  The steps
+   cover each path that changes catalog rows or the pages under the
+   record: DDL, rolled-back DDL, crashes with a DDL transaction in flight
+   (instant and full restart), and pool pressure. *)
+type ddl_step =
+  | Create of int
+  | Drop of int
+  | Index of int
+  | Unindex of int
+  | Rolled_back of int
+  | Crash of { instant : bool }
+  | Evict
+
+let step_name = function
+  | Create i -> Printf.sprintf "create t%d" i
+  | Drop i -> Printf.sprintf "drop t%d" i
+  | Index i -> Printf.sprintf "index t%d" i
+  | Unindex i -> Printf.sprintf "unindex t%d" i
+  | Rolled_back i -> Printf.sprintf "rolled-back ddl on t%d" i
+  | Crash { instant } -> if instant then "crash, instant restart" else "crash, full restart"
+  | Evict -> "evict"
+
+let ddl_history =
+  let open QCheck in
+  let step =
+    Gen.(
+      map2
+        (fun k i ->
+          match k with
+          | 0 | 1 -> Create i
+          | 2 -> Drop i
+          | 3 -> Index i
+          | 4 -> Unindex i
+          | 5 -> Rolled_back i
+          | 6 -> Crash { instant = i mod 2 = 0 }
+          | _ -> Evict)
+        (int_bound 7) (int_bound 3))
+  in
+  make
+    ~print:(fun steps -> String.concat "; " (List.map step_name steps))
+    ~shrink:Shrink.list
+    Gen.(list_size (int_range 1 12) step)
+
+let names = List.init 4 (Printf.sprintf "t%d")
+
+(* The handle's answers, taken before the fresh decode reads any page,
+   against that decode. *)
+let consistent db =
+  let listed = Database.tables db in
+  let found = List.map (fun name -> (name, Database.table db name)) names in
+  let fresh = fresh_decode (Database.ctx db) in
+  listed = fresh
+  && List.for_all
+       (fun (name, tab) ->
+         tab = List.find_opt (fun (t : Schema.table) -> t.Schema.name = name) fresh)
+       found
+
+let run_history steps =
+  let db =
+    Database.create ~name:"hist" ~clock:(Sim_clock.create ()) ~media:Media.ram ~pool_capacity:24 ()
+  in
+  Database.with_txn db (fun txn ->
+      ignore (Database.create_table db txn ~table:"filler" ~columns:cols ());
+      for i = 1 to 400 do
+        Database.insert db txn ~table:"filler" [ Row.Int (Int64.of_int i); Row.Text (String.make 200 'f') ]
+      done);
+  let exists db name = Database.table db name <> None in
+  let indexed db name = exists db name && indexes db name <> [] in
+  let ddl db txn i =
+    let name = Printf.sprintf "t%d" i in
+    if exists db name then Database.drop_table db txn name
+    else ignore (Database.create_table db txn ~table:name ~columns:cols ())
+  in
+  let step db = function
+    | Create i ->
+        let name = Printf.sprintf "t%d" i in
+        if not (exists db name) then create db name;
+        db
+    | Drop i ->
+        let name = Printf.sprintf "t%d" i in
+        if exists db name then Database.with_txn db (fun txn -> Database.drop_table db txn name);
+        db
+    | Index i ->
+        let name = Printf.sprintf "t%d" i in
+        if exists db name && not (indexed db name) then
+          Database.with_txn db (fun txn ->
+              ignore (Database.create_index db txn ~table:name ~name:"ix" ~column:"body" ()));
+        db
+    | Unindex i ->
+        let name = Printf.sprintf "t%d" i in
+        if indexed db name then
+          Database.with_txn db (fun txn -> Database.drop_index db txn ~table:name ~name:"ix");
+        db
+    | Rolled_back i ->
+        let txn = Database.begin_txn db in
+        ddl db txn i;
+        ddl db txn ((i + 1) mod 4);
+        Database.rollback db txn;
+        db
+    | Crash { instant } ->
+        let txn = Database.begin_txn db in
+        ddl db txn 0;
+        Log_manager.flush_all (Database.log db);
+        Database.crash_and_reopen ~instant db
+    | Evict ->
+        Database.scan db ~table:"filler" ~f:ignore;
+        db
+  in
+  consistent db
+  && snd
+       (List.fold_left
+          (fun (db, ok) s ->
+            if not ok then (db, ok)
+            else
+              let db = step db s in
+              (db, consistent db))
+          (db, true) steps)
+
+let ddl_history_test =
+  QCheck.Test.make ~name:"find and list_tables equal a fresh decode" ~count:100 ddl_history
+    run_history
 
 let () =
   Alcotest.run "catalog"
@@ -466,5 +623,7 @@ let () =
           Alcotest.test_case "replica catch-up across ddl" `Quick test_memo_replica;
           Alcotest.test_case "lsn recycled by a crash" `Quick test_memo_recycled_lsn;
           Alcotest.test_case "same modeled charge" `Quick test_memo_same_charges;
+          Alcotest.test_case "evicted leaf charged a cold walk" `Quick test_memo_evicted;
+          QCheck_alcotest.to_alcotest ddl_history_test;
         ] );
     ]
