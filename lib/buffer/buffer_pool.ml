@@ -152,8 +152,6 @@ let fetch t pid =
       Frames.replace t.frames (Page_id.to_int pid) f;
       f
 
-let mem t pid = Frames.mem t.frames (Page_id.to_int pid)
-
 let resident_lsn t pid =
   match Frames.find_opt t.frames (Page_id.to_int pid) with
   | Some f -> Some (Page.lsn f.page)
@@ -166,7 +164,7 @@ let resident_lsn t pid =
    time.  A page that became resident since the caller read its copy is
    left alone: the framed version may be newer. *)
 let admit t pid page =
-  if not (mem t pid) then begin
+  if not (Frames.mem t.frames (Page_id.to_int pid)) then begin
     t.tick <- t.tick + 1;
     t.misses <- t.misses + 1;
     Obs.incr Probes.fetch_misses;

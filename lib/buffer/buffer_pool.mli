@@ -64,14 +64,10 @@ val capacity : t -> int
 (** The frame budget the pool was created with (callers sizing batched
     work against the pool, e.g. parallel redo, use this). *)
 
-val mem : t -> Rw_storage.Page_id.t -> bool
-(** Whether the page is resident (framed) right now.  Purely a peek: no
-    pin, no recency touch, no hit/miss accounting. *)
-
 val resident_lsn : t -> Rw_storage.Page_id.t -> Rw_storage.Lsn.t option
-(** The page LSN of the resident copy, or [None] when the page is not
-    framed.  A peek like {!mem}: no pin, latch, recency touch, hit/miss
-    accounting or simulated-clock charge. *)
+(** The page LSN of the resident (framed) copy, or [None] when the page is
+    not resident right now.  Purely a peek: no pin, latch, recency touch,
+    hit/miss accounting or simulated-clock charge. *)
 
 val admit : t -> Rw_storage.Page_id.t -> Rw_storage.Page.t -> unit
 (** Install an already-read page with exactly the bookkeeping a

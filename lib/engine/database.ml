@@ -659,8 +659,10 @@ let scrub t =
     let items =
       List.filter_map
         (fun pid ->
-          if Buffer_pool.mem t.pool pid || Page_repair.Quarantine.mem t.quarantine pid then
-            None
+          if
+            Buffer_pool.resident_lsn t.pool pid <> None
+            || Page_repair.Quarantine.mem t.quarantine pid
+          then None
           else begin
             let t0 = Sim_clock.now_us t.clock in
             let page = Disk.read_page_retrying t.disk pid in

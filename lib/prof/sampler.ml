@@ -6,9 +6,12 @@ type t = {
 }
 
 let max_depth = 256
+let top = 15
 
 let start () =
   let t = { stacks = []; previous = None } in
+  (* Whichever domain reaches a safepoint first runs the handler; a sample
+     taken by two domains at once may be lost, never corrupted. *)
   let handler _ = t.stacks <- Printexc.get_callstack max_depth :: t.stacks in
   t.previous <- Some (Sys.signal Sys.sigprof (Sys.Signal_handle handler));
   ignore
@@ -49,22 +52,21 @@ let frames t =
           | frames -> frames))
     t.stacks
 
-let write_folded t path =
+let write_folded all path =
   let counts = Hashtbl.create 256 in
   List.iter
     (fun frames ->
       let key = String.concat ";" (List.rev frames) in
       Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key)))
-    (frames t);
+    all;
   let lines = Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts [] in
   let oc = open_out path in
   List.iter (fun (k, n) -> Printf.fprintf oc "%s %d\n" k n) (List.sort compare lines);
   close_out oc
 
-let report ?(top = 15) ppf t =
+let report all =
   let self = Hashtbl.create 256 and incl = Hashtbl.create 256 in
   let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
-  let all = frames t in
   List.iter
     (fun frames ->
       (match frames with f :: _ -> bump self f | [] -> ());
@@ -72,14 +74,14 @@ let report ?(top = 15) ppf t =
     all;
   let n = List.length all in
   let print title tbl =
-    Format.fprintf ppf "top %d by %s samples:@." top title;
+    Printf.printf "top %d by %s samples:\n" top title;
     Hashtbl.fold (fun k c acc -> (c, k) :: acc) tbl []
     |> List.sort (fun (a, ka) (b, kb) -> if a <> b then compare b a else compare ka kb)
     |> List.iteri (fun i (c, k) ->
            if i < top then
-             Format.fprintf ppf "  %5.1f%%  %6d  %s@." (100.0 *. float c /. float (max n 1)) c k)
+             Printf.printf "  %5.1f%%  %6d  %s\n" (100.0 *. float c /. float (max n 1)) c k)
   in
-  Format.fprintf ppf "profile: %d samples (timer every %.1f ms of process CPU time)@." n
+  Printf.printf "profile: %d samples (timer every %.1f ms of process CPU time)\n" n
     (1000.0 *. interval_s);
   print "self" self;
   print "inclusive" incl
@@ -92,7 +94,8 @@ let with_profile path f =
       Fun.protect
         ~finally:(fun () ->
           stop t;
-          write_folded t path;
-          report Format.std_formatter t;
-          Format.printf "folded stacks: %s@." path)
+          let all = frames t in
+          write_folded all path;
+          report all;
+          Printf.printf "folded stacks: %s\n%!" path)
         f
