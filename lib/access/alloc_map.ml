@@ -100,10 +100,13 @@ let rec insert_row ctx txn pid ~flags =
     insert_row ctx txn pid ~flags
   end
 
+(* A re-allocated page stays listed: if its transaction rolls back (or is
+   rewound) the map row says free again and the next allocation takes it.
+   Once the row says allocated, the entry is stale and the next allocation
+   drops it, as it drops the entry of a [free] that was rolled back. *)
 let rec allocate t ctx txn ~typ ~level =
   match t.free with
   | pid :: rest -> (
-      t.free <- rest;
       match find_row ctx pid with
       | Some (map_pid, slot, flags) when flags land flag_allocated = 0 ->
           set_flags ctx txn map_pid slot (flag_allocated lor flag_ever);
@@ -114,8 +117,7 @@ let rec allocate t ctx txn ~typ ~level =
           Access_ctx.modify ctx txn pid (Log_record.Format { typ; level });
           pid
       | Some _ ->
-          (* Listed by a [free] that was rolled back (or rewound): the page
-             is live again, so the list entry is stale. *)
+          t.free <- rest;
           allocate t ctx txn ~typ ~level
       | None -> invalid_arg "Alloc_map.allocate: free page without map row")
   | [] ->

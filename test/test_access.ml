@@ -146,6 +146,28 @@ let test_rolled_back_free () =
   check "a fresh page, not the live one" false (Page_id.equal p1 p2);
   check "both allocated" true (Alloc_map.is_allocated env.ctx p1 && Alloc_map.is_allocated env.ctx p2)
 
+(* A re-allocation that is rolled back leaves the page free: the next
+   allocation must take it again, not a fresh page id (it used to leak the
+   page until the database was reopened). *)
+let test_rolled_back_realloc () =
+  let env = mk_env () in
+  let p1 =
+    with_txn env (fun txn -> Alloc_map.allocate env.alloc env.ctx txn ~typ:Page.Heap ~level:0)
+  in
+  with_txn env (fun txn -> Alloc_map.free env.alloc env.ctx txn p1);
+  let txn = Txn_manager.begin_txn env.txns in
+  let again = Alloc_map.allocate env.alloc env.ctx txn ~typ:Page.Heap ~level:0 in
+  check "re-allocated the freed page" true (Page_id.equal p1 again);
+  Txn_manager.rollback env.txns txn ~write_page:(Access_ctx.page_writer env.ctx);
+  check "free again" false (Alloc_map.is_allocated env.ctx p1);
+  check_int "free count equals a reopened handle's"
+    (Alloc_map.free_count (Alloc_map.open_ env.ctx))
+    (Alloc_map.free_count env.alloc);
+  let p2 =
+    with_txn env (fun txn -> Alloc_map.allocate env.alloc env.ctx txn ~typ:Page.Heap ~level:0)
+  in
+  check "the rolled-back page is reused" true (Page_id.equal p1 p2)
+
 (* --- btree --- *)
 
 let test_btree_basic () =
@@ -382,6 +404,7 @@ let () =
           Alcotest.test_case "map chain growth" `Quick test_alloc_map_grows;
           Alcotest.test_case "free list rebuild" `Quick test_free_list_rebuild;
           Alcotest.test_case "rolled-back free not reused" `Quick test_rolled_back_free;
+          Alcotest.test_case "rolled-back re-allocation reused" `Quick test_rolled_back_realloc;
         ] );
       ( "btree",
         [
