@@ -47,16 +47,7 @@ type t = {
 
 let of_disk disk =
   {
-    read =
-      (fun pid ->
-        let p = Disk.read_page_retrying disk pid in
-        if not (Page.verify p) then begin
-          let st = Disk.stats disk in
-          st.Rw_storage.Io_stats.corruptions_detected <-
-            st.Rw_storage.Io_stats.corruptions_detected + 1;
-          raise (Disk.Corrupt_page pid)
-        end;
-        p);
+    read = Disk.read_page_checked disk;
     write =
       (fun pid p ->
         Page.seal p;

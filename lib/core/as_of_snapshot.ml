@@ -130,7 +130,7 @@ let materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split pids =
     Array.mapi
       (fun i (pid, cached) ->
         let t0 = Sim_clock.now_us clock in
-        let page = match cached with Some p -> p | None -> Disk.read_page primary_disk pid in
+        let page = match cached with Some p -> p | None -> Disk.read_page_checked primary_disk pid in
         read_us.(i) <- Sim_clock.now_us clock -. t0;
         page)
       entering

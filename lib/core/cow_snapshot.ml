@@ -51,7 +51,7 @@ let create ~ctx ~primary_pool ~primary_disk ~txns ~log ~clock ~media =
         (fun pid ->
           match Sparse_file.read sparse pid with
           | Some page -> page
-          | None -> Disk.read_page primary_disk pid);
+          | None -> Disk.read_page_checked primary_disk pid);
       Buffer_pool.write = (fun pid page -> Sparse_file.write sparse pid page);
       Buffer_pool.write_seq = None;
       Buffer_pool.read_cached = None;

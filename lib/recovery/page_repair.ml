@@ -107,17 +107,14 @@ let repair_to_disk ~log ~disk ~wal_flush pid =
 let source ~disk ~log ~wal_flush ~quarantine () =
   let read pid =
     if Quarantine.mem quarantine pid then raise (Quarantined pid);
-    let p = Disk.read_page_retrying disk pid in
-    if Page.verify p then p
-    else begin
-      let st = Disk.stats disk in
-      st.Io_stats.corruptions_detected <- st.Io_stats.corruptions_detected + 1;
-      match repair_to_disk ~log ~disk ~wal_flush pid with
-      | page -> page
-      | exception Unrepairable { reason; _ } ->
-          Quarantine.add quarantine pid reason;
-          raise (Quarantined pid)
-    end
+    match Disk.read_page_checked disk pid with
+    | p -> p
+    | exception Disk.Corrupt_page _ -> (
+        match repair_to_disk ~log ~disk ~wal_flush pid with
+        | page -> page
+        | exception Unrepairable { reason; _ } ->
+            Quarantine.add quarantine pid reason;
+            raise (Quarantined pid))
   in
   {
     Buffer_pool.read;

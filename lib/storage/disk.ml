@@ -160,6 +160,14 @@ let with_retries t op =
   go 1 backoff_base_us
 
 let read_page_retrying t pid = with_retries t (fun () -> read_page t pid)
+
+let read_page_checked t pid =
+  let p = read_page_retrying t pid in
+  if not (Page.verify p) then begin
+    t.stats.Io_stats.corruptions_detected <- t.stats.Io_stats.corruptions_detected + 1;
+    raise (Corrupt_page pid)
+  end;
+  p
 let write_page_retrying t pid page = with_retries t (fun () -> write_page t pid page)
 let write_page_seq_retrying t pid page = with_retries t (fun () -> write_page_seq t pid page)
 

@@ -17,8 +17,8 @@
 type t
 
 exception Corrupt_page of Page_id.t
-(** A fetched page failed checksum verification (raised by readers that
-    verify, e.g. the buffer pool's page source). *)
+(** A fetched page failed checksum verification (raised by
+    {!read_page_checked}). *)
 
 exception Io_error of { page : Page_id.t; write : bool }
 (** A transient device error.  Retryable: the [*_retrying] variants absorb
@@ -69,6 +69,13 @@ val read_page_retrying : t -> Page_id.t -> Page.t
     to three times with exponential backoff priced on the simulated clock
     ({!Io_stats.t.io_retries} counts the extra attempts).  Exhausting the
     budget re-raises. *)
+
+val read_page_checked : t -> Page_id.t -> Page.t
+(** {!read_page_retrying}, then checksum verification: a page that fails it
+    is counted in {!Io_stats.t.corruptions_detected} and raises
+    {!Corrupt_page}.  The buffer pool's page sources and both snapshot
+    kinds read primary pages through it; the self-healing source in
+    [Page_repair] catches {!Corrupt_page} and repairs the page. *)
 
 val write_page_retrying : t -> Page_id.t -> Page.t -> unit
 val write_page_seq_retrying : t -> Page_id.t -> Page.t -> unit

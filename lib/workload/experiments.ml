@@ -773,8 +773,9 @@ let crash_repair_run ~instant ~seed ~crash_after =
   in
   let mid_stock = if instant then Some (stock db2) else None in
   (* Verification phase: stop injecting, finish any outstanding instant
-     backlog, and scrub out residual damage, so raw-disk readers (the as-of
-     snapshot path) see clean pages too. *)
+     backlog, and scrub out residual damage: the as-of snapshot path reads
+     primary pages from disk and raises on a corrupt one instead of
+     repairing it. *)
   Disk.set_fault_plan (Database.disk db2) None;
   Database.recovery_drain_all db2;
   ignore (Database.scrub db2);

@@ -830,6 +830,49 @@ let test_multiple_snapshots_coexist () =
         (Database.row_count snap ~table:"t"))
     snaps
 
+(* A snapshot reads primary pages through the disk's checked read: a page
+   rotted on disk raises instead of being rewound into a wrong past answer,
+   and a transient device error is retried. *)
+let primary_read_fixture () =
+  let db = mk_db () in
+  let clock = Database.clock db in
+  Database.with_txn db (fun txn ->
+      ignore (Database.create_table db txn ~table:"t" ~columns:cols ());
+      for i = 1 to 3 do
+        Database.insert db txn ~table:"t" [ Row.Int (Int64.of_int i); Row.Text "original" ]
+      done);
+  Sim_clock.advance_us clock 1_000_000.0;
+  let t_past = Sim_clock.now_us clock in
+  Sim_clock.advance_us clock 1_000_000.0;
+  Database.with_txn db (fun txn ->
+      Database.update db txn ~table:"t" [ Row.Int 1L; Row.Text "modified" ]);
+  let snap = Database.create_as_of_snapshot db ~name:"snap" ~wall_us:t_past in
+  let root = (Option.get (Database.table db "t")).Schema.root in
+  (db, snap, root)
+
+let test_snapshot_detects_corrupt_primary () =
+  let db, snap, root = primary_read_fixture () in
+  let disk = Database.disk db in
+  let st = Disk.stats disk in
+  Disk.corrupt_stored disk root;
+  let before = st.Rw_storage.Io_stats.corruptions_detected in
+  Alcotest.check_raises "rotted primary page" (Disk.Corrupt_page root) (fun () ->
+      ignore (value_at snap 1L));
+  check_int "detection counted" (before + 1) st.Rw_storage.Io_stats.corruptions_detected
+
+let test_snapshot_retries_transient_read () =
+  let db, snap, _ = primary_read_fixture () in
+  let disk = Database.disk db in
+  let st = Disk.stats disk in
+  let retries = st.Rw_storage.Io_stats.io_retries in
+  Disk.set_fault_plan disk
+    (Some (Rw_storage.Fault_plan.create ~transient_error_rate:0.5 ~seed:5 ()));
+  let rows = List.map (fun k -> value_at snap (Int64.of_int k)) [ 1; 2; 3 ] in
+  Disk.set_fault_plan disk None;
+  check "fault-free rows" true
+    (rows = List.map (fun k -> Some [ Row.Int (Int64.of_int k); Row.Text "original" ]) [ 1; 2; 3 ]);
+  check "reads were retried" true (st.Rw_storage.Io_stats.io_retries > retries)
+
 (* --- copy-on-write snapshot baseline (paper §2.2 / §7.1) --- *)
 
 module Cow_snapshot = Rw_core.Cow_snapshot
@@ -1030,6 +1073,10 @@ let () =
             test_snapshot_across_reallocation;
           Alcotest.test_case "heap tables" `Quick test_snapshot_heap_table;
           Alcotest.test_case "multiple snapshots" `Quick test_multiple_snapshots_coexist;
+          Alcotest.test_case "rotted primary page raises" `Quick
+            test_snapshot_detects_corrupt_primary;
+          Alcotest.test_case "transient primary read retried" `Quick
+            test_snapshot_retries_transient_read;
         ] );
       ( "cow_baseline",
         [
