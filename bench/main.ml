@@ -56,7 +56,8 @@ module Micro = struct
       (Staged.stage (fun () -> ignore (Checksum.crc32 crc_buf ~pos:0 ~len:Page.page_size)))
 
   (* The pre-overhaul one-byte-at-a-time kernel: the gap to the row above is
-     what slicing-by-8 + dual streams buy. *)
+     what the dispatching kernel buys (carry-less multiply where the CPU has
+     it, slicing-by-8 + dual streams elsewhere; the run prints which). *)
   let test_crc32_bytewise =
     Test.make ~name:"crc32 bytewise reference (8KiB page)"
       (Staged.stage (fun () ->
@@ -721,6 +722,7 @@ module Micro = struct
 
   let run ?(json = false) () =
     print_endline "\n=== Microbenchmarks (Bechamel, real time) ===";
+    Printf.printf "crc32 kernel: %s\n" Checksum.kernel;
     let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
     let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
     let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in

@@ -8,24 +8,25 @@ external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
 let poly = 0xedb88320
 
 (* Slicing-by-8 tables, flat 8*256 array; entry [k*256 + n] advances the CRC
-   of byte value [n] past [k] further zero bytes. *)
+   of byte value [n] past [k] further zero bytes.  Built at start-up, not
+   lazily: every domain reads them, and forcing one [Lazy.t] from two
+   domains at once raises. *)
 let tables =
-  lazy
-    (let t = Array.make (8 * 256) 0 in
-     for n = 0 to 255 do
-       let c = ref n in
-       for _ = 0 to 7 do
-         c := if !c land 1 <> 0 then poly lxor (!c lsr 1) else !c lsr 1
-       done;
-       t.(n) <- !c
-     done;
-     for k = 1 to 7 do
-       for n = 0 to 255 do
-         let prev = t.(((k - 1) * 256) + n) in
-         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
-       done
-     done;
-     t)
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then poly lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+    done
+  done;
+  t
 
 (* --- GF(2) operators over CRC state (zlib's combine machinery) ---
 
@@ -44,27 +45,25 @@ let gf2_times mat vec =
   done;
   !sum
 
-(* [zero_ops.(k)] advances a CRC past [2^k] zero bytes; built once by
-   repeated squaring of the one-zero-byte operator. *)
+(* [zero_ops.(k)] advances a CRC past [2^k] zero bytes; built at start-up
+   by repeated squaring of the one-zero-byte operator. *)
 let zero_ops =
-  lazy
-    (let t = Lazy.force tables in
-     let one_byte = Array.init 32 (fun n ->
-         let v = 1 lsl n in
-         (v lsr 8) lxor t.(v land 0xff))
-     in
-     let ops = Array.make 63 [||] in
-     ops.(0) <- one_byte;
-     for k = 1 to 62 do
-       let prev = ops.(k - 1) in
-       ops.(k) <- Array.init 32 (fun n -> gf2_times prev prev.(n))
-     done;
-     ops)
+  let one_byte = Array.init 32 (fun n ->
+      let v = 1 lsl n in
+      (v lsr 8) lxor tables.(v land 0xff))
+  in
+  let ops = Array.make 63 [||] in
+  ops.(0) <- one_byte;
+  for k = 1 to 62 do
+    let prev = ops.(k - 1) in
+    ops.(k) <- Array.init 32 (fun n -> gf2_times prev prev.(n))
+  done;
+  ops
 
 (* Advance a (finalized) CRC past [len] zero bytes: one matrix application
    per set bit of [len]. *)
 let apply_zeros crc len =
-  let ops = Lazy.force zero_ops in
+  let ops = zero_ops in
   let crc = ref crc in
   let len = ref len in
   let k = ref 0 in
@@ -85,10 +84,13 @@ let crc32_combine crc1 crc2 ~len2 =
 
 (* --- the kernels --- *)
 
+let check_bounds name b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg (name ^ ": out of bounds")
+
 let crc32_bytewise b ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length b then
-    invalid_arg "Checksum.crc32_bytewise: out of bounds";
-  let t = Lazy.force tables in
+  check_bounds "Checksum.crc32_bytewise" b ~pos ~len;
+  let t = tables in
   let c = ref 0xffffffff in
   for i = pos to pos + len - 1 do
     c := t.((!c lxor Char.code (Bytes.get b i)) land 0xff) lxor (!c lsr 8)
@@ -134,11 +136,12 @@ let crc_stream t b ~pos ~len ~c0 =
    with the same zero-operator algebra as {!crc32_combine}. *)
 let dual_threshold = 128
 
-let crc32 ?(init = 0l) b ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length b then invalid_arg "Checksum.crc32: out of bounds";
-  let t = Lazy.force tables in
-  let c0 = Int32.to_int init land 0xffffffff lxor 0xffffffff in
-  if len < dual_threshold then Int32.of_int (crc_stream t b ~pos ~len ~c0 lxor 0xffffffff)
+(* The slicing-by-8 kernel over pre-conditioned state [c0], returning the
+   pre-conditioned state after [len] bytes at [pos] (bounds already
+   checked). *)
+let ocaml_state b ~pos ~len ~c0 =
+  let t = tables in
+  if len < dual_threshold then crc_stream t b ~pos ~len ~c0
   else begin
     let half = len / 2 land lnot 7 in
     let len2 = len - half in
@@ -154,8 +157,45 @@ let crc32 ?(init = 0l) b ~pos ~len =
     done;
     (* The second stream may be up to 15 bytes longer; finish it alone. *)
     let cb = crc_stream t b ~pos:!j ~len:(pos + len - !j) ~c0:!cb in
-    Int32.of_int
-      (apply_zeros (!ca lxor 0xffffffff) len2 lxor (cb lxor 0xffffffff))
+    apply_zeros (!ca lxor 0xffffffff) len2 lxor cb
   end
+
+let crc32_ocaml ?(init = 0l) b ~pos ~len =
+  check_bounds "Checksum.crc32_ocaml" b ~pos ~len;
+  let c0 = Int32.to_int init land 0xffffffff lxor 0xffffffff in
+  Int32.of_int (ocaml_state b ~pos ~len ~c0 lxor 0xffffffff)
+
+(* --- the carry-less-multiply kernel (checksum_stubs.c) ---
+
+   [fold b pos len state] advances pre-conditioned [state] over [len] bytes
+   at [pos], where [len] is a multiple of 16 and at least [hw_min].  The
+   stub reads the bytes in place and neither allocates nor raises, so it is
+   [noalloc]; every bound is checked here before the call. *)
+external fold :
+  bytes -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "rw_crc32_fold_byte" "rw_crc32_fold"
+[@@noalloc]
+
+external hw_available : unit -> bool = "rw_crc32_hw_available" [@@noalloc]
+
+(* Whether this CPU has PCLMULQDQ and SSE4.1: asked once, at start-up, and
+   never changed, so every domain sees the same answer. *)
+let hw = hw_available ()
+let kernel = if hw then "pclmulqdq" else "slicing-by-8"
+
+(* The stub starts with four full 16-byte lanes, so it needs at least 64
+   bytes. *)
+let hw_min = 64
+
+let crc32 ?(init = 0l) b ~pos ~len =
+  check_bounds "Checksum.crc32" b ~pos ~len;
+  let c0 = Int32.to_int init land 0xffffffff lxor 0xffffffff in
+  if hw && len >= hw_min then begin
+    (* Whole 16-byte blocks in the stub, the tail of up to 15 bytes here. *)
+    let whole = len land lnot 15 in
+    let c = fold b pos whole c0 in
+    Int32.of_int (crc_stream tables b ~pos:(pos + whole) ~len:(len - whole) ~c0:c lxor 0xffffffff)
+  end
+  else Int32.of_int (ocaml_state b ~pos ~len ~c0 lxor 0xffffffff)
 
 let crc32_string s = crc32 (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

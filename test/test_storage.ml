@@ -199,9 +199,11 @@ let test_crc32_incremental () =
   Alcotest.(check int32) "incremental equals whole" whole rest
 
 let test_crc32_kernels_agree () =
-  (* The slicing-by-8 dual-stream kernel must agree with the bytewise
-     reference at every alignment and length class: empty, sub-word tails,
-     the single/dual-stream threshold, and full pages. *)
+  (* The dispatching kernel (carry-less multiply over whole 16-byte blocks
+     where the CPU has it, slicing-by-8 for short inputs, tails and other
+     hosts) must agree with the bytewise reference at every alignment and
+     length class: empty, sub-word tails, the single/dual-stream and
+     hardware thresholds, and full pages. *)
   let n = 9000 in
   let b = Bytes.init n (fun i -> Char.chr (((i * 131) + (i lsr 3)) land 0xff)) in
   List.iter
@@ -244,6 +246,80 @@ let test_crc32_combine () =
   let via_init = Checksum.crc32 ~init:first b ~pos:1000 ~len:(n - 1000) in
   Alcotest.(check int32) "combine equals init-chaining" via_init
     (Checksum.crc32_combine first (Checksum.crc32 b ~pos:1000 ~len:(n - 1000)) ~len2:(n - 1000))
+
+(* Random bytes, an offset of 0-15 and a split point: the CRC of the two
+   slices chained through [init] must equal the bytewise reference over the
+   whole range, for the dispatching kernel and for the OCaml one alone. *)
+let crc32_split_test =
+  QCheck.Test.make ~name:"crc32 ?init equals the bytewise reference" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          let* len = 0 -- 9000 in
+          let* pos = 0 -- 15 in
+          let* cut = 0 -- len in
+          let* seed = int in
+          return (len, pos, cut, seed))
+        ~print:(fun (len, pos, cut, seed) ->
+          Printf.sprintf "len=%d pos=%d cut=%d seed=%d" len pos cut seed))
+    (fun (len, pos, cut, seed) ->
+      let st = Random.State.make [| seed |] in
+      let b = Bytes.init (pos + len + 3) (fun _ -> Char.chr (Random.State.int st 256)) in
+      let expected = Checksum.crc32_bytewise b ~pos ~len in
+      let chained crc =
+        let first = crc ?init:None b ~pos ~len:cut in
+        crc ?init:(Some first) b ~pos:(pos + cut) ~len:(len - cut)
+      in
+      let whole crc = crc ?init:None b ~pos ~len in
+      let dispatch ?init b ~pos ~len = Checksum.crc32 ?init b ~pos ~len in
+      let ocaml ?init b ~pos ~len = Checksum.crc32_ocaml ?init b ~pos ~len in
+      whole dispatch = expected
+      && chained dispatch = expected
+      && whole ocaml = expected
+      && chained ocaml = expected)
+
+let test_crc32_bounds () =
+  let b = Bytes.make 100 'x' in
+  let kernels =
+    [
+      ("crc32", fun ~pos ~len -> ignore (Checksum.crc32 b ~pos ~len));
+      ("crc32_ocaml", fun ~pos ~len -> ignore (Checksum.crc32_ocaml b ~pos ~len));
+      ("crc32_bytewise", fun ~pos ~len -> ignore (Checksum.crc32_bytewise b ~pos ~len));
+    ]
+  in
+  List.iter
+    (fun (name, crc) ->
+      List.iter
+        (fun (pos, len) ->
+          match crc ~pos ~len with
+          | () -> Alcotest.failf "%s pos=%d len=%d: no exception" name pos len
+          | exception Invalid_argument _ -> ())
+        [ (-1, 10); (0, -1); (0, 101); (37, 64); (100, 1); (1, max_int); (max_int, 64) ];
+      (* The edges themselves are in range. *)
+      crc ~pos:0 ~len:100;
+      crc ~pos:100 ~len:0;
+      crc ~pos:36 ~len:64)
+    kernels
+
+let test_crc32_two_domains () =
+  (* Scrub verifies pages on pool domains: concurrent callers must get the
+     serial results. *)
+  let inputs =
+    List.init 24 (fun i ->
+        let len = (i * 377) + (if i mod 2 = 0 then 64 else 9) in
+        Bytes.init (len + 5) (fun j -> Char.chr (((j * 31) + (i * 7)) land 0xff)))
+  in
+  let run () =
+    List.concat_map
+      (fun b ->
+        List.init 50 (fun k -> Checksum.crc32 b ~pos:(k mod 5) ~len:(Bytes.length b - 5)))
+      inputs
+  in
+  let serial = run () in
+  let d1 = Domain.spawn run and d2 = Domain.spawn run in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  Alcotest.(check (list int32)) "domain 1" serial r1;
+  Alcotest.(check (list int32)) "domain 2" serial r2
 
 (* --- media & clock --- *)
 
@@ -381,6 +457,9 @@ let () =
           Alcotest.test_case "incremental" `Quick test_crc32_incremental;
           Alcotest.test_case "kernels agree" `Quick test_crc32_kernels_agree;
           Alcotest.test_case "combine" `Quick test_crc32_combine;
+          QCheck_alcotest.to_alcotest crc32_split_test;
+          Alcotest.test_case "out-of-range arguments" `Quick test_crc32_bounds;
+          Alcotest.test_case "two domains" `Quick test_crc32_two_domains;
         ] );
       ( "media",
         [

@@ -177,11 +177,30 @@ base_batch_par=$(bench_value "prepare_batch_as_of-parallel-4" || true)
 base_batch_serial=$(bench_value "prepare_batch_as_of-serial" || true)
 base_cold_par=$(bench_value "cold-segment-parallel" || true)
 
-dune exec bench/main.exe -- all --quick --json >/dev/null
+bench_out=$(dune exec bench/main.exe -- all --quick --json)
 test -s BENCH_micro.json
 echo "BENCH_micro.json written:"
 head -c 400 BENCH_micro.json
 echo ""
+
+# Both CRC-32 kernels give equal values, so a silent fall-back from the
+# carry-less-multiply kernel to slicing-by-8 would pass every test.  When
+# the run reports the hardware kernel, its page checksum must beat the
+# bytewise reference of the same run by at least 20x; host speed cancels
+# out of the ratio.  (On a 2-core x86-64 host, the hardware kernel read
+# about 80x and slicing-by-8 about 6x.)
+crc_kernel=$(echo "$bench_out" | sed -n 's/^crc32 kernel: //p')
+echo "crc32 kernel: ${crc_kernel:-unknown}"
+if [ "$crc_kernel" = "pclmulqdq" ]; then
+  awk -v k="$(bench_value "core-primitives/crc32 of one 8KiB page" || true)" \
+    -v b="$(bench_value "core-primitives/crc32 bytewise reference (8KiB page)" || true)" 'BEGIN {
+    if (k == "" || b == "" || k == "null" || b == "null" || k <= 0) {
+      print "error: crc32 bench rows missing"; exit 1
+    }
+    printf "crc32 of one 8KiB page: %.1fx faster than bytewise (need >= 20x)\n", b / k
+    if (b < 20 * k) { print "error: the pclmulqdq kernel is not in use"; exit 1 }
+  }'
+fi
 
 # The sim-clock modeled rows are deterministic, not host-load-dependent,
 # so they must equal the checked-in values exactly.  This runs before the
