@@ -63,12 +63,11 @@ let zero_ops =
 (* Advance a (finalized) CRC past [len] zero bytes: one matrix application
    per set bit of [len]. *)
 let apply_zeros crc len =
-  let ops = zero_ops in
   let crc = ref crc in
   let len = ref len in
   let k = ref 0 in
   while !len <> 0 do
-    if !len land 1 <> 0 then crc := gf2_times ops.(!k) !crc;
+    if !len land 1 <> 0 then crc := gf2_times zero_ops.(!k) !crc;
     len := !len lsr 1;
     incr k
   done;
