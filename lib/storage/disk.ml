@@ -106,7 +106,7 @@ let consult_write t pid page =
           (* The write is acknowledged (the OS buffered it) but only a
              sector prefix would survive a crash before the next rewrite. *)
           let cut = Fault_plan.torn_cut plan ~page_size:Page.page_size in
-          let torn = Bytes.copy (fetch t pid) in
+          let torn = fetch t pid in
           Bytes.blit page 0 torn 0 cut;
           Hashtbl.replace t.torn_pending (Page_id.to_int pid) torn
       | Fault_plan.Write_transient ->
