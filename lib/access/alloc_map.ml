@@ -3,7 +3,13 @@ module Page_id = Rw_storage.Page_id
 module Slotted_page = Rw_storage.Slotted_page
 module Log_record = Rw_wal.Log_record
 
-type t = { mutable free : Page_id.t list }
+module Txn_manager = Rw_txn.Txn_manager
+
+(* A free-list entry remembers the transaction that last re-allocated its
+   page, so an allocation that finds the row allocated can tell a
+   re-allocation that may still roll back from a stale entry. *)
+type entry = { pid : Page_id.t; mutable taker : Txn_manager.txn option }
+type t = { mutable free : entry list }
 
 let first_page = Page_id.of_int 1
 let flag_allocated = 1
@@ -36,7 +42,7 @@ let open_ ctx =
              if flags land flag_allocated = 0 then
                free := Page_id.of_int64 (Rowfmt.row_key row) :: !free);
          None));
-  { free = List.sort Page_id.compare !free }
+  { free = List.map (fun pid -> { pid; taker = None }) (List.sort Page_id.compare !free) }
 
 let empty_handle () = { free = [] }
 let free_count t = List.length t.free
@@ -102,35 +108,45 @@ let rec insert_row ctx txn pid ~flags =
 
 (* A re-allocated page stays listed: if its transaction rolls back (or is
    rewound) the map row says free again and the next allocation takes it.
-   Once the row says allocated, the entry is stale and the next allocation
-   drops it, as it drops the entry of a [free] that was rolled back. *)
-let rec allocate t ctx txn ~typ ~level =
-  match t.free with
-  | pid :: rest -> (
-      match find_row ctx pid with
-      | Some (map_pid, slot, flags) when flags land flag_allocated = 0 ->
-          set_flags ctx txn map_pid slot (flag_allocated lor flag_ever);
-          (* Re-allocation: preserve the previous incarnation's content and
-             chain (paper §4.2(1)). *)
-          let prev_image = Access_ctx.snapshot_page_image ctx pid in
-          Access_ctx.modify ctx txn pid (Log_record.Preformat { prev_image });
-          Access_ctx.modify ctx txn pid (Log_record.Format { typ; level });
-          pid
-      | Some _ ->
-          t.free <- rest;
-          allocate t ctx txn ~typ ~level
-      | None -> invalid_arg "Alloc_map.allocate: free page without map row")
-  | [] ->
-      let pid = fresh_page_id ctx txn in
-      insert_row ctx txn pid ~flags:(flag_allocated lor flag_ever);
-      Access_ctx.modify ctx txn pid (Log_record.Format { typ; level });
-      pid
+   An allocation that finds the row allocated drops the entry as stale,
+   unless the re-allocating transaction is still active: it may yet roll
+   back, so the entry is kept (and skipped) until it ends.  A [free] that
+   was rolled back leaves an entry with no taker, dropped the same way. *)
+let allocate t ctx txn ~typ ~level =
+  let in_flight = function
+    | Some taker -> Txn_manager.state taker = Txn_manager.Active
+    | None -> false
+  in
+  let rec take kept = function
+    | e :: rest -> (
+        match find_row ctx e.pid with
+        | Some (map_pid, slot, flags) when flags land flag_allocated = 0 ->
+            t.free <- List.rev_append kept (e :: rest);
+            e.taker <- Some txn;
+            set_flags ctx txn map_pid slot (flag_allocated lor flag_ever);
+            (* Re-allocation: preserve the previous incarnation's content
+               and chain (paper §4.2(1)). *)
+            let prev_image = Access_ctx.snapshot_page_image ctx e.pid in
+            Access_ctx.modify ctx txn e.pid (Log_record.Preformat { prev_image });
+            Access_ctx.modify ctx txn e.pid (Log_record.Format { typ; level });
+            e.pid
+        | Some _ when in_flight e.taker -> take (e :: kept) rest
+        | Some _ -> take kept rest
+        | None -> invalid_arg "Alloc_map.allocate: free page without map row")
+    | [] ->
+        t.free <- List.rev kept;
+        let pid = fresh_page_id ctx txn in
+        insert_row ctx txn pid ~flags:(flag_allocated lor flag_ever);
+        Access_ctx.modify ctx txn pid (Log_record.Format { typ; level });
+        pid
+  in
+  take [] t.free
 
 let free t ctx txn pid =
   match find_row ctx pid with
   | Some (map_pid, slot, flags) when flags land flag_allocated <> 0 ->
       set_flags ctx txn map_pid slot flag_ever;
-      t.free <- pid :: t.free
+      t.free <- { pid; taker = None } :: t.free
   | Some _ -> invalid_arg "Alloc_map.free: page not allocated"
   | None -> invalid_arg "Alloc_map.free: unknown page"
 

@@ -35,8 +35,9 @@ val allocate :
 (** Allocate and format a page.  Prefers re-usable pages (logging preformat
     then format); otherwise extends the database with a fresh page (format
     only).  A re-used page stays in the handle's list until a later
-    allocation finds its map row allocated, so a re-allocation that rolls
-    back is re-used too. *)
+    allocation finds its map row allocated after the re-allocating
+    transaction has ended, so a re-allocation that rolls back is re-used
+    too, also when other allocations ran while it was in flight. *)
 
 val free : t -> Access_ctx.t -> Rw_txn.Txn_manager.txn -> Rw_storage.Page_id.t -> unit
 (** Mark a page de-allocated.  Touches only the map, never the data page. *)
@@ -51,4 +52,5 @@ val ever_allocated : Access_ctx.t -> Rw_storage.Page_id.t -> bool
 val allocated_pages : Access_ctx.t -> Rw_storage.Page_id.t list
 val free_count : t -> int
 (** Entries in the handle's free list; one whose page was re-allocated is
-    dropped by the next allocation. *)
+    dropped by the first allocation after the re-allocating transaction
+    ended. *)

@@ -168,6 +168,33 @@ let test_rolled_back_realloc () =
   in
   check "the rolled-back page is reused" true (Page_id.equal p1 p2)
 
+(* A re-allocation still in flight when another transaction allocates:
+   that allocation finds the page's row allocated and must not forget the
+   page, or the re-allocation's rollback leaves it free but unlisted until
+   the database is reopened. *)
+let test_rolled_back_realloc_behind_other () =
+  let env = mk_env () in
+  let p1 =
+    with_txn env (fun txn -> Alloc_map.allocate env.alloc env.ctx txn ~typ:Page.Heap ~level:0)
+  in
+  with_txn env (fun txn -> Alloc_map.free env.alloc env.ctx txn p1);
+  let a = Txn_manager.begin_txn env.txns in
+  let again = Alloc_map.allocate env.alloc env.ctx a ~typ:Page.Heap ~level:0 in
+  check "A re-allocated the freed page" true (Page_id.equal p1 again);
+  let other =
+    with_txn env (fun b -> Alloc_map.allocate env.alloc env.ctx b ~typ:Page.Heap ~level:0)
+  in
+  check "B took another page" false (Page_id.equal p1 other);
+  Txn_manager.rollback env.txns a ~write_page:(Access_ctx.page_writer env.ctx);
+  check "free again" false (Alloc_map.is_allocated env.ctx p1);
+  check_int "free count equals a reopened handle's"
+    (Alloc_map.free_count (Alloc_map.open_ env.ctx))
+    (Alloc_map.free_count env.alloc);
+  let p2 =
+    with_txn env (fun txn -> Alloc_map.allocate env.alloc env.ctx txn ~typ:Page.Heap ~level:0)
+  in
+  check "the rolled-back page is reused" true (Page_id.equal p1 p2)
+
 (* --- btree --- *)
 
 let test_btree_basic () =
@@ -405,6 +432,8 @@ let () =
           Alcotest.test_case "free list rebuild" `Quick test_free_list_rebuild;
           Alcotest.test_case "rolled-back free not reused" `Quick test_rolled_back_free;
           Alcotest.test_case "rolled-back re-allocation reused" `Quick test_rolled_back_realloc;
+          Alcotest.test_case "rolled-back re-allocation behind another allocation" `Quick
+            test_rolled_back_realloc_behind_other;
         ] );
       ( "btree",
         [
