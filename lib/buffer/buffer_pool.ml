@@ -105,6 +105,9 @@ let evict_one t =
   | Some f ->
       write_back t f;
       Frames.remove t.frames (Page_id.to_int f.id);
+      (* The pool owns its frames (every source returns a private copy),
+         so the victim's buffer can serve the next read. *)
+      Page.release f.page;
       Obs.incr Probes.evictions
 
 let fetch t pid =
@@ -240,4 +243,5 @@ let drop_all t =
   Frames.iter
     (fun _ f -> if f.pin_count > 0 then failwith "Buffer_pool.drop_all: frame pinned")
     t.frames;
+  Frames.iter (fun _ f -> Page.release f.page) t.frames;
   Frames.reset t.frames

@@ -12,6 +12,10 @@
 
 type source = {
   read : Rw_storage.Page_id.t -> Rw_storage.Page.t;
+      (** Must return a private copy: the pool owns the page from then on,
+          mutates it in place and, when the frame is evicted or dropped,
+          gives its buffer back to [Rw_storage.Page.release].  The same
+          holds for {!field-read_cached}'s pages and for {!admit}'s. *)
   write : Rw_storage.Page_id.t -> Rw_storage.Page.t -> unit;
   write_seq : (Rw_storage.Page_id.t -> Rw_storage.Page.t -> unit) option;
       (** Sequential continuation of a write run ({!flush_all} uses it for
@@ -54,7 +58,9 @@ val with_page :
 
 val page : frame -> Rw_storage.Page.t
 (** The in-pool page buffer (mutations require the exclusive latch and a
-    subsequent {!mark_dirty}). *)
+    subsequent {!mark_dirty}).  Valid only while the frame is pinned: an
+    evicted or dropped frame's buffer is recycled, so a caller that keeps
+    page bytes past {!unpin} takes a copy. *)
 
 val frame_latch : frame -> Latch.t
 val pin_count : frame -> int
@@ -91,8 +97,9 @@ val flush_all : t -> unit
     sequential transfers (see {!field-write_seq}). *)
 
 val drop_all : t -> unit
-(** Discard every frame without writing — crash simulation.  Raises if any
-    frame is pinned. *)
+(** Discard every frame without writing — crash simulation, or a view
+    being dropped — and release the frames' buffers for reuse.  Raises if
+    any frame is pinned. *)
 
 val resident : t -> int
 (** (test support: the pool tests check residency after eviction.) *)

@@ -51,8 +51,11 @@ let side_file_hits t = t.tally.t_side_hits
 let rewind_count t = t.tally.t_rewind_count
 let rewinds t = t.tally.t_rewinds
 
+(* The snapshot owns its pool's frames and its side file's pages; both
+   go back to the page free list. *)
 let drop t =
   Obs.gauge_add Probes.snapshots_live (-1.0);
+  Buffer_pool.drop_all t.pool;
   Sparse_file.drop t.sparse
 
 let record_rewind tally pid (r : Page_undo.result) =
@@ -171,9 +174,12 @@ let materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split pids =
   List.rev_append !exact (Array.to_list pages)
 
 let materialize_batch t pids =
-  List.length
-    (materialize_pages ~tally:t.tally ~shared:t.shared ~sparse:t.sparse
-       ~primary_disk:t.primary_disk ~log:t.log ~split:t.split_lsn pids)
+  let pages =
+    materialize_pages ~tally:t.tally ~shared:t.shared ~sparse:t.sparse
+      ~primary_disk:t.primary_disk ~log:t.log ~split:t.split_lsn pids
+  in
+  List.iter Page.release pages;
+  List.length pages
 
 (* §5.3 read protocol, extended with the shared prepared-page cache: on a
    side-file miss, an exact cached image skips the rewind entirely and a
@@ -249,14 +255,15 @@ let create ~wall_us ~log ~primary_pool ~primary_disk ~txns ~clock ~media ?shared
   (* Batch-materialize the pages the losers touched (known from analysis)
      before the undo walk starts: their chains are fetched in one sorted
      pass instead of record-at-a-time as undo stumbles onto each page. *)
-  ignore
+  List.iter Page.release
     (materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split:split_lsn
        losers.Recovery.in_flight_pages);
   let apply pid f =
     Hashtbl.replace undone (Page_id.to_int pid) ();
     let page = read_as_of ~tally ~shared ~sparse ~primary_disk ~log ~split:split_lsn pid in
     (match f page with Some lsn -> Page.set_lsn page lsn | None -> ());
-    Sparse_file.write sparse pid page
+    Sparse_file.write sparse pid page;
+    Page.release page
   in
   let undo_ops =
     Recovery.undo_losers ~log ~losers:losers.Recovery.in_flight ~write_clr:false ~apply
@@ -312,4 +319,5 @@ let page_string t pid =
   Slotted_page.iter page (fun i row ->
       Buffer.add_string b (Printf.sprintf "|%d:%d:" i (String.length row));
       Buffer.add_string b row);
+  Page.release page;
   Buffer.contents b

@@ -41,7 +41,7 @@ let create ~ctx ~primary_pool ~primary_disk ~txns ~log ~clock ~media =
     let key = Page_id.to_int pid in
     if not (Hashtbl.mem copied key) then begin
       Hashtbl.replace copied key ();
-      Sparse_file.write sparse pid (Page.copy page)
+      Sparse_file.write sparse pid page
     end
   in
   let hook = Access_ctx.add_pre_modify_hook ctx hook in
@@ -64,5 +64,6 @@ let drop t =
   if not t.dropped then begin
     t.dropped <- true;
     Access_ctx.remove_pre_modify_hook t.ctx t.hook;
+    Buffer_pool.drop_all t.pool;
     Sparse_file.drop t.sparse
   end

@@ -71,9 +71,7 @@ let hit_rate t =
   let total = t.hits + t.delta_hits + t.misses in
   if total = 0 then 0.0 else float_of_int (t.hits + t.delta_hits) /. float_of_int total
 
-let page_of_entry e =
-  let page = Bytes.of_string e.e_image in
-  (page : Page.t)
+let page_of_entry e = Page.of_string e.e_image
 
 (* Drop entries from older epochs for one page's list. *)
 let prune t cell =

@@ -138,3 +138,4 @@ let restore_as_of t ~from ~wall_us =
   Database.view_over_pool
     ~name:(Printf.sprintf "%s_restored" t.source)
     ~base:from ~pool ~snapshot:None
+    ~on_drop:(fun () -> Buffer_pool.drop_all pool)

@@ -52,6 +52,7 @@ type t = {
   prepared_cache : Rw_core.Prepared_cache.t;
       (* shared across every as-of snapshot of this database; views created
          by [view_over_pool] inherit the base's cache *)
+  on_drop : unit -> unit; (* a view's own pages, released when it is dropped *)
 }
 
 let name t = t.name
@@ -66,6 +67,7 @@ let ctx t = t.ctx
 let txn_manager t = t.txns
 let is_read_only t = t.read_only
 let snapshot_handle t = t.snapshot
+let drop_view t = t.on_drop ()
 let last_recovery_stats t = t.recovery_stats
 let quarantined_pages t = Page_repair.Quarantine.list t.quarantine
 let fault_plan t = Disk.fault_plan t.disk
@@ -135,6 +137,7 @@ let assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity ~fpi
     read_only;
     snapshot;
     cow = None;
+    on_drop = ignore;
     retention = Retention.create ();
     checkpoint_interval_us;
     last_checkpoint_wall = Sim_clock.now_us clock;
@@ -448,7 +451,7 @@ let enforce_retention t =
 
 (* --- snapshots --- *)
 
-let view_over_pool ~name ~base ~pool ~snapshot =
+let view_over_pool ~name ~base ~pool ~snapshot ~on_drop =
   let locks = Lock_manager.create () in
   let txns = Txn_manager.create ~log:base.log ~locks in
   let ctx =
@@ -467,6 +470,7 @@ let view_over_pool ~name ~base ~pool ~snapshot =
     read_only = true;
     snapshot;
     cow = None;
+    on_drop;
     recovery_stats = None;
     instant = None;
   }
@@ -481,7 +485,10 @@ let create_cow_snapshot t ~name =
       ~txns:t.txns ~log:t.log ~clock:t.clock ~media:t.media
   in
   t.last_checkpoint_wall <- now_us t;
-  let view = view_over_pool ~name ~base:t ~pool:(Rw_core.Cow_snapshot.pool cow) ~snapshot:None in
+  let view =
+    view_over_pool ~name ~base:t ~pool:(Rw_core.Cow_snapshot.pool cow) ~snapshot:None
+      ~on_drop:ignore
+  in
   view.cow <- Some cow;
   view
 
@@ -500,6 +507,7 @@ let create_as_of_snapshot ?(shared = true) t ~name ~wall_us =
   in
   t.last_checkpoint_wall <- now_us t;
   view_over_pool ~name ~base:t ~pool:(As_of_snapshot.pool snap) ~snapshot:(Some snap)
+    ~on_drop:(fun () -> As_of_snapshot.drop snap)
 
 (* --- persistence --- *)
 

@@ -158,6 +158,12 @@ val snapshot_handle : t -> Rw_core.As_of_snapshot.t option
 (** The underlying snapshot object of a snapshot view (timings, sparse-file
     statistics). *)
 
+val drop_view : t -> unit
+(** Release a dropped view's own pages: an as-of snapshot view runs
+    [Rw_core.As_of_snapshot.drop], a what-if or restored view gives back
+    its pool frames (and side file).  A no-op for databases and
+    copy-on-write views. *)
+
 (* Baseline: classic copy-on-write snapshots (paper §2.2/§7.1). *)
 val create_cow_snapshot : t -> name:string -> t
 (** A read-only view of this database as of {e now}, maintained by
@@ -237,10 +243,12 @@ val scrub : t -> int
     raised).  Returns the number of pages repaired. *)
 
 (* Internal: assemble a read-only view over an arbitrary buffer pool.
-   Exposed for Backup. *)
+   Exposed for Backup and what-if views; [on_drop] is what {!drop_view}
+   runs. *)
 val view_over_pool :
   name:string ->
   base:t ->
   pool:Rw_buffer.Buffer_pool.t ->
   snapshot:Rw_core.As_of_snapshot.t option ->
+  on_drop:(unit -> unit) ->
   t

@@ -57,7 +57,5 @@ let create_snapshot t ~of_ ~name ~wall_us =
 
 let drop_database t name =
   let db = find_database_exn t name in
-  (match Database.snapshot_handle db with
-  | Some snap -> Rw_core.As_of_snapshot.drop snap
-  | None -> ());
+  Database.drop_view db;
   Hashtbl.remove t.dbs name

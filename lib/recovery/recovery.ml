@@ -545,7 +545,9 @@ module Instant = struct
      reused), redo each to the horizon, undo the group's losers with CLRs
      and End records, then publish — force the log covering everything just
      applied and write the pages back (WAL rule), so the recovered images
-     are durable and the pages leave the backlog exactly once. *)
+     are durable and the pages leave the backlog exactly once.  The seed
+     page belongs to the caller (it enters the pool); every page read here
+     is released once written back.  Returns the pages published. *)
   let recover_group t ~on_demand pid0 seed_page =
     let io =
       match t.io with
@@ -629,7 +631,10 @@ module Instant = struct
           ]
         "recovery.first_touch";
     if backlog t = 0 then mark_full_recovery t;
-    (Hashtbl.find local (Page_id.to_int pid0), !published)
+    Hashtbl.iter
+      (fun k p -> if Option.is_none seed_page || k <> Page_id.to_int pid0 then Page.release p)
+      local;
+    !published
 
   let touch t pid page =
     if t.touching || not (pending_page t pid) then page
@@ -637,7 +642,9 @@ module Instant = struct
       t.touching <- true;
       Fun.protect
         ~finally:(fun () -> t.touching <- false)
-        (fun () -> fst (recover_group t ~on_demand:true pid (Some page)))
+        (fun () ->
+          ignore (recover_group t ~on_demand:true pid (Some page) : int);
+          page)
     end
 
   let drain t ~max_pages =
@@ -652,7 +659,7 @@ module Instant = struct
     while !published < max_pages && backlog t > 0 do
       let k = Hashtbl.fold (fun k () acc -> min k acc) t.pending max_int in
       match recover_group t ~on_demand:false (Page_id.of_int k) None with
-      | _, n -> published := !published + n
+      | n -> published := !published + n
       | exception Page_repair.Quarantined qpid ->
           (* Give up on the damaged page so the rest of the backlog still
              drains; reads of it keep failing with the typed error. *)

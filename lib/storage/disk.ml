@@ -62,10 +62,14 @@ let fetch t pid =
     | None -> Page.create ~id:pid ~typ:Page.Free
   else Page.create ~id:pid ~typ:Page.Free
 
+(* A write copies into the page's stored image (a fresh copy the first
+   time): the caller keeps its buffer, and the disk allocates nothing. *)
 let store t pid page =
   let i = Page_id.to_int pid in
   ensure_capacity t (i + 1);
-  t.pages.(i) <- Some (Page.copy page);
+  (match t.pages.(i) with
+  | Some img -> Bytes.blit page 0 img 0 Page.page_size
+  | None -> t.pages.(i) <- Some (Page.copy page));
   if i + 1 > t.page_count then t.page_count <- i + 1
 
 (* --- fault injection --- *)
@@ -118,6 +122,7 @@ let apply_crash t =
   Hashtbl.reset t.torn_pending;
   List.iter
     (fun (i, img) ->
+      Option.iter Page.release t.pages.(i);
       t.pages.(i) <- Some img;
       t.stats.Io_stats.faults_injected <- t.stats.Io_stats.faults_injected + 1)
     torn;
@@ -164,6 +169,7 @@ let read_page_retrying t pid = with_retries t (fun () -> read_page t pid)
 let read_page_checked t pid =
   let p = read_page_retrying t pid in
   if not (Page.verify p) then begin
+    Page.release p;
     t.stats.Io_stats.corruptions_detected <- t.stats.Io_stats.corruptions_detected + 1;
     raise (Corrupt_page pid)
   end;

@@ -48,10 +48,12 @@ val written_pages : t -> int
 (** Number of pages with real content (excludes zero-filled holes). *)
 
 val read_page : t -> Page_id.t -> Page.t
-(** Random read of one page; returns a fresh copy. *)
+(** Random read of one page; returns a private copy the caller owns (see
+    {!Page.t}). *)
 
 val write_page : t -> Page_id.t -> Page.t -> unit
-(** Random write of one page; the disk keeps its own copy.  (test support:
+(** Random write of one page, copied into the disk's stored image; the
+    caller keeps its buffer.  (test support:
     the engine writes through {!write_page_retrying}; the tests seed pages
     directly.) *)
 

@@ -62,12 +62,52 @@ let format p ~id:pid ~typ:pt =
   (* data_low starts at the end of the page: record data grows downward. *)
   set_data_low p page_size
 
+(* Released page buffers, per domain: a bounded stack that [copy],
+   [create] and [of_string] take from before allocating.  A fresh 8 KiB
+   buffer is a major-heap allocation, and with tens of MiB live its share
+   of major GC work costs far more than a blit into a recycled one.  The
+   stack is domain-local, so no lock is taken, and a domain only reuses
+   what it released.  [release] stores the pointer without reading the
+   buffer (dropping a pool would otherwise touch every frame's memory);
+   [take] checks the length, on a buffer it is about to overwrite. *)
+let free_bound = 256
+
+type free_list = { bufs : bytes array; mutable n : int }
+
+let free_list = Domain.DLS.new_key (fun () -> { bufs = Array.make free_bound Bytes.empty; n = 0 })
+
+let take () =
+  let fl = Domain.DLS.get free_list in
+  if fl.n = 0 then Bytes.create page_size
+  else begin
+    fl.n <- fl.n - 1;
+    let p = fl.bufs.(fl.n) in
+    fl.bufs.(fl.n) <- Bytes.empty;
+    if Bytes.length p = page_size then p else Bytes.create page_size
+  end
+
+let release p =
+  let fl = Domain.DLS.get free_list in
+  if fl.n < free_bound then begin
+    fl.bufs.(fl.n) <- p;
+    fl.n <- fl.n + 1
+  end
+
 let create ~id ~typ =
-  let p = Bytes.create page_size in
+  let p = take () in
   format p ~id ~typ;
   p
 
-let copy p = Bytes.copy p
+let copy p =
+  let q = take () in
+  Bytes.blit p 0 q 0 page_size;
+  q
+
+let of_string s =
+  if String.length s <> page_size then invalid_arg "Page.of_string: not a page image";
+  let p = take () in
+  Bytes.blit_string s 0 p 0 page_size;
+  p
 
 (* Checksum covers the whole page except the checksum field itself. *)
 let compute_checksum p =

@@ -23,6 +23,15 @@
     v} *)
 
 type t = bytes
+(** A page buffer of [page_size] bytes.
+
+    {b Ownership.}  Every buffer has one owner: the buffer-pool frame, the
+    disk's or side file's stored image, or the caller holding a private
+    copy.  Reads hand out private copies ({!copy}), and writes copy into
+    the destination's own image, so a caller may mutate or {!release} a
+    page it was given without affecting any stored image.  {!create},
+    {!copy} and {!of_string} take their buffer from a bounded, domain-local
+    list of released buffers before allocating a fresh one. *)
 
 val page_size : int
 val header_size : int
@@ -41,6 +50,19 @@ val format : t -> id:Page_id.t -> typ:page_type -> unit
     replay through this). *)
 
 val copy : t -> t
+(** A private copy, in a recycled buffer when one was released. *)
+
+val of_string : string -> t
+(** A private page holding [s], in a recycled buffer when one was
+    released.  Raises [Invalid_argument] unless [s] is [page_size]
+    bytes. *)
+
+val release : t -> unit
+(** Give the buffer back for reuse by a later {!create}, {!copy} or
+    {!of_string} on the same domain.  Only the owner may release a page,
+    and only when nothing else references it: the next taker overwrites
+    it.  O(1); it never reads the buffer, and keeps nothing once the
+    domain's list holds its bound (256 buffers, 2 MiB). *)
 
 val lsn : t -> Lsn.t
 val set_lsn : t -> Lsn.t -> unit

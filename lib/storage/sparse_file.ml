@@ -19,7 +19,10 @@ let read t pid =
 
 let write t pid page =
   Media.random_write t.media t.clock t.stats Page.page_size;
-  Hashtbl.replace t.table (Page_id.to_int pid) (Page.copy page)
+  let key = Page_id.to_int pid in
+  match Hashtbl.find_opt t.table key with
+  | Some img -> Bytes.blit page 0 img 0 Page.page_size
+  | None -> Hashtbl.replace t.table key (Page.copy page)
 
 let page_ids t =
   Hashtbl.fold (fun k _ acc -> Page_id.of_int k :: acc) t.table []
@@ -27,4 +30,6 @@ let page_ids t =
 
 let page_count t = Hashtbl.length t.table
 let allocated_bytes t = Hashtbl.length t.table * Page.page_size
-let drop t = Hashtbl.reset t.table
+let drop t =
+  Hashtbl.iter (fun _ p -> Page.release p) t.table;
+  Hashtbl.reset t.table

@@ -392,7 +392,9 @@ let prepare ~ctx ~log ~graph ~victim ~scope =
 let preview ~ctx ~log ~graph ~victim ?(scope = Dependents) () =
   match prepare ~ctx ~log ~graph ~victim ~scope with
   | Error _ as e -> e
-  | Ok (_plan, targets) -> Ok targets.t_stats
+  | Ok (_plan, targets) ->
+      List.iter (fun (_, p) -> Page.release p) targets.images;
+      Ok targets.t_stats
 
 (* ---------------------------------------------------------------- *)
 (* Publication 1: in-place repair through the ordinary write path.  *)
@@ -444,6 +446,7 @@ let diff_ops ~current ~target =
       match Slotted_page.find_key w key with
       | Either.Left _ -> ()
       | Either.Right at -> emit (Log_record.Insert_row { slot = at; row }));
+  Page.release w;
   List.rev !ops
 
 let repair ~ctx ~log ~graph ~victim ?(scope = Dependents) ~wall_us ?on_progress () =
@@ -455,8 +458,9 @@ let repair ~ctx ~log ~graph ~victim ?(scope = Dependents) ~wall_us ?on_progress 
       List.iteri
         (fun i (page, target) ->
           (match on_progress with Some f -> f i | None -> ());
-          let current = Access_ctx.read ctx page (fun p -> Page.copy p) in
-          List.iter (fun op -> Access_ctx.modify ctx txn page op) (diff_ops ~current ~target))
+          let ops = Access_ctx.read ctx page (fun current -> diff_ops ~current ~target) in
+          List.iter (fun op -> Access_ctx.modify ctx txn page op) ops;
+          Page.release target)
         targets.images;
       ignore (Txn_manager.commit_begin txns txn ~wall_us);
       ignore (Txn_manager.flush_commits txns);
@@ -476,7 +480,11 @@ let what_if_view ~engine ~db ~graph ~victim ~name =
       let side =
         Sparse_file.create ~clock:(Database.clock db) ~media:(Database.media db) ()
       in
-      List.iter (fun (page, image) -> Sparse_file.write side page image) targets.images;
+      List.iter
+        (fun (page, image) ->
+          Sparse_file.write side page image;
+          Page.release image)
+        targets.images;
       let source =
         {
           Buffer_pool.read =
@@ -490,7 +498,11 @@ let what_if_view ~engine ~db ~graph ~victim ~name =
         }
       in
       let pool = Buffer_pool.create ~capacity:64 ~source () in
-      let view = Database.view_over_pool ~name ~base:db ~pool ~snapshot:None in
+      let on_drop () =
+        Buffer_pool.drop_all pool;
+        Sparse_file.drop side
+      in
+      let view = Database.view_over_pool ~name ~base:db ~pool ~snapshot:None ~on_drop in
       let view = Engine.attach_database engine view in
       record_stats targets.t_stats;
       Ok (view, targets.t_stats)
