@@ -150,6 +150,158 @@ let test_checksum_verified_on_read () =
       ignore (Buffer_pool.fetch pool (Page_id.of_int 0)));
   check_int "detection counted" 1 (Disk.stats disk).Rw_storage.Io_stats.corruptions_detected
 
+(* --- page ownership: a model of what every fetch must return --- *)
+
+(* Random modify / read / flush / drop_all / reopen sequences over one
+   disk through a four-frame pool, so most fetches evict.  The model keeps
+   each page's durable image and its current one as strings; frames,
+   evictions and recycled buffers must never make a fetched page differ
+   from them.  With a fault plan (bit rot, torn writes), a fetch may
+   instead raise [Corrupt_page] for the page it reads, which is then
+   rewritten from the model. *)
+type model_op = Modify of int * int | Read of int | Flush | Drop | Reopen
+
+let model_pages = 8
+
+let model_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map2 (fun i v -> Modify (i, v)) (int_bound (model_pages - 1)) (int_bound 255));
+        (4, map (fun i -> Read i) (int_bound (model_pages - 1)));
+        (1, return Flush);
+        (1, return Drop);
+        (1, return Reopen);
+      ])
+
+let show_model_op = function
+  | Modify (i, v) -> Printf.sprintf "modify %d %d" i v
+  | Read i -> Printf.sprintf "read %d" i
+  | Flush -> "flush"
+  | Drop -> "drop_all"
+  | Reopen -> "reopen"
+
+(* A page image without its checksum field, which a write-back seals in
+   place. *)
+let view p = Bytes.sub_string p 0 48 ^ Bytes.sub_string p 52 (Page.page_size - 52)
+
+let run_model ~faults (seed, ops) =
+  let clock = Sim_clock.create () in
+  let plan =
+    if faults then
+      Some (Rw_storage.Fault_plan.create ~bit_rot_rate:0.05 ~torn_write_rate:0.2 ~seed ())
+    else None
+  in
+  let disk = Disk.create ~clock ~media:Media.ram ?fault_plan:plan () in
+  let new_pool () = Buffer_pool.create ~capacity:4 ~source:(Buffer_pool.of_disk disk) () in
+  let pool = ref (new_pool ()) in
+  let pid i = Page_id.of_int i in
+  let durable = Array.init model_pages (fun i -> view (Page.create ~id:(pid i) ~typ:Page.Free)) in
+  let current = Array.copy durable in
+  let dirty = Array.make model_pages false in
+  let resident = Array.make model_pages false in
+  let lsn = ref 0 in
+  let forget_all () =
+    Array.blit durable 0 current 0 model_pages;
+    Array.fill dirty 0 model_pages false;
+    Array.fill resident 0 model_pages false
+  in
+  (* A damaged page is rewritten from the model, as a repair would. *)
+  let rewrite i =
+    let img = Bytes.of_string (String.sub durable.(i) 0 48 ^ "\000\000\000\000") in
+    let img = Bytes.cat img (Bytes.of_string (String.sub durable.(i) 48 (Page.page_size - 52))) in
+    Page.seal img;
+    Disk.write_page_nocost disk (pid i) img
+  in
+  (* Frames the pool evicted were written back if dirty; a miss evicts
+     before it reads, so also when the read then fails. *)
+  let note_evictions i =
+    Array.iteri
+      (fun j r ->
+        if r && j <> i && Buffer_pool.resident_lsn !pool (pid j) = None then begin
+          if dirty.(j) then durable.(j) <- current.(j);
+          dirty.(j) <- false;
+          resident.(j) <- false
+        end)
+      resident
+  in
+  let fetch i =
+    match Buffer_pool.fetch !pool (pid i) with
+    | f ->
+        note_evictions i;
+        resident.(i) <- true;
+        if view (Buffer_pool.page f) <> current.(i) then
+          QCheck.Test.fail_reportf "page %d differs from the model" i;
+        Some f
+    | exception Disk.Corrupt_page p when faults && Page_id.to_int p = i ->
+        note_evictions i;
+        rewrite i;
+        None
+  in
+  List.iter
+    (fun op ->
+      match op with
+      | Modify (i, v) -> (
+          match fetch i with
+          | None -> ()
+          | Some f ->
+              let p = Buffer_pool.page f in
+              Bytes.fill p (Page.header_size + (v * 29)) 40 (Char.chr v);
+              incr lsn;
+              Page.set_lsn p (Lsn.of_int !lsn);
+              Buffer_pool.mark_dirty !pool f ~lsn:(Lsn.of_int !lsn);
+              Buffer_pool.unpin !pool f;
+              current.(i) <- view p;
+              dirty.(i) <- true)
+      | Read i -> Option.iter (Buffer_pool.unpin !pool) (fetch i)
+      | Flush ->
+          Buffer_pool.flush_all !pool;
+          Array.iteri (fun i d -> if d then durable.(i) <- current.(i)) dirty;
+          Array.fill dirty 0 model_pages false
+      | Drop ->
+          Buffer_pool.drop_all !pool;
+          forget_all ()
+      | Reopen ->
+          Buffer_pool.drop_all !pool;
+          ignore (Disk.apply_crash disk : int);
+          pool := new_pool ();
+          forget_all ())
+    ops;
+  (* Finally every page reads back as the model says. *)
+  for i = 0 to model_pages - 1 do
+    Option.iter (Buffer_pool.unpin !pool) (fetch i)
+  done;
+  true
+
+let model_arb =
+  QCheck.make
+    ~print:(fun (seed, ops) ->
+      Printf.sprintf "seed %d: %s" seed (String.concat "; " (List.map show_model_op ops)))
+    QCheck.Gen.(pair (int_bound 1_000_000) (list_size (int_range 1 80) model_op_gen))
+
+let model_test =
+  QCheck.Test.make ~name:"fetched pages equal a string model" ~count:200 model_arb
+    (run_model ~faults:false)
+
+let model_faults_test =
+  QCheck.Test.make ~name:"fetched pages equal a string model under bit rot and torn writes"
+    ~count:200 model_arb (run_model ~faults:true)
+
+(* Dropping the pool gives its frames' buffers back: on a fresh domain
+   (an empty free list), the next read lands in the dropped frame's
+   buffer. *)
+let test_drop_all_recycles () =
+  Domain.join
+    (Domain.spawn (fun () ->
+         let disk, pool = mk () in
+         let f = Buffer_pool.fetch pool (Page_id.of_int 0) in
+         let frame_page = Buffer_pool.page f in
+         Buffer_pool.unpin pool f;
+         Buffer_pool.drop_all pool;
+         let next = Disk.read_page disk (Page_id.of_int 1) in
+         check "the next read reuses the dropped frame's buffer" true (next == frame_page);
+         check_int "and holds the page read" 1 (Page_id.to_int (Page.id next))))
+
 let () =
   Alcotest.run "buffer"
     [
@@ -169,5 +321,8 @@ let () =
           Alcotest.test_case "drop_all" `Quick test_drop_all;
           Alcotest.test_case "with_page" `Quick test_with_page;
           Alcotest.test_case "checksum on read" `Quick test_checksum_verified_on_read;
+          Alcotest.test_case "drop_all recycles frames" `Quick test_drop_all_recycles;
+          QCheck_alcotest.to_alcotest model_test;
+          QCheck_alcotest.to_alcotest model_faults_test;
         ] );
     ]

@@ -394,6 +394,72 @@ let test_disk_write_isolation () =
   let q = Disk.read_page disk (Page_id.of_int 0) in
   check_int "durable copy unaffected" 0 (Slotted_page.count q)
 
+(* A page handed out by a read belongs to the caller, and a write copies
+   into the stored image: mutating either buffer afterwards leaves the
+   stored page as it was.  The second write of a page goes into the image
+   the first write created, so both writes are checked. *)
+let test_disk_ownership () =
+  let clock = Sim_clock.create () in
+  let disk = Disk.create ~clock ~media:Media.ram () in
+  let pid = Page_id.of_int 3 in
+  let p = Page.create ~id:pid ~typ:Page.Heap in
+  Slotted_page.insert p ~at:0 "first";
+  Disk.write_page disk pid p;
+  Slotted_page.insert p ~at:1 "second";
+  Disk.write_page disk pid p;
+  Slotted_page.insert p ~at:2 "after the write";
+  let r = Disk.read_page disk pid in
+  check_int "rewrite copied, later edits not stored" 2 (Slotted_page.count r);
+  Slotted_page.insert r ~at:0 "edit of a read page";
+  Page.release r;
+  let again = Disk.read_page disk pid in
+  check_int "stored image unchanged by the reader" 2 (Slotted_page.count again);
+  check_str "rows intact" "second" (Slotted_page.get again ~at:1);
+  check "a second read is another buffer" true (again != Disk.read_page disk pid)
+
+let test_sparse_ownership () =
+  let clock = Sim_clock.create () in
+  let sf = Sparse_file.create ~clock ~media:Media.ram () in
+  let pid = Page_id.of_int 9 in
+  let p = Page.create ~id:pid ~typ:Page.Btree in
+  Slotted_page.insert p ~at:0 "first";
+  Sparse_file.write sf pid p;
+  Slotted_page.insert p ~at:1 "second";
+  Sparse_file.write sf pid p;
+  Slotted_page.insert p ~at:2 "after the write";
+  let r = Option.get (Sparse_file.read sf pid) in
+  check_int "rewrite copied, later edits not stored" 2 (Slotted_page.count r);
+  Slotted_page.insert r ~at:0 "edit of a read page";
+  Page.release r;
+  let again = Option.get (Sparse_file.read sf pid) in
+  check_int "stored image unchanged by the reader" 2 (Slotted_page.count again);
+  check_str "rows intact" "second" (Slotted_page.get again ~at:1)
+
+(* Released buffers feed the next copy on the same domain, and a recycled
+   buffer carries nothing of its previous page. *)
+let test_page_recycling () =
+  Domain.join
+    (Domain.spawn (fun () ->
+         let a = Page.create ~id:(Page_id.of_int 1) ~typ:Page.Heap in
+         Slotted_page.insert a ~at:0 "stale row";
+         Page.release a;
+         let b = Page.create ~id:(Page_id.of_int 2) ~typ:Page.Btree in
+         check "create reuses the released buffer" true (a == b);
+         check_int "formatted afresh" 0 (Slotted_page.count b);
+         check_int "new id" 2 (Page_id.to_int (Page.id b));
+         let src = Page.create ~id:(Page_id.of_int 7) ~typ:Page.Heap in
+         Page.release b;
+         let c = Page.copy src in
+         check "copy reuses it too" true (c == b);
+         check "copy equals its source" true (Bytes.equal c src);
+         Page.release c;
+         let d = Page.of_string (Bytes.to_string src) in
+         check "of_string reuses it too" true (d == c);
+         check "of_string equals its source" true (Bytes.equal d src);
+         Alcotest.check_raises "of_string rejects a short image"
+           (Invalid_argument "Page.of_string: not a page image") (fun () ->
+             ignore (Page.of_string "short"))))
+
 (* --- sparse file --- *)
 
 let test_sparse_file () =
@@ -441,6 +507,7 @@ let () =
           Alcotest.test_case "header fields" `Quick test_page_header;
           Alcotest.test_case "checksum" `Quick test_page_checksum;
           Alcotest.test_case "format resets" `Quick test_page_format_resets;
+          Alcotest.test_case "released buffers are recycled" `Quick test_page_recycling;
         ] );
       ( "slotted",
         [
@@ -473,8 +540,13 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_disk_roundtrip;
           Alcotest.test_case "unwritten zero" `Quick test_disk_unwritten_page_is_zero;
           Alcotest.test_case "write isolation" `Quick test_disk_write_isolation;
+          Alcotest.test_case "read and written pages stay private" `Quick test_disk_ownership;
         ] );
-      ("sparse", [ Alcotest.test_case "sparse file" `Quick test_sparse_file ]);
+      ( "sparse",
+        [
+          Alcotest.test_case "sparse file" `Quick test_sparse_file;
+          Alcotest.test_case "read and written pages stay private" `Quick test_sparse_ownership;
+        ] );
       ( "prng",
         [
           Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
