@@ -3,13 +3,19 @@ let interval_s = 0.001
 type t = {
   mutable stacks : Printexc.raw_backtrace list; (* newest first *)
   mutable previous : Sys.signal_behavior option;
+  cpu_start : float; (* process CPU seconds, user + system *)
+  mutable cpu_s : float; (* CPU seconds between start and stop *)
 }
+
+let cpu_now () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
 
 let max_depth = 256
 let top = 15
 
 let start () =
-  let t = { stacks = []; previous = None } in
+  let t = { stacks = []; previous = None; cpu_start = cpu_now (); cpu_s = 0.0 } in
   (* Whichever domain reaches a safepoint first runs the handler; a sample
      taken by two domains at once may be lost, never corrupted. *)
   let handler _ = t.stacks <- Printexc.get_callstack max_depth :: t.stacks in
@@ -20,6 +26,7 @@ let start () =
 
 let stop t =
   ignore (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = 0.0; it_value = 0.0 });
+  t.cpu_s <- cpu_now () -. t.cpu_start;
   Option.iter (Sys.set_signal Sys.sigprof) t.previous;
   t.previous <- None
 
@@ -64,7 +71,7 @@ let write_folded all path =
   List.iter (fun (k, n) -> Printf.fprintf oc "%s %d\n" k n) (List.sort compare lines);
   close_out oc
 
-let report all =
+let report ~cpu_s all =
   let self = Hashtbl.create 256 and incl = Hashtbl.create 256 in
   let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
   List.iter
@@ -81,7 +88,13 @@ let report all =
            if i < top then
              Printf.printf "  %5.1f%%  %6d  %s\n" (100.0 *. float c /. float (max n 1)) c k)
   in
-  Printf.printf "profile: %d samples (timer every %.1f ms of process CPU time)\n" n
+  (* The kernel may deliver the timer less often than asked (on some
+     hosts one signal per scheduler tick), so the period printed is the
+     one measured. *)
+  Printf.printf "profile: %d samples over %.3f s of process CPU time, %s (timer set to %.1f ms)\n" n
+    cpu_s
+    (if n = 0 then "none taken"
+     else Printf.sprintf "one per %.2f ms" (1000.0 *. cpu_s /. float n))
     (1000.0 *. interval_s);
   print "self" self;
   print "inclusive" incl
@@ -96,6 +109,6 @@ let with_profile path f =
           stop t;
           let all = frames t in
           write_folded all path;
-          report all;
+          report ~cpu_s:t.cpu_s all;
           Printf.printf "folded stacks: %s\n%!" path)
         f

@@ -31,6 +31,26 @@ grep -q '"ph"' "$trace_tmp"
 rm -f "$trace_tmp"
 echo "trace ok"
 
+echo "== profile smoke (exec --profile writes folded stacks) =="
+# 4,000 inserts in 40 statements, an update and a checkpoint: tens of ms
+# of CPU, several samples at the sampler's measured period (about one per
+# 4 ms on a 2-core x86-64 host).  The folded file must hold at least one
+# "frame;...;frame count" line.
+prof_tmp=$(mktemp /tmp/rewind_prof.XXXXXX.folded)
+prof_sql="CREATE DATABASE d; USE d; CREATE TABLE t (k INT, v INT);"
+i=1
+while [ "$i" -le 40 ]; do
+  rows=$(seq -s, $((i * 100)) $((i * 100 + 99)) | sed 's/\([0-9][0-9]*\)/(\1, 7)/g')
+  prof_sql="$prof_sql INSERT INTO t VALUES $rows;"
+  i=$((i + 1))
+done
+prof_sql="$prof_sql UPDATE t SET v = 8 WHERE k > 500; CHECKPOINT; SELECT COUNT(*) FROM t;"
+dune exec bin/rewind_cli.exe -- exec --profile "$prof_tmp" -e "$prof_sql" | grep '^profile:'
+test -s "$prof_tmp"
+grep -q ' [0-9][0-9]*$' "$prof_tmp"
+rm -f "$prof_tmp"
+echo "profile ok"
+
 echo "== examples (selective undo, point-in-time audit) =="
 # The final balance table of the undo example and the audit's closing
 # verdict are the examples' end-to-end results.
