@@ -69,8 +69,10 @@ let format p ~id:pid ~typ:pt =
    stack is domain-local, so no lock is taken, and a domain only reuses
    what it released.  [release] stores the pointer without reading the
    buffer (dropping a pool would otherwise touch every frame's memory);
-   [take] checks the length, on a buffer it is about to overwrite. *)
-let free_bound = 256
+   [take] checks the length, on a buffer it is about to overwrite.  The
+   bound covers what one snapshot drop gives back: an audit snapshot's
+   256 pool frames plus its side file's pages, about 520 buffers. *)
+let free_bound = 1024
 
 type free_list = { bufs : bytes array; mutable n : int }
 

@@ -62,7 +62,7 @@ val release : t -> unit
     {!of_string} on the same domain.  Only the owner may release a page,
     and only when nothing else references it: the next taker overwrites
     it.  O(1); it never reads the buffer, and keeps nothing once the
-    domain's list holds its bound (256 buffers, 2 MiB). *)
+    domain's list holds its bound (1024 buffers, 8 MiB). *)
 
 val lsn : t -> Lsn.t
 val set_lsn : t -> Lsn.t -> unit
