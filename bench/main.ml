@@ -1,16 +1,17 @@
 (* Benchmark harness.
 
    Usage:
-     main.exe                    run every paper experiment + microbenchmarks
+     main.exe [all]              run every paper experiment
      main.exe fig5 fig7 ...      run selected experiments
-     main.exe micro              run only the Bechamel microbenchmarks
-     main.exe all --quick       shrink workloads (smoke mode)
-     main.exe ... --json        also write BENCH_micro.json (name -> ns/run)
+     main.exe micro              run the Bechamel microbenchmarks (host time)
+     main.exe ... --quick        shrink workloads (smoke mode)
      main.exe ... --profile PATH  sample host-time call stacks into PATH
                                 (folded stacks) and print the top frames
 
    Experiment output is the paper-shaped table for each figure/section of
-   the evaluation (see DESIGN.md's per-experiment index). *)
+   the evaluation (see DESIGN.md's per-experiment index).  It is
+   deterministic: tools/golden holds the expected output of `all --quick`
+   and `dune runtest` diffs against it. *)
 
 module Experiments = Rw_workload.Experiments
 
@@ -89,8 +90,8 @@ module Micro = struct
   (* Same commit path with the trace collector enabled: the gap between
      this row and the trace-off row above is the instrumentation overhead
      (ring-buffer pushes for flush spans and group-ack instants).  With
-     tracing off the instrumentation is one load+branch per site, which is
-     what the ci.sh regression guard on the row above holds to <= 25%. *)
+     tracing off the instrumentation is one load+branch per site; rwbench,
+     which runs with tracing off, holds that cost end to end. *)
   let test_group_commit_traced ~batch =
     let clock = Sim_clock.create () in
     let log = Log_manager.create ~clock ~media:Media.ram () in
@@ -260,8 +261,7 @@ module Micro = struct
   (* The same 400-op rewind with the history sealed into 4 KiB segments
      behind a deliberately starved block cache (two 256 B blocks), so
      every run re-faults the chain from spilled segments — the cold end of
-     the segment tier.  ci.sh holds this row to the same 25% budget as the
-     warm row above. *)
+     the segment tier. *)
   let test_prepare_page_cold =
     let log, page =
       prepare_env
@@ -277,8 +277,8 @@ module Micro = struct
 
   (* A second overlapping snapshot at the same SplitLSN: the 400-op chain
      rewind above collapses to a prepared-page cache probe plus one page
-     copy.  ci.sh guards this row; the gap to the full-rewind row is what
-     the shared cache buys concurrent readers (ISSUE 6 / E8). *)
+     copy.  The gap to the full-rewind row is what the shared cache buys
+     concurrent readers (E8); ci.sh holds it to under a tenth of that row. *)
   let test_prepare_page_shared =
     let log, page = prepare_env () in
     let cache = Rw_core.Prepared_cache.create ~log in
@@ -604,124 +604,8 @@ module Micro = struct
         test_checkpoint_flush;
       ]
 
-  (* Batched as-of preparation at the cold-chain operating point: data and
-     side files on RAM (so publish writes are free), log on SSD behind a
-     deliberately starved block cache (two 256 B blocks) with 4 KiB
-     spilled segments — every page's chain gather re-faults cold blocks at
-     real random-read cost, the regime the staged pipeline overlaps.
-     These rows report MODELED (simulated-clock) elapsed, not host time:
-     the pipeline attributes each page's gather I/O to its round-robin
-     partition and credits the clock down to the slowest partition, so the
-     parallel row's win is the overlap model, byte-identical results
-     guaranteed by the publish-stage determinism contract (test_pool.ml).
-     ci.sh holds prepare_batch_as_of-parallel-4 to a 25% budget and
-     requires it to beat prepare_batch_as_of-serial by >= 2x.  Full page
-     images are off, so every page unwinds the whole fixed chain. *)
-  let batch_env =
-    lazy
-      (let module Database = Rw_engine.Database in
-       let module Row = Rw_engine.Row in
-       let module Schema = Rw_catalog.Schema in
-       let clock = Sim_clock.create () in
-       let db =
-         Database.create ~name:"bench_batch" ~clock ~media:Media.ram ~log_media:Media.ssd
-           ~pool_capacity:256 ~log_cache_blocks:2 ~log_block_bytes:256 ~log_segment_bytes:4096
-           ~fpi:Rw_access.Access_ctx.Off ~checkpoint_interval_us:1e15 ()
-       in
-       let cols =
-         [
-           { Schema.name = "id"; ctype = Schema.Int }; { Schema.name = "val"; ctype = Schema.Text };
-         ]
-       in
-       let payload r i = Printf.sprintf "%04d-%06d-%s" r i (String.make 110 'x') in
-       Database.with_txn db (fun txn ->
-           ignore (Database.create_table db txn ~table:"t" ~columns:cols ());
-           for i = 1 to 1600 do
-             Database.insert db txn ~table:"t" [ Row.Int (Int64.of_int i); Row.Text (payload 0 i) ]
-           done);
-       ignore (Database.checkpoint db);
-       (* The rewind target: just after load, so every data page unwinds
-          the full update history below. *)
-       let t_mid = Sim_clock.now_us clock in
-       for r = 1 to 4 do
-         Database.with_txn db (fun txn ->
-             for j = 0 to 1599 do
-               let i = (j * 37 mod 1600) + 1 in
-               Database.update db txn ~table:"t" [ Row.Int (Int64.of_int i); Row.Text (payload r i) ]
-             done)
-       done;
-       Log_manager.flush_all (Database.log db);
-       let disk = Database.disk db in
-       let pages = ref [] in
-       for i = Disk.page_count disk - 1 downto 0 do
-         let pid = Page_id.of_int i in
-         if Disk.has_page disk pid then pages := pid :: !pages
-       done;
-       (db, t_mid, !pages))
-
-  (* Modeled elapsed (sim-clock us) of one whole-database batched rewind at
-     the given fan-out, on a fresh unshared snapshot so chain gathers stay
-     cold and runs are independent. *)
-  let measure_batch ~fanout =
-    let module Database = Rw_engine.Database in
-    let module Snap = Rw_core.As_of_snapshot in
-    let db, t_mid, pages = Lazy.force batch_env in
-    Fun.protect
-      ~finally:(fun () -> Rw_pool.Domain_pool.set_fanout None)
-      (fun () ->
-        Rw_pool.Domain_pool.set_fanout (Some fanout);
-        let clock = Database.clock db in
-        let view =
-          Database.create_as_of_snapshot ~shared:false db
-            ~name:(Printf.sprintf "bench_batch_f%d" fanout)
-            ~wall_us:t_mid
-        in
-        let snap = Option.get (Database.snapshot_handle view) in
-        let t0 = Sim_clock.now_us clock in
-        let n = Snap.materialize_batch snap pages in
-        let dt = Sim_clock.now_us clock -. t0 in
-        Snap.drop snap;
-        (dt, n))
-
-  let modeled_batch_rows () =
-    let serial_us, pages = measure_batch ~fanout:1 in
-    let parallel_us, _ = measure_batch ~fanout:4 in
-    [
-      ("prepare_batch_as_of-serial", serial_us *. 1_000.0);
-      ("prepare_batch_as_of-parallel-4", parallel_us *. 1_000.0);
-      (* Per-page modeled cost of the parallel batch on the cold-segment
-         operating point — compare against the serial per-page
-         "prepare_page_as_of (cold segment)" row above. *)
-      ("cold-segment-parallel", parallel_us *. 1_000.0 /. float_of_int (max 1 pages));
-    ]
-
-  let json_escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let write_json ~path rows =
-    let oc = open_out path in
-    output_string oc "{\n";
-    List.iteri
-      (fun i (name, ns) ->
-        Printf.fprintf oc "  \"%s\": %s%s\n" (json_escape name)
-          (if Float.is_nan ns then "null" else Printf.sprintf "%.2f" ns)
-          (if i < List.length rows - 1 then "," else ""))
-      rows;
-    output_string oc "}\n";
-    close_out oc;
-    Printf.printf "wrote %s (%d benchmarks, ns/run)\n" path (List.length rows)
-
-  let run ?(json = false) () =
-    print_endline "\n=== Microbenchmarks (Bechamel, real time) ===";
+  let run () =
+    print_endline "\n=== Microbenchmarks (Bechamel, host monotonic clock) ===";
     Printf.printf "crc32 kernel: %s\n" Checksum.kernel;
     let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
     let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
@@ -735,10 +619,7 @@ module Micro = struct
         results []
       |> List.sort compare
     in
-    (* Modeled sim-clock rows for the staged batch pipeline ride along in
-       the same table and JSON (units are still ns/run). *)
-    let rows = rows @ modeled_batch_rows () in
-    Printf.printf "%-55s %15s\n" "benchmark" "time/run";
+    Printf.printf "%-55s %15s\n" "benchmark" "host time/run";
     List.iter
       (fun (name, ns) ->
         let pretty =
@@ -749,14 +630,12 @@ module Micro = struct
         in
         Printf.printf "%-55s %15s\n" name pretty)
       rows;
-    if json then write_json ~path:"BENCH_micro.json" rows;
     print_newline ()
 end
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let quick = List.mem "--quick" args in
-  let json = List.mem "--json" args in
   let rec split_profile = function
     | "--profile" :: path :: rest -> (Some path, rest)
     | [ "--profile" ] ->
@@ -768,26 +647,20 @@ let () =
     | [] -> (None, [])
   in
   let profile, args = split_profile args in
-  let args = List.filter (fun a -> a <> "--quick" && a <> "--json") args in
-  let run_micro () = Micro.run ~json () in
+  let args = List.filter (fun a -> a <> "--quick") args in
   Rw_prof.Sampler.with_profile profile @@ fun () ->
-  match args with
-  | [] | [ "all" ] ->
-      Experiments.run_all ~quick ();
-      (* The full run always leaves a machine-readable perf trail. *)
-      Micro.run ~json:true ()
-  | names ->
-      List.iter
-        (fun arg ->
-          match arg with
-          | "micro" -> run_micro ()
-          | _ -> (
-              match Experiments.of_string arg with
-              | Some fig -> Experiments.run ~quick fig
-              | None ->
-                  Printf.eprintf
-                    "unknown experiment %S (expected: fig5..fig11, sec6_3, sec6_4, e8..e12, \
-                     ablation, faults, explain, segments, micro, all)\n"
-                    arg;
-                  exit 2))
-        names
+  List.iter
+    (fun arg ->
+      match arg with
+      | "all" -> Experiments.run_all ~quick ()
+      | "micro" -> Micro.run ()
+      | _ -> (
+          match Experiments.of_string arg with
+          | Some fig -> Experiments.run ~quick fig
+          | None ->
+              Printf.eprintf
+                "unknown experiment %S (expected: fig5..fig11, sec6_3, sec6_4, e8..e12, \
+                 ablation, faults, explain, segments, micro, all)\n"
+                arg;
+              exit 2))
+    (if args = [] then [ "all" ] else args)

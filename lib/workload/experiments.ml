@@ -1589,7 +1589,8 @@ let e11 ~quick () =
    (simulated-clock) time — each page's gather I/O is attributed to its
    round-robin partition and the clock credited down to the slowest
    partition — so the curve is the overlap model, independent of host
-   cores.
+   cores.  Elapsed prints to the nanosecond, so tools/golden's diff
+   catches a one-unit move in the pipeline's modeled cost.
 
    Self-checks (exit 1 on any FAIL):
    - at every scale and fan-out, each materialised page is byte-identical
@@ -1661,7 +1662,7 @@ let e12 ~quick () =
         As_of_snapshot.drop snap;
         (dt, n, images))
   in
-  Printf.printf "%6s %6s %12s %12s %12s %12s %9s %6s\n" "rows" "pages" "d=1 (s)" "d=2 (s)"
+  Printf.printf "%6s %6s %14s %14s %14s %14s %9s %6s\n" "rows" "pages" "d=1 (s)" "d=2 (s)"
     "d=4 (s)" "d=8 (s)" "spd@4" "check";
   let last_speedup = ref 0.0 in
   List.iter
@@ -1688,7 +1689,7 @@ let e12 ~quick () =
       let at d = List.assoc d results in
       let speedup = serial_us /. at 4 in
       last_speedup := speedup;
-      Printf.printf "%6d %6d %12.4f %12.4f %12.4f %12.4f %8.2fx %6s\n%!" rows
+      Printf.printf "%6d %6d %14.9f %14.9f %14.9f %14.9f %8.2fx %6s\n%!" rows
         (List.length serial_images) (seconds (at 1)) (seconds (at 2)) (seconds (at 4))
         (seconds (at 8)) speedup
         (if Twin.passed sc then "ok" else "FAIL"))

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Repo check pipeline: build, tests, formatting, and a bench-harness smoke
-# run (so the benchmark harness cannot silently rot).
+# Repo check pipeline: build, tests (including the golden outputs of every
+# experiment and soak), smoke runs of the CLI, examples and rwbench, exact
+# rwbench counts, and the microbenchmarks' same-run ratio guards.
 #
 # Usage: tools/ci.sh        from the repository root.
 set -e
@@ -82,75 +83,29 @@ if [ -n "$unused" ]; then
 fi
 echo "exports ok"
 
-echo "== rwbench smoke (as-of answers agree with the oracle) =="
-# A short seeded run of the two as-of workloads and of repair_restart,
-# whose REWIND TRANSACTION rewinds pages through the same batch gather.
-# rwbench exits non-zero when any operation fails or an answer disagrees
-# with its oracle.
-for w in asof_audit htap repair_restart; do
-  dune exec rwbench/main.exe -- --workload "$w" --seed 7 --seconds 2 --trace 0 >/dev/null
-  echo "rwbench $w ok"
-done
-
-echo "== formatting (dune fmt) =="
-# `dune fmt` exits 0 even when it reformats files on this dune version, so
-# detect whether promotion changed anything by hashing the sources around it
-# (diffing against git would also flag legitimate uncommitted edits).
+echo "== formatting of dune files (dune fmt) =="
+# dune-project enables formatting for dune files only: the repository has
+# no .ocamlformat and the check must run without an ocamlformat binary, so
+# `dune fmt` leaves the .ml sources alone and this step checks the dune
+# and dune-project files.  Whether it reformatted anything is read from a
+# hash of those files around it (diffing against git would also flag
+# legitimate uncommitted edits).
 fmt_state() {
-  find . -path ./_build -prune -o \
-    \( -name dune -o -name dune-project -o -name '*.ml' -o -name '*.mli' \) \
+  find . -path ./_build -prune -o \( -name dune -o -name dune-project \) \
     -type f -print | sort | xargs cat | cksum
 }
 before=$(fmt_state)
 dune fmt >/dev/null 2>&1 || true
 after=$(fmt_state)
 if [ "$before" != "$after" ]; then
-  echo "error: sources were not fmt-clean ('dune fmt' reformatted them; commit the result)" >&2
+  echo "error: dune files were not fmt-clean ('dune fmt' reformatted them; commit the result)" >&2
   exit 1
 fi
 
-# The self-checks and soaks run before the bench smoke: its host-time
-# regression guard depends on the machine, and must not hide them.
-echo "== e12 smoke (domain-parallel batch, serial-twin byte-equality) =="
-# Fan-out sweep with the serial-twin self-check; exits non-zero on any
-# divergence between fan-outs.
-dune exec bench/main.exe -- e12 --quick
-
-echo "== e9 smoke (instant restart vs a full-replay twin) =="
-# Instant restart at three log lengths, checked during the backlog and
-# after the drain against a twin restarted by full log-scan redo.  Exits
-# non-zero on any divergence.
-dune exec bench/main.exe -- e9 --quick
-
-echo "== e10 smoke (replica catch-up vs the primary) =="
-# Replicas fed by log shipping, checked against the primary's rows,
-# pages and as-of answers.  Exits non-zero on any divergence.
-dune exec bench/main.exe -- e10 --quick
-
-echo "== fault-injection soak (fixed seeds, random crash points) =="
-# TPC-C under torn writes / bit rot / transient errors / torn log tails,
-# crashed at seed-derived points, recovered, repaired, and verified against
-# a fault-free oracle.  Exits non-zero if any crash point fails.
-dune exec bin/rewind_cli.exe -- faultsoak --seeds 11,23,47 --quick
-
-echo "== replication soak (fixed seeds) =="
-# Replica crash mid-catch-up, sustained lag, network partition, and
-# primary failover + rejoin, each converging to a fault-free single-node
-# oracle (rows, every allocated page in canonical form, a mid-history
-# as-of query).  Exits non-zero on divergence.
-dune exec bin/rewind_cli.exe -- replsoak --seeds 11,23,47 --quick
-
-echo "== what-if selective-undo soak (fixed seeds) =="
-# Dependent-chain, fully-independent and mixed histories: a mid-history
-# victim is removed as a what-if view and, after a crash and reopen with
-# an in-flight transaction in the log tail (the rebuilt dependency graph
-# must equal the pre-crash one), as an in-place repair; both verified
-# (logical rows + every allocated page, page LSN masked + pre-victim
-# as-of) against a replay-minus-victim oracle.  Exits non-zero on any
-# inequality.
-dune exec bin/rewind_cli.exe -- whatifsoak --seeds 11,23,47 --quick
-
 echo "== rwbench count determinism (trace off vs on) and exact counts =="
+# The trace-off runs are also rwbench's smoke test: rwbench exits non-zero
+# when any operation fails or an answer disagrees with its oracle, which
+# stops this script.
 # Every count line of an rwbench run comes from its counted window, which
 # runs the same code with tracing off or on, so the two runs must print
 # the same counts-digest.  The writing workloads are checked too:
@@ -179,115 +134,51 @@ for w in asof_audit htap repair_restart; do
   echo "$w counts equal tools/counts/$w.txt"
 done
 
-echo "== bench smoke (all --quick --json) =="
-# The bench run overwrites BENCH_micro.json, so snapshot the checked-in
-# baseline values of the guarded benchmarks first.
-bench_value() {
-  grep -F "\"$1\"" BENCH_micro.json | sed 's/.*: *//; s/,$//'
+echo "== microbenchmarks (host time, guarded by same-run ratios) =="
+# Host time swings between runs and hosts, so no row is held to an
+# absolute figure.  Each guard divides two rows of the same run, where the
+# host's speed cancels out, and fails when the quotient reaches its bound.
+# The ranges in the comments are from twelve runs on a 2-core x86-64 host;
+# each bound is at least 1.4x the worst of them.  Rows with no partner of
+# the same shape (cold segment, dep-graph build, replica catch-up) or no
+# such margin below their natural bound (selective vs full baseline, up to
+# 0.85 of 1; group commit at 8 vs 1 txns/flush, up to 6.5 of 8) are
+# printed only.
+micro_out=$(dune exec bench/main.exe -- micro)
+echo "$micro_out"
+# row NAME: host ns per run of core-primitives/NAME in this run.
+row() {
+  echo "$micro_out" | awk -v k="core-primitives/$1" 'index($0, k " ") == 1 {
+    u = $NF; v = $(NF - 1); print v * (u == "ms" ? 1e6 : u == "us" ? 1e3 : 1) }'
 }
-base_prepare=$(bench_value "core-primitives/prepare_page_as_of (400-op rewind)" || true)
-base_prepare_cold=$(bench_value "core-primitives/prepare_page_as_of (cold segment)" || true)
-base_commit=$(bench_value "core-primitives/group commit (8 txns/flush)" || true)
-base_shared=$(bench_value "core-primitives/prepare_page_as_of (shared-cache hit)" || true)
-base_analysis=$(bench_value "core-primitives/recovery-analysis-only" || true)
-base_catchup=$(bench_value "core-primitives/replica-catchup-apply (parallel redo)" || true)
-base_depgraph=$(bench_value "core-primitives/dep-graph-build (64-txn history)" || true)
-base_selective=$(bench_value "core-primitives/selective-replay-vs-full-rewind: selective" || true)
-base_batch_par=$(bench_value "prepare_batch_as_of-parallel-4" || true)
-base_batch_serial=$(bench_value "prepare_batch_as_of-serial" || true)
-base_cold_par=$(bench_value "cold-segment-parallel" || true)
-
-bench_out=$(dune exec bench/main.exe -- all --quick --json)
-test -s BENCH_micro.json
-echo "BENCH_micro.json written:"
-head -c 400 BENCH_micro.json
-echo ""
-
+# ratio_below LABEL NUM DEN BOUND: fail unless row NUM / row DEN < BOUND.
+ratio_below() {
+  awk -v label="$1" -v n="$(row "$2")" -v d="$(row "$3")" -v bound="$4" 'BEGIN {
+    if (!(n > 0 && d > 0)) { printf "error: micro rows for %s missing\n", label; exit 1 }
+    printf "%-35s %8.4f (bound %s)\n", label, n / d, bound
+    if (n / d >= bound) { printf "error: %s reached its bound\n", label; exit 1 }
+  }'
+}
 # Both CRC-32 kernels give equal values, so a silent fall-back from the
 # carry-less-multiply kernel to slicing-by-8 would pass every test.  When
 # the run reports the hardware kernel, its page checksum must beat the
-# bytewise reference of the same run by at least 20x; host speed cancels
-# out of the ratio.  (On a 2-core x86-64 host, the hardware kernel read
-# about 80x and slicing-by-8 about 6x.)
-crc_kernel=$(echo "$bench_out" | sed -n 's/^crc32 kernel: //p')
-echo "crc32 kernel: ${crc_kernel:-unknown}"
+# bytewise reference by at least 20x (61-104x with pclmulqdq; about 6x
+# with slicing-by-8).
+crc_kernel=$(echo "$micro_out" | sed -n 's/^crc32 kernel: //p')
 if [ "$crc_kernel" = "pclmulqdq" ]; then
-  awk -v k="$(bench_value "core-primitives/crc32 of one 8KiB page" || true)" \
-    -v b="$(bench_value "core-primitives/crc32 bytewise reference (8KiB page)" || true)" 'BEGIN {
-    if (k == "" || b == "" || k == "null" || b == "null" || k <= 0) {
-      print "error: crc32 bench rows missing"; exit 1
-    }
-    printf "crc32 of one 8KiB page: %.1fx faster than bytewise (need >= 20x)\n", b / k
-    if (b < 20 * k) { print "error: the pclmulqdq kernel is not in use"; exit 1 }
-  }'
+  ratio_below "crc32 kernel / bytewise" "crc32 of one 8KiB page" \
+    "crc32 bytewise reference (8KiB page)" 0.05
 fi
-
-# The sim-clock modeled rows are deterministic, not host-load-dependent,
-# so they must equal the checked-in values exactly.  This runs before the
-# host-time guard below, which can fail on a slow host and must not hide
-# it.
-echo "== modeled bench rows (exact vs checked-in baseline) =="
-check_exact() {
-  key=$1
-  base=$2
-  cur=$(bench_value "$key" || true)
-  echo "$key: $cur (baseline $base)"
-  if [ -z "$base" ] || [ -z "$cur" ] || [ "$cur" != "$base" ]; then
-    echo "error: modeled row \"$key\" differs from the checked-in baseline" >&2
-    return 1
-  fi
-}
-check_exact "prepare_batch_as_of-serial" "$base_batch_serial"
-check_exact "prepare_batch_as_of-parallel-4" "$base_batch_par"
-check_exact "cold-segment-parallel" "$base_cold_par"
-# Batched as-of preparation through the shared domain pool must beat the
-# serial batch row by >= 2x at fan-out 4 on the cold-chain operating point
-# (the acceptance bar of the staged pipeline).
-batch_serial=$(bench_value "prepare_batch_as_of-serial" || true)
-batch_par=$(bench_value "prepare_batch_as_of-parallel-4" || true)
-awk -v s="$batch_serial" -v p="$batch_par" 'BEGIN {
-  if (s == "" || p == "" || s == "null" || p == "null") {
-    print "error: batch bench rows missing"; exit 1
-  }
-  printf "prepare_batch_as_of serial/parallel-4 speedup: %.2fx (need >= 2x)\n", s / p
-  if (s < 2.0 * p) { print "error: parallel batch row fails the 2x bar"; exit 1 }
-}'
-
-echo "== bench regression guard (>25% vs checked-in baseline fails) =="
-# Guards the two headline numbers of the read- and write-path overhauls.
-check_regression() {
-  key=$1
-  base=$2
-  cur=$(bench_value "$key" || true)
-  if [ -z "$base" ] || [ "$base" = "null" ]; then
-    echo "warning: no baseline for \"$key\"; skipping guard" >&2
-    return 0
-  fi
-  if [ -z "$cur" ] || [ "$cur" = "null" ]; then
-    echo "error: bench run produced no value for \"$key\"" >&2
-    return 1
-  fi
-  awk -v base="$base" -v cur="$cur" -v key="$key" 'BEGIN {
-    limit = base * 1.25
-    printf "%-45s %12.2f ns (baseline %.2f, limit %.2f)\n", key, cur, base, limit
-    if (cur > limit) { printf "error: \"%s\" regressed >25%%\n", key; exit 1 }
-  }'
-}
-check_regression "core-primitives/prepare_page_as_of (400-op rewind)" "$base_prepare"
-check_regression "core-primitives/prepare_page_as_of (cold segment)" "$base_prepare_cold"
-check_regression "core-primitives/group commit (8 txns/flush)" "$base_commit"
-check_regression "core-primitives/prepare_page_as_of (shared-cache hit)" "$base_shared"
-# Instant restart's time-to-first-query is O(analysis): guard the analysis
-# pass so the pre-open work cannot silently grow back toward full replay.
-check_regression "core-primitives/recovery-analysis-only" "$base_analysis"
-# Replica catch-up is bounded by page-grouped redo of shipped
-# segments: guard the apply rate so replication lag cannot silently grow.
-check_regression "core-primitives/replica-catchup-apply (parallel redo)" "$base_catchup"
-# What-if selective undo: the graph build reads the write-set index,
-# O(transactions + write sets), and must not grow toward a log scan; the
-# selective target computation must stay pinned to the dependent set
-# (the full-rewind row is its context, not a guard).
-check_regression "core-primitives/dep-graph-build (64-txn history)" "$base_depgraph"
-check_regression "core-primitives/selective-replay-vs-full-rewind: selective" "$base_selective"
+# Instant restart's time-to-first-query is O(analysis): the analysis pass
+# must stay well below the full replay it precedes (0.35-0.49).
+ratio_below "analysis-only / full replay" recovery-analysis-only recovery-full-replay 0.75
+# The chain index and the in-place undo kernel against the
+# record-at-a-time walk over the same 400-op history (0.16-0.44).
+ratio_below "400-op rewind / walk" "prepare_page_as_of (400-op rewind)" \
+  "prepare_page_as_of_walk (400-op rewind)" 0.75
+# A shared-cache hit is a probe plus a page copy, not a rewind
+# (0.011-0.063).
+ratio_below "shared-cache hit / 400-op rewind" "prepare_page_as_of (shared-cache hit)" \
+  "prepare_page_as_of (400-op rewind)" 0.1
 
 echo "== ci ok =="
