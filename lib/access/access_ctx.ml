@@ -98,7 +98,7 @@ let read t pid f =
   Sim_clock.advance_us t.clock (cpu_op_us /. 2.0);
   Buffer_pool.with_page t.pool pid ~mode:Latch.Shared f
 
-let resident_lsn t pid = Buffer_pool.resident_lsn t.pool pid
+let resident_at t pid lsn = Buffer_pool.resident_at t.pool pid lsn
 
 let page_writer t : Txn_manager.page_writer =
  fun pid apply ->

@@ -55,10 +55,10 @@ val read :
   t -> Rw_storage.Page_id.t -> (Rw_storage.Page.t -> 'a) -> 'a
 (** Run [f] on the page under a shared latch. *)
 
-val resident_lsn : t -> Rw_storage.Page_id.t -> Rw_storage.Lsn.t option
-(** {!Rw_buffer.Buffer_pool.resident_lsn} on the context's pool: the page
-    LSN of the resident copy, at no charge (unlike {!read}, no modeled
-    CPU, pin, latch or pool hit). *)
+val resident_at : t -> Rw_storage.Page_id.t -> Rw_storage.Lsn.t -> bool
+(** {!Rw_buffer.Buffer_pool.resident_at} on the context's pool: whether
+    the resident copy has that page LSN, at no charge (unlike {!read}, no
+    modeled CPU, pin, latch or pool hit). *)
 
 val page_writer : t -> Rw_txn.Txn_manager.page_writer
 (** The writer used by rollback to apply CLRs through this context

@@ -15,6 +15,9 @@ let first_page = Page_id.of_int 1
 let flag_allocated = 1
 let flag_ever = 2
 
+(* A page's map-row key. *)
+let key_of pid = Int64.of_int (Page_id.to_int pid)
+
 let init ctx txn =
   Access_ctx.modify ctx txn first_page (Log_record.Format { typ = Page.Alloc_map; level = 0 })
 
@@ -27,7 +30,7 @@ let rec find_map ctx pid f =
     match result with Some _ -> result | None -> find_map ctx next f
 
 let find_row ctx target =
-  let key = Page_id.to_int64 target in
+  let key = key_of target in
   find_map ctx first_page (fun pid page ->
       match Slotted_page.find_key page key with
       | Either.Left i -> Some (pid, i, Rowfmt.row_flags (Slotted_page.get page ~at:i))
@@ -40,7 +43,7 @@ let open_ ctx =
          Slotted_page.iter page (fun _ row ->
              let flags = Rowfmt.row_flags row in
              if flags land flag_allocated = 0 then
-               free := Page_id.of_int64 (Rowfmt.row_key row) :: !free);
+               free := Page_id.of_int (Int64.to_int (Rowfmt.row_key row)) :: !free);
          None));
   { free = List.map (fun pid -> { pid; taker = None }) (List.sort Page_id.compare !free) }
 
@@ -63,7 +66,7 @@ let last_map_page ctx =
 let fresh_page_id ctx txn =
   let pid = Boot.get_exn ctx Boot.key_next_page_id in
   Boot.set ctx txn Boot.key_next_page_id (Int64.add pid 1L);
-  Page_id.of_int64 pid
+  Page_id.of_int (Int64.to_int pid)
 
 let map_row_space = 32 (* row (9B) + slot (4B) + headroom *)
 
@@ -73,10 +76,10 @@ let rec insert_row ctx txn pid ~flags =
   let last = last_map_page ctx in
   let fits = Access_ctx.read ctx last (fun page -> Slotted_page.free_space page >= map_row_space) in
   if fits then begin
-    let row = Rowfmt.flags_row ~key:(Page_id.to_int64 pid) ~flags in
+    let row = Rowfmt.flags_row ~key:(key_of pid) ~flags in
     let slot =
       Access_ctx.read ctx last (fun page ->
-          match Slotted_page.find_key page (Page_id.to_int64 pid) with
+          match Slotted_page.find_key page (key_of pid) with
           | Either.Left _ -> invalid_arg "Alloc_map.insert_row: duplicate page row"
           | Either.Right i -> i)
     in
@@ -93,14 +96,14 @@ let rec insert_row ctx txn pid ~flags =
       Access_ctx.modify ctx txn target
         (Log_record.Set_header { field; before; after = value })
     in
-    set_link last Log_record.Next_page (Page_id.to_int64 map_pid);
-    set_link map_pid Log_record.Prev_page (Page_id.to_int64 last);
+    set_link last Log_record.Next_page (Log_record.link_value map_pid);
+    set_link map_pid Log_record.Prev_page (Log_record.link_value last);
     Access_ctx.modify ctx txn map_pid
       (Log_record.Insert_row
          {
            slot = 0;
            row =
-             Rowfmt.flags_row ~key:(Page_id.to_int64 map_pid)
+             Rowfmt.flags_row ~key:(key_of map_pid)
                ~flags:(flag_allocated lor flag_ever);
          });
     insert_row ctx txn pid ~flags
@@ -166,6 +169,6 @@ let allocated_pages ctx =
     (find_map ctx first_page (fun _ page ->
          Slotted_page.iter page (fun _ row ->
              if Rowfmt.row_flags row land flag_allocated <> 0 then
-               acc := Page_id.of_int64 (Rowfmt.row_key row) :: !acc);
+               acc := Page_id.of_int (Int64.to_int (Rowfmt.row_key row)) :: !acc);
          None));
   List.sort Page_id.compare !acc

@@ -25,7 +25,7 @@ let route page key =
   | Either.Left i -> i
   | Either.Right i -> max 0 (i - 1)
 
-let child_at page i = Rowfmt.internal_child (Slotted_page.get page ~at:i)
+let child_at page i = Slotted_page.child_at page ~at:i
 
 (* Descend to the leaf covering [key]; returns the leaf and the ancestor
    list, immediate parent first. *)
@@ -39,18 +39,20 @@ let descend ctx t key =
   in
   go t.root []
 
-let insert_sorted ctx txn pid row =
+(* [key] is [row]'s key. *)
+let insert_sorted ctx txn pid ~key row =
   let slot =
     read ctx pid (fun page ->
-        match Slotted_page.find_key page (Rowfmt.row_key row) with
-        | Either.Left _ -> raise (Duplicate_key (Rowfmt.row_key row))
+        match Slotted_page.find_key page key with
+        | Either.Left _ -> raise (Duplicate_key key)
         | Either.Right i -> i)
   in
   modify ctx txn pid (Log_record.Insert_row { slot; row })
 
-let set_link ctx txn pid field value =
+let set_link ctx txn pid field target =
   let before = read ctx pid (fun page -> Log_record.get_header page field) in
-  modify ctx txn pid (Log_record.Set_header { field; before; after = value })
+  modify ctx txn pid
+    (Log_record.Set_header { field; before; after = Log_record.link_value target })
 
 (* Move rows [m..n-1] of [src] to a fresh sibling: inserts into the sibling
    followed by deletes (with row images) from the source — exactly the SMO
@@ -83,11 +85,10 @@ let split_page ctx alloc txn pid =
   (* Leaf pages form a doubly linked list for range scans. *)
   if level = 0 then begin
     let old_next = read ctx pid (fun page -> Page.next_page page) in
-    set_link ctx txn right Log_record.Next_page (Page_id.to_int64 old_next);
-    set_link ctx txn right Log_record.Prev_page (Page_id.to_int64 pid);
-    if not (Page_id.is_nil old_next) then
-      set_link ctx txn old_next Log_record.Prev_page (Page_id.to_int64 right);
-    set_link ctx txn pid Log_record.Next_page (Page_id.to_int64 right)
+    set_link ctx txn right Log_record.Next_page old_next;
+    set_link ctx txn right Log_record.Prev_page pid;
+    if not (Page_id.is_nil old_next) then set_link ctx txn old_next Log_record.Prev_page right;
+    set_link ctx txn pid Log_record.Next_page right
   end;
   (right, Rowfmt.row_key rows.(m))
 
@@ -142,13 +143,13 @@ let insert ctx alloc txn t ~key ~payload =
   prepare_root ();
   let rec go pid =
     let level = read ctx pid (fun page -> Page.level page) in
-    if level = 0 then insert_sorted ctx txn pid row
+    if level = 0 then insert_sorted ctx txn pid ~key row
     else begin
       let child = read ctx pid (fun page -> child_at page (route page key)) in
       let clevel, cspace = room child in
       if cspace < requirement clevel then begin
         let right, sep = split_page ctx alloc txn child in
-        insert_sorted ctx txn pid (Rowfmt.internal_row ~key:sep ~child:right);
+        insert_sorted ctx txn pid ~key:sep (Rowfmt.internal_row ~key:sep ~child:right);
         go pid (* re-route: the key may now belong to the new sibling *)
       end
       else go child
@@ -164,9 +165,11 @@ let locate ctx t key =
       | Either.Right _ -> None)
 
 let find ctx t key =
-  match locate ctx t key with
-  | Some (_, _, row) -> Some (Rowfmt.leaf_payload row)
-  | None -> None
+  let leaf, _ = descend ctx t key in
+  read ctx leaf (fun page ->
+      match Slotted_page.find_key page key with
+      | Either.Left i -> Some (Slotted_page.payload_at page ~at:i)
+      | Either.Right _ -> None)
 
 let delete ctx txn t ~key =
   match locate ctx t key with
@@ -200,33 +203,41 @@ let leftmost_leaf ?(seen = fun _ _ -> ()) ctx t =
   in
   go t.root
 
+(* The leaf covering [lo] is read from [lo]'s slot on, and every later
+   leaf from its first; copying stops at the first key above [hi].  The
+   walk goes on to the next leaf while the current one is empty or ends
+   at or below [hi], so it reads the pages a filter over whole leaves
+   would. *)
 let range ctx t ~lo ~hi ~f =
   let leaf, _ = descend ctx t lo in
-  let rec walk pid =
+  let rec walk pid ~from_lo =
     if not (Page_id.is_nil pid) then begin
       let rows, next =
         read ctx pid (fun page ->
-            let rows =
-              Slotted_page.fold page ~init:[] ~f:(fun acc _ row ->
-                  let k = Rowfmt.row_key row in
-                  if k >= lo && k <= hi then (k, Rowfmt.leaf_payload row) :: acc else acc)
+            let n = Slotted_page.count page in
+            let rec rows at acc =
+              if at = n then List.rev acc
+              else
+                let k = Slotted_page.key_at page ~at in
+                if k > hi then List.rev acc
+                else rows (at + 1) ((k, Slotted_page.payload_at page ~at) :: acc)
             in
-            let continue =
-              Slotted_page.count page = 0
-              || Slotted_page.key_at page ~at:(Slotted_page.count page - 1) <= hi
+            let first =
+              if not from_lo then 0
+              else match Slotted_page.find_key page lo with Either.Left i | Either.Right i -> i
             in
-            (List.rev rows, if continue then Page.next_page page else Page_id.nil))
+            let continue = n = 0 || Slotted_page.key_at page ~at:(n - 1) <= hi in
+            (rows first [], if continue then Page.next_page page else Page_id.nil))
       in
       List.iter (fun (k, v) -> f k v) rows;
-      walk next
+      walk next ~from_lo:false
     end
   in
-  walk leaf
+  walk leaf ~from_lo:true
 
 let leaf_rows page =
-  List.rev
-    (Slotted_page.fold page ~init:[] ~f:(fun acc _ row ->
-         (Rowfmt.row_key row, Rowfmt.leaf_payload row) :: acc))
+  List.init (Slotted_page.count page) (fun at ->
+      (Slotted_page.key_at page ~at, Slotted_page.payload_at page ~at))
 
 let iter_leaves ?(seen = fun _ _ -> ()) ctx t ~leaf ~f =
   let rec walk pid =

@@ -24,11 +24,11 @@ let create ctx alloc txn =
   (* Tail pointer: the first page's [special] field names the last page. *)
   Access_ctx.modify ctx txn first
     (Log_record.Set_header
-       { field = Log_record.Special; before = 0L; after = Page_id.to_int64 first });
+       { field = Log_record.Special; before = 0L; after = Log_record.link_value first });
   { first }
 
 let tail ctx t =
-  Access_ctx.read ctx t.first (fun page -> Page_id.of_int64 (Page.special page))
+  Access_ctx.read ctx t.first (fun page -> Page_id.of_int (Int64.to_int (Page.special page)))
 
 let insert ctx alloc txn t row =
   let stored = encode row in
@@ -47,9 +47,9 @@ let insert ctx alloc txn t row =
       let before = Access_ctx.read ctx pid (fun page -> Log_record.get_header page field) in
       Access_ctx.modify ctx txn pid (Log_record.Set_header { field; before; after })
     in
-    link last Log_record.Next_page (Page_id.to_int64 fresh);
-    link fresh Log_record.Prev_page (Page_id.to_int64 last);
-    link t.first Log_record.Special (Page_id.to_int64 fresh);
+    link last Log_record.Next_page (Log_record.link_value fresh);
+    link fresh Log_record.Prev_page (Log_record.link_value last);
+    link t.first Log_record.Special (Log_record.link_value fresh);
     Access_ctx.modify ctx txn fresh (Log_record.Insert_row { slot = 0; row = stored });
     { page = fresh; slot = 0 }
   end

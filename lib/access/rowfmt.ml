@@ -11,17 +11,11 @@ let row_key row =
   if String.length row < 8 then invalid_arg "Rowfmt.row_key: short row";
   String.get_int64_le row 0
 
-let leaf_payload row = String.sub row 8 (String.length row - 8)
-
 let internal_row ~key ~child =
   let b = Bytes.create 16 in
   Bytes.set_int64_le b 0 key;
-  Bytes.set_int64_le b 8 (Page_id.to_int64 child);
+  Bytes.set_int64_le b 8 (Int64.of_int (Page_id.to_int child));
   Bytes.unsafe_to_string b
-
-let internal_child row =
-  if String.length row <> 16 then invalid_arg "Rowfmt.internal_child: bad row";
-  Page_id.of_int64 (String.get_int64_le row 8)
 
 let flags_row ~key ~flags = put_key key ^ String.make 1 (Char.chr flags)
 

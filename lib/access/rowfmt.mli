@@ -6,9 +6,9 @@
 
 val leaf_row : key:int64 -> payload:string -> string
 val row_key : string -> int64
-val leaf_payload : string -> string
 val internal_row : key:int64 -> child:Rw_storage.Page_id.t -> string
-val internal_child : string -> Rw_storage.Page_id.t
+(** Read back in place by {!Rw_storage.Slotted_page.child_at}; a leaf
+    row's payload by {!Rw_storage.Slotted_page.payload_at}. *)
 
 val flags_row : key:int64 -> flags:int -> string
 (** Allocation-map rows: key + one flags byte. *)

@@ -151,6 +151,11 @@ let resident_lsn t pid =
   | Some f -> Some (Page.lsn f.page)
   | None -> None
 
+let resident_at t pid lsn =
+  match Frames.find_opt t.frames (Page_id.to_int pid) with
+  | Some f -> Lsn.equal (Page.lsn f.page) lsn
+  | None -> false
+
 (* Install an already-read page with exactly the bookkeeping a fetch miss
    would have done — miss count, probe, eviction, trace — minus the pin.
    The batched scrub publishes its sweep reads through this so a scrubbed

@@ -75,6 +75,10 @@ val resident_lsn : t -> Rw_storage.Page_id.t -> Rw_storage.Lsn.t option
     not resident right now.  Purely a peek: no pin, latch, recency touch,
     hit/miss accounting or simulated-clock charge. *)
 
+val resident_at : t -> Rw_storage.Page_id.t -> Rw_storage.Lsn.t -> bool
+(** [resident_at t pid lsn]: the page is resident with page LSN [lsn].
+    The same peek as {!resident_lsn}, with no option allocated. *)
+
 val admit : t -> Rw_storage.Page_id.t -> Rw_storage.Page.t -> unit
 (** Install an already-read page with exactly the bookkeeping a
     {!fetch} miss would have performed — miss count, [buf.fetch_miss]

@@ -37,7 +37,7 @@ let encode t =
   Codec.u32 e t.id;
   Codec.str16 e t.name;
   Codec.u8 e (kind_code t.kind);
-  Codec.i64 e (Page_id.to_int64 t.root);
+  Codec.i64_int e (Page_id.to_int t.root);
   Codec.u16 e (List.length t.columns);
   List.iter
     (fun (c : column) ->
@@ -49,7 +49,7 @@ let encode t =
     (fun (ix : index) ->
       Codec.str16 e ix.index_name;
       Codec.str16 e ix.column;
-      Codec.i64 e (Page_id.to_int64 ix.index_root))
+      Codec.i64_int e (Page_id.to_int ix.index_root))
     t.indexes;
   Codec.to_string e
 
@@ -58,7 +58,7 @@ let decode s =
   let id = Codec.get_u32 d in
   let name = Codec.get_str16 d in
   let kind = kind_of_code (Codec.get_u8 d) in
-  let root = Page_id.of_int64 (Codec.get_i64 d) in
+  let root = Page_id.of_int (Codec.get_i64_int d) in
   let n = Codec.get_u16 d in
   let columns =
     List.init n (fun _ ->
@@ -71,7 +71,7 @@ let decode s =
     List.init m (fun _ ->
         let index_name = Codec.get_str16 d in
         let column = Codec.get_str16 d in
-        let index_root = Page_id.of_int64 (Codec.get_i64 d) in
+        let index_root = Page_id.of_int (Codec.get_i64_int d) in
         { index_name; column; index_root })
   in
   { id; name; kind; root; columns; indexes }

@@ -35,12 +35,12 @@ type t = { ctx : Access_ctx.t; mutable last : walk option }
 let open_ ctx = { ctx; last = None }
 
 let catalog_tree ?seen ctx =
-  Btree.of_root (Page_id.of_int64 (Boot.get_exn ?seen ctx Boot.key_catalog_root))
+  Btree.of_root (Page_id.of_int (Int64.to_int (Boot.get_exn ?seen ctx Boot.key_catalog_root)))
 
 let init t alloc txn =
   let ctx = t.ctx in
   let tree = Btree.create ctx alloc txn in
-  Boot.set ctx txn Boot.key_catalog_root (Page_id.to_int64 (Btree.root tree));
+  Boot.set ctx txn Boot.key_catalog_root (Int64.of_int (Page_id.to_int (Btree.root tree)));
   Boot.set ctx txn Boot.key_next_table_id 1L
 
 (* The same page reads, in the same order, as a plain leaf walk; a leaf
@@ -79,16 +79,17 @@ let walk t =
   t.last <- Some w;
   w
 
+let rec all_resident ctx = function
+  | [] -> true
+  | (pid, lsn) :: rest -> Access_ctx.resident_at ctx pid lsn && all_resident ctx rest
+
 (* The last walk if it still stands (checked by peeks that charge
-   nothing), else a new one. *)
+   nothing and allocate nothing), else a new one. *)
 let current t =
-  let resident_at (pid, lsn) =
-    match Access_ctx.resident_lsn t.ctx pid with Some l -> Lsn.equal l lsn | None -> false
-  in
   match t.last with
   | Some w
     when w.epoch = Log_manager.invalidation_epoch (Access_ctx.log t.ctx)
-         && List.for_all resident_at w.pages ->
+         && all_resident t.ctx w.pages ->
       w
   | _ -> walk t
 

@@ -11,7 +11,7 @@
     log's {!Rw_wal.Log_manager.invalidation_epoch}, and the descriptors
     it found, by id and by name.  While the epoch matches and every
     recorded page is resident in the context's pool at its recorded LSN
-    (checked by {!Rw_access.Access_ctx.resident_lsn}, which charges
+    (checked by {!Rw_access.Access_ctx.resident_at}, which charges
     nothing), a lookup answers from the record and reads no page: no
     modeled time, pin or pool hit, as an in-memory metadata cache would.
     Otherwise it walks as an uncached lookup does — the boot page, the

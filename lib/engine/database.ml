@@ -562,7 +562,7 @@ let save t ~path =
   Rw_wal.Codec.u32 e (List.length entries);
   List.iter
     (fun (lsn, data) ->
-      Rw_wal.Codec.i64 e (Lsn.to_int64 lsn);
+      Rw_wal.Codec.i64_int e (Lsn.to_int lsn);
       Rw_wal.Codec.str32 e data)
     entries;
   let oc = open_out_bin path in
@@ -609,7 +609,7 @@ let load ~clock ~media ?log_media ?log_segment_bytes ~path () =
   let n = Rw_wal.Codec.get_u32 d in
   let entries =
     List.init n (fun _ ->
-        let lsn = Lsn.of_int64 (Rw_wal.Codec.get_i64 d) in
+        let lsn = Lsn.of_int (Rw_wal.Codec.get_i64_int d) in
         let data = Rw_wal.Codec.get_str32 d in
         (lsn, data))
   in

@@ -434,7 +434,7 @@ let execute s (stmt : Ast.statement) =
         List.rev_map
           (fun (ts : Rw_wal.Log_manager.txn_summary) ->
             [
-              Row.Int (Rw_wal.Txn_id.to_int64 ts.ts_txn);
+              Row.Int (Int64.of_int (Rw_wal.Txn_id.to_int ts.ts_txn));
               Row.Text (Printf.sprintf "%.6f" (ts.ts_commit_wall_us /. 1_000_000.0));
               Row.Int (Int64.of_int ts.ts_ops);
             ])

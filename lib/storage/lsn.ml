@@ -7,8 +7,12 @@ let of_int i =
   else i
 
 let to_int t = t
-let of_int64 i = of_int (Int64.to_int i)
-let to_int64 t = Int64.of_int t
+
+let of_int_array a =
+  for k = 0 to Array.length a - 1 do
+    if a.(k) < 0 then invalid_arg "Lsn.of_int_array: negative"
+  done;
+  a
 let is_nil t = t = 0
 let compare = Int.compare
 let equal = Int.equal

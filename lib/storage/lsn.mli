@@ -16,8 +16,10 @@ val of_int : int -> t
 
 val to_int : t -> int
 
-val of_int64 : int64 -> t
-val to_int64 : t -> int64
+val of_int_array : int array -> t array
+(** [of_int_array a] views the ints of [a] as LSNs, without a copy or a
+    call per element: [a] itself is returned, and the caller must not
+    change it afterwards.  Raises [Invalid_argument] if one is negative. *)
 
 val is_nil : t -> bool
 val compare : t -> t -> int

@@ -126,14 +126,24 @@ let key_at p ~at =
   check_index p ~at ~for_insert:false;
   Bytes.get_int64_le p (slot_offset p at)
 
+(* Each probe reads and compares its key in place: the key never leaves
+   this function, so it is never boxed, and the loop builds no closure. *)
 let find_key p key =
-  let rec go lo hi =
-    if lo >= hi then Either.Right lo
-    else
-      let mid = (lo + hi) / 2 in
-      let k = key_at p ~at:mid in
-      if k = key then Either.Left mid
-      else if k < key then go (mid + 1) hi
-      else go lo mid
-  in
-  go 0 (count p)
+  let lo = ref 0 and hi = ref (count p) and found = ref (-1) in
+  while !found < 0 && !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let k = Bytes.get_int64_le p (slot_offset p mid) in
+    if k = key then found := mid else if k < key then lo := mid + 1 else hi := mid
+  done;
+  if !found >= 0 then Either.Left !found else Either.Right !lo
+
+let child_at p ~at =
+  check_index p ~at ~for_insert:false;
+  if slot_length p at <> 16 then invalid_arg "Slotted_page.child_at: not an internal row";
+  Page_id.of_int (Int64.to_int (Bytes.get_int64_le p (slot_offset p at + 8)))
+
+let payload_at p ~at =
+  check_index p ~at ~for_insert:false;
+  let len = slot_length p at in
+  if len < 8 then invalid_arg "Slotted_page.payload_at: short row";
+  Bytes.sub_string p (slot_offset p at + 8) (len - 8)

@@ -46,8 +46,19 @@ val key_at : Page.t -> at:int -> int64
 (** The first 8 bytes of the record, as a little-endian int64 key. *)
 
 val find_key : Page.t -> int64 -> (int, int) Either.t
-(** Binary search among sorted keys.  [Left i] means found at slot [i];
-    [Right i] means not present, insertion point [i]. *)
+(** Binary search among sorted keys, compared as signed int64s where they
+    sit in the page.  [Left i] means found at slot [i]; [Right i] means
+    not present, insertion point [i]. *)
+
+val child_at : Page.t -> at:int -> Page_id.t
+(** The child page of the B-tree internal row at slot [at] (key, then the
+    child id in the next 8 bytes), read in place.  Raises
+    [Invalid_argument] unless the record is 16 bytes. *)
+
+val payload_at : Page.t -> at:int -> string
+(** The B-tree leaf row at slot [at] without its 8-byte key: one copy
+    out of the page.  Raises [Invalid_argument] on a record shorter
+    than 8 bytes. *)
 
 val used_bytes : Page.t -> int
 (** Bytes occupied by live records and slots. *)

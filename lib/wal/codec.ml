@@ -10,6 +10,10 @@ let u32 e v =
   Buffer.add_int32_le e (Int32.of_int v)
 
 let i64 e v = Buffer.add_int64_le e v
+
+(* The int-typed 8-byte helpers convert next to the stdlib read or write,
+   which the compiler inlines, so the int64 in between is never boxed. *)
+let i64_int e v = Buffer.add_int64_le e (Int64.of_int v)
 let f64 e v = Buffer.add_int64_le e (Int64.bits_of_float v)
 
 let str16 e s =
@@ -24,8 +28,8 @@ let str32 e s =
 (* Positional peeks: read one field out of an encoded string without
    building a decoder or advancing any cursor.  The header-peek read path
    uses these to extract record headers without allocating payloads. *)
-let peek_u8 s pos = Char.code s.[pos]
-let peek_i64 s pos = String.get_int64_le s pos
+let peek_u8 b pos = Bytes.get_uint8 b pos
+let peek_i64_int b pos = Int64.to_int (Bytes.get_int64_le b pos)
 
 type decoder = { data : string; mutable pos : int }
 
@@ -51,6 +55,11 @@ let get_u32 d =
 
 let get_i64 d =
   let v = String.get_int64_le d.data d.pos in
+  d.pos <- d.pos + 8;
+  v
+
+let get_i64_int d =
+  let v = Int64.to_int (String.get_int64_le d.data d.pos) in
   d.pos <- d.pos + 8;
   v
 

@@ -40,13 +40,12 @@ let chain_push tbl key lsn =
     match Hashtbl.find_opt tbl key with
     | Some c -> c
     | None ->
-        let c = { arr = Array.make 8 Lsn.nil; len = 0 } in
+        let c = { arr = Array.make 8 0; len = 0 } in
         Hashtbl.replace tbl key c;
         c
   in
-  if c.len = Array.length c.arr then
-    c.arr <- grow ~floor:8 c.arr ~used:c.len ~need:(c.len + 1) Lsn.nil;
-  c.arr.(c.len) <- lsn;
+  if c.len = Array.length c.arr then c.arr <- grow ~floor:8 c.arr ~used:c.len ~need:(c.len + 1) 0;
+  c.arr.(c.len) <- Lsn.to_int lsn;
   c.len <- c.len + 1
 
 let chain_remove tbl key lsn =
@@ -55,27 +54,15 @@ let chain_remove tbl key lsn =
   | Some c ->
       (* Removals come from the tail drops, which discard newest-first, so
          the target is almost always the last element. *)
+      let v = Lsn.to_int lsn in
       let i = ref (c.len - 1) in
-      while !i >= 0 && not (Lsn.equal c.arr.(!i) lsn) do
+      while !i >= 0 && c.arr.(!i) <> v do
         decr i
       done;
       if !i >= 0 then begin
         Array.blit c.arr (!i + 1) c.arr !i (c.len - !i - 1);
         c.len <- c.len - 1
       end
-
-(* First index in [c] with value > v (c sorted ascending).  The
-   [lower_bound] of the record-offset arrays, over LSNs: a chain holds
-   [Lsn.t] values, and converting them to integers would cost an
-   allocation per [chain_segment]. *)
-let chain_upper c v =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if Lsn.(c.arr.(mid) <= v) then go (mid + 1) hi else go lo mid
-  in
-  go 0 c.len
 
 let ctl_kinds = Log_record.[| K_begin; K_commit; K_abort; K_end; K_checkpoint |]
 
@@ -148,6 +135,20 @@ let count_op acc kind d =
       if structural_op_kind k then acc.a_structural <- acc.a_structural + d
   | _ -> ()
 
+(* Most transactions write a few pages, so their membership test is a
+   scan of [a_writes_rev]; a table is built only for a transaction that
+   has written more pages than this. *)
+let page_scan_limit = 16
+
+let rec listed page = function
+  | [] -> false
+  | (p, _) :: rest -> Page_id.equal p page || listed page rest
+
+let writes_page acc page =
+  match acc.a_pages with
+  | Some tbl -> Hashtbl.mem tbl (Page_id.to_int page)
+  | None -> listed page acc.a_writes_rev
+
 let note_txn t pk lsn ~wall =
   let txn = pk.Log_record.p_txn in
   let key = Txn_id.to_int txn in
@@ -165,7 +166,8 @@ let note_txn t pk lsn ~wall =
             a_clrs = 0;
             a_structural = 0;
             a_writes_rev = [];
-            a_pages = Hashtbl.create 8;
+            a_npages = 0;
+            a_pages = None;
           }
         in
         Hashtbl.replace t.txn_index key a;
@@ -181,10 +183,16 @@ let note_txn t pk lsn ~wall =
   | Some acc, ((Log_record.K_page_op _ | Log_record.K_clr _) as kind) ->
       count_op acc kind 1;
       let page = pk.Log_record.p_page in
-      let pkey = Page_id.to_int page in
-      if not (Hashtbl.mem acc.a_pages pkey) then begin
-        Hashtbl.replace acc.a_pages pkey ();
-        acc.a_writes_rev <- (page, lsn) :: acc.a_writes_rev
+      if not (writes_page acc page) then begin
+        acc.a_writes_rev <- (page, lsn) :: acc.a_writes_rev;
+        acc.a_npages <- acc.a_npages + 1;
+        match acc.a_pages with
+        | Some tbl -> Hashtbl.replace tbl (Page_id.to_int page) ()
+        | None when acc.a_npages > page_scan_limit ->
+            let tbl = Hashtbl.create (2 * acc.a_npages) in
+            List.iter (fun (p, _) -> Hashtbl.replace tbl (Page_id.to_int p) ()) acc.a_writes_rev;
+            acc.a_pages <- Some tbl
+        | None -> ()
       end
   | Some _, (Log_record.K_begin | Log_record.K_end | Log_record.K_checkpoint) -> ()
 
@@ -204,9 +212,13 @@ let unnote_txn t pk lsn =
       | kind -> (
           count_op acc kind (-1);
           match acc.a_writes_rev with
-          | (page, first) :: rest when Lsn.equal first lsn ->
+          | (page, first) :: rest when Lsn.equal first lsn -> (
               acc.a_writes_rev <- rest;
-              Hashtbl.remove acc.a_pages (Page_id.to_int page)
+              acc.a_npages <- acc.a_npages - 1;
+              match acc.a_pages with
+              | Some _ when acc.a_npages <= page_scan_limit -> acc.a_pages <- None
+              | Some tbl -> Hashtbl.remove tbl (Page_id.to_int page)
+              | None -> ())
           | _ -> ()))
 
 (* Summaries whose first record fell below a retention cut at [lsn] can
@@ -355,23 +367,24 @@ let chain_segment t page ~from ~down_to =
   let pid = Page_id.to_int page in
   (* Clamp at the retention boundary: a straddling segment keeps its dead
      prefix physically, so the boundary must be enforced here rather than
-     by eager pruning.  [chain_upper] is strict-greater, so the clamp
-     value is one below the first retained LSN. *)
-  let dt = Lsn.of_int (max (Lsn.to_int down_to) (Lsn.to_int t.truncated_below - 1)) in
+     by eager pruning.  The slice starts above [dt], so the clamp value is
+     one below the first retained LSN. *)
+  let dt = max (Lsn.to_int down_to) (Lsn.to_int t.truncated_below - 1) in
   let from_i = Lsn.to_int from in
-  if Lsn.(from <= dt) then [||]
+  if from_i <= dt then [||]
   else begin
     let slices = ref [] in
     (* (arr, lo, n), newest first *)
     let total = ref 0 in
     for si = t.seg_lo to t.seg_hi - 1 do
       let s = t.segs.(si) in
-      if s.s_end > Lsn.to_int dt + 1 && s.s_base <= from_i then
+      if s.s_end > dt + 1 && s.s_base <= from_i then
         match Hashtbl.find_opt s.s_chains pid with
         | None -> ()
         | Some c ->
-            let lo = chain_upper c dt in
-            let hi = chain_upper c from in
+            (* the chain's LSNs in (dt, from] *)
+            let lo = lower_bound c.arr c.len (dt + 1) in
+            let hi = lower_bound c.arr c.len (from_i + 1) in
             if hi > lo then begin
               slices := (c.arr, lo, hi - lo) :: !slices;
               total := !total + (hi - lo)
@@ -379,16 +392,16 @@ let chain_segment t page ~from ~down_to =
     done;
     match !slices with
     | [] -> [||]
-    | [ (arr, lo, n) ] -> Array.sub arr lo n
+    | [ (arr, lo, n) ] -> Lsn.of_int_array (Array.sub arr lo n)
     | l ->
-        let out = Array.make !total Lsn.nil in
+        let out = Array.make !total 0 in
         let pos = ref !total in
         List.iter
           (fun (arr, lo, n) ->
             pos := !pos - n;
             Array.blit arr lo out !pos n)
           l;
-        out
+        Lsn.of_int_array out
   end
 
 let pages_changed_since t ~since =
@@ -399,11 +412,8 @@ let pages_changed_since t ~since =
     if s.s_end > Lsn.to_int since + 1 then
       Hashtbl.iter
         (fun page c ->
-          if
-            c.len > 0
-            && Lsn.(c.arr.(c.len - 1) > since)
-            && Lsn.to_int c.arr.(c.len - 1) >= tb
-          then Hashtbl.replace acc page ())
+          if c.len > 0 && c.arr.(c.len - 1) > Lsn.to_int since && c.arr.(c.len - 1) >= tb then
+            Hashtbl.replace acc page ())
         s.s_chains
   done;
   Hashtbl.fold (fun p () l -> Page_id.of_int p :: l) acc []

@@ -38,16 +38,18 @@ let op_of t =
   | Page_op { op; _ } | Clr { op; _ } -> Some op
   | Begin | Commit _ | Abort | End | Checkpoint _ -> None
 
+let link_value pid = Int64.of_int (Page_id.to_int pid)
+
 let get_header p = function
-  | Prev_page -> Page_id.to_int64 (Page.prev_page p)
-  | Next_page -> Page_id.to_int64 (Page.next_page p)
+  | Prev_page -> link_value (Page.prev_page p)
+  | Next_page -> link_value (Page.next_page p)
   | Special -> Page.special p
   | Level -> Int64.of_int (Page.level p)
 
 let set_header p field v =
   match field with
-  | Prev_page -> Page.set_prev_page p (Page_id.of_int64 v)
-  | Next_page -> Page.set_next_page p (Page_id.of_int64 v)
+  | Prev_page -> Page.set_prev_page p (Page_id.of_int (Int64.to_int v))
+  | Next_page -> Page.set_next_page p (Page_id.of_int (Int64.to_int v))
   | Special -> Page.set_special p v
   | Level -> Page.set_level p (Int64.to_int v)
 
@@ -163,8 +165,8 @@ let decode_op d =
 let encode t =
   let open Codec in
   let e = encoder () in
-  i64 e (Txn_id.to_int64 t.txn);
-  i64 e (Lsn.to_int64 t.prev_txn_lsn);
+  i64_int e (Txn_id.to_int t.txn);
+  i64_int e (Lsn.to_int t.prev_txn_lsn);
   (match t.body with
   | Begin -> u8 e 0
   | Commit { wall_us } ->
@@ -178,25 +180,25 @@ let encode t =
       u32 e (List.length active_txns);
       List.iter
         (fun (txn, lsn) ->
-          i64 e (Txn_id.to_int64 txn);
-          i64 e (Lsn.to_int64 lsn))
+          i64_int e (Txn_id.to_int txn);
+          i64_int e (Lsn.to_int lsn))
         active_txns;
       u32 e (List.length dirty_pages);
       List.iter
         (fun (page, lsn) ->
-          i64 e (Page_id.to_int64 page);
-          i64 e (Lsn.to_int64 lsn))
+          i64_int e (Page_id.to_int page);
+          i64_int e (Lsn.to_int lsn))
         dirty_pages
   | Page_op { page; prev_page_lsn; op } ->
       u8 e 5;
-      i64 e (Page_id.to_int64 page);
-      i64 e (Lsn.to_int64 prev_page_lsn);
+      i64_int e (Page_id.to_int page);
+      i64_int e (Lsn.to_int prev_page_lsn);
       encode_op e op
   | Clr { page; prev_page_lsn; op; undo_next } ->
       u8 e 6;
-      i64 e (Page_id.to_int64 page);
-      i64 e (Lsn.to_int64 prev_page_lsn);
-      i64 e (Lsn.to_int64 undo_next);
+      i64_int e (Page_id.to_int page);
+      i64_int e (Lsn.to_int prev_page_lsn);
+      i64_int e (Lsn.to_int undo_next);
       encode_op e op);
   (* CRC-32 trailer over everything before it: recovery uses it to tell a
      whole record from a torn tail (see Log_manager.repair_tail). *)
@@ -221,8 +223,8 @@ let check s =
 let decode s =
   let open Codec in
   let d = decoder s in
-  let txn = Txn_id.of_int64 (get_i64 d) in
-  let prev_txn_lsn = Lsn.of_int64 (get_i64 d) in
+  let txn = Txn_id.of_int (get_i64_int d) in
+  let prev_txn_lsn = Lsn.of_int (get_i64_int d) in
   let body =
     match get_u8 d with
     | 0 -> Begin
@@ -234,27 +236,27 @@ let decode s =
         let n = get_u32 d in
         let active_txns =
           List.init n (fun _ ->
-              let txn = Txn_id.of_int64 (get_i64 d) in
-              let lsn = Lsn.of_int64 (get_i64 d) in
+              let txn = Txn_id.of_int (get_i64_int d) in
+              let lsn = Lsn.of_int (get_i64_int d) in
               (txn, lsn))
         in
         let m = get_u32 d in
         let dirty_pages =
           List.init m (fun _ ->
-              let page = Page_id.of_int64 (get_i64 d) in
-              let lsn = Lsn.of_int64 (get_i64 d) in
+              let page = Page_id.of_int (get_i64_int d) in
+              let lsn = Lsn.of_int (get_i64_int d) in
               (page, lsn))
         in
         Checkpoint { wall_us; active_txns; dirty_pages }
     | 5 ->
-        let page = Page_id.of_int64 (get_i64 d) in
-        let prev_page_lsn = Lsn.of_int64 (get_i64 d) in
+        let page = Page_id.of_int (get_i64_int d) in
+        let prev_page_lsn = Lsn.of_int (get_i64_int d) in
         let op = decode_op d in
         Page_op { page; prev_page_lsn; op }
     | 6 ->
-        let page = Page_id.of_int64 (get_i64 d) in
-        let prev_page_lsn = Lsn.of_int64 (get_i64 d) in
-        let undo_next = Lsn.of_int64 (get_i64 d) in
+        let page = Page_id.of_int (get_i64_int d) in
+        let prev_page_lsn = Lsn.of_int (get_i64_int d) in
+        let undo_next = Lsn.of_int (get_i64_int d) in
         let op = decode_op d in
         Clr { page; prev_page_lsn; op; undo_next }
     | c -> invalid_arg (Printf.sprintf "Log_record: bad record kind %d" c)
@@ -313,47 +315,37 @@ let op_kind_of_tag = function
   | 6 -> K_full_image
   | c -> invalid_arg (Printf.sprintf "Log_record.peek: bad op kind %d" c)
 
-let peek_head s ~p_len =
-  let p_txn = Txn_id.of_int64 (Codec.peek_i64 s 0) in
-  let p_prev_txn_lsn = Lsn.of_int64 (Codec.peek_i64 s 8) in
-  let plain kind =
-    { p_txn; p_prev_txn_lsn; p_kind = kind; p_page = Page_id.nil; p_prev_page_lsn = Lsn.nil; p_len }
-  in
-  match Codec.peek_u8 s 16 with
-  | 0 -> plain K_begin
-  | 1 -> plain K_commit
-  | 2 -> plain K_abort
-  | 3 -> plain K_end
-  | 4 -> plain K_checkpoint
-  | 5 ->
+(* Where the [width]-byte header field at offset [off] of a record of
+   [len] bytes starting at [pos] lies; a field past the record's end
+   raises, as a sub-string read would. *)
+let header_field pos len off width =
+  if off + width > len then invalid_arg "Log_record.peek: short record" else pos + off
+
+(* The header of the record at [b.[pos .. pos+p_len-1]], read where it
+   sits; nothing past the record is read, and no int64 is boxed. *)
+let peek_head b ~pos ~p_len =
+  let p_txn = Txn_id.of_int (Codec.peek_i64_int b (header_field pos p_len 0 8)) in
+  let p_prev_txn_lsn = Lsn.of_int (Codec.peek_i64_int b (header_field pos p_len 8 8)) in
+  match Codec.peek_u8 b (header_field pos p_len 16 1) with
+  | (0 | 1 | 2 | 3 | 4) as tag ->
+      let p_kind =
+        match tag with 0 -> K_begin | 1 -> K_commit | 2 -> K_abort | 3 -> K_end | _ -> K_checkpoint
+      in
+      { p_txn; p_prev_txn_lsn; p_kind; p_page = Page_id.nil; p_prev_page_lsn = Lsn.nil; p_len }
+  | (5 | 6) as tag ->
+      let op = op_kind_of_tag (Codec.peek_u8 b (header_field pos p_len (if tag = 5 then 33 else 41) 1)) in
       {
         p_txn;
         p_prev_txn_lsn;
-        p_kind = K_page_op (op_kind_of_tag (Codec.peek_u8 s 33));
-        p_page = Page_id.of_int64 (Codec.peek_i64 s 17);
-        p_prev_page_lsn = Lsn.of_int64 (Codec.peek_i64 s 25);
-        p_len;
-      }
-  | 6 ->
-      {
-        p_txn;
-        p_prev_txn_lsn;
-        p_kind = K_clr (op_kind_of_tag (Codec.peek_u8 s 41));
-        p_page = Page_id.of_int64 (Codec.peek_i64 s 17);
-        p_prev_page_lsn = Lsn.of_int64 (Codec.peek_i64 s 25);
+        p_kind = (if tag = 5 then K_page_op op else K_clr op);
+        p_page = Page_id.of_int (Codec.peek_i64_int b (header_field pos p_len 17 8));
+        p_prev_page_lsn = Lsn.of_int (Codec.peek_i64_int b (header_field pos p_len 25 8));
         p_len;
       }
   | c -> invalid_arg (Printf.sprintf "Log_record.peek: bad record kind %d" c)
 
-let peek s = peek_head s ~p_len:(String.length s)
-
-(* Every header field lives in the first 42 bytes (the Clr op tag at
-   offset 41 is the deepest), so peeking a record stored inside a segment
-   blob only copies that prefix — an FPI's page image never moves. *)
-let peek_header_bytes = 42
-
-let peek_bytes b ~pos ~len =
-  peek_head (Bytes.sub_string b pos (min len peek_header_bytes)) ~p_len:len
+let peek s = peek_head (Bytes.unsafe_of_string s) ~pos:0 ~p_len:(String.length s)
+let peek_bytes b ~pos ~len = peek_head b ~pos ~p_len:len
 
 let check_bytes b ~pos ~len =
   len >= min_encoded_size
@@ -438,11 +430,11 @@ let image_at = 38
 let image_record_size = image_at + Page.page_size + 4
 
 let encode_image_into b ~pos ~page ~prev_page_lsn image =
-  Bytes.set_int64_le b pos (Txn_id.to_int64 Txn_id.nil);
-  Bytes.set_int64_le b (pos + 8) (Lsn.to_int64 Lsn.nil);
+  Bytes.set_int64_le b pos (Int64.of_int (Txn_id.to_int Txn_id.nil));
+  Bytes.set_int64_le b (pos + 8) (Int64.of_int (Lsn.to_int Lsn.nil));
   Bytes.set_uint8 b (pos + 16) 5;
-  Bytes.set_int64_le b (pos + 17) (Page_id.to_int64 page);
-  Bytes.set_int64_le b (pos + 25) (Lsn.to_int64 prev_page_lsn);
+  Bytes.set_int64_le b (pos + 17) (Int64.of_int (Page_id.to_int page));
+  Bytes.set_int64_le b (pos + 25) (Int64.of_int (Lsn.to_int prev_page_lsn));
   Bytes.set_uint8 b (pos + 33) 6;
   Bytes.set_int32_le b (pos + 34) (Int32.of_int Page.page_size);
   Bytes.blit image 0 b (pos + image_at) Page.page_size;

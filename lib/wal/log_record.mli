@@ -66,6 +66,11 @@ val make : ?txn:Txn_id.t -> ?prev_txn_lsn:Rw_storage.Lsn.t -> body -> t
 
 val op_of : t -> op option
 
+val link_value : Rw_storage.Page_id.t -> int64
+(** The {!op.Set_header} value of a link to the page ([-1L] for
+    [Page_id.nil]), as [Prev_page], [Next_page] or a heap's [Special]
+    tail pointer store it. *)
+
 val get_header : Rw_storage.Page.t -> header_field -> int64
 (** Read a header field as an int64; convenient for building
     {!op.Set_header} operations with correct before-images. *)
@@ -142,7 +147,7 @@ val peek : string -> peek
 val peek_bytes : bytes -> pos:int -> len:int -> peek
 (** {!peek} of the encoded record occupying [b.[pos .. pos+len-1]] — the
     in-place variant used when records live inside a log-segment blob.
-    Copies only the fixed-size header prefix, never the payload. *)
+    Reads the header where it sits and copies nothing. *)
 
 val check_bytes : bytes -> pos:int -> len:int -> bool
 (** {!check} of the encoded record occupying [b.[pos .. pos+len-1]],

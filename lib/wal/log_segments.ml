@@ -16,8 +16,9 @@ module Probes = Rw_obs.Probes
 exception Log_truncated of Lsn.t
 exception No_such_record of Lsn.t
 
-(* Growable sorted array: one page's chain record LSNs, ascending. *)
-type chain = { mutable arr : Lsn.t array; mutable len : int }
+(* Growable sorted array: one page's chain record LSNs, ascending, as
+   ints, so [lower_bound] searches it as it searches the record offsets. *)
+type chain = { mutable arr : int array; mutable len : int }
 
 (* A segment's control-record directory: every Begin, Commit, Abort, End
    and Checkpoint record, ascending, as unboxed parallel arrays of LSN,
@@ -79,7 +80,11 @@ type txn_acc = {
   mutable a_clrs : int;
   mutable a_structural : int;
   mutable a_writes_rev : (Page_id.t * Lsn.t) list; (* newest-first, first-write lsn per page *)
-  a_pages : (int, unit) Hashtbl.t; (* pages already in a_writes_rev: O(1) membership *)
+  mutable a_npages : int; (* length of a_writes_rev *)
+  mutable a_pages : (int, unit) Hashtbl.t option;
+      (* the pages of a_writes_rev, built only once they outnumber
+         [Log_index.page_scan_limit]; below that a scan of the list
+         answers membership *)
 }
 
 type t = {

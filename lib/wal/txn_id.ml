@@ -7,8 +7,6 @@ let of_int i =
   else i
 
 let to_int t = t
-let of_int64 i = of_int (Int64.to_int i)
-let to_int64 t = Int64.of_int t
 let is_nil t = t = 0
 let equal = Int.equal
 let compare = Int.compare

@@ -42,14 +42,14 @@ let build ~log =
     (fun i (nd : node) -> Hashtbl.replace by_txn (Txn_id.to_int nd.ts_txn) i)
     nodes;
   (* Per page, the (first-write LSN, writer index) pairs. *)
-  let page_writers : (int64, (Lsn.t * int) list ref) Hashtbl.t =
+  let page_writers : (int, (Lsn.t * int) list ref) Hashtbl.t =
     Hashtbl.create 256
   in
   Array.iteri
     (fun i (nd : node) ->
       List.iter
         (fun (page, lsn) ->
-          let key = Page_id.to_int64 page in
+          let key = Page_id.to_int page in
           let cell =
             match Hashtbl.find_opt page_writers key with
             | Some c -> c

@@ -84,12 +84,12 @@ let in_set nodes =
   fun txn -> Hashtbl.mem tbl (Txn_id.to_int txn)
 
 let cuts_of removed =
-  let firsts : (int64, Lsn.t) Hashtbl.t = Hashtbl.create 16 in
+  let firsts : (int, Lsn.t) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun (n : Dep_graph.node) ->
       List.iter
         (fun (page, lsn) ->
-          let key = Page_id.to_int64 page in
+          let key = Page_id.to_int page in
           match Hashtbl.find_opt firsts key with
           | Some prev when Lsn.(prev <= lsn) -> ()
           | _ -> Hashtbl.replace firsts key lsn)
@@ -97,7 +97,7 @@ let cuts_of removed =
     removed;
   Hashtbl.fold
     (fun key first acc ->
-      (Page_id.of_int64 key, Lsn.of_int (Lsn.to_int first - 1)) :: acc)
+      (Page_id.of_int key, Lsn.of_int (Lsn.to_int first - 1)) :: acc)
     firsts []
   |> List.sort (fun (a, _) (b, _) -> Page_id.compare a b)
 
@@ -299,7 +299,7 @@ type targets = {
 }
 
 let compute_targets ~ctx ~log (plan : plan) =
-  let copies : (int64, Page.t) Hashtbl.t = Hashtbl.create 16 in
+  let copies : (int, Page.t) Hashtbl.t = Hashtbl.create 16 in
   let ops_unwound = ref 0 in
   let conflicts = ref [] in
   (* Rewind every affected page to its cut on a scratch copy. *)
@@ -316,7 +316,7 @@ let compute_targets ~ctx ~log (plan : plan) =
             :: !conflicts
       | Page_undo.Chain_broken { lsn; _ } ->
           conflicts := { page; lsn; reason = "page chain is broken" } :: !conflicts);
-      Hashtbl.replace copies (Page_id.to_int64 page) p)
+      Hashtbl.replace copies (Page_id.to_int page) p)
     plan.cuts;
   (* Gather the replay set's operations in global LSN order.  A replay
      chain reaching below the retention boundary cannot be re-applied;
@@ -343,7 +343,7 @@ let compute_targets ~ctx ~log (plan : plan) =
     List.iter
       (fun (lsn, page, op) ->
         if !conflicts = [] then
-          let p = Hashtbl.find copies (Page_id.to_int64 page) in
+          let p = Hashtbl.find copies (Page_id.to_int page) in
           if Page.typ p <> Page.Btree then
             conflicts :=
               { page; lsn; reason = "replay target is not a B-tree page" } :: !conflicts
@@ -356,7 +356,7 @@ let compute_targets ~ctx ~log (plan : plan) =
   | _ :: _ as cs -> Error (List.rev cs)
   | [] ->
       let images =
-        Hashtbl.fold (fun key p acc -> (Page_id.of_int64 key, p) :: acc) copies []
+        Hashtbl.fold (fun key p acc -> (Page_id.of_int key, p) :: acc) copies []
         |> List.sort (fun (a, _) (b, _) -> Page_id.compare a b)
       in
       Ok

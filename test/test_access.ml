@@ -250,6 +250,65 @@ let test_btree_range () =
   Btree.range env.ctx tree ~lo:3L ~hi:9L ~f:(fun k _ -> seen := k :: !seen);
   check "range [3,9]" true (List.rev !seen = [ 3L; 5L; 7L; 9L ])
 
+(* Btree.range against a filter of Btree.to_list, on multi-leaf trees
+   with random deletes (leaves may empty out) and random bounds, [lo > hi]
+   and the int64 extremes included. *)
+let btree_range_test =
+  let bound = QCheck.Gen.(frequency [ (8, int_range (-3500) 3500); (1, return min_int); (1, return max_int) ]) in
+  QCheck.Test.make ~name:"btree range equals a filter of to_list" ~count:25
+    (QCheck.make
+       ~print:QCheck.Print.(triple (list int) (list int) (list (pair int int)))
+       QCheck.Gen.(
+         triple
+           (list_size (80 -- 300) (int_range (-3000) 3000))
+           (list_size (0 -- 150) (int_range (-3000) 3000))
+           (list_size (1 -- 25) (pair bound bound))))
+    (fun (keys, deletes, bounds) ->
+      let env = mk_env () in
+      let tree = with_txn env (fun txn -> Btree.create env.ctx env.alloc txn) in
+      let keys = List.sort_uniq compare keys in
+      with_txn env (fun txn ->
+          List.iter
+            (fun k ->
+              Btree.insert env.ctx env.alloc txn tree ~key:(Int64.of_int k)
+                ~payload:(String.make (100 + (abs k mod 200)) 'r'))
+            keys;
+          List.iter
+            (fun k -> if List.mem k keys then Btree.delete env.ctx txn tree ~key:(Int64.of_int k))
+            (List.sort_uniq compare deletes));
+      let all = Btree.to_list env.ctx tree in
+      let to_key i =
+        if i = min_int then Int64.min_int else if i = max_int then Int64.max_int else Int64.of_int i
+      in
+      Btree.height env.ctx tree > 1
+      && List.for_all
+           (fun (lo, hi) ->
+             let lo = to_key lo and hi = to_key hi in
+             let got = ref [] in
+             Btree.range env.ctx tree ~lo ~hi ~f:(fun k v -> got := (k, v) :: !got);
+             List.rev !got = List.filter (fun (k, _) -> k >= lo && k <= hi) all)
+           bounds)
+
+(* A warm point lookup's minor-heap allocation on a two-level tree, in
+   the dev profile the tests build: the descent and the leaf search read
+   and compare keys where they sit, so what is left is the payload copy,
+   the result and the per-page read plumbing.  75.0 words per find; 134.8
+   when every key, child and page LSN came back as a boxed int64. *)
+let test_btree_find_allocation () =
+  let env = mk_env () in
+  let tree = with_txn env (fun txn -> Btree.create env.ctx env.alloc txn) in
+  with_txn env (fun txn ->
+      for i = 1 to 600 do
+        Btree.insert env.ctx env.alloc txn tree ~key:(Int64.of_int (i * 7)) ~payload:(String.make 40 'p')
+      done);
+  check "two levels" true (Btree.height env.ctx tree = 2);
+  let keys = Array.init 200 (fun i -> Int64.of_int (((i * 37) mod 600 + 1) * 7)) in
+  Array.iter (fun k -> ignore (Btree.find env.ctx tree k)) keys;
+  let before = Gc.minor_words () in
+  Array.iter (fun k -> ignore (Btree.find env.ctx tree k)) keys;
+  let per_find = (Gc.minor_words () -. before) /. float_of_int (Array.length keys) in
+  if per_find > 90. then Alcotest.failf "%.1f minor words per warm Btree.find, above 90" per_find
+
 let test_btree_drop_frees_pages () =
   let env = mk_env () in
   let tree = with_txn env (fun txn -> Btree.create env.ctx env.alloc txn) in
@@ -443,6 +502,8 @@ let () =
           Alcotest.test_case "range scan" `Quick test_btree_range;
           Alcotest.test_case "drop frees pages" `Quick test_btree_drop_frees_pages;
           QCheck_alcotest.to_alcotest btree_model_test;
+          QCheck_alcotest.to_alcotest btree_range_test;
+          Alcotest.test_case "warm find allocation" `Quick test_btree_find_allocation;
           Alcotest.test_case "key extremes" `Quick test_btree_key_extremes;
           Alcotest.test_case "payload bounds" `Quick test_btree_payload_bounds;
           Alcotest.test_case "large payload splits" `Quick test_btree_large_payload_splits;

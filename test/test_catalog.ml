@@ -113,7 +113,7 @@ let test_schema_validate () =
 
 (* The catalog decoded afresh from its B-tree rows, past every memo. *)
 let fresh_decode ctx =
-  let root = Page_id.of_int64 (Boot.get_exn ctx Boot.key_catalog_root) in
+  let root = Page_id.of_int (Int64.to_int (Boot.get_exn ctx Boot.key_catalog_root)) in
   List.map (fun (_, payload) -> Schema.decode payload) (Btree.to_list ctx (Btree.of_root root))
 
 let test_create_find_drop () =
@@ -181,7 +181,7 @@ let test_many_tables_split_catalog () =
   check "specific lookup" true (System_tables.find env.cat "table_250" <> None);
   (* One leaf changes: the memo decodes that leaf again and reuses the
      other leaves' descriptors as they are. *)
-  let root = Page_id.of_int64 (Boot.get_exn env.ctx Boot.key_catalog_root) in
+  let root = Page_id.of_int (Int64.to_int (Boot.get_exn env.ctx Boot.key_catalog_root)) in
   check "catalog spans several leaves" true (Btree.height env.ctx (Btree.of_root root) > 1);
   let before = System_tables.list_tables env.cat in
   check "warm equals fresh" true (before = fresh_decode env.ctx);
@@ -372,7 +372,7 @@ let test_memo_replica () =
    log's invalidation epoch tells the two apart. *)
 let test_memo_recycled_lsn () =
   let env = mk_env () in
-  let root = Page_id.of_int64 (Boot.get_exn env.ctx Boot.key_catalog_root) in
+  let root = Page_id.of_int (Int64.to_int (Boot.get_exn env.ctx Boot.key_catalog_root)) in
   let leaf_lsn () = Access_ctx.read env.ctx root Page.lsn in
   let tab =
     with_txn env (fun txn ->
@@ -456,14 +456,14 @@ let test_memo_evicted () =
   let charge = charge env in
   let warm = System_tables.open_ env.ctx in
   let tables = System_tables.list_tables warm in
-  let root = Page_id.of_int64 (Boot.get_exn env.ctx Boot.key_catalog_root) in
+  let root = Page_id.of_int (Int64.to_int (Boot.get_exn env.ctx Boot.key_catalog_root)) in
   let leaves = ref [] in
   Btree.iter_leaves env.ctx (Btree.of_root root) ~leaf:(fun pid _ -> pid) ~f:(fun pid ->
       leaves := pid :: !leaves);
   Buffer_pool.flush_all env.pool;
   List.iter (fun (tab : Schema.table) -> Access_ctx.read env.ctx tab.Schema.root ignore) tables;
   check "a catalog leaf was evicted" true
-    (List.exists (fun pid -> Access_ctx.resident_lsn env.ctx pid = None) !leaves);
+    (List.exists (fun pid -> Buffer_pool.resident_lsn env.pool pid = None) !leaves);
   let walks = Rw_obs.Metrics.counter_value Rw_obs.Probes.catalog_walks in
   let evicted = charge (lookup warm) in
   check_int "the lookup walked" (walks + 1)

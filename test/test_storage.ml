@@ -34,7 +34,9 @@ let test_lsn_order () =
 let test_page_id () =
   check "nil" true (Page_id.is_nil Page_id.nil);
   check_int "roundtrip" 42 (Page_id.to_int (Page_id.of_int 42));
-  check "int64 nil roundtrip" true (Page_id.is_nil (Page_id.of_int64 (Page_id.to_int64 Page_id.nil)));
+  check "stored nil roundtrip" true (Page_id.is_nil (Page_id.of_int (Page_id.to_int Page_id.nil)));
+  Alcotest.check_raises "below nil rejected" (Invalid_argument "Page_id.of_int: negative") (fun () ->
+      ignore (Page_id.of_int (-2)));
   check_int "next" 8 (Page_id.to_int (Page_id.next (Page_id.of_int 7)))
 
 (* --- Page header --- *)
@@ -147,6 +149,59 @@ let test_slotted_find_key () =
   match Slotted_page.find_key p 45L with
   | Either.Right i -> check_int "after all" 4 i
   | Either.Left _ -> Alcotest.fail "expected not found"
+
+(* find_key against a linear scan of the same sorted keys, in signed
+   int64 order: negative keys and both extremes are drawn often, and an
+   empty key list gives an empty page.  A found slot's payload and, on a
+   16-byte row, its child come back through the in-place accessors. *)
+let find_key_model_test =
+  let key =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return Int64.min_int);
+          (1, return Int64.max_int);
+          (1, return 0L);
+          (3, map Int64.of_int (int_range (-40) 40));
+          (3, int64);
+        ])
+  in
+  QCheck.Test.make ~name:"find_key matches a linear scan" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list int64) (list int64))
+       QCheck.Gen.(pair (list_size (0 -- 120) key) (list_size (1 -- 20) key)))
+    (fun (keys, probes) ->
+      let keys = Array.of_list (List.sort_uniq Int64.compare keys) in
+      let p = Page.create ~id:(Page_id.of_int 1) ~typ:Page.Btree in
+      Array.iteri
+        (fun i k ->
+          (* even slots hold internal rows (key, child), odd ones leaf rows *)
+          let row =
+            if i mod 2 = 0 then Rw_access.Rowfmt.internal_row ~key:k ~child:(Page_id.of_int i)
+            else Rw_access.Rowfmt.leaf_row ~key:k ~payload:(string_of_int i)
+          in
+          Slotted_page.insert p ~at:i row)
+        keys;
+      let linear k =
+        let rec go i =
+          if i = Array.length keys || Int64.compare keys.(i) k > 0 then Either.Right i
+          else if Int64.equal keys.(i) k then Either.Left i
+          else go (i + 1)
+        in
+        go 0
+      in
+      List.for_all
+        (fun k ->
+          let found = Slotted_page.find_key p k in
+          found = linear k
+          &&
+          match found with
+          | Either.Left i when i mod 2 = 0 -> Page_id.to_int (Slotted_page.child_at p ~at:i) = i
+          | Either.Left i ->
+              Slotted_page.payload_at p ~at:i = string_of_int i
+              && Slotted_page.key_at p ~at:i = k
+          | Either.Right _ -> true)
+        (probes @ Array.to_list keys))
 
 (* Model-based property test: a slotted page behaves like a list of
    strings under insert/delete/set at random positions. *)
@@ -516,6 +571,7 @@ let () =
           Alcotest.test_case "compaction" `Quick test_slotted_compaction;
           Alcotest.test_case "bounds checks" `Quick test_slotted_bounds;
           Alcotest.test_case "binary search" `Quick test_slotted_find_key;
+          QCheck_alcotest.to_alcotest find_key_model_test;
           QCheck_alcotest.to_alcotest slotted_model_test;
         ] );
       ( "checksum",

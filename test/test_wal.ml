@@ -29,6 +29,8 @@ let test_codec_roundtrip () =
   Codec.u16 e 65535;
   Codec.u32 e 123456789;
   Codec.i64 e (-42L);
+  Codec.i64_int e (-1);
+  Codec.i64_int e ((1 lsl 40) + 7);
   Codec.f64 e 3.25;
   Codec.str16 e "hello";
   Codec.str32 e (String.make 70000 'z');
@@ -37,6 +39,8 @@ let test_codec_roundtrip () =
   check_int "u16" 65535 (Codec.get_u16 d);
   check_int "u32" 123456789 (Codec.get_u32 d);
   check "i64" true (Codec.get_i64 d = -42L);
+  check_int "i64_int" (-1) (Codec.get_i64_int d);
+  check_int "i64_int wide" ((1 lsl 40) + 7) (Codec.get_i64_int d);
   Alcotest.(check (float 0.0)) "f64" 3.25 (Codec.get_f64 d);
   Alcotest.(check string) "str16" "hello" (Codec.get_str16 d);
   check_int "str32 length" 70000 (String.length (Codec.get_str32 d));
@@ -107,6 +111,52 @@ let test_record_roundtrip () =
       let r' = Log_record.decode (Log_record.encode r) in
       if r <> r' then Alcotest.failf "roundtrip mismatch for %s" (Log_record.kind_name r))
     sample_bodies
+
+(* The 8-byte id fields are written and read as ints: a nil page id must
+   stay -1 on disk, and LSNs and txn ids above 2^32 keep their high bits,
+   through encode, decode, a peek of the string and an in-place peek of
+   the record inside a larger blob. *)
+let test_record_wide_ids () =
+  let big = (1 lsl 40) + 12345 in
+  let txn = Txn_id.of_int (big + 1) and lsn k = Lsn.of_int (big + k) in
+  let op = Log_record.Insert_row { slot = 0; row = "abcdefgh" } in
+  let bodies =
+    Log_record.
+      [
+        Page_op { page = Page_id.nil; prev_page_lsn = lsn 2; op };
+        Clr { page = Page_id.of_int big; prev_page_lsn = lsn 3; op; undo_next = lsn 4 };
+        Checkpoint
+          { wall_us = 1.5; active_txns = [ (txn, lsn 5) ]; dirty_pages = [ (Page_id.nil, lsn 6) ] };
+      ]
+  in
+  List.iter
+    (fun body ->
+      let r = Log_record.make ~txn ~prev_txn_lsn:(lsn 1) body in
+      let s = Log_record.encode r in
+      if Log_record.decode s <> r then Alcotest.failf "roundtrip mismatch for %s" (Log_record.kind_name r);
+      check "txn stored whole" true (String.get_int64_le s 0 = Int64.of_int (big + 1));
+      let b = Bytes.make (String.length s + 16) '\170' in
+      Bytes.blit_string s 0 b 7 (String.length s);
+      let pk = Log_record.peek s in
+      check "peek in place = peek" true (Log_record.peek_bytes b ~pos:7 ~len:(String.length s) = pk);
+      check "peek txn" true (Txn_id.equal pk.Log_record.p_txn txn);
+      check "peek prev txn lsn" true (Lsn.equal pk.Log_record.p_prev_txn_lsn (lsn 1));
+      match body with
+      | Log_record.Page_op { page; prev_page_lsn; _ } | Log_record.Clr { page; prev_page_lsn; _ } ->
+          check "stored page id" true
+            (String.get_int64_le s 17 = Int64.of_int (Page_id.to_int page));
+          check "peek page" true (Page_id.equal pk.Log_record.p_page page);
+          check "peek prev page lsn" true (Lsn.equal pk.Log_record.p_prev_page_lsn prev_page_lsn);
+          Alcotest.check_raises "a short record's header is not read past its end"
+            (Invalid_argument "Log_record.peek: short record") (fun () ->
+              ignore (Log_record.peek_bytes b ~pos:7 ~len:24))
+      | _ -> ())
+    bodies;
+  check "nil page stored as -1" true
+    (String.get_int64_le
+       (Log_record.encode (Log_record.make ~txn ~prev_txn_lsn:(lsn 1) (List.hd bodies)))
+       17
+    = -1L)
 
 (* The header peek must agree with a full decode on every record kind —
    the directory indexes (FPI, chains, checkpoints) are maintained from
@@ -1174,6 +1224,46 @@ let test_txn_index_boundary () =
   | None -> Alcotest.fail "T2 missing from the index");
   check "open T3 still resolves as in flight" true (Log_manager.txn_resolution log t3 = `Active)
 
+(* A transaction that writes more pages than the index tracks by a scan
+   of its write list: the membership table is built past that limit and
+   dropped when a crash takes the transaction back below it.  After each
+   event its write set (first write per page, in order) equals the scan,
+   repeated writes included. *)
+let test_wide_txn_write_set () =
+  let _, log = mk_log () in
+  let t = Txn_id.of_int 1 in
+  let last = ref (Log_manager.append log (Log_record.make ~txn:t Log_record.Begin)) in
+  let write pid =
+    last :=
+      Log_manager.append log
+        (Log_record.make ~txn:t ~prev_txn_lsn:!last
+           (Log_record.Page_op
+              {
+                page = Page_id.of_int pid;
+                prev_page_lsn = Lsn.nil;
+                op = Log_record.Insert_row { slot = 0; row = "w" };
+              }))
+  in
+  List.iter write ([ 1; 2; 1 ] @ List.init 10 (fun i -> i + 3) @ [ 2; 12 ]);
+  Log_manager.flush_all log;
+  let durable = !last in
+  List.iter write (List.init 20 (fun i -> i + 13) @ [ 3; 20; 32; 1; 17 ]);
+  check_upkeep "wide txn, 32 pages" log;
+  Log_manager.crash log;
+  last := durable;
+  check_upkeep "wide txn, crashed back to 12 pages" log;
+  (* 20 and 25 were written before the crash too: they rejoin the write
+     set at their new first write *)
+  List.iter write ([ 5; 20; 12; 25 ] @ List.init 30 (fun i -> i + 40) @ [ 45; 7; 20; 42 ]);
+  ignore
+    (Log_manager.append log
+       (Log_record.make ~txn:t ~prev_txn_lsn:!last (Log_record.Commit { wall_us = 1.0 })));
+  Log_manager.flush_all log;
+  check_upkeep "wide txn, committed" log;
+  match Log_manager.txn_summaries log with
+  | [ s ] -> check_int "44 distinct pages" 44 (List.length s.Log_manager.ts_writes)
+  | _ -> Alcotest.fail "one committed summary expected"
+
 (* The directory and the txn index are kept on every ingestion path and
    cut back on every tail drop and truncation: after each event a walk
    (and the checkpoint views built on it) equals a header scan of what
@@ -1463,6 +1553,7 @@ let () =
         [
           Alcotest.test_case "all kinds roundtrip" `Quick test_record_roundtrip;
           Alcotest.test_case "peek agrees with decode" `Quick test_peek_matches_decode;
+          Alcotest.test_case "nil page and wide ids roundtrip" `Quick test_record_wide_ids;
           QCheck_alcotest.to_alcotest record_roundtrip_prop;
           Alcotest.test_case "invert involution" `Quick test_invert_involution;
           Alcotest.test_case "redo/undo inverse" `Quick test_redo_undo_inverse;
@@ -1480,6 +1571,7 @@ let () =
           Alcotest.test_case "image appended and restored in place" `Quick test_append_image;
           Alcotest.test_case "checkpoint index" `Quick test_checkpoints_before;
           Alcotest.test_case "control directory upkeep" `Quick test_control_directory_upkeep;
+          Alcotest.test_case "wide transaction write set" `Quick test_wide_txn_write_set;
           Alcotest.test_case "control directory save/load" `Quick test_control_directory_save_load;
           Alcotest.test_case "truncation prunes indexes" `Quick test_truncate_prunes_indexes;
           Alcotest.test_case "mid-record lsn rejected" `Quick test_read_non_boundary;

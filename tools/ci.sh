@@ -117,6 +117,12 @@ echo "== rwbench count determinism (trace off vs on) and exact counts =="
 bench_run() {
   dune exec rwbench/main.exe -- --workload "$1" --seed 7 --seconds 2 --trace "$2"
 }
+# htap's minor-heap allocation per operation is deterministic in the dev
+# profile too, and it is what boxed int64 results cost on the row-access
+# path (DESIGN.md, "Ids are ints at the byte level").  The bound is the
+# figure once keys, child ids and log-header fields were read in place,
+# 2.312 MiB, plus 2%; before, it was 3.208 MiB.
+htap_minor_max=2.36
 for w in asof_audit htap repair_restart; do
   out_off=$(bench_run "$w" 0)
   digest_off=$(echo "$out_off" | sed -n 's/^counts-digest //p')
@@ -132,6 +138,14 @@ for w in asof_audit htap repair_restart; do
     exit 1
   fi
   echo "$w counts equal tools/counts/$w.txt"
+  if [ "$w" = htap ]; then
+    minor=$(echo "$out_off" | sed -n 's/^count gc\.minor_mb_per_op = \([0-9.]*\) MiB$/\1/p')
+    if ! awk -v m="$minor" -v max="$htap_minor_max" 'BEGIN { exit !(m != "" && m + 0 <= max + 0) }'; then
+      echo "error: htap gc.minor_mb_per_op is ${minor:-missing} MiB, above $htap_minor_max MiB" >&2
+      exit 1
+    fi
+    echo "htap gc.minor_mb_per_op $minor MiB (at most $htap_minor_max)"
+  fi
 done
 
 echo "== microbenchmarks (host time, guarded by same-run ratios) =="
