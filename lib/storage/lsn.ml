@@ -13,6 +13,7 @@ let of_int_array a =
     if a.(k) < 0 then invalid_arg "Lsn.of_int_array: negative"
   done;
   a
+
 let is_nil t = t = 0
 let compare = Int.compare
 let equal = Int.equal

@@ -32,13 +32,15 @@ let off_next = 32
 let off_special = 40
 let off_checksum = 48
 
-(* The 8-byte fields convert to and from int here, next to the read or
+(* The 8-byte id fields convert to and from int next to the read or
    write: an [int64] returned by a function of another module is boxed
    (see DESIGN.md, "Ids are ints at the byte level"). *)
-let lsn p = Lsn.of_int (Int64.to_int (Bytes.get_int64_le p off_lsn))
-let set_lsn p v = Bytes.set_int64_le p off_lsn (Int64.of_int (Lsn.to_int v))
-let id p = Page_id.of_int (Int64.to_int (Bytes.get_int64_le p off_id))
-let set_id p v = Bytes.set_int64_le p off_id (Int64.of_int (Page_id.to_int v))
+let get_int p off = Int64.to_int (Bytes.get_int64_le p off)
+let set_int p off v = Bytes.set_int64_le p off (Int64.of_int v)
+let lsn p = Lsn.of_int (get_int p off_lsn)
+let set_lsn p v = set_int p off_lsn (Lsn.to_int v)
+let id p = Page_id.of_int (get_int p off_id)
+let set_id p v = set_int p off_id (Page_id.to_int v)
 let typ p = type_of_code (Char.code (Bytes.get p off_type))
 let set_typ p v = Bytes.set p off_type (Char.chr (type_code v))
 let level p = Char.code (Bytes.get p off_level)
@@ -49,10 +51,10 @@ let data_low p = Bytes.get_uint16_le p off_data_low
 let set_data_low p v = Bytes.set_uint16_le p off_data_low v
 let garbage p = Bytes.get_uint16_le p off_garbage
 let set_garbage p v = Bytes.set_uint16_le p off_garbage v
-let prev_page p = Page_id.of_int (Int64.to_int (Bytes.get_int64_le p off_prev))
-let set_prev_page p v = Bytes.set_int64_le p off_prev (Int64.of_int (Page_id.to_int v))
-let next_page p = Page_id.of_int (Int64.to_int (Bytes.get_int64_le p off_next))
-let set_next_page p v = Bytes.set_int64_le p off_next (Int64.of_int (Page_id.to_int v))
+let prev_page p = Page_id.of_int (get_int p off_prev)
+let set_prev_page p v = set_int p off_prev (Page_id.to_int v)
+let next_page p = Page_id.of_int (get_int p off_next)
+let set_next_page p v = set_int p off_next (Page_id.to_int v)
 let special p = Bytes.get_int64_le p off_special
 let set_special p v = Bytes.set_int64_le p off_special v
 

@@ -14,6 +14,7 @@ let i64 e v = Buffer.add_int64_le e v
 (* The int-typed 8-byte helpers convert next to the stdlib read or write,
    which the compiler inlines, so the int64 in between is never boxed. *)
 let i64_int e v = Buffer.add_int64_le e (Int64.of_int v)
+
 let f64 e v = Buffer.add_int64_le e (Int64.bits_of_float v)
 
 let str16 e s =
@@ -25,8 +26,8 @@ let str32 e s =
   u32 e (String.length s);
   Buffer.add_string e s
 
-(* Positional peeks: read one field out of an encoded string without
-   building a decoder or advancing any cursor.  The header-peek read path
+(* Positional peeks: read one field out of encoded bytes (a record inside
+   a segment blob) without building a decoder or advancing any cursor.  The header-peek read path
    uses these to extract record headers without allocating payloads. *)
 let peek_u8 b pos = Bytes.get_uint8 b pos
 let peek_i64_int b pos = Int64.to_int (Bytes.get_int64_le b pos)
