@@ -80,19 +80,15 @@ let maybe_emit_fpi t pid page frame lsn =
 
 let modify t txn pid op =
   Sim_clock.advance_us t.clock cpu_op_us;
-  let frame = Buffer_pool.fetch t.pool pid in
-  Fun.protect
-    ~finally:(fun () -> Buffer_pool.unpin t.pool frame)
-    (fun () ->
-      Latch.with_latch (Buffer_pool.frame_latch frame) Latch.Exclusive (fun () ->
-          let page = Buffer_pool.page frame in
-          fire_hooks t pid page;
-          let prev_page_lsn = Page.lsn page in
-          let lsn = Txn_manager.log_page_op t.txns txn ~page:pid ~prev_page_lsn op in
-          Log_record.redo pid op page;
-          Page.set_lsn page lsn;
-          Buffer_pool.mark_dirty t.pool frame ~lsn;
-          maybe_emit_fpi t pid page frame lsn))
+  Buffer_pool.with_frame t.pool pid ~mode:Latch.Exclusive (fun frame ->
+      let page = Buffer_pool.page frame in
+      fire_hooks t pid page;
+      let prev_page_lsn = Page.lsn page in
+      let lsn = Txn_manager.log_page_op t.txns txn ~page:pid ~prev_page_lsn op in
+      Log_record.redo pid op page;
+      Page.set_lsn page lsn;
+      Buffer_pool.mark_dirty t.pool frame ~lsn;
+      maybe_emit_fpi t pid page frame lsn)
 
 let read t pid f =
   Sim_clock.advance_us t.clock (cpu_op_us /. 2.0);
@@ -103,16 +99,12 @@ let resident_at t pid lsn = Buffer_pool.resident_at t.pool pid lsn
 let page_writer t : Txn_manager.page_writer =
  fun pid apply ->
   Sim_clock.advance_us t.clock cpu_op_us;
-  let frame = Buffer_pool.fetch t.pool pid in
-  Fun.protect
-    ~finally:(fun () -> Buffer_pool.unpin t.pool frame)
-    (fun () ->
-      Latch.with_latch (Buffer_pool.frame_latch frame) Latch.Exclusive (fun () ->
-          let page = Buffer_pool.page frame in
-          fire_hooks t pid page;
-          let lsn = apply page in
-          Buffer_pool.mark_dirty t.pool frame ~lsn;
-          maybe_emit_fpi t pid page frame lsn))
+  Buffer_pool.with_frame t.pool pid ~mode:Latch.Exclusive (fun frame ->
+      let page = Buffer_pool.page frame in
+      fire_hooks t pid page;
+      let lsn = apply page in
+      Buffer_pool.mark_dirty t.pool frame ~lsn;
+      maybe_emit_fpi t pid page frame lsn)
 
 let snapshot_page_image t pid =
   Buffer_pool.with_page t.pool pid ~mode:Latch.Shared (fun page -> Bytes.to_string page)

@@ -17,29 +17,47 @@ type source = {
 }
 
 type frame = {
-  id : Page_id.t;
+  key : int; (* the page id's int form *)
   page : Page.t;
   mutable pin_count : int;
-  mutable dirty : bool;
+  mutable dirty_ix : int; (* index in the pool's dirty set, or -1 when clean *)
   mutable rec_lsn : Lsn.t;
   mutable last_used : int;
   latch : Latch.t;
 }
 
-(* Frames by page id.  Page ids are dense small integers, so the identity
-   is a good hash, and a lookup skips the polymorphic [Hashtbl.hash]. *)
-module Frames = Hashtbl.Make (struct
-  type t = int
+(* The frame every empty slot of a table and the dirty set holds.  It is
+   one module-level value, so it is in the major heap once a program has
+   run a minor collection, and [Array.make] fills a large array with it
+   without first forcing one (as it must for a young value).  Its key is
+   below every page id's. *)
+let empty =
+  {
+    key = -2;
+    page = Bytes.empty;
+    pin_count = 0;
+    dirty_ix = -1;
+    rec_lsn = Lsn.nil;
+    last_used = 0;
+    latch = Latch.create ();
+  }
 
-  let equal = Int.equal
-  let hash x = x land max_int
-end)
-
+(* Frames live in one open-addressed table of a power-of-two size at least
+   twice the capacity, so it is at most half full.  A page's home slot is
+   its id land [mask] (page ids are dense small integers); a lookup probes
+   forward from there to the page's frame or an empty slot, and a removal
+   shifts the rest of its probe run back (no tombstones).  The dirty
+   frames are also kept in [dirty.(0 .. ndirty - 1)], each knowing its own
+   index there, so a checkpoint reads only them. *)
 type t = {
   capacity : int;
   source : source;
   wal_flush : Lsn.t -> unit;
-  frames : frame Frames.t;
+  slots : frame array;
+  mask : int;
+  mutable count : int;
+  dirty : frame array;
+  mutable ndirty : int;
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -62,11 +80,19 @@ let of_disk disk =
 
 let create ~capacity ~source ?(wal_flush = fun _ -> ()) () =
   if capacity < 1 then invalid_arg "Buffer_pool.create: capacity < 1";
+  let size = ref 2 in
+  while !size < 2 * capacity do
+    size := 2 * !size
+  done;
   {
     capacity;
     source;
     wal_flush;
-    frames = Frames.create (2 * capacity);
+    slots = Array.make !size empty;
+    mask = !size - 1;
+    count = 0;
+    dirty = Array.make capacity empty;
+    ndirty = 0;
     tick = 0;
     hits = 0;
     misses = 0;
@@ -76,85 +102,143 @@ let page f = f.page
 let frame_latch f = f.latch
 let pin_count f = f.pin_count
 let capacity t = t.capacity
-let resident t = Frames.length t.frames
+let resident t = t.count
 let hits t = t.hits
 let misses t = t.misses
 
+(* The frame of page [key], or [empty]: a probe from slot [i] on.  A
+   top-level function, so a lookup allocates no closure. *)
+let rec probe slots mask key i =
+  let f = Array.unsafe_get slots i in
+  if f.key = key || f == empty then f else probe slots mask key ((i + 1) land mask)
+
+let find t key = probe t.slots t.mask key (key land t.mask)
+
+let insert t f =
+  let slots = t.slots and mask = t.mask in
+  let i = ref (f.key land mask) in
+  while Array.unsafe_get slots !i != empty do
+    i := (!i + 1) land mask
+  done;
+  slots.(!i) <- f;
+  t.count <- t.count + 1
+
+(* Empty slot [i] and move each later frame of its probe run whose home
+   slot is not in the cyclic range (i, j] back into the hole. *)
+let remove_slot t i =
+  let slots = t.slots and mask = t.mask in
+  let hole = ref i and j = ref ((i + 1) land mask) in
+  while slots.(!j) != empty do
+    let home = slots.(!j).key land mask in
+    if (!j - home) land mask >= (!j - !hole) land mask then begin
+      slots.(!hole) <- slots.(!j);
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  slots.(!hole) <- empty;
+  t.count <- t.count - 1
+
+let add_dirty t f =
+  f.dirty_ix <- t.ndirty;
+  t.dirty.(t.ndirty) <- f;
+  t.ndirty <- t.ndirty + 1
+
+(* Swap-with-last removal from the dirty set. *)
+let remove_dirty t f =
+  let n = t.ndirty - 1 in
+  let last = t.dirty.(n) in
+  t.dirty.(f.dirty_ix) <- last;
+  last.dirty_ix <- f.dirty_ix;
+  t.dirty.(n) <- empty;
+  t.ndirty <- n;
+  f.dirty_ix <- -1;
+  f.rec_lsn <- Lsn.nil
+
 let write_back t f =
-  if f.dirty then begin
+  if f.dirty_ix >= 0 then begin
     (* WAL rule: the log covering this page's changes must be durable
        before the page overwrites its prior version on disk. *)
     t.wal_flush (Page.lsn f.page);
-    t.source.write f.id f.page;
-    f.dirty <- false;
-    f.rec_lsn <- Lsn.nil;
+    t.source.write (Page_id.of_int f.key) f.page;
+    remove_dirty t f;
     Obs.incr Probes.writebacks
   end
 
+(* The least recently used frame that is neither pinned nor latched.
+   [last_used] values are distinct, so the victim does not depend on the
+   order of the slots. *)
 let evict_one t =
-  let victim = ref None in
-  Frames.iter
-    (fun _ f ->
-      if f.pin_count = 0 && Latch.is_free f.latch then
-        match !victim with
-        | Some v when v.last_used <= f.last_used -> ()
-        | _ -> victim := Some f)
-    t.frames;
-  match !victim with
-  | None -> failwith "Buffer_pool: all frames pinned"
-  | Some f ->
-      write_back t f;
-      Frames.remove t.frames (Page_id.to_int f.id);
-      (* The pool owns its frames (every source returns a private copy),
-         so the victim's buffer can serve the next read. *)
-      Page.release f.page;
-      Obs.incr Probes.evictions
+  let slots = t.slots in
+  let victim = ref (-1) and oldest = ref max_int in
+  for i = 0 to Array.length slots - 1 do
+    let f = Array.unsafe_get slots i in
+    if f != empty && f.pin_count = 0 && f.last_used < !oldest && Latch.is_free f.latch then begin
+      victim := i;
+      oldest := f.last_used
+    end
+  done;
+  if !victim < 0 then failwith "Buffer_pool: all frames pinned";
+  let f = slots.(!victim) in
+  write_back t f;
+  remove_slot t !victim;
+  (* The pool owns its frames (every source returns a private copy), so
+     the victim's buffer can serve the next read. *)
+  Page.release f.page;
+  Obs.incr Probes.evictions
+
+(* The bookkeeping of a miss before the page is read: count, probe,
+   eviction when full, trace. *)
+let miss t pid =
+  t.misses <- t.misses + 1;
+  Obs.incr Probes.fetch_misses;
+  if t.count >= t.capacity then evict_one t;
+  if Trace.on () then
+    Trace.instant ~cat:"buf" ~args:[ ("page", Trace.Int (Page_id.to_int pid)) ] "buf.fetch_miss"
+
+let new_frame t key page ~pin_count =
+  let f =
+    {
+      key;
+      page;
+      pin_count;
+      dirty_ix = -1;
+      rec_lsn = Lsn.nil;
+      last_used = t.tick;
+      latch = Latch.create ();
+    }
+  in
+  insert t f;
+  f
 
 let fetch t pid =
   t.tick <- t.tick + 1;
-  match Frames.find_opt t.frames (Page_id.to_int pid) with
-  | Some f ->
-      t.hits <- t.hits + 1;
-      Obs.incr Probes.fetch_hits;
-      f.pin_count <- f.pin_count + 1;
-      f.last_used <- t.tick;
-      f
-  | None ->
-      t.misses <- t.misses + 1;
-      Obs.incr Probes.fetch_misses;
-      if Frames.length t.frames >= t.capacity then evict_one t;
-      if Trace.on () then
-        Trace.instant ~cat:"buf"
-          ~args:[ ("page", Trace.Int (Page_id.to_int pid)) ]
-          "buf.fetch_miss";
-      let page =
-        match t.source.read_cached with
-        | Some peek -> ( match peek pid with Some p -> p | None -> t.source.read pid)
-        | None -> t.source.read pid
-      in
-      let f =
-        {
-          id = pid;
-          page;
-          pin_count = 1;
-          dirty = false;
-          rec_lsn = Lsn.nil;
-          last_used = t.tick;
-          latch = Latch.create ();
-        }
-      in
-      Frames.replace t.frames (Page_id.to_int pid) f;
-      f
+  let key = Page_id.to_int pid in
+  let f = find t key in
+  if f != empty then begin
+    t.hits <- t.hits + 1;
+    Obs.incr Probes.fetch_hits;
+    f.pin_count <- f.pin_count + 1;
+    f.last_used <- t.tick;
+    f
+  end
+  else begin
+    miss t pid;
+    let page =
+      match t.source.read_cached with
+      | Some peek -> ( match peek pid with Some p -> p | None -> t.source.read pid)
+      | None -> t.source.read pid
+    in
+    new_frame t key page ~pin_count:1
+  end
 
 let resident_lsn t pid =
-  match Frames.find_opt t.frames (Page_id.to_int pid) with
-  | Some f -> Some (Page.lsn f.page)
-  | None -> None
+  let f = find t (Page_id.to_int pid) in
+  if f == empty then None else Some (Page.lsn f.page)
 
 let resident_at t pid lsn =
-  match Frames.find_opt t.frames (Page_id.to_int pid) with
-  | Some f -> Lsn.equal (Page.lsn f.page) lsn
-  | None -> false
+  let f = find t (Page_id.to_int pid) in
+  f != empty && Lsn.equal (Page.lsn f.page) lsn
 
 (* Install an already-read page with exactly the bookkeeping a fetch miss
    would have done — miss count, probe, eviction, trace — minus the pin.
@@ -163,90 +247,104 @@ let resident_at t pid lsn =
    time.  A page that became resident since the caller read its copy is
    left alone: the framed version may be newer. *)
 let admit t pid page =
-  if not (Frames.mem t.frames (Page_id.to_int pid)) then begin
+  let key = Page_id.to_int pid in
+  if find t key == empty then begin
     t.tick <- t.tick + 1;
-    t.misses <- t.misses + 1;
-    Obs.incr Probes.fetch_misses;
-    if Frames.length t.frames >= t.capacity then evict_one t;
-    if Trace.on () then
-      Trace.instant ~cat:"buf"
-        ~args:[ ("page", Trace.Int (Page_id.to_int pid)) ]
-        "buf.fetch_miss";
-    let f =
-      {
-        id = pid;
-        page;
-        pin_count = 0;
-        dirty = false;
-        rec_lsn = Lsn.nil;
-        last_used = t.tick;
-        latch = Latch.create ();
-      }
-    in
-    Frames.replace t.frames (Page_id.to_int pid) f
+    miss t pid;
+    ignore (new_frame t key page ~pin_count:0 : frame)
   end
 
 let unpin _t f =
   if f.pin_count <= 0 then invalid_arg "Buffer_pool.unpin: not pinned";
   f.pin_count <- f.pin_count - 1
 
+(* Latch [frame] in [mode], run [f x], unlatch and unpin, also when [f]
+   raises.  No closure is allocated here. *)
+let run_latched t frame mode f x =
+  let latch = frame.latch in
+  match Latch.acquire latch mode with
+  | exception e ->
+      unpin t frame;
+      raise e
+  | () -> (
+      match f x with
+      | v ->
+          Latch.release latch mode;
+          unpin t frame;
+          v
+      | exception e ->
+          Latch.release latch mode;
+          unpin t frame;
+          raise e)
+
 let with_page t pid ~mode f =
   let frame = fetch t pid in
-  let finally () = unpin t frame in
-  match Latch.with_latch frame.latch mode (fun () -> f frame.page) with
-  | v ->
-      finally ();
-      v
-  | exception e ->
-      finally ();
-      raise e
+  run_latched t frame mode f frame.page
 
-let mark_dirty _t f ~lsn =
-  if not f.dirty then begin
-    f.dirty <- true;
+let with_frame t pid ~mode f =
+  let frame = fetch t pid in
+  run_latched t frame mode f frame
+
+let mark_dirty t f ~lsn =
+  if f.dirty_ix < 0 then begin
+    add_dirty t f;
     f.rec_lsn <- lsn
   end
 
+(* The dirty frames in page-id order, by a merge sort: [Array.sort], a
+   heap sort, took about 1.5x as long on 64 frames. *)
+let dirty_frames t =
+  let a = Array.sub t.dirty 0 t.ndirty in
+  Array.stable_sort (fun a b -> Int.compare a.key b.key) a;
+  a
+
 let dirty_page_table t =
-  Frames.fold (fun _ f acc -> if f.dirty then (f.id, f.rec_lsn) :: acc else acc) t.frames []
-  |> List.sort (fun (a, _) (b, _) -> Page_id.compare a b)
+  Array.fold_right
+    (fun f acc -> (Page_id.of_int f.key, f.rec_lsn) :: acc)
+    (dirty_frames t) []
 
 let flush_all t =
-  let dirty =
-    Frames.fold (fun _ f acc -> if f.dirty then f :: acc else acc) t.frames []
-    |> List.sort (fun a b -> Page_id.compare a.id b.id)
-  in
-  match dirty with
-  | [] -> ()
-  | _ ->
-      let ts = if Trace.on () then Trace.now () else 0.0 in
-      (* One WAL barrier for the whole batch instead of one per page. *)
-      let max_lsn = List.fold_left (fun acc f -> Lsn.max acc (Page.lsn f.page)) Lsn.nil dirty in
-      t.wal_flush max_lsn;
-      (* Page-id order: the head of each contiguous run pays the seek, the
-         rest of the run streams sequentially — the write-side mirror of the
-         rewind gather's run pricing. *)
-      let rec go prev = function
-        | [] -> ()
-        | f :: rest ->
-            let pid = Page_id.to_int f.id in
-            (match t.source.write_seq with
-            | Some wseq when prev >= 0 && pid = prev + 1 -> wseq f.id f.page
-            | _ -> t.source.write f.id f.page);
-            f.dirty <- false;
-            f.rec_lsn <- Lsn.nil;
-            Obs.incr Probes.writebacks;
-            go pid rest
-      in
-      go (-1) dirty;
-      if Trace.on () then
-        Trace.complete ~cat:"buf" ~ts
-          ~args:[ ("pages", Trace.Int (List.length dirty)) ]
-          "buf.flush_all"
+  if t.ndirty > 0 then begin
+    let dirty = dirty_frames t in
+    let ts = if Trace.on () then Trace.now () else 0.0 in
+    (* One WAL barrier for the whole batch instead of one per page. *)
+    let max_lsn = Array.fold_left (fun acc f -> Lsn.max acc (Page.lsn f.page)) Lsn.nil dirty in
+    t.wal_flush max_lsn;
+    (* Page-id order: the head of each contiguous run pays the seek, the
+       rest of the run streams sequentially — the write-side mirror of the
+       rewind gather's run pricing. *)
+    let prev = ref (-1) in
+    Array.iter
+      (fun f ->
+        let pid = Page_id.of_int f.key in
+        (match t.source.write_seq with
+        | Some wseq when !prev >= 0 && f.key = !prev + 1 -> wseq pid f.page
+        | _ -> t.source.write pid f.page);
+        remove_dirty t f;
+        Obs.incr Probes.writebacks;
+        prev := f.key)
+      dirty;
+    if Trace.on () then
+      Trace.complete ~cat:"buf" ~ts
+        ~args:[ ("pages", Trace.Int (Array.length dirty)) ]
+        "buf.flush_all"
+  end
 
 let drop_all t =
-  Frames.iter
-    (fun _ f -> if f.pin_count > 0 then failwith "Buffer_pool.drop_all: frame pinned")
-    t.frames;
-  Frames.iter (fun _ f -> Page.release f.page) t.frames;
-  Frames.reset t.frames
+  let slots = t.slots in
+  for i = 0 to Array.length slots - 1 do
+    if slots.(i).pin_count > 0 then failwith "Buffer_pool.drop_all: frame pinned"
+  done;
+  for i = 0 to Array.length slots - 1 do
+    let f = slots.(i) in
+    if f != empty then begin
+      Page.release f.page;
+      slots.(i) <- empty
+    end
+  done;
+  t.count <- 0;
+  for i = 0 to t.ndirty - 1 do
+    t.dirty.(i).dirty_ix <- -1;
+    t.dirty.(i) <- empty
+  done;
+  t.ndirty <- 0

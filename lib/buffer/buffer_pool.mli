@@ -54,7 +54,12 @@ val unpin : t -> frame -> unit
 
 val with_page :
   t -> Rw_storage.Page_id.t -> mode:Latch.mode -> (Rw_storage.Page.t -> 'a) -> 'a
-(** Fetch, latch, run, unlatch, unpin. *)
+(** Fetch, latch, run, unlatch, unpin (the last two also when the
+    function raises). *)
+
+val with_frame : t -> Rw_storage.Page_id.t -> mode:Latch.mode -> (frame -> 'a) -> 'a
+(** {!with_page} for a caller that also needs the frame, to {!mark_dirty}
+    it. *)
 
 val page : frame -> Rw_storage.Page.t
 (** The in-pool page buffer (mutations require the exclusive latch and a
@@ -63,6 +68,8 @@ val page : frame -> Rw_storage.Page.t
     page bytes past {!unpin} takes a copy. *)
 
 val frame_latch : frame -> Latch.t
+(** (test support: the pool tests check that {!with_page} released it.) *)
+
 val pin_count : frame -> int
 (** (test support: the pool tests check pin accounting.) *)
 

@@ -16,5 +16,12 @@ val create : unit -> t
 
 val is_free : t -> bool
 
+val acquire : t -> mode -> unit
+(** Raises {!Latch_conflict} when [mode] conflicts with the holders. *)
+
+val release : t -> mode -> unit
+(** Give back one hold of [mode]; raises [Invalid_argument] if none is held. *)
+
 val with_latch : t -> mode -> (unit -> 'a) -> 'a
-(** Acquire, run, release (also on exceptions). *)
+(** Acquire, run, release (also on exceptions).  (test support: the pool
+    runs {!acquire} and {!release} itself, so as to allocate no closure.) *)

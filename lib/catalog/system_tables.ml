@@ -30,9 +30,23 @@ type walk = {
   by_name : (string, Schema.table) Hashtbl.t;
 }
 
-type t = { ctx : Access_ctx.t; mutable last : walk option }
+(* [memo_walk], [memo_name] and [memo] are the last [find]: its answer
+   [memo] for [memo_name] in the walk [memo_walk], compared by physical
+   identity.  Every walk is a new record, so the memo never outlives the
+   walk it was read from. *)
+type t = {
+  ctx : Access_ctx.t;
+  mutable last : walk option;
+  mutable memo_walk : walk;
+  mutable memo_name : string;
+  mutable memo : Schema.table option;
+}
 
-let open_ ctx = { ctx; last = None }
+(* Stands for "no walk yet" in [memo_walk]; no walk is this record. *)
+let no_walk =
+  { epoch = -1; pages = []; leaves = Hashtbl.create 1; tables = []; by_name = Hashtbl.create 1 }
+
+let open_ ctx = { ctx; last = None; memo_walk = no_walk; memo_name = ""; memo = None }
 
 let catalog_tree ?seen ctx =
   Btree.of_root (Page_id.of_int (Int64.to_int (Boot.get_exn ?seen ctx Boot.key_catalog_root)))
@@ -94,7 +108,17 @@ let current t =
   | _ -> walk t
 
 let list_tables t = (current t).tables
-let find t name = Hashtbl.find_opt (current t).by_name name
+
+let find t name =
+  let w = current t in
+  if w == t.memo_walk && String.equal name t.memo_name then t.memo
+  else begin
+    let r = Hashtbl.find_opt w.by_name name in
+    t.memo_walk <- w;
+    t.memo_name <- name;
+    t.memo <- r;
+    r
+  end
 
 let find_exn t name =
   match find t name with Some tab -> tab | None -> raise (No_such_table name)

@@ -24,7 +24,10 @@
     the LSN, while crashes, failover cuts and truncation, which recycle
     LSNs, bump the epoch.  Views over another pool (as-of, copy-on-write,
     what-if) open their own handle on their own context, after any loser
-    undo has finished. *)
+    undo has finished.  A {!find} of the name the handle's previous
+    {!find} asked for, answered from the same walk record (the same
+    physical value), returns the previous answer without hashing the
+    name; a new walk record always misses. *)
 
 exception Table_exists of string
 exception No_such_table of string

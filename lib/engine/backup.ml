@@ -121,17 +121,13 @@ let restore_as_of t ~from ~wall_us =
   in
   let losers = Recovery.losers_at ~log ~start:analysis_start ~upto:split_lsn in
   let apply pid f =
-    let frame = Buffer_pool.fetch pool pid in
-    Fun.protect
-      ~finally:(fun () -> Buffer_pool.unpin pool frame)
-      (fun () ->
-        Latch.with_latch (Buffer_pool.frame_latch frame) Latch.Exclusive (fun () ->
-            let p = Buffer_pool.page frame in
-            match f p with
-            | Some lsn ->
-                Page.set_lsn p lsn;
-                Buffer_pool.mark_dirty pool frame ~lsn
-            | None -> Buffer_pool.mark_dirty pool frame ~lsn:split_lsn))
+    Buffer_pool.with_frame pool pid ~mode:Latch.Exclusive (fun frame ->
+        let p = Buffer_pool.page frame in
+        match f p with
+        | Some lsn ->
+            Page.set_lsn p lsn;
+            Buffer_pool.mark_dirty pool frame ~lsn
+        | None -> Buffer_pool.mark_dirty pool frame ~lsn:split_lsn)
   in
   ignore (Recovery.undo_losers ~log ~losers:losers.Recovery.in_flight ~write_clr:false ~apply);
   Buffer_pool.flush_all pool;

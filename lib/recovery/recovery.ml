@@ -380,17 +380,13 @@ let recover ?(now_us = fun () -> 0.0) ~log ~pool () =
   let losers = stats.analysis.losers in
   stats.ended_losers <- Hashtbl.length losers;
   let apply pid f =
-    let frame = Buffer_pool.fetch pool pid in
-    Fun.protect
-      ~finally:(fun () -> Buffer_pool.unpin pool frame)
-      (fun () ->
-        Latch.with_latch (Buffer_pool.frame_latch frame) Latch.Exclusive (fun () ->
-            let p = Buffer_pool.page frame in
-            match f p with
-            | Some lsn ->
-                Page.set_lsn p lsn;
-                Buffer_pool.mark_dirty pool frame ~lsn
-            | None -> ()))
+    Buffer_pool.with_frame pool pid ~mode:Latch.Exclusive (fun frame ->
+        let p = Buffer_pool.page frame in
+        match f p with
+        | Some lsn ->
+            Page.set_lsn p lsn;
+            Buffer_pool.mark_dirty pool frame ~lsn
+        | None -> ())
   in
   let ts = if Trace.on () then Trace.now () else 0.0 in
   stats.undone_ops <- undo_losers ~log ~losers ~write_clr:true ~apply;

@@ -287,6 +287,273 @@ let model_faults_test =
   QCheck.Test.make ~name:"fetched pages equal a string model under bit rot and torn writes"
     ~count:200 model_arb (run_model ~faults:true)
 
+(* --- frame bookkeeping: the pool against a reference map --- *)
+
+(* Random fetch / hold / dirty / admit / flush / drop sequences against a
+   map from page id to (recency tick, page LSN, recovery LSN of a dirty
+   frame, pins).  Pools of 1-6 frames, so most misses evict; page ids are
+   drawn near multiples of the table size (the smallest power of two at
+   least twice the capacity) and above it, so home slots collide and probe
+   runs wrap past the end of the table.  After every step the resident set
+   and each page's LSN ([resident_at], [resident_lsn]), the hit and miss
+   counts, the dirty page table and the writes made so far (page id and
+   random or sequential, in order) must equal the model's. *)
+type frame_op =
+  | Get of int
+  | Hold of int
+  | Unhold
+  | Dirty of int
+  | Admit of int
+  | Flush_all
+  | Drop_all
+
+let show_frame_op = function
+  | Get i -> Printf.sprintf "get %d" i
+  | Hold i -> Printf.sprintf "hold %d" i
+  | Unhold -> "unhold"
+  | Dirty i -> Printf.sprintf "dirty %d" i
+  | Admit i -> Printf.sprintf "admit %d" i
+  | Flush_all -> "flush_all"
+  | Drop_all -> "drop_all"
+
+let table_size capacity =
+  let n = ref 2 in
+  while !n < 2 * capacity do
+    n := 2 * !n
+  done;
+  !n
+
+let frame_case_gen =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun capacity ->
+    let size = table_size capacity in
+    let pid =
+      frequency
+        [
+          (3, map2 (fun k d -> (k * size) + d) (int_bound 3) (int_bound 2));
+          (2, map (fun d -> size - 1 - d) (int_bound 1));
+          (2, int_bound (4 * size));
+        ]
+    in
+    let op =
+      frequency
+        [
+          (4, map (fun i -> Get i) pid);
+          (1, map (fun i -> Hold i) pid);
+          (1, return Unhold);
+          (4, map (fun i -> Dirty i) pid);
+          (2, map (fun i -> Admit i) pid);
+          (1, return Flush_all);
+          (1, return Drop_all);
+        ]
+    in
+    map (fun ops -> (capacity, ops)) (list_size (int_range 1 120) op))
+
+type model_frame = { mutable used : int; mutable lsn : int; mutable rec_lsn : int; mutable pins : int }
+
+let run_frame_model (capacity, ops) =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  (* The source: each page's durable LSN, and a log of the writes. *)
+  let durable = Hashtbl.create 16 in
+  let stored i = Option.value (Hashtbl.find_opt durable i) ~default:0 in
+  let writes = ref [] in
+  let image pid =
+    let p = Page.create ~id:pid ~typ:Page.Heap in
+    Page.set_lsn p (Lsn.of_int (stored (Page_id.to_int pid)));
+    p
+  in
+  let written kind pid p =
+    writes := (Page_id.to_int pid, kind) :: !writes;
+    Hashtbl.replace durable (Page_id.to_int pid) (Lsn.to_int (Page.lsn p))
+  in
+  let source =
+    {
+      Buffer_pool.read = image;
+      write = written `Rand;
+      write_seq = Some (written `Seq);
+      read_cached = None;
+    }
+  in
+  let pool = Buffer_pool.create ~capacity ~source () in
+  let model = Hashtbl.create 16 in
+  let tick = ref 0 and hits = ref 0 and misses = ref 0 and next_lsn = ref 0 in
+  (* The model's own durable LSNs and writes. *)
+  let mdurable = Hashtbl.create 16 in
+  let mstored i = Option.value (Hashtbl.find_opt mdurable i) ~default:0 in
+  let expected_writes = ref [] in
+  let write_back i m kind =
+    expected_writes := (i, kind) :: !expected_writes;
+    Hashtbl.replace mdurable i m.lsn;
+    m.rec_lsn <- 0
+  in
+  let held = ref [] in
+  (* A miss: evict the least recently used unpinned frame when full, or
+     expect the pool to refuse. *)
+  let model_miss i ~pins =
+    incr misses;
+    if Hashtbl.length model >= capacity then begin
+      let victim =
+        Hashtbl.fold
+          (fun j m acc ->
+            match acc with
+            | _ when m.pins > 0 -> acc
+            | Some (_, v) when v.used < m.used -> acc
+            | _ -> Some (j, m))
+          model None
+      in
+      match victim with
+      | None -> false
+      | Some (j, m) ->
+          if m.rec_lsn > 0 then write_back j m `Rand;
+          Hashtbl.remove model j;
+          Hashtbl.replace model i { used = !tick; lsn = mstored i; rec_lsn = 0; pins };
+          true
+    end
+    else begin
+      Hashtbl.replace model i { used = !tick; lsn = mstored i; rec_lsn = 0; pins };
+      true
+    end
+  in
+  (* Fetch [i] in both; [Some frame] pinned, or [None] when every frame
+     is pinned (the pool must then raise). *)
+  let get i =
+    incr tick;
+    let expect =
+      match Hashtbl.find_opt model i with
+      | Some m ->
+          incr hits;
+          m.used <- !tick;
+          m.pins <- m.pins + 1;
+          true
+      | None -> model_miss i ~pins:1
+    in
+    match Buffer_pool.fetch pool (Page_id.of_int i) with
+    | f ->
+        if not expect then fail "fetch %d: the model has every frame pinned" i;
+        Some f
+    | exception Failure _ ->
+        if expect then fail "fetch %d raised" i;
+        None
+  in
+  let release f i =
+    (Hashtbl.find model i).pins <- (Hashtbl.find model i).pins - 1;
+    Buffer_pool.unpin pool f
+  in
+  let check_state step =
+    let universe = Hashtbl.create 16 in
+    List.iter
+      (function
+        | Get i | Hold i | Dirty i | Admit i -> Hashtbl.replace universe i () | _ -> ())
+      ops;
+    Hashtbl.iter
+      (fun i () ->
+        let pid = Page_id.of_int i in
+        match Hashtbl.find_opt model i with
+        | Some m ->
+            if not (Buffer_pool.resident_at pool pid (Lsn.of_int m.lsn)) then
+              fail "%s: page %d not resident at LSN %d" step i m.lsn;
+            if Buffer_pool.resident_lsn pool pid <> Some (Lsn.of_int m.lsn) then
+              fail "%s: resident_lsn of page %d" step i
+        | None ->
+            if Buffer_pool.resident_lsn pool pid <> None then
+              fail "%s: page %d resident, not in the model" step i)
+      universe;
+    if Buffer_pool.resident pool <> Hashtbl.length model then
+      fail "%s: %d resident, model %d" step (Buffer_pool.resident pool) (Hashtbl.length model);
+    if Buffer_pool.hits pool <> !hits || Buffer_pool.misses pool <> !misses then
+      fail "%s: hits/misses %d/%d, model %d/%d" step (Buffer_pool.hits pool)
+        (Buffer_pool.misses pool) !hits !misses;
+    let table =
+      List.map (fun (p, l) -> (Page_id.to_int p, Lsn.to_int l)) (Buffer_pool.dirty_page_table pool)
+    in
+    let want =
+      Hashtbl.fold (fun i m acc -> if m.rec_lsn > 0 then (i, m.rec_lsn) :: acc else acc) model []
+      |> List.sort compare
+    in
+    if table <> want then fail "%s: dirty page table differs from the model" step;
+    if !writes <> !expected_writes then fail "%s: writes differ from the model" step
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Get i -> Option.iter (fun f -> release f i) (get i)
+      | Hold i -> Option.iter (fun f -> held := (f, i) :: !held) (get i)
+      | Unhold ->
+          List.iter (fun (f, i) -> release f i) !held;
+          held := []
+      | Dirty i ->
+          Option.iter
+            (fun f ->
+              incr next_lsn;
+              let m = Hashtbl.find model i in
+              m.lsn <- !next_lsn;
+              if m.rec_lsn = 0 then m.rec_lsn <- !next_lsn;
+              Page.set_lsn (Buffer_pool.page f) (Lsn.of_int !next_lsn);
+              Buffer_pool.mark_dirty pool f ~lsn:(Lsn.of_int !next_lsn);
+              release f i)
+            (get i)
+      | Admit i ->
+          let expect =
+            Hashtbl.mem model i
+            || begin
+              incr tick;
+              model_miss i ~pins:0
+            end
+          in
+          let page = image (Page_id.of_int i) in
+          (match Buffer_pool.admit pool (Page_id.of_int i) page with
+          | () -> if not expect then fail "admit %d: the model has every frame pinned" i
+          | exception Failure _ -> if expect then fail "admit %d raised" i);
+      | Flush_all ->
+          (* Page-id order; a page right after the previous one is a
+             sequential write. *)
+          let dirty =
+            Hashtbl.fold (fun i m acc -> if m.rec_lsn > 0 then i :: acc else acc) model []
+            |> List.sort compare
+          in
+          ignore
+            (List.fold_left
+               (fun prev i ->
+                 write_back i (Hashtbl.find model i)
+                   (if prev >= 0 && i = prev + 1 then `Seq else `Rand);
+                 i)
+               (-1) dirty);
+          Buffer_pool.flush_all pool
+      | Drop_all -> (
+          match Buffer_pool.drop_all pool with
+          | () ->
+              if !held <> [] then fail "drop_all with pinned frames";
+              Hashtbl.reset model
+          | exception Failure _ -> if !held = [] then fail "drop_all raised"));
+      check_state (show_frame_op op))
+    ops;
+  true
+
+let frame_model_test =
+  QCheck.Test.make ~name:"frame table and dirty set equal a reference map" ~count:500
+    (QCheck.make
+       ~print:(fun (capacity, ops) ->
+         Printf.sprintf "capacity %d: %s" capacity
+           (String.concat "; " (List.map show_frame_op ops)))
+       frame_case_gen)
+    run_frame_model
+
+(* The pool's empty slots all hold one frame made when the module starts,
+   so it is old by the time a pool is created: filling a table of 2,048
+   slots with it does not force a minor collection, as filling an array
+   of more than 256 words with a young value does. *)
+let test_create_no_minor_gc () =
+  let source =
+    Buffer_pool.of_disk (Disk.create ~clock:(Sim_clock.create ()) ~media:Media.ram ())
+  in
+  ignore (Buffer_pool.create ~capacity:1024 ~source ());
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let pool = Buffer_pool.create ~capacity:1024 ~source () in
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  check_int "capacity" 1024 (Buffer_pool.capacity pool);
+  check_int "minor collections during create" 0 (after - before)
+
 (* Dropping the pool gives its frames' buffers back: on a fresh domain
    (an empty free list), the next read lands in the dropped frame's
    buffer. *)
@@ -324,5 +591,7 @@ let () =
           Alcotest.test_case "drop_all recycles frames" `Quick test_drop_all_recycles;
           QCheck_alcotest.to_alcotest model_test;
           QCheck_alcotest.to_alcotest model_faults_test;
+          QCheck_alcotest.to_alcotest frame_model_test;
+          Alcotest.test_case "create forces no minor collection" `Quick test_create_no_minor_gc;
         ] );
     ]

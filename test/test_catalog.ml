@@ -401,6 +401,47 @@ let test_memo_recycled_lsn () =
     | None -> false);
   check "equals fresh" true (System_tables.list_tables env.cat = fresh_decode env.ctx)
 
+(* [find] answers a repeated name from the walk it last read it from and
+   from no other: on one handle, a name looked up just before the DDL or
+   the crash that changes its answer gets the new answer. *)
+let test_memo_repeated_name () =
+  let db = mk_db () in
+  check "unknown before creation" true (Database.table db "t" = None);
+  check "still unknown" true (Database.table db "t" = None);
+  create db "t";
+  let first = Option.get (Database.table db "t") in
+  check "created" true (Database.table db "t" = Some first);
+  Database.with_txn db (fun txn -> Database.drop_table db txn "t");
+  check "dropped" true (Database.table db "t" = None);
+  create db "t";
+  let second = Option.get (Database.table db "t") in
+  check "re-created under a new id" true (second.Schema.id <> first.Schema.id);
+  check "re-created, again" true (Database.table db "t" = Some second);
+  agrees "re-created" db;
+  (* A drop in flight at a crash: the loser is undone on restart. *)
+  let txn = Database.begin_txn db in
+  Database.drop_table db txn "t";
+  check "dropped in flight" true (Database.table db "t" = None);
+  Log_manager.flush_all (Database.log db);
+  let db = Database.crash_and_reopen db in
+  check "back after the restart" true (Database.table db "t" = Some second);
+  agrees "after the restart" db;
+  (* The same on one System_tables handle across a crash of its log. *)
+  let env = mk_env () in
+  check "env: unknown" true (System_tables.find env.cat "u" = None);
+  Buffer_pool.flush_all env.pool;
+  Log_manager.flush_all (Access_ctx.log env.ctx);
+  let tab =
+    with_txn env (fun txn ->
+        System_tables.create_table env.cat env.alloc txn ~name:"u" ~kind:Schema.Btree_table
+          ~columns:cols)
+  in
+  check "env: created" true (System_tables.find env.cat "u" = Some tab);
+  Buffer_pool.drop_all env.pool;
+  Log_manager.crash (Access_ctx.log env.ctx);
+  check "env: the unflushed create is gone" true (System_tables.find env.cat "u" = None);
+  check "env: equals fresh" true (System_tables.list_tables env.cat = fresh_decode env.ctx)
+
 (* What a lookup advances: the simulated clock, the pool's hit and miss
    counts and the disk's I/O counters. *)
 let charge env f =
@@ -622,6 +663,7 @@ let () =
           Alcotest.test_case "rewind over ddl" `Quick test_memo_rewind;
           Alcotest.test_case "replica catch-up across ddl" `Quick test_memo_replica;
           Alcotest.test_case "lsn recycled by a crash" `Quick test_memo_recycled_lsn;
+          Alcotest.test_case "repeated name" `Quick test_memo_repeated_name;
           Alcotest.test_case "same modeled charge" `Quick test_memo_same_charges;
           Alcotest.test_case "evicted leaf charged a cold walk" `Quick test_memo_evicted;
           QCheck_alcotest.to_alcotest ddl_history_test;
