@@ -13,7 +13,7 @@
    deterministic: tools/golden holds the expected output of `all --quick`
    and `dune runtest` diffs against it. *)
 
-module Experiments = Rw_workload.Experiments
+module Experiments = Rw_experiments.Experiments
 
 (* --- Bechamel microbenchmarks of the core primitives --- *)
 
@@ -363,6 +363,19 @@ module Micro = struct
       (Staged.stage (fun () ->
            ignore (Rw_recovery.Page_repair.rebuild ~log (Page_id.of_int 0))))
 
+  (* Flush [db]'s pool and keep a copy of every page on its disk; the
+     returned thunk drops the pool and writes the copies back, so each run
+     of a redo row starts from the same pages. *)
+  let restorer db =
+    let disk = Rw_engine.Database.disk db and pool = Rw_engine.Database.pool db in
+    Buffer_pool.flush_all pool;
+    let baseline =
+      List.map (fun pid -> (pid, Disk.read_page_nocost disk pid)) (Disk.written_page_ids disk)
+    in
+    fun () ->
+      Buffer_pool.drop_all pool;
+      List.iter (fun (pid, p) -> Disk.write_page_nocost disk pid (Page.copy p)) baseline
+
   (* Restart recovery at a fixed operating point: a database whose log
      carries a few thousand committed update records past its last
      checkpoint, written in stride order so consecutive records land on
@@ -381,47 +394,13 @@ module Micro = struct
   let recovery_env =
     lazy
       (let module Database = Rw_engine.Database in
-       let module Row = Rw_engine.Row in
-       let module Schema = Rw_catalog.Schema in
-       let clock = Sim_clock.create () in
        let db =
-         Database.create ~name:"bench_rec" ~clock ~media:Media.ram ~pool_capacity:48
-           ~checkpoint_interval_us:1e15 ()
+         Database.create ~name:"bench_rec" ~clock:(Sim_clock.create ()) ~media:Media.ram
+           ~pool_capacity:48 ~checkpoint_interval_us:1e15 ()
        in
-       let cols =
-         [
-           { Schema.name = "id"; ctype = Schema.Int }; { Schema.name = "val"; ctype = Schema.Text };
-         ]
-       in
-       let payload r i = Printf.sprintf "%04d-%06d-%s" r i (String.make 110 'x') in
-       Database.with_txn db (fun txn ->
-           ignore (Database.create_table db txn ~table:"t" ~columns:cols ());
-           for i = 1 to 1600 do
-             Database.insert db txn ~table:"t" [ Row.Int (Int64.of_int i); Row.Text (payload 0 i) ]
-           done);
-       ignore (Database.checkpoint db);
-       for r = 1 to 4 do
-         Database.with_txn db (fun txn ->
-             for j = 0 to 1599 do
-               let i = (j * 37 mod 1600) + 1 in
-               Database.update db txn ~table:"t" [ Row.Int (Int64.of_int i); Row.Text (payload r i) ]
-             done)
-       done;
-       Log_manager.flush_all (Database.log db);
-       let disk = Database.disk db in
-       let pool = Database.pool db in
-       Buffer_pool.flush_all pool;
-       let baseline = ref [] in
-       for i = 0 to Disk.page_count disk - 1 do
-         let pid = Page_id.of_int i in
-         if Disk.has_page disk pid then
-           baseline := (pid, Page.copy (Disk.read_page_nocost disk pid)) :: !baseline
-       done;
-       let restore () =
-         Buffer_pool.drop_all pool;
-         List.iter (fun (pid, p) -> Disk.write_page_nocost disk pid (Page.copy p)) !baseline
-       in
-       (Database.log db, pool, restore))
+       Rw_experiments.Harness.load_rows db ~rows:1600;
+       Rw_experiments.Harness.rewrite_rows db ~rows:1600 ~rounds:4;
+       (Database.log db, Database.pool db, restorer db))
 
   let test_recovery_analysis =
     Test.make ~name:"recovery-analysis-only"
@@ -458,37 +437,17 @@ module Micro = struct
   let replica_env =
     lazy
       (let module Database = Rw_engine.Database in
-       let module Row = Rw_engine.Row in
-       let module Schema = Rw_catalog.Schema in
        let clock = Sim_clock.create () in
        let db =
          Database.create ~name:"bench_repl_prim" ~clock ~media:Media.ram ~pool_capacity:48
            ~checkpoint_interval_us:1e15 ()
        in
-       let cols =
-         [
-           { Schema.name = "id"; ctype = Schema.Int }; { Schema.name = "val"; ctype = Schema.Text };
-         ]
-       in
-       let payload r i = Printf.sprintf "%04d-%06d-%s" r i (String.make 110 'x') in
-       Database.with_txn db (fun txn ->
-           ignore (Database.create_table db txn ~table:"t" ~columns:cols ());
-           for i = 1 to 1600 do
-             Database.insert db txn ~table:"t" [ Row.Int (Int64.of_int i); Row.Text (payload 0 i) ]
-           done);
-       ignore (Database.checkpoint db);
+       Rw_experiments.Harness.load_rows db ~rows:1600;
        let path = Filename.temp_file "bench_replica" ".db" in
        Database.save db ~path;
        let rdb = Database.load ~clock ~media:Media.ram ~path () in
        Sys.remove path;
-       for r = 1 to 4 do
-         Database.with_txn db (fun txn ->
-             for j = 0 to 1599 do
-               let i = (j * 37 mod 1600) + 1 in
-               Database.update db txn ~table:"t" [ Row.Int (Int64.of_int i); Row.Text (payload r i) ]
-             done)
-       done;
-       Log_manager.flush_all (Database.log db);
+       Rw_experiments.Harness.rewrite_rows db ~rows:1600 ~rounds:4;
        let rlog = Database.log rdb in
        let from = Log_manager.end_lsn rlog in
        let rec pump lsn =
@@ -499,20 +458,7 @@ module Micro = struct
              pump ex.Log_manager.ex_next
        in
        pump from;
-       let rdisk = Database.disk rdb in
-       let rpool = Database.pool rdb in
-       Buffer_pool.flush_all rpool;
-       let baseline = ref [] in
-       for i = 0 to Disk.page_count rdisk - 1 do
-         let pid = Page_id.of_int i in
-         if Disk.has_page rdisk pid then
-           baseline := (pid, Page.copy (Disk.read_page_nocost rdisk pid)) :: !baseline
-       done;
-       let restore () =
-         Buffer_pool.drop_all rpool;
-         List.iter (fun (pid, p) -> Disk.write_page_nocost rdisk pid (Page.copy p)) !baseline
-       in
-       (rlog, rpool, from, Log_manager.end_lsn rlog, restore))
+       (rlog, Database.pool rdb, from, Log_manager.end_lsn rlog, restorer rdb))
 
   (* What-if selective undo at a fixed operating point: a 64-transaction
      single-table history whose first half chains through shared pages
@@ -679,12 +625,10 @@ let () =
       | "all" -> Experiments.run_all ~quick ()
       | "micro" -> Micro.run ()
       | _ -> (
-          match Experiments.of_string arg with
-          | Some fig -> Experiments.run ~quick fig
+          match List.assoc_opt arg Experiments.all with
+          | Some run -> run ~quick ()
           | None ->
-              Printf.eprintf
-                "unknown experiment %S (expected: fig5..fig11, sec6_3, sec6_4, e8..e12, \
-                 ablation, faults, explain, segments, micro, all)\n"
-                arg;
+              Printf.eprintf "unknown experiment %S (expected: %s, micro, all)\n" arg
+                (String.concat ", " (List.map fst Experiments.all));
               exit 2))
     (if args = [] then [ "all" ] else args)

@@ -14,8 +14,8 @@ module Sim_clock = Rw_storage.Sim_clock
 module Engine = Rw_engine.Engine
 module Executor = Rw_sql.Executor
 module Tpcc = Rw_workload.Tpcc
-module Experiments = Rw_workload.Experiments
-module Twin = Rw_workload.Twin
+module Soaks = Rw_experiments.Soaks
+module Twin = Rw_experiments.Twin
 module Trace = Rw_obs.Trace
 module Metrics = Rw_obs.Metrics
 
@@ -543,23 +543,23 @@ let faultsoak seeds crash_points quick =
   soak
     ~title:(Printf.sprintf "fault-injection soak: %d crash points each" crash_points)
     ~what:"crash points" seeds quick
-    (fun () -> Experiments.crash_repair_campaign ~seeds ~crash_points ~quick ())
+    (fun () -> Soaks.crash_repair_campaign ~seeds ~crash_points ~quick ())
 
 let replsoak seeds quick =
   soak
     ~title:
       ("replication soak: scenarios "
-      ^ String.concat "," (List.map Experiments.repl_scenario_name Experiments.repl_scenarios))
+      ^ String.concat "," (List.map Soaks.repl_scenario_name Soaks.repl_scenarios))
     ~what:"replication runs" seeds quick
-    (fun () -> Experiments.repl_soak_campaign ~seeds ~quick ())
+    (fun () -> Soaks.repl_soak_campaign ~seeds ~quick ())
 
 let whatifsoak seeds quick =
   soak
     ~title:
       ("what-if soak: scenarios "
-      ^ String.concat "," (List.map Experiments.whatif_scenario_name Experiments.whatif_scenarios))
+      ^ String.concat "," (List.map Soaks.whatif_scenario_name Soaks.whatif_scenarios))
     ~what:"what-if runs" seeds quick
-    (fun () -> Experiments.whatif_soak_campaign ~seeds ~quick ())
+    (fun () -> Soaks.whatif_soak_campaign ~seeds ~quick ())
 
 (* --- cmdliner wiring --- *)
 
@@ -608,50 +608,36 @@ let demo_cmd =
     (Cmd.info "demo" ~doc:"Shell against a pre-loaded TPC-C-like database")
     Term.(const demo $ media_term $ txns)
 
+(* The soak commands' shared flags; [doc] names what each command seeds. *)
+let seeds_term doc =
+  Arg.(value & opt (list int) [ 11; 23; 47 ] & info [ "seeds" ] ~docv:"SEEDS" ~doc)
+
+let quick_term =
+  Arg.(value & flag & info [ "quick" ] ~doc:"Shrink the workload for smoke runs.")
+
 let faultsoak_cmd =
-  let seeds =
-    Arg.(
-      value
-      & opt (list int) [ 11; 23; 47 ]
-      & info [ "seeds" ] ~docv:"SEEDS" ~doc:"Comma-separated fault-plan seeds.")
-  in
   let points =
     Arg.(
       value & opt int 4
       & info [ "crash-points" ] ~docv:"N" ~doc:"Random crash points per seed.")
   in
-  let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Shrink the workload for smoke runs.") in
   Cmd.v
     (Cmd.info "faultsoak"
        ~doc:
          "Crash/corruption soak: run TPC-C under fault injection, crash at random points, \
           recover, repair, and verify against a fault-free oracle (exit 1 on any violation)")
-    Term.(const faultsoak $ seeds $ points $ quick)
+    Term.(const faultsoak $ seeds_term "Comma-separated fault-plan seeds." $ points $ quick_term)
 
 let replsoak_cmd =
-  let seeds =
-    Arg.(
-      value
-      & opt (list int) [ 11; 23; 47 ]
-      & info [ "seeds" ] ~docv:"SEEDS" ~doc:"Comma-separated workload/channel seeds.")
-  in
-  let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Shrink the workload for smoke runs.") in
   Cmd.v
     (Cmd.info "replsoak"
        ~doc:
          "Replication soak: replica crash mid-catch-up, sustained lag, network partition and \
           primary failover, each converging byte-equal (canonical page form) to a fault-free \
           single-node oracle (exit 1 on any divergence)")
-    Term.(const replsoak $ seeds $ quick)
+    Term.(const replsoak $ seeds_term "Comma-separated workload/channel seeds." $ quick_term)
 
 let whatifsoak_cmd =
-  let seeds =
-    Arg.(
-      value
-      & opt (list int) [ 11; 23; 47 ]
-      & info [ "seeds" ] ~docv:"SEEDS" ~doc:"Comma-separated workload seeds.")
-  in
-  let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Shrink the workload for smoke runs.") in
   Cmd.v
     (Cmd.info "whatifsoak"
        ~doc:
@@ -660,7 +646,7 @@ let whatifsoak_cmd =
           verify both byte-equal (canonical masked pages + rows + pre-victim as-of) against \
           an oracle replaying the history minus the victim from scratch (exit 1 on any \
           inequality)")
-    Term.(const whatifsoak $ seeds $ quick)
+    Term.(const whatifsoak $ seeds_term "Comma-separated workload seeds." $ quick_term)
 
 let main =
   Cmd.group ~default:Term.(const repl $ media_term)

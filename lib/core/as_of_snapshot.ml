@@ -16,7 +16,7 @@ module Trace = Rw_obs.Trace
 
 (* Cost accounting for EXPLAIN: every page rewound on behalf of this
    snapshot is recorded, so a bracketing reader (the SQL executor, the
-   Experiments table) can attribute exact per-page work to one query by
+   EXPLAIN experiment) can attribute exact per-page work to one query by
    diffing [rewind_count]/[side_file_hits] around it. *)
 type rewind_cost = { rc_page : Page_id.t; rc_ops : int; rc_log_reads : int; rc_fpi : bool }
 

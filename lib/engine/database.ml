@@ -652,11 +652,7 @@ let scrub t =
      so the clock is credited down to the slowest partition). *)
   let repaired_before = (Disk.stats t.disk).Rw_storage.Io_stats.pages_repaired in
   let wal_flush lsn = Txn_manager.flush_log t.txns ~upto:lsn in
-  let candidates = ref [] in
-  for i = Disk.page_count t.disk - 1 downto 0 do
-    let pid = Page_id.of_int i in
-    if Disk.has_page t.disk pid then candidates := pid :: !candidates
-  done;
+  let candidates = Disk.written_page_ids t.disk in
   (* Batch bound: keeps residency classification fresh relative to the
      evictions our own admissions cause, and bounds gather-copy memory. *)
   let batch_size = max 1 (Buffer_pool.capacity t.pool / 2) in
@@ -729,7 +725,7 @@ let scrub t =
         sweep_batch batch;
         sweep rest
   in
-  sweep !candidates;
+  sweep candidates;
   (Disk.stats t.disk).Rw_storage.Io_stats.pages_repaired - repaired_before
 
 (* --- crash simulation --- *)

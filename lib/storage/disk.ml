@@ -43,6 +43,13 @@ let written_pages t =
   Array.iter (function Some _ -> incr n | None -> ()) t.pages;
   !n
 
+let written_page_ids t =
+  let ids = ref [] in
+  for i = Array.length t.pages - 1 downto 0 do
+    if t.pages.(i) <> None then ids := Page_id.of_int i :: !ids
+  done;
+  !ids
+
 let ensure_capacity t n =
   if n > Array.length t.pages then begin
     let cap = ref (Array.length t.pages) in

@@ -47,6 +47,9 @@ val has_page : t -> Page_id.t -> bool
 val written_pages : t -> int
 (** Number of pages with real content (excludes zero-filled holes). *)
 
+val written_page_ids : t -> Page_id.t list
+(** The pages {!has_page} holds, ascending. *)
+
 val read_page : t -> Page_id.t -> Page.t
 (** Random read of one page; returns a private copy the caller owns (see
     {!Page.t}). *)

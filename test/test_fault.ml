@@ -18,8 +18,8 @@ module Row = Rw_engine.Row
 module Schema = Rw_catalog.Schema
 module Metrics = Rw_obs.Metrics
 module Probes = Rw_obs.Probes
-module Experiments = Rw_workload.Experiments
-module Twin = Rw_workload.Twin
+module Soaks = Rw_experiments.Soaks
+module Twin = Rw_experiments.Twin
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -235,7 +235,7 @@ let test_crash_point_campaign () =
   let live () = Metrics.gauge_value Probes.snapshots_live in
   let live0 = live () in
   let rows =
-    Experiments.crash_repair_campaign ~seeds:[ 11; 23 ] ~crash_points:5 ~quick:true ()
+    Soaks.crash_repair_campaign ~seeds:[ 11; 23 ] ~crash_points:5 ~quick:true ()
   in
   check "every twin snapshot dropped" true (live () = live0);
   check_int "ten crash points" 10 (List.length rows);

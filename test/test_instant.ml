@@ -18,8 +18,8 @@ module Schema = Rw_catalog.Schema
 module Session_manager = Rw_session.Session_manager
 module Metrics = Rw_obs.Metrics
 module Probes = Rw_obs.Probes
-module Experiments = Rw_workload.Experiments
-module Twin = Rw_workload.Twin
+module Soaks = Rw_experiments.Soaks
+module Twin = Rw_experiments.Twin
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -265,7 +265,7 @@ let test_chain_replay_equals_log_scan () =
 
 let test_instant_fault_campaign () =
   let fault_rows =
-    Experiments.crash_repair_campaign ~instant:true ~seeds:[ 11 ] ~crash_points:3 ~quick:true ()
+    Soaks.crash_repair_campaign ~instant:true ~seeds:[ 11 ] ~crash_points:3 ~quick:true ()
   in
   check "campaign produced rows" true (fault_rows <> []);
   List.iter

@@ -32,7 +32,7 @@ module Replica = Rw_repl.Replica
 module Shipper = Rw_repl.Shipper
 module Failover = Rw_repl.Failover
 module Tpcc = Rw_workload.Tpcc
-module Twin = Rw_workload.Twin
+module Twin = Rw_experiments.Twin
 module Metrics = Rw_obs.Metrics
 module Probes = Rw_obs.Probes
 
@@ -484,7 +484,7 @@ let test_rejoin_torn_tail () =
 let test_repl_soak () =
   let live () = Metrics.gauge_value Probes.snapshots_live in
   let live0 = live () in
-  let rows = Rw_workload.Experiments.repl_soak_campaign ~seeds:[ 11 ] ~quick:true () in
+  let rows = Rw_experiments.Soaks.repl_soak_campaign ~seeds:[ 11 ] ~quick:true () in
   check "every twin snapshot dropped" (live () = live0) true;
   check_int "four scenarios" 4 (List.length rows);
   List.iter

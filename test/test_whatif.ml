@@ -17,8 +17,8 @@ module Dep_graph = Rw_whatif.Dep_graph
 module Selective = Rw_whatif.Selective
 module Metrics = Rw_obs.Metrics
 module Probes = Rw_obs.Probes
-module Experiments = Rw_workload.Experiments
-module Twin = Rw_workload.Twin
+module Soaks = Rw_experiments.Soaks
+module Twin = Rw_experiments.Twin
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -122,7 +122,7 @@ let test_repair_vs_oracle () =
 let test_soak_campaign () =
   let live () = Metrics.gauge_value Probes.snapshots_live in
   let live0 = live () in
-  let rows = Experiments.whatif_soak_campaign ~seeds:[ 11; 23; 47 ] ~quick:true () in
+  let rows = Soaks.whatif_soak_campaign ~seeds:[ 11; 23; 47 ] ~quick:true () in
   check "every twin snapshot dropped" true (live () = live0);
   check_int "three scenarios at three seeds" 9 (List.length rows);
   List.iter

@@ -8,7 +8,8 @@ module Database = Rw_engine.Database
 module Engine = Rw_engine.Engine
 module Row = Rw_engine.Row
 module Tpcc = Rw_workload.Tpcc
-module Twin = Rw_workload.Twin
+module Twin = Rw_experiments.Twin
+module Experiments = Rw_experiments.Experiments
 module Metrics = Rw_obs.Metrics
 module Probes = Rw_obs.Probes
 
@@ -154,6 +155,25 @@ let test_twin_page_check () =
     [ false; true ];
   check "comparison snapshots dropped" true (live () = live0)
 
+(* --- the experiment table --- *)
+
+(* bench/main.exe looks its arguments up in the table by name: every name
+   must be unique and find its own runner, and a name the table lacks
+   (including the two bench handles itself, [all] and [micro]) must find
+   nothing. *)
+let test_experiment_table () =
+  let find name = List.assoc_opt name Experiments.all in
+  let names = List.map fst Experiments.all in
+  check_int "names are unique" (List.length names) (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun (name, run) ->
+      check (name ^ " resolves to its own entry") true
+        (match find name with Some r -> r == run | None -> false))
+    Experiments.all;
+  List.iter
+    (fun name -> check (Printf.sprintf "%S is refused" name) true (find name = None))
+    [ ""; "fig12"; "FIG5"; "fig5 "; "all"; "micro" ]
+
 let () =
   Alcotest.run "workload"
     [
@@ -170,4 +190,6 @@ let () =
         ] );
       ( "twin",
         [ Alcotest.test_case "page check sees one diverged row" `Quick test_twin_page_check ] );
+      ( "experiments",
+        [ Alcotest.test_case "names resolve to their entries" `Quick test_experiment_table ] );
     ]

@@ -67,12 +67,13 @@ dune exec examples/point_in_time_audit.exe | tail -n 1 |
 echo "examples ok"
 
 echo "== every exported value has a caller =="
-# A `val NAME` of a library interface must appear, as a whole word, in some
-# .ml outside its own module; an export nothing uses is deleted instead.
-unused=$(for mli in lib/*/*.mli; do
+# A `val NAME` of a library interface (the engine's or the experiments')
+# must appear, as a whole word, in some .ml outside its own module; an
+# export nothing uses is deleted instead.
+unused=$(for mli in lib/*/*.mli experiments/*.mli; do
   own=${mli%.mli}.ml
   for name in $(sed -n "s/^ *val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli" | sort -u); do
-    find lib bin bench rwbench examples test -name '*.ml' ! -path "$own" |
+    find lib experiments bin bench rwbench examples test -name '*.ml' ! -path "$own" |
       xargs grep -lw -- "$name" | grep -q . || echo "$mli: $name"
   done
 done)
