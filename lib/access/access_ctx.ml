@@ -1,6 +1,7 @@
 module Page = Rw_storage.Page
 module Page_id = Rw_storage.Page_id
 module Lsn = Rw_storage.Lsn
+module Int_tbl = Rw_storage.Int_tbl
 module Sim_clock = Rw_storage.Sim_clock
 module Log_record = Rw_wal.Log_record
 module Log_manager = Rw_wal.Log_manager
@@ -18,7 +19,7 @@ type t = {
   log : Log_manager.t;
   clock : Sim_clock.t;
   fpi : fpi;
-  since_image : (int, int) Hashtbl.t;
+  since_image : int Int_tbl.t;
       (* page -> modifications ([Every_mods]) or chain bytes
          ([Budget_bytes]) logged since its last image *)
   mutable hooks : (int * (Page_id.t -> Page.t -> unit)) list;
@@ -35,7 +36,7 @@ let create ~pool ~txns ~log ~clock ?(fpi = default_fpi) () =
     log;
     clock;
     fpi;
-    since_image = Hashtbl.create 256;
+    since_image = Int_tbl.create 256;
     hooks = [];
     next_hook = 0;
   }
@@ -68,14 +69,14 @@ let maybe_emit_fpi t pid page frame lsn =
   in
   if limit > 0 then begin
     let key = Page_id.to_int pid in
-    let n = (match Hashtbl.find_opt t.since_image key with Some n -> n | None -> 0) + step in
+    let n = (match Int_tbl.find t.since_image key with n -> n | exception Not_found -> 0) + step in
     if n >= limit then begin
-      Hashtbl.replace t.since_image key 0;
+      Int_tbl.replace t.since_image key 0;
       let lsn = Log_manager.append_image t.log ~page:pid ~prev_page_lsn:(Page.lsn page) page in
       Page.set_lsn page lsn;
       Buffer_pool.mark_dirty t.pool frame ~lsn
     end
-    else Hashtbl.replace t.since_image key n
+    else Int_tbl.replace t.since_image key n
   end
 
 let modify t txn pid op =

@@ -24,25 +24,53 @@ let covers held req =
   | IS, IS -> true
   | _ -> false
 
-type t = { table : (resource, (Txn_id.t * mode) list ref) Hashtbl.t }
+module Res_tbl = Hashtbl.Make (struct
+  type t = resource
 
-let create () = { table = Hashtbl.create 256 }
+  let equal a b =
+    match (a, b) with
+    | Table x, Table y -> Int.equal x y
+    | Row (tx, kx), Row (ty, ky) -> Int.equal tx ty && Int64.equal kx ky
+    | Table _, Row _ | Row _, Table _ -> false
 
-let holders t res =
-  match Hashtbl.find_opt t.table res with
-  | Some l -> l
-  | None ->
-      let l = ref [] in
-      Hashtbl.replace t.table res l;
-      l
+  let hash = function Table x -> x | Row (tid, key) -> (Int64.to_int key * 31) + tid
+end)
 
+module Int_tbl = Rw_storage.Int_tbl
+
+type t = {
+  table : (Txn_id.t * mode) list ref Res_tbl.t;
+      (* resource -> its holders; an entry exists only while someone
+         holds the resource *)
+  held : resource list ref Int_tbl.t;
+      (* txn -> every resource it holds, so [release_all] visits only
+         those *)
+}
+
+let create () = { table = Res_tbl.create 256; held = Int_tbl.create 16 }
+
+let rec mode_of txn = function
+  | [] -> None
+  | (id, m) :: rest -> if Txn_id.equal id txn then Some m else mode_of txn rest
+
+let others_than txn l = List.filter (fun (id, _) -> not (Txn_id.equal id txn)) l
+
+let note_held t txn res =
+  let key = Txn_id.to_int txn in
+  match Int_tbl.find t.held key with
+  | l -> l := res :: !l
+  | exception Not_found -> Int_tbl.add t.held key (ref [ res ])
+
+(* Nothing is stored before the request is granted, so a refused request
+   leaves the table as it found it. *)
 let acquire t txn res mode =
-  let l = holders t res in
-  let mine = List.assoc_opt txn !l in
+  let cell = Res_tbl.find_opt t.table res in
+  let l = match cell with Some l -> !l | None -> [] in
+  let mine = mode_of txn l in
   match mine with
   | Some held when covers held mode -> ()
-  | _ ->
-      let others = List.filter (fun (id, _) -> not (Txn_id.equal id txn)) !l in
+  | _ -> (
+      let others = others_than txn l in
       List.iter (fun (_, m) -> if not (compatible m mode) then raise (Lock_conflict res)) others;
       (* Upgrade = combine held and requested into the weakest covering mode. *)
       let final =
@@ -54,23 +82,30 @@ let acquire t txn res mode =
         | Some IX, S | Some S, IX | Some _, X | Some X, _ -> X
         | Some _, m -> m
       in
-      l := (txn, final) :: others
+      (match cell with
+      | Some cell -> cell := (txn, final) :: others
+      | None -> Res_tbl.add t.table res (ref [ (txn, final) ]));
+      match mine with None -> note_held t txn res | Some _ -> ())
 
 let release_all t txn =
-  let empty = ref [] in
-  Hashtbl.iter
-    (fun res l ->
-      l := List.filter (fun (id, _) -> not (Txn_id.equal id txn)) !l;
-      if !l = [] then empty := res :: !empty)
-    t.table;
-  List.iter (Hashtbl.remove t.table) !empty
+  let key = Txn_id.to_int txn in
+  match Int_tbl.find_opt t.held key with
+  | None -> ()
+  | Some held ->
+      Int_tbl.remove t.held key;
+      List.iter
+        (fun res ->
+          match Res_tbl.find_opt t.table res with
+          | None -> ()
+          | Some l ->
+              match others_than txn !l with
+              | [] -> Res_tbl.remove t.table res
+              | rest -> l := rest)
+        !held
 
 let holds t txn res mode =
-  match Hashtbl.find_opt t.table res with
+  match Res_tbl.find_opt t.table res with
   | None -> false
-  | Some l -> (
-      match List.assoc_opt txn !l with
-      | Some held -> covers held mode
-      | None -> false)
+  | Some l -> ( match mode_of txn !l with Some held -> covers held mode | None -> false)
 
-let lock_count t = Hashtbl.fold (fun _ l acc -> acc + List.length !l) t.table 0
+let lock_count t = Res_tbl.fold (fun _ l acc -> acc + List.length !l) t.table 0

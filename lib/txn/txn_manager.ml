@@ -1,6 +1,7 @@
 module Lsn = Rw_storage.Lsn
 module Page = Rw_storage.Page
 module Page_id = Rw_storage.Page_id
+module Int_tbl = Rw_storage.Int_tbl
 module Sim_clock = Rw_storage.Sim_clock
 module Io_stats = Rw_storage.Io_stats
 module Txn_id = Rw_wal.Txn_id
@@ -25,7 +26,7 @@ type t = {
   log : Log_manager.t;
   locks : Lock_manager.t;
   mutable next_id : Txn_id.t;
-  active : (int, txn) Hashtbl.t;
+  active : txn Int_tbl.t;
   mutable policy : policy;
   mutable waiters : waiter list; (* newest first *)
   mutable oldest_wait_us : float; (* arrival time of the oldest waiter *)
@@ -40,7 +41,7 @@ let create ~log ~locks =
     log;
     locks;
     next_id = Txn_id.of_int 1;
-    active = Hashtbl.create 64;
+    active = Int_tbl.create 64;
     policy = immediate;
     waiters = [];
     oldest_wait_us = 0.0;
@@ -68,7 +69,7 @@ let begin_txn t =
     Log_manager.append t.log (Log_record.make ~txn:id ~prev_txn_lsn:Lsn.nil Log_record.Begin)
   in
   txn.last_lsn <- lsn;
-  Hashtbl.replace t.active (Txn_id.to_int id) txn;
+  Int_tbl.replace t.active (Txn_id.to_int id) txn;
   txn
 
 let active_txns t =
@@ -76,13 +77,13 @@ let active_txns t =
      whether the commit record itself is durable, and a checkpoint's flush
      (which covers the commit record, appended before the checkpoint record)
      makes it so. *)
-  Hashtbl.fold
+  Int_tbl.fold
     (fun _ txn acc -> if txn.state = Active then (txn.id, txn.last_lsn) :: acc else acc)
     t.active []
   |> List.sort (fun (a, _) (b, _) -> Txn_id.compare a b)
 
 let active_count t =
-  Hashtbl.fold (fun _ txn n -> if txn.state = Active then n + 1 else n) t.active 0
+  Int_tbl.fold (fun _ txn n -> if txn.state = Active then n + 1 else n) t.active 0
 
 let lock t txn res mode =
   if txn.state <> Active then invalid_arg "Txn_manager.lock: txn not active";
@@ -221,4 +222,4 @@ let rollback t txn ~write_page =
 
 let finished t txn =
   if txn.state = Active then invalid_arg "Txn_manager.finished: txn still active";
-  Hashtbl.remove t.active (Txn_id.to_int txn.id)
+  Int_tbl.remove t.active (Txn_id.to_int txn.id)

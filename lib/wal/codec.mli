@@ -1,4 +1,6 @@
-(** Binary encoding helpers shared by log-record and row serialisation. *)
+(** Binary encoding helpers of row and catalog serialisation, and the
+    readers of log records.  A log record is written in place by
+    [Log_record]'s own writer, straight into its segment blob. *)
 
 type encoder
 

@@ -7,6 +7,7 @@
 
 module Lsn = Rw_storage.Lsn
 module Page_id = Rw_storage.Page_id
+module Int_tbl = Rw_storage.Int_tbl
 open Log_segments
 
 (* Modeled index footprint per entry: the record's two-word directory
@@ -22,34 +23,27 @@ let idx_ctl_bytes = 25
 (* ---------- per-segment directories ---------- *)
 
 let push_descending table key lsn =
-  let l =
-    match Hashtbl.find_opt table key with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.replace table key l;
-        l
-  in
-  l := lsn :: !l
+  match Int_tbl.find table key with
+  | l -> l := lsn :: !l
+  | exception Not_found -> Int_tbl.add table key (ref [ lsn ])
 
 (* A page's chain slice is a sorted array (appends arrive in LSN order),
    so [chain_segment] is binary searches plus [Array.sub] per touched
    segment — no list walk, no per-record allocation. *)
 let chain_push tbl key lsn =
-  let c =
-    match Hashtbl.find_opt tbl key with
-    | Some c -> c
-    | None ->
-        let c = { arr = Array.make 8 0; len = 0 } in
-        Hashtbl.replace tbl key c;
-        c
-  in
-  if c.len = Array.length c.arr then c.arr <- grow ~floor:8 c.arr ~used:c.len ~need:(c.len + 1) 0;
-  c.arr.(c.len) <- Lsn.to_int lsn;
-  c.len <- c.len + 1
+  match Int_tbl.find tbl key with
+  | c ->
+      if c.len = Array.length c.arr then
+        c.arr <- grow ~floor:8 c.arr ~used:c.len ~need:(c.len + 1) 0;
+      c.arr.(c.len) <- Lsn.to_int lsn;
+      c.len <- c.len + 1
+  | exception Not_found ->
+      let arr = Array.make 8 0 in
+      arr.(0) <- Lsn.to_int lsn;
+      Int_tbl.add tbl key { arr; len = 1 }
 
 let chain_remove tbl key lsn =
-  match Hashtbl.find_opt tbl key with
+  match Int_tbl.find_opt tbl key with
   | None -> ()
   | Some c ->
       (* Removals come from the tail drops, which discard newest-first, so
@@ -146,63 +140,70 @@ let rec listed page = function
 
 let writes_page acc page =
   match acc.a_pages with
-  | Some tbl -> Hashtbl.mem tbl (Page_id.to_int page)
+  | Some tbl -> Int_tbl.mem tbl (Page_id.to_int page)
   | None -> listed page acc.a_writes_rev
 
-let note_txn t pk lsn ~wall =
-  let txn = pk.Log_record.p_txn in
-  let key = Txn_id.to_int txn in
-  let acc =
-    match Hashtbl.find_opt t.txn_index key with
-    | None when Lsn.is_nil pk.Log_record.p_prev_txn_lsn && not (Txn_id.is_nil txn) ->
-        let a =
-          {
-            a_txn = txn;
-            a_first = lsn;
-            a_commit = Lsn.nil;
-            a_wall = 0.0;
-            a_aborted = false;
-            a_ops = 0;
-            a_clrs = 0;
-            a_structural = 0;
-            a_writes_rev = [];
-            a_npages = 0;
-            a_pages = None;
-          }
-        in
-        Hashtbl.replace t.txn_index key a;
-        Some a
-    | found -> found
+let open_acc t key txn lsn =
+  let a =
+    {
+      a_txn = txn;
+      a_first = lsn;
+      a_commit = Lsn.nil;
+      a_wall = 0.0;
+      a_aborted = false;
+      a_ops = 0;
+      a_clrs = 0;
+      a_structural = 0;
+      a_writes_rev = [];
+      a_npages = 0;
+      a_pages = None;
+    }
   in
-  match (acc, pk.Log_record.p_kind) with
-  | None, _ -> ()
-  | Some acc, Log_record.K_commit ->
+  Int_tbl.add t.txn_index key a;
+  a
+
+let note_acc acc pk lsn ~wall =
+  match pk.Log_record.p_kind with
+  | Log_record.K_commit ->
       acc.a_commit <- lsn;
       acc.a_wall <- wall
-  | Some acc, Log_record.K_abort -> acc.a_aborted <- true
-  | Some acc, ((Log_record.K_page_op _ | Log_record.K_clr _) as kind) ->
+  | Log_record.K_abort -> acc.a_aborted <- true
+  | (Log_record.K_page_op _ | Log_record.K_clr _) as kind ->
       count_op acc kind 1;
       let page = pk.Log_record.p_page in
       if not (writes_page acc page) then begin
         acc.a_writes_rev <- (page, lsn) :: acc.a_writes_rev;
         acc.a_npages <- acc.a_npages + 1;
         match acc.a_pages with
-        | Some tbl -> Hashtbl.replace tbl (Page_id.to_int page) ()
+        | Some tbl -> Int_tbl.replace tbl (Page_id.to_int page) ()
         | None when acc.a_npages > page_scan_limit ->
-            let tbl = Hashtbl.create (2 * acc.a_npages) in
-            List.iter (fun (p, _) -> Hashtbl.replace tbl (Page_id.to_int p) ()) acc.a_writes_rev;
+            let tbl = Int_tbl.create (2 * acc.a_npages) in
+            List.iter (fun (p, _) -> Int_tbl.replace tbl (Page_id.to_int p) ()) acc.a_writes_rev;
             acc.a_pages <- Some tbl
         | None -> ()
       end
-  | Some _, (Log_record.K_begin | Log_record.K_end | Log_record.K_checkpoint) -> ()
+  | Log_record.K_begin | Log_record.K_end | Log_record.K_checkpoint -> ()
+
+(* Records outside any transaction (nil txn: images, checkpoints) have
+   no summary. *)
+let note_txn t pk lsn ~wall =
+  let txn = pk.Log_record.p_txn in
+  if not (Txn_id.is_nil txn) then begin
+    let key = Txn_id.to_int txn in
+    match Int_tbl.find t.txn_index key with
+    | acc -> note_acc acc pk lsn ~wall
+    | exception Not_found ->
+        if Lsn.is_nil pk.Log_record.p_prev_txn_lsn then
+          note_acc (open_acc t key txn lsn) pk lsn ~wall
+  end
 
 (* The exact reversal of [note_txn], for a record that is the newest of
    its transaction (tail drops shed records newest first). *)
 let unnote_txn t pk lsn =
   let key = Txn_id.to_int pk.Log_record.p_txn in
-  match Hashtbl.find_opt t.txn_index key with
+  match Int_tbl.find_opt t.txn_index key with
   | None -> ()
-  | Some acc when Lsn.equal lsn acc.a_first -> Hashtbl.remove t.txn_index key
+  | Some acc when Lsn.equal lsn acc.a_first -> Int_tbl.remove t.txn_index key
   | Some acc -> (
       match pk.Log_record.p_kind with
       | Log_record.K_commit ->
@@ -217,7 +218,7 @@ let unnote_txn t pk lsn =
               acc.a_npages <- acc.a_npages - 1;
               match acc.a_pages with
               | Some _ when acc.a_npages <= page_scan_limit -> acc.a_pages <- None
-              | Some tbl -> Hashtbl.remove tbl (Page_id.to_int page)
+              | Some tbl -> Int_tbl.remove tbl (Page_id.to_int page)
               | None -> ())
           | _ -> ()))
 
@@ -225,11 +226,11 @@ let unnote_txn t pk lsn =
    no longer be rewound or replayed; drop them wholesale. *)
 let drop_txns_before t lsn =
   let dead =
-    Hashtbl.fold
+    Int_tbl.fold
       (fun key acc dead -> if Lsn.(acc.a_first < lsn) then key :: dead else dead)
       t.txn_index []
   in
-  List.iter (Hashtbl.remove t.txn_index) dead
+  List.iter (Int_tbl.remove t.txn_index) dead
 
 (* ---------- indexing one record ---------- *)
 
@@ -269,7 +270,7 @@ let unindex_record t seg i =
   let sub = ref idx_record_bytes in
   (match pk.Log_record.p_kind with
   | Log_record.K_page_op Log_record.K_full_image ->
-      (match Hashtbl.find_opt seg.s_fpi (Page_id.to_int pk.Log_record.p_page) with
+      (match Int_tbl.find_opt seg.s_fpi (Page_id.to_int pk.Log_record.p_page) with
       | Some l -> l := List.filter (fun f -> not (Lsn.equal f lsn)) !l
       | None -> ());
       sub := !sub + idx_fpi_bytes
@@ -346,7 +347,7 @@ let earliest_fpi_after t page ~after =
   while !res = None && !si < t.seg_hi do
     let s = t.segs.(!si) in
     if s.s_end > ai + 1 then begin
-      match Hashtbl.find_opt s.s_fpi pid with
+      match Int_tbl.find_opt s.s_fpi pid with
       | None -> ()
       | Some l ->
           (* The list is descending; the earliest FPI still > after is the
@@ -379,7 +380,7 @@ let chain_segment t page ~from ~down_to =
     for si = t.seg_lo to t.seg_hi - 1 do
       let s = t.segs.(si) in
       if s.s_end > dt + 1 && s.s_base <= from_i then
-        match Hashtbl.find_opt s.s_chains pid with
+        match Int_tbl.find_opt s.s_chains pid with
         | None -> ()
         | Some c ->
             (* the chain's LSNs in (dt, from] *)
@@ -404,19 +405,21 @@ let chain_segment t page ~from ~down_to =
         Lsn.of_int_array out
   end
 
+(* Ascending page ids, each once, whatever order the chain tables
+   iterate in. *)
 let pages_changed_since t ~since =
-  let acc = Hashtbl.create 64 in
+  let acc = ref [] in
   let tb = Lsn.to_int t.truncated_below in
   for si = t.seg_lo to t.seg_hi - 1 do
     let s = t.segs.(si) in
     if s.s_end > Lsn.to_int since + 1 then
-      Hashtbl.iter
+      Int_tbl.iter
         (fun page c ->
           if c.len > 0 && c.arr.(c.len - 1) > Lsn.to_int since && c.arr.(c.len - 1) >= tb then
-            Hashtbl.replace acc page ())
+            acc := page :: !acc)
         s.s_chains
   done;
-  Hashtbl.fold (fun p () l -> Page_id.of_int p :: l) acc []
+  List.map Page_id.of_int (List.sort_uniq Int.compare !acc)
 
 type txn_summary = {
   ts_txn : Txn_id.t;
@@ -444,11 +447,11 @@ let summary_of a =
   }
 
 let txn_summaries t =
-  Hashtbl.fold (fun _ a acc -> if committed a then summary_of a :: acc else acc) t.txn_index []
+  Int_tbl.fold (fun _ a acc -> if committed a then summary_of a :: acc else acc) t.txn_index []
   |> List.sort (fun x y -> Lsn.compare x.ts_commit_lsn y.ts_commit_lsn)
 
 let txn_resolution t txn =
-  match Hashtbl.find_opt t.txn_index (Txn_id.to_int txn) with
+  match Int_tbl.find_opt t.txn_index (Txn_id.to_int txn) with
   | None -> `Unknown
   | Some a ->
       if a.a_aborted then `Aborted else if committed a then `Committed else `Active

@@ -58,7 +58,7 @@ let create ~clock ~media ?(cache_blocks = 128) ?(block_bytes = 65536)
     loaded_count = 0;
     dropped_count = 0;
     invalidation_epoch = 0;
-    txn_index = Hashtbl.create 64;
+    txn_index = Rw_storage.Int_tbl.create 64;
     torn = [];
   }
 
@@ -124,15 +124,15 @@ let txn_resolution = Log_index.txn_resolution
 
 (* ---------- append path ---------- *)
 
-(* The one ingestion step of [append], [restore_entries] and
-   [ingest_entries]: place an encoded record and index it.  Bytes from
-   outside the process have passed their CRC check by now; bytes [append]
-   encoded need none. *)
+(* The ingestion step of [restore_entries] and [ingest_entries]: place
+   an encoded record and index it.  Their bytes come from outside the
+   process and have passed their CRC check by now. *)
 let place t data lsn =
   let len = String.length data in
   let seg = reserve t lsn len in
-  Bytes.blit_string data 0 seg.s_blob (Lsn.to_int lsn - seg.s_base) len;
-  Log_index.index_record t seg (Log_record.peek data) lsn;
+  let pos = Lsn.to_int lsn - seg.s_base in
+  Bytes.blit_string data 0 seg.s_blob pos len;
+  Log_index.index_record t seg (Log_record.peek_bytes seg.s_blob ~pos ~len) lsn;
   seg
 
 (* The write-path accounting every new tail record pays. *)
@@ -143,11 +143,14 @@ let appended t seg lsn len =
   Obs.add Probes.log_append_bytes len;
   if full t seg then seal_segment t seg else update_resident_gauge t
 
+(* Encoded once, straight into the segment blob, and indexed from the
+   record's own fields: no intermediate string and no header parse. *)
 let append t record =
-  let data = Log_record.encode record in
-  let len = String.length data in
+  let len = Log_record.encoded_size record in
   let lsn = t.end_lsn in
-  let seg = place t data lsn in
+  let seg = reserve t lsn len in
+  Log_record.encode_into record seg.s_blob ~pos:(Lsn.to_int lsn - seg.s_base);
+  Log_index.index_record t seg (Log_record.peek_of record ~len) lsn;
   appended t seg lsn len;
   lsn
 

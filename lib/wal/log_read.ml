@@ -14,14 +14,14 @@ open Log_segments
 
 (* ---------- the block cache ---------- *)
 
-let blocks_of t lsn len =
-  let first = (Lsn.to_int lsn - 1) / t.block_bytes in
-  let last = (Lsn.to_int lsn - 1 + max 0 (len - 1)) / t.block_bytes in
-  (first, last)
+(* The first and last block of the [len] bytes at [lsn]. *)
+let first_block t lsn = (Lsn.to_int lsn - 1) / t.block_bytes
+let last_block t lsn len = (Lsn.to_int lsn - 1 + max 0 (len - 1)) / t.block_bytes
 
+(* A new record almost always lands in the block the previous one
+   touched, which [Lru.use] finds at the head and leaves there. *)
 let touch_cache_on_append t lsn len =
-  let first, last = blocks_of t lsn len in
-  for b = first to last do
+  for b = first_block t lsn to last_block t lsn len do
     ignore (Lru.use t.cache b)
   done
 
@@ -39,8 +39,7 @@ let charge_miss t ~seq ~cold =
   end
 
 let charge_blocks t seg lsn len =
-  let first, last = blocks_of t lsn len in
-  for b = first to last do
+  for b = first_block t lsn to last_block t lsn len do
     if Lru.use t.cache b then t.io.Io_stats.log_block_hits <- t.io.Io_stats.log_block_hits + 1
     else charge_miss t ~seq:false ~cold:(not seg.s_resident)
   done
@@ -96,7 +95,7 @@ let gather_page t lsns need =
   iter_ascending t lsns (fun k s pos len ->
       let li = s.s_base + pos in
       if li + len - 1 > !covered then begin
-        let first_b, last_b = blocks_of t (Lsn.of_int li) len in
+        let first_b = first_block t (Lsn.of_int li) and last_b = last_block t (Lsn.of_int li) len in
         need first_b last_b (not s.s_resident);
         covered := (last_b + 1) * t.block_bytes
       end;

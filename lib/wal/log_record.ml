@@ -101,37 +101,73 @@ let field_of_code = function
   | 3 -> Level
   | c -> invalid_arg (Printf.sprintf "Log_record: bad header field %d" c)
 
-let encode_op e op =
-  let open Codec in
+(* --- the writer ---
+
+   One writer lays out every record: [encoded_size] measures it first,
+   so the log can reserve its span in the segment blob, and [encode_into]
+   fills that span in one pass and closes it with the CRC trailer.  Each
+   [put_*] writes one field at [p] and returns the position after it. *)
+
+let put_u8 b p v =
+  Bytes.set_uint8 b p v;
+  p + 1
+
+let put_u16 b p v =
+  Bytes.set_uint16_le b p v;
+  p + 2
+
+let put_u32 b p v =
+  Bytes.set_int32_le b p (Int32.of_int v);
+  p + 4
+
+let put_int b p v =
+  Bytes.set_int64_le b p (Int64.of_int v);
+  p + 8
+
+let put_i64 b p v =
+  Bytes.set_int64_le b p v;
+  p + 8
+
+let put_f64 b p v = put_i64 b p (Int64.bits_of_float v)
+
+let put_string b p s =
+  Bytes.blit_string s 0 b p (String.length s);
+  p + String.length s
+
+let put_str16 b p s = put_string b (put_u16 b p (String.length s)) s
+let put_str32 b p s = put_string b (put_u32 b p (String.length s)) s
+
+(* A u16-length-prefixed string's size; the length is checked here, while
+   sizing, so a record the writer refuses never reaches the log. *)
+let str16_size s =
+  if String.length s > 0xFFFF then invalid_arg "Codec.str16: too long";
+  2 + String.length s
+
+let op_size = function
+  | Insert_row { row; _ } | Delete_row { row; _ } -> 3 + str16_size row
+  | Update_row { before; after; _ } -> 3 + str16_size before + str16_size after
+  | Set_header _ -> 18
+  | Format _ -> 3
+  | Preformat { prev_image = s } | Full_image { image = s } -> 5 + String.length s
+
+let op_tag = function
+  | Insert_row _ -> 0
+  | Delete_row _ -> 1
+  | Update_row _ -> 2
+  | Set_header _ -> 3
+  | Format _ -> 4
+  | Preformat _ -> 5
+  | Full_image _ -> 6
+
+let put_op b p op =
+  let p = put_u8 b p (op_tag op) in
   match op with
-  | Insert_row { slot; row } ->
-      u8 e 0;
-      u16 e slot;
-      str16 e row
-  | Delete_row { slot; row } ->
-      u8 e 1;
-      u16 e slot;
-      str16 e row
-  | Update_row { slot; before; after } ->
-      u8 e 2;
-      u16 e slot;
-      str16 e before;
-      str16 e after
+  | Insert_row { slot; row } | Delete_row { slot; row } -> put_str16 b (put_u16 b p slot) row
+  | Update_row { slot; before; after } -> put_str16 b (put_str16 b (put_u16 b p slot) before) after
   | Set_header { field; before; after } ->
-      u8 e 3;
-      u8 e (field_code field);
-      i64 e before;
-      i64 e after
-  | Format { typ; level } ->
-      u8 e 4;
-      u8 e (Page.type_code typ);
-      u8 e level
-  | Preformat { prev_image } ->
-      u8 e 5;
-      str32 e prev_image
-  | Full_image { image } ->
-      u8 e 6;
-      str32 e image
+      put_i64 b (put_i64 b (put_u8 b p (field_code field)) before) after
+  | Format { typ; level } -> put_u8 b (put_u8 b p (Page.type_code typ)) level
+  | Preformat { prev_image = image } | Full_image { image } -> put_str32 b p image
 
 let decode_op d =
   let open Codec in
@@ -162,52 +198,65 @@ let decode_op d =
   | 6 -> Full_image { image = get_str32 d }
   | c -> invalid_arg (Printf.sprintf "Log_record: bad op kind %d" c)
 
+(* Every record opens with txn and prev_txn_lsn, then the body tag; a
+   page record continues with page and prev_page_lsn ([Clr]: and
+   undo_next) before its op.  The layout is spelled out at the header
+   peek below. *)
+let put_head b p ~txn ~prev_txn_lsn tag =
+  put_u8 b (put_int b (put_int b p (Txn_id.to_int txn)) (Lsn.to_int prev_txn_lsn)) tag
+
+let put_page_head b p ~txn ~prev_txn_lsn tag ~page ~prev_page_lsn =
+  put_int b
+    (put_int b (put_head b p ~txn ~prev_txn_lsn tag) (Page_id.to_int page))
+    (Lsn.to_int prev_page_lsn)
+
+(* CRC-32 trailer over everything before it: recovery uses it to tell a
+   whole record from a torn tail (see Log_manager.repair_tail). *)
+let put_crc b ~pos p = Bytes.set_int32_le b p (Checksum.crc32 b ~pos ~len:(p - pos))
+
+(* txn and prev_txn_lsn, the body from its tag on, the CRC trailer *)
+let encoded_size t =
+  16
+  + (match t.body with
+    | Begin | Abort | End -> 1
+    | Commit _ -> 9
+    | Checkpoint { active_txns; dirty_pages; _ } ->
+        17 + (16 * (List.length active_txns + List.length dirty_pages))
+    | Page_op { op; _ } -> 17 + op_size op
+    | Clr { op; _ } -> 25 + op_size op)
+  + 4
+
+let put_pairs b p l to_int =
+  List.fold_left
+    (fun p (x, lsn) -> put_int b (put_int b p (to_int x)) (Lsn.to_int lsn))
+    (put_u32 b p (List.length l))
+    l
+
+let encode_into t b ~pos =
+  let txn = t.txn and prev_txn_lsn = t.prev_txn_lsn in
+  let p =
+    match t.body with
+    | Begin -> put_head b pos ~txn ~prev_txn_lsn 0
+    | Commit { wall_us } -> put_f64 b (put_head b pos ~txn ~prev_txn_lsn 1) wall_us
+    | Abort -> put_head b pos ~txn ~prev_txn_lsn 2
+    | End -> put_head b pos ~txn ~prev_txn_lsn 3
+    | Checkpoint { wall_us; active_txns; dirty_pages } ->
+        let p = put_f64 b (put_head b pos ~txn ~prev_txn_lsn 4) wall_us in
+        put_pairs b (put_pairs b p active_txns Txn_id.to_int) dirty_pages Page_id.to_int
+    | Page_op { page; prev_page_lsn; op } ->
+        put_op b (put_page_head b pos ~txn ~prev_txn_lsn 5 ~page ~prev_page_lsn) op
+    | Clr { page; prev_page_lsn; op; undo_next } ->
+        put_op b
+          (put_int b
+             (put_page_head b pos ~txn ~prev_txn_lsn 6 ~page ~prev_page_lsn)
+             (Lsn.to_int undo_next))
+          op
+  in
+  put_crc b ~pos p
+
 let encode t =
-  let open Codec in
-  let e = encoder () in
-  i64_int e (Txn_id.to_int t.txn);
-  i64_int e (Lsn.to_int t.prev_txn_lsn);
-  (match t.body with
-  | Begin -> u8 e 0
-  | Commit { wall_us } ->
-      u8 e 1;
-      f64 e wall_us
-  | Abort -> u8 e 2
-  | End -> u8 e 3
-  | Checkpoint { wall_us; active_txns; dirty_pages } ->
-      u8 e 4;
-      f64 e wall_us;
-      u32 e (List.length active_txns);
-      List.iter
-        (fun (txn, lsn) ->
-          i64_int e (Txn_id.to_int txn);
-          i64_int e (Lsn.to_int lsn))
-        active_txns;
-      u32 e (List.length dirty_pages);
-      List.iter
-        (fun (page, lsn) ->
-          i64_int e (Page_id.to_int page);
-          i64_int e (Lsn.to_int lsn))
-        dirty_pages
-  | Page_op { page; prev_page_lsn; op } ->
-      u8 e 5;
-      i64_int e (Page_id.to_int page);
-      i64_int e (Lsn.to_int prev_page_lsn);
-      encode_op e op
-  | Clr { page; prev_page_lsn; op; undo_next } ->
-      u8 e 6;
-      i64_int e (Page_id.to_int page);
-      i64_int e (Lsn.to_int prev_page_lsn);
-      i64_int e (Lsn.to_int undo_next);
-      encode_op e op);
-  (* CRC-32 trailer over everything before it: recovery uses it to tell a
-     whole record from a torn tail (see Log_manager.repair_tail). *)
-  let body = to_string e in
-  let n = String.length body in
-  let crc = Checksum.crc32 (Bytes.unsafe_of_string body) ~pos:0 ~len:n in
-  let b = Bytes.create (n + 4) in
-  Bytes.blit_string body 0 b 0 n;
-  Bytes.set_int32_le b n crc;
+  let b = Bytes.create (encoded_size t) in
+  encode_into t b ~pos:0;
   Bytes.unsafe_to_string b
 
 (* Smallest encodable record: txn + prev_txn_lsn + tag + CRC trailer. *)
@@ -305,15 +354,14 @@ type peek = {
   p_len : int;  (** encoded length, i.e. the record's LSN footprint *)
 }
 
-let op_kind_of_tag = function
-  | 0 -> K_insert_row
-  | 1 -> K_delete_row
-  | 2 -> K_update_row
-  | 3 -> K_set_header
-  | 4 -> K_format
-  | 5 -> K_preformat
-  | 6 -> K_full_image
-  | c -> invalid_arg (Printf.sprintf "Log_record.peek: bad op kind %d" c)
+(* Indexed by op tag ([op_tag]). *)
+let op_kinds =
+  [| K_insert_row; K_delete_row; K_update_row; K_set_header; K_format; K_preformat; K_full_image |]
+
+(* The kinds of page records, one shared value per op kind, so neither
+   peek allocates one. *)
+let page_op_kinds = Array.map (fun k -> K_page_op k) op_kinds
+let clr_kinds = Array.map (fun k -> K_clr k) op_kinds
 
 (* Where the [width]-byte header field at offset [off] of a record of
    [len] bytes starting at [pos] lies; a field past the record's end
@@ -333,16 +381,35 @@ let peek_head b ~pos ~p_len =
       in
       { p_txn; p_prev_txn_lsn; p_kind; p_page = Page_id.nil; p_prev_page_lsn = Lsn.nil; p_len }
   | (5 | 6) as tag ->
-      let op = op_kind_of_tag (Codec.peek_u8 b (header_field pos p_len (if tag = 5 then 33 else 41) 1)) in
+      let op = Codec.peek_u8 b (header_field pos p_len (if tag = 5 then 33 else 41) 1) in
+      if op >= Array.length op_kinds then
+        invalid_arg (Printf.sprintf "Log_record.peek: bad op kind %d" op);
       {
         p_txn;
         p_prev_txn_lsn;
-        p_kind = (if tag = 5 then K_page_op op else K_clr op);
+        p_kind = (if tag = 5 then page_op_kinds else clr_kinds).(op);
         p_page = Page_id.of_int (Codec.peek_i64_int b (header_field pos p_len 17 8));
         p_prev_page_lsn = Lsn.of_int (Codec.peek_i64_int b (header_field pos p_len 25 8));
         p_len;
       }
   | c -> invalid_arg (Printf.sprintf "Log_record.peek: bad record kind %d" c)
+
+(* The header of [t] encoded in [len] bytes, from its fields: what
+   [peek_bytes] would read back from the encoding. *)
+let peek_fields t ~len p_kind p_page p_prev_page_lsn =
+  { p_txn = t.txn; p_prev_txn_lsn = t.prev_txn_lsn; p_kind; p_page; p_prev_page_lsn; p_len = len }
+
+let peek_of t ~len =
+  match t.body with
+  | Begin -> peek_fields t ~len K_begin Page_id.nil Lsn.nil
+  | Commit _ -> peek_fields t ~len K_commit Page_id.nil Lsn.nil
+  | Abort -> peek_fields t ~len K_abort Page_id.nil Lsn.nil
+  | End -> peek_fields t ~len K_end Page_id.nil Lsn.nil
+  | Checkpoint _ -> peek_fields t ~len K_checkpoint Page_id.nil Lsn.nil
+  | Page_op { page; prev_page_lsn; op } ->
+      peek_fields t ~len page_op_kinds.(op_tag op) page prev_page_lsn
+  | Clr { page; prev_page_lsn; op; _ } ->
+      peek_fields t ~len clr_kinds.(op_tag op) page prev_page_lsn
 
 let peek s = peek_head (Bytes.unsafe_of_string s) ~pos:0 ~p_len:(String.length s)
 let peek_bytes b ~pos ~len = peek_head b ~pos ~p_len:len
@@ -430,16 +497,12 @@ let image_at = 38
 let image_record_size = image_at + Page.page_size + 4
 
 let encode_image_into b ~pos ~page ~prev_page_lsn image =
-  Bytes.set_int64_le b pos (Int64.of_int (Txn_id.to_int Txn_id.nil));
-  Bytes.set_int64_le b (pos + 8) (Int64.of_int (Lsn.to_int Lsn.nil));
-  Bytes.set_uint8 b (pos + 16) 5;
-  Bytes.set_int64_le b (pos + 17) (Int64.of_int (Page_id.to_int page));
-  Bytes.set_int64_le b (pos + 25) (Int64.of_int (Lsn.to_int prev_page_lsn));
-  Bytes.set_uint8 b (pos + 33) 6;
-  Bytes.set_int32_le b (pos + 34) (Int32.of_int Page.page_size);
-  Bytes.blit image 0 b (pos + image_at) Page.page_size;
-  let n = image_at + Page.page_size in
-  Bytes.set_int32_le b (pos + n) (Checksum.crc32 b ~pos ~len:n)
+  let p =
+    put_page_head b pos ~txn:Txn_id.nil ~prev_txn_lsn:Lsn.nil 5 ~page ~prev_page_lsn
+  in
+  let p = put_u32 b (put_u8 b p 6) Page.page_size in
+  Bytes.blit image 0 b p Page.page_size;
+  put_crc b ~pos (p + Page.page_size)
 
 let image_in_place b ~pos ~len ~page p =
   if

@@ -89,7 +89,19 @@ val invert : op -> op option
 
 val encode : t -> string
 (** The encoding ends in a CRC-32 trailer over the preceding bytes, so a
-    torn or corrupted record is detectable without attempting a decode. *)
+    torn or corrupted record is detectable without attempting a decode.
+    The string form of {!encode_into}, which the log's append uses. *)
+
+val encoded_size : t -> int
+(** The length of [encode t], computed without encoding.  Raises
+    [Invalid_argument] where {!encode} would, on a row or image too long
+    for its length field, so a record the writer refuses is refused
+    before the log reserves room for it. *)
+
+val encode_into : t -> bytes -> pos:int -> unit
+(** [encode_into t b ~pos] writes [encode t] at
+    [b.[pos .. pos + encoded_size t - 1]], CRC trailer included: the
+    log's append writes each record once, straight into its segment. *)
 
 val decode : string -> t
 (** Parses an encoded record.  The CRC trailer is not checked: the log
@@ -142,12 +154,19 @@ type peek = {
 
 val peek : string -> peek
 (** O(1) header extraction from an encoded record; never allocates row or
-    page-image payloads.  Raises [Invalid_argument] on corrupt input. *)
+    page-image payloads.  Raises [Invalid_argument] on corrupt input.
+    (test support: the record tests peek encoded strings; the log peeks
+    in place, {!peek_bytes}, or from the fields, {!peek_of}.) *)
 
 val peek_bytes : bytes -> pos:int -> len:int -> peek
 (** {!peek} of the encoded record occupying [b.[pos .. pos+len-1]] — the
     in-place variant used when records live inside a log-segment blob.
     Reads the header where it sits and copies nothing. *)
+
+val peek_of : t -> len:int -> peek
+(** [peek_of t ~len] is [peek (encode t)] for a record whose encoding is
+    [len] bytes long, taken from [t]'s fields without reading the
+    encoding: how the append path indexes the record it just wrote. *)
 
 val check_bytes : bytes -> pos:int -> len:int -> bool
 (** {!check} of the encoded record occupying [b.[pos .. pos+len-1]],

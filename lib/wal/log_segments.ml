@@ -6,6 +6,7 @@
 
 module Lsn = Rw_storage.Lsn
 module Page_id = Rw_storage.Page_id
+module Int_tbl = Rw_storage.Int_tbl
 module Media = Rw_storage.Media
 module Sim_clock = Rw_storage.Sim_clock
 module Io_stats = Rw_storage.Io_stats
@@ -58,8 +59,8 @@ type segment = {
   mutable s_blob : Bytes.t; (* encoded payloads, contiguous from s_base *)
   mutable s_sealed : bool;
   mutable s_resident : bool; (* payload still counted as modeled RAM *)
-  s_fpi : (int, Lsn.t list ref) Hashtbl.t; (* page -> descending FPI lsns *)
-  s_chains : (int, chain) Hashtbl.t; (* page -> ascending page-record lsns *)
+  s_fpi : Lsn.t list ref Int_tbl.t; (* page -> descending FPI lsns *)
+  s_chains : chain Int_tbl.t; (* page -> ascending page-record lsns *)
   s_ctl : ctl_dir;
   mutable s_index_bytes : int;
       (* modeled footprint of this segment's index structures; freed
@@ -81,7 +82,7 @@ type txn_acc = {
   mutable a_structural : int;
   mutable a_writes_rev : (Page_id.t * Lsn.t) list; (* newest-first, first-write lsn per page *)
   mutable a_npages : int; (* length of a_writes_rev *)
-  mutable a_pages : (int, unit) Hashtbl.t option;
+  mutable a_pages : unit Int_tbl.t option;
       (* the pages of a_writes_rev, built only once they outnumber
          [Log_index.page_scan_limit]; below that a scan of the list
          answers membership *)
@@ -118,7 +119,7 @@ type t = {
          counter and lazily discard entries from older epochs; ordinary
          appends never bump it, because chain rewinds are deterministic
          over an append-only history. *)
-  txn_index : (int, txn_acc) Hashtbl.t;
+  txn_index : txn_acc Int_tbl.t;
       (* Per-transaction write-set summaries (unmodeled metadata), kept
          exact record by record alongside the segment directories, so
          dependency-graph construction never scans the log. *)
@@ -141,8 +142,8 @@ let mk_segment ~segment_bytes base =
     s_blob = Bytes.create (max segment_bytes 64 + Log_record.image_record_size);
     s_sealed = false;
     s_resident = true;
-    s_fpi = Hashtbl.create 8;
-    s_chains = Hashtbl.create 16;
+    s_fpi = Int_tbl.create 8;
+    s_chains = Int_tbl.create 16;
     s_ctl =
       {
         c_n = 0;
@@ -340,10 +341,13 @@ let push_seg t seg =
 
 let seal_segment t ?(priced = true) seg =
   seg.s_sealed <- true;
-  (* Immutable from here on: shrink the working arrays to fit. *)
+  (* Immutable from here on: shrink the working arrays to fit.  The blob
+     is copied only when its unused tail is more than an eighth of the
+     payload, as with small segments: a full-size segment keeps its few
+     KiB of image slack rather than copying every record a second time. *)
   if Array.length seg.s_lsns > seg.s_n then seg.s_lsns <- Array.sub seg.s_lsns 0 seg.s_n;
   let used = seg_used seg in
-  if Bytes.length seg.s_blob > used then seg.s_blob <- Bytes.sub seg.s_blob 0 used;
+  if Bytes.length seg.s_blob - used > used / 8 then seg.s_blob <- Bytes.sub seg.s_blob 0 used;
   t.sealed_count <- t.sealed_count + 1;
   Obs.incr Probes.log_segments_sealed;
   (* Spill: the payload leaves modeled RAM, priced as the sequential

@@ -209,21 +209,26 @@ let order_status t =
       if next_o > 1 then ignore (Database.get t.db ~table:"orders" ~key:(order_key ~w ~d ~o:(next_o - 1)))
   | None -> ()
 
+(* Each distinct item of the district's last 20 orders is looked up
+   once, in the order of its first order line; [seen] is a bitmap over
+   the item ids [1 .. config.items]. *)
 let stock_level db config ~w ~d ~threshold =
-  ignore config;
   let drow = get_exn db ~table:"district" ~key:(district_key ~w ~d) in
   let next_o = get_int drow 1 in
   let first_o = max 1 (next_o - 20) in
   let low = ref 0 in
-  let seen = Hashtbl.create 64 in
+  let seen = Bytes.make ((config.items + 8) / 8) '\000' in
   if next_o > first_o then
     Database.range db ~table:"order_line"
       ~lo:(order_line_key ~w ~d ~o:first_o ~ol:0)
       ~hi:(order_line_key ~w ~d ~o:(next_o - 1) ~ol:15)
       ~f:(fun row ->
         let i = get_int row 1 in
-        if not (Hashtbl.mem seen i) then begin
-          Hashtbl.replace seen i ();
+        if i < 1 || i > config.items then
+          invalid_arg (Printf.sprintf "Tpcc.stock_level: item %d outside 1..%d" i config.items);
+        let byte = Bytes.get_uint8 seen (i lsr 3) and bit = 1 lsl (i land 7) in
+        if byte land bit = 0 then begin
+          Bytes.set_uint8 seen (i lsr 3) (byte lor bit);
           let srow = get_exn db ~table:"stock" ~key:(stock_key ~w ~i) in
           if get_int srow 1 < threshold then incr low
         end);

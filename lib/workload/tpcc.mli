@@ -46,7 +46,8 @@ val stock_level : Rw_engine.Database.t -> config -> w:int -> d:int -> threshold:
 (** The stock-level query: examine the order lines of the district's last
     20 orders and count items whose stock is below the threshold.  Works
     against the primary or any read-only view (as-of snapshot, restored
-    backup) — this is the paper's as-of query. *)
+    backup) — this is the paper's as-of query.  Raises [Invalid_argument]
+    on an order line whose item id lies outside [1 .. config.items]. *)
 
 type mix_stats = {
   mutable new_orders : int;

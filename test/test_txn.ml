@@ -84,6 +84,118 @@ let test_lock_reentrant_and_upgrade () =
   Lock_manager.release_all lm t1;
   check_int "all released" 0 (Lock_manager.lock_count lm)
 
+(* Three transactions over overlapping tables and rows, driven through
+   [acquire] (refused and upgrade requests included), [release_all],
+   [holds] and [lock_count], against a reference model: the granted modes
+   as an association list, a mode's rights as a set, conflicts from the
+   compatibility matrix.  After every step the two agree on the outcome,
+   on every [holds] question and on the count. *)
+
+type lock_step = Acquire of int * Lock_manager.resource * Lock_manager.mode | Release of int
+
+let lock_modes = Lock_manager.[ IS; IX; S; X ]
+
+let lock_resources =
+  Lock_manager.[ Table 1; Table 2; Row (1, 1L); Row (1, 2L); Row (2, 1L); Row (2, 0x1_0000_0001L) ]
+
+let rights = function
+  | Lock_manager.IS -> [ `is ]
+  | Lock_manager.IX -> [ `is; `ix ]
+  | Lock_manager.S -> [ `is; `s ]
+  | Lock_manager.X -> [ `is; `ix; `s; `x ]
+
+let model_covers held req = List.for_all (fun r -> List.mem r (rights held)) (rights req)
+
+(* The weakest mode covering both: a grant or an upgrade. *)
+let model_join a b = List.find (fun m -> model_covers m a && model_covers m b) lock_modes
+
+(* [(res, txn), mode] for every granted lock *)
+let model_acquire model txn res mode =
+  let mine = List.assoc_opt (res, txn) model in
+  match mine with
+  | Some held when model_covers held mode -> Ok model
+  | _ ->
+      if
+        List.exists
+          (fun ((r, t), m) -> r = res && t <> txn && not (Lock_manager.compatible m mode))
+          model
+      then Error ()
+      else
+        let final = match mine with None -> mode | Some held -> model_join held mode in
+        Ok (((res, txn), final) :: List.remove_assoc (res, txn) model)
+
+let lock_step_gen =
+  let open QCheck.Gen in
+  list_size (1 -- 40)
+    (frequency
+       [
+         ( 6,
+           map3 (fun txn res mode -> Acquire (txn, res, mode)) (1 -- 3) (oneofl lock_resources)
+             (oneofl lock_modes) );
+         (1, map (fun txn -> Release txn) (1 -- 3));
+       ])
+
+let print_lock_step = function
+  | Acquire (t, res, m) ->
+      Printf.sprintf "acquire %d %s %s" t
+        (match res with
+        | Lock_manager.Table id -> Printf.sprintf "table %d" id
+        | Lock_manager.Row (id, k) -> Printf.sprintf "row %d/%Ld" id k)
+        (match m with Lock_manager.IS -> "IS" | IX -> "IX" | S -> "S" | X -> "X")
+  | Release t -> Printf.sprintf "release %d" t
+
+let lock_model_prop =
+  QCheck.Test.make ~name:"lock manager agrees with a reference model" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list print_lock_step) lock_step_gen) (fun steps ->
+      let lm = Lock_manager.create () in
+      let agree model =
+        List.length model = Lock_manager.lock_count lm
+        && List.for_all
+             (fun txn ->
+               List.for_all
+                 (fun res ->
+                   List.for_all
+                     (fun mode ->
+                       let expect =
+                         match List.assoc_opt (res, txn) model with
+                         | Some held -> model_covers held mode
+                         | None -> false
+                       in
+                       Lock_manager.holds lm (Txn_id.of_int txn) res mode = expect)
+                     lock_modes)
+                 lock_resources)
+             [ 1; 2; 3 ]
+      in
+      ignore
+        (List.fold_left
+          (fun model step ->
+            let model =
+              match step with
+              | Acquire (txn, res, mode) -> (
+                  let granted =
+                    match Lock_manager.acquire lm (Txn_id.of_int txn) res mode with
+                    | () -> true
+                    | exception Lock_manager.Lock_conflict r ->
+                        if r <> res then QCheck.Test.fail_report "conflict names another resource";
+                        false
+                  in
+                  match (model_acquire model txn res mode, granted) with
+                  | Ok model, true -> model
+                  | Error (), false -> model
+                  | Ok _, false -> QCheck.Test.fail_reportf "refused: %s" (print_lock_step step)
+                  | Error (), true -> QCheck.Test.fail_reportf "granted: %s" (print_lock_step step))
+              | Release txn ->
+                  Lock_manager.release_all lm (Txn_id.of_int txn);
+                  List.filter (fun ((_, t), _) -> t <> txn) model
+            in
+            if not (agree model) then
+              QCheck.Test.fail_reportf "model and lock manager differ after %s"
+                (print_lock_step step);
+            model)
+          [] steps);
+      List.iter (fun txn -> Lock_manager.release_all lm (Txn_id.of_int txn)) [ 1; 2; 3 ];
+      Lock_manager.lock_count lm = 0)
+
 (* --- transactions --- *)
 
 let test_commit_flushes_log () =
@@ -290,6 +402,7 @@ let () =
           Alcotest.test_case "compatibility matrix" `Quick test_lock_compat_matrix;
           Alcotest.test_case "grant and conflict" `Quick test_lock_grant_conflict;
           Alcotest.test_case "reentrancy and upgrade" `Quick test_lock_reentrant_and_upgrade;
+          QCheck_alcotest.to_alcotest lock_model_prop;
         ] );
       ( "transactions",
         [

@@ -776,6 +776,28 @@ let test_append_amortized () =
   if t_large > (t_small *. 12.0) +. 0.05 then
     Alcotest.failf "append not amortized O(1): 50k took %.3fs, 200k took %.3fs" t_small t_large
 
+(* The minor-heap allocation of one append of the microbenchmark's 64-byte
+   row record, in the dev profile the tests build, with the record's
+   segment, chain and block already in place: the record is written once,
+   straight into the segment blob, and indexed from its fields.  12.0
+   words per append (the header peek, the boxed CRC and the resident-bytes
+   gauge's float); 79.0 when it was encoded through a buffer and copied
+   twice before reaching the blob. *)
+let test_append_allocation () =
+  let _, log = mk_log () in
+  let r = page_op ~pid:1 (Log_record.Insert_row { slot = 0; row = String.make 64 'r' }) in
+  for _ = 1 to 1000 do
+    ignore (Log_manager.append log r)
+  done;
+  let n = 2000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Log_manager.append log r)
+  done;
+  let per_append = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_append > 16. then
+    Alcotest.failf "%.1f minor words per 64-byte row-record append, above 16" per_append
+
 (* Truncation must invalidate the block cache's view: a dropped LSN raises
    Log_truncated even when its blocks were warm. *)
 let test_truncate_invalidates_caches () =
@@ -934,6 +956,182 @@ let controls_by_walk ?(from = Lsn.nil) log =
       acc := (lsn, kind, txn, wall) :: !acc;
       true);
   List.rev !acc
+
+(* --- append writes each record once ---
+
+   A random sequence of records of every kind — control records, page
+   records and CLRs of every op, page images through [append] and through
+   [append_image], and checkpoints both small and larger than a segment
+   blob's slack past [segment_bytes] — appended to a log with tiny or
+   default segments.  After each append every retained record's bytes
+   are [Log_record.encode] of what was appended, and the new record's
+   header peek is its own fields; at the end a log rebuilt from those
+   bytes (which checks every CRC) has the same indexes. *)
+
+type append_action = Append of Log_record.t | Append_image of int * Lsn.t * char
+
+let op_kind_of = function
+  | Log_record.Insert_row _ -> Log_record.K_insert_row
+  | Log_record.Delete_row _ -> Log_record.K_delete_row
+  | Log_record.Update_row _ -> Log_record.K_update_row
+  | Log_record.Set_header _ -> Log_record.K_set_header
+  | Log_record.Format _ -> Log_record.K_format
+  | Log_record.Preformat _ -> Log_record.K_preformat
+  | Log_record.Full_image _ -> Log_record.K_full_image
+
+let fields_peek (r : Log_record.t) len =
+  let control k = (k, Page_id.nil, Lsn.nil) in
+  let p_kind, p_page, p_prev_page_lsn =
+    match r.Log_record.body with
+    | Log_record.Begin -> control Log_record.K_begin
+    | Log_record.Commit _ -> control Log_record.K_commit
+    | Log_record.Abort -> control Log_record.K_abort
+    | Log_record.End -> control Log_record.K_end
+    | Log_record.Checkpoint _ -> control Log_record.K_checkpoint
+    | Log_record.Page_op { page; prev_page_lsn; op } ->
+        (Log_record.K_page_op (op_kind_of op), page, prev_page_lsn)
+    | Log_record.Clr { page; prev_page_lsn; op; _ } ->
+        (Log_record.K_clr (op_kind_of op), page, prev_page_lsn)
+  in
+  {
+    Log_record.p_txn = r.Log_record.txn;
+    p_prev_txn_lsn = r.Log_record.prev_txn_lsn;
+    p_kind;
+    p_page;
+    p_prev_page_lsn;
+    p_len = len;
+  }
+
+let append_action_gen =
+  let open QCheck.Gen in
+  let lsn = map Lsn.of_int (0 -- 5000) in
+  let page = map Page_id.of_int (1 -- 6) in
+  let row = string_size (0 -- 40) in
+  let image = map (String.make Page.page_size) printable in
+  let op =
+    frequency
+      [
+        (3, map2 (fun slot row -> Log_record.Insert_row { slot; row }) (0 -- 60) row);
+        (2, map2 (fun slot row -> Log_record.Delete_row { slot; row }) (0 -- 60) row);
+        ( 3,
+          map3
+            (fun slot before after -> Log_record.Update_row { slot; before; after })
+            (0 -- 60) row row );
+        ( 1,
+          map3
+            (fun field before after ->
+              Log_record.Set_header
+                { field; before = Int64.of_int before; after = Int64.of_int after })
+            (oneofl Log_record.[ Prev_page; Next_page; Special; Level ])
+            int int );
+        ( 1,
+          map2
+            (fun typ level -> Log_record.Format { typ; level })
+            (oneofl Page.[ Heap; Btree; Free ])
+            (0 -- 3) );
+        (1, map (fun prev_image -> Log_record.Preformat { prev_image }) image);
+        (1, map (fun image -> Log_record.Full_image { image }) image);
+      ]
+  in
+  let pairs n = list_size n (pair (0 -- 9) lsn) in
+  let checkpoint n =
+    map3
+      (fun wall_us active dirty ->
+        Log_record.Checkpoint
+          {
+            wall_us;
+            active_txns = List.map (fun (t, l) -> (Txn_id.of_int t, l)) active;
+            dirty_pages = List.map (fun (p, l) -> (Page_id.of_int p, l)) dirty;
+          })
+      (float_bound_inclusive 1e9) (pairs (0 -- 3)) (pairs n)
+  in
+  let body =
+    frequency
+      [
+        (2, return Log_record.Begin);
+        (2, map (fun wall_us -> Log_record.Commit { wall_us }) (float_bound_inclusive 1e9));
+        (1, return Log_record.Abort);
+        (1, return Log_record.End);
+        (1, checkpoint (0 -- 3));
+        (* 16 bytes an entry: past the 8 KiB image slack of a blob *)
+        (1, checkpoint (600 -- 700));
+        ( 6,
+          map3
+            (fun page prev_page_lsn op -> Log_record.Page_op { page; prev_page_lsn; op })
+            page lsn op );
+        ( 2,
+          map3
+            (fun (page, prev_page_lsn) op undo_next ->
+              Log_record.Clr { page; prev_page_lsn; op; undo_next })
+            (pair page lsn) op lsn );
+      ]
+  in
+  let record =
+    map3
+      (fun txn prev body ->
+        Log_record.make ~txn:(Txn_id.of_int txn)
+          ~prev_txn_lsn:(if prev = 0 then Lsn.nil else Lsn.of_int prev)
+          body)
+      (0 -- 5) (oneof [ return 0; 1 -- 5000 ]) body
+  in
+  list_size (1 -- 24)
+    (frequency
+       [
+         (8, map (fun r -> Append r) record);
+         (1, map3 (fun p l c -> Append_image (p, l, c)) (1 -- 6) lsn printable);
+       ])
+
+let print_append_action = function
+  | Append r -> Log_record.kind_name r
+  | Append_image (p, _, _) -> Printf.sprintf "image of page %d" p
+
+let appends_write_each_record ?segment_bytes actions =
+  let _, log = mk_log ?segment_bytes () in
+  let expect = ref [] in
+  List.iter
+    (fun action ->
+      let r, lsn =
+        match action with
+        | Append r -> (r, Log_manager.append log r)
+        | Append_image (pid, prev_page_lsn, c) ->
+            let page = Page_id.of_int pid and image = Bytes.make Page.page_size c in
+            let op = Log_record.Full_image { image = Bytes.to_string image } in
+            ( Log_record.make (Log_record.Page_op { page; prev_page_lsn; op }),
+              Log_manager.append_image log ~page ~prev_page_lsn image )
+      in
+      let data = Log_record.encode r in
+      expect := (lsn, data) :: !expect;
+      if Log_manager.dump_entries log <> List.rev !expect then
+        QCheck.Test.fail_reportf "bytes differ from encode after appending %s"
+          (Log_record.kind_name r);
+      if Log_manager.peek_record log lsn <> fields_peek r (String.length data) then
+        QCheck.Test.fail_reportf "peek of %s differs from its fields" (Log_record.kind_name r))
+    actions;
+  let _, log2 = mk_log ?segment_bytes () in
+  Log_manager.restore_entries log2 (Log_manager.dump_entries log);
+  let top = Log_manager.end_lsn log in
+  let lsns = Lsn.nil :: List.map fst !expect in
+  List.for_all
+    (fun pid ->
+      let p = Page_id.of_int pid in
+      let chain l = Log_manager.chain_segment l p ~from:top ~down_to:Lsn.nil in
+      chain log = chain log2
+      && List.for_all
+           (fun after ->
+             Log_manager.earliest_fpi_after log p ~after
+             = Log_manager.earliest_fpi_after log2 p ~after)
+           lsns)
+    [ 1; 2; 3; 4; 5; 6 ]
+  && controls_by_walk log = controls_by_walk log2
+  && checkpoint_lsns log = checkpoint_lsns log2
+  && Log_manager.txn_summaries log = Log_manager.txn_summaries log2
+  && Log_manager.pages_changed_since log ~since:Lsn.nil
+     = Log_manager.pages_changed_since log2 ~since:Lsn.nil
+
+let append_once_prop name ?segment_bytes () =
+  QCheck.Test.make ~name ~count:100
+    (QCheck.make ~print:(QCheck.Print.list print_append_action) append_action_gen)
+    (appends_write_each_record ?segment_bytes)
 
 let check_directory what log =
   let expect = controls_by_scan log in
@@ -1589,6 +1787,11 @@ let () =
           Alcotest.test_case "gather charges each block once" `Quick
             test_gather_charges_each_block_once;
           Alcotest.test_case "torn stump unreachable" `Quick test_torn_stump_unreachable;
+          Alcotest.test_case "append allocation" `Quick test_append_allocation;
+          QCheck_alcotest.to_alcotest
+            (append_once_prop "append writes each record once (tiny segments)"
+               ~segment_bytes:256 ());
+          QCheck_alcotest.to_alcotest (append_once_prop "append writes each record once" ());
         ] );
       ( "ingest",
         [

@@ -88,7 +88,12 @@ let test_stock_level_query () =
   let n = Tpcc.stock_level db cfg ~w:1 ~d:1 ~threshold:101 in
   (* Threshold above max quantity: every distinct recent item counts. *)
   check "stock level counts items" true (n > 0);
-  check_int "threshold 0 counts nothing" 0 (Tpcc.stock_level db cfg ~w:1 ~d:1 ~threshold:0)
+  check_int "threshold 0 counts nothing" 0 (Tpcc.stock_level db cfg ~w:1 ~d:1 ~threshold:0);
+  (* The seen-item bitmap covers [1 .. items]: an order line naming an
+     item past it is refused, not counted. *)
+  match Tpcc.stock_level db { cfg with Tpcc.items = 0 } ~w:1 ~d:1 ~threshold:101 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "an item outside the config's range must be refused"
 
 let test_snapshot_consistency_under_load () =
   let eng, db, drv = mk () in

@@ -119,13 +119,15 @@ bench_run() {
   dune exec rwbench/main.exe -- --workload "$1" --seed 7 --seconds 2 --trace "$2"
 }
 # htap's minor-heap allocation per operation is deterministic in the dev
-# profile too, and it is what boxed int64 results and per-call closures
-# cost on the row-access path (DESIGN.md, "Ids are ints at the byte level"
-# and "Checkpoint flushing").  The bound is the figure once the buffer
-# pool's lookups, latched reads and checkpoints allocated no closure or
-# option, 1.877 MiB, plus 2%; before, it was 2.312 MiB (3.208 MiB before
-# keys, child ids and log-header fields were read in place).
-htap_minor_max=1.91
+# profile too, and it is what boxed int64 results, per-call closures and
+# intermediate copies cost on the row-access and log-append paths
+# (DESIGN.md, "Ids are ints at the byte level", "Checkpoint flushing" and
+# "Log append in one pass").  The bound is the figure once each log record
+# was encoded once, straight into its segment, 1.7261 MiB, plus 2%;
+# before, it was 1.877 MiB (2.312 MiB before the buffer pool's lookups
+# allocated no closure or option, 3.208 MiB before keys, child ids and
+# log-header fields were read in place).
+htap_minor_max=1.76
 for w in asof_audit htap repair_restart; do
   out_off=$(bench_run "$w" 0)
   digest_off=$(echo "$out_off" | sed -n 's/^counts-digest //p')
