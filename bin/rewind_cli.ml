@@ -272,8 +272,8 @@ let meta_command session eng line =
               Printf.printf "current database vanished\n%!";
               `Continue))
   | [ "\\pool" ] ->
-      (* The shared domain pool behind page-grouped redo, batched
-         snapshot rewinds and the scrub sweep. *)
+      (* The shared domain pool that [Page_batch] fans out on, for
+         page-grouped redo, batched snapshot rewinds and the scrub sweep. *)
       let cap = Rw_pool.Domain_pool.fanout_cap () in
       Printf.printf "fanout cap      : %d%s\n" cap
         (if cap = Domain.recommended_domain_count () then " (default clamp)" else " (override)");

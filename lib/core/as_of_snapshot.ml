@@ -9,7 +9,7 @@ module Media = Rw_storage.Media
 module Log_manager = Rw_wal.Log_manager
 module Buffer_pool = Rw_buffer.Buffer_pool
 module Recovery = Rw_recovery.Recovery
-module Domain_pool = Rw_pool.Domain_pool
+module Page_batch = Rw_pool.Page_batch
 module Obs = Rw_obs.Metrics
 module Probes = Rw_obs.Probes
 module Trace = Rw_obs.Trace
@@ -72,87 +72,59 @@ let record_rewind tally pid (r : Page_undo.result) =
 
 let no_rewind = { Page_undo.ops_undone = 0; log_records_read = 0; used_fpi = false }
 
-(* Batched materialization, staged across the shared domain pool:
-
-   1. {e Gather} (coordinator): primary image reads, ascending, for
-      pages the shared cache had nothing for, then one log-ordered
-      gather for the whole batch ({!Page_undo.plan_batch}) — FPI peeks
-      and chain-index lookups per page, then every log block the batch
-      needs charged once, ascending, each record handed back as a span
-      of its segment blob.  Every priced read and every shared cache
-      happens here, on the calling domain, in an order independent of
-      the fan-out.
-   2. {e Apply} (workers, round-robin by index): validate and undo the
-      chain in place against the private page image — pure CPU over
-      private state and immutable log bytes.
-   3. {e Publish} (coordinator, ascending page order): probes, rewind
-      tallies, Prepared_cache inserts and side-file writes; a page whose
-      plan the apply rejected takes the pointer walk on its restored
-      image, without a second gather.
-
-   Because gather and publish orders are fixed and workers touch nothing
-   shared, results and counters are byte- and count-identical under any
-   fan-out, including 1.  Fan-out changes modeled time only: each page's
-   data read and each of the gather's charging windows is an item
-   attributed to a round-robin partition, and the clock is credited back
-   down to the slowest partition's total — [fanout] independent streams
-   finish when the slowest does.
-
+(* One [Page_batch] over the pages the shared cache cannot answer
+   exactly: an exact image goes straight to the side file, a newer image
+   enters the batch needing only its delta chain, and a miss reads the
+   primary image.  The gather times each page read and plans every chain
+   in one log-ordered pass ([Page_undo.plan_batch]); its costs are the
+   page reads, then the charging windows.  A page whose plan the apply
+   rejected takes the pointer walk at publish, without a second gather.
    Every as-of page takes this path: a pool miss is a batch of one.
-   Returns the prepared pages, shared-cache hits first. *)
+   Returns the prepared pages. *)
 let materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split pids =
-  let ts = if Trace.on () then Trace.now () else 0.0 in
   let clock = Disk.clock primary_disk in
-  let todo =
-    List.sort_uniq Page_id.compare pids
-    |> List.filter (fun pid -> not (Sparse_file.mem sparse pid))
-  in
-  (* Shared-cache pass first: exact images go straight to the side file
-     (no chain to plan), newer images enter the batch needing only their
-     delta chains, and misses will read the primary image in the gather. *)
-  let exact = ref [] in
+  let prepared = ref [] in
   let entering =
-    List.filter_map
-      (fun pid ->
-        match shared with
-        | None -> Some (pid, None)
-        | Some cache -> (
-            match Prepared_cache.find cache pid ~split with
-            | Prepared_cache.Exact page ->
-                record_rewind tally pid no_rewind;
-                Sparse_file.write sparse pid page;
-                exact := page :: !exact;
-                None
-            | Prepared_cache.Newer page -> Some (pid, Some page)
-            | Prepared_cache.Miss -> Some (pid, None)))
-      todo
+    List.sort_uniq Page_id.compare pids
+    |> List.filter_map (fun pid ->
+           if Sparse_file.mem sparse pid then None
+           else
+             match shared with
+             | None -> Some (pid, None)
+             | Some cache -> (
+                 match Prepared_cache.find cache pid ~split with
+                 | Prepared_cache.Exact page ->
+                     record_rewind tally pid no_rewind;
+                     Sparse_file.write sparse pid page;
+                     prepared := page :: !prepared;
+                     None
+                 | Prepared_cache.Newer page -> Some (pid, Some page)
+                 | Prepared_cache.Miss -> Some (pid, None)))
+    |> Array.of_list
   in
-  let entering = Array.of_list entering in
-  let read_us = Array.make (Array.length entering) 0.0 in
-  let pages =
-    Array.mapi
-      (fun i (pid, cached) ->
-        let t0 = Sim_clock.now_us clock in
-        let page = match cached with Some p -> p | None -> Disk.read_page_checked primary_disk pid in
-        read_us.(i) <- Sim_clock.now_us clock -. t0;
-        page)
-      entering
-  in
-  let plans, windows_us = Page_undo.plan_batch ~log ~as_of:split pages in
-  let results = Array.make (Array.length pages) None in
-  let fanout =
-    Domain_pool.parallel_for (Array.length pages) (fun i ->
-        results.(i) <- Page_undo.apply_raw ~page:pages.(i) ~as_of:split plans.(i))
-  in
-  (* Overlap credit: the gather charged every page read and every window
-     serially; [fanout] concurrent streams finish when the slowest does. *)
-  Sim_clock.credit_us clock
-    (Domain_pool.overlap_credit ~fanout Fun.id (Array.append read_us windows_us));
-  Array.iteri
-    (fun i page ->
+  ignore
+  @@ Page_batch.run ~clock ~span:"snapshot.materialize_batch" ~chunk:(Array.length entering)
+    ~gather:(fun entering ->
+      let read_us = Array.make (Array.length entering) 0.0 in
+      let pages =
+        Array.mapi
+          (fun i (pid, cached) ->
+            let t0 = Sim_clock.now_us clock in
+            let page =
+              match cached with Some p -> p | None -> Disk.read_page_checked primary_disk pid
+            in
+            read_us.(i) <- Sim_clock.now_us clock -. t0;
+            page)
+          entering
+      in
+      let plans, windows_us = Page_undo.plan_batch ~log ~as_of:split pages in
+      ((pages, plans), Array.append read_us windows_us))
+    ~apply:(fun (pages, plans) i -> Page_undo.apply_raw ~page:pages.(i) ~as_of:split plans.(i))
+    ~publish:(fun (pages, _) i applied ->
+      let page = pages.(i) in
       let pid = Page.id page in
       let r =
-        match results.(i) with
+        match applied with
         | Some r ->
             Obs.incr Probes.snapshot_parallel_pages;
             ignore (Page_undo.note pid r : Page_undo.result);
@@ -165,13 +137,10 @@ let materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split pids =
       (match shared with
       | Some cache -> Prepared_cache.add cache pid ~as_of:split page
       | None -> ());
-      Sparse_file.write sparse pid page)
-    pages;
-  if Trace.on () then
-    Trace.complete ~cat:"snapshot" ~ts
-      ~args:[ ("pages", Trace.Int (List.length todo)); ("fanout", Trace.Int fanout) ]
-      "snapshot.materialize_batch";
-  List.rev_append !exact (Array.to_list pages)
+      Sparse_file.write sparse pid page;
+      prepared := page :: !prepared)
+    entering;
+  !prepared
 
 let materialize_batch t pids =
   let pages =

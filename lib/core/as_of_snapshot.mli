@@ -75,19 +75,14 @@ val undo_ops : t -> int
     support: the loser-undo tests check it.) *)
 
 val materialize_batch : t -> Rw_storage.Page_id.t list -> int
-(** Rewind the given pages into the sparse file in one batch, staged
-    across the shared [Rw_pool.Domain_pool]: the coordinator gathers
-    each page's primary image and raw chain records in ascending page
-    order (every priced read, every shared cache), workers decode and
-    apply the undo chains against private page images round-robin, and
-    the coordinator publishes results — probes, rewind tallies,
-    prepared-cache inserts, side-file writes — in ascending page
-    order.  Results and counters are byte- and count-identical under any
-    pool fan-out, including 1; fan-out
-    changes modeled elapsed time only (each page's gather I/O is
-    attributed to its partition and the clock credited down to the
-    slowest partition).  Pages already materialised are skipped; returns
-    the number of pages actually rewound.  Warming is semantically
+(** Rewind the given pages into the sparse file as one
+    [Rw_pool.Page_batch]: the coordinator gathers each page's primary
+    image and chain records in ascending page order, workers apply the
+    undo chains to private page images, and the coordinator publishes
+    probes, rewind tallies, prepared-cache inserts and side-file writes
+    in ascending page order, so any pool fan-out gives the same pages
+    and counters.  Pages already materialised are skipped; returns the
+    number of pages actually rewound.  Warming is semantically
     transparent — subsequent reads return exactly what the §5.3 protocol
     would. *)
 

@@ -1,5 +1,5 @@
-(* A process-global pool of parked worker domains shared by every
-   fan-out site in the engine (restart redo, replica catch-up, snapshot
+(* A process-global pool of parked worker domains behind [Page_batch],
+   the engine's one fan-out (restart redo, replica catch-up, snapshot
    batch rewind, scrub).  [Domain.spawn] costs milliseconds on a loaded
    machine — more than an entire small restart — so spawning per batch
    would make parallel work slower than sequential.  Workers are spawned
@@ -111,12 +111,12 @@ let run ~participants f =
     incr generation;
     Condition.broadcast work_ready;
     Mutex.unlock m;
-    f 0;
+    let own = match f 0 with () -> None | exception e -> Some e in
     Mutex.lock m;
     while !pending > 0 do
       Condition.wait work_done m
     done;
-    let fail = !failure in
+    let fail = match own with None -> !failure | Some _ -> own in
     job := None;
     Mutex.unlock m;
     match fail with Some e -> raise e | None -> ()
@@ -147,24 +147,3 @@ let set_fanout cap =
   if !spawned > fanout_cap () - 1 then teardown_workers ()
 
 let effective_fanout work = max 1 (min work (fanout_cap ()))
-
-let parallel_for n f =
-  let fanout = effective_fanout n in
-  if n > 0 then
-    run ~participants:fanout (fun w ->
-        let i = ref w in
-        while !i < n do
-          f !i;
-          i := !i + fanout
-        done);
-  fanout
-
-let overlap_credit ~fanout cost items =
-  if fanout <= 1 then 0.0
-  else begin
-    let per = Array.make fanout 0.0 in
-    Array.iteri (fun i x -> per.(i mod fanout) <- per.(i mod fanout) +. cost x) items;
-    let total = Array.fold_left ( +. ) 0.0 per in
-    let slowest = Array.fold_left Float.max 0.0 per in
-    total -. slowest
-  end

@@ -19,7 +19,7 @@ module Page_repair = Rw_recovery.Page_repair
 module Fault_plan = Rw_storage.Fault_plan
 module As_of_snapshot = Rw_core.As_of_snapshot
 module Retention = Rw_core.Retention
-module Domain_pool = Rw_pool.Domain_pool
+module Page_batch = Rw_pool.Page_batch
 
 type txn = Txn_manager.txn
 
@@ -633,99 +633,59 @@ let load ~clock ~media ?log_media ?log_segment_bytes ~path () =
 (* --- scrubbing --- *)
 
 let scrub t =
-  (* Sweep every written page looking for residual damage (bit rot,
-     applied torn writes); corrupt pages are repaired from the log and
-     unrepairable ones land in quarantine instead of failing the scrub.
-     Returns the number of pages repaired.
-
-     The sweep is staged across the shared domain pool in batches: the
-     coordinator reads each non-resident page through the priced,
-     fault-consulting path in ascending page order, workers verify
-     checksums on those private copies round-robin, and the coordinator
-     publishes verdicts — again in ascending page order — admitting
-     clean pages into the pool with exactly a fetch miss's bookkeeping,
-     repairing (or quarantining) the rest, and touching pages that were
-     already resident through [with_page] just as the serial sweep did.
-     Detection, repair and quarantine outcomes are identical under any
-     fan-out including 1; fan-out only narrows modeled elapsed time
-     (each partition's sweep reads are assumed to stream concurrently,
-     so the clock is credited down to the slowest partition). *)
+  (* Sweep every written page for residual damage (bit rot, applied torn
+     writes): corrupt pages are repaired from the log and unrepairable
+     ones land in quarantine instead of failing the scrub.  Returns the
+     number of pages repaired.  Half a pool per [Page_batch] keeps the
+     residency filter fresh relative to the evictions our own admissions
+     cause.  The gather reads, timed, each page neither resident nor
+     quarantined; apply verifies its checksum.  Publish admits a clean
+     page with exactly a fetch miss's bookkeeping, repairs (or
+     quarantines) a corrupt one as the self-healing source does, and
+     touches a page that was resident through the pool, re-reading it via
+     the healing source if one of our admissions evicted it meanwhile. *)
   let repaired_before = (Disk.stats t.disk).Rw_storage.Io_stats.pages_repaired in
   let wal_flush lsn = Txn_manager.flush_log t.txns ~upto:lsn in
-  let candidates = Disk.written_page_ids t.disk in
-  (* Batch bound: keeps residency classification fresh relative to the
-     evictions our own admissions cause, and bounds gather-copy memory. *)
-  let batch_size = max 1 (Buffer_pool.capacity t.pool / 2) in
-  let sweep_batch batch =
-    (* Gather: priced reads of the pages not resident (and not
-       quarantined) right now, ascending, each timed so its I/O can be
-       attributed to a round-robin partition. *)
-    let items =
-      List.filter_map
-        (fun pid ->
-          if
-            Buffer_pool.resident_lsn t.pool pid <> None
-            || Page_repair.Quarantine.mem t.quarantine pid
-          then None
-          else begin
-            let t0 = Sim_clock.now_us t.clock in
-            let page = Disk.read_page_retrying t.disk pid in
-            Some (pid, page, Sim_clock.now_us t.clock -. t0)
-          end)
-        batch
-    in
-    let arr = Array.of_list items in
-    let n = Array.length arr in
-    let ok = Array.make n false in
-    let fanout =
-      Domain_pool.parallel_for n (fun i ->
-          let _, page, _ = arr.(i) in
-          ok.(i) <- Rw_storage.Page.verify page)
-    in
-    Sim_clock.credit_us t.clock (Domain_pool.overlap_credit ~fanout (fun (_, _, dt) -> dt) arr);
-    (* Publish, ascending: clean pages enter the pool as a fetch miss
-       would; corrupt ones repair (or quarantine) exactly as the
-       self-healing source does.  Pages that were resident at gather are
-       touched through the pool — re-reading via the healing source if
-       one of our own admissions evicted them meanwhile. *)
-    let verdicts = Hashtbl.create (2 * (n + 1)) in
-    Array.iteri
-      (fun i (pid, page, _) -> Hashtbl.replace verdicts (Page_id.to_int pid) (page, ok.(i)))
-      arr;
-    List.iter
-      (fun pid ->
-        match Hashtbl.find_opt verdicts (Page_id.to_int pid) with
-        | Some (page, true) -> Buffer_pool.admit t.pool pid page
-        | Some (_, false) -> (
-            let st = Disk.stats t.disk in
-            st.Rw_storage.Io_stats.corruptions_detected <-
-              st.Rw_storage.Io_stats.corruptions_detected + 1;
-            match Page_repair.repair_to_disk ~log:t.log ~disk:t.disk ~wal_flush pid with
-            | page -> Buffer_pool.admit t.pool pid page
-            | exception Page_repair.Unrepairable { reason; _ } ->
-                Page_repair.Quarantine.add t.quarantine pid reason)
-        | None -> (
-            if not (Page_repair.Quarantine.mem t.quarantine pid) then
-              try
-                Rw_buffer.Buffer_pool.with_page t.pool pid ~mode:Rw_buffer.Latch.Shared
-                  (fun _ -> ())
-              with Rw_recovery.Page_repair.Quarantined _ -> ()))
-      batch
-  in
-  let rec sweep = function
-    | [] -> ()
-    | remaining ->
-        let rec split k acc rest =
-          match rest with
-          | [] -> (List.rev acc, [])
-          | _ when k = 0 -> (List.rev acc, rest)
-          | x :: tl -> split (k - 1) (x :: acc) tl
-        in
-        let batch, rest = split batch_size [] remaining in
-        sweep_batch batch;
-        sweep rest
-  in
-  sweep candidates;
+  ignore
+  @@ Page_batch.run ~clock:t.clock ~span:"scrub.batch" ~chunk:(Buffer_pool.capacity t.pool / 2)
+       ~gather:(fun batch ->
+         let costs = ref [] in
+         let pages =
+           Array.map
+             (fun pid ->
+               if
+                 Buffer_pool.resident_lsn t.pool pid <> None
+                 || Page_repair.Quarantine.mem t.quarantine pid
+               then None
+               else begin
+                 let t0 = Sim_clock.now_us t.clock in
+                 let page = Disk.read_page_retrying t.disk pid in
+                 costs := (Sim_clock.now_us t.clock -. t0) :: !costs;
+                 Some page
+               end)
+             batch
+         in
+         ((batch, pages), Array.of_list (List.rev !costs)))
+       ~apply:(fun (_, pages) i -> Option.fold ~none:true ~some:Rw_storage.Page.verify pages.(i))
+       ~publish:(fun (batch, pages) i ok ->
+         let pid = batch.(i) in
+         match pages.(i) with
+         | Some page when ok -> Buffer_pool.admit t.pool pid page
+         | Some _ -> (
+             let st = Disk.stats t.disk in
+             st.Rw_storage.Io_stats.corruptions_detected <-
+               st.Rw_storage.Io_stats.corruptions_detected + 1;
+             match Page_repair.repair_to_disk ~log:t.log ~disk:t.disk ~wal_flush pid with
+             | page -> Buffer_pool.admit t.pool pid page
+             | exception Page_repair.Unrepairable { reason; _ } ->
+                 Page_repair.Quarantine.add t.quarantine pid reason)
+         | None -> (
+             if not (Page_repair.Quarantine.mem t.quarantine pid) then
+               try
+                 Rw_buffer.Buffer_pool.with_page t.pool pid ~mode:Rw_buffer.Latch.Shared
+                   (fun _ -> ())
+               with Rw_recovery.Page_repair.Quarantined _ -> ()))
+       (Array.of_list (Disk.written_page_ids t.disk));
   (Disk.stats t.disk).Rw_storage.Io_stats.pages_repaired - repaired_before
 
 (* --- crash simulation --- *)

@@ -10,6 +10,7 @@ module Txn_manager = Rw_txn.Txn_manager
 module Obs = Rw_obs.Metrics
 module Probes = Rw_obs.Probes
 module Trace = Rw_obs.Trace
+module Page_batch = Rw_pool.Page_batch
 
 let checkpoint ~log ~pool ~txns ~wall_us ?(flush_pages = false) () =
   let ts = if Trace.on () then Trace.now () else 0.0 in
@@ -186,56 +187,41 @@ let losers_at ~log ~start ~upto =
 (* The one log-scan redo loop, shared by restart ([recover],
    [recover_redo_only]), replica catch-up and backup roll-forward
    ([redo_range]); callers choose only the record filter [wanted].  The
-   scan and page fetches stay on the calling domain (priced I/O, caches
-   and the buffer pool are not domain-safe).  The gather
-   ([Log_manager.gather_range]) peeks headers and hands over the page
-   records [wanted] admits, grouped by page, in the form a rewind gets
-   them; pages are then replayed in page-id order, in batches small
-   enough that the pinned set never overwhelms the pool.  Each batch's
-   page list is the work split handed to [Domain_pool.parallel_for] — as
-   in snapshot batch rewind and the scrub sweep — and each page replays
-   its own records in LSN order through [Page_repair.redo_record].  Pages
-   are disjoint and gathered records are immutable, so workers share
-   nothing mutable but the pages they own: any fan-out yields the same
-   pages and the same counts.  The page-LSN guard makes the replay
-   idempotent (redo-only recovery's invariant), so an overlapping range or
-   a page already on disk applies nothing twice. *)
-module Domain_pool = Rw_pool.Domain_pool
-
+   gather ([Log_manager.gather_range]) peeks headers and hands over the
+   page records [wanted] admits, grouped by page, in the form a rewind
+   gets them.  The pages then go through [Page_batch] in page-id order,
+   half a pool per batch so the pinned set never overwhelms the pool:
+   the batch gather fetches the frames, each page replays its own
+   records in LSN order through [Page_repair.redo_record], and publish
+   marks dirty and unpins.  The fetches are not timed, so redo reports
+   no costs and takes no overlap credit.  The page-LSN guard makes the
+   replay idempotent (redo-only recovery's invariant), so an overlapping
+   range or a page already on disk applies nothing twice. *)
 let redo ~log ~pool ~from ~upto ~wanted =
-  let pages = Log_manager.gather_range log ~from ~upto ~keep:wanted in
-  (* Replay one page's records; [first] is the first LSN applied (the
-     frame's recovery LSN), [count] the operations applied. *)
-  let apply_page (pid, pg, lsns, g, first, count) =
-    Array.iteri
-      (fun k lsn ->
-        if Page_repair.redo_record pid g k lsn pg then begin
-          if Lsn.is_nil !first then first := lsn;
-          incr count
-        end)
-      lsns
-  in
-  let batch_size = max 1 (Buffer_pool.capacity pool / 2) in
   let redone = ref 0 in
-  let lo = ref 0 in
-  while !lo < Array.length pages do
-    let batch = Array.sub pages !lo (min batch_size (Array.length pages - !lo)) in
-    let frames = Array.map (fun (pid, _, _) -> Buffer_pool.fetch pool pid) batch in
-    let items =
-      Array.mapi
-        (fun i (pid, lsns, g) -> (pid, Buffer_pool.page frames.(i), lsns, g, ref Lsn.nil, ref 0))
-        batch
-    in
-    let fanout = Domain_pool.parallel_for (Array.length items) (fun i -> apply_page items.(i)) in
-    Obs.add Probes.recovery_redo_partitions fanout;
-    Array.iteri
-      (fun i (_, _, _, _, first, count) ->
-        if !count > 0 then Buffer_pool.mark_dirty pool frames.(i) ~lsn:!first;
-        redone := !redone + !count;
-        Buffer_pool.unpin pool frames.(i))
-      items;
-    lo := !lo + batch_size
-  done;
+  Obs.add Probes.recovery_redo_partitions
+  @@ Page_batch.run ~clock:(Log_manager.clock log) ~span:"recovery.redo_batch"
+    ~chunk:(Buffer_pool.capacity pool / 2)
+    ~gather:(fun batch ->
+      ((batch, Array.map (fun (pid, _, _) -> Buffer_pool.fetch pool pid) batch), [||]))
+    ~apply:(fun (batch, frames) i ->
+      (* [first]: the first LSN applied (the frame's recovery LSN). *)
+      let pid, lsns, g = batch.(i) in
+      let pg = Buffer_pool.page frames.(i) in
+      let first = ref Lsn.nil and count = ref 0 in
+      Array.iteri
+        (fun k lsn ->
+          if Page_repair.redo_record pid g k lsn pg then begin
+            if Lsn.is_nil !first then first := lsn;
+            incr count
+          end)
+        lsns;
+      (!first, !count))
+    ~publish:(fun (_, frames) i (first, count) ->
+      if count > 0 then Buffer_pool.mark_dirty pool frames.(i) ~lsn:first;
+      redone := !redone + count;
+      Buffer_pool.unpin pool frames.(i))
+    (Log_manager.gather_range log ~from ~upto ~keep:wanted);
   !redone
 
 (* Analysis filter: a dirty page's records from its recovery LSN on. *)

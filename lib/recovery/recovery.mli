@@ -117,9 +117,9 @@ val recover :
     Redo replays the analysis dirty-page table's records (each page from
     its recovery LSN on) grouped by page: the log scan
     ({!Rw_wal.Log_manager.gather_range}) and page fetches stay on the
-    calling domain, and each batch's page list is fanned out through
-    [Rw_pool.Domain_pool.parallel_for], every page replaying its own
-    records in LSN order.  Pages are disjoint and the scan is the same at
+    calling domain, and each batch of pages is fanned out through
+    [Rw_pool.Page_batch], every page replaying its own records in LSN
+    order.  Pages are disjoint and the scan is the same at
     every fan-out, so any fan-out yields byte-identical pages and the same
     log counters.  [now_us] (normally the simulated clock) stamps
     the timing fields of {!stats}. *)

@@ -220,6 +220,35 @@ let test_redo_fanout_equal () =
     [ 2; 4 ];
   agree "default-cap" (run "fandefault")
 
+(* Redo takes no overlap credit (DESIGN.md §15): its gather, the frame
+   fetches, reports no costs.  So on priced media the modeled time of
+   [Recovery.recover] (a simulated-clock delta) is the same at every
+   fan-out, whatever the host's core count, and so are the pages it
+   leaves. *)
+let test_redo_takes_no_credit () =
+  let run fanout =
+    at_fanout fanout (fun () ->
+        let db = Database.create ~name:"credit" ~clock:(Sim_clock.create ()) ~media:Media.ssd () in
+        seed db 80;
+        churn db 4;
+        straggle db;
+        let db = Database.crash_and_reopen db in
+        let stats = Option.get (Database.last_recovery_stats db) in
+        ( stats.Recovery.time_to_first_query_us,
+          (stats.Recovery.redone_ops, disk_fingerprint db, rows db) ))
+  in
+  let us1, ((redone1, _, _) as pages1) = run 1 in
+  check "fan-out 1 redid priced work" true (redone1 > 0 && us1 > 0.0);
+  List.iter
+    (fun fanout ->
+      let us, pages = run fanout in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "fan-out %d: modeled recover time" fanout)
+        us1 us;
+      check (Printf.sprintf "fan-out %d: recovered pages equal fan-out 1" fanout) true
+        (pages = pages1))
+    [ 2; 4 ]
+
 (* One redo batch at fan-out 2 runs on two domains, so the counter grows
    by exactly 2 ("one per domain per batch"). *)
 let test_parallel_partitions_counted () =
@@ -336,6 +365,7 @@ let () =
           Alcotest.test_case "partition counter recorded" `Quick test_parallel_partitions_counted;
           Alcotest.test_case "chain replay equals log-scan redo" `Quick
             test_chain_replay_equals_log_scan;
+          Alcotest.test_case "redo takes no overlap credit" `Quick test_redo_takes_no_credit;
         ] );
       ( "fault-campaign",
         [ Alcotest.test_case "instant crash-repair campaign" `Slow test_instant_fault_campaign ] );

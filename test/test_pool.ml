@@ -1,6 +1,6 @@
 (* Fan-out determinism for the shared domain pool (ISSUE 10).
 
-   The pool's contract (lib/core/domain_pool.mli) is that fan-out changes
+   The pool's contract (lib/core/page_batch.mli) is that fan-out changes
    modeled elapsed time only: results, counters and cache contents must be
    byte- and count-identical under any fan-out, including 1, because all
    shared effects happen on the coordinator in a fixed order.  These tests
@@ -15,7 +15,12 @@
      devices' Io_stats are identical at fan-out 1 vs 4 — pool.tasks and
      pool.wakes are deliberately excluded, they count participant slots
      and wakes and are fan-out-dependent by design;
-   - the batched scrub sweep detects/repairs identically at any fan-out;
+   - the batched scrub sweep detects/repairs identically at any fan-out,
+     and its modeled time at fan-out 2 and 4 is at most fan-out 1's;
+   - [Page_batch] itself, against a reference: each item applied once,
+     published once in ascending order with its result, batches covering
+     the items in order, and the clock credit equal to the summed cost
+     minus the largest round-robin partition;
    - isolated-snapshot audits over a long TPC-C history, warmed by the
      batch pipeline at fan-out 2 and 4, match fan-out 1 page for page;
    - the pool itself runs every participant exactly once, reraises worker
@@ -33,6 +38,7 @@ module Database = Rw_engine.Database
 module As_of_snapshot = Rw_core.As_of_snapshot
 module Prepared_cache = Rw_core.Prepared_cache
 module Domain_pool = Rw_pool.Domain_pool
+module Page_batch = Rw_pool.Page_batch
 module Session_manager = Rw_session.Session_manager
 module Metrics = Rw_obs.Metrics
 module Probes = Rw_obs.Probes
@@ -59,6 +65,23 @@ let test_worker_exception_reraised () =
   Alcotest.check_raises "worker failure surfaces on the caller"
     (Failure "boom") (fun () ->
       Domain_pool.run ~participants:3 (fun i -> if i = 2 then failwith "boom"));
+  (* A failure on the calling domain surfaces only after the barrier too:
+     no participant of a failed run may still be going when the next run
+     starts. *)
+  let go = Atomic.make false and finished = Atomic.make false in
+  Alcotest.check_raises "caller failure surfaces on the caller" (Failure "caller") (fun () ->
+      Domain_pool.run ~participants:2 (fun i ->
+          if i = 0 then begin
+            Atomic.set go true;
+            failwith "caller"
+          end
+          else begin
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            Atomic.set finished true
+          end));
+  check "worker finished before the caller's failure surfaced" true (Atomic.get finished);
   (* The pool survives a failed run and keeps executing. *)
   let ok = ref 0 in
   Domain_pool.run ~participants:3 (fun _ -> incr ok);
@@ -92,6 +115,103 @@ let test_fanout_clamp () =
   Domain_pool.run ~participants:2 (fun _ -> incr hits);
   check "pool usable after teardown" true (!hits >= 1);
   Domain_pool.set_fanout None
+
+(* --- the page batch pipeline itself --- *)
+
+(* What one batch must credit: the costs summed, minus the largest of
+   [fanout] round-robin partitions (0 at fan-out 1). *)
+let reference_credit ~fanout costs =
+  let part j = List.fold_left ( + ) 0 (List.filteri (fun i _ -> i mod fanout = j) costs) in
+  List.fold_left ( + ) 0 costs - List.fold_left max 0 (List.init fanout part)
+
+(* One [Page_batch.run] over items [0 .. n-1] with integer [costs] (sums
+   stay exact in floats).  The gather advances a fresh clock by each
+   item's cost and reports the costs unless [silent]; the apply of item
+   [raise_at] raises.  Returns the published (item, result) pairs in
+   order, the batches gathered, how often each item was applied, the
+   clock's net advance, and whether the run raised. *)
+let batch_run ~chunk ?(raise_at = -1) ~silent costs =
+  let costs = Array.of_list costs in
+  let n = Array.length costs in
+  let clock = Sim_clock.create () in
+  let applied = Array.init n (fun _ -> Atomic.make 0) in
+  let published = ref [] and batches = ref [] in
+  let raised =
+    match
+      Page_batch.run ~clock ~span:"test.batch" ~chunk
+        ~gather:(fun batch ->
+          batches := Array.to_list batch :: !batches;
+          let c = Array.map (fun i -> float_of_int costs.(i)) batch in
+          Array.iter (Sim_clock.advance_us clock) c;
+          (batch, if silent then [||] else c))
+        ~apply:(fun batch k ->
+          let i = batch.(k) in
+          Atomic.incr applied.(i);
+          if i = raise_at then failwith "apply";
+          (31 * i) + costs.(i))
+        ~publish:(fun batch k r -> published := (batch.(k), r) :: !published)
+        (Array.init n Fun.id)
+    with
+    | _ -> false
+    | exception Failure _ -> true
+  in
+  ( List.rev !published,
+    List.rev !batches,
+    Array.map Atomic.get applied,
+    Sim_clock.now_us clock,
+    raised )
+
+let page_batch_test =
+  QCheck.Test.make ~name:"page batch agrees with a reference" ~count:60
+    QCheck.(pair (list_of_size Gen.(0 -- 40) (int_bound 1000)) small_nat)
+    (fun (costs, r) ->
+      let n = List.length costs in
+      let total = float_of_int (List.fold_left ( + ) 0 costs) in
+      (* The same at every fan-out and chunking, so the results at fan-out
+         2 and 4 equal those at fan-out 1. *)
+      let expect = List.mapi (fun i c -> (i, (31 * i) + c)) costs in
+      let at_fanout fanout =
+        List.iter
+          (fun chunk ->
+            let published, batches, applied, now, raised = batch_run ~chunk ~silent:false costs in
+            let label = Printf.sprintf "fan-out %d, chunk %d" fanout chunk in
+            let fail what = QCheck.Test.fail_reportf "%s: %s" label what in
+            if raised then fail "raised";
+            if Array.exists (fun a -> a <> 1) applied then fail "an item not applied once";
+            if published <> expect then fail "publish order or results";
+            if List.concat batches <> List.init n Fun.id then fail "batches do not cover the items";
+            if List.exists (fun b -> List.length b > max 1 chunk) batches then
+              fail "batch over chunk";
+            let credit =
+              List.fold_left
+                (fun acc b ->
+                  let fanout = max 1 (min fanout (List.length b)) in
+                  acc + reference_credit ~fanout (List.map (List.nth costs) b))
+                0 batches
+            in
+            if now <> total -. float_of_int credit then fail "credit differs from the reference";
+            if fanout = 1 && now <> total then fail "credit at fan-out 1";
+            let _, _, _, now_silent, _ = batch_run ~chunk ~silent:true costs in
+            if now_silent <> total then fail "credit without reported costs")
+          [ 1; 3; n ];
+        if n > 0 then begin
+          let published, _, _, _, raised =
+            batch_run ~chunk:n ~raise_at:(r mod n) ~silent:false costs
+          in
+          let fail what = QCheck.Test.fail_reportf "fan-out %d: %s" fanout what in
+          if not raised then fail "apply failure lost";
+          if published <> [] then fail "published after a failure"
+        end
+      in
+      Fun.protect
+        ~finally:(fun () -> Domain_pool.set_fanout None)
+        (fun () ->
+          List.iter
+            (fun fanout ->
+              Domain_pool.set_fanout (Some fanout);
+              at_fanout fanout)
+            [ 1; 2; 4 ]);
+      true)
 
 (* --- fan-out determinism on the batched snapshot rewind --- *)
 
@@ -133,8 +253,8 @@ let io_fingerprint (s : Io_stats.t) =
     s.Io_stats.pages_repaired,
     s.Io_stats.io_retries )
 
-let build_tpcc ?(seed = 42) ~txns () =
-  let eng = Engine.create ~media:Media.ram () in
+let build_tpcc ?(seed = 42) ~media ~txns () =
+  let eng = Engine.create ~media () in
   let db =
     Engine.create_database eng ~pool_capacity:1024 ~log_segment_bytes:16384 "tpcc"
   in
@@ -176,7 +296,7 @@ let run_once ~seed ~fanout ~truncate () =
     ~finally:(fun () -> Domain_pool.set_fanout None)
     (fun () ->
       Domain_pool.set_fanout fanout;
-      let db, t0, t1 = build_tpcc ~seed ~txns:80 () in
+      let db, t0, t1 = build_tpcc ~seed ~media:Media.ram ~txns:80 () in
       let span = t1 -. t0 in
       let before = tally () in
       let view =
@@ -339,25 +459,34 @@ let test_scrub_fanout_determinism () =
       ~finally:(fun () -> Domain_pool.set_fanout None)
       (fun () ->
         Domain_pool.set_fanout fanout;
-        let db, _, _ = build_tpcc ~seed:7 ~txns:40 () in
+        (* Priced reads, so that the sweep has an overlap to credit. *)
+        let db, _, _ = build_tpcc ~seed:7 ~media:Media.ssd ~txns:40 () in
         ignore (Database.checkpoint db);
         Rw_buffer.Buffer_pool.drop_all (Database.pool db);
         let before = tally () in
+        let t0 = Database.now_us db in
         let repaired = Database.scrub db in
-        (repaired, probe_delta before (tally ()), io_fingerprint (Disk.stats (Database.disk db))))
+        let elapsed = Database.now_us db -. t0 in
+        ( (repaired, probe_delta before (tally ()), io_fingerprint (Disk.stats (Database.disk db))),
+          elapsed ))
   in
-  let r1, p1, d1 = scrub_once (Some 1) in
-  let r4, p4, d4 = scrub_once (Some 4) in
-  check_int "scrub: same repairs" r1 r4;
-  List.iter2
-    (fun (n, a) (_, b) -> check_int (Printf.sprintf "scrub: probe %s" n) a b)
-    p1 p4;
-  check "scrub: identical Io_stats" true (d1 = d4)
+  let (r1, p1, d1), e1 = scrub_once (Some 1) in
+  List.iter
+    (fun (name, fanout) ->
+      let (r, p, d), e = scrub_once fanout in
+      check_int (name ^ " scrub: same repairs") r1 r;
+      List.iter2
+        (fun (n, a) (_, b) -> check_int (Printf.sprintf "%s scrub: probe %s" name n) a b)
+        p1 p;
+      check (name ^ " scrub: identical Io_stats") true (d1 = d);
+      (* The overlap credit only ever shortens the sweep. *)
+      check (name ^ " scrub: modeled time no more than at fan-out 1") true (e <= e1))
+    (List.tl fanouts)
 
 (* --- prewarmed reader sessions ride the pipeline transparently --- *)
 
 let test_prewarm_reader_equivalence () =
-  let db, t0, t1 = build_tpcc ~seed:42 ~txns:60 () in
+  let db, t0, t1 = build_tpcc ~seed:42 ~media:Media.ram ~txns:60 () in
   let target = t1 -. (0.3 *. (t1 -. t0)) in
   let sm = Session_manager.create db in
   let warm = Session_manager.open_reader sm ~name:"warm" ~wall_us:target ~step:(fun _ -> ()) in
@@ -391,6 +520,7 @@ let () =
           Alcotest.test_case "worker exception reraised" `Quick test_worker_exception_reraised;
           Alcotest.test_case "fan-out clamp" `Quick test_fanout_clamp;
         ] );
+      ("page_batch", [ QCheck_alcotest.to_alcotest page_batch_test ]);
       ( "determinism",
         [
           Alcotest.test_case "snapshot batch, fan-out 1/2/4/clamp" `Quick

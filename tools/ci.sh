@@ -18,6 +18,8 @@ echo "== dune build @doc =="
 dune build @doc
 
 echo "== trace smoke (exec --trace produces Chrome trace JSON) =="
+# The read through the snapshot rewinds its pages in page batches, each
+# one span with its page count and fan-out (lib/core/page_batch.ml).
 trace_tmp=$(mktemp /tmp/rewind_trace.XXXXXX.json)
 dune exec bin/rewind_cli.exe -- exec --trace "$trace_tmp" -e "
   CREATE DATABASE d; USE d;
@@ -25,10 +27,13 @@ dune exec bin/rewind_cli.exe -- exec --trace "$trace_tmp" -e "
   INSERT INTO t VALUES (1, 10), (2, 20);
   UPDATE t SET v = 99 WHERE k = 1;
   CHECKPOINT;
-  SELECT * FROM t;" >/dev/null
+  SELECT * FROM t;
+  CREATE DATABASE s AS SNAPSHOT OF d AS OF -0;
+  SELECT * FROM s.t;" >/dev/null
 test -s "$trace_tmp"
 grep -q '"traceEvents"' "$trace_tmp"
 grep -q '"ph"' "$trace_tmp"
+grep -q '"name": "snapshot.materialize_batch", "cat": "pool", "ph": "X".*"args": {"pages": [0-9]*, "fanout": [0-9]*}' "$trace_tmp"
 rm -f "$trace_tmp"
 echo "trace ok"
 
