@@ -112,7 +112,7 @@ let assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity ~fpi
                  handed out.  Group recovery itself reads and writes through
                  the unwrapped self-healing source. *)
               Recovery.Instant.attach inst ~read:base.Buffer_pool.read
-                ~write:base.Buffer_pool.write ~wal_flush;
+                ~write:base.Buffer_pool.write ~wal_flush ~quarantine;
               {
                 base with
                 Buffer_pool.read =

@@ -407,6 +407,7 @@ module Instant = struct
     io_read : Page_id.t -> Page.t;
     io_write : Page_id.t -> Page.t -> unit;
     io_wal_flush : Lsn.t -> unit;
+    io_quarantine : Page_repair.Quarantine.t;
   }
 
   type t = {
@@ -474,8 +475,9 @@ module Instant = struct
       touching = false;
     }
 
-  let attach t ~read ~write ~wal_flush =
-    t.io <- Some { io_read = read; io_write = write; io_wal_flush = wal_flush }
+  let attach t ~read ~write ~wal_flush ~quarantine =
+    t.io <-
+      Some { io_read = read; io_write = write; io_wal_flush = wal_flush; io_quarantine = quarantine }
 
   let mark_full_recovery t =
     if t.stats.time_to_full_recovery_us = 0.0 then
@@ -551,9 +553,31 @@ module Instant = struct
           p
     in
     let sorted = Hashtbl.fold (fun k () acc -> k :: acc) pages [] |> List.sort compare in
+    let release_local () =
+      Hashtbl.iter
+        (fun k p -> if Option.is_none seed_page || k <> Page_id.to_int pid0 then Page.release p)
+        local
+    in
     (* Read everything first: page I/O failures (quarantine) must surface
-       before the first CLR is appended, keeping undo all-or-nothing. *)
-    List.iter (fun k -> ignore (get k)) sorted;
+       before the first CLR is appended, keeping undo all-or-nothing.  A
+       member that cannot be read quarantines the whole group: its losers
+       cannot be undone, so no member may be served or left pending. *)
+    (match List.iter (fun k -> ignore (get k)) sorted with
+    | () -> ()
+    | exception Page_repair.Quarantined bad ->
+        release_local ();
+        List.iter
+          (fun k ->
+            let pid = Page_id.of_int k in
+            if not (Page_id.equal pid bad) then
+              Page_repair.Quarantine.add io.io_quarantine pid
+                (Printf.sprintf "recovery group member page %d quarantined" (Page_id.to_int bad));
+            if Hashtbl.mem t.pending k then begin
+              Hashtbl.remove t.pending k;
+              Obs.gauge_add Probes.recovery_backlog (-1.0)
+            end)
+          sorted;
+        raise (Page_repair.Quarantined bad));
     let changed = Hashtbl.create 8 in
     List.iter
       (fun k -> if redo_page t (Page_id.of_int k) (get k) > 0 then Hashtbl.replace changed k ())
@@ -613,9 +637,7 @@ module Instant = struct
           ]
         "recovery.first_touch";
     if backlog t = 0 then mark_full_recovery t;
-    Hashtbl.iter
-      (fun k p -> if Option.is_none seed_page || k <> Page_id.to_int pid0 then Page.release p)
-      local;
+    release_local ();
     !published
 
   let touch t pid page =
@@ -625,28 +647,25 @@ module Instant = struct
       Fun.protect
         ~finally:(fun () -> t.touching <- false)
         (fun () ->
-          ignore (recover_group t ~on_demand:true pid (Some page) : int);
-          page)
+          match recover_group t ~on_demand:true pid (Some page) with
+          | (_ : int) -> page
+          | exception Page_repair.Quarantined _ ->
+              Page.release page;
+              raise (Page_repair.Quarantined pid))
     end
 
   let drain t ~max_pages =
     let published = ref 0 in
-    let unpend k =
-      if Hashtbl.mem t.pending k then begin
-        Hashtbl.remove t.pending k;
-        incr published;
-        Obs.gauge_add Probes.recovery_backlog (-1.0)
-      end
-    in
     while !published < max_pages && backlog t > 0 do
+      let before = backlog t in
       let k = Hashtbl.fold (fun k () acc -> min k acc) t.pending max_int in
       match recover_group t ~on_demand:false (Page_id.of_int k) None with
       | n -> published := !published + n
-      | exception Page_repair.Quarantined qpid ->
-          (* Give up on the damaged page so the rest of the backlog still
-             drains; reads of it keep failing with the typed error. *)
-          unpend (Page_id.to_int qpid);
-          unpend k
+      | exception Page_repair.Quarantined _ ->
+          (* The group left the backlog quarantined, so the rest still
+             drains; reads of its pages keep failing with the typed
+             error. *)
+          published := !published + before - backlog t
     done;
     if backlog t = 0 then mark_full_recovery t;
     !published

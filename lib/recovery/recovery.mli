@@ -185,10 +185,13 @@ module Instant : sig
     read:(Rw_storage.Page_id.t -> Rw_storage.Page.t) ->
     write:(Rw_storage.Page_id.t -> Rw_storage.Page.t -> unit) ->
     wal_flush:(Rw_storage.Lsn.t -> unit) ->
+    quarantine:Page_repair.Quarantine.t ->
     unit
   (** Provide the page I/O used to recover groups: [read]/[write] against
       the underlying (self-healing) disk source, [wal_flush] to honour the
-      WAL rule before recovered pages are written back. *)
+      WAL rule before recovered pages are written back, and the
+      [quarantine] set [read] reports to, which a group with an
+      unreadable member joins whole. *)
 
   val stats : t -> stats
   (** Live statistics; [redone_ops]/[undone_ops]/[ended_losers] grow as the
@@ -206,12 +209,15 @@ module Instant : sig
   (** First-touch recovery: if the page is pending, recover its whole group
       (see DESIGN.md §12 — every in-flight transaction overlapping the
       group is undone completely before any page is published) and return
-      the recovered image; otherwise return the page unchanged. *)
+      the recovered image; otherwise return the page unchanged.  If a
+      member of the group cannot be read, the whole group is quarantined
+      and the touch raises {!Page_repair.Quarantined} for the page. *)
 
   val drain : t -> max_pages:int -> int
   (** Recover up to [max_pages] backlog pages (whole groups at a time,
-      lowest page id first); returns how many left the backlog.  A
-      quarantined page is dropped from the backlog rather than wedging the
-      drain.  The background sweeper and the pre-checkpoint barrier both
+      lowest page id first); returns how many left the backlog.  A group
+      with a member that cannot be read leaves the backlog quarantined
+      whole, each other member with a reason naming the damaged one,
+      rather than wedging the drain.  The background sweeper and the pre-checkpoint barrier both
       use this. *)
 end

@@ -339,6 +339,54 @@ let test_restart_keeps_retention () =
   let db = Database.reopen_redo_only db in
   check "redo-only reopen keeps the interval" true (Database.retention db = interval)
 
+(* A loser on pages A and B ties them into one recovery group.  With
+   images off and the log truncated past A's history, a corrupt A can
+   only be quarantined; the drain must then quarantine B with it, naming
+   A, and not drop B from the backlog unrecovered — a later read of B
+   would return its on-disk image with the loser neither redone nor
+   undone. *)
+let test_quarantined_group () =
+  let db =
+    Database.create ~name:"qgroup" ~clock:(Sim_clock.create ()) ~media:Media.ram
+      ~fpi:Rw_access.Access_ctx.Off ()
+  in
+  Database.with_txn db (fun txn ->
+      List.iter
+        (fun table ->
+          ignore (Database.create_table db txn ~table ~columns:cols ());
+          Database.insert db txn ~table [ Row.Int 1L; Row.Text "committed" ])
+        [ "a"; "b" ]);
+  ignore (Database.checkpoint db);
+  let log = Database.log db in
+  Log_manager.truncate_before log (Log_manager.end_lsn log);
+  let root table = (Option.get (Database.table db table)).Schema.root in
+  let a = root "a" and b = root "b" in
+  let txn = Database.begin_txn db in
+  List.iter
+    (fun table -> Database.update db txn ~table [ Row.Int 1L; Row.Text "loser" ])
+    [ "a"; "b" ];
+  Log_manager.flush_all log;
+  Disk.corrupt_stored (Database.disk db) a;
+  let db = Database.crash_and_reopen ~instant:true db in
+  check "A and B in the backlog" true (Database.recovery_backlog db >= 2);
+  Database.recovery_drain_all db;
+  check_int "backlog drained" 0 (Database.recovery_backlog db);
+  (match Database.get db ~table:"b" ~key:1L with
+  | _ -> Alcotest.fail "B served although its group could not be recovered"
+  | exception Rw_recovery.Page_repair.Quarantined pid ->
+      check "the read names B" true (Page_id.equal pid b));
+  let quarantined = Database.quarantined_pages db in
+  check "A quarantined" true (List.mem_assoc a quarantined);
+  match List.assoc_opt b quarantined with
+  | None -> Alcotest.fail "B not quarantined"
+  | Some reason ->
+      let named = Printf.sprintf "page %d" (Page_id.to_int a) in
+      let rec has i =
+        i + String.length named <= String.length reason
+        && (String.sub reason i (String.length named) = named || has (i + 1))
+      in
+      check ("B's reason names A: " ^ reason) true (has 0)
+
 let () =
   Alcotest.run "instant"
     [
@@ -358,6 +406,8 @@ let () =
             test_restart_releases_old_handle;
           Alcotest.test_case "restart keeps the retention interval" `Quick
             test_restart_keeps_retention;
+          Alcotest.test_case "quarantined member quarantines its group" `Quick
+            test_quarantined_group;
         ] );
       ( "parallel-redo",
         [
