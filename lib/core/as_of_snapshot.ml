@@ -220,7 +220,7 @@ let create ~wall_us ~log ~primary_pool ~primary_disk ~txns ~clock ~media ?shared
   (* 4. Logical undo of in-flight transactions, applied to the snapshot's
      sparse file only: the primary log sees no CLRs from a read-only
      snapshot. *)
-  let in_flight = Hashtbl.length losers.Recovery.in_flight in
+  let in_flight = Rw_storage.Int_tbl.length losers.Recovery.in_flight in
   (* Batch-materialize the pages the losers touched (known from analysis)
      before the undo walk starts: their chains are fetched in one sorted
      pass instead of record-at-a-time as undo stumbles onto each page. *)

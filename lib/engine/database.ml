@@ -111,8 +111,7 @@ let assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity ~fpi
                  group (redo to end-of-log + loser undo) before the page is
                  handed out.  Group recovery itself reads and writes through
                  the unwrapped self-healing source. *)
-              Recovery.Instant.attach inst ~read:base.Buffer_pool.read
-                ~write:base.Buffer_pool.write ~wal_flush ~quarantine;
+              Recovery.Instant.attach inst ~source:base ~wal_flush ~quarantine;
               {
                 base with
                 Buffer_pool.read =

@@ -33,19 +33,18 @@ let is_base = function
       true
   | _ -> false
 
-(* The one redo apply: gathered record [k], at [lsn], decoded from its
-   span and redone onto [page] unless the page LSN shows the image already
-   reflects it.  Returns whether it applied. *)
+(* The one redo apply: gathered record [k], at [lsn], redone onto [page]
+   where it sits in its segment blob, unless the page LSN shows the image
+   already reflects it.  Returns whether it applied. *)
 let redo_record pid (g : Log_manager.gathered) k lsn page =
   Lsn.(Page.lsn page < lsn)
   && begin
-       let r = Log_record.decode (Bytes.sub_string g.g_blob.(k) g.g_pos.(k) g.g_len.(k)) in
-       (match Log_record.op_of r with Some op -> Log_record.redo pid op page | None -> ());
+       Log_record.redo_in_place g.g_blob.(k) ~pos:g.g_pos.(k) ~len:g.g_len.(k) ~page:pid page;
        Page.set_lsn page lsn;
        true
      end
 
-let replay_chain ~log pid ~from ~down_to ~no_base page =
+let chain_suffix ~log pid ~from ~down_to ~no_base =
   let chain = Log_manager.chain_segment log pid ~from ~down_to in
   let n = Array.length chain in
   (* Newest base record wins: everything before it is irrelevant. *)
@@ -58,17 +57,26 @@ let replay_chain ~log pid ~from ~down_to ~no_base page =
     else newest_base (i - 1)
   in
   let base = if n = 0 then 0 else newest_base (n - 1) in
-  let suffix = Array.sub chain base (n - base) in
-  match (Log_manager.gather_batch log [| suffix |]).b_pages.(0) with
-  | Some g ->
-      let applied = ref 0 in
-      Array.iteri (fun k lsn -> if redo_record pid g k lsn page then incr applied) suffix;
-      !applied
+  if base = 0 then chain else Array.sub chain base (n - base)
+
+let located ~log suffix = function
+  | Some g -> g
   | None ->
       (* A record could not be located: look it up again to raise what the
          lookup raised. *)
       Array.iter (fun lsn -> ignore (Log_manager.peek_record log lsn)) suffix;
       raise (Log_manager.No_such_record suffix.(0))
+
+let redo_chain pid suffix g page =
+  let applied = ref 0 in
+  Array.iteri (fun k lsn -> if redo_record pid g k lsn page then incr applied) suffix;
+  !applied
+
+let replay_chain ~log pid ~from ~down_to ~no_base page =
+  let suffix = chain_suffix ~log pid ~from ~down_to ~no_base in
+  redo_chain pid suffix
+    (located ~log suffix (Log_manager.gather_batch log [| suffix |]).b_pages.(0))
+    page
 
 let rebuild ~log pid =
   (* No base retained: replay is only sound from the page's genesis, i.e.

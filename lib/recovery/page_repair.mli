@@ -46,32 +46,50 @@ val redo_record :
     chain replay and log-scan redo ([Recovery.redo]): gathered record [k],
     whose LSN is [lsn], is redone onto [page] and [lsn] stamped as its page
     LSN — unless [Page.lsn page >= lsn] (the page-LSN guard: the image
-    already reflects it).  The record is decoded from its span with
-    {!Rw_wal.Log_record.decode}; its CRC was checked where its bytes
-    entered the log.  Returns whether it applied.  Pure over its
+    already reflects it).  The record is redone where it sits in its
+    segment blob, with {!Rw_wal.Log_record.redo_in_place} (no decode, no
+    payload copy); its CRC was checked where its bytes entered the log.  Returns whether it applied.  Pure over its
     arguments, so workers may call it on disjoint pages. *)
 
-val replay_chain :
+val chain_suffix :
   log:Rw_wal.Log_manager.t ->
   Rw_storage.Page_id.t ->
   from:Rw_storage.Lsn.t ->
   down_to:Rw_storage.Lsn.t ->
   no_base:(Rw_storage.Lsn.t -> unit) ->
-  Rw_storage.Page.t ->
-  int
-(** [replay_chain ~log pid ~from ~down_to ~no_base page] redoes onto
-    [page], in place, the page's chain records in [(down_to, from]]: from
+  Rw_storage.Lsn.t array
+(** [chain_suffix ~log pid ~from ~down_to ~no_base] is what a replay of
+    the page's chain records in [(down_to, from]] applies, ascending: from
     the newest base record ([Full_image] or [Format]) when the range holds
     one, else from its oldest record, after passing that record's LSN to
-    [no_base] (which may raise to refuse).  The records from there on are
-    fetched as a batch of one through
-    {!Rw_wal.Log_manager.gather_batch} (block-priced) and applied with
-    {!redo_record}, so records at or below the page LSN are skipped and
-    the replay is idempotent.  A record
-    that cannot be located raises {!Rw_wal.Log_manager.Log_truncated} or
-    {!Rw_wal.Log_manager.No_such_record}.  Returns the operations applied.
-    Every chain-replay path uses it: {!rebuild} (page repair, scrub,
-    failover rejoin) and instant restart's first-touch redo. *)
+    [no_base] (which may raise to refuse).  Only record headers are
+    peeked; nothing is charged.  Every chain replay starts here: {!rebuild}
+    (page repair, scrub, failover rejoin) fetches it as a batch of one,
+    instant restart fetches a whole pass's suffixes in one
+    {!Rw_wal.Log_manager.gather_batch}. *)
+
+val located :
+  log:Rw_wal.Log_manager.t ->
+  Rw_storage.Lsn.t array ->
+  Rw_wal.Log_manager.gathered option ->
+  Rw_wal.Log_manager.gathered
+(** [located ~log suffix g] is [g]'s records, [suffix]'s entry of a
+    {!Rw_wal.Log_manager.gather_batch}; for [None], it raises what
+    looking up [suffix]'s records raises
+    ({!Rw_wal.Log_manager.Log_truncated} or
+    {!Rw_wal.Log_manager.No_such_record}). *)
+
+val redo_chain :
+  Rw_storage.Page_id.t ->
+  Rw_storage.Lsn.t array ->
+  Rw_wal.Log_manager.gathered ->
+  Rw_storage.Page.t ->
+  int
+(** [redo_chain pid suffix g page] redoes [suffix]'s gathered records
+    onto [page] in place, in LSN order, with {!redo_record}: records at or
+    below the page LSN are skipped, so the replay is idempotent.  Returns
+    the operations applied.  Pure over its arguments, so workers may call
+    it on disjoint pages. *)
 
 val rebuild : log:Rw_wal.Log_manager.t -> Rw_storage.Page_id.t -> Rw_storage.Page.t
 (** Rebuild the page's current content purely from the log: locate the

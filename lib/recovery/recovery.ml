@@ -11,6 +11,7 @@ module Obs = Rw_obs.Metrics
 module Probes = Rw_obs.Probes
 module Trace = Rw_obs.Trace
 module Page_batch = Rw_pool.Page_batch
+module Int_tbl = Rw_storage.Int_tbl
 
 let checkpoint ~log ~pool ~txns ~wall_us ?(flush_pages = false) () =
   let ts = if Trace.on () then Trace.now () else 0.0 in
@@ -34,9 +35,9 @@ let checkpoint ~log ~pool ~txns ~wall_us ?(flush_pages = false) () =
   lsn
 
 type analysis = {
-  losers : (Txn_id.t, Lsn.t) Hashtbl.t;
-  dirty_pages : (int, Lsn.t) Hashtbl.t;
-  txn_pages : (Txn_id.t, (int, unit) Hashtbl.t) Hashtbl.t;
+  losers : Lsn.t Int_tbl.t;
+  dirty_pages : Lsn.t Int_tbl.t;
+  txn_pages : unit Int_tbl.t Int_tbl.t;
   redo_start : Lsn.t;
   max_txn_id : Txn_id.t;
   records_scanned : int;
@@ -58,28 +59,30 @@ let analysis_head ~log ~start ~upto =
    master checkpoint — always the first record of the range — is decoded
    once up front by [analysis_head] and arrives as [seed]; any later
    checkpoints inside the range use the on-demand thunk.  Everything else
-   is peeked, so the scan never allocates row payloads. *)
-let analysis_scan ~log ~seed ~scan_from ~upto =
-  let losers = Hashtbl.create 16 in
-  let dirty_pages = Hashtbl.create 64 in
-  let txn_pages = Hashtbl.create 16 in
+   is peeked, so the scan never allocates row payloads.  [txn_pages] is
+   filled only when [pages] asks for it: a restart finds its losers'
+   pages by walking their chains, if it needs them at all. *)
+let analysis_scan ~log ~seed ~scan_from ~upto ~pages =
+  let losers = Int_tbl.create 16 in
+  let dirty_pages = Int_tbl.create 64 in
+  let txn_pages = Int_tbl.create 16 in
   let max_txn = ref Txn_id.nil in
   let scanned = ref 0 in
   let see_txn txn = if Txn_id.compare txn !max_txn > 0 then max_txn := txn in
   let see_page page lsn =
     let k = Page_id.to_int page in
-    if not (Hashtbl.mem dirty_pages k) then Hashtbl.replace dirty_pages k lsn
+    if not (Int_tbl.mem dirty_pages k) then Int_tbl.replace dirty_pages k lsn
   in
   let note_txn_page txn page =
     let pages =
-      match Hashtbl.find_opt txn_pages txn with
+      match Int_tbl.find_opt txn_pages txn with
       | Some h -> h
       | None ->
-          let h = Hashtbl.create 8 in
-          Hashtbl.replace txn_pages txn h;
+          let h = Int_tbl.create 8 in
+          Int_tbl.replace txn_pages txn h;
           h
     in
-    Hashtbl.replace pages (Page_id.to_int page) ()
+    Int_tbl.replace pages (Page_id.to_int page) ()
   in
   let seed_checkpoint r =
     match r.Log_record.body with
@@ -87,7 +90,8 @@ let analysis_scan ~log ~seed ~scan_from ~upto =
         List.iter
           (fun (t, last) ->
             see_txn t;
-            if not (Hashtbl.mem losers t) then Hashtbl.replace losers t last)
+            let k = Txn_id.to_int t in
+            if not (Int_tbl.mem losers k) then Int_tbl.replace losers k last)
           active_txns;
         List.iter (fun (page, rec_lsn) -> see_page page rec_lsn) dpt
     | _ -> assert false
@@ -101,38 +105,39 @@ let analysis_scan ~log ~seed ~scan_from ~upto =
       incr scanned;
       let txn = pk.Log_record.p_txn in
       see_txn txn;
+      let k = Txn_id.to_int txn in
       match pk.Log_record.p_kind with
       | Log_record.K_checkpoint -> seed_checkpoint (decode ())
-      | Log_record.K_begin -> Hashtbl.replace losers txn lsn
-      | Log_record.K_commit | Log_record.K_end -> Hashtbl.remove losers txn
-      | Log_record.K_abort -> if Hashtbl.mem losers txn then Hashtbl.replace losers txn lsn
+      | Log_record.K_begin -> Int_tbl.replace losers k lsn
+      | Log_record.K_commit | Log_record.K_end -> Int_tbl.remove losers k
+      | Log_record.K_abort -> if Int_tbl.mem losers k then Int_tbl.replace losers k lsn
       | Log_record.K_page_op _ | Log_record.K_clr _ ->
           if not (Txn_id.is_nil txn) then begin
-            Hashtbl.replace losers txn lsn;
-            note_txn_page txn pk.Log_record.p_page
+            Int_tbl.replace losers k lsn;
+            if pages then note_txn_page k pk.Log_record.p_page
           end;
           see_page pk.Log_record.p_page lsn);
-  let redo_start =
-    Hashtbl.fold (fun _ rec_lsn acc -> Lsn.min rec_lsn acc) dirty_pages upto
-  in
+  let redo_start = Int_tbl.fold (fun _ rec_lsn acc -> Lsn.min rec_lsn acc) dirty_pages upto in
   { losers; dirty_pages; txn_pages; redo_start; max_txn_id = !max_txn; records_scanned = !scanned }
 
-let analyze ~log ~start ~upto =
+let analyze_from ~log ~start ~upto ~pages =
   let seed, scan_from = analysis_head ~log ~start ~upto in
-  analysis_scan ~log ~seed ~scan_from ~upto
+  analysis_scan ~log ~seed ~scan_from ~upto ~pages
+
+let analyze ~log ~start ~upto = analyze_from ~log ~start ~upto ~pages:true
 
 let loser_pages analysis =
-  let seen = Hashtbl.create 64 in
-  Hashtbl.iter
+  let seen = Int_tbl.create 64 in
+  Int_tbl.iter
     (fun txn _ ->
-      match Hashtbl.find_opt analysis.txn_pages txn with
-      | Some pages -> Hashtbl.iter (fun p () -> Hashtbl.replace seen p ()) pages
+      match Int_tbl.find_opt analysis.txn_pages txn with
+      | Some pages -> Int_tbl.iter (fun p () -> Int_tbl.replace seen p ()) pages
       | None -> ())
     analysis.losers;
-  Hashtbl.fold (fun p () acc -> Page_id.of_int p :: acc) seen []
+  Int_tbl.fold (fun p () acc -> Page_id.of_int p :: acc) seen []
 
 type losers = {
-  in_flight : (Txn_id.t, Lsn.t) Hashtbl.t;
+  in_flight : Lsn.t Int_tbl.t;
   in_flight_pages : Page_id.t list;
   loser_scan : bool;
 }
@@ -156,31 +161,31 @@ let losers_at ~log ~start ~upto =
     && (Lsn.(upto >= Log_manager.end_lsn log) || Log_manager.mem log upto)
   in
   let none_in_flight () =
-    let live = Hashtbl.create 16 in
+    let live = Int_tbl.create 16 in
     (match seed with
     | Some { Log_record.body = Log_record.Checkpoint { active_txns; _ }; _ } ->
-        List.iter (fun (txn, _) -> Hashtbl.replace live txn ()) active_txns
+        List.iter (fun (txn, _) -> Int_tbl.replace live (Txn_id.to_int txn) ()) active_txns
     | _ -> ());
     let exact = ref true in
     Log_manager.iter_controls log ~from:scan_from (fun lsn kind txn _ ->
         Lsn.(lsn < upto)
         && begin
              (match kind with
-             | Log_record.K_begin -> Hashtbl.replace live txn ()
-             | Log_record.K_commit | Log_record.K_end -> Hashtbl.remove live txn
+             | Log_record.K_begin -> Int_tbl.replace live (Txn_id.to_int txn) ()
+             | Log_record.K_commit | Log_record.K_end -> Int_tbl.remove live (Txn_id.to_int txn)
              | Log_record.K_checkpoint -> exact := false
              | _ -> ());
              !exact
            end);
-    !exact && Hashtbl.length live = 0
+    !exact && Int_tbl.length live = 0
   in
   if Lsn.(start >= upto) || (decidable && none_in_flight ()) then begin
     Log_manager.charge_scan log ~from:scan_from ~upto;
-    { in_flight = Hashtbl.create 1; in_flight_pages = []; loser_scan = false }
+    { in_flight = Int_tbl.create 1; in_flight_pages = []; loser_scan = false }
   end
   else begin
     Obs.incr Probes.snapshot_loser_scans;
-    let a = analysis_scan ~log ~seed ~scan_from ~upto in
+    let a = analysis_scan ~log ~seed ~scan_from ~upto ~pages:true in
     { in_flight = a.losers; in_flight_pages = loser_pages a; loser_scan = true }
   end
 
@@ -227,29 +232,39 @@ let redo ~log ~pool ~from ~upto ~wanted =
 (* Analysis filter: a dirty page's records from its recovery LSN on. *)
 let redo_dirty ~log ~pool ~analysis ~upto =
   redo ~log ~pool ~from:analysis.redo_start ~upto ~wanted:(fun lsn page ->
-      match Hashtbl.find_opt analysis.dirty_pages (Page_id.to_int page) with
+      match Int_tbl.find_opt analysis.dirty_pages (Page_id.to_int page) with
       | Some rec_lsn -> Lsn.(lsn >= rec_lsn)
       | None -> false)
 
+(* Losers are undone newest record first across all of them: each step
+   takes the transaction whose next record to undo has the largest LSN
+   (ties, possible only at nil, go to the larger transaction id). *)
 let undo_losers ~log ~losers ~write_clr ~apply =
-  let next_undo = Hashtbl.copy losers in
-  let tails = Hashtbl.copy losers in
+  let next_undo = Int_tbl.copy losers in
+  let tails = Int_tbl.copy losers in
   let undone = ref 0 in
   let pick () =
-    Hashtbl.fold
-      (fun txn lsn acc ->
-        match acc with Some (_, best) when Lsn.(best >= lsn) -> acc | _ -> Some (txn, lsn))
-      next_undo None
+    let best = ref (-1) and best_lsn = ref Lsn.nil in
+    Int_tbl.iter
+      (fun txn lsn ->
+        if !best < 0 || Lsn.(lsn > !best_lsn) || (Lsn.equal lsn !best_lsn && txn > !best) then begin
+          best := txn;
+          best_lsn := lsn
+        end)
+      next_undo;
+    !best
   in
-  let finish txn =
+  let finish k =
     if write_clr then begin
-      let tail = Hashtbl.find tails txn in
-      ignore (Log_manager.append log (Log_record.make ~txn ~prev_txn_lsn:tail Log_record.End))
+      let tail = Int_tbl.find tails k in
+      ignore
+        (Log_manager.append log
+           (Log_record.make ~txn:(Txn_id.of_int k) ~prev_txn_lsn:tail Log_record.End))
     end;
-    Hashtbl.remove next_undo txn;
-    Hashtbl.remove tails txn
+    Int_tbl.remove next_undo k;
+    Int_tbl.remove tails k
   in
-  let undo_op txn ~page ~op ~undo_next =
+  let undo_op k ~page ~op ~undo_next =
     match Log_record.invert op with
     | None -> ()
     | Some inverse ->
@@ -257,13 +272,13 @@ let undo_losers ~log ~losers ~write_clr ~apply =
             incr undone;
             if write_clr then begin
               let prev_page_lsn = Page.lsn p in
-              let tail = Hashtbl.find tails txn in
+              let tail = Int_tbl.find tails k in
               let clr_lsn =
                 Log_manager.append log
-                  (Log_record.make ~txn ~prev_txn_lsn:tail
+                  (Log_record.make ~txn:(Txn_id.of_int k) ~prev_txn_lsn:tail
                      (Log_record.Clr { page; prev_page_lsn; op = inverse; undo_next }))
               in
-              Hashtbl.replace tails txn clr_lsn;
+              Int_tbl.replace tails k clr_lsn;
               Log_record.redo page inverse p;
               Some clr_lsn
             end
@@ -274,19 +289,20 @@ let undo_losers ~log ~losers ~write_clr ~apply =
   in
   let rec loop () =
     match pick () with
-    | None -> ()
-    | Some (txn, lsn) ->
-        if Lsn.is_nil lsn then finish txn
+    | -1 -> ()
+    | k ->
+        let lsn = Int_tbl.find next_undo k in
+        if Lsn.is_nil lsn then finish k
         else begin
           let r = Log_manager.read log lsn in
           (match r.Log_record.body with
-          | Log_record.Begin -> finish txn
+          | Log_record.Begin -> finish k
           | Log_record.Page_op { page; op; _ } ->
-              undo_op txn ~page ~op ~undo_next:r.Log_record.prev_txn_lsn;
-              Hashtbl.replace next_undo txn r.Log_record.prev_txn_lsn
-          | Log_record.Clr { undo_next; _ } -> Hashtbl.replace next_undo txn undo_next
+              undo_op k ~page ~op ~undo_next:r.Log_record.prev_txn_lsn;
+              Int_tbl.replace next_undo k r.Log_record.prev_txn_lsn
+          | Log_record.Clr { undo_next; _ } -> Int_tbl.replace next_undo k undo_next
           | Log_record.Abort | Log_record.Commit _ | Log_record.End | Log_record.Checkpoint _ ->
-              Hashtbl.replace next_undo txn r.Log_record.prev_txn_lsn);
+              Int_tbl.replace next_undo k r.Log_record.prev_txn_lsn);
           loop ()
         end
   in
@@ -320,7 +336,7 @@ let prologue ~now_us ~log =
   in
   let upto = Log_manager.end_lsn log in
   let ts = if Trace.on () then Trace.now () else 0.0 in
-  let analysis = analyze ~log ~start ~upto in
+  let analysis = analyze_from ~log ~start ~upto ~pages:false in
   let analysis_us = now_us () -. t0 in
   if Trace.on () then
     Trace.complete ~cat:"recovery" ~ts
@@ -364,7 +380,7 @@ let recover ?(now_us = fun () -> 0.0) ~log ~pool () =
   let t0, upto, stats = prologue ~now_us ~log in
   redo_analyzed ~log ~pool ~upto stats;
   let losers = stats.analysis.losers in
-  stats.ended_losers <- Hashtbl.length losers;
+  stats.ended_losers <- Int_tbl.length losers;
   let apply pid f =
     Buffer_pool.with_frame pool pid ~mode:Latch.Exclusive (fun frame ->
         let p = Buffer_pool.page frame in
@@ -404,80 +420,124 @@ let recover_redo_only ?(now_us = fun () -> 0.0) ~log ~pool () =
 
 module Instant = struct
   type io = {
-    io_read : Page_id.t -> Page.t;
-    io_write : Page_id.t -> Page.t -> unit;
+    io_source : Buffer_pool.source;
     io_wal_flush : Lsn.t -> unit;
     io_quarantine : Page_repair.Quarantine.t;
   }
+
+  (* A recovery group: pages tied together, transitively, by in-flight
+     transactions, with those transactions and their last LSNs.  Undoing a
+     loser must be all-or-nothing — its CLR chain walks the whole
+     transaction newest-first, so a partially-undone transaction would
+     leave [undo_next] pointing into territory a later crash recovery
+     could not interpret — so a group is recovered, and leaves the
+     backlog, as one unit.  A page no loser touched is a group of one. *)
+  type group = { members : int array; (* ascending *) losers : Lsn.t Int_tbl.t }
 
   type t = {
     log : Log_manager.t;
     horizon : Lsn.t;
     stats : stats;
-    pending : (int, unit) Hashtbl.t;
-    loser_pages : (Txn_id.t, (int, unit) Hashtbl.t) Hashtbl.t;
-    open_losers : (Txn_id.t, Lsn.t) Hashtbl.t;
+    pending : unit Int_tbl.t;
+    groups : group Int_tbl.t; (* every loser page -> its group *)
+    order : int array; (* the backlog at open, ascending *)
+    mutable cursor : int; (* every page of [order] before it has left the backlog *)
     now_us : unit -> float;
     t_start_us : float;
     mutable io : io option;
     mutable touching : bool;
   }
 
-  let backlog t = Hashtbl.length t.pending
-  let pending_page t pid = Hashtbl.mem t.pending (Page_id.to_int pid)
+  let backlog t = Int_tbl.length t.pending
+  let pending_page t pid = Int_tbl.mem t.pending (Page_id.to_int pid)
   let stats t = t.stats
 
+  (* Read at most this many pages per drain pass, so draining a large
+     backlog holds a bounded set of page images. *)
+  let pass_pages = 256
+
   (* Every page an in-flight transaction touched, including before the
-     analysis start: the scanned region's [txn_pages] only covers records
-     at or after the master checkpoint, so walk the rest of the chain —
+     analysis start (the scanned region's [txn_pages] only covers records
+     at or after the master checkpoint): walk its chain back to its Begin,
      each record priced as a read, but only its header peeked. *)
-  let txn_page_set ~log ~analysis txn last =
-    let pages =
-      match Hashtbl.find_opt analysis.txn_pages txn with
-      | Some h -> Hashtbl.copy h
-      | None -> Hashtbl.create 8
-    in
+  let txn_page_set ~log last =
+    let pages = Int_tbl.create 8 in
     let rec walk lsn =
       if not (Lsn.is_nil lsn) then begin
         Log_manager.charge_read log lsn;
         let pk = Log_manager.peek_record log lsn in
         if Log_record.is_page_kind pk.Log_record.p_kind then
-          Hashtbl.replace pages (Page_id.to_int pk.Log_record.p_page) ();
+          Int_tbl.replace pages (Page_id.to_int pk.Log_record.p_page) ();
         if pk.Log_record.p_kind <> Log_record.K_begin then walk pk.Log_record.p_prev_txn_lsn
       end
     in
     walk last;
     pages
 
+  (* The groups, computed once at open: each loser's page set joins, and
+     merges, the groups its pages already belong to.  They stay exact as
+     the backlog drains, because every loser of a group ends when the
+     group is recovered.  A loser that touched no page joins no group.
+     Every loser page enters [pending]. *)
+  let loser_groups ~log ~(analysis : analysis) ~pending =
+    let groups = Int_tbl.create 16 in
+    Int_tbl.iter
+      (fun txn last ->
+        let pages = txn_page_set ~log last in
+        if Int_tbl.length pages > 0 then begin
+          let losers = Int_tbl.create 2 in
+          Int_tbl.replace losers txn last;
+          let members = ref [] and merged = ref [] in
+          Int_tbl.iter
+            (fun k () ->
+              Int_tbl.replace pending k ();
+              match Int_tbl.find_opt groups k with
+              | None -> members := k :: !members
+              | Some g ->
+                  if not (List.memq g !merged) then begin
+                    merged := g :: !merged;
+                    Int_tbl.iter (Int_tbl.replace losers) g.losers;
+                    members := Array.fold_left (fun acc m -> m :: acc) !members g.members
+                  end)
+            pages;
+          let members = Array.of_list !members in
+          Array.sort Int.compare members;
+          let g = { members; losers } in
+          Array.iter (fun k -> Int_tbl.replace groups k g) members
+        end)
+      analysis.losers;
+    groups
+
   let open_ ?(now_us = fun () -> 0.0) ~log () =
     let t_start_us, horizon, stats = prologue ~now_us ~log in
     let analysis = stats.analysis in
-    let pending = Hashtbl.create 64 in
-    Hashtbl.iter (fun k _ -> Hashtbl.replace pending k ()) analysis.dirty_pages;
-    let loser_pages = Hashtbl.create 8 in
-    Hashtbl.iter
-      (fun txn last ->
-        let pages = txn_page_set ~log ~analysis txn last in
-        Hashtbl.iter (fun k () -> Hashtbl.replace pending k ()) pages;
-        Hashtbl.replace loser_pages txn pages)
-      analysis.losers;
-    Obs.gauge_add Probes.recovery_backlog (float_of_int (Hashtbl.length pending));
+    let pending = Int_tbl.create 64 in
+    Int_tbl.iter (fun k _ -> Int_tbl.replace pending k ()) analysis.dirty_pages;
+    let groups = loser_groups ~log ~analysis ~pending in
+    let order = Array.make (Int_tbl.length pending) 0 and n = ref 0 in
+    Int_tbl.iter
+      (fun k () ->
+        order.(!n) <- k;
+        incr n)
+      pending;
+    Array.sort Int.compare order;
+    Obs.gauge_add Probes.recovery_backlog (float_of_int (Int_tbl.length pending));
     {
       log;
       horizon;
       stats;
       pending;
-      loser_pages;
-      open_losers = Hashtbl.copy analysis.losers;
+      groups;
+      order;
+      cursor = 0;
       now_us;
       t_start_us;
       io = None;
       touching = false;
     }
 
-  let attach t ~read ~write ~wal_flush ~quarantine =
-    t.io <-
-      Some { io_read = read; io_write = write; io_wal_flush = wal_flush; io_quarantine = quarantine }
+  let attach t ~source ~wal_flush ~quarantine =
+    t.io <- Some { io_source = source; io_wal_flush = wal_flush; io_quarantine = quarantine }
 
   let mark_full_recovery t =
     if t.stats.time_to_full_recovery_us = 0.0 then
@@ -488,157 +548,203 @@ module Instant = struct
       t.stats.time_to_first_query_us <- t.now_us () -. t.t_start_us;
     if backlog t = 0 then mark_full_recovery t
 
-  (* Redo one page in place: replay its chain over (page-LSN, horizon] —
-     the same page-LSN guard as the log-scan redo, reading only this
-     page's records. *)
-  let redo_page t pid p =
-    let applied =
-      Page_repair.replay_chain ~log:t.log pid ~from:t.horizon ~down_to:(Page.lsn p)
-        ~no_base:ignore p
+  let no_losers : Lsn.t Int_tbl.t = Int_tbl.create 1
+
+  let group_of t k =
+    match Int_tbl.find_opt t.groups k with
+    | Some g -> g
+    | None -> { members = [| k |]; losers = no_losers }
+
+  let leave t ~on_demand k =
+    if Int_tbl.mem t.pending k then begin
+      Int_tbl.remove t.pending k;
+      Obs.gauge_add Probes.recovery_backlog (-1.0);
+      if on_demand then Obs.incr Probes.recovery_pages_on_demand
+    end
+
+  (* One pass's state: its groups and their pages as [Page_batch] entries,
+     ascending.  A quarantined group's pages hold [Bytes.empty]. *)
+  type pass = {
+    groups : group array;
+    pids : int array;
+    group_ix : int array; (* entry -> its group in [groups] *)
+    failed : bool array; (* per group: a member could not be read *)
+    pages : Page.t array;
+    read_lsn : Lsn.t array;
+    suffixes : Lsn.t array array;
+    chains : Log_manager.gathered option array;
+    mutable written : int; (* the last page written back *)
+  }
+
+  (* Read the pass's pages in page-id order, the touched page's image
+     taken as read.  A member that cannot be read quarantines its whole
+     group before anything is applied: each other member joins the
+     quarantine with a reason naming the damaged page, every member
+     leaves the backlog, and the pages read are released. *)
+  let read_pages t io ~seed groups pids group_ix =
+    let is_seed k = match seed with Some (s, _) -> s = k | None -> false in
+    let pages = Array.make (Array.length pids) Bytes.empty in
+    let failed = Array.make (Array.length groups) false in
+    Array.iteri
+      (fun i k ->
+        let gi = group_ix.(i) in
+        if not failed.(gi) then
+          match seed with
+          | Some (s, page) when s = k -> pages.(i) <- page
+          | _ -> (
+              match io.io_source.Buffer_pool.read (Page_id.of_int k) with
+              | p -> pages.(i) <- p
+              | exception Page_repair.Quarantined bad ->
+                  failed.(gi) <- true;
+                  Array.iter
+                    (fun m ->
+                      if m <> Page_id.to_int bad then
+                        Page_repair.Quarantine.add io.io_quarantine (Page_id.of_int m)
+                          (Printf.sprintf "recovery group member page %d quarantined"
+                             (Page_id.to_int bad));
+                      leave t ~on_demand:false m)
+                    groups.(gi).members))
+      pids;
+    Array.iteri
+      (fun i k ->
+        if failed.(group_ix.(i)) && pages.(i) != Bytes.empty then begin
+          if not (is_seed k) then Page.release pages.(i);
+          pages.(i) <- Bytes.empty
+        end)
+      pids;
+    (pages, failed)
+
+  (* The gather: the pages, then every live page's chain suffix over
+     (page LSN, horizon] fetched in one log-ordered [gather_batch], so a
+     log block the pass shares is charged once.  Data-page reads stay one
+     random read each.  No cost is reported, so the pass takes no overlap
+     credit (DESIGN.md §15). *)
+  let gather t io ~seed groups group_ix pids =
+    let pages, failed = read_pages t io ~seed groups pids group_ix in
+    let suffixes =
+      Array.mapi
+        (fun i k ->
+          if pages.(i) == Bytes.empty then [||]
+          else
+            Page_repair.chain_suffix ~log:t.log (Page_id.of_int k) ~from:t.horizon
+              ~down_to:(Page.lsn pages.(i)) ~no_base:ignore)
+        pids
     in
-    t.stats.redone_ops <- t.stats.redone_ops + applied;
-    Obs.add Probes.recovery_redone applied;
-    applied
+    let chains = (Log_manager.gather_batch t.log suffixes).Log_manager.b_pages in
+    Array.iteri
+      (fun i s -> if pages.(i) != Bytes.empty then ignore (Page_repair.located ~log:t.log s chains.(i)))
+      suffixes;
+    let read_lsn = Array.map (fun p -> if p == Bytes.empty then Lsn.nil else Page.lsn p) pages in
+    ( { groups; pids; group_ix; failed; pages; read_lsn; suffixes; chains; written = min_int },
+      [||] )
 
-  (* The recovery unit is a page group: the requested page plus, transitively,
-     every page sharing an in-flight transaction with one already in the
-     group.  Undoing a loser must be all-or-nothing — its CLR chain walks the
-     whole transaction newest-first, so a partially-undone transaction would
-     leave [undo_next] pointing into territory a later crash recovery could
-     not interpret — and that can force sibling pages into the same unit. *)
-  let group_of t pid0 =
-    let pages = Hashtbl.create 8 in
-    let txns = Hashtbl.create 4 in
-    Hashtbl.replace pages (Page_id.to_int pid0) ();
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      Hashtbl.iter
-        (fun txn tpages ->
-          if not (Hashtbl.mem txns txn) then
-            if Hashtbl.fold (fun k () acc -> acc || Hashtbl.mem pages k) tpages false then begin
-              Hashtbl.replace txns txn ();
-              changed := true;
-              Hashtbl.iter (fun k () -> Hashtbl.replace pages k ()) tpages
-            end)
-        t.loser_pages
-    done;
-    (pages, txns)
+  (* The pass's entry holding page [k]: a loser's pages all lie in its
+     group. *)
+  let entry st k =
+    let rec search lo hi =
+      if lo >= hi then invalid_arg "Recovery.Instant: a loser's page lies outside its group"
+      else
+        let mid = (lo + hi) / 2 in
+        if st.pids.(mid) = k then mid else if st.pids.(mid) < k then search (mid + 1) hi
+        else search lo mid
+    in
+    search 0 (Array.length st.pids)
 
-  (* Recover one page group: read every page (any already-read seed page is
-     reused), redo each to the horizon, undo the group's losers with CLRs
-     and End records, then publish — force the log covering everything just
-     applied and write the pages back (WAL rule), so the recovered images
-     are durable and the pages leave the backlog exactly once.  The seed
-     page belongs to the caller (it enters the pool); every page read here
-     is released once written back.  Returns the pages published. *)
-  let recover_group t ~on_demand pid0 seed_page =
+  let moved st i = st.pages.(i) != Bytes.empty && not (Lsn.equal (Page.lsn st.pages.(i)) st.read_lsn.(i))
+
+  (* Every page is redone, so settle the pass: undo each group's losers
+     with CLRs and End records, group by group in pass order, then force
+     the log once over every image the redo or undo changed (WAL rule). *)
+  let settle t io st =
+    Array.iteri
+      (fun gi g ->
+        if Int_tbl.length g.losers > 0 && not st.failed.(gi) then begin
+          let apply pid f =
+            let p = st.pages.(entry st (Page_id.to_int pid)) in
+            match f p with Some lsn -> Page.set_lsn p lsn | None -> ()
+          in
+          let undone = undo_losers ~log:t.log ~losers:g.losers ~write_clr:true ~apply in
+          t.stats.undone_ops <- t.stats.undone_ops + undone;
+          Obs.add Probes.recovery_undone undone;
+          t.stats.ended_losers <- t.stats.ended_losers + Int_tbl.length g.losers
+        end)
+      st.groups;
+    let max_lsn = ref Lsn.nil in
+    Array.iteri (fun i p -> if moved st i then max_lsn := Lsn.max !max_lsn (Page.lsn p)) st.pages;
+    if not (Lsn.is_nil !max_lsn) then io.io_wal_flush !max_lsn
+
+  (* Write back a changed page; a page that continues the run of the one
+     written before it goes out as a sequential write, as
+     [Buffer_pool.flush_all] writes its sorted dirty pages. *)
+  let write_back io st k page =
+    let pid = Page_id.of_int k in
+    (match io.io_source.Buffer_pool.write_seq with
+    | Some seq when st.written = k - 1 -> seq pid page
+    | _ -> io.io_source.Buffer_pool.write pid page);
+    st.written <- k
+
+  (* Recover whole groups as one [Page_batch] pass: the gather reads every
+     page and fetches every chain, apply redoes each page to the horizon,
+     and publish — on the calling domain, ascending — settles the pass at
+     its first page and then writes each changed page back, takes it out
+     of the backlog and releases it (the touched page belongs to the
+     caller, which keeps it).  Returns how many pages left the
+     backlog. *)
+  let recover t ~on_demand ~span ~seed groups =
     let io =
       match t.io with
       | Some io -> io
       | None -> invalid_arg "Recovery.Instant: no page I/O attached"
     in
-    let ts = if Trace.on () then Trace.now () else 0.0 in
-    let pages, txns = group_of t pid0 in
-    let local = Hashtbl.create 8 in
-    (match seed_page with
-    | Some p -> Hashtbl.replace local (Page_id.to_int pid0) p
-    | None -> ());
-    let get k =
-      match Hashtbl.find_opt local k with
-      | Some p -> p
-      | None ->
-          let p = io.io_read (Page_id.of_int k) in
-          Hashtbl.replace local k p;
-          p
-    in
-    let sorted = Hashtbl.fold (fun k () acc -> k :: acc) pages [] |> List.sort compare in
-    let release_local () =
-      Hashtbl.iter
-        (fun k p -> if Option.is_none seed_page || k <> Page_id.to_int pid0 then Page.release p)
-        local
-    in
-    (* Read everything first: page I/O failures (quarantine) must surface
-       before the first CLR is appended, keeping undo all-or-nothing.  A
-       member that cannot be read quarantines the whole group: its losers
-       cannot be undone, so no member may be served or left pending. *)
-    (match List.iter (fun k -> ignore (get k)) sorted with
-    | () -> ()
-    | exception Page_repair.Quarantined bad ->
-        release_local ();
-        List.iter
+    let groups = Array.of_list groups in
+    let n = Array.fold_left (fun acc g -> acc + Array.length g.members) 0 groups in
+    let pids = Array.make n 0 and group_ix = Array.make n 0 and at = ref 0 in
+    Array.iteri
+      (fun gi g ->
+        Array.iter
           (fun k ->
-            let pid = Page_id.of_int k in
-            if not (Page_id.equal pid bad) then
-              Page_repair.Quarantine.add io.io_quarantine pid
-                (Printf.sprintf "recovery group member page %d quarantined" (Page_id.to_int bad));
-            if Hashtbl.mem t.pending k then begin
-              Hashtbl.remove t.pending k;
-              Obs.gauge_add Probes.recovery_backlog (-1.0)
-            end)
-          sorted;
-        raise (Page_repair.Quarantined bad));
-    let changed = Hashtbl.create 8 in
-    List.iter
-      (fun k -> if redo_page t (Page_id.of_int k) (get k) > 0 then Hashtbl.replace changed k ())
-      sorted;
-    if Hashtbl.length txns > 0 then begin
-      let subset = Hashtbl.create 4 in
-      Hashtbl.iter
-        (fun txn () ->
-          match Hashtbl.find_opt t.open_losers txn with
-          | Some last -> Hashtbl.replace subset txn last
-          | None -> ())
-        txns;
-      let apply pid f =
-        let p = get (Page_id.to_int pid) in
-        match f p with
-        | Some lsn ->
-            Page.set_lsn p lsn;
-            Hashtbl.replace changed (Page_id.to_int pid) ()
-        | None -> ()
-      in
-      let undone = undo_losers ~log:t.log ~losers:subset ~write_clr:true ~apply in
-      t.stats.undone_ops <- t.stats.undone_ops + undone;
-      Obs.add Probes.recovery_undone undone;
-      Hashtbl.iter
-        (fun txn () ->
-          if Hashtbl.mem t.open_losers txn then begin
-            Hashtbl.remove t.open_losers txn;
-            Hashtbl.remove t.loser_pages txn;
-            t.stats.ended_losers <- t.stats.ended_losers + 1
-          end)
-        txns
-    end;
-    (* Publish: WAL rule first, then write back every page whose image the
-       redo or undo actually changed. *)
-    let max_lsn =
-      Hashtbl.fold (fun k () acc -> Lsn.max acc (Page.lsn (get k))) changed Lsn.nil
+            pids.(!at) <- k;
+            group_ix.(!at) <- gi;
+            incr at)
+          g.members)
+      groups;
+    (* Groups arrive by their smallest page, so the entries are already
+       ascending unless a group's pages interleave with a later one's. *)
+    let sorted = ref true in
+    for i = 1 to n - 1 do
+      if pids.(i - 1) > pids.(i) then sorted := false
+    done;
+    let pids, group_ix =
+      if !sorted then (pids, group_ix)
+      else begin
+        let order = Array.init n Fun.id in
+        Array.sort (fun a b -> Int.compare pids.(a) pids.(b)) order;
+        (Array.map (fun i -> pids.(i)) order, Array.map (fun i -> group_ix.(i)) order)
+      end
     in
-    if not (Lsn.is_nil max_lsn) then io.io_wal_flush max_lsn;
-    let published = ref 0 in
-    List.iter
-      (fun k ->
-        if Hashtbl.mem changed k then io.io_write (Page_id.of_int k) (get k);
-        if Hashtbl.mem t.pending k then begin
-          Hashtbl.remove t.pending k;
-          incr published;
-          Obs.gauge_add Probes.recovery_backlog (-1.0);
-          if on_demand then Obs.incr Probes.recovery_pages_on_demand
-        end)
-      sorted;
-    if Trace.on () then
-      Trace.complete ~cat:"recovery" ~ts
-        ~args:
-          [
-            ("page", Trace.Int (Page_id.to_int pid0));
-            ("group", Trace.Int (List.length sorted));
-            ("on_demand", Trace.Int (if on_demand then 1 else 0));
-          ]
-        "recovery.first_touch";
+    let before = backlog t in
+    ignore
+    @@ Page_batch.run ~clock:(Log_manager.clock t.log) ~span ~chunk:n
+         ~gather:(gather t io ~seed groups group_ix)
+         ~apply:(fun st i ->
+           match st.chains.(i) with
+           | Some g when st.pages.(i) != Bytes.empty ->
+               Page_repair.redo_chain (Page_id.of_int st.pids.(i)) st.suffixes.(i) g st.pages.(i)
+           | _ -> 0)
+         ~publish:(fun st i applied ->
+           if i = 0 then settle t io st;
+           let page = st.pages.(i) in
+           if page != Bytes.empty then begin
+             let k = st.pids.(i) in
+             t.stats.redone_ops <- t.stats.redone_ops + applied;
+             Obs.add Probes.recovery_redone applied;
+             if moved st i then write_back io st k page;
+             leave t ~on_demand k;
+             match seed with Some (s, _) when s = k -> () | _ -> Page.release page
+           end)
+         pids;
     if backlog t = 0 then mark_full_recovery t;
-    release_local ();
-    !published
+    before - backlog t
 
   let touch t pid page =
     if t.touching || not (pending_page t pid) then page
@@ -647,25 +753,45 @@ module Instant = struct
       Fun.protect
         ~finally:(fun () -> t.touching <- false)
         (fun () ->
-          match recover_group t ~on_demand:true pid (Some page) with
-          | (_ : int) -> page
-          | exception Page_repair.Quarantined _ ->
+          let k = Page_id.to_int pid in
+          ignore
+            (recover t ~on_demand:true ~span:"recovery.first_touch" ~seed:(Some (k, page))
+               [ group_of t k ]
+              : int);
+          match t.io with
+          | Some io when Page_repair.Quarantine.mem io.io_quarantine pid ->
               Page.release page;
-              raise (Page_repair.Quarantined pid))
+              raise (Page_repair.Quarantined pid)
+          | _ -> page)
     end
 
+  (* Whole groups, in the order of their smallest pending page, until
+     they hold [budget] pages. *)
+  let take t budget =
+    while t.cursor < Array.length t.order && not (Int_tbl.mem t.pending t.order.(t.cursor)) do
+      t.cursor <- t.cursor + 1
+    done;
+    let taken = ref [] and n = ref 0 and i = ref t.cursor in
+    while !n < budget && !i < Array.length t.order do
+      let k = t.order.(!i) in
+      (if Int_tbl.mem t.pending k then
+         let g = group_of t k in
+         if g.members.(0) = k then begin
+           taken := g :: !taken;
+           n := !n + Array.length g.members
+         end);
+      incr i
+    done;
+    List.rev !taken
+
   let drain t ~max_pages =
-    let published = ref 0 in
-    while !published < max_pages && backlog t > 0 do
-      let before = backlog t in
-      let k = Hashtbl.fold (fun k () acc -> min k acc) t.pending max_int in
-      match recover_group t ~on_demand:false (Page_id.of_int k) None with
-      | n -> published := !published + n
-      | exception Page_repair.Quarantined _ ->
-          (* The group left the backlog quarantined, so the rest still
-             drains; reads of its pages keep failing with the typed
-             error. *)
-          published := !published + before - backlog t
+    let published = ref 0 and stuck = ref false in
+    while (not !stuck) && !published < max_pages && backlog t > 0 do
+      match take t (min pass_pages (max_pages - !published)) with
+      | [] -> stuck := true
+      | groups ->
+          published :=
+            !published + recover t ~on_demand:false ~span:"recovery.drain_batch" ~seed:None groups
     done;
     if backlog t = 0 then mark_full_recovery t;
     !published

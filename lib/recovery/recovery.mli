@@ -34,12 +34,15 @@ val checkpoint :
     model a target recovery interval). *)
 
 type analysis = {
-  losers : (Rw_wal.Txn_id.t, Rw_storage.Lsn.t) Hashtbl.t;
-      (** transactions in flight at the analysis horizon, with last LSN *)
-  dirty_pages : (int, Rw_storage.Lsn.t) Hashtbl.t;
+  losers : Rw_storage.Lsn.t Rw_storage.Int_tbl.t;
+      (** transactions in flight at the analysis horizon (by
+          {!Rw_wal.Txn_id.to_int}), with last LSN *)
+  dirty_pages : Rw_storage.Lsn.t Rw_storage.Int_tbl.t;
       (** page id -> recovery LSN *)
-  txn_pages : (Rw_wal.Txn_id.t, (int, unit) Hashtbl.t) Hashtbl.t;
-      (** pages each transaction touched within the scanned region *)
+  txn_pages : unit Rw_storage.Int_tbl.t Rw_storage.Int_tbl.t;
+      (** transaction id -> the page ids it touched within the scanned
+          region; empty in a restart's {!stats}, whose redo and undo need
+          no page sets *)
   redo_start : Rw_storage.Lsn.t;
   max_txn_id : Rw_wal.Txn_id.t;
   records_scanned : int;
@@ -58,7 +61,7 @@ val loser_pages : analysis -> Rw_storage.Page_id.t list
     (test support: the oracle side of the {!losers_at} property test.) *)
 
 type losers = {
-  in_flight : (Rw_wal.Txn_id.t, Rw_storage.Lsn.t) Hashtbl.t;
+  in_flight : Rw_storage.Lsn.t Rw_storage.Int_tbl.t;
       (** transactions in flight at [upto], with last LSN — {!analyze}'s
           [losers] *)
   in_flight_pages : Rw_storage.Page_id.t list;  (** {!loser_pages} of that analysis *)
@@ -154,12 +157,14 @@ val recover_redo_only :
 
 val undo_losers :
   log:Rw_wal.Log_manager.t ->
-  losers:(Rw_wal.Txn_id.t, Rw_storage.Lsn.t) Hashtbl.t ->
+  losers:Rw_storage.Lsn.t Rw_storage.Int_tbl.t ->
   write_clr:bool ->
   apply:(Rw_storage.Page_id.t -> (Rw_storage.Page.t -> Rw_storage.Lsn.t option) -> unit) ->
   int
 (** Walk every loser's chain newest-first, applying inverse operations via
-    [apply].  With [write_clr] the undo is logged (CLRs + End records —
+    [apply].  [losers] maps each loser's {!Rw_wal.Txn_id.to_int} to its
+    last LSN; the next record undone is always the newest of any
+    loser's.  With [write_clr] the undo is logged (CLRs + End records —
     crash recovery); without, pages are patched silently (snapshot logical
     undo, which must not write to the primary log).  [apply pid f] presents
     the page; [f] returns the new page LSN to stamp, if any.  Returns the
@@ -182,16 +187,16 @@ module Instant : sig
 
   val attach :
     t ->
-    read:(Rw_storage.Page_id.t -> Rw_storage.Page.t) ->
-    write:(Rw_storage.Page_id.t -> Rw_storage.Page.t -> unit) ->
+    source:Rw_buffer.Buffer_pool.source ->
     wal_flush:(Rw_storage.Lsn.t -> unit) ->
     quarantine:Page_repair.Quarantine.t ->
     unit
-  (** Provide the page I/O used to recover groups: [read]/[write] against
-      the underlying (self-healing) disk source, [wal_flush] to honour the
-      WAL rule before recovered pages are written back, and the
-      [quarantine] set [read] reports to, which a group with an
-      unreadable member joins whole. *)
+  (** Provide the page I/O used to recover groups: [source] is the
+      underlying (self-healing) disk source — its [read], [write] and, for
+      runs of consecutive pages, [write_seq] — [wal_flush] honours the
+      WAL rule before recovered pages are written back, and [quarantine]
+      is the set [source] reports to, which a group with an unreadable
+      member joins whole. *)
 
   val stats : t -> stats
   (** Live statistics; [redone_ops]/[undone_ops]/[ended_losers] grow as the
@@ -214,10 +219,16 @@ module Instant : sig
       and the touch raises {!Page_repair.Quarantined} for the page. *)
 
   val drain : t -> max_pages:int -> int
-  (** Recover up to [max_pages] backlog pages (whole groups at a time,
-      lowest page id first); returns how many left the backlog.  A group
-      with a member that cannot be read leaves the backlog quarantined
-      whole, each other member with a reason naming the damaged one,
-      rather than wedging the drain.  The background sweeper and the pre-checkpoint barrier both
-      use this. *)
+  (** Recover whole groups, in the order of their smallest page, until
+      [max_pages] pages have left the backlog or none is left; returns how
+      many left.  Each pass of at most 256 pages (more only for a larger
+      group) is one [Rw_pool.Page_batch]: the pages are read, their chains
+      fetched in one log-ordered gather, each page redone on the pool, and
+      then, on the calling domain, the groups' losers undone, the log
+      forced once and the changed pages written back in page-id order,
+      runs of consecutive pages as sequential writes.  A group with a
+      member that cannot be read leaves the backlog quarantined whole,
+      each other member with a reason naming the damaged one, rather than
+      wedging the drain.  The background sweeper and the pre-checkpoint
+      barrier both use this. *)
 end

@@ -487,6 +487,58 @@ let undo_in_place b ~pos ~len ~page ~prev_lo ~prev_hi p =
   | _ -> raise Corrupt_record);
   back
 
+(* The redo twin of [undo_in_place], under the same bounds discipline:
+   the record must modify [page], and every length field is checked
+   against the CRC trailer's start before the page is touched. *)
+let redo_in_place b ~pos ~len ~page p =
+  let stop = pos + len - 4 in
+  if pos < 0 || stop > Bytes.length b || stop < pos + 34 then raise Corrupt_record;
+  let op_at =
+    match Bytes.get_uint8 b (pos + 16) with
+    | 5 -> pos + 33
+    | 6 when stop >= pos + 42 -> pos + 41
+    | _ -> raise Corrupt_record
+  in
+  if Int64.to_int (Bytes.get_int64_le b (pos + 17)) <> Page_id.to_int page then
+    raise Corrupt_record;
+  match Bytes.get_uint8 b op_at with
+  | (0 | 1 | 2) as kind ->
+      (* slot, then the u16-length-prefixed row (Insert/Delete) or before
+         image (Update), which an Update's after image follows *)
+      let row_pos = op_at + 5 in
+      if row_pos > stop then raise Corrupt_record;
+      let at = Bytes.get_uint16_le b (op_at + 1) in
+      let row_len = Bytes.get_uint16_le b (op_at + 3) in
+      let row_end = row_pos + row_len in
+      if row_end > stop then raise Corrupt_record;
+      if kind = 0 then Rw_storage.Slotted_page.insert_sub p ~at b ~pos:row_pos ~len:row_len
+      else if kind = 1 then Rw_storage.Slotted_page.delete p ~at
+      else begin
+        if row_end + 2 > stop then raise Corrupt_record;
+        let after_len = Bytes.get_uint16_le b row_end in
+        if row_end + 2 + after_len > stop then raise Corrupt_record;
+        Rw_storage.Slotted_page.set_sub p ~at b ~pos:(row_end + 2) ~len:after_len
+      end
+  | 3 ->
+      if op_at + 18 > stop then raise Corrupt_record;
+      let field = field_of_code (Bytes.get_uint8 b (op_at + 1)) in
+      set_header p field (Bytes.get_int64_le b (op_at + 10))
+  | 4 ->
+      if op_at + 3 > stop then raise Corrupt_record;
+      Page.format p ~id:page ~typ:(Page.type_of_code (Bytes.get_uint8 b (op_at + 1)));
+      Page.set_level p (Bytes.get_uint8 b (op_at + 2))
+  | (5 | 6) as kind ->
+      (* a page image: the Preformat's prior one (redo no-op) or a
+         Full_image *)
+      if op_at + 5 + Page.page_size > stop
+         || Int32.to_int (Bytes.get_int32_le b (op_at + 1)) <> Page.page_size
+      then raise Corrupt_record;
+      if kind = 6 then begin
+        Bytes.blit b (op_at + 5) p 0 Page.page_size;
+        Page.set_id p page
+      end
+  | _ -> raise Corrupt_record
+
 (* --- full page images, written and restored in place --- *)
 
 (* A [Page_op] [Full_image] record as [encode] lays it out: the 33-byte

@@ -208,6 +208,18 @@ val undo_in_place :
     failures of the undo itself ([Page_full], [Invalid_argument])
     propagate and may leave the page changed. *)
 
+val redo_in_place :
+  bytes -> pos:int -> len:int -> page:Rw_storage.Page_id.t -> Rw_storage.Page.t -> unit
+(** [redo_in_place b ~pos ~len ~page p] redoes the encoded record at
+    [b.[pos .. pos+len-1]] on [p], byte-for-byte as
+    [redo page (op of (decode r)) p] would, with no {!decode} and no
+    payload copy.  The record must modify [page]; the span's bounds, the
+    page-record tag, the page id and the op's length fields are checked
+    before the page is touched, and {!Corrupt_record} is raised if any
+    check fails.  The CRC trailer is not: it was checked where the bytes
+    entered the log.  Slotted-page failures of the redo itself
+    propagate. *)
+
 (** {2 Full page images in place}
 
     A full page image is 8 KiB of payload behind a fixed header.  The

@@ -258,7 +258,7 @@ let test_parallel_partitions_counted () =
   let before = Metrics.counter_value Probes.recovery_redo_partitions in
   let db = at_fanout 2 (fun () -> Database.crash_and_reopen db) in
   let stats = Option.get (Database.last_recovery_stats db) in
-  let pages = Hashtbl.length stats.Recovery.analysis.Recovery.dirty_pages in
+  let pages = Rw_storage.Int_tbl.length stats.Recovery.analysis.Recovery.dirty_pages in
   (* The default 512-frame pool replays up to 256 pages per batch. *)
   check "one batch of at least two pages" true (pages >= 2 && pages <= 256);
   check_int "redo partitions counted per domain per batch" 2

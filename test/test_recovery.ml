@@ -452,7 +452,7 @@ let seq_bytes log f =
   let r = f () in
   (r, io.Io_stats.seq_read_bytes - before)
 
-let sorted_losers tbl = List.sort compare (List.of_seq (Hashtbl.to_seq tbl))
+let sorted_losers tbl = List.sort compare (List.of_seq (Rw_storage.Int_tbl.to_seq tbl))
 
 (* Over generated histories, at every commit boundary and at random
    walls: the directory-driven SplitLSN search returns what the decoding

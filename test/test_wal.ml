@@ -359,6 +359,42 @@ let kernel_prop =
       && rejected ~len:(len - 1 - (salt mod (len - 1))) blob
       && rejected retagged)
 
+(* The redo twin: on the record's pre-state, redoing it where it sits in
+   the blob leaves exactly what [redo] of the decoded op leaves, and a
+   record of another page, a cut span or another tag is refused with the
+   page untouched. *)
+let redo_kernel_prop =
+  QCheck.Test.make ~name:"in-place redo matches decoded redo" ~count:500
+    (QCheck.make kernel_case_gen) (fun (rows, op, clr, salt) ->
+      let pid = Page_id.of_int 9 and prev = Lsn.of_int 4242 in
+      let body =
+        if clr then
+          Log_record.Clr { page = pid; prev_page_lsn = prev; op; undo_next = Lsn.of_int 17 }
+        else Log_record.Page_op { page = pid; prev_page_lsn = prev; op }
+      in
+      let enc = Log_record.encode (Log_record.make ~txn:(Txn_id.of_int 3) body) in
+      let pos = 1 + (salt mod 97) and len = String.length enc in
+      let blob = Bytes.make (pos + len + 13) '\xa5' in
+      Bytes.blit_string enc 0 blob pos len;
+      let pre = Page.create ~id:pid ~typ:Page.Heap in
+      List.iteri (fun i r -> Rw_storage.Slotted_page.insert pre ~at:i r) rows;
+      let expected = Bytes.copy pre in
+      Log_record.redo pid (Option.get (Log_record.op_of (Log_record.decode enc))) expected;
+      let got = Bytes.copy pre in
+      Log_record.redo_in_place blob ~pos ~len ~page:pid got;
+      let rejected ?(page = pid) ?(len = len) b =
+        let target = Bytes.copy pre in
+        match Log_record.redo_in_place b ~pos ~len ~page target with
+        | () -> false
+        | exception Log_record.Corrupt_record -> Bytes.equal target pre
+      in
+      let retagged = Bytes.copy blob in
+      Bytes.set retagged (pos + 16) (Char.chr (salt mod 5));
+      Bytes.equal expected got
+      && rejected ~page:(Page_id.of_int 10) blob
+      && rejected ~len:(len - 1 - (salt mod (len - 1))) blob
+      && rejected retagged)
+
 (* --- log manager --- *)
 
 let page_op ?(txn = Txn_id.nil) ?(prev = Lsn.nil) ?(pid = 3) op =
@@ -1756,6 +1792,7 @@ let () =
           Alcotest.test_case "invert involution" `Quick test_invert_involution;
           Alcotest.test_case "redo/undo inverse" `Quick test_redo_undo_inverse;
           QCheck_alcotest.to_alcotest kernel_prop;
+          QCheck_alcotest.to_alcotest redo_kernel_prop;
         ] );
       ( "log_manager",
         [
