@@ -132,7 +132,9 @@ let assemble ~name ~clock ~media ~log_media ~disk ~log ~pool_capacity ~fpi
     txns;
     ctx;
     catalog = System_tables.open_ ctx;
-    alloc = Alloc_map.open_ ctx;
+    (* Every caller scans the allocation map once the pages it describes
+       are current: after bootstrap, restore or recovery. *)
+    alloc = Alloc_map.empty_handle ();
     read_only;
     snapshot;
     cow = None;
@@ -714,7 +716,8 @@ let reopen t ?instant recover =
   Txn_manager.set_next_id fresh.txns
     (Rw_wal.Txn_id.next stats.Recovery.analysis.Recovery.max_txn_id);
   fresh.recovery_stats <- Some stats;
-  (* Allocation state may have changed during redo/undo; rebuild. *)
+  (* The allocation map's one scan, over the pages redo and undo left
+     (an instant restart's first touches recover them). *)
   fresh.alloc <- Alloc_map.open_ fresh.ctx;
   fresh
 
