@@ -387,6 +387,185 @@ let test_quarantined_group () =
       in
       check ("B's reason names A: " ^ reason) true (has 0)
 
+(* --- the drain against full restart, on generated crash histories --- *)
+
+module Buffer_pool = Rw_buffer.Buffer_pool
+
+(* A crash history over six one-page tables: transactions that commit,
+   roll back (leaving CLRs) or stay in flight.  Every in-flight
+   transaction writes a row of table 0 beside its other rows, so the
+   losers share pages and form one recovery group, whose CLRs then get
+   the LSNs full restart gives them.  In-flight transactions write keys of
+   their own (10 + their index), so no other transaction waits on their
+   row locks.  [touches] are tables read on demand before the drain. *)
+type outcome = Commit | Rollback | In_flight
+
+type history = { txns : ((int * int) list * outcome) list; touches : int list }
+
+let history_gen =
+  let open QCheck.Gen in
+  let write = pair (0 -- 5) (1 -- 8) in
+  let txn =
+    frequency [ (3, return Commit); (2, return Rollback); (2, return In_flight) ] >>= fun o ->
+    list_size (1 -- 3) write >>= fun ws -> return (ws, o)
+  in
+  map2 (fun txns touches -> { txns; touches }) (list_size (1 -- 8) txn) (list_size (0 -- 2) (0 -- 5))
+
+let show_history h =
+  let show_txn (ws, o) =
+    Printf.sprintf "%s[%s]"
+      (match o with Commit -> "C" | Rollback -> "R" | In_flight -> "F")
+      (String.concat ";" (List.map (fun (t, k) -> Printf.sprintf "t%d.%d" t k) ws))
+  in
+  Printf.sprintf "txns %s touches [%s]"
+    (String.concat " " (List.map show_txn h.txns))
+    (String.concat ";" (List.map string_of_int h.touches))
+
+let prop_cols =
+  [ { Schema.name = "k"; ctype = Schema.Int }; { Schema.name = "v"; ctype = Schema.Text } ]
+
+(* Build the history and crash: the pool is dropped, torn writes applied
+   and the unflushed log tail lost (the in-flight records were forced).
+   Returns the crashed disk, log and clock, and the tables' root pages. *)
+let crash_history h =
+  let clock = Sim_clock.create () in
+  let db =
+    Database.create ~name:"hist" ~clock ~media:Media.ssd ~fpi:Rw_access.Access_ctx.Off ()
+  in
+  let table i = Printf.sprintf "t%d" i in
+  let cell ~txn ~key = Row.Text (Printf.sprintf "v%02d.%02d" txn key) in
+  Database.with_txn db (fun txn ->
+      for i = 0 to 5 do
+        ignore (Database.create_table db txn ~table:(table i) ~columns:prop_cols ());
+        List.iter
+          (fun key -> Database.insert db txn ~table:(table i) [ Row.Int (Int64.of_int key); cell ~txn:0 ~key ])
+          [ 1; 2; 3; 4; 5; 6; 7; 8; 10; 11; 12; 13; 14; 15; 16; 17; 18 ]
+      done);
+  ignore (Database.checkpoint db);
+  let in_flight = ref 0 in
+  List.iteri
+    (fun i (writes, outcome) ->
+      let txn = Database.begin_txn db in
+      let writes =
+        match outcome with
+        | In_flight ->
+            incr in_flight;
+            (0, 0) :: writes |> List.map (fun (t, _) -> (t, 9 + !in_flight)) |> List.sort_uniq compare
+        | Commit | Rollback -> writes
+      in
+      List.iter
+        (fun (t, key) ->
+          Database.update db txn ~table:(table t) [ Row.Int (Int64.of_int key); cell ~txn:(i + 1) ~key ])
+        writes;
+      match outcome with
+      | Commit -> Database.commit db txn
+      | Rollback -> Database.rollback db txn
+      | In_flight -> ())
+    h.txns;
+  let log = Database.log db and disk = Database.disk db in
+  Log_manager.flush_all log;
+  let roots = Array.init 6 (fun i -> (Option.get (Database.table db (table i))).Schema.root) in
+  Buffer_pool.drop_all (Database.pool db);
+  ignore (Disk.apply_crash disk);
+  Log_manager.crash log;
+  (disk, log, clock, roots)
+
+let disk_pages disk =
+  List.init (Disk.page_count disk) (fun i ->
+      let pid = Page_id.of_int i in
+      if Disk.has_page disk pid then Some (Disk.read_page_nocost disk pid) else None)
+
+let counts (s : Recovery.stats) = (s.Recovery.redone_ops, s.Recovery.undone_ops, s.Recovery.ended_losers)
+
+(* Instant open, the touches, then drains of [budget] pages until the
+   backlog is empty.  The source records each write and each log force,
+   so the publish order can be checked.  Returns the recovered pages, the
+   stats counts, the events (newest first) and the modeled time from the
+   first touch to the end of the drain. *)
+let instant_run h ~budget =
+  let disk, log, clock, roots = crash_history h in
+  let inst = Recovery.Instant.open_ ~now_us:(fun () -> Sim_clock.now_us clock) ~log () in
+  let events = ref [] in
+  let base = Buffer_pool.of_disk disk in
+  let note f pid p =
+    events := `Write (Page_id.to_int pid) :: !events;
+    f pid p
+  in
+  let source =
+    {
+      base with
+      Buffer_pool.write = note base.Buffer_pool.write;
+      write_seq = Option.map note base.Buffer_pool.write_seq;
+    }
+  in
+  Recovery.Instant.attach inst ~source
+    ~wal_flush:(fun lsn ->
+      events := `Force :: !events;
+      Log_manager.flush log ~upto:lsn)
+    ~quarantine:(Rw_recovery.Page_repair.Quarantine.create ());
+  let t0 = Sim_clock.now_us clock in
+  List.iter
+    (fun t ->
+      let pid = roots.(t) in
+      Page.release (Recovery.Instant.touch inst pid (source.Buffer_pool.read pid)))
+    h.touches;
+  let left = Recovery.Instant.backlog inst and drained = ref 0 and calls = ref 0 in
+  while Recovery.Instant.backlog inst > 0 && !calls <= left do
+    incr calls;
+    drained := !drained + Recovery.Instant.drain inst ~max_pages:budget
+  done;
+  let dt = Sim_clock.now_us clock -. t0 in
+  (disk_pages disk, counts (Recovery.Instant.stats inst), !events, dt, (left, !drained))
+
+(* Each pass forces the log once, before its first write, and then
+   writes its pages in ascending page-id order; no page is written
+   twice. *)
+let publish_ok events =
+  let written = Hashtbl.create 16 in
+  let rec go last = function
+    | [] -> true
+    | `Force :: rest -> go (-1) rest
+    | `Write k :: rest ->
+        k > last && (not (Hashtbl.mem written k)) && (Hashtbl.replace written k (); go k rest)
+  in
+  go (-1) (List.rev events)
+
+let drain_prop =
+  QCheck.Test.make ~name:"drain agrees with full restart" ~count:30
+    (QCheck.make history_gen ~print:show_history) (fun h ->
+      let disk, log, _, _ = crash_history h in
+      let pool =
+        Buffer_pool.create ~capacity:64 ~source:(Buffer_pool.of_disk disk)
+          ~wal_flush:(fun lsn -> Log_manager.flush log ~upto:lsn) ()
+      in
+      let full = Recovery.recover ~log ~pool () in
+      Buffer_pool.flush_all pool;
+      let pages = disk_pages disk and expected = counts full in
+      List.iter
+        (fun budget ->
+          let times =
+            List.map
+              (fun fanout ->
+                let got, c, events, dt, (left, drained) =
+                  at_fanout fanout (fun () -> instant_run h ~budget)
+                in
+                let where = Printf.sprintf "budget %d, fan-out %d" budget fanout in
+                if not (List.equal (Option.equal Bytes.equal) got pages) then
+                  QCheck.Test.fail_reportf "%s: pages differ from full restart's" where;
+                if c <> expected then
+                  QCheck.Test.fail_reportf "%s: redone/undone/ended differ from full restart's" where;
+                if not (publish_ok events) then
+                  QCheck.Test.fail_reportf "%s: a page published twice or out of order" where;
+                if drained <> left then
+                  QCheck.Test.fail_reportf "%s: drains returned %d of %d pages" where drained left;
+                dt)
+              [ 1; 2; 4 ]
+          in
+          if List.exists (fun dt -> dt <> List.hd times) times then
+            QCheck.Test.fail_reportf "budget %d: modeled drain time differs across fan-outs" budget)
+        [ 1; 3; max_int ];
+      true)
+
 let () =
   Alcotest.run "instant"
     [
@@ -408,6 +587,7 @@ let () =
             test_restart_keeps_retention;
           Alcotest.test_case "quarantined member quarantines its group" `Quick
             test_quarantined_group;
+          QCheck_alcotest.to_alcotest drain_prop;
         ] );
       ( "parallel-redo",
         [
