@@ -374,7 +374,7 @@ module Micro = struct
     in
     fun () ->
       Buffer_pool.drop_all pool;
-      List.iter (fun (pid, p) -> Disk.write_page_nocost disk pid (Page.copy p)) baseline
+      List.iter (fun (pid, p) -> Disk.write_page_nocost disk pid p) baseline
 
   (* Restart recovery at a fixed operating point: a database whose log
      carries a few thousand committed update records past its last
