@@ -60,9 +60,9 @@ let analysis_head ~log ~start ~upto =
    once up front by [analysis_head] and arrives as [seed]; any later
    checkpoints inside the range use the on-demand thunk.  Everything else
    is peeked, so the scan never allocates row payloads.  [txn_pages] is
-   filled only when [pages] asks for it: a restart finds its losers'
-   pages by walking their chains, if it needs them at all. *)
-let analysis_scan ~log ~seed ~scan_from ~upto ~pages =
+   filled only with [collect_pages]: a restart finds its losers' pages by
+   walking their chains, if it needs them at all. *)
+let analysis_scan ~log ~seed ~scan_from ~upto ~collect_pages =
   let losers = Int_tbl.create 16 in
   let dirty_pages = Int_tbl.create 64 in
   let txn_pages = Int_tbl.create 16 in
@@ -114,17 +114,17 @@ let analysis_scan ~log ~seed ~scan_from ~upto ~pages =
       | Log_record.K_page_op _ | Log_record.K_clr _ ->
           if not (Txn_id.is_nil txn) then begin
             Int_tbl.replace losers k lsn;
-            if pages then note_txn_page k pk.Log_record.p_page
+            if collect_pages then note_txn_page k pk.Log_record.p_page
           end;
           see_page pk.Log_record.p_page lsn);
   let redo_start = Int_tbl.fold (fun _ rec_lsn acc -> Lsn.min rec_lsn acc) dirty_pages upto in
   { losers; dirty_pages; txn_pages; redo_start; max_txn_id = !max_txn; records_scanned = !scanned }
 
-let analyze_from ~log ~start ~upto ~pages =
+let analyze_from ~log ~start ~upto ~collect_pages =
   let seed, scan_from = analysis_head ~log ~start ~upto in
-  analysis_scan ~log ~seed ~scan_from ~upto ~pages
+  analysis_scan ~log ~seed ~scan_from ~upto ~collect_pages
 
-let analyze ~log ~start ~upto = analyze_from ~log ~start ~upto ~pages:true
+let analyze ~log ~start ~upto = analyze_from ~log ~start ~upto ~collect_pages:true
 
 let loser_pages analysis =
   let seen = Int_tbl.create 64 in
@@ -185,7 +185,7 @@ let losers_at ~log ~start ~upto =
   end
   else begin
     Obs.incr Probes.snapshot_loser_scans;
-    let a = analysis_scan ~log ~seed ~scan_from ~upto ~pages:true in
+    let a = analysis_scan ~log ~seed ~scan_from ~upto ~collect_pages:true in
     { in_flight = a.losers; in_flight_pages = loser_pages a; loser_scan = true }
   end
 
@@ -236,23 +236,15 @@ let redo_dirty ~log ~pool ~analysis ~upto =
       | Some rec_lsn -> Lsn.(lsn >= rec_lsn)
       | None -> false)
 
-(* Losers are undone newest record first across all of them: each step
-   takes the transaction whose next record to undo has the largest LSN
-   (ties, possible only at nil, go to the larger transaction id). *)
 let undo_losers ~log ~losers ~write_clr ~apply =
   let next_undo = Int_tbl.copy losers in
   let tails = Int_tbl.copy losers in
   let undone = ref 0 in
   let pick () =
-    let best = ref (-1) and best_lsn = ref Lsn.nil in
-    Int_tbl.iter
-      (fun txn lsn ->
-        if !best < 0 || Lsn.(lsn > !best_lsn) || (Lsn.equal lsn !best_lsn && txn > !best) then begin
-          best := txn;
-          best_lsn := lsn
-        end)
-      next_undo;
-    !best
+    Int_tbl.fold
+      (fun txn lsn acc ->
+        match acc with Some (_, best) when Lsn.(best >= lsn) -> acc | _ -> Some (txn, lsn))
+      next_undo None
   in
   let finish k =
     if write_clr then begin
@@ -289,9 +281,8 @@ let undo_losers ~log ~losers ~write_clr ~apply =
   in
   let rec loop () =
     match pick () with
-    | -1 -> ()
-    | k ->
-        let lsn = Int_tbl.find next_undo k in
+    | None -> ()
+    | Some (k, lsn) ->
         if Lsn.is_nil lsn then finish k
         else begin
           let r = Log_manager.read log lsn in
@@ -336,7 +327,7 @@ let prologue ~now_us ~log =
   in
   let upto = Log_manager.end_lsn log in
   let ts = if Trace.on () then Trace.now () else 0.0 in
-  let analysis = analyze_from ~log ~start ~upto ~pages:false in
+  let analysis = analyze_from ~log ~start ~upto ~collect_pages:false in
   let analysis_us = now_us () -. t0 in
   if Trace.on () then
     Trace.complete ~cat:"recovery" ~ts
@@ -456,10 +447,9 @@ module Instant = struct
      backlog holds a bounded set of page images. *)
   let pass_pages = 256
 
-  (* Every page an in-flight transaction touched, including before the
-     analysis start (the scanned region's [txn_pages] only covers records
-     at or after the master checkpoint): walk its chain back to its Begin,
-     each record priced as a read, but only its header peeked. *)
+  (* Every page an in-flight transaction touched, before the analysis
+     start too: walk its chain back to its Begin, each record priced as a
+     read, but only its header peeked. *)
   let txn_page_set ~log last =
     let pages = Int_tbl.create 8 in
     let rec walk lsn =

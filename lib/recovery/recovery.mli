@@ -14,7 +14,8 @@
     drain.  Every log-scan redo — restart, replica catch-up, backup
     roll-forward — is one page-grouped loop; only its record filter
     differs.  Instant restart and page repair share the chain replay
-    {!Page_repair.replay_chain}.  Both redo forms take their records as
+    ({!Page_repair.chain_suffix}, {!Page_repair.redo_chain}).  Both redo
+    forms take their records as
     {!Rw_wal.Log_manager.gathered} entries and apply them with
     {!Page_repair.redo_record}. *)
 
