@@ -133,6 +133,10 @@ bench_run() {
 # allocated no closure or option, 3.208 MiB before keys, child ids and
 # log-header fields were read in place).
 htap_minor_max=1.76
+# repair_restart's bound, likewise deterministic: the figure once instant
+# restart recovered its backlog in page batches and redid records in
+# place, 1.5548 MiB, plus 2%; before, it was 1.6248 MiB.
+repair_minor_max=1.586
 for w in asof_audit htap repair_restart; do
   out_off=$(bench_run "$w" 0)
   digest_off=$(echo "$out_off" | sed -n 's/^counts-digest //p')
@@ -148,13 +152,18 @@ for w in asof_audit htap repair_restart; do
     exit 1
   fi
   echo "$w counts equal tools/counts/$w.txt"
-  if [ "$w" = htap ]; then
+  case $w in
+    htap) minor_max=$htap_minor_max ;;
+    repair_restart) minor_max=$repair_minor_max ;;
+    *) minor_max= ;;
+  esac
+  if [ -n "$minor_max" ]; then
     minor=$(echo "$out_off" | sed -n 's/^count gc\.minor_mb_per_op = \([0-9.]*\) MiB$/\1/p')
-    if ! awk -v m="$minor" -v max="$htap_minor_max" 'BEGIN { exit !(m != "" && m + 0 <= max + 0) }'; then
-      echo "error: htap gc.minor_mb_per_op is ${minor:-missing} MiB, above $htap_minor_max MiB" >&2
+    if ! awk -v m="$minor" -v max="$minor_max" 'BEGIN { exit !(m != "" && m + 0 <= max + 0) }'; then
+      echo "error: $w gc.minor_mb_per_op is ${minor:-missing} MiB, above $minor_max MiB" >&2
       exit 1
     fi
-    echo "htap gc.minor_mb_per_op $minor MiB (at most $htap_minor_max)"
+    echo "$w gc.minor_mb_per_op $minor MiB (at most $minor_max)"
   fi
 done
 
