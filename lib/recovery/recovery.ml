@@ -756,7 +756,9 @@ module Instant = struct
     end
 
   (* Whole groups, in the order of their smallest pending page, until
-     they hold [budget] pages. *)
+     they hold [budget] pages.  Groups leave the backlog whole, so the
+     first pending page at or after the cursor is the smallest of its
+     group: with pages pending, a call takes at least one group. *)
   let take t budget =
     while t.cursor < Array.length t.order && not (Int_tbl.mem t.pending t.order.(t.cursor)) do
       t.cursor <- t.cursor + 1
@@ -775,13 +777,12 @@ module Instant = struct
     List.rev !taken
 
   let drain t ~max_pages =
-    let published = ref 0 and stuck = ref false in
-    while (not !stuck) && !published < max_pages && backlog t > 0 do
-      match take t (min pass_pages (max_pages - !published)) with
-      | [] -> stuck := true
-      | groups ->
-          published :=
-            !published + recover t ~on_demand:false ~span:"recovery.drain_batch" ~seed:None groups
+    let published = ref 0 in
+    while !published < max_pages && backlog t > 0 do
+      published :=
+        !published
+        + recover t ~on_demand:false ~span:"recovery.drain_batch" ~seed:None
+            (take t (min pass_pages (max_pages - !published)))
     done;
     if backlog t = 0 then mark_full_recovery t;
     !published
