@@ -48,8 +48,9 @@ val redo_record :
     LSN — unless [Page.lsn page >= lsn] (the page-LSN guard: the image
     already reflects it).  The record is redone where it sits in its
     segment blob, with {!Rw_wal.Log_record.redo_in_place} (no decode, no
-    payload copy); its CRC was checked where its bytes entered the log.  Returns whether it applied.  Pure over its
-    arguments, so workers may call it on disjoint pages. *)
+    payload copy); its CRC was checked where its bytes entered the log.
+    Returns whether it applied.  Pure over its arguments, so workers may
+    call it on disjoint pages. *)
 
 val chain_suffix :
   log:Rw_wal.Log_manager.t ->

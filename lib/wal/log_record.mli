@@ -181,11 +181,11 @@ val wall_bytes : bytes -> pos:int -> float
     starting at [b.[pos]], read in place — the one field the header
     {!peek} lacks.  Undefined for other kinds. *)
 
-(** {2 In-place undo}
+(** {2 In-place undo and redo}
 
-    The rewind kernel's view of a page record: it validates and undoes the
-    record where it sits in a log-segment blob, with no {!decode} and no
-    payload copy. *)
+    The rewind kernel's and redo's view of a page record: each validates
+    the record and undoes or redoes it where it sits in a log-segment blob,
+    with no {!decode} and no payload copy. *)
 
 val undo_in_place :
   bytes ->
