@@ -467,14 +467,16 @@ module Instant = struct
   (* The groups, computed once at open: each loser's page set joins, and
      merges, the groups its pages already belong to.  They stay exact as
      the backlog drains, because every loser of a group ends when the
-     group is recovered.  A loser that touched no page joins no group.
-     Every loser page enters [pending]. *)
+     group is recovered.  Every loser page enters [pending].  A loser that
+     touched no page (it logged only its Begin) joins no group; those are
+     returned apart. *)
   let loser_groups ~log ~(analysis : analysis) ~pending =
-    let groups = Int_tbl.create 16 in
+    let groups = Int_tbl.create 16 and idle = Int_tbl.create 2 in
     Int_tbl.iter
       (fun txn last ->
         let pages = txn_page_set ~log last in
-        if Int_tbl.length pages > 0 then begin
+        if Int_tbl.length pages = 0 then Int_tbl.replace idle txn last
+        else begin
           let losers = Int_tbl.create 2 in
           Int_tbl.replace losers txn last;
           let members = ref [] and merged = ref [] in
@@ -496,14 +498,28 @@ module Instant = struct
           Array.iter (fun k -> Int_tbl.replace groups k g) members
         end)
       analysis.losers;
-    groups
+    (groups, idle)
+
+  (* The losers with no page still have to end, as full restart ends
+     them.  They join the group of the smallest loser page, so their End
+     records fall among that group's CLRs in the order full restart's undo
+     gives them; with no group, they end now. *)
+  let end_idle ~log ~stats groups idle =
+    if Int_tbl.length idle > 0 then
+      let first k g acc = match acc with Some (k', _) when k' < k -> acc | _ -> Some (k, g) in
+      match Int_tbl.fold first groups None with
+      | Some (_, g) -> Int_tbl.iter (Int_tbl.replace g.losers) idle
+      | None ->
+          ignore (undo_losers ~log ~losers:idle ~write_clr:true ~apply:(fun _ _ -> ()) : int);
+          stats.ended_losers <- stats.ended_losers + Int_tbl.length idle
 
   let open_ ?(now_us = fun () -> 0.0) ~log () =
     let t_start_us, horizon, stats = prologue ~now_us ~log in
     let analysis = stats.analysis in
     let pending = Int_tbl.create 64 in
     Int_tbl.iter (fun k _ -> Int_tbl.replace pending k ()) analysis.dirty_pages;
-    let groups = loser_groups ~log ~analysis ~pending in
+    let groups, idle = loser_groups ~log ~analysis ~pending in
+    end_idle ~log ~stats groups idle;
     let order = Array.make (Int_tbl.length pending) 0 and n = ref 0 in
     Int_tbl.iter
       (fun k () ->

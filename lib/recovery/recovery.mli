@@ -184,7 +184,10 @@ module Instant : sig
   val open_ : ?now_us:(unit -> float) -> log:Rw_wal.Log_manager.t -> unit -> t
   (** Repair the log tail, run analysis, and compute the recovery backlog.
       No page is read or written; callers attach page I/O with {!attach}
-      before the first {!touch} or {!drain}. *)
+      before the first {!touch} or {!drain}.  A loser that logged only its
+      Begin touches no page: it ends with the group of the smallest loser
+      page, or, when no loser touched a page, here, with its End record
+      appended. *)
 
   val attach :
     t ->

@@ -397,8 +397,10 @@ module Buffer_pool = Rw_buffer.Buffer_pool
    losers share pages and form one recovery group, whose CLRs then get
    the LSNs full restart gives them.  In-flight transactions write keys of
    their own (10 + their index), so no other transaction waits on their
-   row locks.  [touches] are tables read on demand before the drain. *)
-type outcome = Commit | Rollback | In_flight
+   row locks.  An [Idle] transaction logs its Begin and nothing else and
+   stays in flight: a loser with no page.  [touches] are tables read on
+   demand before the drain. *)
+type outcome = Commit | Rollback | In_flight | Idle
 
 type history = { txns : ((int * int) list * outcome) list; touches : int list }
 
@@ -406,15 +408,16 @@ let history_gen =
   let open QCheck.Gen in
   let write = pair (0 -- 5) (1 -- 8) in
   let txn =
-    frequency [ (3, return Commit); (2, return Rollback); (2, return In_flight) ] >>= fun o ->
-    list_size (1 -- 3) write >>= fun ws -> return (ws, o)
+    frequency [ (3, return Commit); (2, return Rollback); (2, return In_flight); (1, return Idle) ]
+    >>= fun o ->
+    if o = Idle then return ([], o) else list_size (1 -- 3) write >>= fun ws -> return (ws, o)
   in
   map2 (fun txns touches -> { txns; touches }) (list_size (1 -- 8) txn) (list_size (0 -- 2) (0 -- 5))
 
 let show_history h =
   let show_txn (ws, o) =
     Printf.sprintf "%s[%s]"
-      (match o with Commit -> "C" | Rollback -> "R" | In_flight -> "F")
+      (match o with Commit -> "C" | Rollback -> "R" | In_flight -> "F" | Idle -> "I")
       (String.concat ";" (List.map (fun (t, k) -> Printf.sprintf "t%d.%d" t k) ws))
   in
   Printf.sprintf "txns %s touches [%s]"
@@ -451,7 +454,7 @@ let crash_history h =
         | In_flight ->
             incr in_flight;
             (0, 0) :: writes |> List.map (fun (t, _) -> (t, 9 + !in_flight)) |> List.sort_uniq compare
-        | Commit | Rollback -> writes
+        | Commit | Rollback | Idle -> writes
       in
       List.iter
         (fun (t, key) ->
@@ -460,7 +463,7 @@ let crash_history h =
       match outcome with
       | Commit -> Database.commit db txn
       | Rollback -> Database.rollback db txn
-      | In_flight -> ())
+      | In_flight | Idle -> ())
     h.txns;
   let log = Database.log db and disk = Database.disk db in
   Log_manager.flush_all log;
@@ -530,6 +533,35 @@ let publish_ok events =
   in
   go (-1) (List.rev events)
 
+(* Regression: a loser that logged only its Begin touches no page, so no
+   recovery group holds it.  The instant restart must still end it, with
+   the same End records, pages and counts as full restart, whether or not
+   other losers form a group. *)
+let test_begin_only_loser_ended () =
+  List.iter
+    (fun h ->
+      let disk, log, _, _ = crash_history h in
+      let pool =
+        Buffer_pool.create ~capacity:64 ~source:(Buffer_pool.of_disk disk)
+          ~wal_flush:(fun lsn -> Log_manager.flush log ~upto:lsn) ()
+      in
+      let full = Recovery.recover ~log ~pool () in
+      Buffer_pool.flush_all pool;
+      let pages = disk_pages disk and expected = counts full in
+      let got, c, _, _, _ = instant_run h ~budget:max_int in
+      let _, _, ended = c in
+      let _, _, expected_ended = expected in
+      check_int (show_history h ^ ": losers ended") expected_ended ended;
+      check (show_history h ^ ": counts") true (c = expected);
+      check (show_history h ^ ": pages") true
+        (List.equal (Option.equal Bytes.equal) got pages))
+    [
+      { txns = [ ([], Idle) ]; touches = [] };
+      { txns = [ ([], Idle); ([ (1, 2) ], Commit); ([], Idle) ]; touches = [ 1 ] };
+      { txns = [ ([ (1, 2) ], In_flight); ([], Idle); ([ (2, 3) ], Commit) ]; touches = [ 0 ] };
+      { txns = [ ([], Idle); ([ (3, 4) ], In_flight); ([ (2, 5) ], In_flight) ]; touches = [] };
+    ]
+
 let drain_prop =
   QCheck.Test.make ~name:"drain agrees with full restart" ~count:30
     (QCheck.make history_gen ~print:show_history) (fun h ->
@@ -587,6 +619,7 @@ let () =
             test_restart_keeps_retention;
           Alcotest.test_case "quarantined member quarantines its group" `Quick
             test_quarantined_group;
+          Alcotest.test_case "a Begin-only loser is ended" `Quick test_begin_only_loser_ended;
           QCheck_alcotest.to_alcotest drain_prop;
         ] );
       ( "parallel-redo",
