@@ -40,8 +40,8 @@ let read_chain_record log pid lsn =
    there and the log region above the image is never visited. *)
 let try_fpi_jump ~log ~page ~as_of ~reads =
   let pid = Page.id page in
-  match Log_manager.earliest_fpi_after log pid ~after:as_of with
-  | Some fpi_lsn when Lsn.(fpi_lsn < Page.lsn page) -> (
+  match Log_manager.located_lsns (Log_manager.earliest_fpi_after log pid ~after:as_of) with
+  | [| fpi_lsn |] when Lsn.(fpi_lsn < Page.lsn page) -> (
       incr reads;
       let r = read_chain_record log pid fpi_lsn in
       match Log_record.op_of r with
@@ -88,58 +88,50 @@ type raw_plan = {
   rp_records : Log_manager.gathered option;  (* [None]: not gathered, forces the walk *)
 }
 
-(* What one page needs from the log: the earliest full page image after
-   the target (if below the chain top), then the chain-index segment from
-   the image's capture point ([prev_page_lsn]) down to [as_of].  [None] —
-   a chain index that does not reach the chain top, or any lookup failure
-   — sends the page to the walk, which then produces the right answer or
-   the right exception. *)
+(* What one page needs from the log, located: the earliest full page
+   image after the target (if below the chain top), then the chain-index
+   segment from the image's capture point ([prev_page_lsn], peeked at the
+   image's position) down to [as_of].  The request is that segment with
+   the image record (which lies above it) appended, so it is ascending.
+   [None] — a chain index that does not reach the chain top, or any
+   lookup failure — sends the page to the walk, which then produces the
+   right answer or the right exception. *)
 let chain_request ~log ~as_of page =
   let pid = Page.id page in
   let top = Page.lsn page in
-  if Lsn.(top <= as_of) then Some ([||], None)
+  if Lsn.(top <= as_of) then Some ([||], Log_manager.no_records, false)
   else
     match
-      let fpi_lsn =
-        match Log_manager.earliest_fpi_after log pid ~after:as_of with
-        | Some f when Lsn.(f < top) -> Some f
-        | _ -> None
+      let fpi = Log_manager.earliest_fpi_after log pid ~after:as_of in
+      let use_fpi =
+        match Log_manager.located_lsns fpi with [| f |] -> Lsn.(f < top) | _ -> false
       in
       let start =
-        match fpi_lsn with
-        | Some f -> (Log_manager.peek_record log f).Log_record.p_prev_page_lsn
-        | None -> top
+        if use_fpi then (Log_manager.peek_located log fpi 0).Log_record.p_prev_page_lsn else top
       in
-      let segment =
-        if Lsn.(start <= as_of) then [||]
-        else Log_manager.chain_segment log pid ~from:start ~down_to:as_of
-      in
-      let n = Array.length segment in
-      if Lsn.(start > as_of) && (n = 0 || not (Lsn.equal segment.(n - 1) start)) then None
-      else Some (segment, fpi_lsn)
+      let segment = Log_manager.chain_segment log pid ~from:start ~down_to:as_of in
+      let lsns = Log_manager.located_lsns segment in
+      let n = Array.length lsns in
+      if Lsn.(start > as_of) && (n = 0 || not (Lsn.equal lsns.(n - 1) start)) then None
+      else
+        let req = if use_fpi then Log_manager.append_located segment fpi else segment in
+        Some (lsns, req, use_fpi)
     with
     | req -> req
     | exception _ -> None
 
-(* One log-ordered gather for the whole batch: each page asks for its
-   chain segment with its image record (which lies above the segment)
-   appended, so every request is ascending. *)
+(* One log-ordered gather for the whole batch. *)
 let plan_batch ~log ~as_of pages =
   let reqs = Array.map (chain_request ~log ~as_of) pages in
   let got =
     Log_manager.gather_batch log
-      (Array.map
-         (function
-           | Some (segment, Some f) -> Array.append segment [| f |]
-           | Some (segment, None) -> segment
-           | None -> [||])
-         reqs)
+      (Array.map (function Some (_, req, _) -> req | None -> Log_manager.no_records) reqs)
   in
   ( Array.mapi
       (fun i req ->
         match req with
-        | Some (segment, fpi) ->
-            { rp_segment = segment; rp_fpi = Option.is_some fpi; rp_records = got.b_pages.(i) }
+        | Some (segment, _, fpi) ->
+            { rp_segment = segment; rp_fpi = fpi; rp_records = got.b_pages.(i) }
         | None -> { rp_segment = [||]; rp_fpi = false; rp_records = None })
       reqs,
     got.b_windows_us )

@@ -95,7 +95,8 @@ let next_tick t =
    empty segment for history that merely fell out of retention. *)
 let equivalent t pid e ~split =
   Lsn.(e.e_as_of >= Log_manager.first_lsn t.log)
-  && Array.length (Log_manager.chain_segment t.log pid ~from:split ~down_to:e.e_as_of) = 0
+  && Log_manager.located_lsns (Log_manager.chain_segment t.log pid ~from:split ~down_to:e.e_as_of)
+     = [||]
 
 type outcome = Exact of Page.t | Newer of Page.t | Miss
 

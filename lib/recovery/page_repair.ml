@@ -46,30 +46,34 @@ let redo_record pid (g : Log_manager.gathered) k lsn page =
 
 let chain_suffix ~log pid ~from ~down_to ~no_base =
   let chain = Log_manager.chain_segment log pid ~from ~down_to in
-  let n = Array.length chain in
+  let lsns = Log_manager.located_lsns chain in
+  let n = Array.length lsns in
   (* Newest base record wins: everything before it is irrelevant. *)
   let rec newest_base i =
     if i < 0 then begin
-      no_base chain.(0);
+      no_base lsns.(0);
       0
     end
-    else if is_base (Log_manager.peek_record log chain.(i)).Log_record.p_kind then i
+    else if is_base (Log_manager.peek_located log chain i).Log_record.p_kind then i
     else newest_base (i - 1)
   in
   let base = if n = 0 then 0 else newest_base (n - 1) in
-  if base = 0 then chain else Array.sub chain base (n - base)
+  if base = 0 then chain else Log_manager.sub_located chain base (n - base)
 
 let located ~log suffix = function
   | Some g -> g
   | None ->
-      (* A record could not be located: look it up again to raise what the
-         lookup raised. *)
-      Array.iter (fun lsn -> ignore (Log_manager.peek_record log lsn)) suffix;
-      raise (Log_manager.No_such_record suffix.(0))
+      (* A record's position no longer holds it: peek each again to raise
+         what the gather caught. *)
+      let lsns = Log_manager.located_lsns suffix in
+      Array.iteri (fun k _ -> ignore (Log_manager.peek_located log suffix k)) lsns;
+      raise (Log_manager.No_such_record lsns.(0))
 
 let redo_chain pid suffix g page =
   let applied = ref 0 in
-  Array.iteri (fun k lsn -> if redo_record pid g k lsn page then incr applied) suffix;
+  Array.iteri
+    (fun k lsn -> if redo_record pid g k lsn page then incr applied)
+    (Log_manager.located_lsns suffix);
   !applied
 
 let replay_chain ~log pid ~from ~down_to ~no_base page =

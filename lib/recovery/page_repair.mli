@@ -58,31 +58,32 @@ val chain_suffix :
   from:Rw_storage.Lsn.t ->
   down_to:Rw_storage.Lsn.t ->
   no_base:(Rw_storage.Lsn.t -> unit) ->
-  Rw_storage.Lsn.t array
+  Rw_wal.Log_manager.located
 (** [chain_suffix ~log pid ~from ~down_to ~no_base] is what a replay of
-    the page's chain records in [(down_to, from]] applies, ascending: from
-    the newest base record ([Full_image] or [Format]) when the range holds
-    one, else from its oldest record, after passing that record's LSN to
-    [no_base] (which may raise to refuse).  Only record headers are
-    peeked; nothing is charged.  Every chain replay starts here: {!rebuild}
+    the page's chain records in [(down_to, from]] applies, ascending and
+    located: from the newest base record ([Full_image] or [Format]) when
+    the range holds one, else from its oldest record, after passing that
+    record's LSN to [no_base] (which may raise to refuse).  Only record
+    headers are peeked, each at its position; nothing is charged.  Every
+    chain replay starts here: {!rebuild}
     (page repair, scrub, failover rejoin) fetches it as a batch of one,
     instant restart fetches a whole pass's suffixes in one
     {!Rw_wal.Log_manager.gather_batch}. *)
 
 val located :
   log:Rw_wal.Log_manager.t ->
-  Rw_storage.Lsn.t array ->
+  Rw_wal.Log_manager.located ->
   Rw_wal.Log_manager.gathered option ->
   Rw_wal.Log_manager.gathered
 (** [located ~log suffix g] is [g]'s records, [suffix]'s entry of a
     {!Rw_wal.Log_manager.gather_batch}; for [None], it raises what
-    looking up [suffix]'s records raises
+    peeking [suffix]'s records raises
     ({!Rw_wal.Log_manager.Log_truncated} or
     {!Rw_wal.Log_manager.No_such_record}). *)
 
 val redo_chain :
   Rw_storage.Page_id.t ->
-  Rw_storage.Lsn.t array ->
+  Rw_wal.Log_manager.located ->
   Rw_wal.Log_manager.gathered ->
   Rw_storage.Page.t ->
   int

@@ -577,7 +577,7 @@ module Instant = struct
     failed : bool array; (* per group: a member could not be read *)
     pages : Page.t array;
     read_lsn : Lsn.t array;
-    suffixes : Lsn.t array array;
+    suffixes : Log_manager.located array;
     chains : Log_manager.gathered option array;
     mutable written : int; (* the last page written back *)
   }
@@ -630,7 +630,7 @@ module Instant = struct
     let suffixes =
       Array.mapi
         (fun i k ->
-          if pages.(i) == Bytes.empty then [||]
+          if pages.(i) == Bytes.empty then Log_manager.no_records
           else
             Page_repair.chain_suffix ~log:t.log (Page_id.of_int k) ~from:t.horizon
               ~down_to:(Page.lsn pages.(i)) ~no_base:ignore)

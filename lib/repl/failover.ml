@@ -48,7 +48,9 @@ let rejoin ~name ~at old_primary =
         match Page_repair.rebuild ~log pid with
         | page -> Disk.write_page_nocost disk pid page
         | exception (Page_repair.Unrepairable _ as e) ->
-            if Array.length (Log_manager.chain_segment log pid ~from:at ~down_to:Lsn.nil) = 0
+            if
+              Log_manager.located_lsns (Log_manager.chain_segment log pid ~from:at ~down_to:Lsn.nil)
+              = [||]
             then
               (* No retained history below the cut: the page was born on
                  the divergent timeline.  Reset it to a never-written

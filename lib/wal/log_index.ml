@@ -22,33 +22,33 @@ let idx_ctl_bytes = 25
 
 (* ---------- per-segment directories ---------- *)
 
-let push_descending table key lsn =
+let push_descending table key i =
   match Int_tbl.find table key with
-  | l -> l := lsn :: !l
-  | exception Not_found -> Int_tbl.add table key (ref [ lsn ])
+  | l -> l := i :: !l
+  | exception Not_found -> Int_tbl.add table key (ref [ i ])
 
-(* A page's chain slice is a sorted array (appends arrive in LSN order),
-   so [chain_segment] is binary searches plus [Array.sub] per touched
-   segment — no list walk, no per-record allocation. *)
-let chain_push tbl key lsn =
+(* A page's chain slice holds record indexes in ascending order (appends
+   arrive in LSN order), so [chain_segment] is binary searches through
+   [s_lsns] plus a copy per touched segment — no list walk, no per-record
+   allocation — and each record it hands out is already located. *)
+let chain_push tbl key i =
   match Int_tbl.find tbl key with
   | c ->
       if c.len = Array.length c.arr then
         c.arr <- grow ~floor:8 c.arr ~used:c.len ~need:(c.len + 1) 0;
-      c.arr.(c.len) <- Lsn.to_int lsn;
+      c.arr.(c.len) <- i;
       c.len <- c.len + 1
   | exception Not_found ->
       let arr = Array.make 8 0 in
-      arr.(0) <- Lsn.to_int lsn;
+      arr.(0) <- i;
       Int_tbl.add tbl key { arr; len = 1 }
 
-let chain_remove tbl key lsn =
+let chain_remove tbl key v =
   match Int_tbl.find_opt tbl key with
   | None -> ()
   | Some c ->
       (* Removals come from the tail drops, which discard newest-first, so
          the target is almost always the last element. *)
-      let v = Lsn.to_int lsn in
       let i = ref (c.len - 1) in
       while !i >= 0 && c.arr.(!i) <> v do
         decr i
@@ -235,9 +235,9 @@ let drop_txns_before t lsn =
 (* ---------- indexing one record ---------- *)
 
 (* Every index's upkeep for the record [pk] just placed at [lsn] in
-   [seg], from its header peek plus, for commits and checkpoints, the
-   wall time read in place.  Shared by every ingestion path, so none
-   needs a payload decode to keep the indexes true. *)
+   [seg] (its newest record), from its header peek plus, for commits and
+   checkpoints, the wall time read in place.  Shared by every ingestion
+   path, so none needs a payload decode to keep the indexes true. *)
 let index_record t seg pk lsn =
   let wall =
     match pk.Log_record.p_kind with
@@ -246,16 +246,17 @@ let index_record t seg pk lsn =
     | _ -> 0.0
   in
   let add = ref idx_record_bytes in
+  let i = seg.s_n - 1 in
   (match pk.Log_record.p_kind with
   | Log_record.K_page_op Log_record.K_full_image ->
-      push_descending seg.s_fpi (Page_id.to_int pk.Log_record.p_page) lsn;
+      push_descending seg.s_fpi (Page_id.to_int pk.Log_record.p_page) i;
       add := !add + idx_fpi_bytes
   | Log_record.K_page_op _ | Log_record.K_clr _ -> ()
   | k ->
       ctl_push seg.s_ctl (Lsn.to_int lsn) (Txn_id.to_int pk.Log_record.p_txn) (ctl_code k) wall;
       add := !add + idx_ctl_bytes);
   if Log_record.is_page_kind pk.Log_record.p_kind then begin
-    chain_push seg.s_chains (Page_id.to_int pk.Log_record.p_page) lsn;
+    chain_push seg.s_chains (Page_id.to_int pk.Log_record.p_page) i;
     add := !add + idx_chain_bytes
   end;
   seg.s_index_bytes <- seg.s_index_bytes + !add;
@@ -271,7 +272,7 @@ let unindex_record t seg i =
   (match pk.Log_record.p_kind with
   | Log_record.K_page_op Log_record.K_full_image ->
       (match Int_tbl.find_opt seg.s_fpi (Page_id.to_int pk.Log_record.p_page) with
-      | Some l -> l := List.filter (fun f -> not (Lsn.equal f lsn)) !l
+      | Some l -> l := List.filter (( <> ) i) !l
       | None -> ());
       sub := !sub + idx_fpi_bytes
   | Log_record.K_page_op _ | Log_record.K_clr _ -> ()
@@ -279,7 +280,7 @@ let unindex_record t seg i =
       ctl_remove seg.s_ctl (Lsn.to_int lsn);
       sub := !sub + idx_ctl_bytes);
   if Log_record.is_page_kind pk.Log_record.p_kind then begin
-    chain_remove seg.s_chains (Page_id.to_int pk.Log_record.p_page) lsn;
+    chain_remove seg.s_chains (Page_id.to_int pk.Log_record.p_page) i;
     sub := !sub + idx_chain_bytes
   end;
   seg.s_index_bytes <- seg.s_index_bytes - !sub;
@@ -337,32 +338,41 @@ let newest_checkpoint t =
       false);
   !res
 
+(* The earliest retained image of [page] after [after], located, or no
+   record.  Segments are searched oldest first from the one holding
+   [after]: the first that holds a qualifying image holds the earliest. *)
 let earliest_fpi_after t page ~after =
   let pid = Page_id.to_int page in
-  let ai = Lsn.to_int after in
-  let res = ref None in
-  let si = ref t.seg_lo in
-  (* Oldest-first: the first segment holding a qualifying FPI holds the
-     earliest one. *)
-  while !res = None && !si < t.seg_hi do
+  let ai = Lsn.to_int after and tb = Lsn.to_int t.truncated_below in
+  let res = ref no_records in
+  let si = ref (seg_lower t (ai + 1)) in
+  while !res == no_records && !si < t.seg_hi do
     let s = t.segs.(!si) in
-    if s.s_end > ai + 1 then begin
-      match Int_tbl.find_opt s.s_fpi pid with
-      | None -> ()
-      | Some l ->
-          (* The list is descending; the earliest FPI still > after is the
-             last element before we cross the boundary. *)
-          let rec go best = function
-            | [] -> best
-            | lsn :: rest ->
-                if Lsn.(lsn > after) && Lsn.(lsn >= t.truncated_below) then go (Some lsn) rest
-                else best
-          in
-          res := go None !l
-    end;
+    (match Int_tbl.find s.s_fpi pid with
+    | l ->
+        (* The list is descending; the earliest image still after [after]
+           is the last one before the walk crosses it. *)
+        let rec go best = function
+          | [] -> best
+          | i :: rest ->
+              let li = s.s_lsns.(i) in
+              if li > ai && li >= tb then go i rest else best
+        in
+        let i = go (-1) !l in
+        if i >= 0 then res := { l_lsn = [| s.s_lsns.(i) |]; l_at = [| at !si i |] }
+    | exception Not_found -> ());
     incr si
   done;
   !res
+
+(* First position of [c] whose record's LSN is >= [target]. *)
+let chain_lower s c target =
+  let lo = ref 0 and hi = ref c.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if s.s_lsns.(c.arr.(mid)) < target then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 let chain_segment t page ~from ~down_to =
   let pid = Page_id.to_int page in
@@ -372,54 +382,72 @@ let chain_segment t page ~from ~down_to =
      one below the first retained LSN. *)
   let dt = max (Lsn.to_int down_to) (Lsn.to_int t.truncated_below - 1) in
   let from_i = Lsn.to_int from in
-  if from_i <= dt then [||]
+  if from_i <= dt then no_records
   else begin
-    let slices = ref [] in
-    (* (arr, lo, n), newest first *)
-    let total = ref 0 in
-    for si = t.seg_lo to t.seg_hi - 1 do
-      let s = t.segs.(si) in
-      if s.s_end > dt + 1 && s.s_base <= from_i then
-        match Int_tbl.find_opt s.s_chains pid with
-        | None -> ()
-        | Some c ->
-            (* the chain's LSNs in (dt, from] *)
-            let lo = lower_bound c.arr c.len (dt + 1) in
-            let hi = lower_bound c.arr c.len (from_i + 1) in
-            if hi > lo then begin
-              slices := (c.arr, lo, hi - lo) :: !slices;
-              total := !total + (hi - lo)
-            end
+    (* (window slot, chain, first position, count), newest first *)
+    let slices = ref [] and total = ref 0 in
+    let si = ref (seg_lower t (dt + 1)) in
+    while !si < t.seg_hi && t.segs.(!si).s_base <= from_i do
+      let s = t.segs.(!si) in
+      (match Int_tbl.find s.s_chains pid with
+      | c ->
+          (* the chain's records with LSN in (dt, from]; only a segment
+             that straddles a bound needs a search *)
+          let lo = if s.s_base > dt then 0 else chain_lower s c (dt + 1) in
+          let hi = if s.s_end <= from_i + 1 then c.len else chain_lower s c (from_i + 1) in
+          if hi > lo then begin
+            slices := (!si, c.arr, lo, hi - lo) :: !slices;
+            total := !total + (hi - lo)
+          end
+      | exception Not_found -> ());
+      incr si
     done;
-    match !slices with
-    | [] -> [||]
-    | [ (arr, lo, n) ] -> Lsn.of_int_array (Array.sub arr lo n)
-    | l ->
-        let out = Array.make !total 0 in
-        let pos = ref !total in
-        List.iter
-          (fun (arr, lo, n) ->
-            pos := !pos - n;
-            Array.blit arr lo out !pos n)
-          l;
-        Lsn.of_int_array out
+    if !total = 0 then no_records
+    else begin
+      let l_lsn = Array.make !total 0 and l_at = Array.make !total 0 in
+      let pos = ref !total in
+      List.iter
+        (fun (si, arr, lo, n) ->
+          pos := !pos - n;
+          let lsns = t.segs.(si).s_lsns and slot = at si 0 in
+          for j = 0 to n - 1 do
+            let i = arr.(lo + j) in
+            l_lsn.(!pos + j) <- lsns.(i);
+            l_at.(!pos + j) <- slot lor i
+          done)
+        !slices;
+      { l_lsn; l_at }
+    end
   end
 
 (* Ascending page ids, each once, whatever order the chain tables
-   iterate in. *)
+   iterate in: each id marks its byte in a bitmap over the page ids, and
+   one pass over the bitmap lists them in order, with no sort. *)
 let pages_changed_since t ~since =
-  let acc = ref [] in
-  let tb = Lsn.to_int t.truncated_below in
-  for si = t.seg_lo to t.seg_hi - 1 do
-    let s = t.segs.(si) in
-    if s.s_end > Lsn.to_int since + 1 then
-      Int_tbl.iter
-        (fun page c ->
-          if c.len > 0 && c.arr.(c.len - 1) > Lsn.to_int since && c.arr.(c.len - 1) >= tb then
-            acc := page :: !acc)
-        s.s_chains
+  let seen = ref (Bytes.make 256 '\000') in
+  let si = Lsn.to_int since and tb = Lsn.to_int t.truncated_below in
+  for k = seg_lower t (si + 1) to t.seg_hi - 1 do
+    let s = t.segs.(k) in
+    Int_tbl.iter
+      (fun page c ->
+        if c.len > 0 then begin
+          let newest = s.s_lsns.(c.arr.(c.len - 1)) in
+          if newest > si && newest >= tb then begin
+            if page >= Bytes.length !seen then begin
+              let wider = Bytes.make (capacity ~floor:256 (Bytes.length !seen) (page + 1)) '\000' in
+              Bytes.blit !seen 0 wider 0 (Bytes.length !seen);
+              seen := wider
+            end;
+            Bytes.set !seen page '\001'
+          end
+        end)
+      s.s_chains
   done;
-  List.map Page_id.of_int (List.sort_uniq Int.compare !acc)
+  let seen = !seen and acc = ref [] in
+  for page = Bytes.length seen - 1 downto 0 do
+    if Bytes.get seen page <> '\000' then acc := Page_id.of_int page :: !acc
+  done;
+  !acc
 
 type txn_summary = {
   ts_txn : Txn_id.t;

@@ -18,6 +18,7 @@ exception No_such_record = Log_segments.No_such_record
 
 type t = Log_segments.t
 type gathered = Log_read.gathered = { g_blob : Bytes.t array; g_pos : int array; g_len : int array }
+type located = Log_segments.located
 type batch = Log_read.batch = { b_pages : gathered option array; b_windows_us : float array }
 
 type txn_summary = Log_index.txn_summary = {
@@ -116,6 +117,11 @@ let mem = Log_segments.mem
 let next_lsn_after = Log_segments.next_lsn_after
 let iter_controls = Log_index.iter_controls
 let iter_checkpoints_rev = Log_index.iter_checkpoints_rev
+let no_records = Log_segments.no_records
+let located_lsns = Log_segments.located_lsns
+let peek_located = Log_segments.peek_located
+let sub_located = Log_segments.sub_located
+let append_located = Log_segments.append_located
 let earliest_fpi_after = Log_index.earliest_fpi_after
 let chain_segment = Log_index.chain_segment
 let pages_changed_since = Log_index.pages_changed_since

@@ -14,7 +14,8 @@
     Every page record that reaches an apply step — a rewind's undo, a
     chain replay's or a log-scan redo's redo — is handed over in one form,
     {!gathered}: the record's span of its segment blob.  {!gather_batch}
-    fetches chains (random, block-priced); {!gather_range} fetches a
+    fetches chains the chain index {!located} (random, block-priced);
+    {!gather_range} fetches a
     scanned range (sequentially priced).  The log keeps no decoded
     records: {!read} and the scans decode from the bytes on every call.
 
@@ -129,19 +130,48 @@ val charge_read : t -> Rw_storage.Lsn.t -> unit
     and redo replays them. *)
 type gathered = private { g_blob : bytes array; g_pos : int array; g_len : int array }
 
+(** Records held by their position in the log: each record's segment and
+    its index there, with its LSN.  The chain index ({!chain_segment}) and
+    the image directory ({!earliest_fpi_after}) hand records out this way,
+    so reading them needs no search.  A position is checked in O(1) before
+    each use — retained, still in its segment, still that LSN, not torn —
+    and one that a log change has overtaken fails with {!Log_truncated}
+    (below the retention boundary) or {!No_such_record}; it never yields
+    another record. *)
+type located
+
+val no_records : located
+(** The empty request. *)
+
+val located_lsns : located -> Rw_storage.Lsn.t array
+(** The records' LSNs, in the order they were located (ascending for a
+    {!chain_segment}); the caller must not change the array. *)
+
+val peek_located : t -> located -> int -> Log_record.peek
+(** [peek_located t l k] is {!peek_record} of record [k] of [l], read at
+    its position.  Same exceptions as {!read}. *)
+
+val sub_located : located -> int -> int -> located
+(** [sub_located l pos len]: records [pos .. pos+len-1] of [l]. *)
+
+val append_located : located -> located -> located
+(** The records of the first, then those of the second. *)
+
 type batch = {
   b_pages : gathered option array;
-      (** per request; [None] when one of its records could not be located
-          (truncated or unknown LSN) — the other pages are unaffected *)
+      (** per request; [None] when one of its records' positions no longer
+          holds it (truncated, or dropped from the tail) — the other pages
+          are unaffected *)
   b_windows_us : float array;
       (** modeled time of each charged window (one seek plus sequential
           reads), in ascending block order *)
 }
 
-val gather_batch : t -> Rw_storage.Lsn.t array array -> batch
-(** The chain fetch for a batch of pages, one ascending LSN array per
-    page: a rewind's batch, or a chain replay's batch of one.  Records are
-    located first and returned as their spans of the segment blob — never
+val gather_batch : t -> located array -> batch
+(** The chain fetch for a batch of pages, one {!located} request per
+    page, ascending: a rewind's batch, or a chain replay's batch of one.
+    Each record is taken at its position, checked in O(1), with no search
+    of the log, and returned as its span of the segment blob — never
     copied or decoded.  Then every block the batch needs is
     charged exactly once, in ascending order: a cached block is a hit, and
     each run of consecutive missing blocks, capped at the block-cache
@@ -209,29 +239,34 @@ val iter_controls :
     the walk reads no record and charges nothing — callers that stand in
     for a scan price it with {!charge_scan}. *)
 
-val earliest_fpi_after :
-  t -> Rw_storage.Page_id.t -> after:Rw_storage.Lsn.t -> Rw_storage.Lsn.t option
+val earliest_fpi_after : t -> Rw_storage.Page_id.t -> after:Rw_storage.Lsn.t -> located
 (** The earliest retained full-page-image record for the page with
-    LSN strictly greater than [after], if any — the jump-start point for
-    page undo. *)
+    LSN strictly greater than [after], located, or {!no_records} — the
+    jump-start point for page undo.  The search starts at the segment
+    holding [after]. *)
 
 val chain_segment :
   t ->
   Rw_storage.Page_id.t ->
   from:Rw_storage.Lsn.t ->
   down_to:Rw_storage.Lsn.t ->
-  Rw_storage.Lsn.t array
-(** All retained page-chain record LSNs for the page with
-    [down_to < lsn <= from], ascending.  Because every page record's
-    [prev_page_lsn] points at the page's previous record, this equals the
-    backward pointer walk from [from] truncated at [down_to] — but is
-    served from the in-memory chain index with no I/O or decode.  Callers
-    that mutate state must validate the chain links (see
-    {!Rw_core.Page_undo}) and fall back to the walk on mismatch. *)
+  located
+(** All retained page-chain records of the page with
+    [down_to < lsn <= from], ascending, located.  Because every page
+    record's [prev_page_lsn] points at the page's previous record, their
+    LSNs equal the backward pointer walk from [from] truncated at
+    [down_to] — but are served from the in-memory chain index with no I/O
+    or decode.  Each segment's chain holds its records' indexes in that
+    segment, so the lookup is two binary searches per segment the range
+    touches, through the segment's LSN array, and every record comes back
+    with its position.  Callers that mutate state must validate the chain
+    links (see {!Rw_core.Page_undo}) and fall back to the walk on
+    mismatch. *)
 
 val pages_changed_since : t -> since:Rw_storage.Lsn.t -> Rw_storage.Page_id.t list
-(** Pages whose newest retained chain record is strictly after [since]
-    (unordered) — the batch work-list for snapshot materialization. *)
+(** Pages whose newest retained chain record is strictly after [since],
+    ascending, each once — the batch work-list for snapshot
+    materialization. *)
 
 val truncate_before : t -> Rw_storage.Lsn.t -> unit
 (** Drop all records with LSN strictly below the argument (retention). *)

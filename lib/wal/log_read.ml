@@ -85,36 +85,47 @@ let take t g k blob pos len =
   g.g_pos.(k) <- pos;
   g.g_len.(k) <- len
 
-(* Step 1 of [gather_batch] for one page: locate each record and [take]
-   it.  The blocks each record spans are reported through
-   [need first last cold] (consecutive records inside an already-reported
-   block skip it); no block is charged here. *)
-let gather_page t lsns need =
-  let g = gathering (Array.length lsns) in
+(* Step 1 of [gather_batch] for one page: take each located record
+   straight from its segment, its position checked in O(1)
+   ([located_seg]), with no search.  The blocks each record spans are
+   reported through [need first last cold] (consecutive records inside an
+   already-reported block skip it); no block is charged here. *)
+let gather_page t l need =
+  let n = Array.length l.l_lsn in
+  let g = gathering n in
   let covered = ref 0 in
-  iter_ascending t lsns (fun k s pos len ->
-      let li = s.s_base + pos in
-      if li + len - 1 > !covered then begin
-        let first_b = first_block t (Lsn.of_int li) and last_b = last_block t (Lsn.of_int li) len in
-        need first_b last_b (not s.s_resident);
-        covered := (last_b + 1) * t.block_bytes
-      end;
-      take t g k s.s_blob pos len);
+  for k = 0 to n - 1 do
+    let s = located_seg t l k in
+    let i = l.l_at.(k) land at_mask and li = l.l_lsn.(k) in
+    let len = (if i + 1 < s.s_n then s.s_lsns.(i + 1) else s.s_end) - li in
+    if li + len - 1 > !covered then begin
+      let first_b = (li - 1) / t.block_bytes in
+      let last_b = (li - 1 + max 0 (len - 1)) / t.block_bytes in
+      need first_b last_b (not s.s_resident);
+      covered := (last_b + 1) * t.block_bytes
+    end;
+    take t g k s.s_blob (li - s.s_base) len
+  done;
   g
 
-(* The rewind fetch for a whole batch of pages, in log order: locate every
-   page's records (step 1), mark every block the batch needs in a bitmap
-   over the batch's block span (step 2), then charge each marked block
-   once, ascending (step 3).  A marked block still cached is a hit; a
-   maximal run of consecutive missing blocks is one seek plus sequential
-   transfer, capped at the cache capacity so a window never evicts its
-   own head before it is read.  Different pages' records share blocks: a
-   block two interleaved chains both touch is charged once for the batch,
-   not once per page.  A page that fails to locate a record gets [None];
-   the blocks it had already reported are still charged. *)
+(* Step 1's block reports, as (first, last, cold) triples: one buffer per
+   domain, kept at the largest size a batch needed, since a report's
+   rewind batch reports thousands of records. *)
+let ranges_buffer = Domain.DLS.new_key (fun () -> ref (Array.make 48 0))
+
+(* The rewind fetch for a whole batch of pages, in log order: take every
+   page's located records (step 1), mark every block the batch needs in
+   a bitmap over the batch's block span (step 2), then charge each marked
+   block once, ascending (step 3).  A marked block still cached is a hit;
+   a maximal run of consecutive missing blocks is one seek plus
+   sequential transfer, capped at the cache capacity so a window never
+   evicts its own head before it is read.  Different pages' records share
+   blocks: a block two interleaved chains both touch is charged once for
+   the batch, not once per page.  A page with a record whose position no longer
+   holds it (a log change since it was located) gets [None]; the blocks
+   it had already reported are still charged. *)
 let gather_batch t reqs =
-  (* Step 1's block reports, as (first, last, cold) triples. *)
-  let ranges = ref (Array.make 48 0) and nr = ref 0 in
+  let ranges = Domain.DLS.get ranges_buffer and nr = ref 0 in
   let lo = ref max_int and hi = ref min_int in
   let need first last cold =
     if !nr + 3 > Array.length !ranges then
@@ -129,8 +140,8 @@ let gather_batch t reqs =
   in
   let b_pages =
     Array.map
-      (fun lsns ->
-        match gather_page t lsns need with
+      (fun l ->
+        match gather_page t l need with
         | g -> Some g
         | exception (Log_truncated _ | No_such_record _) -> None)
       reqs

@@ -17,8 +17,10 @@ module Probes = Rw_obs.Probes
 exception Log_truncated of Lsn.t
 exception No_such_record of Lsn.t
 
-(* Growable sorted array: one page's chain record LSNs, ascending, as
-   ints, so [lower_bound] searches it as it searches the record offsets. *)
+(* Growable array: one page's chain records in one segment, each as its
+   record index there, ascending (so in LSN order too).  A record's LSN
+   is [s_lsns.(i)] and its bytes [rec_pos]/[rec_len]: a chain entry is a
+   position, and reading the record needs no search. *)
 type chain = { mutable arr : int array; mutable len : int }
 
 (* A segment's control-record directory: every Begin, Commit, Abort, End
@@ -44,8 +46,9 @@ type ctl_dir = {
    a block miss is the "reload from media" event.
 
    Everything per-record is segment-local — the sorted record-offset
-   array (locating a record is two binary searches) and [Log_index]'s
-   slices — so retention drops a whole sealed segment in O(1). *)
+   array (locating a record by its LSN is two binary searches) and
+   [Log_index]'s slices, which hold record indexes and so need none — so
+   retention drops a whole sealed segment in O(1). *)
 type segment = {
   s_base : int; (* absolute byte offset (= LSN) of the segment's first byte *)
   mutable s_end : int; (* one past the last record byte, absolute *)
@@ -59,8 +62,8 @@ type segment = {
   mutable s_blob : Bytes.t; (* encoded payloads, contiguous from s_base *)
   mutable s_sealed : bool;
   mutable s_resident : bool; (* payload still counted as modeled RAM *)
-  s_fpi : Lsn.t list ref Int_tbl.t; (* page -> descending FPI lsns *)
-  s_chains : chain Int_tbl.t; (* page -> ascending page-record lsns *)
+  s_fpi : int list ref Int_tbl.t; (* page -> descending FPI record indexes *)
+  s_chains : chain Int_tbl.t; (* page -> ascending page-record indexes *)
   s_ctl : ctl_dir;
   mutable s_index_bytes : int;
       (* modeled footprint of this segment's index structures; freed
@@ -277,52 +280,44 @@ let iter_from t ~from ~upto f =
         end
       done
 
-(* Visit an ascending LSN array's records in order, as [f k seg pos len]
-   for the [k]th LSN, whose bytes are [seg.s_blob.[pos .. pos+len-1]].
-   Records are stored in ascending LSN order, so after the first binary
-   search each record is located by advancing a (segment, record) finger
-   — the searches are only repeated across a long gap of other pages'
-   records.  Same exceptions as {!locate}. *)
-let iter_ascending t lsns f =
-  if Array.length lsns > 0 then begin
-    let si = ref 0 and ri = ref 0 in
-    let set_pos lsn =
-      let s, i = locate t lsn in
-      si := s;
-      ri := i
-    in
-    set_pos lsns.(0);
-    Array.iteri
-      (fun k lsn ->
-        let li = Lsn.to_int lsn in
-        let rec advance fuel =
-          if !si >= t.seg_hi then set_pos lsn
-          else begin
-            let s = t.segs.(!si) in
-            if !ri >= s.s_n then
-              if !si + 1 < t.seg_hi then begin
-                incr si;
-                ri := 0;
-                advance fuel
-              end
-              else set_pos lsn
-            else if s.s_lsns.(!ri) = li then begin
-              if is_torn t li then raise (No_such_record lsn)
-            end
-            else if fuel = 0 || s.s_lsns.(!ri) > li then set_pos lsn
-            else begin
-              incr ri;
-              advance (fuel - 1)
-            end
-          end
-        in
-        advance 32;
-        let i = !ri in
-        ri := i + 1;
-        let s = t.segs.(!si) in
-        f k s (s.s_lsns.(i) - s.s_base) (rec_len s i))
-      lsns
-  end
+(* ---------- located records ---------- *)
+
+(* Records held by position, as the chain index hands them out: record
+   [k] has LSN [l_lsn.(k)] and is record [l_at.(k) land at_mask] of the
+   segment in window slot [l_at.(k) lsr at_bits].  A position is only as
+   good as the log it was taken from: [located_seg] checks it in O(1)
+   before every use, so after a log change in between (a retention cut,
+   a tail drop, a window compaction) it either still holds its LSN's
+   record or fails with [locate]'s exceptions; it never hands over
+   another record. *)
+type located = { l_lsn : int array; l_at : int array }
+
+let at_bits = 32
+let at_mask = (1 lsl at_bits) - 1
+let at si i = (si lsl at_bits) lor i
+let located_rec l k = l.l_at.(k) land at_mask
+let no_records = { l_lsn = [||]; l_at = [||] }
+
+(* The segment holding located record [k], once the position is checked:
+   retained, inside the window, the record's LSN where it was, not torn.
+   Same exceptions as [locate]. *)
+let located_seg t l k =
+  let li = l.l_lsn.(k) in
+  if li < Lsn.to_int t.truncated_below then raise (Log_truncated (Lsn.of_int li));
+  let si = l.l_at.(k) lsr at_bits and i = located_rec l k in
+  if si < t.seg_lo || si >= t.seg_hi then raise (No_such_record (Lsn.of_int li));
+  let s = t.segs.(si) in
+  if i >= s.s_n || s.s_lsns.(i) <> li || is_torn t li then raise (No_such_record (Lsn.of_int li));
+  s
+
+let peek_located t l k = rec_peek (located_seg t l k) (located_rec l k)
+let located_lsns l = Lsn.of_int_array l.l_lsn
+
+let sub_located l pos len =
+  { l_lsn = Array.sub l.l_lsn pos len; l_at = Array.sub l.l_at pos len }
+
+let append_located a b =
+  { l_lsn = Array.append a.l_lsn b.l_lsn; l_at = Array.append a.l_at b.l_at }
 
 (* ---------- the segment window ---------- *)
 

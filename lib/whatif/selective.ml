@@ -132,12 +132,12 @@ let validate ~log ~graph ~removed ~cuts =
   let conflicts = ref [] in
   List.iter
     (fun (page, cut) ->
-      let lsns =
+      let chain =
         Log_manager.chain_segment log page ~from:(Log_manager.end_lsn log) ~down_to:cut
       in
-      Array.iter
-        (fun lsn ->
-          let pk = Log_manager.peek_record log lsn in
+      Array.iteri
+        (fun k lsn ->
+          let pk = Log_manager.peek_located log chain k in
           let txn = pk.Log_record.p_txn in
           if Txn_id.is_nil txn || is_removed txn then ()
           else
@@ -164,7 +164,7 @@ let validate ~log ~graph ~removed ~cuts =
                     | exception Log_manager.Log_truncated _ ->
                         conflict
                           "aborted transaction's history crosses the log retention boundary")))
-        lsns)
+        (Log_manager.located_lsns chain))
     cuts;
   (!widen, List.rev !conflicts)
 

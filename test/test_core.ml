@@ -351,10 +351,11 @@ let test_batch_of_one_matches_serial () =
        let log = Database.log db and disk = Database.disk db in
        for i = 0 to Disk.page_count disk - 1 do
          let pid = Page_id.of_int i in
-         match Log_manager.earliest_fpi_after log pid ~after:(As_of_snapshot.split_lsn snap) with
-         | Some f when Disk.has_page disk pid ->
+         let f = Log_manager.earliest_fpi_after log pid ~after:(As_of_snapshot.split_lsn snap) in
+         match Log_manager.located_lsns f with
+         | [| _ |] when Disk.has_page disk pid ->
              (* The image length, as in [test_corrupt_image_falls_back]. *)
-             let g = Option.get (Log_manager.gather_batch log [| [| f |] |]).Log_manager.b_pages.(0) in
+             let g = Option.get (Log_manager.gather_batch log [| f |]).Log_manager.b_pages.(0) in
              let at = g.Log_manager.g_pos.(0) + 35 and blob = g.Log_manager.g_blob.(0) in
              Bytes.set blob at (Char.chr (Char.code (Bytes.get blob at) lxor 0x01))
          | _ -> ()
@@ -466,12 +467,12 @@ let undone_records log page ~as_of ~used_fpi =
   let pid = Page.id page in
   let start =
     if used_fpi then
-      match Log_manager.earliest_fpi_after log pid ~after:as_of with
-      | Some f -> (Log_manager.peek_record log f).Log_record.p_prev_page_lsn
-      | None -> Alcotest.fail "an image was used but none is indexed"
+      match Log_manager.located_lsns (Log_manager.earliest_fpi_after log pid ~after:as_of) with
+      | [| f |] -> (Log_manager.peek_record log f).Log_record.p_prev_page_lsn
+      | _ -> Alcotest.fail "an image was used but none is indexed"
     else Page.lsn page
   in
-  Log_manager.chain_segment log pid ~from:start ~down_to:as_of
+  Log_manager.located_lsns (Log_manager.chain_segment log pid ~from:start ~down_to:as_of)
 
 (* Under the default budget, the serial rewind, the batch and the pointer
    walk leave byte-identical pages and counters at every sampled target,
@@ -527,11 +528,10 @@ let test_corrupt_image_falls_back () =
   let log = Log_manager.create ~clock:env.clock ~media:Media.ram () in
   Log_manager.restore_entries log (Log_manager.dump_entries env.log);
   let as_of = List.nth ends (List.length ends / 2) in
-  let image =
-    match Log_manager.earliest_fpi_after log pid ~after:as_of with
-    | Some f when Lsn.(f < Page.lsn original) -> f
-    | _ -> Alcotest.fail "expected an image above the target"
-  in
+  let image = Log_manager.earliest_fpi_after log pid ~after:as_of in
+  (match Log_manager.located_lsns image with
+  | [| f |] when Lsn.(f < Page.lsn original) -> ()
+  | _ -> Alcotest.fail "expected an image above the target");
   let outcome f =
     let page = Bytes.copy original in
     match f page with
@@ -541,7 +541,7 @@ let test_corrupt_image_falls_back () =
   let clean = outcome (fun page -> Page_undo.prepare_page_as_of ~log ~page ~as_of) in
   check "the clean rewind jump-starts" true
     (match clean with Ok (_, used_fpi, _) -> used_fpi | Error _ -> false);
-  let g = Option.get (Log_manager.gather_batch log [| [| image |] |]).Log_manager.b_pages.(0) in
+  let g = Option.get (Log_manager.gather_batch log [| image |]).Log_manager.b_pages.(0) in
   (* The u32 image length at offset 34 of the record: 8192 becomes 8448. *)
   let at = g.Log_manager.g_pos.(0) + 35 in
   let blob = g.Log_manager.g_blob.(0) in
@@ -1021,12 +1021,12 @@ let test_retention_segmented_indexes () =
   let top = Log_manager.end_lsn env.log in
   Array.iter
     (fun l -> check "chain_segment respects boundary" true Lsn.(l >= cut))
-    (Log_manager.chain_segment env.log pid ~from:top ~down_to:Lsn.nil);
+    (Log_manager.located_lsns (Log_manager.chain_segment env.log pid ~from:top ~down_to:Lsn.nil));
   List.iter
     (fun after ->
-      match Log_manager.earliest_fpi_after env.log pid ~after with
-      | Some l -> check "earliest_fpi_after respects boundary" true Lsn.(l >= cut)
-      | None -> ())
+      Array.iter
+        (fun l -> check "earliest_fpi_after respects boundary" true Lsn.(l >= cut))
+        (Log_manager.located_lsns (Log_manager.earliest_fpi_after env.log pid ~after)))
     (Lsn.nil :: inside);
   Log_manager.iter_checkpoints_rev env.log (fun l _ ->
       check "checkpoint walk respects boundary" true Lsn.(l >= cut);

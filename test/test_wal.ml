@@ -21,6 +21,15 @@ let mk_log ?(media = Media.ram) ?cache_blocks ?block_bytes ?segment_bytes () =
   let clock = Sim_clock.create () in
   (clock, Log_manager.create ~clock ~media ?cache_blocks ?block_bytes ?segment_bytes ())
 
+(* The chain index's and the image directory's answers, as LSNs. *)
+let chain_lsns log page ~from ~down_to =
+  Log_manager.located_lsns (Log_manager.chain_segment log page ~from ~down_to)
+
+let fpi_after log page ~after =
+  match Log_manager.located_lsns (Log_manager.earliest_fpi_after log page ~after) with
+  | [| lsn |] -> Some lsn
+  | _ -> None
+
 (* --- codec --- *)
 
 let test_codec_roundtrip () =
@@ -506,16 +515,16 @@ let test_fpi_directory () =
   let _ = Log_manager.append log (other 1) in
   let f2 = Log_manager.append log (fpi 1) in
   let _ = Log_manager.append log (fpi 2) in
-  (match Log_manager.earliest_fpi_after log (Page_id.of_int 1) ~after:Lsn.nil with
+  (match fpi_after log (Page_id.of_int 1) ~after:Lsn.nil with
   | Some l -> check "earliest is f1" true (Lsn.equal l f1)
   | None -> Alcotest.fail "expected fpi");
-  (match Log_manager.earliest_fpi_after log (Page_id.of_int 1) ~after:f1 with
+  (match fpi_after log (Page_id.of_int 1) ~after:f1 with
   | Some l -> check "after f1 is f2" true (Lsn.equal l f2)
   | None -> Alcotest.fail "expected fpi");
   check "after f2 none" true
-    (Log_manager.earliest_fpi_after log (Page_id.of_int 1) ~after:f2 = None);
+    (fpi_after log (Page_id.of_int 1) ~after:f2 = None);
   check "unknown page none" true
-    (Log_manager.earliest_fpi_after log (Page_id.of_int 99) ~after:Lsn.nil = None)
+    (fpi_after log (Page_id.of_int 99) ~after:Lsn.nil = None)
 
 (* [append_image] writes the bytes [encode] gives for the same record and
    indexes it as an image on the page's chain; [image_in_place] restores
@@ -580,11 +589,11 @@ let test_append_image () =
         | () -> false
         | exception Log_record.Corrupt_record -> true))
     images;
-  (match Log_manager.earliest_fpi_after log pid ~after:l0 with
+  (match fpi_after log pid ~after:l0 with
   | Some l -> check "indexed as an image" true (Lsn.equal l (fst (List.hd images)))
   | None -> Alcotest.fail "expected an image");
   check_int "on the page chain" 3
-    (Array.length (Log_manager.chain_segment log pid ~from:(Log_manager.end_lsn log) ~down_to:Lsn.nil))
+    (Array.length (chain_lsns log pid ~from:(Log_manager.end_lsn log) ~down_to:Lsn.nil))
 
 (* The retained checkpoints at or before [upto], newest first, with
    their wall times, by the directory walk. *)
@@ -625,7 +634,7 @@ let test_truncate_prunes_indexes () =
   let _f2 = Log_manager.append log (page_op ~pid:1 (Log_record.Full_image { image })) in
   Log_manager.truncate_before log c2;
   (* The truncated FPI and checkpoint must no longer be surfaced. *)
-  (match Log_manager.earliest_fpi_after log (Page_id.of_int 1) ~after:Lsn.nil with
+  (match fpi_after log (Page_id.of_int 1) ~after:Lsn.nil with
   | Some l -> check "first surviving fpi is after truncation" true Lsn.(l >= c2)
   | None -> Alcotest.fail "expected a surviving fpi lookup path");
   check "old checkpoint pruned" false
@@ -675,17 +684,17 @@ let test_chain_segment () =
   List.iter
     (fun pid ->
       let expect = List.rev (Hashtbl.find track pid) in
-      let seg = Log_manager.chain_segment log (Page_id.of_int pid) ~from:top ~down_to:Lsn.nil in
+      let seg = chain_lsns log (Page_id.of_int pid) ~from:top ~down_to:Lsn.nil in
       check "segment equals appended chain" true (Array.to_list seg = expect))
     [ 1; 2; 3 ];
   (* Both bounds: down_to exclusive, from inclusive. *)
   (match List.rev (Hashtbl.find track 1) with
   | a :: b :: c :: _ ->
-      let seg = Log_manager.chain_segment log (Page_id.of_int 1) ~from:c ~down_to:a in
+      let seg = chain_lsns log (Page_id.of_int 1) ~from:c ~down_to:a in
       check "bounded segment" true (Array.to_list seg = [ b; c ])
   | _ -> Alcotest.fail "expected at least three records");
   check "unknown page empty" true
-    (Log_manager.chain_segment log (Page_id.of_int 99) ~from:top ~down_to:Lsn.nil = [||]);
+    (chain_lsns log (Page_id.of_int 99) ~from:top ~down_to:Lsn.nil = [||]);
   (* pages_changed_since: nothing after the end, everything after nil. *)
   check_int "no page changed since top" 0 (List.length (Log_manager.pages_changed_since log ~since:top));
   check_int "all pages changed since nil" 3
@@ -727,13 +736,13 @@ let indexes_agree_after_truncate_and_crash ?segment_bytes () =
   check "same end lsn" true (Lsn.equal top (Log_manager.end_lsn log2));
   for pid = 1 to 4 do
     let p = Page_id.of_int pid in
-    let seg l = Array.to_list (Log_manager.chain_segment l p ~from:top ~down_to:Lsn.nil) in
+    let seg l = Array.to_list (chain_lsns l p ~from:top ~down_to:Lsn.nil) in
     check "chain index agrees with rebuild" true (seg log = seg log2);
     List.iter
       (fun after ->
         check "fpi directory agrees with rebuild" true
-          (Log_manager.earliest_fpi_after log p ~after
-          = Log_manager.earliest_fpi_after log2 p ~after))
+          (fpi_after log p ~after
+          = fpi_after log2 p ~after))
       (Lsn.nil :: List.filteri (fun i _ -> i mod 9 = 0) all)
   done;
   check "checkpoint index agrees with rebuild" true
@@ -776,7 +785,11 @@ let test_segment_lifecycle () =
   Log_manager.flush_all log;
   (* Every record reads back across segment boundaries, single and batched. *)
   Array.iter (fun l -> check "read crosses segments" true (Log_manager.read log l = r)) lsns;
-  let g = Option.get (Log_manager.gather_batch log [| Array.copy lsns |]).Log_manager.b_pages.(0) in
+  let chain =
+    Log_manager.chain_segment log (Page_id.of_int 3) ~from:(Log_manager.end_lsn log) ~down_to:Lsn.nil
+  in
+  check "chain located across segments" true (Log_manager.located_lsns chain = lsns);
+  let g = Option.get (Log_manager.gather_batch log [| chain |]).Log_manager.b_pages.(0) in
   check_int "batched read count" (Array.length lsns) (Array.length g.Log_manager.g_blob);
   Array.iteri
     (fun k blob ->
@@ -889,8 +902,12 @@ let test_gather_sequentialises () =
          (fun l -> Lsn.to_int (Log_manager.next_lsn_after log l) - 1 <= 4 * block_bytes)
          (Array.to_list lsns))
   in
+  let located =
+    Log_manager.chain_segment log (Page_id.of_int 3) ~from:old.(Array.length old - 1) ~down_to:Lsn.nil
+  in
+  check "the old records located" true (Log_manager.located_lsns located = old);
   let s0 = Io_stats.copy (Log_manager.stats log) in
-  let got = Log_manager.gather_batch log [| old |] in
+  let got = Log_manager.gather_batch log [| located |] in
   let d = Io_stats.diff (Log_manager.stats log) s0 in
   check "gathered" true (Option.is_some got.Log_manager.b_pages.(0));
   check_int "one seek for the contiguous run" 1 d.Io_stats.random_reads;
@@ -901,10 +918,14 @@ let test_gather_sequentialises () =
   ignore (Log_manager.read log old.(Array.length old - 1));
   let d2 = Io_stats.diff (Log_manager.stats log) s1 in
   check_int "gathered tail is cached" 0 d2.Io_stats.random_reads;
-  (* An unknown LSN makes only its own page's plan not-ok. *)
-  let got = Log_manager.gather_batch log [| [| lsns.(0) |]; [| Lsn.of_int 99999999 |] |] in
+  (* A position a log change overtook makes only its own page's plan
+     not-ok: the newest record, located, then dropped by a crash. *)
+  let newest = Log_manager.append log (page_op ~pid:4 (Log_record.Full_image { image })) in
+  let stale = Log_manager.chain_segment log (Page_id.of_int 4) ~from:newest ~down_to:Lsn.nil in
+  Log_manager.crash log;
+  let got = Log_manager.gather_batch log [| Log_manager.sub_located located 0 1; stale |] in
   check "neighbour gathered" true (Option.is_some got.Log_manager.b_pages.(0));
-  check "unknown lsn: page not gathered" true (Option.is_none got.Log_manager.b_pages.(1))
+  check "dropped record: page not gathered" true (Option.is_none got.Log_manager.b_pages.(1))
 
 (* Two pages whose chains interleave in the log, each longer than the
    4-block cache, with a stretch of a third page's records between their
@@ -937,6 +958,15 @@ let test_gather_charges_each_block_once () =
   filler 200;
   Log_manager.flush_all log;
   let reqs = Array.map (fun c -> Array.of_list (List.rev !c)) chains in
+  let top = Log_manager.end_lsn log in
+  let located =
+    Array.mapi
+      (fun k _ -> Log_manager.chain_segment log (Page_id.of_int (k + 1)) ~from:top ~down_to:Lsn.nil)
+      reqs
+  in
+  Array.iteri
+    (fun k l -> check "chain located" true (Log_manager.located_lsns l = reqs.(k)))
+    located;
   let blocks = Hashtbl.create 64 in
   Array.iter
     (Array.iter (fun l ->
@@ -957,7 +987,7 @@ let test_gather_charges_each_block_once () =
   check "the gap leaves blocks unneeded" true
     (List.nth sorted (distinct - 1) - List.hd sorted + 1 > distinct);
   let s0 = Io_stats.copy (Log_manager.stats log) in
-  let got = Log_manager.gather_batch log reqs in
+  let got = Log_manager.gather_batch log located in
   let d = Io_stats.diff (Log_manager.stats log) s0 in
   Array.iter (fun g -> check "page gathered" true (Option.is_some g)) got.Log_manager.b_pages;
   check_int "each distinct block charged once" distinct
@@ -1150,12 +1180,12 @@ let appends_write_each_record ?segment_bytes actions =
   List.for_all
     (fun pid ->
       let p = Page_id.of_int pid in
-      let chain l = Log_manager.chain_segment l p ~from:top ~down_to:Lsn.nil in
+      let chain l = chain_lsns l p ~from:top ~down_to:Lsn.nil in
       chain log = chain log2
       && List.for_all
            (fun after ->
-             Log_manager.earliest_fpi_after log p ~after
-             = Log_manager.earliest_fpi_after log2 p ~after)
+             fpi_after log p ~after
+             = fpi_after log2 p ~after)
            lsns)
     [ 1; 2; 3; 4; 5; 6 ]
   && controls_by_walk log = controls_by_walk log2
@@ -1315,11 +1345,11 @@ let check_page_views what log =
   in
   let views_equal p b =
     let pid = Page_id.of_int p in
-    Array.to_list (Log_manager.chain_segment log pid ~from:top ~down_to:b)
+    Array.to_list (chain_lsns log pid ~from:top ~down_to:b)
     = chain p ~from:top ~down_to:b
-    && Array.to_list (Log_manager.chain_segment log pid ~from:b ~down_to:Lsn.nil)
+    && Array.to_list (chain_lsns log pid ~from:b ~down_to:Lsn.nil)
        = chain p ~from:b ~down_to:Lsn.nil
-    && Log_manager.earliest_fpi_after log pid ~after:b
+    && fpi_after log pid ~after:b
        = List.find_map
            (fun (l, q, k) ->
              if q = p && Lsn.(l > b) && k = Log_record.K_page_op Log_record.K_full_image then
@@ -1623,8 +1653,8 @@ let log_state log =
     Log_manager.segment_stats log,
     controls_by_walk log,
     Log_manager.txn_summaries log,
-    List.map (fun p -> Log_manager.chain_segment log p ~from:top ~down_to:Lsn.nil) pages,
-    List.map (fun p -> Log_manager.earliest_fpi_after log p ~after:Lsn.nil) pages )
+    List.map (fun p -> chain_lsns log p ~from:top ~down_to:Lsn.nil) pages,
+    List.map (fun p -> fpi_after log p ~after:Lsn.nil) pages )
 
 (* A primary with transactions, checkpoints and page images, and a
    replica that holds its first shipments; [next] is the next shipment. *)
@@ -1698,12 +1728,13 @@ let test_ingest_after_refusal () =
 
 (* The window after [crash] tears the tail and before [repair_tail]: the
    torn stump stays listed in its segment, but it is in no chain, image or
-   control index, and no lookup reaches it — [read], [peek_record], [mem]
-   and [gather_batch] of its LSN raise (or report it missing) without
+   control index, and no lookup reaches it — [read], [peek_record] and
+   [mem] of its LSN raise (or report it missing), and [gather_batch] of
+   its position, located before the crash, reports it missing, without
    decoding it.  With no CRC on every read, this is what keeps a stump's
    bytes from being parsed.  [repair_tail] then truncates the log at it. *)
 let test_torn_stump_unreachable () =
-  let tears = ref 0 in
+  let tears = ref 0 and located_tears = ref 0 in
   for seed = 1 to 24 do
     let plan = Rw_storage.Fault_plan.create ~torn_log_tail_rate:1.0 ~seed () in
     let log =
@@ -1728,6 +1759,11 @@ let test_torn_stump_unreachable () =
            (Log_record.make ~txn:(Txn_id.of_int (50 + i)) (Log_record.Commit { wall_us = 1.0 })))
     done;
     let tail = List.rev !tail in
+    let tail_chains =
+      List.init 3 (fun p ->
+          Log_manager.chain_segment log (Page_id.of_int (p + 1)) ~from:(Log_manager.end_lsn log)
+            ~down_to:flushed)
+    in
     Log_manager.crash log;
     let end_ = Log_manager.end_lsn log in
     if Lsn.(end_ > flushed) && not (List.exists (Lsn.equal end_) tail) then begin
@@ -1739,9 +1775,9 @@ let test_torn_stump_unreachable () =
         let pid = Page_id.of_int p in
         check "stump in no chain" false
           (Array.exists (Lsn.equal stump)
-             (Log_manager.chain_segment log pid ~from:top ~down_to:Lsn.nil));
+             (chain_lsns log pid ~from:top ~down_to:Lsn.nil));
         check "stump in no image index" true
-          (Log_manager.earliest_fpi_after log pid ~after:(Lsn.of_int (Lsn.to_int stump - 1))
+          (fpi_after log pid ~after:(Lsn.of_int (Lsn.to_int stump - 1))
           <> Some stump)
       done;
       check "stump in no control index" false
@@ -1752,17 +1788,30 @@ let test_torn_stump_unreachable () =
       Alcotest.check_raises "peek of the stump raises" (Log_manager.No_such_record stump)
         (fun () -> ignore (Log_manager.peek_record log stump));
       check "stump is no record" false (Log_manager.mem log stump);
-      let got = Log_manager.gather_batch log [| [| stump |] |] in
-      check "gather of the stump finds nothing" true (got.Log_manager.b_pages.(0) = None);
+      (* The stump's position, if it is a page record: alone, and after
+         the records of its chain before it. *)
+      let stump_at =
+        List.find_map
+          (fun chain ->
+            Array.find_index (Lsn.equal stump) (Log_manager.located_lsns chain)
+            |> Option.map (fun k -> (chain, k)))
+          tail_chains
+      in
+      Option.iter
+        (fun (chain, k) ->
+          incr located_tears;
+          let got = Log_manager.gather_batch log [| Log_manager.sub_located chain k 1 |] in
+          check "gather of the stump finds nothing" true (got.Log_manager.b_pages.(0) = None))
+        stump_at;
       check_int "the stump was never decoded or handed over" 0
         (Io_stats.diff (Log_manager.stats log) s0).Io_stats.log_record_misses;
+      Option.iter
+        (fun (chain, k) ->
+          let got = Log_manager.gather_batch log [| Log_manager.sub_located chain 0 (k + 1) |] in
+          check "gather through to the stump finds nothing" true (got.Log_manager.b_pages.(0) = None))
+        stump_at;
       (match List.rev before with
-      | prev :: _ ->
-          (* Located by the gather's finger from the record before it. *)
-          let got = Log_manager.gather_batch log [| [| prev; stump |] |] in
-          check "gather through to the stump finds nothing" true
-            (got.Log_manager.b_pages.(0) = None);
-          ignore (Log_manager.read log prev : Log_record.t)
+      | prev :: _ -> ignore (Log_manager.read log prev : Log_record.t)
       | [] -> ());
       match Log_manager.repair_tail log with
       | Some (cut, dropped) ->
@@ -1773,7 +1822,199 @@ let test_torn_stump_unreachable () =
       | None -> Alcotest.fail "repair_tail missed the torn stump"
     end
   done;
-  check "some seed tore a record" true (!tears > 0)
+  check "some seed tore a record" true (!tears > 0);
+  check "some seed tore a located page record" true (!located_tears > 0)
+
+(* --- located chains --- *)
+
+(* What a located-chain case does to the log between checks.  [Append]
+   writes one page record per page listed (rows of varied length), with
+   a Begin after every third; [Image] a full page image; [Cut k] retains
+   from the [k]th retained record on (a cut inside a segment leaves its
+   dead prefix in place); [Crash] loses the unflushed tail, which may
+   tear, and is checked before and after [repair_tail] drops the stump,
+   so the next appends reuse the dropped record indexes; [Restore] and
+   [Ingest] carry on in a fresh log built by [restore_entries] or
+   [ingest_entries] of this one's records. *)
+type located_event =
+  | Append of int list
+  | Image of int
+  | Flush
+  | Cut of int
+  | Crash
+  | Restore
+  | Ingest
+
+let print_located_event = function
+  | Append ps -> Printf.sprintf "Append [%s]" (String.concat ";" (List.map string_of_int ps))
+  | Image p -> Printf.sprintf "Image %d" p
+  | Flush -> "Flush"
+  | Cut k -> Printf.sprintf "Cut %d" k
+  | Crash -> "Crash"
+  | Restore -> "Restore"
+  | Ingest -> "Ingest"
+
+let located_event_gen =
+  let open QCheck.Gen in
+  let page = 1 -- 4 in
+  frequency
+    [
+      (6, map (fun ps -> Append ps) (list_size (1 -- 6) page));
+      (1, map (fun p -> Image p) page);
+      (3, return Flush);
+      (2, map (fun k -> Cut k) (0 -- 40));
+      (3, return Crash);
+      (1, return Restore);
+      (1, return Ingest);
+    ]
+
+(* Each page's newest retained record, by a scan of the log. *)
+let page_tops log =
+  let tops = Hashtbl.create 8 in
+  Log_manager.iter_range_peek log ~from:Lsn.nil ~upto:(Log_manager.end_lsn log) (fun lsn pk _ ->
+      if Log_record.is_page_kind pk.Log_record.p_kind then
+        Hashtbl.replace tops (Page_id.to_int pk.Log_record.p_page) lsn);
+  tops
+
+(* The page's chain by the pointer walk from its newest record down to
+   the retention boundary, ascending. *)
+let walked_chain log tops p =
+  let rec walk lsn acc =
+    if Lsn.is_nil lsn || Lsn.(lsn < Log_manager.first_lsn log) then acc
+    else walk (Log_manager.peek_record log lsn).Log_record.p_prev_page_lsn (lsn :: acc)
+  in
+  walk (Option.value (Hashtbl.find_opt tops p) ~default:Lsn.nil) []
+
+(* Every located record of every page, one batch, against the walk and
+   the record bytes; returns each record's location alone, for the next
+   event to make stale. *)
+let check_located what log =
+  let tops = page_tops log in
+  let bytes = Hashtbl.create 64 in
+  List.iter (fun (lsn, data) -> Hashtbl.replace bytes lsn data) (Log_manager.dump_entries log);
+  let top = Log_manager.end_lsn log in
+  let chains =
+    Array.init 4 (fun k -> Log_manager.chain_segment log (Page_id.of_int (k + 1)) ~from:top ~down_to:Lsn.nil)
+  in
+  let images =
+    Array.init 4 (fun k -> Log_manager.earliest_fpi_after log (Page_id.of_int (k + 1)) ~after:Lsn.nil)
+  in
+  Array.iteri
+    (fun k chain ->
+      let walked = walked_chain log tops (k + 1) in
+      if Array.to_list (Log_manager.located_lsns chain) <> walked then
+        QCheck.Test.fail_reportf "%s: page %d's located chain differs from the walk" what (k + 1);
+      match walked with
+      | _ :: mid :: _ ->
+          let above = List.filter (fun l -> Lsn.(l > mid)) walked in
+          if Array.to_list (chain_lsns log (Page_id.of_int (k + 1)) ~from:top ~down_to:mid) <> above
+          then QCheck.Test.fail_reportf "%s: page %d's bounded chain differs" what (k + 1)
+      | _ -> ())
+    chains;
+  let reqs = Array.append chains images in
+  let got = Log_manager.gather_batch log reqs in
+  Array.iteri
+    (fun r g ->
+      let lsns = Log_manager.located_lsns reqs.(r) in
+      match g with
+      | None -> QCheck.Test.fail_reportf "%s: request %d not gathered on an unchanged log" what r
+      | Some (g : Log_manager.gathered) ->
+          Array.iteri
+            (fun k lsn ->
+              let span = Bytes.sub_string g.g_blob.(k) g.g_pos.(k) g.g_len.(k) in
+              if span <> Hashtbl.find bytes lsn || Log_record.decode span <> Log_manager.read log lsn
+              then QCheck.Test.fail_reportf "%s: gathered record at %d differs" what (Lsn.to_int lsn))
+            lsns)
+    got.Log_manager.b_pages;
+  Array.to_list reqs
+  |> List.concat_map (fun l ->
+         List.init (Array.length (Log_manager.located_lsns l)) (fun k ->
+             (Log_manager.sub_located l k 1, (Log_manager.located_lsns l).(k))))
+
+(* Locations taken before a log change: each gives its LSN's record as
+   the log now holds it, or nothing — never another record. *)
+let check_stale what log locs =
+  let bytes = Hashtbl.create 64 in
+  List.iter (fun (lsn, data) -> Hashtbl.replace bytes lsn data) (Log_manager.dump_entries log);
+  List.iter
+    (fun (loc, lsn) ->
+      match (Log_manager.gather_batch log [| loc |]).Log_manager.b_pages.(0) with
+      | None -> ()
+      | Some g ->
+          let span = Bytes.sub_string g.g_blob.(0) g.g_pos.(0) g.g_len.(0) in
+          if not (Log_manager.mem log lsn && Hashtbl.find_opt bytes lsn = Some span) then
+            QCheck.Test.fail_reportf "%s: a stale location at %d gave another record" what
+              (Lsn.to_int lsn))
+    locs
+
+let located_chains_prop =
+  QCheck.Test.make ~name:"located chains agree with the walk through log changes" ~count:150
+    QCheck.(
+      pair small_nat
+        (make ~print:(Print.list print_located_event) Gen.(list_size (1 -- 14) located_event_gen)))
+    (fun (seed, events) ->
+      let fresh ?fault_plan () =
+        Log_manager.create ~clock:(Sim_clock.create ()) ~media:Media.ram ~segment_bytes:256 ?fault_plan
+          ()
+      in
+      let log =
+        ref (fresh ~fault_plan:(Rw_storage.Fault_plan.create ~torn_log_tail_rate:0.5 ~seed ()) ())
+      in
+      let n = ref 0 in
+      let image = Page.create ~id:(Page_id.of_int 1) ~typ:Page.Heap in
+      let locs = ref (check_located "empty" !log) in
+      let step what f =
+        f ();
+        check_stale what !log !locs;
+        locs := check_located what !log
+      in
+      List.iteri
+        (fun e ev ->
+          let what = Printf.sprintf "event %d (%s)" e (print_located_event ev) in
+          match ev with
+          | Append pages ->
+              step what (fun () ->
+                  let tops = page_tops !log in
+                  List.iter
+                    (fun p ->
+                      incr n;
+                      let prev = Option.value (Hashtbl.find_opt tops p) ~default:Lsn.nil in
+                      let row = String.make (1 + (!n * 7 mod 50)) 'r' in
+                      Hashtbl.replace tops p
+                        (Log_manager.append !log
+                           (page_op ~pid:p ~prev (Log_record.Insert_row { slot = 0; row })));
+                      if !n mod 3 = 0 then
+                        ignore (Log_manager.append !log (Log_record.make Log_record.Begin)))
+                    pages)
+          | Image p ->
+              step what (fun () ->
+                  let prev = Option.value (Hashtbl.find_opt (page_tops !log) p) ~default:Lsn.nil in
+                  ignore (Log_manager.append_image !log ~page:(Page_id.of_int p) ~prev_page_lsn:prev image))
+          | Flush -> step what (fun () -> Log_manager.flush_all !log)
+          | Cut k ->
+              step what (fun () ->
+                  match Log_manager.dump_entries !log with
+                  | [] -> ()
+                  | entries ->
+                      Log_manager.truncate_before !log (fst (List.nth entries (k mod List.length entries))))
+          | Crash ->
+              (* A torn stump is listed in its segment until the repair,
+                 so only the stale locations are checked in between. *)
+              Log_manager.crash !log;
+              check_stale (what ^ " before repair") !log !locs;
+              step what (fun () -> ignore (Log_manager.repair_tail !log))
+          | Restore ->
+              step what (fun () ->
+                  let l2 = fresh () in
+                  Log_manager.restore_entries l2 (Log_manager.dump_entries !log);
+                  log := l2)
+          | Ingest ->
+              step what (fun () ->
+                  let l2 = fresh () in
+                  ignore (Log_manager.ingest_entries l2 (Log_manager.dump_entries !log) : int);
+                  log := l2))
+        events;
+      true)
 
 let () =
   Alcotest.run "wal"
@@ -1829,6 +2070,7 @@ let () =
             (append_once_prop "append writes each record once (tiny segments)"
                ~segment_bytes:256 ());
           QCheck_alcotest.to_alcotest (append_once_prop "append writes each record once" ());
+          QCheck_alcotest.to_alcotest located_chains_prop;
         ] );
       ( "ingest",
         [
