@@ -6,6 +6,7 @@ module Sparse_file = Rw_storage.Sparse_file
 module Slotted_page = Rw_storage.Slotted_page
 module Sim_clock = Rw_storage.Sim_clock
 module Media = Rw_storage.Media
+module Int_tbl = Rw_storage.Int_tbl
 module Log_manager = Rw_wal.Log_manager
 module Buffer_pool = Rw_buffer.Buffer_pool
 module Recovery = Rw_recovery.Recovery
@@ -193,7 +194,7 @@ let create ~wall_us ~log ~primary_pool ~primary_disk ~txns ~clock ~media ?shared
   (* Pages mutated by the loser-undo pass below: their side-file copies
      diverge from the pure rewind images, so the pool's zero-cost cache
      peek must never serve them from the shared cache. *)
-  let undone = Hashtbl.create 16 in
+  let undone = Int_tbl.create 16 in
   let source =
     {
       Buffer_pool.read =
@@ -210,7 +211,7 @@ let create ~wall_us ~log ~primary_pool ~primary_disk ~txns ~clock ~media ?shared
                    the side file is the authority once a page has been
                    rewound (it may carry loser-undo edits), so the peek only
                    accelerates pages this snapshot never touched. *)
-                if Hashtbl.mem undone (Page_id.to_int pid) || Sparse_file.mem sparse pid
+                if Int_tbl.mem undone (Page_id.to_int pid) || Sparse_file.mem sparse pid
                 then None
                 else Prepared_cache.find_exact cache pid ~split:split_lsn));
     }
@@ -220,7 +221,7 @@ let create ~wall_us ~log ~primary_pool ~primary_disk ~txns ~clock ~media ?shared
   (* 4. Logical undo of in-flight transactions, applied to the snapshot's
      sparse file only: the primary log sees no CLRs from a read-only
      snapshot. *)
-  let in_flight = Rw_storage.Int_tbl.length losers.Recovery.in_flight in
+  let in_flight = Int_tbl.length losers.Recovery.in_flight in
   (* Batch-materialize the pages the losers touched (known from analysis)
      before the undo walk starts: their chains are fetched in one sorted
      pass instead of record-at-a-time as undo stumbles onto each page. *)
@@ -228,7 +229,7 @@ let create ~wall_us ~log ~primary_pool ~primary_disk ~txns ~clock ~media ?shared
     (materialize_pages ~tally ~shared ~sparse ~primary_disk ~log ~split:split_lsn
        losers.Recovery.in_flight_pages);
   let apply pid f =
-    Hashtbl.replace undone (Page_id.to_int pid) ();
+    Int_tbl.replace undone (Page_id.to_int pid) ();
     let page = read_as_of ~tally ~shared ~sparse ~primary_disk ~log ~split:split_lsn pid in
     (match f page with Some lsn -> Page.set_lsn page lsn | None -> ());
     Sparse_file.write sparse pid page;

@@ -1,10 +1,9 @@
 module Lsn = Rw_storage.Lsn
-module Log_record = Rw_wal.Log_record
 module Log_manager = Rw_wal.Log_manager
 
 exception Out_of_retention of float
 
-type result = { split_lsn : Lsn.t; base_checkpoint : Lsn.t; commits_seen : int }
+type result = { split_lsn : Lsn.t; base_checkpoint : Lsn.t }
 
 (* Newest retained checkpoint taken at or before [wall_us].  The paper's
    search reads the checkpoints back from the newest; the clock still
@@ -12,8 +11,7 @@ type result = { split_lsn : Lsn.t; base_checkpoint : Lsn.t; commits_seen : int }
    control-record directory, so nothing is decoded. *)
 let base_checkpoint log ~wall_us =
   let found = ref None in
-  Log_manager.iter_checkpoints_rev log (fun lsn wall ->
-      Log_manager.charge_read log lsn;
+  Log_manager.iter_checkpoints_rev ~charge:true log (fun lsn wall ->
       if wall <= wall_us then found := Some lsn;
       Option.is_none !found);
   !found
@@ -31,25 +29,13 @@ let find ~log ~wall_us =
   in
   let scan_from = match start with Some lsn -> lsn | None -> Log_manager.first_lsn log in
   (* The commit and checkpoint records that decide the split are all in the
-     control-record directory, so the search walks it and reads no record.
-     The clock still prices the paper's sequential scan: every byte from
+     control-record directory, so the search reads no record.  The clock
+     still prices the paper's sequential scan: every byte from
      [scan_from] through the record that stops the search (or to the end
      of the log). *)
-  let commits = ref 0 in
-  let last_commit = ref None in
-  let stop = ref None in
-  Log_manager.iter_controls log ~from:scan_from (fun lsn kind _txn w ->
-      match kind with
-      | Log_record.K_commit when w <= wall_us ->
-          incr commits;
-          last_commit := Some lsn;
-          true
-      | Log_record.K_commit | Log_record.K_checkpoint when w > wall_us ->
-          stop := Some lsn;
-          false
-      | _ -> true);
+  let last_commit, stop = Log_manager.split_search log ~from:scan_from ~wall_us in
   let scanned_upto =
-    match !stop with
+    match stop with
     | Some lsn -> Log_manager.next_lsn_after log lsn
     | None -> Log_manager.end_lsn log
   in
@@ -58,9 +44,8 @@ let find ~log ~wall_us =
     (* The snapshot must contain the last qualifying commit: split just
        after it. *)
     split_lsn =
-      (match !last_commit with
+      (match last_commit with
       | Some lsn -> Log_manager.next_lsn_after log lsn
       | None -> scan_from);
     base_checkpoint = (match start with Some lsn -> lsn | None -> Lsn.nil);
-    commits_seen = !commits;
   }

@@ -16,7 +16,14 @@ type result = {
       (** newest retained checkpoint at or before the split — where snapshot
           recovery's analysis starts ([Lsn.nil] if scanning from the log
           head) *)
-  commits_seen : int;
 }
 
 val find : log:Rw_wal.Log_manager.t -> wall_us:float -> result
+(** The split for [wall_us].  The base checkpoint is found by reading the
+    checkpoints back from the newest, each read priced on the clock; the
+    split itself by {!Rw_wal.Log_manager.split_search}, a binary search
+    of the control-record directory, priced as the paper's sequential scan
+    from the base checkpoint (or the log's head) through the record that
+    stops it.  No record is decoded.  Raises {!Out_of_retention} when no
+    retained checkpoint is old enough and the log no longer reaches back
+    to its first record. *)

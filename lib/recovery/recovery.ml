@@ -43,16 +43,19 @@ type analysis = {
   records_scanned : int;
 }
 
+(* Whether the range opens with a checkpoint record at [start], which
+   seeds the analysis tables. *)
+let starts_at_checkpoint ~log ~start ~upto =
+  Lsn.(start < upto)
+  && Log_manager.mem log start
+  && (Log_manager.peek_record log start).Log_record.p_kind = Log_record.K_checkpoint
+
 (* The priced read of the start checkpoint, if [start] is one: the seed
    record and where the scan proper begins. *)
 let analysis_head ~log ~start ~upto =
-  if Lsn.(start >= upto) || not (Log_manager.mem log start) then (None, start)
-  else
-    match (Log_manager.peek_record log start).Log_record.p_kind with
-    | Log_record.K_checkpoint ->
-        let r = Log_manager.read log start in
-        (Some r, Log_manager.next_lsn_after log start)
-    | _ -> (None, start)
+  if starts_at_checkpoint ~log ~start ~upto then
+    (Some (Log_manager.read log start), Log_manager.next_lsn_after log start)
+  else (None, start)
 
 (* Analysis only needs record headers (txn, kind, page); the one exception
    is checkpoint records, whose embedded tables require a decode.  The
@@ -147,44 +150,30 @@ type losers = {
    and a checkpoint lists every transaction then active, so from a start
    checkpoint (its active set) or from the log's origin (nothing) the
    Begin/Commit/Abort/End entries alone track the in-flight set: Begin
-   adds, Commit or End removes, Abort keeps.  When that set is empty at
+   adds, Commit or End removes, Abort keeps.  The directory keeps that
+   set's size per entry ([Log_manager.none_in_flight]); when it is 0 at
    [upto] the analysis scan would find no loser, and only its price is
-   charged.  A loser's last LSN and pages live in page records, so when
-   anything is in flight — or the directory cannot answer exactly: a
-   start that is neither, a checkpoint inside the range, an [upto] off a
-   record boundary — the analysis scan runs after all, from the same
-   priced seed read. *)
+   charged: the seed checkpoint's read, with no decode, and the scan.  A
+   loser's last LSN and pages live in page records, so when anything is
+   in flight — or the directory cannot answer exactly: a start that is
+   neither, a checkpoint inside the range, an [upto] off a record
+   boundary — the analysis scan runs after all, from the seed read. *)
 let losers_at ~log ~start ~upto =
-  let seed, scan_from = analysis_head ~log ~start ~upto in
+  let seeded = starts_at_checkpoint ~log ~start ~upto in
+  let scan_from = if seeded then Log_manager.next_lsn_after log start else start in
   let decidable =
-    (Option.is_some seed || (Lsn.to_int start = 1 && Lsn.to_int (Log_manager.first_lsn log) = 1))
+    (seeded || (Lsn.to_int start = 1 && Lsn.to_int (Log_manager.first_lsn log) = 1))
     && (Lsn.(upto >= Log_manager.end_lsn log) || Log_manager.mem log upto)
   in
-  let none_in_flight () =
-    let live = Int_tbl.create 16 in
-    (match seed with
-    | Some { Log_record.body = Log_record.Checkpoint { active_txns; _ }; _ } ->
-        List.iter (fun (txn, _) -> Int_tbl.replace live (Txn_id.to_int txn) ()) active_txns
-    | _ -> ());
-    let exact = ref true in
-    Log_manager.iter_controls log ~from:scan_from (fun lsn kind txn _ ->
-        Lsn.(lsn < upto)
-        && begin
-             (match kind with
-             | Log_record.K_begin -> Int_tbl.replace live (Txn_id.to_int txn) ()
-             | Log_record.K_commit | Log_record.K_end -> Int_tbl.remove live (Txn_id.to_int txn)
-             | Log_record.K_checkpoint -> exact := false
-             | _ -> ());
-             !exact
-           end);
-    !exact && Int_tbl.length live = 0
-  in
-  if Lsn.(start >= upto) || (decidable && none_in_flight ()) then begin
+  if Lsn.(start >= upto) || (decidable && Log_manager.none_in_flight log ~from:scan_from ~upto)
+  then begin
+    if seeded then Log_manager.charge_read log start;
     Log_manager.charge_scan log ~from:scan_from ~upto;
     { in_flight = Int_tbl.create 1; in_flight_pages = []; loser_scan = false }
   end
   else begin
     Obs.incr Probes.snapshot_loser_scans;
+    let seed = if seeded then Some (Log_manager.read log start) else None in
     let a = analysis_scan ~log ~seed ~scan_from ~upto ~collect_pages:true in
     { in_flight = a.losers; in_flight_pages = loser_pages a; loser_scan = true }
   end

@@ -74,11 +74,13 @@ val losers_at :
 (** The two analysis results as-of snapshot creation and point-in-time
     restore use, equal to {!analyze}'s for the same range, decided where
     possible from the log's control-record directory
-    ({!Rw_wal.Log_manager.iter_controls}) instead of a scan.  The start
-    checkpoint is read (and priced) as {!analyze} reads it; its active set
-    and the Begin/Commit/Abort/End entries up to [upto] then track the
-    in-flight transactions.  If none is left, the result is empty and the
-    clock is charged the sequential scan {!analyze} would have made.
+    ({!Rw_wal.Log_manager.none_in_flight}) instead of a scan: the start
+    checkpoint's active set and the Begin/Commit/Abort/End entries up to
+    [upto] track the in-flight transactions, and the directory keeps that
+    set's size per entry.  If none is left, the result is empty and the
+    clock is charged what {!analyze} would have charged: the start
+    checkpoint's read (its blocks; it is not decoded) and the sequential
+    scan.
     Otherwise — a loser's last LSN and pages live in page records — or
     when the directory cannot answer exactly (a [start] that is neither a
     checkpoint nor the log's origin, a checkpoint inside the range, an

@@ -68,7 +68,7 @@ let ctl_code = function
   | Log_record.K_checkpoint -> 4
   | Log_record.K_page_op _ | Log_record.K_clr _ -> invalid_arg "Log_index.ctl_code: page record"
 
-let ctl_push d lsn txn code wall =
+let ctl_push d lsn txn code wall ~max_wall ~live =
   if d.c_n = Array.length d.c_lsn then begin
     let cap = capacity ~floor:16 d.c_n (d.c_n + 1) in
     let ints a =
@@ -76,18 +76,37 @@ let ctl_push d lsn txn code wall =
       Array.blit a 0 b 0 d.c_n;
       b
     in
+    let floats a =
+      let b = Float.Array.make cap 0.0 in
+      Float.Array.blit a 0 b 0 d.c_n;
+      b
+    in
     d.c_lsn <- ints d.c_lsn;
     d.c_txn <- ints d.c_txn;
+    d.c_live <- ints d.c_live;
     d.c_kind <- Bytes.extend d.c_kind 0 (cap - d.c_n);
-    let w = Float.Array.make cap 0.0 in
-    Float.Array.blit d.c_wall 0 w 0 d.c_n;
-    d.c_wall <- w
+    d.c_wall <- floats d.c_wall;
+    d.c_max_wall <- floats d.c_max_wall
   end;
   d.c_lsn.(d.c_n) <- lsn;
   d.c_txn.(d.c_n) <- txn;
   Bytes.set_uint8 d.c_kind d.c_n code;
   Float.Array.set d.c_wall d.c_n wall;
+  Float.Array.set d.c_max_wall d.c_n max_wall;
+  d.c_live.(d.c_n) <- live;
   d.c_n <- d.c_n + 1
+
+(* List the newest entry, a checkpoint that is record [i], in the
+   segment's checkpoint list. *)
+let ckpt_push d i =
+  let k = d.c_ckpts in
+  if k = Array.length d.c_ckpt_at then begin
+    d.c_ckpt_at <- grow ~floor:4 d.c_ckpt_at ~used:k ~need:(k + 1) 0;
+    d.c_ckpt_rec <- grow ~floor:4 d.c_ckpt_rec ~used:k ~need:(k + 1) 0
+  end;
+  d.c_ckpt_at.(k) <- d.c_n - 1;
+  d.c_ckpt_rec.(k) <- i;
+  d.c_ckpts <- k + 1
 
 (* Removals come from the tail drops, newest first, so the target is
    almost always the last entry. *)
@@ -100,10 +119,77 @@ let ctl_remove d lsn =
     let j = !i and tail = d.c_n - !i - 1 in
     Array.blit d.c_lsn (j + 1) d.c_lsn j tail;
     Array.blit d.c_txn (j + 1) d.c_txn j tail;
+    Array.blit d.c_live (j + 1) d.c_live j tail;
     Bytes.blit d.c_kind (j + 1) d.c_kind j tail;
     Float.Array.blit d.c_wall (j + 1) d.c_wall j tail;
-    d.c_n <- d.c_n - 1
+    Float.Array.blit d.c_max_wall (j + 1) d.c_max_wall j tail;
+    d.c_n <- d.c_n - 1;
+    (* the checkpoint list drops the entry, if listed, and follows the
+       shift of the positions above it *)
+    let w = ref 0 in
+    for k = 0 to d.c_ckpts - 1 do
+      let at = d.c_ckpt_at.(k) in
+      if at <> j then begin
+        d.c_ckpt_at.(!w) <- (if at > j then at - 1 else at);
+        d.c_ckpt_rec.(!w) <- d.c_ckpt_rec.(k);
+        incr w
+      end
+    done;
+    d.c_ckpts <- !w
   end
+
+let begin_code = ctl_code Log_record.K_begin
+let commit_code = ctl_code Log_record.K_commit
+let end_code = ctl_code Log_record.K_end
+let checkpoint_code = ctl_code Log_record.K_checkpoint
+
+(* The running columns' step over one control record.  A checkpoint
+   restarts both, from its own wall time and its active list, read in
+   place from record [i] of [seg]; other kinds need no record. *)
+let step_running t seg i code txn wall =
+  if code = checkpoint_code then begin
+    Int_tbl.clear t.ctl_live;
+    Log_record.iter_active_bytes seg.s_blob ~pos:(rec_pos seg i) (fun x ->
+        Int_tbl.replace t.ctl_live x ());
+    t.ctl_max_wall <- wall
+  end
+  else if code = begin_code then Int_tbl.replace t.ctl_live txn ()
+  else if code = commit_code then begin
+    Int_tbl.remove t.ctl_live txn;
+    if wall > t.ctl_max_wall then t.ctl_max_wall <- wall
+  end
+  else if code = end_code then Int_tbl.remove t.ctl_live txn
+
+(* After a tail drop: the running state as it stood after the newest
+   control record left, replayed from the newest checkpoint in the
+   window (a dead prefix's included), or from the oldest entry when no
+   checkpoint is left.  The latter is exact only when the window still
+   starts at the log's first record, the one case in which a search
+   reads columns written before any retained checkpoint. *)
+let restore_running t =
+  Int_tbl.clear t.ctl_live;
+  t.ctl_max_wall <- Float.neg_infinity;
+  let si = ref (t.seg_hi - 1) in
+  while !si >= t.seg_lo && t.segs.(!si).s_ctl.c_ckpts = 0 do
+    decr si
+  done;
+  let from_si, from_j =
+    if !si < t.seg_lo then (t.seg_lo, 0)
+    else begin
+      let s = t.segs.(!si) in
+      let d = s.s_ctl in
+      let j = d.c_ckpt_at.(d.c_ckpts - 1) in
+      step_running t s d.c_ckpt_rec.(d.c_ckpts - 1) checkpoint_code 0 (Float.Array.get d.c_wall j);
+      (!si, j + 1)
+    end
+  in
+  for si = from_si to t.seg_hi - 1 do
+    let s = t.segs.(si) in
+    let d = s.s_ctl in
+    for j = (if si = from_si then from_j else 0) to d.c_n - 1 do
+      step_running t s (-1) (Bytes.get_uint8 d.c_kind j) d.c_txn.(j) (Float.Array.get d.c_wall j)
+    done
+  done
 
 (* ---------- transaction summaries ---------- *)
 
@@ -253,7 +339,11 @@ let index_record t seg pk lsn =
       add := !add + idx_fpi_bytes
   | Log_record.K_page_op _ | Log_record.K_clr _ -> ()
   | k ->
-      ctl_push seg.s_ctl (Lsn.to_int lsn) (Txn_id.to_int pk.Log_record.p_txn) (ctl_code k) wall;
+      let code = ctl_code k and txn = Txn_id.to_int pk.Log_record.p_txn in
+      step_running t seg i code txn wall;
+      ctl_push seg.s_ctl (Lsn.to_int lsn) txn code wall ~max_wall:t.ctl_max_wall
+        ~live:(Int_tbl.length t.ctl_live);
+      if code = checkpoint_code then ckpt_push seg.s_ctl i;
       add := !add + idx_ctl_bytes);
   if Log_record.is_page_kind pk.Log_record.p_kind then begin
     chain_push seg.s_chains (Page_id.to_int pk.Log_record.p_page) i;
@@ -311,20 +401,21 @@ let iter_controls t ~from f =
     incr si
   done
 
-let checkpoint_code = ctl_code Log_record.K_checkpoint
-
-(* Newest first; a straddling segment's dead prefix ends the walk, as
-   every older segment has been dropped. *)
+(* The retained checkpoints, newest first, as [f seg i lsn wall] ([i]
+   the record's index in [seg]), until [f] answers [false].  Only the
+   segments' checkpoint lists are visited; a straddling segment's dead
+   prefix ends the walk, as every older segment has been dropped. *)
 let iter_checkpoints_rev t f =
   let tb = Lsn.to_int t.truncated_below in
   let si = ref (t.seg_hi - 1) and go = ref true in
   while !go && !si >= t.seg_lo do
-    let d = t.segs.(!si).s_ctl in
-    let i = ref (d.c_n - 1) in
-    while !go && !i >= 0 && d.c_lsn.(!i) >= tb do
-      if Bytes.get_uint8 d.c_kind !i = checkpoint_code then
-        go := f (Lsn.of_int d.c_lsn.(!i)) (Float.Array.get d.c_wall !i);
-      decr i
+    let s = t.segs.(!si) in
+    let d = s.s_ctl in
+    let k = ref (d.c_ckpts - 1) in
+    while !go && !k >= 0 do
+      let j = d.c_ckpt_at.(!k) in
+      go := d.c_lsn.(j) >= tb && f s d.c_ckpt_rec.(!k) d.c_lsn.(j) (Float.Array.get d.c_wall j);
+      decr k
     done;
     decr si
   done
@@ -333,10 +424,100 @@ let iter_checkpoints_rev t f =
    after a tail drop or a restore. *)
 let newest_checkpoint t =
   let res = ref Lsn.nil in
-  iter_checkpoints_rev t (fun lsn _ ->
-      res := lsn;
+  iter_checkpoints_rev t (fun _ _ lsn _ ->
+      res := Lsn.of_int lsn;
       false);
   !res
+
+(* The SplitLSN search over the directory from [from], a checkpoint or
+   the log's first record: the first commit or checkpoint whose wall
+   time is past [wall_us] (the stop), and the last commit before it.  A
+   walk would stop at the first entry whose max-wall column is past
+   [wall_us]: the column never decreases up to the next checkpoint, so
+   each stretch between checkpoints is one test of its last entry and,
+   where that is past, a binary search.  A checkpoint not past
+   [wall_us] opens the next stretch.  The last commit is found by
+   stepping back from the stop. *)
+let split_search t ~from ~wall_us =
+  let lo = Lsn.to_int (Lsn.max from t.truncated_below) in
+  let si = ref (seg_lower t lo) in
+  let p =
+    ref (if !si < t.seg_hi then lower_bound t.segs.(!si).s_ctl.c_lsn t.segs.(!si).s_ctl.c_n lo else 0)
+  in
+  let stop = ref None in
+  while Option.is_none !stop && !si < t.seg_hi do
+    let d = t.segs.(!si).s_ctl in
+    if !p >= d.c_n then begin
+      incr si;
+      p := 0
+    end
+    else begin
+      (* the stretch [p, q): no checkpoint in it but at [p] *)
+      let k = lower_bound d.c_ckpt_at d.c_ckpts (!p + 1) in
+      let q = if k < d.c_ckpts then d.c_ckpt_at.(k) else d.c_n in
+      if Float.Array.get d.c_max_wall (q - 1) > wall_us then begin
+        let a = ref !p and b = ref (q - 1) in
+        while !a < !b do
+          let mid = (!a + !b) / 2 in
+          if Float.Array.get d.c_max_wall mid > wall_us then b := mid else a := mid + 1
+        done;
+        stop := Some (!si, !a)
+      end
+      else p := q
+    end
+  done;
+  let si, j =
+    match !stop with
+    | Some (si, j) -> (ref si, ref (j - 1))
+    | None ->
+        let si = t.seg_hi - 1 in
+        (ref si, ref (if si >= t.seg_lo then t.segs.(si).s_ctl.c_n - 1 else -1))
+  in
+  let last = ref None and go = ref true in
+  while !go && !si >= t.seg_lo do
+    let d = t.segs.(!si).s_ctl in
+    if !j < 0 then begin
+      decr si;
+      if !si >= t.seg_lo then j := t.segs.(!si).s_ctl.c_n - 1
+    end
+    else if d.c_lsn.(!j) < lo then go := false
+    else if Bytes.get_uint8 d.c_kind !j = commit_code then begin
+      last := Some (Lsn.of_int d.c_lsn.(!j));
+      go := false
+    end
+    else decr j
+  done;
+  let lsn_of (si, j) = Lsn.of_int t.segs.(si).s_ctl.c_lsn.(j) in
+  (!last, Option.map lsn_of !stop)
+
+(* Whether no transaction is in flight just before [upto] for a walk
+   that starts at [from] — the record after a checkpoint, or the log's
+   first record — holding that checkpoint's active set (or nothing).  It
+   holds when no checkpoint lies in [[from, upto)], so the newest one at
+   or before the last entry below [upto] is the walk's own, and that
+   entry's in-flight count is 0. *)
+let none_in_flight t ~from ~upto =
+  let lo = Lsn.to_int from and hi = Lsn.to_int upto in
+  let checkpoint_between = ref false and si = ref (seg_lower t lo) in
+  while (not !checkpoint_between) && !si < t.seg_hi && t.segs.(!si).s_base < hi do
+    let d = t.segs.(!si).s_ctl in
+    let a = ref 0 and b = ref d.c_ckpts in
+    while !a < !b do
+      let mid = (!a + !b) / 2 in
+      if d.c_lsn.(d.c_ckpt_at.(mid)) < lo then a := mid + 1 else b := mid
+    done;
+    checkpoint_between := !a < d.c_ckpts && d.c_lsn.(d.c_ckpt_at.(!a)) < hi;
+    incr si
+  done;
+  (not !checkpoint_between)
+  &&
+  let si = ref (min (seg_lower t hi) (t.seg_hi - 1)) and live = ref (-1) in
+  while !live < 0 && !si >= t.seg_lo do
+    let d = t.segs.(!si).s_ctl in
+    let j = lower_bound d.c_lsn d.c_n hi - 1 in
+    if j >= 0 then live := d.c_live.(j) else decr si
+  done;
+  !live <= 0
 
 (* The earliest retained image of [page] after [after], located, or no
    record.  Segments are searched oldest first from the one holding

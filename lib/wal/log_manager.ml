@@ -59,6 +59,8 @@ let create ~clock ~media ?(cache_blocks = 128) ?(block_bytes = 65536)
     loaded_count = 0;
     dropped_count = 0;
     invalidation_epoch = 0;
+    ctl_live = Rw_storage.Int_tbl.create 16;
+    ctl_max_wall = Float.neg_infinity;
     txn_index = Rw_storage.Int_tbl.create 64;
     torn = [];
   }
@@ -116,7 +118,16 @@ let peek_record = Log_segments.peek_record
 let mem = Log_segments.mem
 let next_lsn_after = Log_segments.next_lsn_after
 let iter_controls = Log_index.iter_controls
-let iter_checkpoints_rev = Log_index.iter_checkpoints_rev
+let split_search = Log_index.split_search
+let none_in_flight = Log_index.none_in_flight
+
+(* With [charge], each checkpoint visited is priced as [charge_read]
+   prices it, at its known position. *)
+let iter_checkpoints_rev ?(charge = false) t f =
+  Log_index.iter_checkpoints_rev t (fun s i lsn wall ->
+      if charge then Log_read.charge_blocks t s (Lsn.of_int lsn) (rec_len s i);
+      f (Lsn.of_int lsn) wall)
+
 let no_records = Log_segments.no_records
 let located_lsns = Log_segments.located_lsns
 let peek_located = Log_segments.peek_located
@@ -244,10 +255,12 @@ let restore_entries t entries =
 (* ---------- crash simulation and tail repair ---------- *)
 
 (* The end-of-log fix-up after every tail drop: [e] is the new end, the
-   unflushed tail is gone, and a master record past [e] falls back to the
-   newest retained checkpoint. *)
+   unflushed tail is gone, the directory's running columns restart from
+   what is left, and a master record past [e] falls back to the newest
+   retained checkpoint. *)
 let end_at t e =
   t.end_lsn <- e;
+  Log_index.restore_running t;
   if Lsn.(t.flushed_lsn > e) then t.flushed_lsn <- e;
   t.unflushed_bytes <- 0;
   if Lsn.(t.last_checkpoint >= e) then t.last_checkpoint <- Log_index.newest_checkpoint t;

@@ -219,11 +219,36 @@ val last_checkpoint : t -> Rw_storage.Lsn.t
 
 val set_last_checkpoint : t -> Rw_storage.Lsn.t -> unit
 
-val iter_checkpoints_rev : t -> (Rw_storage.Lsn.t -> float -> bool) -> unit
+val iter_checkpoints_rev : ?charge:bool -> t -> (Rw_storage.Lsn.t -> float -> bool) -> unit
 (** [iter_checkpoints_rev t f] calls [f lsn wall] on the retained
     checkpoint records, newest first, until [f] answers [false].  It
-    reads the control-record directory: no record is read and nothing is
-    charged. *)
+    visits only the control-record directory's per-segment checkpoint
+    lists: no record is read, and nothing is charged unless [charge] is
+    set, when each checkpoint visited, the last one included, is priced
+    before [f] sees it as {!charge_read} prices it (the paper's base
+    checkpoint search reads them back). *)
+
+val split_search :
+  t -> from:Rw_storage.Lsn.t -> wall_us:float -> Rw_storage.Lsn.t option * Rw_storage.Lsn.t option
+(** The directory side of the SplitLSN search: [(last_commit, stop)]
+    where [stop] is the first retained commit or checkpoint at or after
+    [from] whose wall time is past [wall_us] ([None]: none before the
+    end of the log), and [last_commit] the last commit between [from] and
+    [stop] ([None]: none).  This is what an {!iter_controls} walk from
+    [from] finds, provided [from] is a checkpoint or the log's first
+    record, LSN 1: the directory's max-wall column, which restarts at
+    every checkpoint, answers by binary search even when wall times go
+    backwards.  Reads no record and charges nothing. *)
+
+val none_in_flight : t -> from:Rw_storage.Lsn.t -> upto:Rw_storage.Lsn.t -> bool
+(** Whether a walk over the control-record directory from [from] to
+    [upto] (excluded) ends with no transaction in flight, where [from] is
+    the record just after a checkpoint, whose active set the walk starts
+    from, or the log's first record, LSN 1, with nothing in flight: Begin
+    adds, Commit or End removes, and a checkpoint in [[from, upto)] makes
+    the answer [false] (the walk cannot answer exactly).  Reads the
+    directory's in-flight count column, so O(log n); reads no record and
+    charges nothing. *)
 
 val iter_controls :
   t ->

@@ -426,6 +426,14 @@ let is_page_kind = function K_page_op _ | K_clr _ -> true | _ -> false
    after the tag byte at offset 16. *)
 let wall_bytes b ~pos = Int64.float_of_bits (Bytes.get_int64_le b (pos + 17))
 
+(* A checkpoint's active list follows its wall time: a u32 count, then
+   (txn, last LSN) pairs of 8 bytes each. *)
+let iter_active_bytes b ~pos f =
+  let n = Int32.to_int (Bytes.get_int32_le b (pos + 25)) land 0xFFFF_FFFF in
+  for k = 0 to n - 1 do
+    f (Int64.to_int (Bytes.get_int64_le b (pos + 29 + (16 * k))))
+  done
+
 (* --- in-place undo --- *)
 
 (* The record's bytes were CRC-checked once, where they entered the log;

@@ -181,6 +181,12 @@ val wall_bytes : bytes -> pos:int -> float
     starting at [b.[pos]], read in place — the one field the header
     {!peek} lacks.  Undefined for other kinds. *)
 
+val iter_active_bytes : bytes -> pos:int -> (int -> unit) -> unit
+(** [iter_active_bytes b ~pos f] calls [f] on the transaction id (as
+    {!Txn_id.to_int}) of each entry of the active list of the encoded
+    [Checkpoint] record starting at [b.[pos]], in order, read in place.
+    Undefined for other kinds. *)
+
 (** {2 In-place undo and redo}
 
     The rewind kernel's and redo's view of a page record: each validates

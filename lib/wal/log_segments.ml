@@ -28,13 +28,28 @@ type chain = { mutable arr : int array; mutable len : int }
    txn id, kind code ([Log_index.ctl_kinds]) and wall time (commits and
    checkpoints only, 0 otherwise).  These few records decide a SplitLSN
    and which transactions were in flight at it, so as-of snapshot
-   creation reads them here and leaves the rest of the log unread. *)
+   creation reads them here and leaves the rest of the log unread.
+
+   Two running columns turn its walks into searches.  Both restart at
+   each checkpoint and run on across segments: [c_max_wall] is the
+   largest commit or checkpoint wall time since the newest checkpoint at
+   or before the entry (since the log's first record before any), so it
+   never decreases between two checkpoints; [c_live] is the size of the
+   in-flight set a walk holds just after the entry — the checkpoint's
+   active list at a checkpoint, then Begin adds, Commit or End removes.
+   The segment's checkpoints are listed apart, by directory position and
+   record index, so the checkpoint walks skip every other entry. *)
 type ctl_dir = {
   mutable c_n : int;
   mutable c_lsn : int array;
   mutable c_txn : int array;
   mutable c_kind : Bytes.t;
   mutable c_wall : Float.Array.t;
+  mutable c_max_wall : Float.Array.t;
+  mutable c_live : int array;
+  mutable c_ckpts : int; (* checkpoint count *)
+  mutable c_ckpt_at : int array; (* their directory positions, ascending *)
+  mutable c_ckpt_rec : int array; (* their record indexes in the segment *)
 }
 
 (* The log is a sequence of fixed-size segments (LevelDB-style sealed
@@ -122,6 +137,11 @@ type t = {
          counter and lazily discard entries from older epochs; ordinary
          appends never bump it, because chain rewinds are deterministic
          over an append-only history. *)
+  ctl_live : unit Int_tbl.t;
+      (* The in-flight set behind [c_live] after the newest control
+         record; [Log_index.restore_running] rebuilds it after a tail
+         drop. *)
+  mutable ctl_max_wall : float; (* [c_max_wall] after the newest control record *)
   txn_index : txn_acc Int_tbl.t;
       (* Per-transaction write-set summaries (unmodeled metadata), kept
          exact record by record alongside the segment directories, so
@@ -154,6 +174,11 @@ let mk_segment ~segment_bytes base =
         c_txn = [||];
         c_kind = Bytes.empty;
         c_wall = Float.Array.create 0;
+        c_max_wall = Float.Array.create 0;
+        c_live = [||];
+        c_ckpts = 0;
+        c_ckpt_at = [||];
+        c_ckpt_rec = [||];
       };
     s_index_bytes = 0;
   }

@@ -582,8 +582,13 @@ let test_split_lsn_boundaries () =
   let r_mid = Split_lsn.find ~log ~wall_us:(t2 +. 1.0) in
   let r_all = Split_lsn.find ~log ~wall_us:(Sim_clock.now_us clock) in
   check "mid split before full split" true Lsn.(r_mid.Split_lsn.split_lsn < r_all.Split_lsn.split_lsn);
-  (* Splitting exactly between commits 2 and 3 must include commit 2. *)
-  check "commits counted" true (r_mid.Split_lsn.commits_seen >= 1)
+  (* Splitting exactly between commits 2 and 3 must include commit 2 and
+     leave out commit 3. *)
+  match List.rev (Log_manager.txn_summaries log) with
+  | c3 :: c2 :: _ ->
+      check "commit 2 included" true Lsn.(r_mid.Split_lsn.split_lsn > c2.Log_manager.ts_commit_lsn);
+      check "commit 3 left out" true Lsn.(r_mid.Split_lsn.split_lsn <= c3.Log_manager.ts_commit_lsn)
+  | _ -> Alcotest.fail "three commits expected"
 
 let test_split_lsn_out_of_retention () =
   let db = mk_db () in

@@ -239,17 +239,31 @@ module Page_id = Rw_storage.Page_id
 module Io_stats = Rw_storage.Io_stats
 module Split_lsn = Rw_core.Split_lsn
 
-(* One step of a generated history, interpreted by [build_history]. *)
+(* One step of a generated history, interpreted by [run_steps]. *)
 type step =
   | S_begin
   | S_op of int * int  (** an active txn (by index) writes a page *)
   | S_commit of int  (** an active txn appends its Commit; its End waits for [S_ack] *)
+  | S_commit_at of int * int
+      (** a commit whose caller gives its wall time, up to 3 ms either side
+          of the clock, as a selective repair's may: wall times go
+          backwards, and a checkpoint can come after a later commit *)
   | S_ack  (** End records for every committed txn *)
   | S_abort of int  (** an active txn appends Abort and starts rolling back *)
   | S_compensate of int  (** an aborting txn logs one CLR, or its End once done *)
   | S_checkpoint
   | S_tick of int  (** advance the clock (0 leaves commit walls tied) *)
   | S_fpi of int  (** a page image outside any transaction *)
+  | S_flush
+
+(* What happens to the log after a run of steps. *)
+type event =
+  | E_none
+  | E_cut of int  (** truncate_before at this per-mille of the log *)
+  | E_crash  (** crash (the tail may tear), then repair_tail *)
+  | E_truncate_from of int  (** truncate_from at this per-mille of the log *)
+  | E_restore  (** carry on in a log rebuilt by restore_entries *)
+  | E_ingest  (** carry on in a replica's log, shipped by ingest_entries *)
 
 let step_gen =
   let open QCheck.Gen in
@@ -259,134 +273,213 @@ let step_gen =
       (3, return S_begin);
       (6, map2 (fun t p -> S_op (t, p)) pick (int_bound 5));
       (3, map (fun t -> S_commit t) pick);
+      (1, map2 (fun t d -> S_commit_at (t, d)) pick (int_range (-3) 3));
       (2, return S_ack);
       (1, map (fun t -> S_abort t) pick);
       (4, map (fun t -> S_compensate t) pick);
       (1, return S_checkpoint);
       (3, map (fun n -> S_tick n) (int_bound 2));
       (1, map (fun p -> S_fpi p) (int_bound 5));
+      (1, return S_flush);
+    ]
+
+let event_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (2, return E_none);
+      (2, map (fun c -> E_cut c) (int_bound 999));
+      (3, return E_crash);
+      (2, map (fun c -> E_truncate_from c) (int_bound 999));
+      (1, return E_restore);
+      (1, return E_ingest);
     ]
 
 type history = {
-  steps : step list;
-  cut : int option;  (** truncate_before at this per-mille of the log, if any *)
+  phases : (step list * event) list;  (** each run of steps, then its event *)
   probes : int list;  (** extra target walls, per-mille of the history's span *)
 }
 
 let history_gen =
   let open QCheck.Gen in
-  map3
-    (fun steps cut probes -> { steps; cut; probes })
-    (list_size (10 -- 150) step_gen)
-    (opt ~ratio:0.3 (int_bound 999))
+  map2
+    (fun phases probes -> { phases; probes })
+    (list_size (1 -- 4) (pair (list_size (5 -- 60) step_gen) event_gen))
     (list_size (0 -- 4) (int_bound 1000))
 
 let show_step = function
   | S_begin -> "begin"
   | S_op (t, p) -> Printf.sprintf "op(%d,%d)" t p
   | S_commit t -> Printf.sprintf "commit(%d)" t
+  | S_commit_at (t, d) -> Printf.sprintf "commit_at(%d,%d)" t d
   | S_ack -> "ack"
   | S_abort t -> Printf.sprintf "abort(%d)" t
   | S_compensate t -> Printf.sprintf "compensate(%d)" t
   | S_checkpoint -> "checkpoint"
   | S_tick n -> Printf.sprintf "tick(%d)" n
   | S_fpi p -> Printf.sprintf "fpi(%d)" p
+  | S_flush -> "flush"
+
+let show_event = function
+  | E_none -> "-"
+  | E_cut c -> Printf.sprintf "cut(%d)" c
+  | E_crash -> "crash"
+  | E_truncate_from c -> Printf.sprintf "truncate_from(%d)" c
+  | E_restore -> "restore"
+  | E_ingest -> "ingest"
 
 let history_arb =
   QCheck.make history_gen ~print:(fun h ->
-      Printf.sprintf "steps=[%s] cut=%s probes=[%s]"
-        (String.concat ";" (List.map show_step h.steps))
-        (match h.cut with Some c -> string_of_int c | None -> "-")
+      Printf.sprintf "phases=[%s] probes=[%s]"
+        (String.concat " | "
+           (List.map
+              (fun (steps, ev) ->
+                Printf.sprintf "%s => %s" (String.concat ";" (List.map show_step steps)) (show_event ev))
+              h.phases))
         (String.concat ";" (List.map string_of_int h.probes)))
 
-type live = {
+type txn = {
   id : Txn_id.t;
-  mutable last : Lsn.t;
-  mutable ops : (Page_id.t * Log_record.op * Lsn.t) list;  (** newest first, with prev *)
-  mutable aborting : bool;
+  first : Lsn.t;  (** its Begin *)
+  mutable lsns : Lsn.t list;  (** every record it logged, newest first *)
+  mutable ops : (Page_id.t * Log_record.op * Lsn.t * Lsn.t) list;
+      (** page records not yet compensated, newest first: page, op, the
+          record before it, its own LSN *)
+  mutable abort_at : Lsn.t;
+  mutable commit_at : Lsn.t;
+  mutable end_at : Lsn.t;
 }
 
-(* Interpret the steps straight onto a log with small segments (so
-   straddles and multi-segment walks occur): interleaved transactions,
-   commits whose End lands later (group commit), rollbacks interleaved
-   with other work, checkpoints listing the transactions active at the
-   time, transactions left open at the end. *)
-let build_history h =
-  let clock = Sim_clock.create () in
-  let log =
-    Log_manager.create ~clock ~media:Media.ssd ~cache_blocks:4 ~block_bytes:256
-      ~segment_bytes:512 ()
-  in
-  let live = ref [] and committed = ref [] and next = ref 1 in
+(* Two logs given the same records and the same events, so that their
+   block caches stay equal: the old walks run on [a], the searches on
+   [b], and every charge of either must be the other's. *)
+type twin = {
+  wall : Sim_clock.t;  (** the source of commit and checkpoint walls *)
+  mutable a : Log_manager.t;
+  mutable b : Log_manager.t;
+  mutable txns : txn list;  (** oldest first *)
+  mutable next : int;
+}
+
+let mk_log ?(seed = 0) () =
+  (* small segments, so straddles and multi-segment walks occur; a crash
+     tears the tail half the time *)
+  Log_manager.create ~clock:(Sim_clock.create ()) ~media:Media.ssd ~cache_blocks:4 ~block_bytes:256
+    ~segment_bytes:512
+    ~fault_plan:(Rw_storage.Fault_plan.create ~torn_log_tail_rate:0.5 ~seed ())
+    ()
+
+let active w = List.filter (fun t -> Lsn.is_nil t.commit_at && Lsn.is_nil t.end_at) w.txns
+let last t = List.hd t.lsns
+
+(* The model after a tail drop to [e]: records at or above it are gone,
+   and so are the transactions they began; the others carry on from
+   what is left of them — a commit or End that was lost puts them back
+   in flight. *)
+let dropped_to w e =
+  let kept l = if Lsn.(l >= e) then Lsn.nil else l in
+  w.txns <- List.filter (fun t -> Lsn.(t.first < e)) w.txns;
+  List.iter
+    (fun t ->
+      t.lsns <- List.filter (fun l -> Lsn.(l < e)) t.lsns;
+      t.ops <- List.filter (fun (_, _, _, l) -> Lsn.(l < e)) t.ops;
+      t.abort_at <- kept t.abort_at;
+      t.commit_at <- kept t.commit_at;
+      t.end_at <- kept t.end_at)
+    w.txns
+
+(* Interpret the steps onto both logs: interleaved transactions, commits
+   whose End lands later (group commit), rollbacks interleaved with other
+   work, checkpoints listing the transactions active at the time,
+   transactions left open at the end. *)
+let run_steps w steps =
   let app ?(txn = Txn_id.nil) ?(prev = Lsn.nil) body =
-    Log_manager.append log (Log_record.make ~txn ~prev_txn_lsn:prev body)
+    let r = Log_record.make ~txn ~prev_txn_lsn:prev body in
+    let l = Log_manager.append w.a r in
+    if not (Lsn.equal l (Log_manager.append w.b r)) then Alcotest.fail "the twin logs diverged";
+    l
   in
-  let nth_live ~aborting k =
-    match List.filter (fun t -> t.aborting = aborting) !live with
+  let tapp t body =
+    let l = app ~txn:t.id ~prev:(last t) body in
+    t.lsns <- l :: t.lsns;
+    l
+  in
+  let nth_active ~aborting k =
+    match List.filter (fun t -> Lsn.is_nil t.abort_at <> aborting) (active w) with
     | [] -> None
     | l -> Some (List.nth l (k mod List.length l))
   in
-  let drop t = live := List.filter (fun x -> x != t) !live in
+  let commit k wall =
+    match nth_active ~aborting:false k with
+    | Some t -> t.commit_at <- tapp t (Log_record.Commit { wall_us = wall })
+    | None -> ()
+  in
+  let now () = Sim_clock.now_us w.wall in
   List.iter
     (function
       | S_begin ->
-          if List.length !live < 6 then begin
-            let id = Txn_id.of_int !next in
-            incr next;
-            live := !live @ [ { id; last = app ~txn:id Log_record.Begin; ops = []; aborting = false } ]
+          if List.length (active w) < 6 then begin
+            let id = Txn_id.of_int w.next in
+            w.next <- w.next + 1;
+            let l = app ~txn:id Log_record.Begin in
+            w.txns <-
+              w.txns
+              @ [
+                  {
+                    id;
+                    first = l;
+                    lsns = [ l ];
+                    ops = [];
+                    abort_at = Lsn.nil;
+                    commit_at = Lsn.nil;
+                    end_at = Lsn.nil;
+                  };
+                ]
           end
       | S_op (k, p) -> (
-          match nth_live ~aborting:false k with
+          match nth_active ~aborting:false k with
           | Some t ->
               let page = Page_id.of_int (10 + p) in
               let op = Log_record.Set_header { field = Log_record.Special; before = 0L; after = 1L } in
-              let prev = t.last in
-              t.last <- app ~txn:t.id ~prev (Log_record.Page_op { page; prev_page_lsn = Lsn.nil; op });
-              t.ops <- (page, op, prev) :: t.ops
+              let prev = last t in
+              let l = tapp t (Log_record.Page_op { page; prev_page_lsn = Lsn.nil; op }) in
+              t.ops <- (page, op, prev, l) :: t.ops
           | None -> ())
-      | S_commit k -> (
-          match nth_live ~aborting:false k with
-          | Some t ->
-              t.last <-
-                app ~txn:t.id ~prev:t.last (Log_record.Commit { wall_us = Sim_clock.now_us clock });
-              drop t;
-              committed := !committed @ [ t ]
-          | None -> ())
+      | S_commit k -> commit k (now ())
+      | S_commit_at (k, d) -> commit k (now () +. float_of_int (d * 1000))
       | S_ack ->
-          List.iter (fun t -> ignore (app ~txn:t.id ~prev:t.last Log_record.End)) !committed;
-          committed := []
+          List.iter
+            (fun t ->
+              if (not (Lsn.is_nil t.commit_at)) && Lsn.is_nil t.end_at then
+                t.end_at <- tapp t Log_record.End)
+            w.txns
       | S_abort k -> (
-          match nth_live ~aborting:false k with
-          | Some t ->
-              t.last <- app ~txn:t.id ~prev:t.last Log_record.Abort;
-              t.aborting <- true
+          match nth_active ~aborting:false k with
+          | Some t -> t.abort_at <- tapp t Log_record.Abort
           | None -> ())
       | S_compensate k -> (
-          match nth_live ~aborting:true k with
+          match nth_active ~aborting:true k with
           | Some t -> (
               match t.ops with
-              | (page, op, undo_next) :: rest ->
+              | (page, op, undo_next, _) :: rest ->
                   let op = Option.get (Log_record.invert op) in
-                  t.last <-
-                    app ~txn:t.id ~prev:t.last
-                      (Log_record.Clr { page; prev_page_lsn = Lsn.nil; op; undo_next });
+                  ignore (tapp t (Log_record.Clr { page; prev_page_lsn = Lsn.nil; op; undo_next }));
                   t.ops <- rest
-              | [] ->
-                  ignore (app ~txn:t.id ~prev:t.last Log_record.End);
-                  drop t)
+              | [] -> t.end_at <- tapp t Log_record.End)
           | None -> ())
       | S_checkpoint ->
           let lsn =
             app
               (Log_record.Checkpoint
                  {
-                   wall_us = Sim_clock.now_us clock;
-                   active_txns = List.map (fun t -> (t.id, t.last)) !live;
+                   wall_us = now ();
+                   active_txns = List.map (fun t -> (t.id, last t)) (active w);
                    dirty_pages = [];
                  })
           in
-          Log_manager.set_last_checkpoint log lsn
-      | S_tick n -> Sim_clock.advance_us clock (float_of_int (n * 1000))
+          Log_manager.set_last_checkpoint w.a lsn;
+          Log_manager.set_last_checkpoint w.b lsn
+      | S_tick n -> Sim_clock.advance_us w.wall (float_of_int (n * 1000))
       | S_fpi p ->
           ignore
             (app
@@ -395,10 +488,82 @@ let build_history h =
                     page = Page_id.of_int (10 + p);
                     prev_page_lsn = Lsn.nil;
                     op = Log_record.Full_image { image = String.make Rw_storage.Page.page_size 'f' };
-                  })))
-    h.steps;
-  Log_manager.flush_all log;
-  (clock, log)
+                  }))
+      | S_flush ->
+          Log_manager.flush_all w.a;
+          Log_manager.flush_all w.b)
+    steps
+
+(* The record at per-mille [c] of the retained log, if any; the scan
+   that finds it is charged to both logs. *)
+let lsn_at w c =
+  let lsns log =
+    let acc = ref [] in
+    Log_manager.iter_range_peek log ~from:(Log_manager.first_lsn log)
+      ~upto:(Log_manager.end_lsn log) (fun lsn _ _ -> acc := lsn :: !acc);
+    List.rev !acc
+  in
+  ignore (lsns w.b);
+  match lsns w.a with [] -> None | l -> Some (List.nth l (c * List.length l / 1000))
+
+(* A fresh log (with a fresh cache) holding what [log] retains, rebuilt
+   through [restore_entries] or shipped segment by segment through
+   [ingest_entries]; a shipment carries only durable records. *)
+let copied ~ingest log =
+  let copy = mk_log () in
+  if ingest then begin
+    Log_manager.flush_all log;
+    let rec ship from =
+      match Log_manager.export_from log ~from with
+      | Some ex ->
+          ignore (Log_manager.ingest_entries copy ex.Log_manager.ex_entries);
+          ship ex.Log_manager.ex_next
+      | None -> ()
+    in
+    ship (Log_manager.first_lsn log)
+  end
+  else Log_manager.restore_entries copy (Log_manager.dump_entries log);
+  Log_manager.set_last_checkpoint copy (Log_manager.last_checkpoint log);
+  copy
+
+let apply_event w ev =
+  let both f =
+    f w.a;
+    f w.b
+  in
+  (match ev with
+  | E_none -> ()
+  | E_cut c -> (
+      match lsn_at w c with
+      | Some target ->
+          (* Retention cuts at checkpoints; an arbitrary record LSN is cut
+             too, half the time. *)
+          let ckpts = ref [] in
+          Log_manager.iter_checkpoints_rev w.a (fun l _ ->
+              ckpts := l :: !ckpts;
+              true);
+          let cut =
+            match List.find_opt (fun l -> Lsn.(l >= target)) !ckpts with
+            | Some l when c mod 2 = 0 -> l
+            | _ -> target
+          in
+          both (fun log -> Log_manager.truncate_before log cut)
+      | None -> ())
+  | E_crash ->
+      both (fun log ->
+          Log_manager.crash log;
+          ignore (Log_manager.repair_tail log))
+  | E_truncate_from c -> (
+      match lsn_at w c with
+      | Some cut -> both (fun log -> ignore (Log_manager.truncate_from log cut))
+      | None -> ())
+  | E_restore | E_ingest ->
+      let ingest = ev = E_ingest in
+      w.a <- copied ~ingest w.a;
+      w.b <- copied ~ingest w.b);
+  if not (Lsn.equal (Log_manager.end_lsn w.a) (Log_manager.end_lsn w.b)) then
+    Alcotest.fail "the twin logs diverged";
+  dropped_to w (Log_manager.end_lsn w.a)
 
 (* Every retained record, decoded once, with its LSN. *)
 let decoded_records log =
@@ -426,59 +591,132 @@ let reference_split log ~records ~wall_us =
         if Lsn.to_int (Log_manager.first_lsn log) > 1 then raise (Split_lsn.Out_of_retention wall_us);
         Log_manager.first_lsn log
   in
-  let commits = ref 0 and split = ref scan_from in
+  let split = ref scan_from in
   (try
-     Log_manager.iter_range_peek log ~from:scan_from ~upto:(Log_manager.end_lsn log)
-       (fun lsn _ decode ->
-         match (decode ()).Log_record.body with
-         | Log_record.Commit { wall_us = w } ->
-             if w <= wall_us then begin
-               incr commits;
-               split := Log_manager.next_lsn_after log lsn
-             end
-             else raise Exit
-         | Log_record.Checkpoint { wall_us = w; _ } -> if w > wall_us then raise Exit
-         | _ -> ())
+     List.iter
+       (fun (lsn, r) ->
+         if Lsn.(lsn >= scan_from) then
+           match r.Log_record.body with
+           | Log_record.Commit { wall_us = w } ->
+               if w <= wall_us then split := Log_manager.next_lsn_after log lsn else raise Exit
+           | Log_record.Checkpoint { wall_us = w; _ } -> if w > wall_us then raise Exit
+           | _ -> ())
+       records
    with Exit -> ());
-  {
-    Split_lsn.split_lsn = !split;
-    base_checkpoint = Option.value base ~default:Lsn.nil;
-    commits_seen = !commits;
-  }
+  { Split_lsn.split_lsn = !split; base_checkpoint = Option.value base ~default:Lsn.nil }
 
-let seq_bytes log f =
-  let io = Log_manager.stats log in
-  let before = io.Io_stats.seq_read_bytes in
-  let r = f () in
-  (r, io.Io_stats.seq_read_bytes - before)
+(* The directory walks the searches replaced, kept as their oracle: the
+   base checkpoint by reading each checkpoint back from the newest, the
+   split by walking every control entry from it, and the in-flight test
+   by replaying the Begin/Commit/End entries from the seed checkpoint's
+   active set.  Each charges what the walk charged. *)
+let walk_split log ~wall_us =
+  let ckpts = ref [] in
+  Log_manager.iter_controls log ~from:Lsn.nil (fun lsn kind _ w ->
+      if kind = Log_record.K_checkpoint then ckpts := (lsn, w) :: !ckpts;
+      true);
+  let rec base = function
+    | [] -> None
+    | (lsn, w) :: older ->
+        Log_manager.charge_read log lsn;
+        if w <= wall_us then Some lsn else base older
+  in
+  let base = base !ckpts in
+  if Option.is_none base && Lsn.to_int (Log_manager.first_lsn log) > 1 then
+    raise (Split_lsn.Out_of_retention wall_us);
+  let scan_from = Option.value base ~default:(Log_manager.first_lsn log) in
+  let last_commit = ref None and stop = ref None in
+  Log_manager.iter_controls log ~from:scan_from (fun lsn kind _ w ->
+      match kind with
+      | Log_record.K_commit when w <= wall_us ->
+          last_commit := Some lsn;
+          true
+      | Log_record.K_commit | Log_record.K_checkpoint when w > wall_us ->
+          stop := Some lsn;
+          false
+      | _ -> true);
+  Log_manager.charge_scan log ~from:scan_from
+    ~upto:
+      (match !stop with
+      | Some lsn -> Log_manager.next_lsn_after log lsn
+      | None -> Log_manager.end_lsn log);
+  {
+    Split_lsn.split_lsn =
+      (match !last_commit with Some lsn -> Log_manager.next_lsn_after log lsn | None -> scan_from);
+    base_checkpoint = Option.value base ~default:Lsn.nil;
+  }
 
 let sorted_losers tbl = List.sort compare (List.of_seq (Rw_storage.Int_tbl.to_seq tbl))
 
-(* Over generated histories, at every commit boundary and at random
-   walls: the directory-driven SplitLSN search returns what the decoding
-   scan returns and charges the same sequential bytes, and [losers_at]
-   returns [analyze]'s losers and loser pages and charges what it
-   charges. *)
+let walk_losers_at log ~records ~start ~upto =
+  let seed =
+    if
+      Lsn.(start < upto)
+      && Log_manager.mem log start
+      && (Log_manager.peek_record log start).Log_record.p_kind = Log_record.K_checkpoint
+    then Some (List.assoc start records)
+    else None
+  in
+  let scan_from = if Option.is_some seed then Log_manager.next_lsn_after log start else start in
+  let decidable =
+    (Option.is_some seed || (Lsn.to_int start = 1 && Lsn.to_int (Log_manager.first_lsn log) = 1))
+    && (Lsn.(upto >= Log_manager.end_lsn log) || Log_manager.mem log upto)
+  in
+  let none_in_flight () =
+    let live = Hashtbl.create 16 in
+    (match seed with
+    | Some { Log_record.body = Log_record.Checkpoint { active_txns; _ }; _ } ->
+        List.iter (fun (txn, _) -> Hashtbl.replace live txn ()) active_txns
+    | _ -> ());
+    let exact = ref true in
+    Log_manager.iter_controls log ~from:scan_from (fun lsn kind txn _ ->
+        Lsn.(lsn < upto)
+        && begin
+             (match kind with
+             | Log_record.K_begin -> Hashtbl.replace live txn ()
+             | Log_record.K_commit | Log_record.K_end -> Hashtbl.remove live txn
+             | Log_record.K_checkpoint -> exact := false
+             | _ -> ());
+             !exact
+           end);
+    !exact && Hashtbl.length live = 0
+  in
+  if Lsn.(start >= upto) || (decidable && none_in_flight ()) then begin
+    if Option.is_some seed then ignore (Log_manager.read log start);
+    Log_manager.charge_scan log ~from:scan_from ~upto;
+    ([], [], false)
+  end
+  else
+    let a = Recovery.analyze ~log ~start ~upto in
+    (sorted_losers a.Recovery.losers, List.sort compare (Recovery.loser_pages a), true)
+
+(* What a log's charges moved: block hits and misses, seeks, sequential
+   bytes, and the modeled clock. *)
+let charged log f =
+  let io = Log_manager.stats log and clock = Log_manager.clock log in
+  let s0 = Io_stats.copy io and t0 = Sim_clock.now_us clock in
+  let r = f () in
+  let d = Io_stats.diff io s0 in
+  ( r,
+    ( d.Io_stats.log_block_hits,
+      d.Io_stats.log_block_misses,
+      d.Io_stats.random_reads,
+      d.Io_stats.seq_read_bytes,
+      Sim_clock.now_us clock -. t0 ) )
+
+let outcome f = match f () with r -> Ok r | exception Split_lsn.Out_of_retention _ -> Error ()
+
+(* Over generated histories, after every event, at every commit boundary
+   and at random walls: the searches answer what the directory walks
+   answer, which is what the decoding scan and [analyze] answer, and
+   charge exactly what the walks charge, block by block.  [a] and [b]
+   see the same calls in the same order, so their caches stay equal. *)
 let test_directory_matches_scans () =
   let answered = ref 0 and scanned = ref 0 in
-  let prop h =
-    let clock, log = build_history h in
-    let lsns = List.map fst (decoded_records log) in
-    (match h.cut with
-    | Some c when lsns <> [] ->
-        let target = List.nth lsns (c * List.length lsns / 1000) in
-        (* Retention cuts at checkpoints; an arbitrary record LSN is cut
-           too, half the time. *)
-        let ckpts = ref [] in
-        Log_manager.iter_checkpoints_rev log (fun l _ ->
-            ckpts := l :: !ckpts;
-            true);
-        let ckpt = List.find_opt (fun l -> Lsn.(l >= target)) !ckpts in
-        Log_manager.truncate_before log
-          (match ckpt with Some l when c mod 2 = 0 -> l | _ -> target)
-    | _ -> ());
-    let records = decoded_records log in
-    let span = Sim_clock.now_us clock in
+  let check_walls w h =
+    let records = decoded_records w.a in
+    ignore (decoded_records w.b);
+    let span = Sim_clock.now_us w.wall in
     let walls =
       List.concat_map
         (fun (_, r) ->
@@ -490,46 +728,58 @@ let test_directory_matches_scans () =
       @ List.map (fun p -> float_of_int p *. span /. 1000.0) h.probes
       @ [ -1.0; span +. 1.0 ]
     in
-    List.for_all
+    List.iter
       (fun wall_us ->
-        let expect =
-          match seq_bytes log (fun () -> reference_split log ~records ~wall_us) with
-          | r -> Ok r
-          | exception Split_lsn.Out_of_retention _ -> Error ()
+        let fail fmt = QCheck.Test.fail_reportf ("at wall %.1f: " ^^ fmt) wall_us in
+        let expect = outcome (fun () -> reference_split w.a ~records ~wall_us) in
+        let walked, walk_cost = charged w.a (fun () -> outcome (fun () -> walk_split w.a ~wall_us)) in
+        let found, find_cost =
+          charged w.b (fun () -> outcome (fun () -> Split_lsn.find ~log:w.b ~wall_us))
         in
-        let got =
-          match seq_bytes log (fun () -> Split_lsn.find ~log ~wall_us) with
-          | r -> Ok r
-          | exception Split_lsn.Out_of_retention _ -> Error ()
-        in
-        if got <> expect then
-          QCheck.Test.fail_reportf "Split_lsn.find differs from the decoding scan at wall %.1f" wall_us;
-        match got with
-        | Error () -> true
-        | Ok (split, _) ->
+        if walked <> expect then fail "the directory walk differs from the decoding scan";
+        if found <> walked then fail "Split_lsn.find differs from the directory walk";
+        if find_cost <> walk_cost then fail "Split_lsn.find charged otherwise than the walk";
+        match found with
+        | Error () -> ()
+        | Ok split ->
             let start =
-              if Lsn.is_nil split.Split_lsn.base_checkpoint then Log_manager.first_lsn log
+              if Lsn.is_nil split.Split_lsn.base_checkpoint then Log_manager.first_lsn w.b
               else split.Split_lsn.base_checkpoint
             in
             let upto = split.Split_lsn.split_lsn in
-            let a, a_bytes = seq_bytes log (fun () -> Recovery.analyze ~log ~start ~upto) in
-            let l, l_bytes = seq_bytes log (fun () -> Recovery.losers_at ~log ~start ~upto) in
+            let walked, walk_cost =
+              charged w.a (fun () -> walk_losers_at w.a ~records ~start ~upto)
+            in
+            let l, cost = charged w.b (fun () -> Recovery.losers_at ~log:w.b ~start ~upto) in
+            let got =
+              ( sorted_losers l.Recovery.in_flight,
+                List.sort compare l.Recovery.in_flight_pages,
+                l.Recovery.loser_scan )
+            in
             if l.Recovery.loser_scan then incr scanned else incr answered;
-            if sorted_losers l.Recovery.in_flight <> sorted_losers a.Recovery.losers then
-              QCheck.Test.fail_reportf "losers_at differs from analyze at wall %.1f" wall_us;
-            if
-              List.sort compare l.Recovery.in_flight_pages
-              <> List.sort compare (Recovery.loser_pages a)
-            then QCheck.Test.fail_reportf "loser pages differ at wall %.1f" wall_us;
-            if l_bytes <> a_bytes then
-              QCheck.Test.fail_reportf "losers_at charged %d sequential bytes, analyze %d" l_bytes
-                a_bytes;
-            true)
+            if got <> walked then fail "losers_at differs from the directory walk";
+            if cost <> walk_cost then fail "losers_at charged otherwise than the walk";
+            let a = Recovery.analyze ~log:w.a ~start ~upto in
+            ignore (Recovery.analyze ~log:w.b ~start ~upto);
+            let ins, pages, _ = got in
+            if ins <> sorted_losers a.Recovery.losers then fail "losers_at differs from analyze";
+            if pages <> List.sort compare (Recovery.loser_pages a) then fail "loser pages differ")
       walls
   in
+  let prop h =
+    let w = { wall = Sim_clock.create (); a = mk_log (); b = mk_log (); txns = []; next = 1 } in
+    List.iter
+      (fun (steps, ev) ->
+        run_steps w steps;
+        check_walls w h;
+        apply_event w ev;
+        check_walls w h)
+      h.phases;
+    true
+  in
   QCheck.Test.check_exn
-    (QCheck.Test.make ~name:"directory answers as-of creation like the scans" ~count:200
-       history_arb prop);
+    (QCheck.Test.make ~name:"directory answers as-of creation like the walks and the scans"
+       ~count:200 history_arb prop);
   check "the directory answered some creations" true (!answered > 0);
   check "some creations had losers and ran the scan" true (!scanned > 0)
 

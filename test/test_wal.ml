@@ -1199,7 +1199,7 @@ let append_once_prop name ?segment_bytes () =
     (QCheck.make ~print:(QCheck.Print.list print_append_action) append_action_gen)
     (appends_write_each_record ?segment_bytes)
 
-let check_directory what log =
+let rec check_directory what log =
   let expect = controls_by_scan log in
   check (what ^ ": walk equals the scan") true (controls_by_walk log = expect);
   (* A walk from a mid-log LSN is the matching suffix. *)
@@ -1218,7 +1218,80 @@ let check_directory what log =
   check (what ^ ": checkpoint walls") true (walk_checkpoints log = ckpts);
   check (what ^ ": checkpoints up to the end") true
     (checkpoint_lsns ~upto:(Log_manager.end_lsn log) log = List.map fst ckpts);
+  check_searches what log expect;
   expect
+
+(* The searches the directory's running columns (max wall, in-flight
+   count, both restarting at each checkpoint) serve, against walks over
+   the directory's entries [ctl]: from each retained checkpoint, and from
+   the log's first record while it is LSN 1, the split search at every
+   commit and checkpoint wall and either side of it, and the in-flight
+   test up to every control record and the end of the log. *)
+and check_searches what log ctl =
+  let starts =
+    (if Lsn.to_int (Log_manager.first_lsn log) = 1 then [ None ] else [])
+    @ List.filter_map
+        (fun (l, k, _, _) -> if k = Log_record.K_checkpoint then Some (Some l) else None)
+        ctl
+  in
+  let walls =
+    -1.0
+    :: List.concat_map
+         (fun (_, k, _, w) ->
+           match k with
+           | Log_record.K_commit | Log_record.K_checkpoint -> [ w -. 0.5; w; w +. 0.5 ]
+           | _ -> [])
+         ctl
+  in
+  List.iter
+    (fun start ->
+      let from = Option.value start ~default:(Lsn.of_int 1) in
+      let after = List.filter (fun (l, _, _, _) -> Lsn.(l >= from)) ctl in
+      List.iter
+        (fun wall_us ->
+          let rec walk last = function
+            | [] -> (last, None)
+            | (l, Log_record.K_commit, _, w) :: rest when w <= wall_us -> walk (Some l) rest
+            | (l, (Log_record.K_commit | Log_record.K_checkpoint), _, w) :: _ when w > wall_us ->
+                (last, Some l)
+            | _ :: rest -> walk last rest
+          in
+          if Log_manager.split_search log ~from ~wall_us <> walk None after then
+            Alcotest.failf "%s: split search from %d at wall %.1f differs from the walk" what
+              (Lsn.to_int from) wall_us)
+        walls;
+      let live = Hashtbl.create 8 in
+      (match start with
+      | Some l -> (
+          match (Log_manager.read log l).Log_record.body with
+          | Log_record.Checkpoint { active_txns; _ } ->
+              List.iter (fun (txn, _) -> Hashtbl.replace live txn ()) active_txns
+          | _ -> assert false)
+      | None -> ());
+      let scan_from =
+        match start with Some l -> Log_manager.next_lsn_after log l | None -> from
+      in
+      (* [exact] turns false at the first checkpoint past the start *)
+      let exact = ref true in
+      let test upto =
+        let expect = !exact && Hashtbl.length live = 0 in
+        if Log_manager.none_in_flight log ~from:scan_from ~upto <> expect then
+          Alcotest.failf "%s: in-flight test from %d up to %d differs from the walk" what
+            (Lsn.to_int scan_from) (Lsn.to_int upto)
+      in
+      List.iter
+        (fun (l, k, txn, _) ->
+          if Lsn.(l >= scan_from) then begin
+            test l;
+            match k with
+            | Log_record.K_begin -> Hashtbl.replace live txn ()
+            | Log_record.K_commit | Log_record.K_end -> Hashtbl.remove live txn
+            | Log_record.K_checkpoint -> exact := false
+            | _ -> ()
+          end)
+        ctl;
+      test (Log_manager.end_lsn log))
+    starts
 
 (* --- the transaction index --- *)
 
@@ -1556,6 +1629,7 @@ let test_control_directory_upkeep () =
     check_upkeep "torn tail repaired" log;
     (* A crash with no tear drops the unflushed tail record by record. *)
     control_history log ~rounds:2 ~first_txn:200;
+    ignore (check_directory "appended after the repair" log);
     let plain = Log_manager.create ~clock ~media:Media.ram ~segment_bytes:512 () in
     Log_manager.restore_entries plain (Log_manager.dump_entries log);
     ignore (check_directory "restored" plain);
