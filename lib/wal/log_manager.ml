@@ -308,7 +308,11 @@ let crash t =
       tear_last t ~unindex:(Log_index.unindex_record t) ~cut:(fun len ->
           Fault_plan.torn_record_cut (Option.get t.fault_plan) ~len)
     end
-    else t.flushed_lsn
+    else
+      (* A retention cut above the durable horizon has already dropped
+         the records between them: the log resumes at the cut, never
+         below its own start. *)
+      Lsn.max t.flushed_lsn t.truncated_below
   in
   t.flushed_lsn <- e;
   end_at t e;

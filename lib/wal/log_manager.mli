@@ -349,7 +349,9 @@ val crash : t -> unit
     fault plan that tears the log tail, a random prefix of the unflushed
     records survives instead — the OS had pushed them out "by luck" — with
     the last survivor torn mid-record.  The surviving prefix never extends
-    below {!flushed_lsn}, so acknowledged commits are intact either way;
+    below {!flushed_lsn}, so acknowledged commits are intact either way
+    (and the log never ends below {!first_lsn}, after a retention cut
+    past the durable horizon);
     the tear is found and removed by {!repair_tail}.  Until then the torn
     stump is in no index, and no lookup ({!read}, {!peek_record},
     {!gather_batch}, {!mem}) finds it. *)

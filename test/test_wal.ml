@@ -440,6 +440,22 @@ let test_flush_crash () =
   check "l2 lost" false (Log_manager.mem log l2);
   check "end lsn rolled back" true (Lsn.equal (Log_manager.end_lsn log) (Log_manager.flushed_lsn log))
 
+(* A retention cut above the durable horizon, then a crash: the log
+   resumes at the cut, and what is appended next is readable. *)
+let test_crash_after_cut_past_flushed () =
+  let _, log = mk_log () in
+  let l1 = Log_manager.append log (Log_record.make Log_record.Begin) in
+  Log_manager.flush log ~upto:l1;
+  ignore (Log_manager.append log (Log_record.make Log_record.Abort));
+  let l3 = Log_manager.append log (Log_record.make Log_record.End) in
+  Log_manager.truncate_before log l3;
+  Log_manager.crash log;
+  check "the end is not below the retention boundary" true
+    Lsn.(Log_manager.end_lsn log >= Log_manager.first_lsn log);
+  let r = Log_record.make ~txn:(Txn_id.of_int 4) Log_record.Begin in
+  let l4 = Log_manager.append log r in
+  check "the next record is readable" true (Log_manager.read log l4 = r)
+
 let test_iter_range () =
   let _, log = mk_log () in
   let lsns =
@@ -2114,6 +2130,8 @@ let () =
           Alcotest.test_case "append and read" `Quick test_append_read;
           Alcotest.test_case "lsn = offset" `Quick test_lsn_is_offset;
           Alcotest.test_case "flush and crash" `Quick test_flush_crash;
+          Alcotest.test_case "crash after a cut past the flushed end" `Quick
+            test_crash_after_cut_past_flushed;
           Alcotest.test_case "range iteration" `Quick test_iter_range;
           Alcotest.test_case "truncation" `Quick test_truncate;
           Alcotest.test_case "block cache costs" `Quick test_cache_misses_cost;
