@@ -68,6 +68,11 @@ let ctl_code = function
   | Log_record.K_checkpoint -> 4
   | Log_record.K_page_op _ | Log_record.K_clr _ -> invalid_arg "Log_index.ctl_code: page record"
 
+let begin_code = ctl_code Log_record.K_begin
+let commit_code = ctl_code Log_record.K_commit
+let end_code = ctl_code Log_record.K_end
+let checkpoint_code = ctl_code Log_record.K_checkpoint
+
 let ctl_push d lsn txn code wall ~max_wall ~live =
   if d.c_n = Array.length d.c_lsn then begin
     let cap = capacity ~floor:16 d.c_n (d.c_n + 1) in
@@ -83,18 +88,28 @@ let ctl_push d lsn txn code wall ~max_wall ~live =
     in
     d.c_lsn <- ints d.c_lsn;
     d.c_txn <- ints d.c_txn;
-    d.c_live <- ints d.c_live;
     d.c_kind <- Bytes.extend d.c_kind 0 (cap - d.c_n);
-    d.c_wall <- floats d.c_wall;
+    d.c_live <- Bytes.extend d.c_live 0 (cap - d.c_n);
     d.c_max_wall <- floats d.c_max_wall
   end;
   d.c_lsn.(d.c_n) <- lsn;
   d.c_txn.(d.c_n) <- txn;
   Bytes.set_uint8 d.c_kind d.c_n code;
-  Float.Array.set d.c_wall d.c_n wall;
   Float.Array.set d.c_max_wall d.c_n max_wall;
-  d.c_live.(d.c_n) <- live;
+  if code = commit_code && wall < max_wall then Int_tbl.replace d.c_back lsn wall;
+  Bytes.set_uint8 d.c_live d.c_n (Bool.to_int live);
   d.c_n <- d.c_n + 1
+
+(* Entry [j]'s own wall time: a commit's or a checkpoint's, 0 for the
+   other kinds. *)
+let wall_at d j =
+  let code = Bytes.get_uint8 d.c_kind j in
+  if code = commit_code then
+    match Int_tbl.find_opt d.c_back d.c_lsn.(j) with
+    | Some wall -> wall
+    | None -> Float.Array.get d.c_max_wall j
+  else if code = checkpoint_code then Float.Array.get d.c_max_wall j
+  else 0.0
 
 (* List the newest entry, a checkpoint that is record [i], in the
    segment's checkpoint list. *)
@@ -119,10 +134,10 @@ let ctl_remove d lsn =
     let j = !i and tail = d.c_n - !i - 1 in
     Array.blit d.c_lsn (j + 1) d.c_lsn j tail;
     Array.blit d.c_txn (j + 1) d.c_txn j tail;
-    Array.blit d.c_live (j + 1) d.c_live j tail;
     Bytes.blit d.c_kind (j + 1) d.c_kind j tail;
-    Float.Array.blit d.c_wall (j + 1) d.c_wall j tail;
+    Bytes.blit d.c_live (j + 1) d.c_live j tail;
     Float.Array.blit d.c_max_wall (j + 1) d.c_max_wall j tail;
+    Int_tbl.remove d.c_back lsn;
     d.c_n <- d.c_n - 1;
     (* the checkpoint list drops the entry, if listed, and follows the
        shift of the positions above it *)
@@ -137,11 +152,6 @@ let ctl_remove d lsn =
     done;
     d.c_ckpts <- !w
   end
-
-let begin_code = ctl_code Log_record.K_begin
-let commit_code = ctl_code Log_record.K_commit
-let end_code = ctl_code Log_record.K_end
-let checkpoint_code = ctl_code Log_record.K_checkpoint
 
 (* The running columns' step over one control record.  A checkpoint
    restarts both, from its own wall time and its active list, read in
@@ -167,6 +177,7 @@ let step_running t seg i code txn wall =
    starts at the log's first record, the one case in which a search
    reads columns written before any retained checkpoint. *)
 let restore_running t =
+  t.ctl_stale <- false;
   Int_tbl.clear t.ctl_live;
   t.ctl_max_wall <- Float.neg_infinity;
   let si = ref (t.seg_hi - 1) in
@@ -179,7 +190,7 @@ let restore_running t =
       let s = t.segs.(!si) in
       let d = s.s_ctl in
       let j = d.c_ckpt_at.(d.c_ckpts - 1) in
-      step_running t s d.c_ckpt_rec.(d.c_ckpts - 1) checkpoint_code 0 (Float.Array.get d.c_wall j);
+      step_running t s d.c_ckpt_rec.(d.c_ckpts - 1) checkpoint_code 0 (Float.Array.get d.c_max_wall j);
       (!si, j + 1)
     end
   in
@@ -187,7 +198,7 @@ let restore_running t =
     let s = t.segs.(si) in
     let d = s.s_ctl in
     for j = (if si = from_si then from_j else 0) to d.c_n - 1 do
-      step_running t s (-1) (Bytes.get_uint8 d.c_kind j) d.c_txn.(j) (Float.Array.get d.c_wall j)
+      step_running t s (-1) (Bytes.get_uint8 d.c_kind j) d.c_txn.(j) (wall_at d j)
     done
   done
 
@@ -342,7 +353,7 @@ let index_record t seg pk lsn =
       let code = ctl_code k and txn = Txn_id.to_int pk.Log_record.p_txn in
       step_running t seg i code txn wall;
       ctl_push seg.s_ctl (Lsn.to_int lsn) txn code wall ~max_wall:t.ctl_max_wall
-        ~live:(Int_tbl.length t.ctl_live);
+        ~live:(Int_tbl.length t.ctl_live > 0);
       if code = checkpoint_code then ckpt_push seg.s_ctl i;
       add := !add + idx_ctl_bytes);
   if Log_record.is_page_kind pk.Log_record.p_kind then begin
@@ -368,6 +379,7 @@ let unindex_record t seg i =
   | Log_record.K_page_op _ | Log_record.K_clr _ -> ()
   | _ ->
       ctl_remove seg.s_ctl (Lsn.to_int lsn);
+      t.ctl_stale <- true;
       sub := !sub + idx_ctl_bytes);
   if Log_record.is_page_kind pk.Log_record.p_kind then begin
     chain_remove seg.s_chains (Page_id.to_int pk.Log_record.p_page) i;
@@ -395,7 +407,7 @@ let iter_controls t ~from f =
           (Lsn.of_int d.c_lsn.(!i))
           ctl_kinds.(Bytes.get_uint8 d.c_kind !i)
           (Txn_id.of_int d.c_txn.(!i))
-          (Float.Array.get d.c_wall !i);
+          (wall_at d !i);
       incr i
     done;
     incr si
@@ -414,7 +426,7 @@ let iter_checkpoints_rev t f =
     let k = ref (d.c_ckpts - 1) in
     while !go && !k >= 0 do
       let j = d.c_ckpt_at.(!k) in
-      go := d.c_lsn.(j) >= tb && f s d.c_ckpt_rec.(!k) d.c_lsn.(j) (Float.Array.get d.c_wall j);
+      go := d.c_lsn.(j) >= tb && f s d.c_ckpt_rec.(!k) d.c_lsn.(j) (Float.Array.get d.c_max_wall j);
       decr k
     done;
     decr si
@@ -495,7 +507,7 @@ let split_search t ~from ~wall_us =
    first record — holding that checkpoint's active set (or nothing).  It
    holds when no checkpoint lies in [[from, upto)], so the newest one at
    or before the last entry below [upto] is the walk's own, and that
-   entry's in-flight count is 0. *)
+   entry's in-flight set is empty. *)
 let none_in_flight t ~from ~upto =
   let lo = Lsn.to_int from and hi = Lsn.to_int upto in
   let checkpoint_between = ref false and si = ref (seg_lower t lo) in
@@ -515,7 +527,7 @@ let none_in_flight t ~from ~upto =
   while !live < 0 && !si >= t.seg_lo do
     let d = t.segs.(!si).s_ctl in
     let j = lower_bound d.c_lsn d.c_n hi - 1 in
-    if j >= 0 then live := d.c_live.(j) else decr si
+    if j >= 0 then live := Bytes.get_uint8 d.c_live j else decr si
   done;
   !live <= 0
 

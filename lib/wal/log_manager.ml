@@ -61,6 +61,7 @@ let create ~clock ~media ?(cache_blocks = 128) ?(block_bytes = 65536)
     invalidation_epoch = 0;
     ctl_live = Rw_storage.Int_tbl.create 16;
     ctl_max_wall = Float.neg_infinity;
+    ctl_stale = false;
     txn_index = Rw_storage.Int_tbl.create 64;
     torn = [];
   }
@@ -256,11 +257,12 @@ let restore_entries t entries =
 
 (* The end-of-log fix-up after every tail drop: [e] is the new end, the
    unflushed tail is gone, the directory's running columns restart from
-   what is left, and a master record past [e] falls back to the newest
-   retained checkpoint. *)
+   what is left if the drop removed a control entry (else they still
+   describe the newest one), and a master record past [e] falls back to
+   the newest retained checkpoint. *)
 let end_at t e =
   t.end_lsn <- e;
-  Log_index.restore_running t;
+  if t.ctl_stale then Log_index.restore_running t;
   if Lsn.(t.flushed_lsn > e) then t.flushed_lsn <- e;
   t.unflushed_bytes <- 0;
   if Lsn.(t.last_checkpoint >= e) then t.last_checkpoint <- Log_index.newest_checkpoint t;

@@ -247,7 +247,7 @@ val none_in_flight : t -> from:Rw_storage.Lsn.t -> upto:Rw_storage.Lsn.t -> bool
     from, or the log's first record, LSN 1, with nothing in flight: Begin
     adds, Commit or End removes, and a checkpoint in [[from, upto)] makes
     the answer [false] (the walk cannot answer exactly).  Reads the
-    directory's in-flight count column, so O(log n); reads no record and
+    directory's in-flight column, so O(log n); reads no record and
     charges nothing. *)
 
 val iter_controls :

@@ -25,18 +25,23 @@ type chain = { mutable arr : int array; mutable len : int }
 
 (* A segment's control-record directory: every Begin, Commit, Abort, End
    and Checkpoint record, ascending, as unboxed parallel arrays of LSN,
-   txn id, kind code ([Log_index.ctl_kinds]) and wall time (commits and
-   checkpoints only, 0 otherwise).  These few records decide a SplitLSN
-   and which transactions were in flight at it, so as-of snapshot
-   creation reads them here and leaves the rest of the log unread.
+   txn id and kind code ([Log_index.ctl_kinds]), plus the wall times of
+   commits and checkpoints.  These few records decide a SplitLSN and
+   which transactions were in flight at it, so as-of snapshot creation
+   reads them here and leaves the rest of the log unread.
 
    Two running columns turn its walks into searches.  Both restart at
    each checkpoint and run on across segments: [c_max_wall] is the
    largest commit or checkpoint wall time since the newest checkpoint at
    or before the entry (since the log's first record before any), so it
-   never decreases between two checkpoints; [c_live] is the size of the
-   in-flight set a walk holds just after the entry — the checkpoint's
-   active list at a checkpoint, then Begin adds, Commit or End removes.
+   never decreases between two checkpoints.  It is also where the wall
+   times are kept: a checkpoint's own is its column value, and so is a
+   commit's unless it is lower (its caller gave a wall in the past),
+   when [c_back] holds it by LSN.  [c_live] is 1 where the
+   in-flight set a walk holds just after the entry is not empty, 0 where
+   it is — the checkpoint's active list at a checkpoint, then Begin adds,
+   Commit or End removes.  Only its emptiness is ever read, so one byte
+   holds it.
    The segment's checkpoints are listed apart, by directory position and
    record index, so the checkpoint walks skip every other entry. *)
 type ctl_dir = {
@@ -44,9 +49,9 @@ type ctl_dir = {
   mutable c_lsn : int array;
   mutable c_txn : int array;
   mutable c_kind : Bytes.t;
-  mutable c_wall : Float.Array.t;
   mutable c_max_wall : Float.Array.t;
-  mutable c_live : int array;
+  c_back : float Int_tbl.t; (* LSN -> a commit's wall below its [c_max_wall] *)
+  mutable c_live : Bytes.t;
   mutable c_ckpts : int; (* checkpoint count *)
   mutable c_ckpt_at : int array; (* their directory positions, ascending *)
   mutable c_ckpt_rec : int array; (* their record indexes in the segment *)
@@ -142,6 +147,10 @@ type t = {
          record; [Log_index.restore_running] rebuilds it after a tail
          drop. *)
   mutable ctl_max_wall : float; (* [c_max_wall] after the newest control record *)
+  mutable ctl_stale : bool;
+      (* A tail drop removed a control entry since the last
+         [Log_index.restore_running]: [ctl_live] and [ctl_max_wall] no
+         longer describe the newest entry left. *)
   txn_index : txn_acc Int_tbl.t;
       (* Per-transaction write-set summaries (unmodeled metadata), kept
          exact record by record alongside the segment directories, so
@@ -173,9 +182,9 @@ let mk_segment ~segment_bytes base =
         c_lsn = [||];
         c_txn = [||];
         c_kind = Bytes.empty;
-        c_wall = Float.Array.create 0;
         c_max_wall = Float.Array.create 0;
-        c_live = [||];
+        c_back = Int_tbl.create 1;
+        c_live = Bytes.empty;
         c_ckpts = 0;
         c_ckpt_at = [||];
         c_ckpt_rec = [||];

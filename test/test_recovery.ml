@@ -593,15 +593,13 @@ let reference_split log ~records ~wall_us =
   in
   let split = ref scan_from in
   (try
-     List.iter
-       (fun (lsn, r) ->
-         if Lsn.(lsn >= scan_from) then
-           match r.Log_record.body with
-           | Log_record.Commit { wall_us = w } ->
-               if w <= wall_us then split := Log_manager.next_lsn_after log lsn else raise Exit
-           | Log_record.Checkpoint { wall_us = w; _ } -> if w > wall_us then raise Exit
-           | _ -> ())
-       records
+     Log_manager.iter_range_peek log ~from:scan_from ~upto:(Log_manager.end_lsn log)
+       (fun lsn _ decode ->
+         match (decode ()).Log_record.body with
+         | Log_record.Commit { wall_us = w } ->
+             if w <= wall_us then split := Log_manager.next_lsn_after log lsn else raise Exit
+         | Log_record.Checkpoint { wall_us = w; _ } -> if w > wall_us then raise Exit
+         | _ -> ())
    with Exit -> ());
   { Split_lsn.split_lsn = !split; base_checkpoint = Option.value base ~default:Lsn.nil }
 
@@ -709,7 +707,9 @@ let outcome f = match f () with r -> Ok r | exception Split_lsn.Out_of_retention
 (* Over generated histories, after every event, at every commit boundary
    and at random walls: the searches answer what the directory walks
    answer, which is what the decoding scan and [analyze] answer, and
-   charge exactly what the walks charge, block by block.  [a] and [b]
+   charge exactly what the walks charge, block by block.  Their
+   sequential bytes are also the decoding scan's and [analyze]'s, so
+   creation stays priced as the paper's scan and analysis.  [a] and [b]
    see the same calls in the same order, so their caches stay equal. *)
 let test_directory_matches_scans () =
   let answered = ref 0 and scanned = ref 0 in
@@ -731,14 +731,21 @@ let test_directory_matches_scans () =
     List.iter
       (fun wall_us ->
         let fail fmt = QCheck.Test.fail_reportf ("at wall %.1f: " ^^ fmt) wall_us in
-        let expect = outcome (fun () -> reference_split w.a ~records ~wall_us) in
+        let expect, (_, _, _, scan_bytes, _) =
+          charged w.a (fun () -> outcome (fun () -> reference_split w.a ~records ~wall_us))
+        in
+        ignore (outcome (fun () -> reference_split w.b ~records ~wall_us));
         let walked, walk_cost = charged w.a (fun () -> outcome (fun () -> walk_split w.a ~wall_us)) in
         let found, find_cost =
           charged w.b (fun () -> outcome (fun () -> Split_lsn.find ~log:w.b ~wall_us))
         in
+        let _, _, _, find_bytes, _ = find_cost in
         if walked <> expect then fail "the directory walk differs from the decoding scan";
         if found <> walked then fail "Split_lsn.find differs from the directory walk";
         if find_cost <> walk_cost then fail "Split_lsn.find charged otherwise than the walk";
+        if find_bytes <> scan_bytes then
+          fail "Split_lsn.find charged %d sequential bytes, the decoding scan %d" find_bytes
+            scan_bytes;
         match found with
         | Error () -> ()
         | Ok split ->
@@ -759,11 +766,16 @@ let test_directory_matches_scans () =
             if l.Recovery.loser_scan then incr scanned else incr answered;
             if got <> walked then fail "losers_at differs from the directory walk";
             if cost <> walk_cost then fail "losers_at charged otherwise than the walk";
-            let a = Recovery.analyze ~log:w.a ~start ~upto in
+            let a, (_, _, _, a_bytes, _) =
+              charged w.a (fun () -> Recovery.analyze ~log:w.a ~start ~upto)
+            in
             ignore (Recovery.analyze ~log:w.b ~start ~upto);
             let ins, pages, _ = got in
+            let _, _, _, l_bytes, _ = cost in
             if ins <> sorted_losers a.Recovery.losers then fail "losers_at differs from analyze";
-            if pages <> List.sort compare (Recovery.loser_pages a) then fail "loser pages differ")
+            if pages <> List.sort compare (Recovery.loser_pages a) then fail "loser pages differ";
+            if l_bytes <> a_bytes then
+              fail "losers_at charged %d sequential bytes, analyze %d" l_bytes a_bytes)
       walls
   in
   let prop h =

@@ -1048,7 +1048,9 @@ let controls_by_walk ?(from = Lsn.nil) log =
    default segments.  After each append every retained record's bytes
    are [Log_record.encode] of what was appended, and the new record's
    header peek is its own fields; at the end a log rebuilt from those
-   bytes (which checks every CRC) has the same indexes. *)
+   bytes (which checks every CRC) has the same indexes, and the control
+   directory lists what a decoding scan finds, wall times included,
+   although commit walls are drawn at random and so often go back. *)
 
 type append_action = Append of Log_record.t | Append_image of int * Lsn.t * char
 
@@ -1205,6 +1207,7 @@ let appends_write_each_record ?segment_bytes actions =
            lsns)
     [ 1; 2; 3; 4; 5; 6 ]
   && controls_by_walk log = controls_by_walk log2
+  && controls_by_walk log = controls_by_scan log
   && checkpoint_lsns log = checkpoint_lsns log2
   && Log_manager.txn_summaries log = Log_manager.txn_summaries log2
   && Log_manager.pages_changed_since log ~since:Lsn.nil
