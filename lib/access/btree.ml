@@ -27,17 +27,16 @@ let route page key =
 
 let child_at page i = Slotted_page.child_at page ~at:i
 
-(* Descend to the leaf covering [key]; returns the leaf and the ancestor
-   list, immediate parent first. *)
+(* Descend to the leaf covering [key]. *)
 let descend ctx t key =
-  let rec go pid path =
-    let next =
+  let rec go pid =
+    let child =
       read ctx pid (fun page ->
-          if Page.level page = 0 then None else Some (child_at page (route page key)))
+          if Page.level page = 0 then Page_id.nil else child_at page (route page key))
     in
-    match next with None -> (pid, path) | Some child -> go child (pid :: path)
+    if Page_id.is_nil child then pid else go child
   in
-  go t.root []
+  go t.root
 
 (* [key] is [row]'s key. *)
 let insert_sorted ctx txn pid ~key row =
@@ -158,18 +157,22 @@ let insert ctx alloc txn t ~key ~payload =
   go t.root
 
 let locate ctx t key =
-  let leaf, _ = descend ctx t key in
+  let leaf = descend ctx t key in
   read ctx leaf (fun page ->
       match Slotted_page.find_key page key with
       | Either.Left i -> Some (leaf, i, Slotted_page.get page ~at:i)
       | Either.Right _ -> None)
 
-let find ctx t key =
-  let leaf, _ = descend ctx t key in
+let find_with ctx t key ~f =
+  let leaf = descend ctx t key in
   read ctx leaf (fun page ->
       match Slotted_page.find_key page key with
-      | Either.Left i -> Some (Slotted_page.payload_at page ~at:i)
+      | Either.Left at ->
+          let len = Slotted_page.payload_len page ~at in
+          Some (f page ~pos:(Slotted_page.payload_pos page ~at) ~len)
       | Either.Right _ -> None)
+
+let find ctx t key = find_with ctx t key ~f:(fun page ~pos ~len -> Bytes.sub_string page pos len)
 
 let delete ctx txn t ~key =
   match locate ctx t key with
@@ -204,12 +207,13 @@ let leftmost_leaf ?(seen = fun _ _ -> ()) ctx t =
   go t.root
 
 (* The leaf covering [lo] is read from [lo]'s slot on, and every later
-   leaf from its first; copying stops at the first key above [hi].  The
+   leaf from its first; the rows stop at the first key above [hi].  The
    walk goes on to the next leaf while the current one is empty or ends
    at or below [hi], so it reads the pages a filter over whole leaves
-   would. *)
-let range ctx t ~lo ~hi ~f =
-  let leaf, _ = descend ctx t lo in
+   would.  [f] runs once the leaf's latch is released: it may read other
+   pages, even this one. *)
+let range ctx t ~lo ~hi ~row ~f =
+  let leaf = descend ctx t lo in
   let rec walk pid ~from_lo =
     if not (Page_id.is_nil pid) then begin
       let rows, next =
@@ -220,7 +224,9 @@ let range ctx t ~lo ~hi ~f =
               else
                 let k = Slotted_page.key_at page ~at in
                 if k > hi then List.rev acc
-                else rows (at + 1) ((k, Slotted_page.payload_at page ~at) :: acc)
+                else
+                  let len = Slotted_page.payload_len page ~at in
+                  rows (at + 1) (row k page ~pos:(Slotted_page.payload_pos page ~at) ~len :: acc)
             in
             let first =
               if not from_lo then 0
@@ -229,7 +235,7 @@ let range ctx t ~lo ~hi ~f =
             let continue = n = 0 || Slotted_page.key_at page ~at:(n - 1) <= hi in
             (rows first [], if continue then Page.next_page page else Page_id.nil))
       in
-      List.iter (fun (k, v) -> f k v) rows;
+      List.iter f rows;
       walk next ~from_lo:false
     end
   in

@@ -48,10 +48,31 @@ val delete : Access_ctx.t -> Rw_txn.Txn_manager.txn -> t -> key:int64 -> unit
 (** Raises [Not_found]. *)
 
 val find : Access_ctx.t -> t -> int64 -> string option
+(** The payload at the key, copied out of the leaf: {!find_with}. *)
+
+val find_with :
+  Access_ctx.t ->
+  t ->
+  int64 ->
+  f:(Rw_storage.Page.t -> pos:int -> len:int -> 'a) ->
+  'a option
+(** [f] on the payload at the key, in place on the leaf page under its
+    shared latch (see {!Rw_storage.Slotted_page.payload_pos}): the pages
+    and charges of {!find}, without the copy.  [None] when the key is
+    absent. *)
 
 val range :
-  Access_ctx.t -> t -> lo:int64 -> hi:int64 -> f:(int64 -> string -> unit) -> unit
-(** In-order visit of all (key, payload) with lo <= key <= hi. *)
+  Access_ctx.t ->
+  t ->
+  lo:int64 ->
+  hi:int64 ->
+  row:(int64 -> Rw_storage.Page.t -> pos:int -> len:int -> 'a) ->
+  f:('a -> unit) ->
+  unit
+(** In-order visit of every key with lo <= key <= hi: [row] runs on the
+    key and its payload in place, under the leaf's shared latch, and [f]
+    on what [row] returned, once that latch is released, so [f] may read
+    pages itself. *)
 
 val iter : Access_ctx.t -> t -> f:(int64 -> string -> unit) -> unit
 (** In-order visit of every (key, payload): {!iter_leaves} with

@@ -61,6 +61,7 @@ type t = {
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
+  mutable evictions : int; (* frames that left: evicted, or dropped by [drop_all] *)
 }
 
 let of_disk disk =
@@ -96,6 +97,7 @@ let create ~capacity ~source ?(wal_flush = fun _ -> ()) () =
     tick = 0;
     hits = 0;
     misses = 0;
+    evictions = 0;
   }
 
 let page f = f.page
@@ -105,6 +107,7 @@ let capacity t = t.capacity
 let resident t = t.count
 let hits t = t.hits
 let misses t = t.misses
+let evictions t = t.evictions
 
 (* The frame of page [key], or [empty]: a probe from slot [i] on.  A
    top-level function, so a lookup allocates no closure. *)
@@ -185,6 +188,7 @@ let evict_one t =
   (* The pool owns its frames (every source returns a private copy), so
      the victim's buffer can serve the next read. *)
   Page.release f.page;
+  t.evictions <- t.evictions + 1;
   Obs.incr Probes.evictions
 
 (* The bookkeeping of a miss before the page is read: count, probe,
@@ -342,6 +346,7 @@ let drop_all t =
       slots.(i) <- empty
     end
   done;
+  t.evictions <- t.evictions + t.count;
   t.count <- 0;
   for i = 0 to t.ndirty - 1 do
     t.dirty.(i).dirty_ix <- -1;

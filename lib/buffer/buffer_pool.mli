@@ -117,3 +117,8 @@ val resident : t -> int
 
 val hits : t -> int
 val misses : t -> int
+
+val evictions : t -> int
+(** Frames that have left the pool, evicted or dropped by {!drop_all}.
+    While it stays the same, every page that was resident is resident
+    still. *)

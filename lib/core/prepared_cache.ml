@@ -29,7 +29,9 @@ module Probes = Rw_obs.Probes
    the entry's fill-time epoch and discard stale entries on sight. *)
 
 type entry = {
-  e_image : string; (* immutable page image — copied in, copied out *)
+  e_image : Page.t;
+      (* the entry's own page buffer: copied in, copied out, never handed
+         out, and given back to [Page.release] when the entry is dropped *)
   e_as_of : Lsn.t;
   e_epoch : int;
   mutable e_tick : int; (* recency for eviction *)
@@ -71,13 +73,14 @@ let hit_rate t =
   let total = t.hits + t.delta_hits + t.misses in
   if total = 0 then 0.0 else float_of_int (t.hits + t.delta_hits) /. float_of_int total
 
-let page_of_entry e = Page.of_string e.e_image
+let page_of_entry e = Page.copy e.e_image
 
 (* Drop entries from older epochs for one page's list. *)
 let prune t cell =
   let epoch = Log_manager.invalidation_epoch t.log in
   let keep, dead = List.partition (fun e -> e.e_epoch = epoch) !cell in
   if dead <> [] then begin
+    List.iter (fun e -> Page.release e.e_image) dead;
     t.count <- t.count - List.length dead;
     t.invalidations <- t.invalidations + List.length dead;
     cell := keep
@@ -169,7 +172,9 @@ let contents t =
   Hashtbl.iter
     (fun pid cell ->
       prune t cell;
-      List.iter (fun e -> rows := (Page_id.of_int pid, e.e_as_of, e.e_image) :: !rows) !cell)
+      List.iter
+        (fun e -> rows := (Page_id.of_int pid, e.e_as_of, Bytes.to_string e.e_image) :: !rows)
+        !cell)
     t.table;
   List.sort compare !rows
 
@@ -189,6 +194,7 @@ let evict_oldest t =
   | Some (pid, v) ->
       let cell = Hashtbl.find t.table pid in
       cell := List.filter (fun e -> e != v) !cell;
+      Page.release v.e_image;
       if !cell = [] then Hashtbl.remove t.table pid;
       t.count <- t.count - 1
 
@@ -206,7 +212,7 @@ let add t pid ~as_of page =
   prune t cell;
   if not (List.exists (fun e -> Lsn.equal e.e_as_of as_of) !cell) then begin
     let e =
-      { e_image = Bytes.to_string page; e_as_of = as_of; e_epoch = epoch; e_tick = next_tick t }
+      { e_image = Page.copy page; e_as_of = as_of; e_epoch = epoch; e_tick = next_tick t }
     in
     cell := e :: !cell;
     t.count <- t.count + 1;

@@ -45,7 +45,9 @@ val find_exact :
 val add : t -> Rw_storage.Page_id.t -> as_of:Rw_storage.Lsn.t -> Rw_storage.Page.t -> unit
 (** Publish a freshly rewound {e pure} image (no snapshot-local mutations
     such as loser undo applied).  The page is copied in; duplicates of an
-    existing (page, as_of) key are ignored. *)
+    existing (page, as_of) key are ignored.  The copy is a recycled page
+    buffer ({!Rw_storage.Page.copy}); an entry gives it back with
+    {!Rw_storage.Page.release} when it is evicted or pruned. *)
 
 (* Introspection for the CLI's \sessions display. *)
 val entries : t -> int

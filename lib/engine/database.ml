@@ -404,34 +404,57 @@ let delete t txn ~table ~key =
           end);
       if not !found then raise Not_found
 
-let heap_row tab stored =
-  let key = String.get_int64_le stored 0 in
-  Row.decode tab ~key ~payload:(String.sub stored 8 (String.length stored - 8))
+(* A heap record is the 8-byte key, then the payload. *)
+let heap_key stored = String.get_int64_le stored 0
 
-let get t ~table ~key =
+let heap_payload stored f =
+  f (Bytes.unsafe_of_string stored) ~pos:8 ~len:(String.length stored - 8)
+
+let heap_find t (tab : Schema.table) key f =
+  let result = ref None in
+  Heap.iter t.ctx (Heap.of_first tab.Schema.root) ~f:(fun _ stored ->
+      if Option.is_none !result && String.length stored >= 8 && heap_key stored = key then
+        result := Some (heap_payload stored f));
+  !result
+
+(* Point lookups and range scans hand the row's payload to [read] in
+   place, on the leaf page under its shared latch (a heap record, as
+   stored); a range calls [f] only after the latch is released. *)
+let get_with t ~table ~key read =
   let tab = find_table t table in
   match tab.Schema.kind with
   | Schema.Btree_table ->
-      Option.map
-        (fun payload -> Row.decode tab ~key ~payload)
-        (Btree.find t.ctx (Btree.of_root tab.Schema.root) key)
-  | Schema.Heap_table ->
-      let result = ref None in
-      Heap.iter t.ctx (Heap.of_first tab.Schema.root) ~f:(fun _ stored ->
-          if !result = None && String.length stored >= 8 && String.get_int64_le stored 0 = key
-          then result := Some (heap_row tab stored));
-      !result
+      Btree.find_with t.ctx (Btree.of_root tab.Schema.root) key ~f:(fun page ~pos ~len ->
+          read tab key page ~pos ~len)
+  | Schema.Heap_table -> heap_find t tab key (read tab key)
 
-let range t ~table ~lo ~hi ~f =
+let range_with t ~table ~lo ~hi read ~f =
   let tab = find_table t table in
   match tab.Schema.kind with
   | Schema.Btree_table ->
-      Btree.range t.ctx (Btree.of_root tab.Schema.root) ~lo ~hi ~f:(fun key payload ->
-          f (Row.decode tab ~key ~payload))
+      Btree.range t.ctx (Btree.of_root tab.Schema.root) ~lo ~hi ~row:(read tab) ~f
   | Schema.Heap_table ->
       Heap.iter t.ctx (Heap.of_first tab.Schema.root) ~f:(fun _ stored ->
-          let key = String.get_int64_le stored 0 in
-          if key >= lo && key <= hi then f (heap_row tab stored))
+          let key = heap_key stored in
+          if key >= lo && key <= hi then f (heap_payload stored (read tab key)))
+
+let full_row tab key b ~pos ~len = Row.read tab ~key b ~pos ~len
+let get t ~table ~key = get_with t ~table ~key full_row
+let range t ~table ~lo ~hi ~f = range_with t ~table ~lo ~hi full_row ~f
+
+(* The INT columns at positions [cols] of a payload, read in place. *)
+let ints tab cols b ~pos ~len =
+  let r = Array.make (Array.length cols) 0 in
+  for k = 0 to Array.length cols - 1 do
+    r.(k) <- Row.int_at tab b ~pos ~len cols.(k)
+  done;
+  r
+
+let get_ints t ~table ~key cols =
+  get_with t ~table ~key (fun tab _ b ~pos ~len -> ints tab cols b ~pos ~len)
+
+let range_ints t ~table ~lo ~hi cols ~f =
+  range_with t ~table ~lo ~hi (fun tab _ b ~pos ~len -> ints tab cols b ~pos ~len) ~f
 
 let scan t ~table ~f = range t ~table ~lo:Int64.min_int ~hi:Int64.max_int ~f
 
@@ -452,7 +475,7 @@ let enforce_retention t =
 
 (* --- snapshots --- *)
 
-let view_over_pool ~name ~base ~pool ~snapshot ~on_drop =
+let view_over_pool ~frozen ~name ~base ~pool ~snapshot ~on_drop =
   let locks = Lock_manager.create () in
   let txns = Txn_manager.create ~log:base.log ~locks in
   let ctx =
@@ -464,7 +487,7 @@ let view_over_pool ~name ~base ~pool ~snapshot ~on_drop =
     pool;
     txns;
     ctx;
-    catalog = System_tables.open_ ctx;
+    catalog = System_tables.open_ ~frozen ctx;
     (* Read-only views never allocate; scanning the allocation map here
        would needlessly materialise snapshot pages. *)
     alloc = Alloc_map.empty_handle ();
@@ -487,8 +510,8 @@ let create_cow_snapshot t ~name =
   in
   t.last_checkpoint_wall <- now_us t;
   let view =
-    view_over_pool ~name ~base:t ~pool:(Rw_core.Cow_snapshot.pool cow) ~snapshot:None
-      ~on_drop:ignore
+    view_over_pool ~frozen:true ~name ~base:t ~pool:(Rw_core.Cow_snapshot.pool cow)
+      ~snapshot:None ~on_drop:ignore
   in
   view.cow <- Some cow;
   view
@@ -507,7 +530,8 @@ let create_as_of_snapshot ?(shared = true) t ~name ~wall_us =
       ()
   in
   t.last_checkpoint_wall <- now_us t;
-  view_over_pool ~name ~base:t ~pool:(As_of_snapshot.pool snap) ~snapshot:(Some snap)
+  view_over_pool ~frozen:true ~name ~base:t ~pool:(As_of_snapshot.pool snap)
+    ~snapshot:(Some snap)
     ~on_drop:(fun () -> As_of_snapshot.drop snap)
 
 (* --- persistence --- *)

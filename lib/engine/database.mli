@@ -115,6 +115,21 @@ val update : t -> txn -> table:string -> Row.value list -> unit
 val delete : t -> txn -> table:string -> key:int64 -> unit
 val get : t -> table:string -> key:int64 -> Row.value list option
 val range : t -> table:string -> lo:int64 -> hi:int64 -> f:(Row.value list -> unit) -> unit
+(** [f] runs on each row once its leaf's latch is released, so it may
+    read the database itself. *)
+
+val get_ints : t -> table:string -> key:int64 -> int array -> int array option
+(** [get_ints t ~table ~key cols]: the INT columns at positions [cols] of
+    the row at [key] ({!Row.int_at}), read in place on its leaf page: the
+    pages and charges of {!get}, without building the row.  Raises
+    {!Row.Type_error} on a key, TEXT or absent column. *)
+
+val range_ints :
+  t -> table:string -> lo:int64 -> hi:int64 -> int array -> f:(int array -> unit) -> unit
+(** {!range} that reads each row's INT columns [cols] in place, as
+    {!get_ints}: the columns are read under the leaf's latch and [f]
+    runs once it is released. *)
+
 val scan : t -> table:string -> f:(Row.value list -> unit) -> unit
 val row_count : t -> table:string -> int
 
@@ -244,8 +259,11 @@ val scrub : t -> int
 
 (* Internal: assemble a read-only view over an arbitrary buffer pool.
    Exposed for Backup and what-if views; [on_drop] is what {!drop_view}
-   runs. *)
+   runs.  [frozen]: the pool never changes a resident frame's page or
+   LSN, as an as-of or copy-on-write snapshot's pool (see
+   {!Rw_catalog.System_tables.open_}). *)
 val view_over_pool :
+  frozen:bool ->
   name:string ->
   base:t ->
   pool:Rw_buffer.Buffer_pool.t ->

@@ -50,9 +50,11 @@ let tree (ix : Schema.index) = Btree.of_root ix.Schema.index_root
 let buckets ctx ix ~value =
   let prefix = prefix_of_value value in
   let acc = ref [] in
-  Btree.range ctx (tree ix) ~lo:(lo_key prefix) ~hi:(hi_key prefix) ~f:(fun key payload ->
-      let bucket = Int64.to_int (Int64.logand key (Int64.of_int max_bucket)) in
-      acc := (bucket, decode_postings payload) :: !acc);
+  Btree.range ctx (tree ix) ~lo:(lo_key prefix) ~hi:(hi_key prefix)
+    ~row:(fun key page ~pos ~len ->
+      ( Int64.to_int (Int64.logand key (Int64.of_int max_bucket)),
+        decode_postings (Bytes.sub_string page pos len) ))
+    ~f:(fun b -> acc := b :: !acc);
   List.rev !acc
 
 let add ctx alloc txn ix ~value ~pk =

@@ -34,20 +34,64 @@ let encode (table : Schema.table) values =
     values;
   (key, Codec.to_string e)
 
-let decode (table : Schema.table) ~key ~payload =
-  let d = Codec.decoder payload in
-  let rest =
-    match table.columns with
-    | [] -> type_error "table %s has no columns" table.name
-    | _key_col :: rest ->
-        List.map
-          (fun (c : Schema.column) ->
-            match c.ctype with
-            | Schema.Int -> Int (Codec.get_i64 d)
-            | Schema.Text -> Text (Codec.get_str16 d))
-          rest
+(* The one row reader.  A payload holds the non-key columns in schema
+   order: an INT as 8 bytes little-endian, a TEXT as a u16 length and its
+   bytes.  [field_end] is where [col]'s field, starting at [off], ends;
+   every length is checked against the span's end [stop], so a short row
+   raises [Type_error] instead of reading past its slot. *)
+let short_row (table : Schema.table) (col : Schema.column) =
+  type_error "table %s: row ends before column %s" table.name col.name
+
+let field_end table (col : Schema.column) b off ~stop =
+  let e =
+    match col.ctype with
+    | Schema.Int -> off + 8
+    | Schema.Text ->
+        if off + 2 > stop then short_row table col;
+        off + 2 + Bytes.get_uint16_le b off
   in
-  Int key :: rest
+  if e > stop then short_row table col;
+  e
+
+let payload_columns (table : Schema.table) =
+  match table.columns with
+  | [] -> type_error "table %s has no columns" table.name
+  | _key_col :: rest -> rest
+
+let rec int_field table b ~stop i cols j off =
+  match cols with
+  | [] -> type_error "table %s has no column %d" table.Schema.name i
+  | (c : Schema.column) :: rest ->
+      let e = field_end table c b off ~stop in
+      if j < i then int_field table b ~stop i rest (j + 1) e
+      else begin
+        match c.ctype with
+        | Schema.Int -> Int64.to_int (Bytes.get_int64_le b off)
+        | Schema.Text -> type_error "column %s is TEXT, not INT" c.name
+      end
+
+let int_at table b ~pos ~len i =
+  let cols = payload_columns table in
+  if i < 1 then type_error "column %d of table %s is not in the payload" i table.Schema.name;
+  int_field table b ~stop:(pos + len) i cols 1 pos
+
+let rec fields table b ~stop cols off =
+  match cols with
+  | [] -> []
+  | (c : Schema.column) :: rest ->
+      let e = field_end table c b off ~stop in
+      let v =
+        match c.ctype with
+        | Schema.Int -> Int (Bytes.get_int64_le b off)
+        | Schema.Text -> Text (Bytes.sub_string b (off + 2) (e - off - 2))
+      in
+      v :: fields table b ~stop rest e
+
+let read table ~key b ~pos ~len =
+  Int key :: fields table b ~stop:(pos + len) (payload_columns table) pos
+
+let decode table ~key ~payload =
+  read table ~key (Bytes.unsafe_of_string payload) ~pos:0 ~len:(String.length payload)
 
 let equal_value a b =
   match (a, b) with

@@ -142,8 +142,16 @@ let child_at p ~at =
   if slot_length p at <> 16 then invalid_arg "Slotted_page.child_at: not an internal row";
   Page_id.of_int (Int64.to_int (Bytes.get_int64_le p (slot_offset p at + 8)))
 
-let payload_at p ~at =
+let payload_len p ~at =
   check_index p ~at ~for_insert:false;
   let len = slot_length p at in
-  if len < 8 then invalid_arg "Slotted_page.payload_at: short row";
-  Bytes.sub_string p (slot_offset p at + 8) (len - 8)
+  if len < 8 then invalid_arg "Slotted_page.payload_len: short row";
+  len - 8
+
+let payload_pos p ~at =
+  check_index p ~at ~for_insert:false;
+  slot_offset p at + 8
+
+let payload_at p ~at =
+  let len = payload_len p ~at in
+  Bytes.sub_string p (payload_pos p ~at) len

@@ -55,10 +55,16 @@ val child_at : Page.t -> at:int -> Page_id.t
     child id in the next 8 bytes), read in place.  Raises
     [Invalid_argument] unless the record is 16 bytes. *)
 
+val payload_len : Page.t -> at:int -> int
+(** The length of the B-tree leaf row at slot [at] without its 8-byte
+    key.  Raises [Invalid_argument] on a record shorter than 8 bytes. *)
+
+val payload_pos : Page.t -> at:int -> int
+(** Where that payload starts in the page, just after the key: it is
+    read in place as [page.[payload_pos .. payload_pos+payload_len-1]]. *)
+
 val payload_at : Page.t -> at:int -> string
-(** The B-tree leaf row at slot [at] without its 8-byte key: one copy
-    out of the page.  Raises [Invalid_argument] on a record shorter
-    than 8 bytes. *)
+(** That payload, copied out of the page. *)
 
 val used_bytes : Page.t -> int
 (** Bytes occupied by live records and slots. *)

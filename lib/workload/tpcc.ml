@@ -122,10 +122,14 @@ let get_int row i =
   | Row.Int v -> Int64.to_int v
   | Row.Text _ -> invalid_arg "Tpcc: expected INT column"
 
+let missing table key = failwith (Printf.sprintf "Tpcc: missing row %Ld in %s" key table)
+
 let get_exn db ~table ~key =
-  match Database.get db ~table ~key with
-  | Some row -> row
-  | None -> failwith (Printf.sprintf "Tpcc: missing row %Ld in %s" key table)
+  match Database.get db ~table ~key with Some row -> row | None -> missing table key
+
+(* The INT columns [cols] of the row at [key], read in place. *)
+let ints_exn db ~table ~key cols =
+  match Database.get_ints db ~table ~key cols with Some v -> v | None -> missing table key
 
 let pick_item t = Prng.non_uniform t.rng ~a:255 ~x:1 ~y:t.config.items
 let pick_customer t = Prng.non_uniform t.rng ~a:63 ~x:1 ~y:t.config.customers
@@ -138,20 +142,19 @@ let new_order t =
   let ol_cnt = Prng.int_in t.rng 5 15 in
   Database.with_txn t.db (fun txn ->
       let dkey = district_key ~w ~d in
-      let drow = get_exn t.db ~table:"district" ~key:dkey in
-      let o = get_int drow 1 in
+      let drow = ints_exn t.db ~table:"district" ~key:dkey [| 1; 2 |] in
+      let o = drow.(0) in
       Database.update t.db txn ~table:"district"
-        [ Row.Int dkey; Row.Int (Int64.of_int (o + 1)); Row.Int (Int64.of_int (get_int drow 2)) ];
+        [ Row.Int dkey; Row.Int (Int64.of_int (o + 1)); Row.Int (Int64.of_int drow.(1)) ];
       Database.insert t.db txn ~table:"orders"
         [ Row.Int (order_key ~w ~d ~o); Row.Int (Int64.of_int c); Row.Int (Int64.of_int ol_cnt) ];
       for ol = 1 to ol_cnt do
         let i = pick_item t in
-        let item = get_exn t.db ~table:"item" ~key:(Int64.of_int i) in
-        let price = get_int item 1 in
+        let price = (ints_exn t.db ~table:"item" ~key:(Int64.of_int i) [| 1 |]).(0) in
         let qty = Prng.int_in t.rng 1 10 in
         let skey = stock_key ~w ~i in
-        let srow = get_exn t.db ~table:"stock" ~key:skey in
-        let s_qty = get_int srow 1 and s_ytd = get_int srow 2 and s_cnt = get_int srow 3 in
+        let srow = ints_exn t.db ~table:"stock" ~key:skey [| 1; 2; 3 |] in
+        let s_qty = srow.(0) and s_ytd = srow.(1) and s_cnt = srow.(2) in
         let s_qty' = if s_qty - qty >= 10 then s_qty - qty else s_qty - qty + 91 in
         Database.update t.db txn ~table:"stock"
           [
@@ -200,37 +203,38 @@ let payment t =
 let order_status t =
   let w = pick_warehouse t and d = pick_district t in
   let c = pick_customer t in
-  ignore (Database.get t.db ~table:"customer" ~key:(customer_key ~w ~d ~c));
-  (* Read the district's most recent order, if any. *)
+  (* The customer's balance and the district's most recent order, if
+     any: its customer and line count. *)
+  ignore (Database.get_ints t.db ~table:"customer" ~key:(customer_key ~w ~d ~c) [| 1 |]);
   let dkey = district_key ~w ~d in
-  match Database.get t.db ~table:"district" ~key:dkey with
-  | Some drow ->
-      let next_o = get_int drow 1 in
-      if next_o > 1 then ignore (Database.get t.db ~table:"orders" ~key:(order_key ~w ~d ~o:(next_o - 1)))
-  | None -> ()
+  match Database.get_ints t.db ~table:"district" ~key:dkey [| 1 |] with
+  | Some [| next_o |] ->
+      let okey = order_key ~w ~d ~o:(next_o - 1) in
+      if next_o > 1 then ignore (Database.get_ints t.db ~table:"orders" ~key:okey [| 1; 2 |])
+  | _ -> ()
 
 (* Each distinct item of the district's last 20 orders is looked up
    once, in the order of its first order line; [seen] is a bitmap over
    the item ids [1 .. config.items]. *)
 let stock_level db config ~w ~d ~threshold =
-  let drow = get_exn db ~table:"district" ~key:(district_key ~w ~d) in
-  let next_o = get_int drow 1 in
+  let next_o = (ints_exn db ~table:"district" ~key:(district_key ~w ~d) [| 1 |]).(0) in
   let first_o = max 1 (next_o - 20) in
   let low = ref 0 in
   let seen = Bytes.make ((config.items + 8) / 8) '\000' in
   if next_o > first_o then
-    Database.range db ~table:"order_line"
+    Database.range_ints db ~table:"order_line"
       ~lo:(order_line_key ~w ~d ~o:first_o ~ol:0)
       ~hi:(order_line_key ~w ~d ~o:(next_o - 1) ~ol:15)
-      ~f:(fun row ->
-        let i = get_int row 1 in
+      [| 1 |]
+      ~f:(fun ol ->
+        let i = ol.(0) in
         if i < 1 || i > config.items then
           invalid_arg (Printf.sprintf "Tpcc.stock_level: item %d outside 1..%d" i config.items);
         let byte = Bytes.get_uint8 seen (i lsr 3) and bit = 1 lsl (i land 7) in
         if byte land bit = 0 then begin
           Bytes.set_uint8 seen (i lsr 3) (byte lor bit);
-          let srow = get_exn db ~table:"stock" ~key:(stock_key ~w ~i) in
-          if get_int srow 1 < threshold then incr low
+          if (ints_exn db ~table:"stock" ~key:(stock_key ~w ~i) [| 1 |]).(0) < threshold then
+            incr low
         end);
   !low
 

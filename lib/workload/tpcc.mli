@@ -39,6 +39,7 @@ val create : Rw_engine.Database.t -> config -> t
 (* Individual transactions; each runs in its own engine transaction. *)
 val new_order : t -> unit
 val payment : t -> unit
+val order_status : t -> unit
 (** (test support: the engine runs them through {!run_mix}; the workload
     tests check each one's effect.) *)
 

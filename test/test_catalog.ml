@@ -515,6 +515,48 @@ let test_memo_evicted () =
   check "resident again: charged nothing" true
     (charge (lookup warm) = (0.0, 0, 0, Io_stats.create ()))
 
+(* A copy-on-write view's pool never changes a resident frame, so its
+   handle's record holds until the pool loses a frame.  A warm lookup
+   there is charged nothing; once reads through the view have evicted the
+   catalog's pages, the next lookup walks and is charged exactly a plain
+   walk over the view's cold pool, and the one after it nothing again. *)
+let test_view_memo_evicted () =
+  let clock = Sim_clock.create () in
+  let db = Database.create ~name:"frozen" ~clock ~media:Media.ssd () in
+  Database.with_txn db (fun txn ->
+      for i = 1 to 300 do
+        ignore
+          (Database.create_table db txn ~table:(Printf.sprintf "table_%03d" i) ~columns:cols ())
+      done);
+  let view = Database.create_cow_snapshot db ~name:"v" in
+  let pool = Database.pool view and ctx = Database.ctx view in
+  let charge f =
+    let us = Sim_clock.now_us clock in
+    let hits = Buffer_pool.hits pool and misses = Buffer_pool.misses pool in
+    let io = Io_stats.copy (Disk.stats (Database.disk db)) in
+    f ();
+    ( Sim_clock.now_us clock -. us,
+      Buffer_pool.hits pool - hits,
+      Buffer_pool.misses pool - misses,
+      Io_stats.diff (Disk.stats (Database.disk db)) io )
+  in
+  let lookup () = check "found" true (Database.table view "table_250" <> None) in
+  let nothing = (0.0, 0, 0, Io_stats.create ()) in
+  let tables = Database.tables view in
+  check "warm: charged nothing" true (charge lookup = nothing);
+  let walks () = Rw_obs.Metrics.counter_value Rw_obs.Probes.catalog_walks in
+  let before = walks () in
+  List.iter (fun (tab : Schema.table) -> Access_ctx.read ctx tab.Schema.root ignore) tables;
+  check "the view's pool evicted" true (Buffer_pool.evictions pool > 0);
+  check_int "no walk while reading" before (walks ());
+  let evicted = charge lookup in
+  check_int "the lookup walked" (before + 1) (walks ());
+  check "still charged nothing after" true (charge lookup = nothing);
+  Buffer_pool.drop_all pool;
+  check "evicted: plain cold walk's charge" true
+    (evicted = charge (fun () -> ignore (fresh_decode ctx)));
+  Database.drop_view view
+
 (* Generated DDL histories: after every step the handle's [find] and
    [list_tables] equal a fresh decode of the catalog B-tree.  The steps
    cover each path that changes catalog rows or the pages under the
@@ -666,6 +708,7 @@ let () =
           Alcotest.test_case "repeated name" `Quick test_memo_repeated_name;
           Alcotest.test_case "same modeled charge" `Quick test_memo_same_charges;
           Alcotest.test_case "evicted leaf charged a cold walk" `Quick test_memo_evicted;
+          Alcotest.test_case "view: eviction charged a cold walk" `Quick test_view_memo_evicted;
           QCheck_alcotest.to_alcotest ddl_history_test;
         ] );
     ]

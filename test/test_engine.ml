@@ -50,6 +50,110 @@ let test_row_type_errors () =
   expect_error [ Row.Int 1L ];
   expect_error []
 
+(* In-place column reads over random schemas mixing INT and TEXT columns
+   and random rows.  The payload sits inside a larger buffer with junk on
+   both sides, so a reader that trusted the buffer's end instead of the
+   span's would read past the row.  Every INT column read in place equals
+   the column of a reference decode written here with the codec; the key
+   column, a TEXT column and a column past the last raise Type_error, as
+   does any column whose field a truncated payload cuts.  Row.decode
+   equals the reference decode. *)
+let ref_decode (table : Schema.table) ~key ~payload =
+  let d = Rw_wal.Codec.decoder payload in
+  Row.Int key
+  :: List.map
+       (fun (c : Schema.column) ->
+         match c.ctype with
+         | Schema.Int -> Row.Int (Rw_wal.Codec.get_i64 d)
+         | Schema.Text -> Row.Text (Rw_wal.Codec.get_str16 d))
+       (List.tl table.Schema.columns)
+
+let row_reader_test =
+  let open QCheck in
+  let value =
+    Gen.(
+      oneof
+        [
+          map (fun v -> Row.Int v) (map Int64.of_int int);
+          map (fun v -> Row.Int v) (oneofl [ Int64.min_int; Int64.max_int; 0L; -1L ]);
+          map (fun s -> Row.Text s) (string_size ~gen:printable (0 -- 40));
+        ])
+  in
+  let case =
+    Gen.(
+      triple (list_size (0 -- 6) value) (pair (0 -- 16) (0 -- 16)) (0 -- 1000)
+      |> map (fun (rest, junk, cut) -> (Row.Int 42L :: rest, junk, cut)))
+  in
+  Test.make ~name:"in-place column reads equal a reference decode" ~count:300
+    (make
+       ~print:(fun (row, (before, after), cut) ->
+         Printf.sprintf "[%s] junk %d/%d cut %d"
+           (String.concat "; " (List.map Row.to_string row))
+           before after cut)
+       case)
+    (fun (row, (before, after), cut) ->
+      let columns =
+        List.mapi
+          (fun i v ->
+            {
+              Schema.name = Printf.sprintf "c%d" i;
+              ctype = (match v with Row.Int _ -> Schema.Int | Row.Text _ -> Schema.Text);
+            })
+          row
+      in
+      let table =
+        {
+          Schema.id = 1;
+          name = "r";
+          kind = Schema.Btree_table;
+          root = Rw_storage.Page_id.of_int 2;
+          columns;
+          indexes = [];
+        }
+      in
+      let key, payload = Row.encode table row in
+      let reference = ref_decode table ~key ~payload in
+      let span payload =
+        let len = String.length payload in
+        let b = Bytes.make (before + len + after) '\xff' in
+        Bytes.blit_string payload 0 b before len;
+        (b, len)
+      in
+      let raises f = match f () with exception Row.Type_error _ -> true | _ -> false in
+      (* End of column i's field in the payload: fields 1..i, encoded. *)
+      let field_end i =
+        List.fold_left
+          (fun acc v ->
+            acc + match v with Row.Int _ -> 8 | Row.Text s -> 2 + String.length s)
+          0
+          (List.filteri (fun j _ -> j >= 1 && j <= i) row)
+      in
+      let n = List.length row in
+      let whole, len = span payload in
+      let cut_len = if len = 0 then 0 else cut mod len in
+      let short, _ = span (String.sub payload 0 cut_len) in
+      reference = row
+      && Row.decode table ~key ~payload = reference
+      && Row.read table ~key whole ~pos:before ~len = reference
+      && (len = 0 || raises (fun () -> Row.read table ~key short ~pos:before ~len:cut_len))
+      && List.for_all
+           (fun i ->
+             let read b ~len () = Row.int_at table b ~pos:before ~len i in
+             let whole_ok =
+               match List.nth_opt reference i with
+               | Some (Row.Int v) when i > 0 -> read whole ~len () = Int64.to_int v
+               | _ -> raises (read whole ~len)
+             in
+             let short_ok =
+               if i = 0 || i >= n then raises (read short ~len:cut_len)
+               else if field_end i > cut_len then raises (read short ~len:cut_len)
+               else
+                 whole_ok
+                 && (raises (read whole ~len) || read short ~len:cut_len () = read whole ~len ())
+             in
+             whole_ok && short_ok)
+           (List.init (n + 1) Fun.id))
+
 (* --- database DML --- *)
 
 let seed ?(n = 20) db =
@@ -377,6 +481,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_row_roundtrip;
           Alcotest.test_case "type errors" `Quick test_row_type_errors;
+          QCheck_alcotest.to_alcotest row_reader_test;
         ] );
       ( "dml",
         [

@@ -173,6 +173,38 @@ let test_epoch_invalidation () =
   | Prepared_cache.Miss -> ()
   | _ -> Alcotest.fail "expected a miss after crash"
 
+(* --- dropped entries give their page buffers back, each once --- *)
+
+(* An entry holds a recycled page buffer (Page.copy) and releases it when
+   it is evicted or pruned.  This domain's free list is emptied first and
+   then filled with known buffers [mine], which the adds take as their
+   copies.  After eight evictions past the 512-entry bound and a crash
+   that prunes every other entry, the free list must hold each of [mine]
+   exactly once: a buffer released twice would come back twice, one never
+   released would leave a fresh buffer in its place. *)
+let test_cache_releases_dropped () =
+  let clock = Sim_clock.create () in
+  let log = Log_manager.create ~clock ~media:Media.ram () in
+  let cache = Prepared_cache.create ~log in
+  let src = Page.create ~id:(Page_id.of_int 1) ~typ:Page.Heap in
+  let held = List.init 1024 (fun _ -> Page.create ~id:Page_id.nil ~typ:Page.Free) in
+  let n = 512 + 8 in
+  let mine = List.init n (fun _ -> Bytes.create Page.page_size) in
+  List.iter Page.release mine;
+  for i = 1 to n do
+    Prepared_cache.add cache (Page_id.of_int i) ~as_of:(Lsn.of_int (100 + i)) src
+  done;
+  check_int "bounded" 512 (Prepared_cache.entries cache);
+  Log_manager.crash log;
+  check_int "pruned" 0 (List.length (Prepared_cache.contents cache));
+  let back = List.init n (fun _ -> Page.create ~id:Page_id.nil ~typ:Page.Free) in
+  check "every buffer came back" true (List.for_all (fun p -> List.memq p mine) back);
+  check "each once" true
+    (List.for_all (fun p -> List.length (List.filter (fun q -> q == p) back) = 1) back);
+  check "and nothing more" false
+    (List.memq (Page.create ~id:Page_id.nil ~typ:Page.Free) mine);
+  ignore (Sys.opaque_identity held)
+
 (* --- a second overlapping snapshot reuses the first one's rewinds --- *)
 
 let test_shared_cache_reuse () =
@@ -218,5 +250,6 @@ let () =
         [
           Alcotest.test_case "epoch invalidation" `Quick test_epoch_invalidation;
           Alcotest.test_case "shared-cache reuse" `Quick test_shared_cache_reuse;
+          Alcotest.test_case "dropped entries released once" `Quick test_cache_releases_dropped;
         ] );
     ]

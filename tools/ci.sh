@@ -126,13 +126,15 @@ bench_run() {
 # htap's minor-heap allocation per operation is deterministic in the dev
 # profile too, and it is what boxed int64 results, per-call closures and
 # intermediate copies cost on the row-access and log-append paths
-# (DESIGN.md, "Ids are ints at the byte level", "Checkpoint flushing" and
-# "Log append in one pass").  The bound is the figure once each log record
-# was encoded once, straight into its segment, 1.7261 MiB, plus 2%;
-# before, it was 1.877 MiB (2.312 MiB before the buffer pool's lookups
+# (DESIGN.md, "Ids are ints at the byte level", "Checkpoint flushing",
+# "Log append in one pass" and "Rows are read in place").  The bound is
+# the figure once point lookups and range scans read INT columns in place
+# on the leaf instead of building rows, 0.8470 MiB, plus 2%; before, it
+# was 1.7129 MiB (1.877 MiB before each log record was encoded once,
+# straight into its segment, 2.312 MiB before the buffer pool's lookups
 # allocated no closure or option, 3.208 MiB before keys, child ids and
 # log-header fields were read in place).
-htap_minor_max=1.76
+htap_minor_max=0.864
 # repair_restart's bound, likewise deterministic: the figure once instant
 # restart recovered its backlog in page batches and redid records in
 # place, 1.5548 MiB, plus 2%; before, it was 1.6248 MiB.
