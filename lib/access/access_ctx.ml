@@ -96,7 +96,7 @@ let read t pid f =
   Buffer_pool.with_page t.pool pid ~mode:Latch.Shared f
 
 let resident_at t pid lsn = Buffer_pool.resident_at t.pool pid lsn
-let pool_evictions t = Buffer_pool.evictions t.pool
+let pool_changes t = Buffer_pool.changes t.pool
 
 let page_writer t : Txn_manager.page_writer =
  fun pid apply ->

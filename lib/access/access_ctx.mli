@@ -60,8 +60,8 @@ val resident_at : t -> Rw_storage.Page_id.t -> Rw_storage.Lsn.t -> bool
     the resident copy has that page LSN, at no charge (unlike {!read}, no
     modeled CPU, pin, latch or pool hit). *)
 
-val pool_evictions : t -> int
-(** {!Rw_buffer.Buffer_pool.evictions} of the context's pool. *)
+val pool_changes : t -> int
+(** {!Rw_buffer.Buffer_pool.changes} of the context's pool. *)
 
 val page_writer : t -> Rw_txn.Txn_manager.page_writer
 (** The writer used by rollback to apply CLRs through this context

@@ -61,7 +61,9 @@ type t = {
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
-  mutable evictions : int; (* frames that left: evicted, or dropped by [drop_all] *)
+  mutable changes : int;
+      (* frames that left (evicted, or dropped by [drop_all]) or were marked
+         modified ([mark_dirty]) *)
 }
 
 let of_disk disk =
@@ -97,7 +99,7 @@ let create ~capacity ~source ?(wal_flush = fun _ -> ()) () =
     tick = 0;
     hits = 0;
     misses = 0;
-    evictions = 0;
+    changes = 0;
   }
 
 let page f = f.page
@@ -107,7 +109,7 @@ let capacity t = t.capacity
 let resident t = t.count
 let hits t = t.hits
 let misses t = t.misses
-let evictions t = t.evictions
+let changes t = t.changes
 
 (* The frame of page [key], or [empty]: a probe from slot [i] on.  A
    top-level function, so a lookup allocates no closure. *)
@@ -188,7 +190,7 @@ let evict_one t =
   (* The pool owns its frames (every source returns a private copy), so
      the victim's buffer can serve the next read. *)
   Page.release f.page;
-  t.evictions <- t.evictions + 1;
+  t.changes <- t.changes + 1;
   Obs.incr Probes.evictions
 
 (* The bookkeeping of a miss before the page is read: count, probe,
@@ -290,6 +292,7 @@ let with_frame t pid ~mode f =
   run_latched t frame mode f frame
 
 let mark_dirty t f ~lsn =
+  t.changes <- t.changes + 1;
   if f.dirty_ix < 0 then begin
     add_dirty t f;
     f.rec_lsn <- lsn
@@ -346,7 +349,7 @@ let drop_all t =
       slots.(i) <- empty
     end
   done;
-  t.evictions <- t.evictions + t.count;
+  t.changes <- t.changes + t.count;
   t.count <- 0;
   for i = 0 to t.ndirty - 1 do
     t.dirty.(i).dirty_ix <- -1;

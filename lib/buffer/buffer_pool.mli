@@ -118,7 +118,8 @@ val resident : t -> int
 val hits : t -> int
 val misses : t -> int
 
-val evictions : t -> int
-(** Frames that have left the pool, evicted or dropped by {!drop_all}.
-    While it stays the same, every page that was resident is resident
-    still. *)
+val changes : t -> int
+(** Bumped whenever a frame leaves the pool (eviction, {!drop_all}) or is
+    marked modified ({!mark_dirty}, which every mutation of a frame's page
+    is followed by).  While it stays the same, every page that was
+    resident is resident still, with the same page LSN. *)

@@ -22,11 +22,11 @@ exception No_such_table of string
    the epoch.  So while the epoch holds and every recorded page is
    resident at its recorded LSN, a walk would read exactly these pages and
    rows, and a lookup answers from the record without reading at all.
-   [evictions] is the pool's eviction count when the walk began, or when
-   its pages were last found resident. *)
+   [changes] is the pool's change count ({!Buffer_pool.changes}) when the
+   walk began, or when its pages were last found resident. *)
 type walk = {
   epoch : int;
-  mutable evictions : int;
+  mutable changes : int;
   pages : (Page_id.t * Lsn.t) list;
   leaves : (int, Lsn.t * Schema.table list) Hashtbl.t; (* leaf page id -> its LSN and rows *)
   tables : Schema.table list; (* by id *)
@@ -39,7 +39,6 @@ type walk = {
    walk it was read from. *)
 type t = {
   ctx : Access_ctx.t;
-  frozen : bool; (* the pool never changes a resident frame's page or LSN *)
   mutable last : walk option;
   mutable memo_walk : walk;
   mutable memo_name : string;
@@ -50,15 +49,15 @@ type t = {
 let no_walk =
   {
     epoch = -1;
-    evictions = -1;
+    changes = -1;
     pages = [];
     leaves = Hashtbl.create 1;
     tables = [];
     by_name = Hashtbl.create 1;
   }
 
-let open_ ?(frozen = false) ctx =
-  { ctx; frozen; last = None; memo_walk = no_walk; memo_name = ""; memo = None }
+let open_ ctx =
+  { ctx; last = None; memo_walk = no_walk; memo_name = ""; memo = None }
 
 let catalog_tree ?seen ctx =
   Btree.of_root (Page_id.of_int (Int64.to_int (Boot.get_exn ?seen ctx Boot.key_catalog_root)))
@@ -76,7 +75,7 @@ let walk t =
   Metrics.incr Probes.catalog_walks;
   let ctx = t.ctx in
   let epoch = Log_manager.invalidation_epoch (Access_ctx.log ctx) in
-  let evictions = Access_ctx.pool_evictions ctx in
+  let changes = Access_ctx.pool_changes ctx in
   let reuse = match t.last with Some w when w.epoch = epoch -> Some w.leaves | _ -> None in
   let pages = ref [] and leaves = Hashtbl.create 8 and acc = ref [] in
   let seen pid page =
@@ -102,7 +101,7 @@ let walk t =
       (* the first by id, as a scan would find *)
       if not (Hashtbl.mem by_name tab.name) then Hashtbl.add by_name tab.name tab)
     tables;
-  let w = { epoch; evictions; pages = List.rev !pages; leaves; tables; by_name } in
+  let w = { epoch; changes; pages = List.rev !pages; leaves; tables; by_name } in
   t.last <- Some w;
   w
 
@@ -110,15 +109,14 @@ let rec all_resident ctx = function
   | [] -> true
   | (pid, lsn) :: rest -> Access_ctx.resident_at ctx pid lsn && all_resident ctx rest
 
-(* Whether every page of [w] is resident at its recorded LSN.  In a
-   frozen pool a resident frame keeps its page and LSN, so that holds
-   while no frame has left the pool since it last held; elsewhere each
-   page is peeked. *)
+(* Whether every page of [w] is resident at its recorded LSN.  That
+   holds while the pool has neither lost nor modified a frame since it
+   last held; otherwise each page is peeked. *)
 let still_resident t w =
-  let evictions = Access_ctx.pool_evictions t.ctx in
-  if t.frozen && w.evictions = evictions then true
+  let changes = Access_ctx.pool_changes t.ctx in
+  if w.changes = changes then true
   else if all_resident t.ctx w.pages then begin
-    w.evictions <- evictions;
+    w.changes <- changes;
     true
   end
   else false

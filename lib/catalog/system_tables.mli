@@ -36,14 +36,12 @@ type t
 (** A catalog handle: one access context and the record of its last
     walk.  Open one per context. *)
 
-val open_ : ?frozen:bool -> Rw_access.Access_ctx.t -> t
-(** A handle with no record yet; reads nothing.  [frozen] (default
-    [false]) says the context's pool never changes a resident frame's
-    page or LSN, as in as-of and copy-on-write snapshot views.  The
-    record then holds until the pool loses a frame
-    ({!Rw_buffer.Buffer_pool.evictions}), and a lookup compares that
-    count instead of peeking at every recorded page; once a frame has
-    left, the pages are peeked as on a writable handle. *)
+val open_ : Rw_access.Access_ctx.t -> t
+(** A handle with no record yet; reads nothing.  The record holds while
+    the pool neither loses nor modifies a frame
+    ({!Rw_buffer.Buffer_pool.changes}): a lookup compares that count
+    instead of peeking at every recorded page, and peeks only once it has
+    moved. *)
 
 val init : t -> Rw_access.Alloc_map.t -> Rw_txn.Txn_manager.txn -> unit
 (** Create the catalog B-tree and counters (database creation). *)

@@ -131,7 +131,7 @@ let restore_as_of t ~from ~wall_us =
   in
   ignore (Recovery.undo_losers ~log ~losers:losers.Recovery.in_flight ~write_clr:false ~apply);
   Buffer_pool.flush_all pool;
-  Database.view_over_pool ~frozen:false
+  Database.view_over_pool
     ~name:(Printf.sprintf "%s_restored" t.source)
     ~base:from ~pool ~snapshot:None
     ~on_drop:(fun () -> Buffer_pool.drop_all pool)

@@ -475,7 +475,7 @@ let enforce_retention t =
 
 (* --- snapshots --- *)
 
-let view_over_pool ~frozen ~name ~base ~pool ~snapshot ~on_drop =
+let view_over_pool ~name ~base ~pool ~snapshot ~on_drop =
   let locks = Lock_manager.create () in
   let txns = Txn_manager.create ~log:base.log ~locks in
   let ctx =
@@ -487,7 +487,7 @@ let view_over_pool ~frozen ~name ~base ~pool ~snapshot ~on_drop =
     pool;
     txns;
     ctx;
-    catalog = System_tables.open_ ~frozen ctx;
+    catalog = System_tables.open_ ctx;
     (* Read-only views never allocate; scanning the allocation map here
        would needlessly materialise snapshot pages. *)
     alloc = Alloc_map.empty_handle ();
@@ -510,7 +510,7 @@ let create_cow_snapshot t ~name =
   in
   t.last_checkpoint_wall <- now_us t;
   let view =
-    view_over_pool ~frozen:true ~name ~base:t ~pool:(Rw_core.Cow_snapshot.pool cow)
+    view_over_pool ~name ~base:t ~pool:(Rw_core.Cow_snapshot.pool cow)
       ~snapshot:None ~on_drop:ignore
   in
   view.cow <- Some cow;
@@ -530,7 +530,7 @@ let create_as_of_snapshot ?(shared = true) t ~name ~wall_us =
       ()
   in
   t.last_checkpoint_wall <- now_us t;
-  view_over_pool ~frozen:true ~name ~base:t ~pool:(As_of_snapshot.pool snap)
+  view_over_pool ~name ~base:t ~pool:(As_of_snapshot.pool snap)
     ~snapshot:(Some snap)
     ~on_drop:(fun () -> As_of_snapshot.drop snap)
 

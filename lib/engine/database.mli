@@ -259,11 +259,8 @@ val scrub : t -> int
 
 (* Internal: assemble a read-only view over an arbitrary buffer pool.
    Exposed for Backup and what-if views; [on_drop] is what {!drop_view}
-   runs.  [frozen]: the pool never changes a resident frame's page or
-   LSN, as an as-of or copy-on-write snapshot's pool (see
-   {!Rw_catalog.System_tables.open_}). *)
+   runs. *)
 val view_over_pool :
-  frozen:bool ->
   name:string ->
   base:t ->
   pool:Rw_buffer.Buffer_pool.t ->

@@ -502,7 +502,7 @@ let what_if_view ~engine ~db ~graph ~victim ~name =
         Buffer_pool.drop_all pool;
         Sparse_file.drop side
       in
-      let view = Database.view_over_pool ~frozen:false ~name ~base:db ~pool ~snapshot:None ~on_drop in
+      let view = Database.view_over_pool ~name ~base:db ~pool ~snapshot:None ~on_drop in
       let view = Engine.attach_database engine view in
       record_stats targets.t_stats;
       Ok (view, targets.t_stats)
